@@ -38,6 +38,22 @@ const KERNEL_SIDE: &[&str] =
 /// `eager-host-scalar` rule.
 const HOST_SCALARS: &[&str] = &["f32", "f64", "i32", "i64", "u32", "u64", "usize", "bool"];
 
+/// Whether `code` names a float atomic: an `atomic_…_f32`/`…_f64` helper
+/// (the CAS-emulated family `ocelot_kernel::atomic` used to export) or an
+/// `AtomicF32`/`AtomicF64` type.
+fn names_float_atomic(code: &str) -> bool {
+    if code.contains("AtomicF32") || code.contains("AtomicF64") {
+        return true;
+    }
+    code.match_indices("atomic_").any(|(start, _)| {
+        let ident: &str = code[start..]
+            .split(|c: char| !c.is_alphanumeric() && c != '_')
+            .next()
+            .unwrap_or_default();
+        ident.ends_with("_f32") || ident.ends_with("_f64")
+    })
+}
+
 fn has_allow(lines: &[&str], index: usize, rule: &str) -> bool {
     let marker = format!("xlint:allow({rule})");
     lines[index].contains(&marker)
@@ -59,8 +75,8 @@ pub fn scan_source(rel_path: &str, content: &str) -> Vec<LintDiagnostic> {
     let mut findings = Vec::new();
 
     let kernel_side = KERNEL_SIDE.iter().any(|prefix| path.starts_with(prefix));
-    let core_operator_module =
-        path.starts_with("crates/core/src/ops") || path.starts_with("crates/core/src/primitives");
+    let core_ops = path.starts_with("crates/core/src/ops");
+    let core_operator_module = core_ops || path.starts_with("crates/core/src/primitives");
 
     for (index, line) in lines.iter().enumerate() {
         let code = line.split("//").next().unwrap_or(line);
@@ -76,6 +92,19 @@ pub fn scan_source(rel_path: &str, content: &str) -> Vec<LintDiagnostic> {
                 rule: "chunk-mut-outside-kernel",
                 message: "unchecked tier-2 mutable chunk access outside a kernel-side module \
                           (allowed: crates/kernel/src, crates/core/src/{ops,primitives})"
+                    .to_string(),
+            });
+        }
+
+        if core_ops && names_float_atomic(code) && !has_allow(&lines, index, "float-atomic-in-ops")
+        {
+            findings.push(LintDiagnostic {
+                path: path.clone(),
+                line: index + 1,
+                rule: "float-atomic-in-ops",
+                message: "float atomic in an operator — the order of contended float updates \
+                          is the thread interleaving; fold into private per-work-group \
+                          partials combined in a fixed order (see ops/aggregate.rs)"
                     .to_string(),
             });
         }
@@ -246,6 +275,7 @@ pub const FIXTURES: &[(&str, &str, &str)] = &[
     ("chunk_mut_in_engine.rs", "crates/engine/src/bad.rs", "chunk-mut-outside-kernel"),
     ("eager_scalar_op.rs", "crates/core/src/ops/bad.rs", "eager-host-scalar"),
     ("stats_no_metrics.rs", "crates/core/src/bad.rs", "stats-without-metrics"),
+    ("float_atomic_in_ops.rs", "crates/core/src/ops/bad.rs", "float-atomic-in-ops"),
 ];
 
 #[cfg(test)]
@@ -288,6 +318,27 @@ mod tests {
         // Device-handle returns are the contract.
         let lazy = "pub fn sum_f32(ctx: &Ctx, col: &DevColumn<f32>) -> Result<DevScalar<f32>> {\n";
         assert!(scan_source("crates/core/src/ops/aggregate.rs", lazy).is_empty());
+    }
+
+    #[test]
+    fn float_atomics_are_rejected_in_operators_only() {
+        let call = "            atomic_add_f32(cell, value);\n";
+        let findings = scan_source("crates/core/src/ops/aggregate.rs", call);
+        assert_eq!(findings.len(), 1);
+        assert_eq!(findings[0].rule, "float-atomic-in-ops");
+        assert_eq!(
+            scan_source("crates/core/src/ops/x.rs", "let a = AtomicF64::new(0.0);\n").len(),
+            1
+        );
+        // Integer atomics and the CAS primitive are the tier-1 contract.
+        let integer = "let prev = atomic_cas_u32(cell, EMPTY, row); atomic_add_i32(cell, 1);\n";
+        assert!(scan_source("crates/core/src/ops/hash_table.rs", integer).is_empty());
+        // Outside the operator library the rule does not apply; comments
+        // and explicit allows pass.
+        assert!(scan_source("crates/kernel/src/atomic.rs", call).is_empty());
+        assert!(scan_source("crates/core/src/ops/a.rs", "// no atomic_add_f32 here\n").is_empty());
+        let allowed = "atomic_max_f32(cell, v); // xlint:allow(float-atomic-in-ops)\n";
+        assert!(scan_source("crates/core/src/ops/a.rs", allowed).is_empty());
     }
 
     #[test]

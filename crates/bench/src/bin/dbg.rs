@@ -18,9 +18,7 @@ fn main() {
             distinct.len(),
             ctx.queue().flush_count()
         );
-        for hint in [7, 600, 1024] {
-            let g = groupby::group_by_hash(&ctx, &c_sel, hint).unwrap();
-            println!("   hint={} num_groups={}", hint, g.num_groups);
-        }
+        let g = groupby::group_by_hash(&ctx, &c_sel).unwrap();
+        println!("   num_groups={}", g.num_groups);
     }
 }

@@ -3,22 +3,51 @@
 //! * **Ungrouped aggregation** delegates to the hierarchical parallel
 //!   reduction in [`crate::primitives::reduce`] — every result is a deferred
 //!   [`DevScalar`] whose `.get()` is the pipeline's only sync point.
-//! * **Grouped aggregation** accumulates into a table of atomically updated
-//!   accumulators. To reduce contention when there are only a few groups,
-//!   each group's value is spread over multiple accumulators (their number
-//!   chosen inversely proportional to the number of groups, exactly as the
-//!   paper describes); a final kernel folds the accumulators of each group
-//!   into the result. Floating-point atomics are emulated with CAS on
-//!   integer words (paper footnote 7).
+//! * **Grouped aggregation** gives every work-group a *private* table of
+//!   partial aggregates — one slot per group, in a range of the partials
+//!   buffer no other work-group touches — and a second kernel folds the
+//!   tables in work-group order. The paper spreads each group over several
+//!   atomically updated accumulators to dodge contention; private tables
+//!   are that idea taken to its end: no contention at all, so the inner
+//!   loop is plain tier-2 arithmetic (no float atomics, CAS-emulated or
+//!   otherwise), and the order of every floating-point addition is fixed
+//!   by the launch configuration rather than by thread interleaving.
+//!
+//! **Partial-table sizing rule** (`partial_tables_for`): as many
+//! work-groups as keep the partials buffer (`work-groups × groups`, twice
+//! that for the average's sum-and-count pair) no larger than the input and
+//! give every work-group at least [`MIN_ROWS_PER_TABLE`] rows, capped at
+//! [`MAX_PARTIAL_TABLES`]. Few groups therefore get many short partial
+//! sums — which is also what keeps `f32` sums of millions of rows accurate
+//! — and many groups degrade to a single sequential table, still linear.
+//! The rule reads only the row and group counts, never the device's core
+//! count, so the sequential and multi-core CPU devices add in the same
+//! order.
+//!
+//! **Equality rule.** Grouped results are bit-equal run to run on one
+//! backend and device configuration. Across backends, integers, counts and
+//! OIDs are exact; floats agree within relative `1e-4` (the Monet backends
+//! accumulate in `f64`, the devices in `f32` in the order above).
+//!
+//! Counts are accumulated in `u32` and converted to the engine's four-byte
+//! float representation once, at the fold: exact up to 2^24 rows per group
+//! and correctly rounded beyond, never saturating.
 
 use crate::context::{DevColumn, DevScalar, LenSource, OcelotContext, Oid};
 use crate::primitives::reduce;
-use ocelot_kernel::atomic::{atomic_add_f32, atomic_max_f32, atomic_min_f32};
-use ocelot_kernel::{Buffer, Kernel, KernelCost, LaunchConfig, Result, WorkGroupCtx};
-use std::sync::atomic::Ordering;
+use ocelot_kernel::{
+    Buffer, BufferAccess, Kernel, KernelAccesses, KernelCost, LaunchConfig, Result, WorkGroupCtx,
+    WorkItem,
+};
 use std::sync::Arc;
 
 pub use crate::primitives::reduce::{max_f32, max_i32, min_f32, min_i32, sum_f32, sum_i32};
+
+/// Upper bound on the work-groups (private partial tables) of one grouped
+/// aggregation.
+pub const MAX_PARTIAL_TABLES: usize = 64;
+/// A work-group is only worth its partial table if it folds this many rows.
+pub const MIN_ROWS_PER_TABLE: usize = 1024;
 
 /// Which grouped aggregate to compute.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -31,120 +60,185 @@ pub enum GroupedAgg {
     MaxF32,
     /// Per-group row count (the value column is ignored).
     Count,
+    /// Per-group average of an `f32` column: sum and count partials side by
+    /// side, divided at the fold.
+    AvgF32,
 }
 
 impl GroupedAgg {
-    fn identity_word(self) -> u32 {
+    /// Words of partial state per group (the average keeps sum and count).
+    fn words_per_group(self) -> usize {
         match self {
-            GroupedAgg::SumF32 | GroupedAgg::Count => 0f32.to_bits(),
-            GroupedAgg::MinF32 => f32::INFINITY.to_bits(),
-            GroupedAgg::MaxF32 => f32::NEG_INFINITY.to_bits(),
-        }
-    }
-
-    fn combine(self, a: f32, b: f32) -> f32 {
-        match self {
-            GroupedAgg::SumF32 | GroupedAgg::Count => a + b,
-            GroupedAgg::MinF32 => a.min(b),
-            GroupedAgg::MaxF32 => a.max(b),
+            GroupedAgg::AvgF32 => 2,
+            _ => 1,
         }
     }
 }
 
-/// The accumulation kernel: every row atomically folds its value into one of
-/// its group's accumulators, selected by the work-item id to spread
-/// contention (paper: "the values for each group are aggregated across
-/// multiple accumulators").
-struct GroupedAccumulateKernel {
+/// Number of work-groups — private partial tables — for a grouped
+/// aggregation of `rows` rows into `num_groups` groups (module docs).
+fn partial_tables_for(rows: usize, num_groups: usize, agg: GroupedAgg) -> usize {
+    let table_words = num_groups * agg.words_per_group();
+    (rows / table_words.max(MIN_ROWS_PER_TABLE)).clamp(1, MAX_PARTIAL_TABLES)
+}
+
+/// Applies `f` to the logical rows (`< n`) assigned to `item`.
+#[inline]
+fn for_rows(item: &WorkItem, n: usize, f: impl FnMut(usize)) {
+    let assigned = item.assigned();
+    match assigned.as_range() {
+        Some(range) => (range.start.min(n)..range.end.min(n)).for_each(f),
+        None => assigned.filter(|idx| *idx < n).for_each(f),
+    }
+}
+
+/// Folds `value` into the `f32` stored (as bits) in `word`.
+#[inline]
+fn fold_f32(word: &mut u32, value: u32, combine: impl Fn(f32, f32) -> f32) {
+    *word = combine(f32::from_bits(*word), f32::from_bits(value)).to_bits();
+}
+
+/// Fills `table` with `identity` and folds the work-group's rows into their
+/// groups' slots with `combine` (monomorphised per aggregate).
+fn fold_rows(
+    group: &WorkGroupCtx,
+    n: usize,
+    table: &mut [u32],
+    gids: &[u32],
+    values: &[u32],
+    identity: f32,
+    combine: impl Fn(f32, f32) -> f32 + Copy,
+) {
+    table.fill(identity.to_bits());
+    for item in group.items() {
+        for_rows(&item, n, |row| fold_f32(&mut table[gids[row] as usize], values[row], combine));
+    }
+}
+
+/// The accumulation kernel: every work-group folds its rows into its own
+/// table `partials[group_id × table_words ..][.. table_words]`.
+struct GroupedPartialsKernel {
     values: Option<Buffer>,
     gids: Buffer,
-    accumulators: Buffer,
-    num_accumulators: usize,
+    partials: Buffer,
+    num_groups: usize,
     agg: GroupedAgg,
     n: LenSource,
 }
 
-impl Kernel for GroupedAccumulateKernel {
+impl Kernel for GroupedPartialsKernel {
     fn name(&self) -> &str {
-        "grouped_accumulate"
+        "grouped_partials"
     }
     fn run_group(&self, group: &mut WorkGroupCtx) {
         let n = self.n.get();
-        for item in group.items() {
-            let accumulator_lane = item.global_id % self.num_accumulators;
-            for idx in item.assigned() {
-                if idx >= n {
-                    continue;
+        let table_words = self.num_groups * self.agg.words_per_group();
+        let base = group.group_id() * table_words;
+        // SAFETY: the table of work-group `group_id` is this range and no
+        // other work-group's; the group's items run one after another.
+        let table = unsafe { self.partials.chunk_mut(base, base + table_words) };
+        let gids = self.gids.as_words();
+        let values = self.values.as_ref().map(Buffer::as_words);
+        let values = || values.expect("every aggregate but COUNT reads a value column");
+        match self.agg {
+            GroupedAgg::SumF32 => fold_rows(group, n, table, gids, values(), 0.0, |a, b| a + b),
+            GroupedAgg::MinF32 => {
+                fold_rows(group, n, table, gids, values(), f32::INFINITY, f32::min)
+            }
+            GroupedAgg::MaxF32 => {
+                fold_rows(group, n, table, gids, values(), f32::NEG_INFINITY, f32::max)
+            }
+            GroupedAgg::Count => {
+                table.fill(0);
+                for item in group.items() {
+                    for_rows(&item, n, |row| table[gids[row] as usize] += 1);
                 }
-                let gid = self.gids.get_u32(idx) as usize;
-                let slot = gid * self.num_accumulators + accumulator_lane;
-                let value = match (&self.values, self.agg) {
-                    (_, GroupedAgg::Count) => 1.0,
-                    (Some(values), _) => values.get_f32(idx),
-                    (None, _) => 0.0,
-                };
-                let cell = self.accumulators.cell(slot);
-                match self.agg {
-                    GroupedAgg::SumF32 | GroupedAgg::Count => {
-                        atomic_add_f32(cell, value);
-                    }
-                    GroupedAgg::MinF32 => {
-                        atomic_min_f32(cell, value);
-                    }
-                    GroupedAgg::MaxF32 => {
-                        atomic_max_f32(cell, value);
-                    }
+            }
+            GroupedAgg::AvgF32 => {
+                let values = values();
+                table.fill(0);
+                let (sums, counts) = table.split_at_mut(self.num_groups);
+                for item in group.items() {
+                    for_rows(&item, n, |row| {
+                        let gid = gids[row] as usize;
+                        fold_f32(&mut sums[gid], values[row], |a, b| a + b);
+                        counts[gid] += 1;
+                    });
                 }
             }
         }
     }
     fn cost(&self, launch: &LaunchConfig) -> KernelCost {
+        let table_words = (self.num_groups * self.agg.words_per_group()) as u64;
         KernelCost::new(
             (launch.n as u64) * 8,
-            (launch.n as u64) * 4,
+            launch.num_groups as u64 * table_words * 4,
             launch.n as u64,
-            launch.n as u64,
+            0,
         )
+    }
+    fn declared_accesses(&self, launch: &LaunchConfig) -> Option<KernelAccesses> {
+        let table_words = self.num_groups * self.agg.words_per_group();
+        let mut accesses = vec![
+            BufferAccess::slice_read(&self.gids, 0..launch.n),
+            BufferAccess::slice_write(&self.partials, 0..launch.num_groups * table_words),
+        ];
+        if let Some(values) = &self.values {
+            accesses.push(BufferAccess::slice_read(values, 0..launch.n));
+        }
+        Some(KernelAccesses::of(accesses))
     }
 }
 
-/// Folds the accumulators of each group into the final per-group value.
-struct FoldAccumulatorsKernel {
-    accumulators: Buffer,
+/// Folds the partial tables into the final per-group value, in work-group
+/// order.
+struct FoldPartialsKernel {
+    partials: Buffer,
     output: Buffer,
-    num_accumulators: usize,
     num_groups: usize,
+    tables: usize,
     agg: GroupedAgg,
 }
 
-impl Kernel for FoldAccumulatorsKernel {
+impl Kernel for FoldPartialsKernel {
     fn name(&self) -> &str {
         "grouped_fold"
     }
     fn run_group(&self, group: &mut WorkGroupCtx) {
+        let table_words = self.num_groups * self.agg.words_per_group();
+        let partials = self.partials.chunk(0, self.tables * table_words);
+        let column = |gid: usize| partials[gid..].iter().step_by(table_words).copied();
+        let floats = |gid: usize| column(gid).map(f32::from_bits);
         for item in group.items() {
             for gid in item.assigned() {
-                if gid >= self.num_groups {
-                    continue;
-                }
-                let mut acc = f32::from_bits(self.agg.identity_word());
-                for lane in 0..self.num_accumulators {
-                    let value = self.accumulators.get_f32(gid * self.num_accumulators + lane);
-                    acc = self.agg.combine(acc, value);
-                }
-                self.output.set_f32(gid, acc);
+                let value = match self.agg {
+                    GroupedAgg::SumF32 => floats(gid).fold(0.0, |a, b| a + b),
+                    GroupedAgg::MinF32 => floats(gid).fold(f32::INFINITY, f32::min),
+                    GroupedAgg::MaxF32 => floats(gid).fold(f32::NEG_INFINITY, f32::max),
+                    GroupedAgg::Count => column(gid).sum::<u32>() as f32,
+                    GroupedAgg::AvgF32 => {
+                        let sum = floats(gid).fold(0.0, |a, b| a + b);
+                        match column(self.num_groups + gid).sum::<u32>() {
+                            0 => 0.0,
+                            count => sum / count as f32,
+                        }
+                    }
+                };
+                self.output.set_f32(gid, value);
             }
         }
     }
-}
-
-/// Number of accumulators per group: inversely proportional to the group
-/// count, capped so the accumulator table stays small (paper §4.1.7).
-fn accumulators_for(num_groups: usize) -> usize {
-    if num_groups == 0 {
-        return 1;
+    fn cost(&self, launch: &LaunchConfig) -> KernelCost {
+        let words = (self.tables * self.num_groups * self.agg.words_per_group()) as u64;
+        KernelCost::new(words * 4, (launch.n as u64) * 4, words, 0)
     }
-    (4096 / num_groups).clamp(1, 64)
+    fn declared_accesses(&self, launch: &LaunchConfig) -> Option<KernelAccesses> {
+        let table_words = self.num_groups * self.agg.words_per_group();
+        Some(KernelAccesses::of(vec![
+            BufferAccess::slice_read(&self.partials, 0..self.tables * table_words),
+            BufferAccess::cells_write(&self.output, 0..launch.n),
+        ]))
+    }
 }
 
 fn grouped_aggregate(
@@ -163,50 +257,41 @@ fn grouped_aggregate(
             _ => assert!(values.cap() >= gids.cap(), "grouped aggregate: length mismatch"),
         }
     }
-    let output = ctx.alloc(num_groups.max(1), "grouped_output")?;
+    // The fold writes every group's word.
+    let output = ctx.alloc_uninit(num_groups.max(1), "grouped_output")?;
     if num_groups == 0 {
         return DevColumn::new(output, 0);
     }
-    let num_accumulators = accumulators_for(num_groups);
-    let accumulators = ctx.alloc(num_groups * num_accumulators, "grouped_accumulators")?;
-    // Initialise the accumulators with the aggregate's identity.
-    for slot in 0..num_groups * num_accumulators {
-        accumulators.cell(slot).store(agg.identity_word(), Ordering::Relaxed);
-    }
-    let init_event = ctx.queue().enqueue_write(&accumulators, &[])?;
-    ctx.memory().record_producer(&accumulators, init_event);
+    let tables = partial_tables_for(gids.cap(), num_groups, agg);
+    let table_words = num_groups * agg.words_per_group();
+    // Every work-group initialises its own table.
+    let partials = ctx.alloc_uninit(tables * table_words, "grouped_partials")?;
 
-    if gids.cap() > 0 {
-        let mut wait = ctx.wait_for(gids);
-        wait.push(init_event);
-        if let Some(values) = values {
-            wait.extend(ctx.wait_for(values));
-        }
-        let acc_event = ctx.queue().enqueue_kernel(
-            Arc::new(GroupedAccumulateKernel {
-                values: values.map(|v| v.buffer.clone()),
-                gids: gids.buffer.clone(),
-                accumulators: accumulators.clone(),
-                num_accumulators,
-                agg,
-                n: gids.len_source(),
-            }),
-            ctx.launch(gids.cap()),
-            &wait,
-        )?;
-        ctx.memory().record_producer(&accumulators, acc_event);
+    let mut wait = ctx.wait_for(gids);
+    if let Some(values) = values {
+        wait.extend(ctx.wait_for(values));
     }
-    let fold_event = ctx.queue().enqueue_kernel(
-        Arc::new(FoldAccumulatorsKernel {
-            accumulators: accumulators.clone(),
-            output: output.clone(),
-            num_accumulators,
+    let partials_event = ctx.queue().enqueue_kernel(
+        Arc::new(GroupedPartialsKernel {
+            values: values.map(|v| v.buffer.clone()),
+            gids: gids.buffer.clone(),
+            partials: partials.clone(),
             num_groups,
             agg,
+            n: gids.len_source(),
         }),
-        ctx.launch(num_groups),
-        &ctx.memory().wait_for_read(&accumulators),
+        ctx.launch(gids.cap()).with_num_groups(tables),
+        &wait,
     )?;
+    let fold_event = ctx.queue().enqueue_kernel(
+        Arc::new(FoldPartialsKernel { partials, output: output.clone(), num_groups, tables, agg }),
+        ctx.launch(num_groups),
+        &[partials_event],
+    )?;
+    ctx.memory().record_consumer(&gids.buffer, partials_event);
+    if let Some(values) = values {
+        ctx.memory().record_consumer(&values.buffer, partials_event);
+    }
     ctx.memory().record_producer(&output, fold_event);
     DevColumn::new(output, num_groups)
 }
@@ -242,7 +327,7 @@ pub fn grouped_max_f32(
 }
 
 /// Per-group row counts, returned as a float column (the four-byte engine
-/// representation; counts stay exactly representable up to 2^24 rows).
+/// representation; counted in `u32`, converted once at the fold).
 pub fn grouped_count(
     ctx: &OcelotContext,
     gids: &DevColumn<Oid>,
@@ -251,53 +336,15 @@ pub fn grouped_count(
     grouped_aggregate(ctx, None, gids, num_groups, GroupedAgg::Count)
 }
 
-/// Per-group averages of a float column (0 for empty groups).
+/// Per-group averages of a float column (0 for empty groups), in one pass:
+/// sum and count partials come out of the same kernel.
 pub fn grouped_avg_f32(
     ctx: &OcelotContext,
     values: &DevColumn<f32>,
     gids: &DevColumn<Oid>,
     num_groups: usize,
 ) -> Result<DevColumn<f32>> {
-    let sums = grouped_sum_f32(ctx, values, gids, num_groups)?;
-    let counts = grouped_count(ctx, gids, num_groups)?;
-    let output = ctx.alloc(num_groups.max(1), "grouped_avg")?;
-    if num_groups == 0 {
-        return DevColumn::new(output, 0);
-    }
-    let mut wait = ctx.wait_for(&sums);
-    wait.extend(ctx.wait_for(&counts));
-    let event = ctx.queue().enqueue_kernel(
-        Arc::new(DivideKernel {
-            numerator: sums.buffer.clone(),
-            denominator: counts.buffer.clone(),
-            output: output.clone(),
-        }),
-        ctx.launch(num_groups),
-        &wait,
-    )?;
-    ctx.memory().record_producer(&output, event);
-    DevColumn::new(output, num_groups)
-}
-
-struct DivideKernel {
-    numerator: Buffer,
-    denominator: Buffer,
-    output: Buffer,
-}
-
-impl Kernel for DivideKernel {
-    fn name(&self) -> &str {
-        "grouped_divide"
-    }
-    fn run_group(&self, group: &mut WorkGroupCtx) {
-        for item in group.items() {
-            for idx in item.assigned() {
-                let denom = self.denominator.get_f32(idx);
-                let value = if denom == 0.0 { 0.0 } else { self.numerator.get_f32(idx) / denom };
-                self.output.set_f32(idx, value);
-            }
-        }
-    }
+    grouped_aggregate(ctx, Some(values), gids, num_groups, GroupedAgg::AvgF32)
 }
 
 /// Divides the one-word sum by the (possibly device-resident) element count:
@@ -416,10 +463,61 @@ mod tests {
 
     #[test]
     fn few_groups_use_many_accumulators() {
-        assert_eq!(accumulators_for(1), 64);
-        assert_eq!(accumulators_for(100), 40);
-        assert_eq!(accumulators_for(10_000), 1);
-        assert_eq!(accumulators_for(0), 1);
+        // Few groups: many private tables (short, accurate partial sums).
+        assert_eq!(partial_tables_for(3_000_000, 4, GroupedAgg::SumF32), MAX_PARTIAL_TABLES);
+        assert_eq!(partial_tables_for(20_000, 4, GroupedAgg::SumF32), 19);
+        // Many groups: the partials never outgrow the input.
+        assert_eq!(partial_tables_for(38_000, 18_000, GroupedAgg::SumF32), 2);
+        assert_eq!(partial_tables_for(38_000, 18_000, GroupedAgg::AvgF32), 1);
+        assert_eq!(partial_tables_for(10, 10, GroupedAgg::Count), 1);
+        assert_eq!(partial_tables_for(0, 4, GroupedAgg::MinF32), 1);
+        for (rows, groups) in [(1usize, 1usize), (5_000, 37), (1 << 20, 1 << 19)] {
+            for agg in [GroupedAgg::SumF32, GroupedAgg::AvgF32] {
+                let words = partial_tables_for(rows, groups, agg) * groups * agg.words_per_group();
+                assert!(words <= rows.max(groups * agg.words_per_group()));
+            }
+        }
+    }
+
+    #[test]
+    fn grouped_aggregates_are_bit_identical_run_to_run() {
+        // 200k rows whose float sum depends on the order of addition: every
+        // run on a device must add in the same order.
+        let n = 200_000;
+        let values: Vec<f32> = (0..n).map(|i| ((i * 7919) % 10_007) as f32 * 1.37 + 0.1).collect();
+        let gids: Vec<u32> = (0..n).map(|i| (i as u32 * 31) % 6).collect();
+        for ctx in [OcelotContext::cpu_sequential(), OcelotContext::cpu(), OcelotContext::gpu()] {
+            let v = ctx.upload_f32(&values, "v").unwrap();
+            let g = ctx.upload_u32(&gids, "g").unwrap();
+            let run = || {
+                let sums = grouped_sum_f32(&ctx, &v, &g, 6).unwrap().read(&ctx).unwrap();
+                let avgs = grouped_avg_f32(&ctx, &v, &g, 6).unwrap().read(&ctx).unwrap();
+                sums.iter().chain(&avgs).map(|x| x.to_bits()).collect::<Vec<u32>>()
+            };
+            let first = run();
+            for _ in 0..10 {
+                assert_eq!(run(), first, "{:?}", ctx.device().info().kind);
+            }
+        }
+        // The rule reads no core count: both CPU devices add in one order.
+        let bits = |ctx: OcelotContext| {
+            let v = ctx.upload_f32(&values, "v").unwrap();
+            let g = ctx.upload_u32(&gids, "g").unwrap();
+            let sums = grouped_sum_f32(&ctx, &v, &g, 6).unwrap().read(&ctx).unwrap();
+            sums.iter().map(|x| x.to_bits()).collect::<Vec<u32>>()
+        };
+        assert_eq!(bits(OcelotContext::cpu_sequential()), bits(OcelotContext::cpu()));
+    }
+
+    #[test]
+    fn counts_do_not_saturate_past_two_to_the_24() {
+        // 2^24 + 2^21 rows in one group: adding 1.0f32 per row stalls at
+        // 2^24; u32 partials converted at the fold do not.
+        let rows = (1usize << 24) + (1 << 21);
+        let ctx = OcelotContext::cpu();
+        let gids = DevColumn::<Oid>::new(ctx.alloc(rows, "gids").unwrap(), rows).unwrap();
+        let counts = grouped_count(&ctx, &gids, 2).unwrap().read(&ctx).unwrap();
+        assert_eq!(counts, vec![rows as f32, 0.0]);
     }
 
     #[test]

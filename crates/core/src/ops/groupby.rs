@@ -7,13 +7,24 @@
 //! * **Sorted path** — every thread compares its values with their
 //!   successors to find group boundaries; a prefix sum over the boundary
 //!   flags yields dense ids.
-//! * **Hash path** — a parallel hash table over the keys yields dense ids
-//!   through lookups (the path whose atomic-heavy build dominates the
-//!   grouping microbenchmark, Figure 5g/5h).
+//! * **Hash path** — one parallel hash table over the keys. The build's
+//!   check round records every row's slot, so the dense ids and the
+//!   representatives fall out of the build as gathers (a flag pass and a
+//!   prefix sum over the rows); the input is never probed again.
 //!
-//! Multi-column grouping recursively combines the dense ids of two grouping
-//! columns and groups the combined ids again, exactly as described in the
-//! paper.
+//! Group ids follow first appearance — group `g`'s representative is its
+//! smallest row id and representatives ascend with `g` — on both paths, on
+//! every device, run to run.
+//!
+//! **Stated deviation from §4.1.6.** The paper groups `k` columns
+//! recursively: group the next column on its own, combine the two dense-id
+//! columns into one id and group the combined ids again — `2k − 1` hash
+//! builds, and a combined id space (the *product* of the per-column group
+//! counts) that has to fit the key type. Here the hash table's slots hold a
+//! representative row id and equality compares all key columns at that
+//! row, so any number of columns is **one** build over the composite key:
+//! no id product to overflow, no reserved key value, and the same
+//! partition of the rows.
 //!
 //! **Deliberate sync point:** `num_groups` shapes the result schema (it
 //! sizes every grouped aggregate), so grouping resolves it on the host —
@@ -39,15 +50,8 @@ pub struct GroupBy {
 }
 
 /// Group-by over an unsorted key column using the parallel hash table.
-/// `distinct_hint` sizes the initial table.
-pub fn group_by_hash<T: DevWord>(
-    ctx: &OcelotContext,
-    keys: &DevColumn<T>,
-    distinct_hint: usize,
-) -> Result<GroupBy> {
-    let table = OcelotHashTable::build(ctx, keys, distinct_hint)?;
-    let gids = table.probe_gids(ctx, keys)?;
-    Ok(GroupBy { gids, num_groups: table.num_distinct(), representatives: table.representatives() })
+pub fn group_by_hash<T: DevWord>(ctx: &OcelotContext, keys: &DevColumn<T>) -> Result<GroupBy> {
+    group_by_columns(ctx, &[keys])
 }
 
 // ---- sorted fast path ----
@@ -185,83 +189,21 @@ impl Kernel for InclusiveFixupKernel {
 
 // ---- multi-column grouping ----
 
-struct CombineGidKernel {
-    previous: Buffer,
-    next: Buffer,
-    combined: Buffer,
-    next_groups: u32,
-}
-
-impl Kernel for CombineGidKernel {
-    fn name(&self) -> &str {
-        "group_combine_gids"
-    }
-    fn run_group(&self, group: &mut WorkGroupCtx) {
-        for item in group.items() {
-            for idx in item.assigned() {
-                let combined =
-                    self.previous.get_u32(idx) * self.next_groups + self.next.get_u32(idx);
-                self.combined.set_u32(idx, combined);
-            }
-        }
-    }
-}
-
-/// Refines an existing grouping with an additional key column: the column is
-/// grouped on its own, the two dense-id columns are combined into a single
-/// id, and the combined ids are grouped again (paper §4.1.6).
-pub fn group_refine<T: DevWord>(
-    ctx: &OcelotContext,
-    previous: &GroupBy,
-    keys: &DevColumn<T>,
-    distinct_hint: usize,
-) -> Result<GroupBy> {
-    let next = group_by_hash(ctx, keys, distinct_hint)?;
-    let n = keys.len(ctx)?;
-    // The alignment invariant is on *logical* lengths, not capacities: a
-    // refined gid column has a resolved host length while later key columns
-    // may still carry their (larger) deferred capacity bound. The resolve
-    // is free here — `group_by_hash` already synced for its group count.
-    assert_eq!(previous.gids.len(ctx)?, n, "group_refine: length mismatch");
-    if n == 0 {
-        return Ok(next);
-    }
-    let combined_product = (previous.num_groups as u64) * (next.num_groups as u64);
-    assert!(
-        combined_product < u32::MAX as u64,
-        "group_refine: combined group id space overflows 32 bits ({combined_product})"
-    );
-    let combined = ctx.alloc(n, "group_combined_ids")?;
-    let mut wait = ctx.memory().wait_for_read(&previous.gids.buffer);
-    wait.extend(ctx.memory().wait_for_read(&next.gids.buffer));
-    let combine_event = ctx.queue().enqueue_kernel(
-        Arc::new(CombineGidKernel {
-            previous: previous.gids.buffer.clone(),
-            next: next.gids.buffer.clone(),
-            combined: combined.clone(),
-            next_groups: next.num_groups.max(1) as u32,
-        }),
-        ctx.launch(n),
-        &wait,
-    )?;
-    ctx.memory().record_producer(&combined, combine_event);
-    let combined_col = DevColumn::<u32>::new(combined, n)?;
-    let hint = (previous.num_groups * next.num_groups).max(1).min(n.max(1));
-    group_by_hash(ctx, &combined_col, hint)
-}
-
-/// Groups by several key columns at once (repeated refinement).
+/// Groups by several key columns at once: one hash build over the composite
+/// key (see the module docs for why this is not the paper's recursion).
+///
+/// # Panics
+/// Panics if `columns` is empty or the columns' logical lengths differ.
 pub fn group_by_columns<T: DevWord>(
     ctx: &OcelotContext,
     columns: &[&DevColumn<T>],
-    distinct_hint: usize,
 ) -> Result<GroupBy> {
-    assert!(!columns.is_empty(), "group_by_columns: need at least one column");
-    let mut result = group_by_hash(ctx, columns[0], distinct_hint)?;
-    for column in &columns[1..] {
-        result = group_refine(ctx, &result, column, distinct_hint)?;
-    }
-    Ok(result)
+    let table = OcelotHashTable::build_composite(ctx, columns)?;
+    Ok(GroupBy {
+        gids: table.row_gids(),
+        num_groups: table.num_distinct(),
+        representatives: table.representatives(),
+    })
 }
 
 #[cfg(test)]
@@ -270,18 +212,13 @@ mod tests {
     use crate::context::OcelotContext;
     use ocelot_monet::sequential as monet;
 
-    fn check_same_partition(values: &[i32], gids: &[u32], expected_groups: usize) {
+    /// Ids follow first appearance on both paths, so the result equals
+    /// MonetDB's sequential grouping id for id — not just as a partition.
+    fn check_equals_monet(values: &[i32], result: &GroupBy, ctx: &OcelotContext) {
         let reference = monet::group_by_i32(values);
-        assert_eq!(expected_groups, reference.num_groups);
-        for i in (0..values.len()).step_by(37) {
-            for j in (0..values.len()).step_by(41) {
-                assert_eq!(
-                    reference.gids[i] == reference.gids[j],
-                    gids[i] == gids[j],
-                    "rows {i},{j}"
-                );
-            }
-        }
+        assert_eq!(result.num_groups, reference.num_groups);
+        assert_eq!(result.gids.read(ctx).unwrap(), reference.gids);
+        assert_eq!(result.representatives.read(ctx).unwrap(), reference.representatives);
     }
 
     #[test]
@@ -289,10 +226,9 @@ mod tests {
         let values: Vec<i32> = (0..8_000).map(|i| (i * 131 + 7) % 100).collect();
         for ctx in [OcelotContext::cpu_sequential(), OcelotContext::cpu(), OcelotContext::gpu()] {
             let col = ctx.upload_i32(&values, "keys").unwrap();
-            let result = group_by_hash(&ctx, &col, 100).unwrap();
+            let result = group_by_hash(&ctx, &col).unwrap();
             assert_eq!(result.num_groups, 100);
-            let gids = result.gids.read(&ctx).unwrap();
-            check_same_partition(&values, &gids, result.num_groups);
+            check_equals_monet(&values, &result, &ctx);
         }
     }
 
@@ -308,7 +244,7 @@ mod tests {
         // Sorted input: group ids must be non-decreasing and dense.
         assert!(gids.windows(2).all(|w| w[1] == w[0] || w[1] == w[0] + 1));
         assert_eq!(*gids.last().unwrap() as usize, sorted.num_groups - 1);
-        check_same_partition(&values, &gids, sorted.num_groups);
+        check_equals_monet(&values, &sorted, &ctx);
         // Representatives point at the first row of each group.
         let reps = sorted.representatives.read(&ctx).unwrap();
         for (gid, rep) in reps.iter().enumerate() {
@@ -322,7 +258,7 @@ mod tests {
         let values: Vec<i32> = (0..3_000).map(|i| (i * 7) % 31).collect();
         let ctx = OcelotContext::gpu();
         let col = ctx.upload_i32(&values, "keys").unwrap();
-        let result = group_by_hash(&ctx, &col, 31).unwrap();
+        let result = group_by_hash(&ctx, &col).unwrap();
         let gids = result.gids.read(&ctx).unwrap();
         let reps = result.representatives.read(&ctx).unwrap();
         for (row, gid) in gids.iter().enumerate() {
@@ -337,7 +273,7 @@ mod tests {
         let ctx = OcelotContext::cpu();
         let ca = ctx.upload_i32(&a, "a").unwrap();
         let cb = ctx.upload_i32(&b, "b").unwrap();
-        let result = group_by_columns(&ctx, &[&ca, &cb], 32).unwrap();
+        let result = group_by_columns(&ctx, &[&ca, &cb]).unwrap();
         // lcm(4, 6) = 12 distinct pairs.
         assert_eq!(result.num_groups, 12);
         let gids = result.gids.read(&ctx).unwrap();
@@ -350,11 +286,9 @@ mod tests {
 
     #[test]
     fn three_deferred_key_columns_group_correctly() {
-        // Regression: the second refinement meets a `previous` grouping
-        // whose gid column has a *resolved* host length while the third key
-        // still carries its deferred capacity bound (the shape of TPC-H
-        // Q3's three-key group-by over join outputs). Alignment is on
-        // logical lengths, not capacities.
+        // Key columns carrying a deferred length and its (larger) capacity
+        // bound — the shape of TPC-H Q3's three-key group-by over join
+        // outputs. Alignment is on logical lengths, not capacities.
         use crate::ops::select;
         use crate::primitives::gather;
         let a: Vec<i32> = (0..5_000).map(|i| i % 3).collect();
@@ -369,7 +303,7 @@ mod tests {
         let ka = gather::gather(&ctx, &ctx.upload_i32(&a, "a").unwrap(), &keep).unwrap();
         let kb = gather::gather(&ctx, &ctx.upload_i32(&b, "b").unwrap(), &keep).unwrap();
         let kc = gather::gather(&ctx, &ctx.upload_i32(&c, "c").unwrap(), &keep).unwrap();
-        let result = group_by_columns(&ctx, &[&ka, &kb, &kc], 16).unwrap();
+        let result = group_by_columns(&ctx, &[&ka, &kb, &kc]).unwrap();
         // (i%3, i%4, i%5) ↔ i%60 is a bijection (CRT) and i%10 is a
         // function of i%60, so keeping i%10 <= 6 keeps 42 of the 60
         // residue classes — 42 distinct triples.
@@ -385,15 +319,47 @@ mod tests {
     }
 
     #[test]
+    fn per_column_distinct_counts_may_multiply_past_32_bits() {
+        // 70 000 × 70 000 × 13 per-column distinct values: the recursive
+        // scheme's combined id (a product of group counts) does not fit a
+        // word; a composite key has no such product.
+        let n = 140_000usize;
+        let a: Vec<i32> = (0..n).map(|i| (i % 70_000) as i32).collect();
+        let b: Vec<i32> = a.iter().map(|j| (j * 3 + 1) % 70_000).collect();
+        let c: Vec<i32> = a.iter().map(|j| j % 13).collect();
+        for ctx in [OcelotContext::cpu_sequential(), OcelotContext::cpu(), OcelotContext::gpu()] {
+            let columns = [&a, &b, &c].map(|values| ctx.upload_i32(values, "key").unwrap());
+            let result = group_by_columns(&ctx, &[&columns[0], &columns[1], &columns[2]]).unwrap();
+            assert_eq!(result.num_groups, 70_000);
+            let gids = result.gids.read(&ctx).unwrap();
+            assert!(gids.iter().enumerate().all(|(row, gid)| *gid as usize == row % 70_000));
+        }
+    }
+
+    #[test]
+    fn minus_one_is_an_ordinary_key_value() {
+        let a = [-1, 5, -1, -1, 5, 0];
+        let b = [-1, -1, 0, -1, -1, -1];
+        for ctx in [OcelotContext::cpu_sequential(), OcelotContext::cpu(), OcelotContext::gpu()] {
+            let ca = ctx.upload_i32(&a, "a").unwrap();
+            let cb = ctx.upload_i32(&b, "b").unwrap();
+            let result = group_by_columns(&ctx, &[&ca, &cb]).unwrap();
+            assert_eq!(result.num_groups, 4);
+            assert_eq!(result.gids.read(&ctx).unwrap(), vec![0, 1, 2, 0, 1, 3]);
+            assert_eq!(result.representatives.read(&ctx).unwrap(), vec![0, 1, 2, 5]);
+        }
+    }
+
+    #[test]
     fn single_group_and_empty_inputs() {
         let ctx = OcelotContext::cpu();
         let uniform = ctx.upload_i32(&[7; 100], "u").unwrap();
-        let result = group_by_hash(&ctx, &uniform, 4).unwrap();
+        let result = group_by_hash(&ctx, &uniform).unwrap();
         assert_eq!(result.num_groups, 1);
         assert!(result.gids.read(&ctx).unwrap().iter().all(|g| *g == 0));
 
         let empty = ctx.upload_i32(&[], "e").unwrap();
-        assert_eq!(group_by_hash(&ctx, &empty, 4).unwrap().num_groups, 0);
+        assert_eq!(group_by_hash(&ctx, &empty).unwrap().num_groups, 0);
         assert_eq!(group_by_sorted(&ctx, &empty).unwrap().num_groups, 0);
     }
 }

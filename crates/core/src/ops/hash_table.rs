@@ -3,77 +3,191 @@
 //! The build follows the optimistic/pessimistic scheme the paper derives
 //! from Alcantara et al. and García et al.:
 //!
-//! 1. **Optimistic round** — every thread inserts its keys without any
-//!    synchronisation. Races may overwrite keys.
+//! 1. **Optimistic round** — every thread inserts its rows without any
+//!    synchronisation. Races may overwrite entries.
 //! 2. **Check round** — every thread verifies its key ended up in the table
-//!    (findable along its probe sequence). Lost keys are flagged.
-//! 3. **Pessimistic round** — flagged keys are re-inserted with atomic
-//!    compare-and-swap. If a key still cannot be placed the build restarts
-//!    with a doubled table (the paper starts at `1.4 ×` the expected
-//!    distinct count, matching its observed ~75 % fill rate).
+//!    (findable along its probe sequence) and *records the slot it found*,
+//!    so nothing after the build probes for a build row again. Lost rows
+//!    are counted.
+//! 3. **Pessimistic round** — lost rows are re-inserted with atomic
+//!    compare-and-swap. If a row still cannot be placed the build restarts
+//!    with a larger table.
 //!
-//! Probing uses six multiplicative hash functions before reverting to linear
-//! probing, as described in the paper. The finished table assigns a *dense
-//! group id* to every distinct key (via an exclusive scan over slot
-//! occupancy), which is exactly what the group-by and join operators need
-//! (the "multi-stage hash lookup table" of He et al.).
+//! # Slots hold row ids, keys may span columns
 //!
-//! Restrictions: keys are 32-bit words and the value `0xFFFF_FFFF`
-//! (`-1` as `i32`) is reserved as the empty-slot sentinel. The TPC-H data
-//! and the benchmark generators never produce it.
+//! A slot stores the id of a *build row* carrying the slot's key
+//! (`u32::MAX` = empty); equality compares every key column at that row.
+//! Every 32-bit pattern is therefore a legal key value — there is no
+//! reserved key — and a multi-column key costs one build, not one per
+//! column (see `ops::groupby` for why this deviates from §4.1.6).
+//!
+//! # Probe bound
+//!
+//! A key's probe sequence is six multiplicative hash functions followed by
+//! a fixed linear window of [`LINEAR_WINDOW`] slots after the sixth — never
+//! more than [`MAX_PROBE`] slots, independent of the table size. An insert
+//! that finds neither its key nor an empty slot in that sequence gives up
+//! and the build restarts; a lookup that reaches the end reports
+//! [`NOT_FOUND`]. Both rely on one invariant: a slot, once occupied, never
+//! becomes empty, so no empty slot ever precedes a key on its own sequence.
+//! Every build round and every lookup is O(rows), whatever the fill rate.
+//!
+//! # Restart sizing rule
+//!
+//! The first table has `next_pow2(1.4 × d)` slots (the paper's 1.4, from
+//! its observed ~75 % fill rate), where `d` is the caller's distinct-count
+//! bound for joins (the build side's row count) and at most
+//! [`GROUPING_START`] keys for group-by, which has no bound to offer. A
+//! failed attempt is evidence, not a reason to double: the table held at
+//! most `capacity` keys and the check round counted `failed` rows outside
+//! it, so `capacity + failed` bounds the distinct count and the next table
+//! is sized for that — clamped to `next_pow2(1.4 × rows)`, which always
+//! suffices for distinct keys, and grown at least twofold so pathological
+//! collisions still terminate. Two attempts are the norm from any start,
+//! three the exception.
+//!
+//! # Dense ids in first-appearance order
+//!
+//! While recording slots, the check and pessimistic rounds lower each
+//! slot's row id to the smallest row of its key (`fetch_min`). A group's
+//! representative is thus its first row — independent of how the racy
+//! optimistic round interleaved — and dense group ids are the rank of the
+//! representative among all representatives: ids follow first appearance,
+//! as in MonetDB's sequential grouping, and are identical run to run.
+//! Ranking is a flag pass plus a prefix sum over the *rows*; nothing walks
+//! the table itself after the build.
 
-use crate::context::{DevColumn, DevWord, LenSource, OcelotContext, Oid};
+use crate::context::{DevColumn, DevScalar, DevWord, LenSource, OcelotContext, Oid};
 use crate::primitives::prefix_sum::exclusive_scan_u32;
 use ocelot_kernel::atomic::atomic_cas_u32;
-use ocelot_kernel::{Buffer, Kernel, KernelCost, LaunchConfig, Result, WorkGroupCtx};
-use std::sync::atomic::Ordering;
+use ocelot_kernel::{
+    Buffer, BufferAccess, EventId, Kernel, KernelAccesses, KernelCost, LaunchConfig, Result,
+    WorkGroupCtx,
+};
+use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
-/// Sentinel marking an empty slot (and a failed lookup).
-pub const EMPTY_KEY: u32 = u32::MAX;
 /// Sentinel returned by lookups that find no match.
 pub const NOT_FOUND: u32 = u32::MAX;
+
+/// An empty slot. Slots hold build-row ids, which never reach `u32::MAX`.
+const EMPTY_SLOT: u32 = u32::MAX;
+/// Per-row slot marker of a row the check round did not find.
+const UNPLACED: u32 = u32::MAX;
 
 const HASH_SEEDS: [u32; 6] =
     [0x9E37_79B1, 0x85EB_CA77, 0xC2B2_AE3D, 0x27D4_EB2F, 0x1656_67B1, 0x2545_F491];
 
-/// Slot visited at probe `attempt` for `key` in a table of `capacity` slots
-/// (`capacity` must be a power of two). Six hash functions, then linear
-/// probing from the last one.
-#[inline]
-fn probe_slot(key: u32, attempt: usize, capacity: usize) -> usize {
-    let mask = capacity - 1;
-    if attempt < HASH_SEEDS.len() {
-        (key.wrapping_mul(HASH_SEEDS[attempt]) as usize) & mask
-    } else {
-        let base = key.wrapping_mul(HASH_SEEDS[HASH_SEEDS.len() - 1]) as usize;
-        (base + (attempt - HASH_SEEDS.len() + 1)) & mask
+/// Slots probed linearly after the sixth hash function.
+pub const LINEAR_WINDOW: usize = 16;
+/// Length of every probe sequence — a constant, never the table size.
+pub const MAX_PROBE: usize = HASH_SEEDS.len() + LINEAR_WINDOW;
+/// Distinct keys the first group-by table is sized for.
+pub const GROUPING_START: usize = 1024;
+
+/// `next_pow2(1.4 × distinct)`, at least 16 slots.
+fn table_capacity(distinct: usize) -> usize {
+    (((distinct.max(1) as f64) * 1.4).ceil() as usize).next_power_of_two().max(16)
+}
+
+/// The table after a failed attempt: sized for `capacity + failed` distinct
+/// keys, clamped to what `rows` distinct keys need, at least doubled.
+fn restart_capacity(capacity: usize, failed: usize, rows: usize) -> usize {
+    table_capacity(capacity + failed).min(table_capacity(rows)).max(capacity * 2)
+}
+
+/// The probe sequence of a power-of-two table.
+#[derive(Debug, Clone, Copy)]
+struct Probe {
+    shift: u32,
+    mask: usize,
+}
+
+impl Probe {
+    fn new(capacity: usize) -> Probe {
+        debug_assert!(capacity.is_power_of_two() && capacity >= 2);
+        Probe { shift: 32 - capacity.trailing_zeros(), mask: capacity - 1 }
+    }
+
+    /// Slot visited at `attempt < MAX_PROBE` for a key hashing to `hash`:
+    /// the top bits of six multiplicative hashes, then the slots following
+    /// the sixth.
+    #[inline]
+    fn slot(self, hash: u32, attempt: usize) -> usize {
+        let last = HASH_SEEDS.len() - 1;
+        if attempt <= last {
+            (hash.wrapping_mul(HASH_SEEDS[attempt]) >> self.shift) as usize
+        } else {
+            let base = (hash.wrapping_mul(HASH_SEEDS[last]) >> self.shift) as usize;
+            (base + attempt - last) & self.mask
+        }
     }
 }
 
-/// Finds the first slot along `key`'s probe sequence that already holds
-/// `key`. Returns `None` if an empty slot (or probe exhaustion) is reached
-/// first.
+/// Mixes the key words of `row` into one 32-bit hash (a bijection for
+/// single-column keys).
 #[inline]
-fn find_key_slot(keys: &Buffer, key: u32, capacity: usize, max_probe: usize) -> Option<usize> {
-    for attempt in 0..max_probe {
-        let slot = probe_slot(key, attempt, capacity);
-        let current = keys.get_u32(slot);
-        if current == key {
-            return Some(slot);
-        }
-        if current == EMPTY_KEY {
-            return None;
+fn hash_row(columns: &[&[u32]], row: usize) -> u32 {
+    let mut hash = 0u32;
+    for column in columns {
+        hash = (hash ^ column[row]).wrapping_mul(0x9E37_79B1);
+        hash ^= hash >> 15;
+    }
+    hash
+}
+
+#[inline]
+fn rows_equal(columns: &[&[u32]], a: usize, b: usize) -> bool {
+    columns.iter().all(|column| column[a] == column[b])
+}
+
+fn key_views(columns: &[Buffer]) -> Vec<&[u32]> {
+    columns.iter().map(Buffer::as_words).collect()
+}
+
+fn key_reads(columns: &[Buffer]) -> Vec<BufferAccess> {
+    columns.iter().map(|c| BufferAccess::slice_read(c, 0..c.len())).collect()
+}
+
+/// Lowers the row id in `slot` to `row` if `row` is smaller. Every row id a
+/// slot ever holds carries the slot's key, so readers comparing keys through
+/// the slot are indifferent to the swap.
+#[inline]
+fn lower_representative(slot: &AtomicU32, current: u32, row: u32) {
+    if row < current {
+        slot.fetch_min(row, Ordering::Relaxed);
+    }
+}
+
+struct FillKernel {
+    buffer: Buffer,
+    value: u32,
+}
+
+impl Kernel for FillKernel {
+    fn name(&self) -> &str {
+        "hash_fill"
+    }
+    fn run_group(&self, group: &mut WorkGroupCtx) {
+        for item in group.items() {
+            let (start, end) = item.chunk_bounds(group.n());
+            // SAFETY: `chunk_bounds` partitions `0..n` among the items; this
+            // item alone touches `start..end` in this launch.
+            unsafe { self.buffer.chunk_mut(start, end) }.fill(self.value);
         }
     }
-    None
+    fn cost(&self, launch: &LaunchConfig) -> KernelCost {
+        KernelCost::new(0, (launch.n as u64) * 4, 0, 0)
+    }
+    fn declared_accesses(&self, launch: &LaunchConfig) -> Option<KernelAccesses> {
+        Some(KernelAccesses::of(vec![BufferAccess::slice_write(&self.buffer, 0..launch.n)]))
+    }
 }
 
 struct OptimisticInsertKernel {
-    input: Buffer,
-    keys: Buffer,
-    capacity: usize,
-    max_probe: usize,
+    keys: Vec<Buffer>,
+    slots: Buffer,
+    probe: Probe,
 }
 
 impl Kernel for OptimisticInsertKernel {
@@ -81,19 +195,21 @@ impl Kernel for OptimisticInsertKernel {
         "hash_optimistic_insert"
     }
     fn run_group(&self, group: &mut WorkGroupCtx) {
+        let keys = key_views(&self.keys);
+        let slots = self.slots.cells();
         for item in group.items() {
-            for idx in item.assigned() {
-                let key = self.input.get_u32(idx);
-                for attempt in 0..self.max_probe {
-                    let slot = probe_slot(key, attempt, self.capacity);
-                    let current = self.keys.get_u32(slot);
-                    if current == key {
-                        break;
-                    }
-                    if current == EMPTY_KEY {
+            for row in item.assigned() {
+                let hash = hash_row(&keys, row);
+                for attempt in 0..MAX_PROBE {
+                    let slot = &slots[self.probe.slot(hash, attempt)];
+                    let current = slot.load(Ordering::Relaxed);
+                    if current == EMPTY_SLOT {
                         // Unsynchronised write — may be overwritten by a
                         // racing thread; the check round will notice.
-                        self.keys.set_u32(slot, key);
+                        slot.store(row as u32, Ordering::Relaxed);
+                        break;
+                    }
+                    if rows_equal(&keys, current as usize, row) {
                         break;
                     }
                 }
@@ -101,17 +217,25 @@ impl Kernel for OptimisticInsertKernel {
         }
     }
     fn cost(&self, launch: &LaunchConfig) -> KernelCost {
-        KernelCost::new((launch.n as u64) * 12, (launch.n as u64) * 4, (launch.n as u64) * 4, 0)
+        let words = (launch.n * (self.keys.len() + 2)) as u64;
+        KernelCost::new(words * 4, (launch.n as u64) * 4, words, 0)
+    }
+    fn declared_accesses(&self, _launch: &LaunchConfig) -> Option<KernelAccesses> {
+        let mut accesses = key_reads(&self.keys);
+        accesses.push(BufferAccess::cells_write(&self.slots, 0..self.slots.len()));
+        Some(KernelAccesses::of(accesses))
     }
 }
 
+/// Finds every row's slot, records it, lowers the slot to the smallest row
+/// of its key, and counts the rows the optimistic round lost.
 struct CheckKernel {
-    input: Buffer,
-    keys: Buffer,
-    failed_flags: Buffer,
-    failed_count: Buffer,
-    capacity: usize,
-    max_probe: usize,
+    keys: Vec<Buffer>,
+    slots: Buffer,
+    row_slots: Buffer,
+    /// Word 0: rows not found by this kernel.
+    counters: Buffer,
+    probe: Probe,
 }
 
 impl Kernel for CheckKernel {
@@ -119,28 +243,57 @@ impl Kernel for CheckKernel {
         "hash_check"
     }
     fn run_group(&self, group: &mut WorkGroupCtx) {
+        let keys = key_views(&self.keys);
+        let slots = self.slots.cells();
+        let row_slots = self.row_slots.cells();
         for item in group.items() {
-            for idx in item.assigned() {
-                let key = self.input.get_u32(idx);
-                if find_key_slot(&self.keys, key, self.capacity, self.max_probe).is_none() {
-                    self.failed_flags.set_u32(idx, 1);
-                    self.failed_count.cell(0).fetch_add(1, Ordering::AcqRel);
+            let mut failed = 0u32;
+            for row in item.assigned() {
+                let hash = hash_row(&keys, row);
+                let mut found = UNPLACED;
+                for attempt in 0..MAX_PROBE {
+                    let index = self.probe.slot(hash, attempt);
+                    let current = slots[index].load(Ordering::Relaxed);
+                    if current == EMPTY_SLOT {
+                        break;
+                    }
+                    if rows_equal(&keys, current as usize, row) {
+                        lower_representative(&slots[index], current, row as u32);
+                        found = index as u32;
+                        break;
+                    }
                 }
+                failed += u32::from(found == UNPLACED);
+                row_slots[row].store(found, Ordering::Relaxed);
+            }
+            if failed > 0 {
+                self.counters.cell(0).fetch_add(failed, Ordering::Relaxed);
             }
         }
     }
     fn cost(&self, launch: &LaunchConfig) -> KernelCost {
-        KernelCost::new((launch.n as u64) * 12, 0, (launch.n as u64) * 4, launch.n as u64 / 16)
+        let words = (launch.n * (self.keys.len() + 2)) as u64;
+        KernelCost::new(words * 4, (launch.n as u64) * 4, words, launch.n as u64 / 16)
+    }
+    fn declared_accesses(&self, launch: &LaunchConfig) -> Option<KernelAccesses> {
+        let mut accesses = key_reads(&self.keys);
+        accesses.push(BufferAccess::cells_write(&self.slots, 0..self.slots.len()));
+        accesses.push(BufferAccess::cells_write(&self.row_slots, 0..launch.n));
+        accesses.push(BufferAccess::cells_write(&self.counters, 0..1));
+        Some(KernelAccesses::of(accesses))
     }
 }
 
+/// Re-inserts the rows the check round did not find, with CAS. The first
+/// row that cannot be placed raises counter word 1; everyone else stops at
+/// the next row, because the attempt is lost and the restart is sized from
+/// the check round's complete count, not from this kernel's.
 struct PessimisticInsertKernel {
-    input: Buffer,
-    keys: Buffer,
-    failed_flags: Buffer,
-    restart_flag: Buffer,
-    capacity: usize,
-    max_probe: usize,
+    keys: Vec<Buffer>,
+    slots: Buffer,
+    row_slots: Buffer,
+    counters: Buffer,
+    probe: Probe,
 }
 
 impl Kernel for PessimisticInsertKernel {
@@ -148,32 +301,42 @@ impl Kernel for PessimisticInsertKernel {
         "hash_pessimistic_insert"
     }
     fn run_group(&self, group: &mut WorkGroupCtx) {
+        let keys = key_views(&self.keys);
+        let slots = self.slots.cells();
+        let row_slots = self.row_slots.cells();
+        let restart = self.counters.cell(1);
         for item in group.items() {
-            for idx in item.assigned() {
-                if self.failed_flags.get_u32(idx) == 0 {
+            for row in item.assigned() {
+                if row_slots[row].load(Ordering::Relaxed) != UNPLACED {
                     continue;
                 }
-                let key = self.input.get_u32(idx);
-                let mut placed = false;
-                for attempt in 0..self.max_probe {
-                    let slot = probe_slot(key, attempt, self.capacity);
-                    let current = self.keys.get_u32(slot);
-                    if current == key {
-                        placed = true;
-                        break;
-                    }
-                    if current == EMPTY_KEY {
-                        let previous = atomic_cas_u32(self.keys.cell(slot), EMPTY_KEY, key);
-                        if previous == EMPTY_KEY || previous == key {
-                            placed = true;
+                if restart.load(Ordering::Relaxed) != 0 {
+                    return;
+                }
+                let hash = hash_row(&keys, row);
+                let mut placed = UNPLACED;
+                for attempt in 0..MAX_PROBE {
+                    let index = self.probe.slot(hash, attempt);
+                    let mut current = slots[index].load(Ordering::Relaxed);
+                    if current == EMPTY_SLOT {
+                        current = atomic_cas_u32(&slots[index], EMPTY_SLOT, row as u32);
+                        if current == EMPTY_SLOT {
+                            placed = index as u32;
                             break;
                         }
-                        // Lost the race to a different key — keep probing.
+                        // Lost the race — the winner may carry this key.
+                    }
+                    if rows_equal(&keys, current as usize, row) {
+                        lower_representative(&slots[index], current, row as u32);
+                        placed = index as u32;
+                        break;
                     }
                 }
-                if !placed {
-                    self.restart_flag.set_u32(0, 1);
+                if placed == UNPLACED {
+                    restart.store(1, Ordering::Relaxed);
+                    return;
                 }
+                row_slots[row].store(placed, Ordering::Relaxed);
             }
         }
     }
@@ -185,127 +348,164 @@ impl Kernel for PessimisticInsertKernel {
             launch.n as u64 / 4,
         )
     }
+    fn declared_accesses(&self, launch: &LaunchConfig) -> Option<KernelAccesses> {
+        let mut accesses = key_reads(&self.keys);
+        accesses.push(BufferAccess::cells_write(&self.slots, 0..self.slots.len()));
+        accesses.push(BufferAccess::cells_write(&self.row_slots, 0..launch.n));
+        accesses.push(BufferAccess::cells_write(&self.counters, 1..2));
+        Some(KernelAccesses::of(accesses))
+    }
 }
 
-/// Marks canonical occupied slots: a slot counts only if it is the *first*
-/// slot along its key's probe sequence that holds the key (racy optimistic
-/// inserts can leave the same key in two slots; only one may define the
-/// group).
-struct OccupancyKernel {
-    keys: Buffer,
-    occupancy: Buffer,
-    capacity: usize,
-    max_probe: usize,
+/// Flags the rows that are their group's representative (the row id their
+/// slot settled on). Rows still unplaced — possible when the flags were
+/// enqueued before the check round's count was read — flag nothing.
+struct RepresentativeFlagKernel {
+    slots: Buffer,
+    row_slots: Buffer,
+    flags: Buffer,
 }
 
-impl Kernel for OccupancyKernel {
+impl Kernel for RepresentativeFlagKernel {
     fn name(&self) -> &str {
-        "hash_occupancy"
+        "hash_representative_flags"
     }
     fn run_group(&self, group: &mut WorkGroupCtx) {
+        let slots = self.slots.as_words();
+        let row_slots = self.row_slots.as_words();
         for item in group.items() {
-            for slot in item.assigned() {
-                let key = self.keys.get_u32(slot);
-                let canonical = key != EMPTY_KEY
-                    && find_key_slot(&self.keys, key, self.capacity, self.max_probe) == Some(slot);
-                self.occupancy.set_u32(slot, u32::from(canonical));
-            }
-        }
-    }
-}
-
-/// Fills each group's representative with the smallest row id carrying the
-/// group's key (deterministic regardless of scheduling).
-struct RepresentativeKernel {
-    input: Buffer,
-    keys: Buffer,
-    slot_gids: Buffer,
-    representatives: Buffer,
-    capacity: usize,
-    max_probe: usize,
-}
-
-impl Kernel for RepresentativeKernel {
-    fn name(&self) -> &str {
-        "hash_representatives"
-    }
-    fn run_group(&self, group: &mut WorkGroupCtx) {
-        for item in group.items() {
-            for idx in item.assigned() {
-                let key = self.input.get_u32(idx);
-                if let Some(slot) = find_key_slot(&self.keys, key, self.capacity, self.max_probe) {
-                    let gid = self.slot_gids.get_u32(slot) as usize;
-                    // atomic min on the representative row id.
-                    let cell = self.representatives.cell(gid);
-                    let mut current = cell.load(Ordering::Relaxed);
-                    while (idx as u32) < current {
-                        match cell.compare_exchange_weak(
-                            current,
-                            idx as u32,
-                            Ordering::AcqRel,
-                            Ordering::Relaxed,
-                        ) {
-                            Ok(_) => break,
-                            Err(actual) => current = actual,
-                        }
-                    }
-                }
+            for row in item.assigned() {
+                let slot = row_slots[row];
+                let flag = slot != UNPLACED && slots[slot as usize] == row as u32;
+                self.flags.set_u32(row, u32::from(flag));
             }
         }
     }
     fn cost(&self, launch: &LaunchConfig) -> KernelCost {
-        KernelCost::new(
-            (launch.n as u64) * 12,
-            (launch.n as u64) * 4,
-            (launch.n as u64) * 4,
-            launch.n as u64 / 8,
-        )
+        KernelCost::new((launch.n as u64) * 8, (launch.n as u64) * 4, launch.n as u64, 0)
+    }
+    fn declared_accesses(&self, launch: &LaunchConfig) -> Option<KernelAccesses> {
+        Some(KernelAccesses::of(vec![
+            BufferAccess::slice_read(&self.slots, 0..self.slots.len()),
+            BufferAccess::slice_read(&self.row_slots, 0..launch.n),
+            BufferAccess::cells_write(&self.flags, 0..launch.n),
+        ]))
     }
 }
 
-/// Looks up the dense group id for every probe key (`NOT_FOUND` if absent).
-struct LookupGidKernel {
-    probe: Buffer,
-    keys: Buffer,
-    slot_gids: Buffer,
+/// Turns each row's slot into its dense group id — in place, `row_slots`
+/// becomes the table's gid column — and scatters the representatives.
+struct FinalizeKernel {
+    slots: Buffer,
+    ranks: Buffer,
+    row_slots: Buffer,
+    representatives: Buffer,
+}
+
+impl Kernel for FinalizeKernel {
+    fn name(&self) -> &str {
+        "hash_finalize"
+    }
+    fn run_group(&self, group: &mut WorkGroupCtx) {
+        let slots = self.slots.as_words();
+        let ranks = self.ranks.as_words();
+        let row_slots = self.row_slots.cells();
+        for item in group.items() {
+            for row in item.assigned() {
+                let slot = row_slots[row].load(Ordering::Relaxed) as usize;
+                let representative = slots[slot] as usize;
+                let gid = ranks[representative];
+                if representative == row {
+                    // One representative per gid: the scatter is disjoint.
+                    self.representatives.set_u32(gid as usize, row as u32);
+                }
+                row_slots[row].store(gid, Ordering::Relaxed);
+            }
+        }
+    }
+    fn cost(&self, launch: &LaunchConfig) -> KernelCost {
+        KernelCost::new((launch.n as u64) * 12, (launch.n as u64) * 4, launch.n as u64, 0)
+    }
+    fn declared_accesses(&self, launch: &LaunchConfig) -> Option<KernelAccesses> {
+        Some(KernelAccesses::of(vec![
+            BufferAccess::slice_read(&self.slots, 0..self.slots.len()),
+            BufferAccess::slice_read(&self.ranks, 0..launch.n),
+            BufferAccess::cells_write(&self.row_slots, 0..launch.n),
+            BufferAccess::cells_write(&self.representatives, 0..self.representatives.len()),
+        ]))
+    }
+}
+
+/// Looks up every probe key: the representative build row, or (with
+/// `row_gids`) that row's dense group id; [`NOT_FOUND`] if absent.
+struct LookupKernel {
+    build_keys: Buffer,
+    probe_keys: Buffer,
+    slots: Buffer,
+    row_gids: Option<Buffer>,
     output: Buffer,
-    capacity: usize,
-    max_probe: usize,
+    probe: Probe,
     n: LenSource,
 }
 
-impl Kernel for LookupGidKernel {
+impl Kernel for LookupKernel {
     fn name(&self) -> &str {
-        "hash_lookup_gid"
+        "hash_lookup"
     }
     fn run_group(&self, group: &mut WorkGroupCtx) {
         // A deferred probe count resolves here, at flush time.
         let n = self.n.get();
+        let build_keys = self.build_keys.as_words();
+        let probe_keys = [self.probe_keys.as_words()];
+        let slots = self.slots.as_words();
+        let row_gids = self.row_gids.as_ref().map(Buffer::as_words);
         for item in group.items() {
             for idx in item.assigned() {
                 if idx >= n {
                     continue;
                 }
-                let key = self.probe.get_u32(idx);
-                let gid = match find_key_slot(&self.keys, key, self.capacity, self.max_probe) {
-                    Some(slot) => self.slot_gids.get_u32(slot),
-                    None => NOT_FOUND,
-                };
-                self.output.set_u32(idx, gid);
+                let key = probe_keys[0][idx];
+                let hash = hash_row(&probe_keys, idx);
+                let mut found = NOT_FOUND;
+                for attempt in 0..MAX_PROBE {
+                    let row = slots[self.probe.slot(hash, attempt)];
+                    if row == EMPTY_SLOT {
+                        break;
+                    }
+                    if build_keys[row as usize] == key {
+                        found = row_gids.map_or(row, |gids| gids[row as usize]);
+                        break;
+                    }
+                }
+                self.output.set_u32(idx, found);
             }
         }
     }
     fn cost(&self, launch: &LaunchConfig) -> KernelCost {
         KernelCost::new((launch.n as u64) * 12, (launch.n as u64) * 4, (launch.n as u64) * 4, 0)
     }
+    fn declared_accesses(&self, launch: &LaunchConfig) -> Option<KernelAccesses> {
+        let mut accesses = vec![
+            BufferAccess::slice_read(&self.build_keys, 0..self.build_keys.len()),
+            BufferAccess::slice_read(&self.probe_keys, 0..launch.n),
+            BufferAccess::slice_read(&self.slots, 0..self.slots.len()),
+            BufferAccess::cells_write(&self.output, 0..launch.n),
+        ];
+        if let Some(row_gids) = &self.row_gids {
+            accesses.push(BufferAccess::slice_read(row_gids, 0..row_gids.len()));
+        }
+        Some(KernelAccesses::of(accesses))
+    }
 }
 
-/// A finished parallel hash table over a key column.
+/// A finished parallel hash table over one or more key columns.
 pub struct OcelotHashTable {
-    keys: Buffer,
-    slot_gids: Buffer,
+    keys: Vec<Buffer>,
+    slots: Buffer,
+    row_gids: Buffer,
     representatives: Buffer,
-    capacity: usize,
+    probe: Probe,
+    rows: usize,
     distinct: usize,
     build_attempts: usize,
 }
@@ -313,7 +513,9 @@ pub struct OcelotHashTable {
 impl std::fmt::Debug for OcelotHashTable {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("OcelotHashTable")
-            .field("capacity", &self.capacity)
+            .field("key_columns", &self.keys.len())
+            .field("capacity", &self.capacity())
+            .field("rows", &self.rows)
             .field("distinct", &self.distinct)
             .field("build_attempts", &self.build_attempts)
             .finish()
@@ -321,9 +523,10 @@ impl std::fmt::Debug for OcelotHashTable {
 }
 
 impl OcelotHashTable {
-    /// Builds a table over `keys`. `distinct_hint` sizes the initial table
-    /// (`1.4 ×` the hint, rounded to a power of two); an underestimate only
-    /// costs extra restart rounds.
+    /// Builds a table over one key column. `distinct_hint` bounds the
+    /// distinct count from above as far as the caller knows (joins pass the
+    /// build side's row count) and sizes the first table; an underestimate
+    /// costs one evidence-sized restart.
     ///
     /// **Deliberate sync point:** the optimistic/pessimistic build loop's
     /// host-side control flow inspects the failure counter after each round,
@@ -334,127 +537,144 @@ impl OcelotHashTable {
         keys_col: &DevColumn<T>,
         distinct_hint: usize,
     ) -> Result<OcelotHashTable> {
-        let n = keys_col.len(ctx)?;
-        let mut capacity =
-            (((distinct_hint.max(1) as f64) * 1.4).ceil() as usize).next_power_of_two().max(16);
+        let rows = keys_col.len(ctx)?;
+        Self::build_from(ctx, &[keys_col], rows, table_capacity(distinct_hint.min(rows)))
+    }
+
+    /// Builds a table over a composite key: rows are equal when they agree
+    /// on every column. Takes no sizing hint — the first table is sized for
+    /// [`GROUPING_START`] keys and a restart is sized from what that attempt
+    /// observed. Same sync points as [`OcelotHashTable::build`].
+    ///
+    /// # Panics
+    /// Panics if `columns` is empty or the columns' logical lengths differ.
+    pub fn build_composite<T: DevWord>(
+        ctx: &OcelotContext,
+        columns: &[&DevColumn<T>],
+    ) -> Result<OcelotHashTable> {
+        assert!(!columns.is_empty(), "hash table: need at least one key column");
+        let rows = columns[0].len(ctx)?;
+        for column in &columns[1..] {
+            // Alignment is on *logical* lengths: a deferred column's capacity
+            // bound may exceed its neighbours'.
+            assert_eq!(column.len(ctx)?, rows, "hash table: key column length mismatch");
+        }
+        Self::build_from(ctx, columns, rows, table_capacity(rows.min(GROUPING_START)))
+    }
+
+    fn build_from<T: DevWord>(
+        ctx: &OcelotContext,
+        columns: &[&DevColumn<T>],
+        rows: usize,
+        mut capacity: usize,
+    ) -> Result<OcelotHashTable> {
+        let keys: Vec<Buffer> = columns.iter().map(|c| c.buffer.clone()).collect();
+        let key_wait: Vec<EventId> = columns.iter().flat_map(|c| ctx.wait_for(*c)).collect();
+        // One per-row buffer serves every attempt and then becomes the gid
+        // column, so restarts do not multiply the build's footprint.
+        let row_slots = ctx.alloc_uninit(rows.max(1), "hash_row_gids")?;
+        let launch = ctx.launch(rows);
         let mut build_attempts = 0;
 
-        loop {
+        let (slots, probe, representatives, distinct) = loop {
             build_attempts += 1;
-            let max_probe = HASH_SEEDS.len() + capacity;
-            // fill_u32 overwrites every word, so skip the zeroing alloc.
-            let keys = ctx.alloc_uninit(capacity, "hash_keys")?;
-            keys.fill_u32(EMPTY_KEY);
-            ctx.queue().enqueue_write(&keys, &[])?;
-
-            if n > 0 {
-                let launch = ctx.launch(n);
-                let wait = ctx.wait_for(keys_col);
-                let optimistic = ctx.queue().enqueue_kernel(
-                    Arc::new(OptimisticInsertKernel {
-                        input: keys_col.buffer.clone(),
-                        keys: keys.clone(),
-                        capacity,
-                        max_probe,
-                    }),
-                    launch.clone(),
-                    &wait,
-                )?;
-
-                let failed_flags = ctx.alloc(n, "hash_failed_flags")?;
-                let failed_count = ctx.alloc(1, "hash_failed_count")?;
-                let check = ctx.queue().enqueue_kernel(
-                    Arc::new(CheckKernel {
-                        input: keys_col.buffer.clone(),
-                        keys: keys.clone(),
-                        failed_flags: failed_flags.clone(),
-                        failed_count: failed_count.clone(),
-                        capacity,
-                        max_probe,
-                    }),
-                    launch.clone(),
-                    &[optimistic],
-                )?;
-                ctx.queue().flush()?;
-                let _ = check;
-
-                if failed_count.get_u32(0) > 0 {
-                    let restart_flag = ctx.alloc(1, "hash_restart_flag")?;
-                    ctx.queue().enqueue_kernel(
-                        Arc::new(PessimisticInsertKernel {
-                            input: keys_col.buffer.clone(),
-                            keys: keys.clone(),
-                            failed_flags,
-                            restart_flag: restart_flag.clone(),
-                            capacity,
-                            max_probe,
-                        }),
-                        launch,
-                        &[],
-                    )?;
-                    ctx.queue().flush()?;
-                    if restart_flag.get_u32(0) != 0 {
-                        // Restarting is expensive (paper §4.1.4) — double the
-                        // table and try again.
-                        capacity *= 2;
-                        continue;
-                    }
-                }
-            }
-
-            // Finalisation: dense group ids per canonical occupied slot.
-            let occupancy = ctx.alloc(capacity, "hash_occupancy")?;
-            ctx.queue().enqueue_kernel(
-                Arc::new(OccupancyKernel {
-                    keys: keys.clone(),
-                    occupancy: occupancy.clone(),
-                    capacity,
-                    max_probe,
-                }),
+            let probe = Probe::new(capacity);
+            let slots = ctx.alloc_uninit(capacity, "hash_slots")?;
+            let filled = ctx.queue().enqueue_kernel(
+                Arc::new(FillKernel { buffer: slots.clone(), value: EMPTY_SLOT }),
                 ctx.launch(capacity),
                 &[],
             )?;
-            let occupancy_col = DevColumn::<u32>::new(occupancy, capacity)?;
-            let (slot_gids, distinct) = exclusive_scan_u32(ctx, &occupancy_col)?;
+            if rows == 0 {
+                ctx.memory().record_producer(&slots, filled);
+                break (slots, probe, ctx.alloc(1, "hash_representatives")?, 0);
+            }
+
+            let mut wait = key_wait.clone();
+            wait.push(filled);
+            let inserted = ctx.queue().enqueue_kernel(
+                Arc::new(OptimisticInsertKernel {
+                    keys: keys.clone(),
+                    slots: slots.clone(),
+                    probe,
+                }),
+                launch.clone(),
+                &wait,
+            )?;
+            let counters = ctx.alloc(2, "hash_counters")?;
+            let checked = ctx.queue().enqueue_kernel(
+                Arc::new(CheckKernel {
+                    keys: keys.clone(),
+                    slots: slots.clone(),
+                    row_slots: row_slots.clone(),
+                    counters: counters.clone(),
+                    probe,
+                }),
+                launch.clone(),
+                &[inserted],
+            )?;
+            // Rank the representatives before the count is known: a clean
+            // check round — the usual case — then needs no second flush.
+            let mut ranked = rank_representatives(ctx, &slots, &row_slots, &launch, checked)?;
+            ctx.queue().flush()?;
+
+            let failed = counters.get_u32(0) as usize;
+            if failed > 0 {
+                let reinserted = ctx.queue().enqueue_kernel(
+                    Arc::new(PessimisticInsertKernel {
+                        keys: keys.clone(),
+                        slots: slots.clone(),
+                        row_slots: row_slots.clone(),
+                        counters: counters.clone(),
+                        probe,
+                    }),
+                    launch.clone(),
+                    &[],
+                )?;
+                ctx.queue().flush()?;
+                if counters.get_u32(1) != 0 {
+                    // Restarting is expensive (paper §4.1.4) — size the next
+                    // table from what this attempt observed.
+                    capacity = restart_capacity(capacity, failed, rows);
+                    continue;
+                }
+                ranked = rank_representatives(ctx, &slots, &row_slots, &launch, reinserted)?;
+            }
+            let (ranks, distinct) = ranked;
             // The group count shapes the result schema (representative
             // allocation below), so the build resolves it here.
             let distinct = distinct.get(ctx)? as usize;
 
-            // Representatives: smallest row id per group.
-            // fill_u32 overwrites every word, so skip the zeroing alloc.
-            let representatives = ctx.alloc_uninit(distinct.max(1), "hash_representatives")?;
-            representatives.fill_u32(u32::MAX);
-            ctx.queue().enqueue_write(&representatives, &[])?;
-            if n > 0 {
-                ctx.queue().enqueue_kernel(
-                    Arc::new(RepresentativeKernel {
-                        input: keys_col.buffer.clone(),
-                        keys: keys.clone(),
-                        slot_gids: slot_gids.buffer.clone(),
-                        representatives: representatives.clone(),
-                        capacity,
-                        max_probe,
-                    }),
-                    ctx.launch(n),
-                    &[],
-                )?;
-            }
-            ctx.queue().flush()?;
-
-            return Ok(OcelotHashTable {
-                keys,
-                slot_gids: slot_gids.buffer,
-                representatives,
-                capacity,
-                distinct,
-                build_attempts,
-            });
-        }
+            let representatives = ctx.alloc_uninit(distinct, "hash_representatives")?;
+            let finalized = ctx.queue().enqueue_kernel(
+                Arc::new(FinalizeKernel {
+                    slots: slots.clone(),
+                    ranks: ranks.buffer.clone(),
+                    row_slots: row_slots.clone(),
+                    representatives: representatives.clone(),
+                }),
+                launch.clone(),
+                &ctx.wait_for(&ranks),
+            )?;
+            ctx.memory().record_producer(&row_slots, finalized);
+            ctx.memory().record_producer(&representatives, finalized);
+            break (slots, probe, representatives, distinct);
+        };
+        Ok(OcelotHashTable {
+            keys,
+            slots,
+            row_gids: row_slots,
+            representatives,
+            probe,
+            rows,
+            distinct,
+            build_attempts,
+        })
     }
 
     /// Number of slots in the table.
     pub fn capacity(&self) -> usize {
-        self.capacity
+        self.probe.mask + 1
     }
 
     /// Number of distinct keys indexed.
@@ -468,10 +688,16 @@ impl OcelotHashTable {
     }
 
     /// The representative (smallest) row id per dense group id, as a device
-    /// column of `num_distinct()` OIDs.
+    /// column of `num_distinct()` OIDs in ascending order.
     pub fn representatives(&self) -> DevColumn<Oid> {
         DevColumn::new(self.representatives.clone(), self.distinct)
             .expect("representative buffer covers the distinct count")
+    }
+
+    /// The dense group id of every build row, recorded during the build —
+    /// what `probe_gids` over the build input would return, without probing.
+    pub fn row_gids(&self) -> DevColumn<Oid> {
+        DevColumn::new(self.row_gids.clone(), self.rows).expect("gid buffer covers the build rows")
     }
 
     /// Looks up the dense group id of every probe key. Missing keys map to
@@ -482,29 +708,7 @@ impl OcelotHashTable {
         ctx: &OcelotContext,
         probe: &DevColumn<T>,
     ) -> Result<DevColumn<Oid>> {
-        // The lookup kernel overwrites the logical prefix; the tail past a
-        // deferred count is never read.
-        let output = ctx.alloc_uninit(probe.cap().max(1), "hash_probe_gids")?;
-        if probe.cap() == 0 {
-            return DevColumn::new(output, 0);
-        }
-        let max_probe = HASH_SEEDS.len() + self.capacity;
-        let wait = ctx.wait_for(probe);
-        let event = ctx.queue().enqueue_kernel(
-            Arc::new(LookupGidKernel {
-                probe: probe.buffer.clone(),
-                keys: self.keys.clone(),
-                slot_gids: self.slot_gids.clone(),
-                output: output.clone(),
-                capacity: self.capacity,
-                max_probe,
-                n: probe.len_source(),
-            }),
-            ctx.launch(probe.cap()),
-            &wait,
-        )?;
-        ctx.memory().record_producer(&output, event);
-        DevColumn::with_len(output, probe.col_len().clone())
+        self.lookup(ctx, probe, true)
     }
 
     /// Looks up the representative row id (in the build input) of every
@@ -515,53 +719,65 @@ impl OcelotHashTable {
         ctx: &OcelotContext,
         probe: &DevColumn<T>,
     ) -> Result<DevColumn<Oid>> {
-        let gids = self.probe_gids(ctx, probe)?;
-        // representative[gid] with NOT_FOUND pass-through.
-        let output = ctx.alloc_uninit(probe.cap().max(1), "hash_probe_reps")?;
+        self.lookup(ctx, probe, false)
+    }
+
+    fn lookup<T: DevWord>(
+        &self,
+        ctx: &OcelotContext,
+        probe: &DevColumn<T>,
+        gids: bool,
+    ) -> Result<DevColumn<Oid>> {
+        assert_eq!(self.keys.len(), 1, "hash table: probing takes a single-column key");
+        // The lookup kernel overwrites the logical prefix; the tail past a
+        // deferred count is never read.
+        let output = ctx.alloc_uninit(probe.cap().max(1), "hash_lookups")?;
         if probe.cap() == 0 {
             return DevColumn::new(output, 0);
         }
-        let kernel = TranslateGidKernel {
-            gids: gids.buffer.clone(),
-            representatives: self.representatives.clone(),
-            output: output.clone(),
-            n: gids.len_source(),
-        };
-        let wait = ctx.wait_for(&gids);
-        let event = ctx.queue().enqueue_kernel(Arc::new(kernel), ctx.launch(probe.cap()), &wait)?;
+        let mut wait = ctx.wait_for(probe);
+        wait.extend(ctx.memory().wait_for_read(&self.slots));
+        wait.extend(ctx.memory().wait_for_read(&self.row_gids));
+        let event = ctx.queue().enqueue_kernel(
+            Arc::new(LookupKernel {
+                build_keys: self.keys[0].clone(),
+                probe_keys: probe.buffer.clone(),
+                slots: self.slots.clone(),
+                row_gids: gids.then(|| self.row_gids.clone()),
+                output: output.clone(),
+                probe: self.probe,
+                n: probe.len_source(),
+            }),
+            ctx.launch(probe.cap()),
+            &wait,
+        )?;
         ctx.memory().record_producer(&output, event);
         DevColumn::with_len(output, probe.col_len().clone())
     }
 }
 
-struct TranslateGidKernel {
-    gids: Buffer,
-    representatives: Buffer,
-    output: Buffer,
-    n: LenSource,
-}
-
-impl Kernel for TranslateGidKernel {
-    fn name(&self) -> &str {
-        "hash_translate_gid"
-    }
-    fn run_group(&self, group: &mut WorkGroupCtx) {
-        let n = self.n.get();
-        for item in group.items() {
-            for idx in item.assigned() {
-                if idx >= n {
-                    continue;
-                }
-                let gid = self.gids.get_u32(idx);
-                let value = if gid == NOT_FOUND {
-                    NOT_FOUND
-                } else {
-                    self.representatives.get_u32(gid as usize)
-                };
-                self.output.set_u32(idx, value);
-            }
-        }
-    }
+/// Flags each group's representative row and ranks the flags: the scanned
+/// column maps a representative row to its dense group id, the total is the
+/// distinct count.
+fn rank_representatives(
+    ctx: &OcelotContext,
+    slots: &Buffer,
+    row_slots: &Buffer,
+    launch: &LaunchConfig,
+    after: EventId,
+) -> Result<(DevColumn<u32>, DevScalar<u32>)> {
+    let flags = ctx.alloc_uninit(launch.n, "hash_representative_flags")?;
+    let flagged = ctx.queue().enqueue_kernel(
+        Arc::new(RepresentativeFlagKernel {
+            slots: slots.clone(),
+            row_slots: row_slots.clone(),
+            flags: flags.clone(),
+        }),
+        launch.clone(),
+        &[after],
+    )?;
+    ctx.memory().record_producer(&flags, flagged);
+    exclusive_scan_u32(ctx, &DevColumn::new(flags, launch.n)?)
 }
 
 #[cfg(test)]
@@ -601,31 +817,29 @@ mod tests {
                 assert_eq!(keys[i] == keys[j], gids[i] == gids[j], "rows {i},{j}");
             }
         }
+        // The gids recorded during the build are what a re-probe returns.
+        assert_eq!(table.row_gids().read(&ctx).unwrap(), gids);
     }
 
     #[test]
     fn representatives_carry_the_group_key() {
         let keys: Vec<i32> = (0..3_000).map(|i| (i * 13 + 5) % 77).collect();
-        let ctx = OcelotContext::gpu();
-        let col = ctx.upload_i32(&keys, "keys").unwrap();
-        let table = OcelotHashTable::build(&ctx, &col, 77).unwrap();
-        let reps = table.representatives().read(&ctx).unwrap();
-        let gids = table.probe_gids(&ctx, &col).unwrap().read(&ctx).unwrap();
-        assert_eq!(reps.len(), table.num_distinct());
-        for (row, gid) in gids.iter().enumerate() {
-            let rep_row = reps[*gid as usize] as usize;
-            assert_eq!(keys[rep_row], keys[row], "representative must share the key");
-            assert!(rep_row <= row || keys[rep_row] == keys[row]);
-        }
-        // Representatives are the *smallest* row of their group.
-        for (gid, rep) in reps.iter().enumerate() {
-            let first = keys.iter().position(|k| {
-                let krow_gid = gids[keys.iter().position(|x| x == k).unwrap()];
-                krow_gid as usize == gid
-            });
-            if let Some(first_row) = first {
-                assert_eq!(*rep as usize, first_row);
+        for ctx in contexts() {
+            let col = ctx.upload_i32(&keys, "keys").unwrap();
+            let table = OcelotHashTable::build(&ctx, &col, 77).unwrap();
+            let reps = table.representatives().read(&ctx).unwrap();
+            let gids = table.row_gids().read(&ctx).unwrap();
+            assert_eq!(reps.len(), table.num_distinct());
+            for (row, gid) in gids.iter().enumerate() {
+                assert_eq!(keys[reps[*gid as usize] as usize], keys[row]);
             }
+            // Group ids follow first appearance: the representative is the
+            // group's *smallest* row and representatives ascend with the gid.
+            for (gid, rep) in reps.iter().enumerate() {
+                let first = keys.iter().position(|k| *k == keys[*rep as usize]).unwrap();
+                assert_eq!(*rep as usize, first, "gid {gid}");
+            }
+            assert!(reps.windows(2).all(|w| w[0] < w[1]));
         }
     }
 
@@ -656,11 +870,12 @@ mod tests {
         let keys: Vec<i32> = (0..4_000).collect();
         let ctx = OcelotContext::cpu();
         let col = ctx.upload_i32(&keys, "keys").unwrap();
-        // Hint of 4 forces multiple restarts before all 4000 distinct keys fit.
+        // A hint of 4 gives a 16-slot table; the restart is sized from the
+        // ~4000 rows the check round counted outside it, not doubled.
         let table = OcelotHashTable::build(&ctx, &col, 4).unwrap();
         assert_eq!(table.num_distinct(), 4_000);
-        assert!(table.build_attempts() > 1, "expected at least one restart");
-        assert!(table.capacity() >= 4_096);
+        assert_eq!(table.build_attempts(), 2, "one evidence-sized restart");
+        assert_eq!(table.capacity(), 8_192);
     }
 
     #[test]
@@ -669,17 +884,82 @@ mod tests {
         let col = ctx.upload_i32(&[], "keys").unwrap();
         let table = OcelotHashTable::build(&ctx, &col, 10).unwrap();
         assert_eq!(table.num_distinct(), 0);
+        assert!(table.row_gids().read(&ctx).unwrap().is_empty());
         let probe = ctx.upload_i32(&[1, 2], "probe").unwrap();
         let gids = table.probe_gids(&ctx, &probe).unwrap().read(&ctx).unwrap();
         assert_eq!(gids, vec![NOT_FOUND, NOT_FOUND]);
     }
 
     #[test]
-    fn probe_slot_sequences_cover_the_table() {
-        // The first six probes use distinct hash functions, then linear probing.
-        let capacity = 64;
-        let visited: HashSet<usize> =
-            (0..capacity + 6).map(|attempt| probe_slot(42, attempt, capacity)).collect();
-        assert!(visited.len() >= capacity, "probe sequence must be able to visit every slot");
+    fn probe_sequences_are_bounded_and_full_tables_terminate() {
+        // The sequence is MAX_PROBE slots whatever the capacity: six hashed
+        // positions, then the window following the sixth.
+        for capacity in [16usize, 64, 1 << 20] {
+            let probe = Probe::new(capacity);
+            let visited: Vec<usize> = (0..MAX_PROBE).map(|a| probe.slot(0xDEAD_BEEF, a)).collect();
+            assert!(visited.iter().all(|slot| *slot < capacity));
+            let last_hashed = visited[HASH_SEEDS.len() - 1];
+            for (offset, slot) in visited[HASH_SEEDS.len()..].iter().enumerate() {
+                assert_eq!(*slot, (last_hashed + offset + 1) & (capacity - 1));
+            }
+        }
+        // A full table answers absent keys and overflowing builds in bounded
+        // time: 16 slots, 400 distinct keys — lookups of absent keys return
+        // NOT_FOUND and the build restarts instead of walking the table.
+        for ctx in contexts() {
+            let keys: Vec<i32> = (0..400).map(|i| i * 3).collect();
+            let col = ctx.upload_i32(&keys, "keys").unwrap();
+            let table = OcelotHashTable::build(&ctx, &col, 1).unwrap();
+            assert!(table.build_attempts() > 1);
+            assert_eq!(table.num_distinct(), 400);
+            let probe: Vec<i32> = (0..1_200).collect();
+            let found = table
+                .probe_representatives(&ctx, &ctx.upload_i32(&probe, "probe").unwrap())
+                .unwrap()
+                .read(&ctx)
+                .unwrap();
+            for (key, rep) in probe.iter().zip(found) {
+                let expected = if key % 3 == 0 { (key / 3) as u32 } else { NOT_FOUND };
+                assert_eq!(rep, expected, "key {key}");
+            }
+        }
+    }
+
+    #[test]
+    fn every_key_value_is_legal() {
+        // `-1` (0xFFFF_FFFF) used to be the empty-slot sentinel.
+        let keys = [-1, 0, i32::MIN, -1, i32::MAX, 0, -1];
+        for ctx in contexts() {
+            let col = ctx.upload_i32(&keys, "keys").unwrap();
+            let table = OcelotHashTable::build(&ctx, &col, keys.len()).unwrap();
+            assert_eq!(table.num_distinct(), 4);
+            assert_eq!(table.row_gids().read(&ctx).unwrap(), vec![0, 1, 2, 0, 3, 1, 0]);
+            assert_eq!(table.representatives().read(&ctx).unwrap(), vec![0, 1, 2, 4]);
+            let probe = ctx.upload_i32(&[-1, 7], "probe").unwrap();
+            let reps = table.probe_representatives(&ctx, &probe).unwrap().read(&ctx).unwrap();
+            assert_eq!(reps, vec![0, NOT_FOUND]);
+        }
+    }
+
+    #[test]
+    fn builds_are_linear_from_the_smallest_start() {
+        // 200k distinct keys into a table sized for one: the restart is
+        // sized from the failed-row count, so the whole build is a constant
+        // number of launches and flushes, whatever the input size.
+        let keys: Vec<i32> = (0..200_000).map(|i| i * 7 - 300_000).collect();
+        for ctx in contexts() {
+            let col = ctx.upload_i32(&keys, "keys").unwrap();
+            ctx.sync().unwrap();
+            let before = ctx.queue().total_stats().kernels;
+            let flushes = ctx.queue().flush_count();
+            let table = OcelotHashTable::build(&ctx, &col, 1).unwrap();
+            ctx.sync().unwrap();
+            assert_eq!(table.num_distinct(), keys.len());
+            assert!(table.build_attempts() <= 3, "{table:?}");
+            assert!(table.capacity() <= table_capacity(keys.len()), "{table:?}");
+            let launches = ctx.queue().total_stats().kernels - before;
+            assert!(launches <= 3 * 16, "{launches} launches");
+            assert!(ctx.queue().flush_count() - flushes <= 3 * 3 + 1);
+        }
     }
 }

@@ -21,7 +21,9 @@
 use crate::context::{DevColumn, LenSource, OcelotContext, Oid};
 use crate::ops::hash_table::{OcelotHashTable, NOT_FOUND};
 use crate::primitives::prefix_sum::exclusive_scan_u32;
-use ocelot_kernel::{Buffer, Kernel, KernelCost, LaunchConfig, Result, WorkGroupCtx};
+use ocelot_kernel::{
+    Buffer, BufferAccess, Kernel, KernelAccesses, KernelCost, LaunchConfig, Result, WorkGroupCtx,
+};
 use std::sync::Arc;
 
 /// A compacted join result: aligned probe-side and build-side OID columns
@@ -79,6 +81,12 @@ impl Kernel for CountMatchesKernel {
     fn cost(&self, launch: &LaunchConfig) -> KernelCost {
         KernelCost::new((launch.n as u64) * 4, launch.total_items() as u64 * 4, launch.n as u64, 0)
     }
+    fn declared_accesses(&self, launch: &LaunchConfig) -> Option<KernelAccesses> {
+        Some(KernelAccesses::of(vec![
+            BufferAccess::cells_read(&self.lookups, 0..launch.n),
+            BufferAccess::cells_write(&self.counts, 0..launch.total_items()),
+        ]))
+    }
 }
 
 struct WriteMatchesKernel {
@@ -111,6 +119,17 @@ impl Kernel for WriteMatchesKernel {
                 }
             }
         }
+    }
+    fn declared_accesses(&self, launch: &LaunchConfig) -> Option<KernelAccesses> {
+        let mut accesses = vec![
+            BufferAccess::cells_read(&self.lookups, 0..launch.n),
+            BufferAccess::cells_read(&self.offsets, 0..launch.total_items()),
+            BufferAccess::cells_write(&self.probe_out, 0..launch.n),
+        ];
+        if let Some(build_out) = &self.build_out {
+            accesses.push(BufferAccess::cells_write(build_out, 0..launch.n));
+        }
+        Some(KernelAccesses::of(accesses))
     }
 }
 
@@ -202,24 +221,141 @@ pub fn hash_join_aligned(
     table.probe_representatives(ctx, probe)
 }
 
-/// Semi join (`EXISTS`): probe OIDs that have at least one partner.
+// ---- semi / anti join: membership of left keys in right ----
+
+/// Flags the dense group ids (of a table over the *left* keys) that some
+/// right row carries.
+struct MarkMatchedKernel {
+    right_gids: Buffer,
+    matched: Buffer,
+    n: LenSource,
+}
+
+impl Kernel for MarkMatchedKernel {
+    fn name(&self) -> &str {
+        "join_mark_matched"
+    }
+    fn run_group(&self, group: &mut WorkGroupCtx) {
+        let n = self.n.get();
+        let right_gids = self.right_gids.as_words();
+        for item in group.items() {
+            for idx in item.assigned() {
+                if idx < n && right_gids[idx] != NOT_FOUND {
+                    // Colliding stores all write the same value: tier 1.
+                    self.matched.set_u32(right_gids[idx] as usize, 1);
+                }
+            }
+        }
+    }
+    fn cost(&self, launch: &LaunchConfig) -> KernelCost {
+        KernelCost::new((launch.n as u64) * 4, (launch.n as u64) * 4, launch.n as u64, 0)
+    }
+    fn declared_accesses(&self, launch: &LaunchConfig) -> Option<KernelAccesses> {
+        Some(KernelAccesses::of(vec![
+            BufferAccess::slice_read(&self.right_gids, 0..launch.n),
+            BufferAccess::cells_write(&self.matched, 0..self.matched.len()),
+        ]))
+    }
+}
+
+/// Turns the matched-group flags into an aligned lookup column over the
+/// left rows (`NOT_FOUND` = no right row carries the key).
+struct MatchedLookupKernel {
+    left_gids: Buffer,
+    matched: Buffer,
+    lookups: Buffer,
+}
+
+impl Kernel for MatchedLookupKernel {
+    fn name(&self) -> &str {
+        "join_matched_lookup"
+    }
+    fn run_group(&self, group: &mut WorkGroupCtx) {
+        let left_gids = self.left_gids.as_words();
+        let matched = self.matched.as_words();
+        for item in group.items() {
+            for row in item.assigned() {
+                let gid = left_gids[row];
+                let lookup = if matched[gid as usize] != 0 { gid } else { NOT_FOUND };
+                self.lookups.set_u32(row, lookup);
+            }
+        }
+    }
+    fn declared_accesses(&self, launch: &LaunchConfig) -> Option<KernelAccesses> {
+        Some(KernelAccesses::of(vec![
+            BufferAccess::slice_read(&self.left_gids, 0..launch.n),
+            BufferAccess::slice_read(&self.matched, 0..self.matched.len()),
+            BufferAccess::cells_write(&self.lookups, 0..launch.n),
+        ]))
+    }
+}
+
+/// For every left row, whether its key occurs in `right`: an aligned lookup
+/// column (`NOT_FOUND` = absent). The hash table goes over the smaller
+/// input by host-known capacity — over `left`, the right rows flag the
+/// groups they hit and the left rows read their group's flag.
+fn membership_lookups(
+    ctx: &OcelotContext,
+    left: &DevColumn<i32>,
+    right: &DevColumn<i32>,
+) -> Result<DevColumn<Oid>> {
+    if left.cap() >= right.cap() {
+        let table = OcelotHashTable::build(ctx, right, right.cap())?;
+        return table.probe_representatives(ctx, left);
+    }
+    let table = OcelotHashTable::build(ctx, left, left.cap())?;
+    let left_gids = table.row_gids();
+    let rows = left_gids.cap();
+    let lookups = ctx.alloc_uninit(rows.max(1), "join_membership")?;
+    if rows == 0 {
+        return DevColumn::new(lookups, 0);
+    }
+    let right_gids = table.probe_gids(ctx, right)?;
+    let matched = ctx.alloc(table.num_distinct(), "join_matched_groups")?;
+    let marked = ctx.queue().enqueue_kernel(
+        Arc::new(MarkMatchedKernel {
+            right_gids: right_gids.buffer.clone(),
+            matched: matched.clone(),
+            n: right_gids.len_source(),
+        }),
+        ctx.launch(right_gids.cap()),
+        &ctx.wait_for(&right_gids),
+    )?;
+    let mut wait = ctx.wait_for(&left_gids);
+    wait.push(marked);
+    let event = ctx.queue().enqueue_kernel(
+        Arc::new(MatchedLookupKernel {
+            left_gids: left_gids.buffer.clone(),
+            matched,
+            lookups: lookups.clone(),
+        }),
+        ctx.launch(rows),
+        &wait,
+    )?;
+    ctx.memory().record_producer(&lookups, event);
+    DevColumn::new(lookups, rows)
+}
+
+/// Semi join (`EXISTS`): OIDs of the left rows whose key occurs in `right`,
+/// ascending.
 pub fn semi_join(
     ctx: &OcelotContext,
-    probe: &DevColumn<i32>,
-    table: &OcelotHashTable,
+    left: &DevColumn<i32>,
+    right: &DevColumn<i32>,
 ) -> Result<DevColumn<Oid>> {
-    let lookups = table.probe_representatives(ctx, probe)?;
+    let lookups = membership_lookups(ctx, left, right)?;
     let (oids, _) = compact_lookups(ctx, &lookups, true, false)?;
     Ok(oids)
 }
 
-/// Anti join (`NOT EXISTS`): probe OIDs without any partner.
+/// Anti join (`NOT EXISTS`): OIDs of the left rows whose key does not occur
+/// in `right`, ascending.
 pub fn anti_join(
     ctx: &OcelotContext,
-    probe: &DevColumn<i32>,
-    table: &OcelotHashTable,
+    left: &DevColumn<i32>,
+    right: &DevColumn<i32>,
 ) -> Result<DevColumn<Oid>> {
-    let lookups = table.probe_representatives(ctx, probe)?;
+    let lookups = membership_lookups(ctx, left, right)?;
     let (oids, _) = compact_lookups(ctx, &lookups, false, false)?;
     Ok(oids)
 }
@@ -458,14 +594,17 @@ mod tests {
     fn semi_and_anti_join_match_monet() {
         let left: Vec<i32> = (0..3_000).map(|i| (i * 31 + 1) % 400).collect();
         let right: Vec<i32> = (0..120).map(|i| i * 3).collect();
-        let expected_semi = monet::semi_join_i32(&left, &right);
-        let expected_anti = monet::anti_join_i32(&left, &right);
-        for ctx in contexts() {
-            let l = ctx.upload_i32(&left, "l").unwrap();
-            let r = ctx.upload_i32(&right, "r").unwrap();
-            let table = OcelotHashTable::build(&ctx, &r, right.len()).unwrap();
-            assert_eq!(semi_join(&ctx, &l, &table).unwrap().read(&ctx).unwrap(), expected_semi);
-            assert_eq!(anti_join(&ctx, &l, &table).unwrap().read(&ctx).unwrap(), expected_anti);
+        // Both orientations: the table goes over the smaller input, the
+        // result is the same left OIDs in the same order either way.
+        for (left, right) in [(&left, &right), (&right, &left)] {
+            let expected_semi = monet::semi_join_i32(left, right);
+            let expected_anti = monet::anti_join_i32(left, right);
+            for ctx in contexts() {
+                let l = ctx.upload_i32(left, "l").unwrap();
+                let r = ctx.upload_i32(right, "r").unwrap();
+                assert_eq!(semi_join(&ctx, &l, &r).unwrap().read(&ctx).unwrap(), expected_semi);
+                assert_eq!(anti_join(&ctx, &l, &r).unwrap().read(&ctx).unwrap(), expected_anti);
+            }
         }
     }
 
@@ -509,7 +648,10 @@ mod tests {
         let probe = ctx.upload_i32(&[1, 2], "p").unwrap();
         let result = hash_join(&ctx, &probe, &table).unwrap();
         assert!(result.is_empty(&ctx).unwrap());
-        assert_eq!(anti_join(&ctx, &probe, &table).unwrap().read(&ctx).unwrap(), vec![0, 1]);
+        assert_eq!(anti_join(&ctx, &probe, &empty).unwrap().read(&ctx).unwrap(), vec![0, 1]);
+        assert!(semi_join(&ctx, &probe, &empty).unwrap().read(&ctx).unwrap().is_empty());
+        assert!(semi_join(&ctx, &empty, &probe).unwrap().read(&ctx).unwrap().is_empty());
+        assert!(anti_join(&ctx, &empty, &probe).unwrap().read(&ctx).unwrap().is_empty());
         let nlj = nested_loop_join(&ctx, &empty, &probe, ThetaOp::Less).unwrap();
         assert!(nlj.is_empty(&ctx).unwrap());
     }

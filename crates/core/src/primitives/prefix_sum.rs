@@ -27,7 +27,10 @@
 //! element order.
 
 use crate::context::{DevColumn, DevScalar, OcelotContext};
-use ocelot_kernel::{Kernel, KernelCost, KernelError, LaunchConfig, Result, WorkGroupCtx};
+use ocelot_kernel::{
+    BufferAccess, Kernel, KernelAccesses, KernelCost, KernelError, LaunchConfig, Result,
+    WorkGroupCtx,
+};
 use std::sync::Arc;
 
 /// Phase 1: per-work-item partial sums.
@@ -51,6 +54,12 @@ impl Kernel for PartialSumKernel {
     }
     fn cost(&self, launch: &LaunchConfig) -> KernelCost {
         KernelCost::new((launch.n as u64) * 4, launch.total_items() as u64 * 4, launch.n as u64, 0)
+    }
+    fn declared_accesses(&self, launch: &LaunchConfig) -> Option<KernelAccesses> {
+        Some(KernelAccesses::of(vec![
+            BufferAccess::slice_read(&self.input, 0..self.n),
+            BufferAccess::cells_write(&self.partials, 0..launch.total_items()),
+        ]))
     }
 }
 
@@ -83,6 +92,12 @@ impl Kernel for ScanPartialsKernel {
     }
     fn cost(&self, _launch: &LaunchConfig) -> KernelCost {
         KernelCost::new(self.count as u64 * 4, self.count as u64 * 4, self.count as u64, 0)
+    }
+    fn declared_accesses(&self, _launch: &LaunchConfig) -> Option<KernelAccesses> {
+        Some(KernelAccesses::of(vec![
+            BufferAccess::slice_write(&self.partials, 0..self.count),
+            BufferAccess::cells_write(&self.total, 0..1),
+        ]))
     }
 }
 
@@ -141,6 +156,13 @@ impl Kernel for WritePrefixKernel {
     }
     fn cost(&self, launch: &LaunchConfig) -> KernelCost {
         KernelCost::streaming(launch.n)
+    }
+    fn declared_accesses(&self, launch: &LaunchConfig) -> Option<KernelAccesses> {
+        Some(KernelAccesses::of(vec![
+            BufferAccess::slice_read(&self.input, 0..self.n),
+            BufferAccess::cells_read(&self.partials, 0..launch.total_items()),
+            BufferAccess::slice_write(&self.output, 0..self.n),
+        ]))
     }
 }
 

@@ -95,8 +95,6 @@ pub struct OcelotBackend {
     ctx: OcelotContext,
     label: String,
     timer: Mutex<(Instant, u64)>,
-    /// Default sizing hint for hash tables built by group-by and joins.
-    distinct_hint: usize,
     /// Number of reclaim passes run for the OOM-restart protocol — one per
     /// node restart the plan executor performed on this backend.
     reclaims: AtomicU64,
@@ -146,7 +144,6 @@ impl OcelotBackend {
             ctx,
             label: label.to_string(),
             timer: Mutex::new((Instant::now(), 0)),
-            distinct_hint: 1024,
             reclaims: AtomicU64::new(0),
             spill_stats: Mutex::new(SpillStats::default()),
         }
@@ -433,20 +430,14 @@ impl Backend for OcelotBackend {
     }
 
     fn semi_join(&self, left: &OcelotColumn, right: &OcelotColumn) -> OcelotColumn {
-        let right_col = right.as_i32();
-        let table = OcelotHashTable::build(&self.ctx, &right_col, right_col.cap().max(1))
-            .unwrap_or_else(|e| raise("hash table build failed", e));
         OcelotColumn::Oid(
-            join::semi_join(&self.ctx, &left.as_i32(), &table)
+            join::semi_join(&self.ctx, &left.as_i32(), &right.as_i32())
                 .unwrap_or_else(|e| raise("semi join failed", e)),
         )
     }
     fn anti_join(&self, left: &OcelotColumn, right: &OcelotColumn) -> OcelotColumn {
-        let right_col = right.as_i32();
-        let table = OcelotHashTable::build(&self.ctx, &right_col, right_col.cap().max(1))
-            .unwrap_or_else(|e| raise("hash table build failed", e));
         OcelotColumn::Oid(
-            join::anti_join(&self.ctx, &left.as_i32(), &table)
+            join::anti_join(&self.ctx, &left.as_i32(), &right.as_i32())
                 .unwrap_or_else(|e| raise("anti join failed", e)),
         )
     }
@@ -454,9 +445,7 @@ impl Backend for OcelotBackend {
     fn group_by(&self, keys: &[&OcelotColumn]) -> GroupHandle<OcelotColumn> {
         let word_columns: Vec<DevColumn<Oid>> = keys.iter().map(|k| k.as_oid()).collect();
         let columns: Vec<&DevColumn<Oid>> = word_columns.iter().collect();
-        let hint =
-            self.distinct_hint.min(keys.first().map(|k| k.as_oid().cap()).unwrap_or(1).max(1));
-        let result = groupby::group_by_columns(&self.ctx, &columns, hint)
+        let result = groupby::group_by_columns(&self.ctx, &columns)
             .unwrap_or_else(|e| raise("group by failed", e));
         GroupHandle {
             gids: OcelotColumn::Oid(result.gids),

@@ -1,67 +1,16 @@
-//! Floating-point atomics emulated through compare-and-swap on integers.
+//! Integer atomics for kernels whose writes may collide.
 //!
-//! OpenCL 1.x does not provide atomic operations on floating point data, so
-//! the paper emulates them "through atomic compare-and-swap operations on
-//! integer values" (§4.1.7, footnote 7). The grouped-aggregation kernels in
-//! `ocelot-core` use these helpers for SUM/MIN/MAX accumulators on `f32`
-//! data, and the plain integer helpers for `i32` data.
+//! OpenCL 1.x provides atomic operations on 32-bit integers only; the paper
+//! emulates floating-point ones "through atomic compare-and-swap operations
+//! on integer values" (§4.1.7, footnote 7). This runtime does not: a CAS
+//! loop adds floats in whatever order the threads interleave, so the result
+//! is not reproducible. Grouped aggregation folds floats in private
+//! per-work-group tables instead (`ocelot-core`'s `ops::aggregate`), and
+//! `xlint`'s `float-atomic-in-ops` rule keeps float atomics out of the
+//! operator library. What remains here are the integer helpers and the CAS
+//! the hash-table build's pessimistic round needs.
 
 use std::sync::atomic::{AtomicU32, Ordering};
-
-/// Atomically adds `value` to the `f32` stored (as bits) in `cell`.
-///
-/// Implemented as a CAS loop: load, add, try to swap, retry on contention.
-pub fn atomic_add_f32(cell: &AtomicU32, value: f32) -> f32 {
-    let mut current = cell.load(Ordering::Relaxed);
-    loop {
-        let old = f32::from_bits(current);
-        let new = (old + value).to_bits();
-        match cell.compare_exchange_weak(current, new, Ordering::AcqRel, Ordering::Relaxed) {
-            Ok(_) => return old,
-            Err(actual) => current = actual,
-        }
-    }
-}
-
-/// Atomically stores the minimum of `value` and the `f32` stored in `cell`.
-pub fn atomic_min_f32(cell: &AtomicU32, value: f32) -> f32 {
-    let mut current = cell.load(Ordering::Relaxed);
-    loop {
-        let old = f32::from_bits(current);
-        if old <= value {
-            return old;
-        }
-        match cell.compare_exchange_weak(
-            current,
-            value.to_bits(),
-            Ordering::AcqRel,
-            Ordering::Relaxed,
-        ) {
-            Ok(_) => return old,
-            Err(actual) => current = actual,
-        }
-    }
-}
-
-/// Atomically stores the maximum of `value` and the `f32` stored in `cell`.
-pub fn atomic_max_f32(cell: &AtomicU32, value: f32) -> f32 {
-    let mut current = cell.load(Ordering::Relaxed);
-    loop {
-        let old = f32::from_bits(current);
-        if old >= value {
-            return old;
-        }
-        match cell.compare_exchange_weak(
-            current,
-            value.to_bits(),
-            Ordering::AcqRel,
-            Ordering::Relaxed,
-        ) {
-            Ok(_) => return old,
-            Err(actual) => current = actual,
-        }
-    }
-}
 
 /// Atomically adds `value` to the `i32` stored (as bits) in `cell` and
 /// returns the previous value.
@@ -118,25 +67,6 @@ mod tests {
     use std::sync::Arc;
 
     #[test]
-    fn add_f32_accumulates() {
-        let cell = AtomicU32::new(0f32.to_bits());
-        atomic_add_f32(&cell, 1.5);
-        atomic_add_f32(&cell, 2.25);
-        assert_eq!(f32::from_bits(cell.load(Ordering::Relaxed)), 3.75);
-    }
-
-    #[test]
-    fn min_max_f32() {
-        let cell = AtomicU32::new(10f32.to_bits());
-        atomic_min_f32(&cell, 3.0);
-        assert_eq!(f32::from_bits(cell.load(Ordering::Relaxed)), 3.0);
-        atomic_min_f32(&cell, 5.0);
-        assert_eq!(f32::from_bits(cell.load(Ordering::Relaxed)), 3.0);
-        atomic_max_f32(&cell, 42.0);
-        assert_eq!(f32::from_bits(cell.load(Ordering::Relaxed)), 42.0);
-    }
-
-    #[test]
     fn min_max_i32_handles_negatives() {
         let cell = AtomicU32::new((-5i32) as u32);
         atomic_min_i32(&cell, -10);
@@ -155,25 +85,6 @@ mod tests {
         // Failed CAS leaves the value untouched and reports it.
         assert_eq!(atomic_cas_u32(&cell, 1, 3), 2);
         assert_eq!(cell.load(Ordering::Relaxed), 2);
-    }
-
-    #[test]
-    fn concurrent_float_add_is_exact_for_representable_sums() {
-        let cell = Arc::new(AtomicU32::new(0f32.to_bits()));
-        let threads: Vec<_> = (0..8)
-            .map(|_| {
-                let cell = Arc::clone(&cell);
-                std::thread::spawn(move || {
-                    for _ in 0..1000 {
-                        atomic_add_f32(&cell, 1.0);
-                    }
-                })
-            })
-            .collect();
-        for t in threads {
-            t.join().unwrap();
-        }
-        assert_eq!(f32::from_bits(cell.load(Ordering::Relaxed)), 8000.0);
     }
 
     #[test]

@@ -14,9 +14,8 @@
 //!   [`Buffer::chunk_cells`], and the per-element `get_*`/`set_*`
 //!   accessors). Always legal, from any number of work-items concurrently.
 //!   This tier is *mandatory* whenever two work-items may touch the same
-//!   word within one kernel phase: the hash-table build (CAS inserts),
-//!   grouped aggregation (fetch-add / CAS accumulators) and any other
-//!   scattered write whose targets are not provably disjoint.
+//!   word within one kernel phase: the hash-table build (CAS inserts) and
+//!   any other scattered write whose targets are not provably disjoint.
 //!
 //! * **Tier 2 — bulk slice views** ([`Buffer::as_words`], [`Buffer::chunk`],
 //!   the unsafe [`Buffer::words_mut`] / [`Buffer::chunk_mut`], and the

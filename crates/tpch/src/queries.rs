@@ -59,9 +59,11 @@ pub struct QueryResult {
 }
 
 impl QueryResult {
-    /// Whether two results agree within a floating-point tolerance
-    /// (aggregation order differs between configurations, so exact equality
-    /// is too strict for float sums).
+    /// Whether two results agree within a floating-point tolerance — the
+    /// cross-backend half of the equality rule (`ocelot_core::ops::aggregate`
+    /// module docs): aggregation order differs between backends, so floats
+    /// compare within a relative bound there. Run to run on one backend
+    /// and device configuration results are bit-equal; compare with `==`.
     pub fn approx_eq(&self, other: &QueryResult, rel_tol: f64) -> bool {
         if self.query != other.query
             || self.columns != other.columns
