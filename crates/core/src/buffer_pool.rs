@@ -33,6 +33,7 @@
 
 use ocelot_kernel::Buffer;
 use parking_lot::Mutex;
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Statistics of a (possibly shared) buffer pool.
@@ -62,9 +63,6 @@ impl PoolStats {
 /// cheap for the system allocator, and pooling them would churn the pool.
 pub const MIN_POOLED_WORDS: usize = 1 << 12;
 
-/// Maximum number of buffers retained for recycling.
-const POOL_CAP: usize = 32;
-
 /// The size class a pooled request is rounded up to: the next power of two.
 /// At most 2x overallocation buys cross-size reuse (a 5 000-word column and
 /// a 6 000-word column share the 8 192-word class). Callers see the class
@@ -80,22 +78,49 @@ struct PoolEntry {
     owner: u64,
 }
 
+impl PoolEntry {
+    fn is_idle(&self) -> bool {
+        self.buffer.handle_count() == 1
+    }
+}
+
 #[derive(Default)]
 struct PoolState {
-    entries: Vec<PoolEntry>,
+    /// Entries by size class (`Buffer::len()`), so an acquisition looks at
+    /// its own class only. Ordered, so which idle entry a full pool retires
+    /// — and with it the hit/miss counters — repeats run to run.
+    classes: BTreeMap<usize, Vec<PoolEntry>>,
+    retained_bytes: usize,
     stats: PoolStats,
     next_client: u64,
 }
 
-/// A shareable pool of idle, class-sized result buffers (see module docs).
+impl PoolState {
+    /// Drops one idle entry, largest class first. Returns whether one was
+    /// found.
+    fn retire_one_idle(&mut self) -> bool {
+        for entries in self.classes.values_mut().rev() {
+            if let Some(pos) = entries.iter().position(PoolEntry::is_idle) {
+                self.retained_bytes -= entries.swap_remove(pos).buffer.bytes();
+                return true;
+            }
+        }
+        false
+    }
+}
+
+/// A shareable pool of class-sized result buffers (see module docs).
 pub struct BufferPool {
     state: Mutex<PoolState>,
-    /// Hard cap on bytes the pool may retain. Admissions beyond it retire
-    /// idle entries first and are refused while nothing idle can make room
-    /// (the buffer then simply is not pooled — its holder keeps the only
-    /// handle and the allocation dies with it). Defaults to unlimited;
-    /// devices under a memory budget shrink it so the pool cannot hoard
-    /// the budget (see `crate::SharedDevice::with_memory_budget`).
+    /// The pool's only bound: bytes it may retain, live and idle entries
+    /// alike (a plan's working set is live entries — counting them against
+    /// an entry cap would evict the idle buffers the plan is about to
+    /// need). Admissions beyond it retire idle entries to make room and are
+    /// refused while nothing idle can (the buffer then simply is not
+    /// pooled — its holder keeps the only handle and the allocation dies
+    /// with it). Defaults to unlimited; devices under a memory budget
+    /// shrink it so the pool cannot hoard the budget (see
+    /// `crate::SharedDevice::with_memory_budget`).
     max_retained_bytes: AtomicUsize,
 }
 
@@ -121,7 +146,7 @@ impl BufferPool {
 
     /// Bytes currently retained by pooled buffers.
     pub fn retained_bytes(&self) -> usize {
-        self.state.lock().entries.iter().map(|e| e.buffer.bytes()).sum()
+        self.state.lock().retained_bytes
     }
 
     /// Registers a pool client (one per `MemoryManager`). The returned id is
@@ -138,18 +163,18 @@ impl BufferPool {
     pub fn acquire(&self, class_words: usize, client: u64) -> Option<Buffer> {
         let mut state = self.state.lock();
         let found = state
-            .entries
-            .iter()
-            .position(|e| e.buffer.len() == class_words && e.buffer.handle_count() == 1);
+            .classes
+            .get_mut(&class_words)
+            .and_then(|entries| entries.iter_mut().find(|entry| entry.is_idle()))
+            .map(|entry| {
+                let cross = std::mem::replace(&mut entry.owner, client) != client;
+                (entry.buffer.clone(), cross)
+            });
         match found {
-            Some(pos) => {
-                let cross = state.entries[pos].owner != client;
-                state.entries[pos].owner = client;
+            Some((buffer, cross)) => {
                 state.stats.hits += 1;
-                if cross {
-                    state.stats.cross_context_hits += 1;
-                }
-                Some(state.entries[pos].buffer.clone())
+                state.stats.cross_context_hits += u64::from(cross);
+                Some(buffer)
             }
             None => {
                 state.stats.misses += 1;
@@ -159,10 +184,9 @@ impl BufferPool {
     }
 
     /// Admits a freshly allocated class-sized buffer into the pool (the
-    /// caller keeps its own handle). When the pool is full (entry count or
-    /// retained-byte budget) idle entries are retired in preference to
-    /// still-live ones; if the byte budget still cannot fit the newcomer,
-    /// it is not pooled at all.
+    /// caller keeps its own handle). Idle entries are retired only to make
+    /// room under the retained-byte bound; if it still cannot fit the
+    /// newcomer, it is not pooled at all.
     pub fn admit(&self, buffer: Buffer, client: u64) {
         let budget = self.max_retained_bytes.load(Ordering::Relaxed);
         if buffer.bytes() > budget {
@@ -171,45 +195,32 @@ impl BufferPool {
             return;
         }
         let mut state = self.state.lock();
-        if state.entries.len() >= POOL_CAP {
-            let pos = state.entries.iter().position(|e| e.buffer.handle_count() == 1).unwrap_or(0);
-            state.entries.remove(pos);
-        }
-        let retained =
-            |entries: &[PoolEntry]| -> usize { entries.iter().map(|e| e.buffer.bytes()).sum() };
-        while retained(&state.entries).saturating_add(buffer.bytes()) > budget {
-            match state.entries.iter().position(|e| e.buffer.handle_count() == 1) {
-                Some(pos) => {
-                    state.entries.remove(pos);
-                }
-                None => return,
+        while state.retained_bytes.saturating_add(buffer.bytes()) > budget {
+            if !state.retire_one_idle() {
+                return;
             }
         }
-        state.entries.push(PoolEntry { buffer, owner: client });
+        state.retained_bytes += buffer.bytes();
+        state.classes.entry(buffer.len()).or_default().push(PoolEntry { buffer, owner: client });
     }
 
     /// Drops one idle entry to give device memory back (the Memory Manager's
     /// cheapest eviction move). Returns whether an entry was released.
     pub fn release_one_idle(&self) -> bool {
-        let mut state = self.state.lock();
-        match state.entries.iter().position(|e| e.buffer.handle_count() == 1) {
-            Some(pos) => {
-                state.entries.remove(pos);
-                true
-            }
-            None => false,
-        }
+        self.state.lock().retire_one_idle()
     }
 
     /// Empties the pool (used between benchmark configurations). Buffers
     /// still held elsewhere stay alive through their other handles.
     pub fn clear(&self) {
-        self.state.lock().entries.clear();
+        let mut state = self.state.lock();
+        state.classes.clear();
+        state.retained_bytes = 0;
     }
 
     /// Number of buffers currently retained.
     pub fn len(&self) -> usize {
-        self.state.lock().entries.len()
+        self.state.lock().classes.values().map(Vec::len).sum()
     }
 
     /// Whether the pool holds no buffers.
@@ -227,7 +238,8 @@ impl std::fmt::Debug for BufferPool {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let state = self.state.lock();
         f.debug_struct("BufferPool")
-            .field("entries", &state.entries.len())
+            .field("entries", &state.classes.values().map(Vec::len).sum::<usize>())
+            .field("retained_bytes", &state.retained_bytes)
             .field("stats", &state.stats)
             .finish()
     }
@@ -303,12 +315,28 @@ mod tests {
         let device = Device::cpu_sequential();
         let pool = BufferPool::new();
         let client = pool.register_client();
+        // No entry count bounds the pool: a plan's whole working set stays.
         for i in 0..40 {
             pool.admit(device.alloc(4_096, &format!("b{i}")).unwrap(), client);
         }
-        assert!(pool.len() <= 32 + 1, "pool stays bounded");
-        assert!(pool.release_one_idle());
+        assert_eq!(pool.len(), 40);
+        assert_eq!(pool.retained_bytes(), 40 * 4_096 * 4);
+        // Full means the byte bound: idle entries go, and only as many as
+        // the newcomer needs; live entries are never retired for it.
+        pool.set_max_retained_bytes(40 * 4_096 * 4);
+        let live = device.alloc(8_192, "live").unwrap();
+        pool.admit(live.clone(), client);
+        assert_eq!(pool.len(), 39, "two idle 16 KiB entries made room for 32 KiB");
+        assert_eq!(pool.retained_bytes(), 40 * 4_096 * 4);
+        // A bound the live entry alone fills: every idle entry is retired
+        // for the newcomer, which still does not fit and is not pooled.
+        pool.set_max_retained_bytes(8_192 * 4);
+        pool.admit(device.alloc(4_096, "refused").unwrap(), client);
+        assert_eq!((pool.len(), pool.retained_bytes()), (1, 8_192 * 4));
+        assert!(!pool.release_one_idle(), "the live entry outlasts every release");
+        drop(live);
         pool.clear();
         assert!(pool.is_empty());
+        assert_eq!(pool.retained_bytes(), 0);
     }
 }

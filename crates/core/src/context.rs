@@ -29,8 +29,8 @@
 //!
 //! Exceptions, documented at their definition sites, are operators whose
 //! host-side control flow inherently depends on a device value: the hash
-//! table build (its optimistic/pessimistic restart loop inspects a failure
-//! counter), `group_by` (the group count sizes the result schema), and the
+//! table build (the key range sizes it and its optimistic/pessimistic
+//! restart loop inspects a failure counter), `group_by` (the group count sizes the result schema), and the
 //! nested-loop join (its output bound is quadratic, so it resolves the scan
 //! total instead of allocating the worst case). Each resolves via the same
 //! `.get()` path and is a deliberate, visible sync point.

@@ -1,15 +1,17 @@
 //! Join operators (paper §4.1.5).
 //!
 //! Equi-joins are hash joins against an [`OcelotHashTable`] built over the
-//! (unique-key) build side; theta-joins use a nested-loop kernel. Both use
-//! the two-step scheme to produce compact results without synchronisation:
-//! every work-item first counts the result tuples it will emit, a prefix sum
-//! turns the counts into unique write offsets, and a second pass performs
-//! the join writing at those offsets. When the caller knows every probe row
-//! matches (e.g. a PK-FK join against an unfiltered key column), the
-//! counting pass is skipped and the aligned lookup is returned directly —
-//! the paper's "execute the join directly, omitting the additional
-//! overhead" optimisation.
+//! (unique-key) build side; theta-joins use a nested-loop kernel. Both
+//! produce compact results without synchronisation by the two-step scheme:
+//! every work-item counts the result tuples it will emit, a prefix sum turns
+//! the counts into unique write offsets, and a write pass emits the tuples
+//! at those offsets. A hash join is **two passes over the probe side, not
+//! three**: the probe kernel counts its matches while it writes the aligned
+//! lookups, so only the write pass follows the (tiny) scan of the per-item
+//! counts. When the caller knows every probe row matches (e.g. a PK-FK join
+//! against an unfiltered key column), the aligned lookup is returned
+//! directly — the paper's "execute the join directly, omitting the
+//! additional overhead" optimisation.
 //!
 //! Hash-join compaction is fully lazy: a probe row produces at most one
 //! result tuple, so the outputs are allocated at the probe cardinality and
@@ -19,7 +21,7 @@
 //! allocating the quadratic worst case.
 
 use crate::context::{DevColumn, LenSource, OcelotContext, Oid};
-use crate::ops::hash_table::{OcelotHashTable, NOT_FOUND};
+use crate::ops::hash_table::{KeptCounts, OcelotHashTable, NOT_FOUND};
 use crate::primitives::prefix_sum::exclusive_scan_u32;
 use ocelot_kernel::{
     Buffer, BufferAccess, Kernel, KernelAccesses, KernelCost, LaunchConfig, Result, WorkGroupCtx,
@@ -51,50 +53,15 @@ impl JoinResult {
 
 // ---- compaction of aligned lookups (shared by hash join / semi / anti) ----
 
-struct CountMatchesKernel {
-    lookups: Buffer,
-    counts: Buffer,
-    keep_found: bool,
-    n: LenSource,
-}
-
-impl Kernel for CountMatchesKernel {
-    fn name(&self) -> &str {
-        "join_count_matches"
-    }
-    fn run_group(&self, group: &mut WorkGroupCtx) {
-        // A deferred probe count resolves here, at flush time; the value is
-        // identical for every item, so the chunk partition is consistent.
-        let n = self.n.get();
-        for item in group.items() {
-            let (start, end) = item.chunk_bounds(n);
-            let mut count = 0u32;
-            for idx in start..end {
-                let found = self.lookups.get_u32(idx) != NOT_FOUND;
-                if found == self.keep_found {
-                    count += 1;
-                }
-            }
-            self.counts.set_u32(item.global_id, count);
-        }
-    }
-    fn cost(&self, launch: &LaunchConfig) -> KernelCost {
-        KernelCost::new((launch.n as u64) * 4, launch.total_items() as u64 * 4, launch.n as u64, 0)
-    }
-    fn declared_accesses(&self, launch: &LaunchConfig) -> Option<KernelAccesses> {
-        Some(KernelAccesses::of(vec![
-            BufferAccess::cells_read(&self.lookups, 0..launch.n),
-            BufferAccess::cells_write(&self.counts, 0..launch.total_items()),
-        ]))
-    }
-}
-
+/// The write pass: every work-item rewalks its chunk of the lookups and
+/// emits the kept rows into the output range the scan assigned it
+/// (`offsets[i] .. offsets[i] + counts[i]`, disjoint between items).
 struct WriteMatchesKernel {
     lookups: Buffer,
+    kept: KeptCounts,
     offsets: Buffer,
     probe_out: Buffer,
     build_out: Option<Buffer>,
-    keep_found: bool,
     n: LenSource,
 }
 
@@ -103,17 +70,29 @@ impl Kernel for WriteMatchesKernel {
         "join_write_matches"
     }
     fn run_group(&self, group: &mut WorkGroupCtx) {
+        // A deferred probe count resolves here, at flush time — to the value
+        // the counting kernel partitioned by.
         let n = self.n.get();
+        let counts = self.kept.counts.as_words();
+        let offsets = self.offsets.as_words();
         for item in group.items() {
             let (start, end) = item.chunk_bounds(n);
-            let mut cursor = self.offsets.get_u32(item.global_id) as usize;
-            for idx in start..end {
-                let lookup = self.lookups.get_u32(idx);
-                let found = lookup != NOT_FOUND;
-                if found == self.keep_found {
-                    self.probe_out.set_u32(cursor, idx as u32);
-                    if let Some(build_out) = &self.build_out {
-                        build_out.set_u32(cursor, lookup);
+            let first = offsets[item.global_id] as usize;
+            let last = first + counts[item.global_id] as usize;
+            // SAFETY: the exclusive scan of the per-item counts hands every
+            // item its own `first..last` of both outputs in this launch.
+            let (probe_out, mut build_out) = unsafe {
+                (
+                    self.probe_out.chunk_mut(first, last),
+                    self.build_out.as_ref().map(|b| b.chunk_mut(first, last)),
+                )
+            };
+            let mut cursor = 0;
+            for (idx, &lookup) in (start..end).zip(self.lookups.chunk(start, end)) {
+                if self.kept.keeps(lookup) {
+                    probe_out[cursor] = idx as u32;
+                    if let Some(build_out) = build_out.as_deref_mut() {
+                        build_out[cursor] = lookup;
                     }
                     cursor += 1;
                 }
@@ -122,26 +101,26 @@ impl Kernel for WriteMatchesKernel {
     }
     fn declared_accesses(&self, launch: &LaunchConfig) -> Option<KernelAccesses> {
         let mut accesses = vec![
-            BufferAccess::cells_read(&self.lookups, 0..launch.n),
-            BufferAccess::cells_read(&self.offsets, 0..launch.total_items()),
-            BufferAccess::cells_write(&self.probe_out, 0..launch.n),
+            BufferAccess::slice_read(&self.lookups, 0..launch.n),
+            BufferAccess::slice_read(&self.kept.counts, 0..launch.total_items()),
+            BufferAccess::slice_read(&self.offsets, 0..launch.total_items()),
+            BufferAccess::slice_write(&self.probe_out, 0..launch.n),
         ];
         if let Some(build_out) = &self.build_out {
-            accesses.push(BufferAccess::cells_write(build_out, 0..launch.n));
+            accesses.push(BufferAccess::slice_write(build_out, 0..launch.n));
         }
         Some(KernelAccesses::of(accesses))
     }
 }
 
 /// Compacts an aligned lookup column (`NOT_FOUND` = miss) into the probe
-/// OIDs whose lookup status matches `keep_found`, optionally emitting the
-/// matching build OIDs as well. Lazy: a probe row emits at most one tuple,
-/// so outputs are capacity-allocated and the scan total becomes their
-/// deferred length.
+/// OIDs `kept` counted, optionally emitting the matching build OIDs as
+/// well. Lazy: a probe row emits at most one tuple, so outputs are
+/// capacity-allocated and the scan total becomes their deferred length.
 fn compact_lookups(
     ctx: &OcelotContext,
     lookups: &DevColumn<Oid>,
-    keep_found: bool,
+    kept: KeptCounts,
     emit_build: bool,
 ) -> Result<(DevColumn<Oid>, Option<DevColumn<Oid>>)> {
     let cap = lookups.cap();
@@ -151,21 +130,9 @@ fn compact_lookups(
             if emit_build { Some(DevColumn::new(ctx.alloc(1, "join_empty_b")?, 0)?) } else { None };
         return Ok((DevColumn::new(empty, 0)?, build));
     }
+    // The launch the lookups were counted under (`KeptCounts`).
     let launch = ctx.launch(cap);
-    let counts = ctx.alloc(launch.total_items(), "join_counts")?;
-    let wait = ctx.wait_for(lookups);
-    let count_event = ctx.queue().enqueue_kernel(
-        Arc::new(CountMatchesKernel {
-            lookups: lookups.buffer.clone(),
-            counts: counts.clone(),
-            keep_found,
-            n: lookups.len_source(),
-        }),
-        launch.clone(),
-        &wait,
-    )?;
-    ctx.memory().record_producer(&counts, count_event);
-    let counts_col = DevColumn::<u32>::new(counts, launch.total_items())?;
+    let counts_col = DevColumn::<u32>::new(kept.counts.clone(), launch.total_items())?;
     let (offsets, total) = exclusive_scan_u32(ctx, &counts_col)?;
 
     // The write kernel fills exactly the logical prefix (the scan total),
@@ -177,10 +144,10 @@ fn compact_lookups(
     let event = ctx.queue().enqueue_kernel(
         Arc::new(WriteMatchesKernel {
             lookups: lookups.buffer.clone(),
+            kept,
             offsets: offsets.buffer.clone(),
             probe_out: probe_out.clone(),
             build_out: build_out.clone(),
-            keep_found,
             n: lookups.len_source(),
         }),
         launch,
@@ -205,8 +172,8 @@ pub fn hash_join(
     probe: &DevColumn<i32>,
     table: &OcelotHashTable,
 ) -> Result<JoinResult> {
-    let lookups = table.probe_representatives(ctx, probe)?;
-    let (probe_oids, build_oids) = compact_lookups(ctx, &lookups, true, true)?;
+    let (lookups, kept) = table.probe_counted(ctx, probe, true)?;
+    let (probe_oids, build_oids) = compact_lookups(ctx, &lookups, kept, true)?;
     Ok(JoinResult { probe_oids, build_oids: build_oids.expect("build side requested") })
 }
 
@@ -259,11 +226,13 @@ impl Kernel for MarkMatchedKernel {
 }
 
 /// Turns the matched-group flags into an aligned lookup column over the
-/// left rows (`NOT_FOUND` = no right row carries the key).
+/// left rows (`NOT_FOUND` = no right row carries the key), counting the
+/// kept rows per work-item chunk like the probe kernel does.
 struct MatchedLookupKernel {
     left_gids: Buffer,
     matched: Buffer,
     lookups: Buffer,
+    kept: KeptCounts,
 }
 
 impl Kernel for MatchedLookupKernel {
@@ -274,41 +243,52 @@ impl Kernel for MatchedLookupKernel {
         let left_gids = self.left_gids.as_words();
         let matched = self.matched.as_words();
         for item in group.items() {
-            for row in item.assigned() {
-                let gid = left_gids[row];
-                let lookup = if matched[gid as usize] != 0 { gid } else { NOT_FOUND };
-                self.lookups.set_u32(row, lookup);
+            let (start, end) = item.chunk_bounds(group.n());
+            // SAFETY: `chunk_bounds` partitions the rows among the items;
+            // this item alone touches `start..end` in this launch.
+            let lookups = unsafe { self.lookups.chunk_mut(start, end) };
+            let mut found = 0u32;
+            for (lookup, &gid) in lookups.iter_mut().zip(&left_gids[start..end]) {
+                let hit = matched[gid as usize] != 0;
+                *lookup = if hit { gid } else { NOT_FOUND };
+                found += u32::from(hit);
             }
+            self.kept.record(item.global_id, end - start, found);
         }
     }
     fn declared_accesses(&self, launch: &LaunchConfig) -> Option<KernelAccesses> {
         Some(KernelAccesses::of(vec![
             BufferAccess::slice_read(&self.left_gids, 0..launch.n),
             BufferAccess::slice_read(&self.matched, 0..self.matched.len()),
-            BufferAccess::cells_write(&self.lookups, 0..launch.n),
+            BufferAccess::slice_write(&self.lookups, 0..launch.n),
+            BufferAccess::cells_write(&self.kept.counts, 0..launch.total_items()),
         ]))
     }
 }
 
 /// For every left row, whether its key occurs in `right`: an aligned lookup
-/// column (`NOT_FOUND` = absent). The hash table goes over the smaller
-/// input by host-known capacity — over `left`, the right rows flag the
-/// groups they hit and the left rows read their group's flag.
+/// column (`NOT_FOUND` = absent) with the rows `keep_found` keeps counted.
+/// The hash table goes over the smaller input by host-known capacity — over
+/// `right` it is a join build the left rows probe; over `left` it is a
+/// grouping build, the right rows flag the groups they hit and the left
+/// rows read their group's flag.
 fn membership_lookups(
     ctx: &OcelotContext,
     left: &DevColumn<i32>,
     right: &DevColumn<i32>,
-) -> Result<DevColumn<Oid>> {
+    keep_found: bool,
+) -> Result<(DevColumn<Oid>, KeptCounts)> {
     if left.cap() >= right.cap() {
         let table = OcelotHashTable::build(ctx, right, right.cap())?;
-        return table.probe_representatives(ctx, left);
+        return table.probe_counted(ctx, left, keep_found);
     }
-    let table = OcelotHashTable::build(ctx, left, left.cap())?;
+    let table = OcelotHashTable::build_ranked(ctx, left, left.cap())?;
     let left_gids = table.row_gids();
     let rows = left_gids.cap();
+    let kept = KeptCounts::alloc(ctx, rows, keep_found)?;
     let lookups = ctx.alloc_uninit(rows.max(1), "join_membership")?;
     if rows == 0 {
-        return DevColumn::new(lookups, 0);
+        return Ok((DevColumn::new(lookups, 0)?, kept));
     }
     let right_gids = table.probe_gids(ctx, right)?;
     let matched = ctx.alloc(table.num_distinct(), "join_matched_groups")?;
@@ -328,12 +308,14 @@ fn membership_lookups(
             left_gids: left_gids.buffer.clone(),
             matched,
             lookups: lookups.clone(),
+            kept: kept.clone(),
         }),
         ctx.launch(rows),
         &wait,
     )?;
     ctx.memory().record_producer(&lookups, event);
-    DevColumn::new(lookups, rows)
+    ctx.memory().record_producer(&kept.counts, event);
+    Ok((DevColumn::new(lookups, rows)?, kept))
 }
 
 /// Semi join (`EXISTS`): OIDs of the left rows whose key occurs in `right`,
@@ -343,9 +325,8 @@ pub fn semi_join(
     left: &DevColumn<i32>,
     right: &DevColumn<i32>,
 ) -> Result<DevColumn<Oid>> {
-    let lookups = membership_lookups(ctx, left, right)?;
-    let (oids, _) = compact_lookups(ctx, &lookups, true, false)?;
-    Ok(oids)
+    let (lookups, kept) = membership_lookups(ctx, left, right, true)?;
+    Ok(compact_lookups(ctx, &lookups, kept, false)?.0)
 }
 
 /// Anti join (`NOT EXISTS`): OIDs of the left rows whose key does not occur
@@ -355,9 +336,8 @@ pub fn anti_join(
     left: &DevColumn<i32>,
     right: &DevColumn<i32>,
 ) -> Result<DevColumn<Oid>> {
-    let lookups = membership_lookups(ctx, left, right)?;
-    let (oids, _) = compact_lookups(ctx, &lookups, false, false)?;
-    Ok(oids)
+    let (lookups, kept) = membership_lookups(ctx, left, right, false)?;
+    Ok(compact_lookups(ctx, &lookups, kept, false)?.0)
 }
 
 // ---- nested-loop theta join ----

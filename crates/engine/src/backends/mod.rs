@@ -8,11 +8,13 @@ pub use monet_par::MonetParBackend;
 pub use monet_seq::MonetSeqBackend;
 pub use ocelot::OcelotBackend;
 
-use ocelot_storage::Oid;
+use ocelot_storage::{BatRef, ColumnData, Oid};
 use std::sync::Arc;
 
 /// Host-side column representation shared by the two MonetDB-style
-/// baselines: a typed, reference-counted vector.
+/// baselines: a typed, reference-counted vector for intermediates, or a
+/// view of the catalog's BAT for base columns — binding copies nothing, as
+/// in MonetDB.
 #[derive(Debug, Clone)]
 pub enum HostColumn {
     /// 32-bit integers (also dates and dictionary codes).
@@ -21,15 +23,42 @@ pub enum HostColumn {
     F32(Arc<Vec<f32>>),
     /// Tuple identifiers.
     Oid(Arc<Vec<Oid>>),
+    /// A base column, viewed in place.
+    Bat(BatRef),
+}
+
+/// The values of a [`HostColumn`], whichever storage backs them.
+#[derive(Debug, Clone, Copy)]
+pub enum HostView<'a> {
+    /// 32-bit integers.
+    I32(&'a [i32]),
+    /// 32-bit floats.
+    F32(&'a [f32]),
+    /// Tuple identifiers.
+    Oid(&'a [Oid]),
 }
 
 impl HostColumn {
+    /// The typed values.
+    pub fn view(&self) -> HostView<'_> {
+        match self {
+            HostColumn::I32(v) => HostView::I32(v),
+            HostColumn::F32(v) => HostView::F32(v),
+            HostColumn::Oid(v) => HostView::Oid(v),
+            HostColumn::Bat(bat) => match bat.data() {
+                ColumnData::Int(v) => HostView::I32(v.as_slice()),
+                ColumnData::Real(v) => HostView::F32(v.as_slice()),
+                ColumnData::Oid(v) => HostView::Oid(v.as_slice()),
+            },
+        }
+    }
+
     /// Number of values.
     pub fn len(&self) -> usize {
-        match self {
-            HostColumn::I32(v) => v.len(),
-            HostColumn::F32(v) => v.len(),
-            HostColumn::Oid(v) => v.len(),
+        match self.view() {
+            HostView::I32(v) => v.len(),
+            HostView::F32(v) => v.len(),
+            HostView::Oid(v) => v.len(),
         }
     }
 
@@ -40,24 +69,24 @@ impl HostColumn {
 
     /// Integer view (panics if this is not an integer column).
     pub fn as_i32(&self) -> &[i32] {
-        match self {
-            HostColumn::I32(v) => v,
+        match self.view() {
+            HostView::I32(v) => v,
             other => panic!("expected an i32 column, found {other:?}"),
         }
     }
 
     /// Float view (panics if this is not a float column).
     pub fn as_f32(&self) -> &[f32] {
-        match self {
-            HostColumn::F32(v) => v,
+        match self.view() {
+            HostView::F32(v) => v,
             other => panic!("expected an f32 column, found {other:?}"),
         }
     }
 
     /// OID view (panics if this is not an OID column).
     pub fn as_oids(&self) -> &[Oid] {
-        match self {
-            HostColumn::Oid(v) => v,
+        match self.view() {
+            HostView::Oid(v) => v,
             other => panic!("expected an OID column, found {other:?}"),
         }
     }
@@ -96,19 +125,6 @@ pub(crate) fn grace_merge(mut pairs: Vec<(Oid, Oid)>) -> (Vec<Oid>, Vec<Oid>) {
     (pairs.iter().map(|(f, _)| *f).collect(), pairs.iter().map(|(_, p)| *p).collect())
 }
 
-/// Converts a BAT into the host column representation used by the baselines.
-pub(crate) fn host_column_from_bat(bat: &ocelot_storage::BatRef) -> HostColumn {
-    if let Some(values) = bat.as_i32() {
-        HostColumn::I32(Arc::new(values.to_vec()))
-    } else if let Some(values) = bat.as_f32() {
-        HostColumn::F32(Arc::new(values.to_vec()))
-    } else if let Some(values) = bat.as_oid() {
-        HostColumn::Oid(Arc::new(values.to_vec()))
-    } else {
-        unreachable!("BATs always expose one of the three typed views")
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -134,11 +150,14 @@ mod tests {
     #[test]
     fn bat_conversion_preserves_type() {
         use ocelot_storage::Bat;
-        let ints = host_column_from_bat(&Bat::from_i32("a", vec![3]).into_ref());
+        let bat = Bat::from_i32("a", vec![3]).into_ref();
+        let ints = HostColumn::Bat(Arc::clone(&bat));
         assert_eq!(ints.as_i32(), &[3]);
-        let floats = host_column_from_bat(&Bat::from_f32("b", vec![1.5]).into_ref());
+        // A view, not a copy: the column reads the BAT's own storage.
+        assert!(std::ptr::eq(ints.as_i32(), bat.as_i32().unwrap()));
+        let floats = HostColumn::Bat(Bat::from_f32("b", vec![1.5]).into_ref());
         assert_eq!(floats.as_f32(), &[1.5]);
-        let oids = host_column_from_bat(&Bat::from_oids("c", vec![9]).into_ref());
-        assert_eq!(oids.as_oids(), &[9]);
+        let oids = HostColumn::Bat(Bat::from_oids("c", vec![9]).into_ref());
+        assert_eq!((oids.as_oids(), oids.len()), (&[9][..], 1));
     }
 }

@@ -2,7 +2,7 @@
 //! partitioning across all cores), backed by `ocelot_monet::parallel`.
 
 use crate::backend::{Backend, GroupHandle};
-use crate::backends::{host_column_from_bat, HostColumn};
+use crate::backends::{HostColumn, HostView};
 use ocelot_monet::parallel as par;
 use ocelot_monet::sequential as seq;
 use ocelot_storage::BatRef;
@@ -48,7 +48,7 @@ impl Backend for MonetParBackend {
     }
 
     fn bat(&self, bat: &BatRef) -> HostColumn {
-        host_column_from_bat(bat)
+        HostColumn::Bat(Arc::clone(bat))
     }
     fn lift_i32(&self, values: Vec<i32>) -> HostColumn {
         HostColumn::I32(Arc::new(values))
@@ -150,16 +150,10 @@ impl Backend for MonetParBackend {
 
     fn fetch(&self, col: &HostColumn, oids: &HostColumn) -> HostColumn {
         let ids = oids.as_oids();
-        match col {
-            HostColumn::I32(v) => {
-                HostColumn::I32(Arc::new(par::par_fetch_i32(v, ids, self.threads)))
-            }
-            HostColumn::F32(v) => {
-                HostColumn::F32(Arc::new(par::par_fetch_f32(v, ids, self.threads)))
-            }
-            HostColumn::Oid(v) => {
-                HostColumn::Oid(Arc::new(par::par_fetch_oid(v, ids, self.threads)))
-            }
+        match col.view() {
+            HostView::I32(v) => HostColumn::I32(Arc::new(par::par_fetch_i32(v, ids, self.threads))),
+            HostView::F32(v) => HostColumn::F32(Arc::new(par::par_fetch_f32(v, ids, self.threads))),
+            HostView::Oid(v) => HostColumn::Oid(Arc::new(par::par_fetch_oid(v, ids, self.threads))),
         }
     }
 

@@ -2,7 +2,7 @@
 //! CPU core, backed by the hand-tuned operators in `ocelot-monet`.
 
 use crate::backend::{Backend, GroupHandle};
-use crate::backends::{host_column_from_bat, HostColumn};
+use crate::backends::{HostColumn, HostView};
 use ocelot_monet::sequential as seq;
 use ocelot_storage::BatRef;
 use parking_lot::Mutex;
@@ -35,7 +35,7 @@ impl Backend for MonetSeqBackend {
     }
 
     fn bat(&self, bat: &BatRef) -> HostColumn {
-        host_column_from_bat(bat)
+        HostColumn::Bat(Arc::clone(bat))
     }
     fn lift_i32(&self, values: Vec<i32>) -> HostColumn {
         HostColumn::I32(Arc::new(values))
@@ -122,10 +122,10 @@ impl Backend for MonetSeqBackend {
 
     fn fetch(&self, col: &HostColumn, oids: &HostColumn) -> HostColumn {
         let ids = oids.as_oids();
-        match col {
-            HostColumn::I32(v) => HostColumn::I32(Arc::new(seq::fetch_i32(v, ids))),
-            HostColumn::F32(v) => HostColumn::F32(Arc::new(seq::fetch_f32(v, ids))),
-            HostColumn::Oid(v) => HostColumn::Oid(Arc::new(seq::fetch_oid(v, ids))),
+        match col.view() {
+            HostView::I32(v) => HostColumn::I32(Arc::new(seq::fetch_i32(v, ids))),
+            HostView::F32(v) => HostColumn::F32(Arc::new(seq::fetch_f32(v, ids))),
+            HostView::Oid(v) => HostColumn::Oid(Arc::new(seq::fetch_oid(v, ids))),
         }
     }
 

@@ -552,8 +552,10 @@ impl Plan {
             let build_rows = build_bytes / 4;
             let capacity =
                 (((build_rows.max(1) as f64) * 1.4).ceil() as usize).next_power_of_two().max(16);
-            // Key slots + occupancy flags (both `capacity` words) plus the
-            // per-probe failed/flag word.
+            // Slots plus as much again — a grouping build's per-row ids
+            // and rank scratch, or the headroom a join build's
+            // range-covering table may take over a hash-sized one — plus
+            // the per-probe lookup word.
             (2 * capacity) * 4 + probe_bytes
         };
         match &node.op {

@@ -20,7 +20,7 @@
 //! selections** over materialised columns, and the whole relation is
 //! re-aligned through the resulting position list.
 
-use super::rewrite::{available_columns, classify, selectivity, Atom, ColTy, Pred, Stats};
+use super::rewrite::{available_columns, classify, column_stats, selectivity, Atom, ColTy, Pred};
 use super::{AggFunc, AggSpec, JoinKind, Logical, QueryBuildError, RewriteConfig};
 use crate::plan::{Plan, PlanBuilder, Var};
 use crate::query::expr::{CmpOp, Expr};
@@ -66,23 +66,20 @@ struct Rel {
 
 struct Lower<'a> {
     catalog: &'a Catalog,
-    stats: &'a Stats<'a>,
     cfg: &'a RewriteConfig,
     p: PlanBuilder,
     notes: Vec<String>,
 }
 
 /// Lowers a rewritten logical tree into a physical plan (entry point; see
-/// module docs). `stats` is the same memoised instance the rewrite used,
-/// so no column is scanned twice per compile.
+/// module docs).
 pub(crate) fn lower(
     root: &Logical,
     outputs: &[String],
-    stats: &Stats,
+    catalog: &Catalog,
     cfg: &RewriteConfig,
 ) -> Result<Lowered, QueryBuildError> {
-    let catalog = stats.catalog();
-    let mut lower = Lower { catalog, stats, cfg, p: PlanBuilder::new(), notes: Vec::new() };
+    let mut lower = Lower { catalog, cfg, p: PlanBuilder::new(), notes: Vec::new() };
     // Strip root-most Limits (applied at the host boundary by Query::run).
     let mut node = root;
     while let Logical::Limit { input, count } = node {
@@ -441,7 +438,7 @@ impl<'a> Lower<'a> {
             selectivity(
                 pred,
                 &rel.tables.first().map(|(t, _)| t.clone()).unwrap_or_default(),
-                self.stats,
+                self.catalog,
             )
         };
         if self.candidate_mode(rel, pred) {
@@ -801,7 +798,7 @@ impl<'a> Lower<'a> {
     fn base_ndv_of_key(&self, rel: &Rel, key: &str) -> usize {
         for (table, _) in &rel.tables {
             if self.catalog.column(table, key).is_some() {
-                return self.stats.column(table, key).ndv.max(1);
+                return column_stats(self.catalog, table, key).ndv.max(1);
             }
         }
         rel.rows.max(1.0) as usize
@@ -812,7 +809,7 @@ impl<'a> Lower<'a> {
     fn base_rows_of_key(&self, rel: &Rel, key: &str) -> f64 {
         for (table, _) in &rel.tables {
             if self.catalog.column(table, key).is_some() {
-                return self.stats.column(table, key).rows as f64;
+                return column_stats(self.catalog, table, key).rows as f64;
             }
         }
         rel.rows

@@ -632,8 +632,7 @@ impl Query {
     /// [`Query::optimize`] under an explicit rule configuration.
     pub fn optimize_with(&self, catalog: &Catalog, cfg: &RewriteConfig) -> (Logical, Vec<String>) {
         let outputs = self.output_columns().unwrap_or_default();
-        let stats = rewrite::Stats::new(catalog);
-        rewrite::apply(self.root.clone(), &stats, cfg, &outputs)
+        rewrite::apply(self.root.clone(), catalog, cfg, &outputs)
     }
 
     /// Compiles the query: rewrite rules, then lowering onto the physical
@@ -655,11 +654,8 @@ impl Query {
         if let Some(id) = self.params().first() {
             return Err(QueryBuildError::UnboundParam { id: *id });
         }
-        // One memoised statistics instance serves both passes, so each
-        // referenced column is scanned at most once per compile.
-        let stats = rewrite::Stats::new(catalog);
-        let (rewritten, _) = rewrite::apply(self.root.clone(), &stats, cfg, &outputs);
-        let lowered = lower::lower(&rewritten, &outputs, &stats, cfg)?;
+        let (rewritten, _) = rewrite::apply(self.root.clone(), catalog, cfg, &outputs);
+        let lowered = lower::lower(&rewritten, &outputs, catalog, cfg)?;
         // Plans compiled through the query layer carry their logical
         // source, so device-loss failover can re-lower the query onto the
         // fallback backend instead of replaying the physical plan blind.
@@ -702,8 +698,7 @@ impl Query {
         cfg: &RewriteConfig,
     ) -> Result<String, QueryBuildError> {
         let outputs = self.output_columns()?;
-        let stats = rewrite::Stats::new(catalog);
-        let (rewritten, rules) = rewrite::apply(self.root.clone(), &stats, cfg, &outputs);
+        let (rewritten, rules) = rewrite::apply(self.root.clone(), catalog, cfg, &outputs);
         let mut out = String::new();
         out.push_str("=== logical plan ===\n");
         out.push_str(&self.root.render());
@@ -726,7 +721,7 @@ impl Query {
             out.push_str("  (unbound parameters — call .bind(..) to lower)\n");
             return Ok(out);
         }
-        let lowered = lower::lower(&rewritten, &outputs, &stats, cfg)?;
+        let lowered = lower::lower(&rewritten, &outputs, catalog, cfg)?;
         out.push_str(&format!("=== physical plan ({} nodes) ===\n", lowered.plan.len()));
         for (index, node) in lowered.plan.nodes().iter().enumerate() {
             out.push_str(&format!("  {index:3}: {node}\n"));

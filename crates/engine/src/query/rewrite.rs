@@ -7,17 +7,16 @@
 //! splitting) → predicate pushdown (to fixpoint) → selectivity ordering →
 //! projection pruning.
 //!
-//! Selectivity estimates come from [`Stats`]: per-column min/max and a
-//! sampled distinct-count over the catalog's base data, memoised per
-//! rewrite. The estimates are deliberately coarse — they order predicates
+//! Selectivity estimates come from [`column_stats`]: per-column min/max and a
+//! sampled distinct-count over the catalog's base data, kept on the BATs
+//! themselves. The estimates are deliberately coarse — they order predicates
 //! and pick hash-join build sides; they never affect correctness.
 
 use super::expr::{CmpOp, Expr};
 use super::{Logical, QueryBuildError};
 use ocelot_storage::types::date_to_days;
 use ocelot_storage::Catalog;
-use std::cell::RefCell;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 
 /// Which rewrite rules run (all on by default; `naive` turns every
 /// optimization off for ablation benchmarks).
@@ -96,79 +95,17 @@ pub(crate) struct ColStats {
     pub ndv: usize,
 }
 
-/// Catalog-backed, memoised column statistics.
-pub(crate) struct Stats<'a> {
-    catalog: &'a Catalog,
-    cache: RefCell<HashMap<String, ColStats>>,
-}
-
-impl<'a> Stats<'a> {
-    pub(crate) fn new(catalog: &'a Catalog) -> Stats<'a> {
-        Stats { catalog, cache: RefCell::new(HashMap::new()) }
-    }
-
-    /// Statistics instance whose memo is pre-populated from an earlier
-    /// compile's [`Stats::snapshot`]. The plan cache uses this on a hit so
-    /// the per-execution lowering never re-scans base columns. The keys
-    /// carry the generation of the catalog they were computed against, so
-    /// a snapshot replayed against a different catalog simply misses.
-    pub(crate) fn preloaded(catalog: &'a Catalog, memo: HashMap<String, ColStats>) -> Stats<'a> {
-        Stats { catalog, cache: RefCell::new(memo) }
-    }
-
-    /// A copy of every memoised per-column statistic computed so far.
-    pub(crate) fn snapshot(&self) -> HashMap<String, ColStats> {
-        self.cache.borrow().clone()
-    }
-
-    pub(crate) fn catalog(&self) -> &'a Catalog {
-        self.catalog
-    }
-
-    /// Statistics of `table.column` (zeroed defaults for unknown columns —
-    /// name resolution errors surface in the lowering, not here). The memo
-    /// key includes the catalog's generation: statistics computed against
-    /// one version of the data can never answer for a re-generated
-    /// catalog, even through a preloaded snapshot.
-    pub(crate) fn column(&self, table: &str, column: &str) -> ColStats {
-        let key = format!("{}:{table}.{column}", self.catalog.generation());
-        if let Some(stats) = self.cache.borrow().get(&key) {
-            return *stats;
+/// Statistics of `table.column` (zeroed defaults for unknown columns — name
+/// resolution errors surface in the lowering, not here). The catalog's BATs
+/// carry them ([`ocelot_storage::Bat::summary`], computed once per BAT), so
+/// a compile scans no base column a previous compile already summarised.
+pub(crate) fn column_stats(catalog: &Catalog, table: &str, column: &str) -> ColStats {
+    match catalog.column(table, column) {
+        Some(bat) => {
+            let summary = bat.summary();
+            ColStats { rows: bat.len(), min: summary.min, max: summary.max, ndv: summary.ndv }
         }
-        let stats = match self.catalog.column(table, column) {
-            Some(bat) => {
-                let rows = bat.len();
-                let (min, max) = if let Some(values) = bat.as_i32() {
-                    values.iter().fold((f64::MAX, f64::MIN), |(lo, hi), v| {
-                        (lo.min(*v as f64), hi.max(*v as f64))
-                    })
-                } else if let Some(values) = bat.as_f32() {
-                    values.iter().fold((f64::MAX, f64::MIN), |(lo, hi), v| {
-                        (lo.min(*v as f64), hi.max(*v as f64))
-                    })
-                } else {
-                    (0.0, rows.saturating_sub(1) as f64)
-                };
-                // Sampled distinct count: a stride sample of ≤ 4096 words.
-                // If nearly every sampled value is distinct, assume the
-                // column is key-like and scale to the row count; otherwise
-                // the sample's distinct count is the (low-cardinality)
-                // estimate.
-                let stride = (rows / 4096).max(1);
-                let mut seen = HashSet::new();
-                let mut sampled = 0usize;
-                for index in (0..rows).step_by(stride) {
-                    seen.insert(bat.word_at(index));
-                    sampled += 1;
-                }
-                let distinct = seen.len().max(1);
-                let ndv = if distinct * 10 >= sampled * 9 { rows.max(1) } else { distinct };
-                ColStats { rows, min, max, ndv }
-            }
-            None => ColStats { rows: 0, min: 0.0, max: 0.0, ndv: 1 },
-        };
-        self.cache.borrow_mut().insert(key, stats);
-        stats
+        None => ColStats { rows: 0, min: 0.0, max: 0.0, ndv: 1 },
     }
 }
 
@@ -405,27 +342,29 @@ pub(crate) const PARAM_SELECTIVITY: f64 = 0.25;
 
 /// Estimated selectivity of a predicate (fraction of rows kept), using the
 /// column statistics of `table`.
-pub(crate) fn selectivity(pred: &Pred, table: &str, stats: &Stats) -> f64 {
+pub(crate) fn selectivity(pred: &Pred, table: &str, catalog: &Catalog) -> f64 {
     let atom_sel = |atom: &Atom| -> f64 {
         match atom {
             Atom::RangeI32 { col, lo, hi } => {
-                let s = stats.column(table, col);
+                let s = column_stats(catalog, table, col);
                 let width = (s.max - s.min + 1.0).max(1.0);
                 let lo = (*lo as f64).max(s.min);
                 let hi = (*hi as f64).min(s.max);
                 ((hi - lo + 1.0) / width).clamp(0.0, 1.0)
             }
             Atom::RangeF32 { col, lo, hi } => {
-                let s = stats.column(table, col);
+                let s = column_stats(catalog, table, col);
                 let width = (s.max - s.min).max(f64::MIN_POSITIVE);
                 let lo = (*lo as f64).max(s.min);
                 let hi = (*hi as f64).min(s.max);
                 ((hi - lo) / width).clamp(0.0, 1.0)
             }
-            Atom::EqI32 { col, .. } => 1.0 / stats.column(table, col).ndv.max(1) as f64,
-            Atom::NeI32 { col, .. } => 1.0 - 1.0 / stats.column(table, col).ndv.max(1) as f64,
+            Atom::EqI32 { col, .. } => 1.0 / column_stats(catalog, table, col).ndv.max(1) as f64,
+            Atom::NeI32 { col, .. } => {
+                1.0 - 1.0 / column_stats(catalog, table, col).ndv.max(1) as f64
+            }
             Atom::InI32 { col, values } => {
-                (values.len() as f64 / stats.column(table, col).ndv.max(1) as f64).min(1.0)
+                (values.len() as f64 / column_stats(catalog, table, col).ndv.max(1) as f64).min(1.0)
             }
             // Column-vs-column deltas: no joint statistics — fixed priors.
             Atom::ColCmp { op, .. } => match op {
@@ -476,16 +415,13 @@ pub(crate) fn available_columns(node: &Logical, catalog: &Catalog) -> HashSet<St
 }
 
 /// Runs the configured rules over `root` and returns the rewritten tree
-/// plus one annotation per rule application. `stats` is shared with the
-/// lowering pass so each referenced column is scanned at most once per
-/// compile.
+/// plus one annotation per rule application.
 pub(crate) fn apply(
     root: Logical,
-    stats: &Stats,
+    catalog: &Catalog,
     cfg: &RewriteConfig,
     outputs: &[String],
 ) -> (Logical, Vec<String>) {
-    let catalog = stats.catalog();
     let mut notes = Vec::new();
     // Conjunct splitting is normalisation, not an optimization: the
     // lowering applies conjuncts one selection at a time either way, so
@@ -507,7 +443,7 @@ pub(crate) fn apply(
         }
     }
     if cfg.selectivity_order {
-        node = order_by_selectivity(node, stats, &mut notes);
+        node = order_by_selectivity(node, catalog, &mut notes);
     }
     if cfg.prune {
         let needed: HashSet<String> = outputs.iter().cloned().collect();
@@ -776,7 +712,7 @@ fn push_down(
 
 /// Reorders maximal filter chains directly above scans by estimated
 /// selectivity (most selective applied first).
-fn order_by_selectivity(node: Logical, stats: &Stats, notes: &mut Vec<String>) -> Logical {
+fn order_by_selectivity(node: Logical, catalog: &Catalog, notes: &mut Vec<String>) -> Logical {
     if let Logical::Filter { .. } = node {
         // Collect the whole chain Filter* over a base, taking ownership.
         let mut chain: Vec<Expr> = Vec::new();
@@ -789,7 +725,6 @@ fn order_by_selectivity(node: Logical, stats: &Stats, notes: &mut Vec<String>) -
         // reverse.
         if let Logical::Scan { table } = &cursor {
             let table = table.clone();
-            let catalog = stats.catalog();
             let ty_of = |name: &str| -> Option<ColTy> {
                 let bat = catalog.column(&table, name)?;
                 Some(if bat.as_f32().is_some() { ColTy::F32 } else { ColTy::I32 })
@@ -819,7 +754,7 @@ fn order_by_selectivity(node: Logical, stats: &Stats, notes: &mut Vec<String>) -
                     .into_iter()
                     .map(|(e, p)| {
                         let sel = match &p {
-                            Some(p) => selectivity(p, &table, stats),
+                            Some(p) => selectivity(p, &table, catalog),
                             None => PARAM_SELECTIVITY,
                         };
                         (e, p, sel)
@@ -845,7 +780,7 @@ fn order_by_selectivity(node: Logical, stats: &Stats, notes: &mut Vec<String>) -
             }
         }
         // Not a reorderable chain: recurse below it, keep author order.
-        let mut rebuilt = order_by_selectivity(cursor, stats, notes);
+        let mut rebuilt = order_by_selectivity(cursor, catalog, notes);
         for predicate in chain.into_iter().rev() {
             rebuilt = Logical::Filter { input: Box::new(rebuilt), predicate };
         }
@@ -854,28 +789,30 @@ fn order_by_selectivity(node: Logical, stats: &Stats, notes: &mut Vec<String>) -
     match node {
         Logical::Scan { .. } => node,
         Logical::Filter { .. } => unreachable!("handled above"),
-        Logical::Map { input, name, expr } => {
-            Logical::Map { input: Box::new(order_by_selectivity(*input, stats, notes)), name, expr }
-        }
+        Logical::Map { input, name, expr } => Logical::Map {
+            input: Box::new(order_by_selectivity(*input, catalog, notes)),
+            name,
+            expr,
+        },
         Logical::Join { left, right, kind, left_key, right_key } => Logical::Join {
-            left: Box::new(order_by_selectivity(*left, stats, notes)),
-            right: Box::new(order_by_selectivity(*right, stats, notes)),
+            left: Box::new(order_by_selectivity(*left, catalog, notes)),
+            right: Box::new(order_by_selectivity(*right, catalog, notes)),
             kind,
             left_key,
             right_key,
         },
         Logical::GroupBy { input, keys, aggs } => Logical::GroupBy {
-            input: Box::new(order_by_selectivity(*input, stats, notes)),
+            input: Box::new(order_by_selectivity(*input, catalog, notes)),
             keys,
             aggs,
         },
         Logical::Sort { input, key, descending } => Logical::Sort {
-            input: Box::new(order_by_selectivity(*input, stats, notes)),
+            input: Box::new(order_by_selectivity(*input, catalog, notes)),
             key,
             descending,
         },
         Logical::Limit { input, count } => {
-            Logical::Limit { input: Box::new(order_by_selectivity(*input, stats, notes)), count }
+            Logical::Limit { input: Box::new(order_by_selectivity(*input, catalog, notes)), count }
         }
     }
 }

@@ -2,10 +2,10 @@
 //!
 //! Serving workloads send the same query *shapes* over and over with
 //! different literals: the same dashboard tile per tenant, the same report
-//! per day. Compiling a [`Query`] is not free — the rewrite pipeline
-//! scans every referenced base column once for min/max statistics and the
-//! lowering re-derives every physical decision — so paying it per request
-//! throws away exactly the work that is identical across requests.
+//! per day. Compiling a [`Query`] is not free — the rewrite pipeline runs
+//! every rule to fixpoint over the logical tree before the lowering derives
+//! the physical decisions — so paying it per request throws away exactly
+//! the work that is identical across requests.
 //!
 //! A [`PlanCache`] amortises compilation **per shape**:
 //!
@@ -13,12 +13,12 @@
 //!   where per-request literals would go.
 //! * On the first execution of a shape (a **miss**) the cache runs the
 //!   full pipeline — rewrite rules over the *parameter-abstract* tree,
-//!   then bind + lower — and stores the optimized logical tree together
-//!   with a snapshot of every column statistic the compile computed.
+//!   then bind + lower — and stores the optimized logical tree.
 //! * Every later execution (a **hit**) only substitutes the request's
 //!   literals into the cached optimized tree, folds them and lowers — no
-//!   rewrite rules, no base-column scans (the statistics snapshot answers
-//!   every probe). A hit compiles the *same plan, node for node*, as the
+//!   rewrite rules, no base-column scans (the catalog's BATs keep the
+//!   statistics the first compile computed). A hit compiles the *same
+//!   plan, node for node*, as the
 //!   miss that seeded the entry did for the same parameter values.
 //!
 //! ## The cache key
@@ -46,7 +46,6 @@
 
 use crate::backend::Backend;
 use crate::plan::{Plan, QueryValue};
-use crate::query::rewrite::{ColStats, Stats};
 use crate::query::{lower, rewrite, ParamValue, Query, QueryBuildError, RewriteConfig};
 use crate::session::Session;
 use ocelot_core::{PlanSlot, SharedDevice};
@@ -77,7 +76,7 @@ impl PlanCacheStats {
 }
 
 /// One compiled shape: everything a hit needs to produce a plan without
-/// re-running the rewrite pipeline or touching base-table data.
+/// re-running the rewrite pipeline.
 struct CacheEntry {
     /// The rewritten logical tree, parameters still abstract.
     optimized: crate::query::Logical,
@@ -87,9 +86,6 @@ struct CacheEntry {
     rewrite_notes: Vec<String>,
     /// Rule configuration the shape was compiled under.
     cfg: RewriteConfig,
-    /// Snapshot of every column statistic the cold compile computed —
-    /// preloading these is what makes a hit free of base-column scans.
-    stats: HashMap<String, ColStats>,
 }
 
 struct CacheInner {
@@ -202,34 +198,25 @@ impl PlanCache {
         let lowered = match &cached {
             Some(entry) => {
                 // Hit: literals into the cached optimized tree, fold,
-                // lower against the snapshotted statistics. No rewrite
-                // rules run and no base column is scanned.
+                // lower. No rewrite rules run, and no base column is
+                // scanned — the BATs already carry their statistics.
                 let bound_opt = entry
                     .optimized
                     .substitute_params(&|id| params.get(id as usize).map(param_expr));
-                let stats = Stats::preloaded(catalog, entry.stats.clone());
-                lower::lower(&bound_opt, &entry.outputs, &stats, &entry.cfg)?
+                lower::lower(&bound_opt, &entry.outputs, catalog, &entry.cfg)?
             }
             None => {
                 // Miss: full pipeline. The rewrite rules run over the
                 // *parameter-abstract* tree so the optimized shape is
                 // reusable for any later binding, then this request's
-                // literals are substituted and lowered. The statistics
-                // memo is snapshotted only after lowering, so it holds
-                // every probe a future hit's lowering will make.
-                let stats = Stats::new(catalog);
+                // literals are substituted and lowered.
                 let (optimized, rewrite_notes) =
-                    rewrite::apply(query.root().clone(), &stats, cfg, &outputs);
+                    rewrite::apply(query.root().clone(), catalog, cfg, &outputs);
                 let bound_opt =
                     optimized.substitute_params(&|id| params.get(id as usize).map(param_expr));
-                let lowered = lower::lower(&bound_opt, &outputs, &stats, cfg)?;
-                let entry = Arc::new(CacheEntry {
-                    optimized,
-                    outputs,
-                    rewrite_notes,
-                    cfg: cfg.clone(),
-                    stats: stats.snapshot(),
-                });
+                let lowered = lower::lower(&bound_opt, &outputs, catalog, cfg)?;
+                let entry =
+                    Arc::new(CacheEntry { optimized, outputs, rewrite_notes, cfg: cfg.clone() });
                 let mut inner = self.inner.lock();
                 // A device loss between the lookup and here would strand
                 // this entry; re-checking the epoch keeps the insert safe.
@@ -289,9 +276,8 @@ impl PlanCache {
         }
         if let Some(entry) = inner.entries.get(&key) {
             out.push_str(&format!(
-                "cached shape: {} rewrite rule applications, {} column statistics\n",
-                entry.rewrite_notes.len(),
-                entry.stats.len()
+                "cached shape: {} rewrite rule applications\n",
+                entry.rewrite_notes.len()
             ));
         }
         let stats = inner.stats;

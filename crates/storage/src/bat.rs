@@ -9,6 +9,9 @@
 //!   take its sorted fast path, §4.1.6),
 //! * `key`    — tail values are unique (lets joins skip the counting pass,
 //!   §4.1.5),
+//! * `summary` — min/max and a sampled distinct count of the tail, computed
+//!   on first request and kept with the (immutable) BAT, so query
+//!   compilation scans a column for them once, not once per compile,
 //! * `ocelot_owned` — the flag the paper added to MonetDB's BAT descriptor
 //!   (§4.3): while set, the BAT's contents live in a device buffer managed
 //!   by Ocelot's Memory Manager and MonetDB must not touch it until an
@@ -16,8 +19,9 @@
 
 use crate::alignment::AlignedVec;
 use crate::types::{ColumnType, Oid, Value};
+use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Shared handle to a BAT.
 pub type BatRef = Arc<Bat>;
@@ -49,6 +53,18 @@ impl ColumnData {
     }
 }
 
+/// Summary statistics of a BAT's tail (see [`Bat::summary`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct BatSummary {
+    /// Smallest tail value (as `f64`, covering integer and real columns;
+    /// OID columns report their dense bounds).
+    pub min: f64,
+    /// Largest tail value.
+    pub max: f64,
+    /// Estimated number of distinct values, from a stride sample.
+    pub ndv: usize,
+}
+
 /// A single column (BAT) with MonetDB-style descriptor flags.
 #[derive(Debug)]
 pub struct Bat {
@@ -57,6 +73,7 @@ pub struct Bat {
     data: ColumnData,
     sorted: bool,
     key: bool,
+    summary: OnceLock<BatSummary>,
     ocelot_owned: AtomicBool,
 }
 
@@ -79,6 +96,7 @@ impl Bat {
             data: ColumnData::Int(AlignedVec::from_slice(&values)),
             sorted: false,
             key: false,
+            summary: OnceLock::new(),
             ocelot_owned: AtomicBool::new(false),
         }
     }
@@ -91,6 +109,7 @@ impl Bat {
             data: ColumnData::Real(AlignedVec::from_slice(&values)),
             sorted: false,
             key: false,
+            summary: OnceLock::new(),
             ocelot_owned: AtomicBool::new(false),
         }
     }
@@ -103,6 +122,7 @@ impl Bat {
             data: ColumnData::Oid(AlignedVec::from_slice(&values)),
             sorted: false,
             key: false,
+            summary: OnceLock::new(),
             ocelot_owned: AtomicBool::new(false),
         }
     }
@@ -154,6 +174,42 @@ impl Bat {
     /// Whether the tail is known to hold unique values.
     pub fn is_key(&self) -> bool {
         self.key
+    }
+
+    /// Min/max and sampled distinct count of the tail. The tail never
+    /// changes, so the scan happens on the first call only.
+    pub fn summary(&self) -> BatSummary {
+        *self.summary.get_or_init(|| self.compute_summary())
+    }
+
+    /// Whether [`Bat::summary`] has been computed (observability for tests
+    /// asserting that a warm compile scans nothing).
+    pub fn has_summary(&self) -> bool {
+        self.summary.get().is_some()
+    }
+
+    fn compute_summary(&self) -> BatSummary {
+        fn bounds<T: Copy + Into<f64>>(values: &[T]) -> (f64, f64) {
+            values.iter().fold((f64::MAX, f64::MIN), |(lo, hi), v| {
+                let v: f64 = (*v).into();
+                (lo.min(v), hi.max(v))
+            })
+        }
+        let rows = self.len();
+        let (min, max) = match &self.data {
+            ColumnData::Int(v) => bounds(v.as_slice()),
+            ColumnData::Real(v) => bounds(v.as_slice()),
+            ColumnData::Oid(_) => (0.0, rows.saturating_sub(1) as f64),
+        };
+        // Sampled distinct count: a stride sample of ≤ 4096 words. If nearly
+        // every sampled value is distinct, assume the column is key-like and
+        // scale to the row count; otherwise the sample's distinct count is
+        // the (low-cardinality) estimate.
+        let stride = (rows / 4096).max(1);
+        let sample: Vec<u32> = (0..rows).step_by(stride).map(|idx| self.word_at(idx)).collect();
+        let distinct = sample.iter().collect::<HashSet<_>>().len().max(1);
+        let ndv = if distinct * 10 >= sample.len() * 9 { rows.max(1) } else { distinct };
+        BatSummary { min, max, ndv }
     }
 
     /// The tail storage.
@@ -231,6 +287,7 @@ impl Clone for Bat {
             data: self.data.clone(),
             sorted: self.sorted,
             key: self.key,
+            summary: self.summary.clone(),
             ocelot_owned: AtomicBool::new(self.is_ocelot_owned()),
         }
     }
@@ -303,6 +360,21 @@ mod tests {
         assert!(copy.is_sorted());
         assert!(copy.is_ocelot_owned());
         assert_eq!(copy.as_i32(), Some(&[1][..]));
+    }
+
+    #[test]
+    fn summary_is_computed_once_and_covers_every_type() {
+        let ints = Bat::from_i32("a", (0..10_000).map(|i| (i % 7) - 3).collect());
+        assert!(!ints.has_summary());
+        assert_eq!(ints.summary(), BatSummary { min: -3.0, max: 3.0, ndv: 7 });
+        assert!(ints.has_summary() && ints.clone().has_summary());
+        let keys = Bat::from_i32("k", (0..10_000).collect());
+        assert_eq!(keys.summary().ndv, 10_000, "key-like samples scale to the row count");
+        let reals = Bat::from_f32("r", vec![2.5, -1.0, 9.0]);
+        assert_eq!((reals.summary().min, reals.summary().max), (-1.0, 9.0));
+        let oids = Bat::from_oids("o", vec![5, 5, 5]);
+        assert_eq!((oids.summary().min, oids.summary().max), (0.0, 2.0));
+        assert_eq!(Bat::from_i32("e", vec![]).summary().ndv, 1);
     }
 
     #[test]

@@ -104,11 +104,10 @@ pub struct Catalog {
     dictionaries: HashMap<String, StringDictionary>,
     /// Process-unique version of this catalog's *contents*: assigned fresh
     /// at construction and bumped on every table/dictionary registration.
-    /// Consumers that memoise per-column statistics (or anything derived
-    /// from them, such as compiled-plan cache keys) key their memo on this
-    /// value, so a re-generated database of the same shape can never reuse
-    /// stale estimates. Cloning preserves the generation — a clone holds
-    /// the same data.
+    /// Consumers that memoise anything derived from the contents (compiled
+    /// plans) key their memo on this value, so a re-generated database of
+    /// the same shape can never reuse stale entries. Cloning preserves the
+    /// generation — a clone holds the same data.
     generation: u64,
 }
 

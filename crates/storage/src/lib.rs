@@ -29,7 +29,7 @@ pub mod dictionary;
 pub mod types;
 
 pub use alignment::AlignedVec;
-pub use bat::{Bat, BatRef, ColumnData};
+pub use bat::{Bat, BatRef, BatSummary, ColumnData};
 pub use catalog::{Catalog, Table};
 pub use chunked::{ChunkData, ChunkSource, ChunkedColumn, ChunkedTable, RowGroup};
 pub use dictionary::StringDictionary;

@@ -1756,7 +1756,7 @@ mod grouping {
                     &result.representatives.read(&ctx).unwrap(), &expected_reps, "{:?}", device
                 );
 
-                let table = OcelotHashTable::build(&ctx, &uploaded[0], hint).unwrap();
+                let table = OcelotHashTable::build_ranked(&ctx, &uploaded[0], hint).unwrap();
                 prop_assert_eq!(table.num_distinct(), single_reps.len(), "hint {}", hint);
                 prop_assert_eq!(&table.row_gids().read(&ctx).unwrap(), &single_gids);
                 prop_assert_eq!(&table.probe_gids(&ctx, &uploaded[0]).unwrap().read(&ctx).unwrap(), &single_gids);
@@ -1869,5 +1869,246 @@ mod grouping {
         check(&Session::monet_par(), &db);
         check(&Session::ocelot(&SharedDevice::cpu()), &db);
         check(&Session::new(OcelotBackend::gpu()), &db);
+    }
+}
+
+#[cfg(test)]
+mod join_locality {
+    //! PR 14 — the locality-preserving hash table against the
+    //! `monet::sequential` references on all three devices, over the key
+    //! shapes that stress the range-relative first probe and the range
+    //! sizing rule; the armed race detector over the join-shaped build and
+    //! the fused probe/count pass; and the launch/flush budget of one
+    //! PK-FK join.
+
+    use ocelot_core::ops::hash_table::OcelotHashTable;
+    use ocelot_core::ops::{groupby, join};
+    use ocelot_core::{partitioned_pkfk_join, OcelotContext, PartitionedJoinConfig, TraceSink};
+    use ocelot_engine::{Backend, OcelotBackend, TraceEventKind};
+    use ocelot_monet::sequential as monet;
+    use ocelot_monet::MonetHashTable;
+    use std::sync::Arc;
+
+    fn contexts() -> Vec<OcelotContext> {
+        vec![OcelotContext::cpu_sequential(), OcelotContext::cpu(), OcelotContext::gpu()]
+    }
+
+    /// `(label, unique build keys)`: every shape the first probe and the
+    /// sizing rule distinguish.
+    fn build_shapes() -> Vec<(&'static str, Vec<i32>)> {
+        let rows = 1_500i32;
+        let strided = |first: i32, stride: i32| -> Vec<i32> {
+            (0..rows).map(|i| first.wrapping_add(i.wrapping_mul(stride))).collect()
+        };
+        let mut just_covered = strided(-40, 3);
+        just_covered[rows as usize - 1] = -40 + 8 * rows - 1;
+        let mut just_uncovered = just_covered.clone();
+        just_uncovered[rows as usize - 1] += 1;
+        vec![
+            ("dense from 0", strided(0, 1)),
+            ("dense from i32::MIN", strided(i32::MIN, 1)),
+            ("dense up to i32::MAX", strided(i32::MAX - (rows - 1), 1)),
+            ("negative, crossing zero", strided(-1_000, 1)),
+            ("clustered, descending", strided(5_000, -2)),
+            ("multiples of 2^10", strided(-(700 << 10), 1 << 10)),
+            ("multiples of 2^20", strided(-(700 << 20), 1 << 20)),
+            ("whole 32-bit range", strided(i32::MIN, 2_863_311)),
+            ("range = 8·rows", just_covered),
+            ("range = 8·rows + 1", just_uncovered),
+            ("one row", vec![i32::MIN]),
+            ("empty", vec![]),
+        ]
+    }
+
+    /// Probe keys around `build`: every build key a few times, in a
+    /// scrambled order, interleaved with near misses on both sides.
+    fn probe_for(build: &[i32]) -> Vec<i32> {
+        let mut probe = vec![i32::MIN, -1, 0, 1, i32::MAX];
+        for i in 0..build.len() * 3 {
+            let key = build[(i * 7 + 3) % build.len()];
+            probe.push(key);
+            if i % 4 == 0 {
+                probe.extend([key.wrapping_add(1), key.wrapping_sub(1)]);
+            }
+        }
+        probe
+    }
+
+    #[test]
+    fn joins_and_grouping_equal_monet_for_every_key_shape_on_every_device() {
+        for (label, build) in build_shapes() {
+            let probe = probe_for(&build);
+            let (exp_fk, exp_pk) = monet::pkfk_join_i32(&probe, &MonetHashTable::build(&build));
+            // Duplicates on the left of a semi join, on both sides of the
+            // grouping: the probe column repeats every build key.
+            let semi = [
+                monet::semi_join_i32(&probe, &build),
+                monet::anti_join_i32(&probe, &build),
+                monet::semi_join_i32(&build, &probe),
+                monet::anti_join_i32(&build, &probe),
+            ];
+            // Duplicates in the build side of the membership table too: every
+            // build key twice, the smaller input, so the table goes over it.
+            let doubled: Vec<i32> = build.iter().chain(build.iter().rev()).copied().collect();
+            let semi_doubled =
+                [monet::semi_join_i32(&doubled, &probe), monet::anti_join_i32(&doubled, &probe)];
+            let groups = monet::group_by_i32(&probe);
+            for ctx in contexts() {
+                let at = format!("{label} on {:?}", ctx.device().info().kind);
+                let b = ctx.upload_i32(&build, "build").unwrap();
+                let p = ctx.upload_i32(&probe, "probe").unwrap();
+
+                let table = OcelotHashTable::build(&ctx, &b, build.len()).unwrap();
+                let joined = join::hash_join(&ctx, &p, &table).unwrap();
+                assert_eq!(joined.probe_oids.read(&ctx).unwrap(), exp_fk, "{at}: fk oids");
+                assert_eq!(joined.build_oids.read(&ctx).unwrap(), exp_pk, "{at}: pk oids");
+
+                let cfg = PartitionedJoinConfig {
+                    partition_bits: 2,
+                    device_budget: None,
+                    max_build_rows: usize::MAX,
+                    max_passes: 1,
+                };
+                let parted = partitioned_pkfk_join(&ctx, &p, &b, &cfg).unwrap();
+                assert_eq!(parted.probe_oids.read(&ctx).unwrap(), exp_fk, "{at}: partitioned fk");
+                assert_eq!(parted.build_oids.read(&ctx).unwrap(), exp_pk, "{at}: partitioned pk");
+
+                let read = |oids: ocelot_core::DevColumn<u32>| oids.read(&ctx).unwrap();
+                assert_eq!(read(join::semi_join(&ctx, &p, &b).unwrap()), semi[0], "{at}: semi");
+                assert_eq!(read(join::anti_join(&ctx, &p, &b).unwrap()), semi[1], "{at}: anti");
+                assert_eq!(read(join::semi_join(&ctx, &b, &p).unwrap()), semi[2], "{at}: semi'");
+                assert_eq!(read(join::anti_join(&ctx, &b, &p).unwrap()), semi[3], "{at}: anti'");
+                let d = ctx.upload_i32(&doubled, "doubled").unwrap();
+                assert_eq!(read(join::semi_join(&ctx, &d, &p).unwrap()), semi_doubled[0], "{at}");
+                assert_eq!(read(join::anti_join(&ctx, &d, &p).unwrap()), semi_doubled[1], "{at}");
+
+                let grouped = groupby::group_by_hash(&ctx, &p).unwrap();
+                assert_eq!(grouped.num_groups, groups.num_groups, "{at}: group count");
+                assert_eq!(read(grouped.gids), groups.gids, "{at}: group ids");
+                assert_eq!(read(grouped.representatives), groups.representatives, "{at}: reps");
+            }
+        }
+    }
+
+    /// Join builds (range-covering, hash-sized, and one that restarts), the
+    /// fused probe/count pass and both membership orientations under the
+    /// armed detector: every kernel declares its access set and no
+    /// event-unordered pair conflicts. (The partitioned join runs the same
+    /// build and probe per pair; its partitioning kernels are ROADMAP item
+    /// 7d's to declare.)
+    #[test]
+    fn armed_race_detector_is_silent_over_join_builds_and_probes() {
+        let dense: Vec<i32> = (0..30_000).map(|i| i - 15_000).collect();
+        let sparse: Vec<i32> = (0..30_000).map(|i| i * 97).collect();
+        let probe: Vec<i32> = (0..90_000).map(|i| (i * 31) % 45_000 - 15_000).collect();
+        for ctx in contexts() {
+            let queue = ctx.queue();
+            queue.race().arm();
+            let p = ctx.upload_i32(&probe, "probe").unwrap();
+            for (keys, hint) in [(&dense, dense.len()), (&sparse, sparse.len()), (&sparse, 1)] {
+                let b = ctx.upload_i32(keys, "build").unwrap();
+                let table = OcelotHashTable::build(&ctx, &b, hint).unwrap();
+                assert_eq!(table.build_attempts() > 1, hint == 1, "{table:?}");
+                join::hash_join(&ctx, &p, &table).unwrap();
+                join::semi_join(&ctx, &p, &b).unwrap();
+                join::anti_join(&ctx, &b, &p).unwrap();
+            }
+            ctx.sync().unwrap();
+            let stats = queue.race().stats();
+            let diagnostics = queue.race().take_diagnostics();
+            queue.race().disarm();
+            assert!(diagnostics.is_empty(), "{diagnostics:?}");
+            assert_eq!(stats.kernels_declared, stats.kernels_observed, "{stats:?}");
+            assert!(stats.pairs_checked > 0, "unordered pairs were actually compared: {stats:?}");
+        }
+    }
+
+    /// One PK-FK join through the backend: no ranking and no separate
+    /// counting pass is launched, and the join costs fewer launches and no
+    /// more flushes than the 14 launches / 2 flushes (build + read) it took
+    /// when the build ranked dense ids and the probe counted separately.
+    #[test]
+    fn a_pkfk_join_launches_no_ranking_and_no_counting_pass() {
+        let pk: Vec<i32> = (0..20_000).collect();
+        let fk: Vec<i32> = (0..100_000).map(|i| (i * 13) % 25_000).collect();
+        for backend in [OcelotBackend::cpu_sequential(), OcelotBackend::cpu(), OcelotBackend::gpu()]
+        {
+            let (fkc, pkc) = (backend.lift_i32(fk.clone()), backend.lift_i32(pk.clone()));
+            backend.sync();
+            let sink = Arc::new(TraceSink::new());
+            backend.attach_tracer(&sink);
+            let flushes = backend.context().queue().flush_count();
+            let (fk_oids, _pk_oids) = backend.pkfk_join(&fkc, &pkc);
+            assert_eq!(backend.len(&fk_oids), 80_000);
+            backend.detach_tracer();
+            let launched: Vec<String> = sink
+                .events()
+                .into_iter()
+                .filter_map(|event| match event.kind {
+                    TraceEventKind::Kernel { kernel, .. } => Some(kernel),
+                    _ => None,
+                })
+                .collect();
+            for gone in ["hash_representative_flags", "hash_finalize", "join_count_matches"] {
+                assert!(!launched.iter().any(|k| k == gone), "{gone} in {launched:?}");
+            }
+            assert_eq!(launched.len(), 9, "{}: {launched:?}", backend.name());
+            assert_eq!(backend.context().queue().flush_count() - flushes, 2, "{}", backend.name());
+        }
+    }
+}
+
+#[cfg(test)]
+mod steady_state {
+    //! PR 14 — a warm session is in steady state: the second sweep of the
+    //! ported workload allocates no fresh pooled buffer, uploads no base
+    //! column and computes no column statistic.
+
+    use ocelot_core::SharedDevice;
+    use ocelot_engine::Session;
+    use ocelot_tpch::{run_query, TpchConfig, TpchDb, PORTED_QUERY_IDS};
+
+    /// Which base columns carry computed statistics, in catalog order.
+    fn summarised_columns(db: &TpchDb) -> Vec<String> {
+        let catalog = db.catalog();
+        let mut tables = catalog.table_names();
+        tables.sort_unstable();
+        let mut found = Vec::new();
+        for table in tables {
+            let mut columns: Vec<_> = catalog.table(table).unwrap().columns().collect();
+            columns.sort_unstable_by_key(|(name, _)| *name);
+            found.extend(
+                columns
+                    .into_iter()
+                    .filter(|(_, bat)| bat.has_summary())
+                    .map(|(name, _)| format!("{table}.{name}")),
+            );
+        }
+        found
+    }
+
+    #[test]
+    fn second_sweep_misses_no_pool_no_cache_and_scans_no_column() {
+        let db = TpchDb::generate(TpchConfig { scale_factor: 0.01, seed: 14 });
+        let shared = SharedDevice::cpu();
+        let session = Session::ocelot(&shared);
+        let sweep = || -> Vec<_> {
+            PORTED_QUERY_IDS.iter().map(|id| run_query(&session, &db, *id).unwrap()).collect()
+        };
+        assert!(summarised_columns(&db).is_empty(), "dbgen computes no statistics");
+        let first = sweep();
+        let (pool, cache) = (shared.pool().stats(), shared.cache().stats());
+        let summarised = summarised_columns(&db);
+        assert!(!summarised.is_empty(), "lowering reads column statistics");
+        assert!(pool.hits + pool.misses > 0 && cache.misses > 0, "the first sweep warmed both");
+
+        let second = sweep();
+        assert_eq!(second, first, "same session, same results");
+        assert_eq!(shared.pool().stats().misses, pool.misses, "{:?}", shared.pool().stats());
+        assert!(shared.pool().stats().hits > pool.hits);
+        assert_eq!(shared.cache().stats().misses, cache.misses, "{:?}", shared.cache().stats());
+        // Every statistic the second sweep's lowering read was already on
+        // its BAT: no column gained one.
+        assert_eq!(summarised_columns(&db), summarised);
     }
 }
