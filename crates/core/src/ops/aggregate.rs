@@ -3,26 +3,39 @@
 //! * **Ungrouped aggregation** delegates to the hierarchical parallel
 //!   reduction in [`crate::primitives::reduce`] — every result is a deferred
 //!   [`DevScalar`] whose `.get()` is the pipeline's only sync point.
-//! * **Grouped aggregation** gives every work-group a *private* table of
-//!   partial aggregates — one slot per group, in a range of the partials
-//!   buffer no other work-group touches — and a second kernel folds the
-//!   tables in work-group order. The paper spreads each group over several
-//!   atomically updated accumulators to dodge contention; private tables
-//!   are that idea taken to its end: no contention at all, so the inner
-//!   loop is plain tier-2 arithmetic (no float atomics, CAS-emulated or
-//!   otherwise), and the order of every floating-point addition is fixed
-//!   by the launch configuration rather than by thread interleaving.
+//! * **Grouped aggregation** ([`grouped_aggs`]) computes *every* aggregate of
+//!   a grouping in one accumulation launch and one fold launch. Each
+//!   work-group owns a *private* table of partial aggregates — in a range of
+//!   the partials buffer no other work-group touches — and the fold kernel
+//!   combines the tables in work-group order. The paper spreads each group
+//!   over several atomically updated accumulators to dodge contention;
+//!   private tables are that idea taken to its end: no contention at all, so
+//!   the inner loop is plain tier-2 arithmetic (no float atomics,
+//!   CAS-emulated or otherwise), and the order of every floating-point
+//!   addition is fixed by the launch configuration rather than by thread
+//!   interleaving.
 //!
-//! **Partial-table sizing rule** (`partial_tables_for`): as many
-//! work-groups as keep the partials buffer (`work-groups × groups`, twice
-//! that for the average's sum-and-count pair) no larger than the input and
-//! give every work-group at least [`MIN_ROWS_PER_TABLE`] rows, capped at
-//! [`MAX_PARTIAL_TABLES`]. Few groups therefore get many short partial
-//! sums — which is also what keeps `f32` sums of millions of rows accurate
-//! — and many groups degrade to a single sequential table, still linear.
-//! The rule reads only the row and group counts, never the device's core
-//! count, so the sequential and multi-core CPU devices add in the same
-//! order.
+//! **Fused partial-table layout.** The aggregates of one call share
+//! accumulators: one float accumulator per distinct `(sum | min | max,
+//! value column)` pair — `sum(x)` and `avg(x)` read `x` once and add it once
+//! — and one `u32` count accumulator that serves `count(*)` and every
+//! average. A table is group-major, `table[gid × words + slot]` with
+//! `words` the accumulator count, so one row touches one cache line of its
+//! group's record however many aggregates there are. The group-id column is
+//! read once per batch of [`MAX_BATCH`] float accumulators of one kind — once
+//! in all for the usual all-sums query — and each value column once.
+//!
+//! **Partial-table sizing rule** ([`partial_tables_for`]): as many
+//! work-groups as keep `work-groups × groups` no larger than the row count —
+//! so every accumulator's partial column is no larger than the column it
+//! folds — and give every work-group at least [`MIN_ROWS_PER_TABLE`] rows,
+//! capped at [`MAX_PARTIAL_TABLES`]. Few groups therefore get many short
+//! partial sums — which is also what keeps `f32` sums of millions of rows
+//! accurate — and many groups degrade to a single sequential table, still
+//! linear. The rule reads only the row and group counts: not the device's
+//! core count, so the sequential and multi-core CPU devices add in the same
+//! order, and not the number of aggregates, so an aggregate's bits do not
+//! depend on what it was fused with.
 //!
 //! **Equality rule.** Grouped results are bit-equal run to run on one
 //! backend and device configuration. Across backends, integers, counts and
@@ -36,8 +49,8 @@
 use crate::context::{DevColumn, DevScalar, LenSource, OcelotContext, Oid};
 use crate::primitives::reduce;
 use ocelot_kernel::{
-    Buffer, BufferAccess, Kernel, KernelAccesses, KernelCost, LaunchConfig, Result, WorkGroupCtx,
-    WorkItem,
+    Buffer, BufferAccess, EventId, Kernel, KernelAccesses, KernelCost, LaunchConfig, Result,
+    WorkGroupCtx,
 };
 use std::sync::Arc;
 
@@ -48,82 +61,268 @@ pub use crate::primitives::reduce::{max_f32, max_i32, min_f32, min_i32, sum_f32,
 pub const MAX_PARTIAL_TABLES: usize = 64;
 /// A work-group is only worth its partial table if it folds this many rows.
 pub const MIN_ROWS_PER_TABLE: usize = 1024;
+/// Float accumulators of one kind a single pass over the group ids feeds;
+/// more than that are folded in further passes.
+pub const MAX_BATCH: usize = 8;
 
-/// Which grouped aggregate to compute.
+/// One aggregate of a fused grouped aggregation ([`grouped_aggs`]). The
+/// payload names the value column the aggregate reads, as an index into the
+/// call's value columns.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum GroupedAgg {
-    /// Per-group sum of an `f32` column.
-    SumF32,
-    /// Per-group minimum of an `f32` column.
-    MinF32,
-    /// Per-group maximum of an `f32` column.
-    MaxF32,
-    /// Per-group row count (the value column is ignored).
+    /// Per-group sum.
+    Sum(usize),
+    /// Per-group minimum (`+∞` for empty groups).
+    Min(usize),
+    /// Per-group maximum (`-∞` for empty groups).
+    Max(usize),
+    /// Per-group average (0 for empty groups): the column's sum accumulator
+    /// divided by the shared count at the fold.
+    Avg(usize),
+    /// Per-group row count (reads no value column).
     Count,
-    /// Per-group average of an `f32` column: sum and count partials side by
-    /// side, divided at the fold.
-    AvgF32,
 }
 
 impl GroupedAgg {
-    /// Words of partial state per group (the average keeps sum and count).
-    fn words_per_group(self) -> usize {
+    /// The value column the aggregate reads, if any.
+    pub fn input(self) -> Option<usize> {
         match self {
-            GroupedAgg::AvgF32 => 2,
-            _ => 1,
+            GroupedAgg::Sum(column)
+            | GroupedAgg::Min(column)
+            | GroupedAgg::Max(column)
+            | GroupedAgg::Avg(column) => Some(column),
+            GroupedAgg::Count => None,
         }
     }
 }
 
-/// Number of work-groups — private partial tables — for a grouped
-/// aggregation of `rows` rows into `num_groups` groups (module docs).
-fn partial_tables_for(rows: usize, num_groups: usize, agg: GroupedAgg) -> usize {
-    let table_words = num_groups * agg.words_per_group();
-    (rows / table_words.max(MIN_ROWS_PER_TABLE)).clamp(1, MAX_PARTIAL_TABLES)
-}
-
-/// Applies `f` to the logical rows (`< n`) assigned to `item`.
-#[inline]
-fn for_rows(item: &WorkItem, n: usize, f: impl FnMut(usize)) {
-    let assigned = item.assigned();
-    match assigned.as_range() {
-        Some(range) => (range.start.min(n)..range.end.min(n)).for_each(f),
-        None => assigned.filter(|idx| *idx < n).for_each(f),
+impl std::fmt::Display for GroupedAgg {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            GroupedAgg::Sum(column) => write!(f, "sum({column})"),
+            GroupedAgg::Min(column) => write!(f, "min({column})"),
+            GroupedAgg::Max(column) => write!(f, "max({column})"),
+            GroupedAgg::Avg(column) => write!(f, "avg({column})"),
+            GroupedAgg::Count => write!(f, "count"),
+        }
     }
 }
 
-/// Folds `value` into the `f32` stored (as bits) in `word`.
-#[inline]
-fn fold_f32(word: &mut u32, value: u32, combine: impl Fn(f32, f32) -> f32) {
-    *word = combine(f32::from_bits(*word), f32::from_bits(value)).to_bits();
+/// Number of work-groups — private partial tables — for folding `rows` rows
+/// into tables of `slots` entries (module docs). Shared with the dense-code
+/// grouping's first-row tables.
+pub(crate) fn partial_tables_for(rows: usize, slots: usize) -> usize {
+    (rows / slots.max(MIN_ROWS_PER_TABLE)).clamp(1, MAX_PARTIAL_TABLES)
 }
 
-/// Fills `table` with `identity` and folds the work-group's rows into their
-/// groups' slots with `combine` (monomorphised per aggregate).
-fn fold_rows(
-    group: &WorkGroupCtx,
-    n: usize,
-    table: &mut [u32],
-    gids: &[u32],
-    values: &[u32],
-    identity: f32,
-    combine: impl Fn(f32, f32) -> f32 + Copy,
-) {
-    table.fill(identity.to_bits());
-    for item in group.items() {
-        for_rows(&item, n, |row| fold_f32(&mut table[gids[row] as usize], values[row], combine));
+/// How a float accumulator combines values.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Fold {
+    Sum,
+    Min,
+    Max,
+}
+
+impl Fold {
+    fn identity(self) -> f32 {
+        match self {
+            Fold::Sum => 0.0,
+            Fold::Min => f32::INFINITY,
+            Fold::Max => f32::NEG_INFINITY,
+        }
+    }
+}
+
+/// The accumulators behind a set of aggregates (module docs): the float
+/// accumulators — sums, then minima, then maxima, so each kind is one run —
+/// followed by the count, if anything needs it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct Accumulators {
+    floats: Vec<(Fold, usize)>,
+    counted: bool,
+}
+
+impl Accumulators {
+    fn of(funcs: &[GroupedAgg]) -> Accumulators {
+        let mut floats: Vec<(Fold, usize)> = Vec::new();
+        for kind in [Fold::Sum, Fold::Min, Fold::Max] {
+            for func in funcs {
+                let wanted = match (kind, *func) {
+                    (Fold::Sum, GroupedAgg::Sum(column) | GroupedAgg::Avg(column))
+                    | (Fold::Min, GroupedAgg::Min(column))
+                    | (Fold::Max, GroupedAgg::Max(column)) => (kind, column),
+                    _ => continue,
+                };
+                if !floats.contains(&wanted) {
+                    floats.push(wanted);
+                }
+            }
+        }
+        let counted =
+            funcs.iter().any(|func| matches!(func, GroupedAgg::Avg(_) | GroupedAgg::Count));
+        Accumulators { floats, counted }
+    }
+
+    /// Accumulator words per group.
+    fn words(&self) -> usize {
+        self.floats.len() + usize::from(self.counted)
+    }
+
+    fn slot(&self, fold: Fold, column: usize) -> usize {
+        self.floats
+            .iter()
+            .position(|float| *float == (fold, column))
+            .expect("every aggregate's accumulator is in the layout")
+    }
+
+    /// The count accumulator's slot (after the floats).
+    fn count_slot(&self) -> Option<usize> {
+        self.counted.then_some(self.floats.len())
+    }
+
+    /// The distinct value columns the accumulators read.
+    fn columns(&self) -> Vec<usize> {
+        let mut columns: Vec<usize> = self.floats.iter().map(|(_, column)| *column).collect();
+        columns.sort_unstable();
+        columns.dedup();
+        columns
+    }
+
+    /// The passes over the rows: runs of one kind of float accumulator, at
+    /// most [`MAX_BATCH`] wide, as `(kind, first slot, width)`.
+    fn batches(&self) -> Vec<(Fold, usize, usize)> {
+        let mut batches: Vec<(Fold, usize, usize)> = Vec::new();
+        for (slot, (fold, _)) in self.floats.iter().enumerate() {
+            match batches.last_mut() {
+                Some((kind, _, width)) if kind == fold && *width < MAX_BATCH => *width += 1,
+                _ => batches.push((*fold, slot, 1)),
+            }
+        }
+        batches
+    }
+}
+
+/// What one pass over a work-group's rows updates in every row's group
+/// record: `N` adjacent float accumulators starting at `first_slot`, and the
+/// count accumulator if the pass carries it.
+struct Pass<'a, const N: usize> {
+    words: usize,
+    first_slot: usize,
+    columns: [&'a [u32]; N],
+    count_slot: Option<usize>,
+}
+
+impl<const N: usize> Pass<'_, N> {
+    /// Folds row `row` of `columns` into the record of group `gid`.
+    #[inline(always)]
+    fn fold_row(
+        &self,
+        table: &mut [u32],
+        gid: u32,
+        columns: &[&[u32]; N],
+        row: usize,
+        combine: impl Fn(f32, f32) -> f32,
+    ) {
+        let base = gid as usize * self.words;
+        let floats = &mut table[base + self.first_slot..][..N];
+        for (word, column) in floats.iter_mut().zip(columns) {
+            *word = combine(f32::from_bits(*word), f32::from_bits(column[row])).to_bits();
+        }
+        if let Some(slot) = self.count_slot {
+            table[base + slot] += 1;
+        }
+    }
+
+    /// Monomorphised per width and kind, so the per-row accumulator loop is
+    /// unrolled and the accumulators' dependency chains run side by side.
+    #[inline(always)]
+    fn run(
+        &self,
+        group: &WorkGroupCtx,
+        n: usize,
+        table: &mut [u32],
+        gids: &[u32],
+        combine: impl Fn(f32, f32) -> f32 + Copy,
+    ) {
+        for item in group.items() {
+            let assigned = item.assigned();
+            match assigned.as_range() {
+                // A contiguous chunk: one slice per input, so the row loop
+                // carries one bounds check (the group id's) instead of one
+                // per column.
+                Some(rows) => {
+                    let rows = rows.start.min(n)..rows.end.min(n);
+                    let columns = self.columns.map(|column| &column[rows.clone()]);
+                    for (row, gid) in gids[rows].iter().enumerate() {
+                        self.fold_row(table, *gid, &columns, row, combine);
+                    }
+                }
+                None => {
+                    for row in assigned.filter(|row| *row < n) {
+                        self.fold_row(table, gids[row], &self.columns, row, combine);
+                    }
+                }
+            }
+        }
     }
 }
 
 /// The accumulation kernel: every work-group folds its rows into its own
 /// table `partials[group_id × table_words ..][.. table_words]`.
 struct GroupedPartialsKernel {
-    values: Option<Buffer>,
+    /// The call's value columns (only those an accumulator names are read).
+    values: Vec<Buffer>,
     gids: Buffer,
     partials: Buffer,
     num_groups: usize,
-    agg: GroupedAgg,
+    layout: Accumulators,
     n: LenSource,
+}
+
+impl GroupedPartialsKernel {
+    fn table_words(&self) -> usize {
+        self.num_groups * self.layout.words()
+    }
+
+    /// One pass of `width` float accumulators from `first_slot` on.
+    #[allow(clippy::too_many_arguments)]
+    fn pass(
+        &self,
+        group: &WorkGroupCtx,
+        n: usize,
+        table: &mut [u32],
+        fold: Fold,
+        first_slot: usize,
+        width: usize,
+        count_slot: Option<usize>,
+    ) {
+        let gids = self.gids.as_words();
+        let columns: Vec<&[u32]> = self.layout.floats[first_slot..first_slot + width]
+            .iter()
+            .map(|(_, column)| self.values[*column].as_words())
+            .collect();
+        macro_rules! run {
+            ($($width:literal)*) => {
+                match width {
+                    $($width => {
+                        let pass = Pass::<$width> {
+                            words: self.layout.words(),
+                            first_slot,
+                            columns: columns.as_slice().try_into().expect("width matches"),
+                            count_slot,
+                        };
+                        match fold {
+                            Fold::Sum => pass.run(group, n, table, gids, |a, b| a + b),
+                            Fold::Min => pass.run(group, n, table, gids, f32::min),
+                            Fold::Max => pass.run(group, n, table, gids, f32::max),
+                        }
+                    })*
+                    _ => unreachable!("a batch is at most MAX_BATCH accumulators wide"),
+                }
+            };
+        }
+        run!(0 1 2 3 4 5 6 7 8);
+    }
 }
 
 impl Kernel for GroupedPartialsKernel {
@@ -132,72 +331,53 @@ impl Kernel for GroupedPartialsKernel {
     }
     fn run_group(&self, group: &mut WorkGroupCtx) {
         let n = self.n.get();
-        let table_words = self.num_groups * self.agg.words_per_group();
-        let base = group.group_id() * table_words;
+        let base = group.group_id() * self.table_words();
         // SAFETY: the table of work-group `group_id` is this range and no
         // other work-group's; the group's items run one after another.
-        let table = unsafe { self.partials.chunk_mut(base, base + table_words) };
-        let gids = self.gids.as_words();
-        let values = self.values.as_ref().map(Buffer::as_words);
-        let values = || values.expect("every aggregate but COUNT reads a value column");
-        match self.agg {
-            GroupedAgg::SumF32 => fold_rows(group, n, table, gids, values(), 0.0, |a, b| a + b),
-            GroupedAgg::MinF32 => {
-                fold_rows(group, n, table, gids, values(), f32::INFINITY, f32::min)
-            }
-            GroupedAgg::MaxF32 => {
-                fold_rows(group, n, table, gids, values(), f32::NEG_INFINITY, f32::max)
-            }
-            GroupedAgg::Count => {
-                table.fill(0);
-                for item in group.items() {
-                    for_rows(&item, n, |row| table[gids[row] as usize] += 1);
-                }
-            }
-            GroupedAgg::AvgF32 => {
-                let values = values();
-                table.fill(0);
-                let (sums, counts) = table.split_at_mut(self.num_groups);
-                for item in group.items() {
-                    for_rows(&item, n, |row| {
-                        let gid = gids[row] as usize;
-                        fold_f32(&mut sums[gid], values[row], |a, b| a + b);
-                        counts[gid] += 1;
-                    });
-                }
-            }
+        let table = unsafe { self.partials.chunk_mut(base, base + self.table_words()) };
+        let mut record: Vec<u32> =
+            self.layout.floats.iter().map(|(fold, _)| fold.identity().to_bits()).collect();
+        record.extend(self.layout.count_slot().map(|_| 0));
+        table.chunks_exact_mut(record.len()).for_each(|group| group.copy_from_slice(&record));
+        // The count rides on the first pass; with no float accumulator at
+        // all it is a pass of its own.
+        let mut count_slot = self.layout.count_slot();
+        for (fold, first_slot, width) in self.layout.batches() {
+            self.pass(group, n, table, fold, first_slot, width, count_slot.take());
+        }
+        if count_slot.is_some() {
+            self.pass(group, n, table, Fold::Sum, 0, 0, count_slot);
         }
     }
     fn cost(&self, launch: &LaunchConfig) -> KernelCost {
-        let table_words = (self.num_groups * self.agg.words_per_group()) as u64;
+        let streamed = (launch.n * (self.layout.columns().len() + 1)) as u64;
         KernelCost::new(
-            (launch.n as u64) * 8,
-            launch.num_groups as u64 * table_words * 4,
-            launch.n as u64,
+            streamed * 4,
+            (launch.num_groups * self.table_words()) as u64 * 4,
+            (launch.n * self.layout.words()) as u64,
             0,
         )
     }
     fn declared_accesses(&self, launch: &LaunchConfig) -> Option<KernelAccesses> {
-        let table_words = self.num_groups * self.agg.words_per_group();
         let mut accesses = vec![
             BufferAccess::slice_read(&self.gids, 0..launch.n),
-            BufferAccess::slice_write(&self.partials, 0..launch.num_groups * table_words),
+            BufferAccess::slice_write(&self.partials, 0..launch.num_groups * self.table_words()),
         ];
-        if let Some(values) = &self.values {
-            accesses.push(BufferAccess::slice_read(values, 0..launch.n));
+        for column in self.layout.columns() {
+            accesses.push(BufferAccess::slice_read(&self.values[column], 0..launch.n));
         }
         Some(KernelAccesses::of(accesses))
     }
 }
 
-/// Folds the partial tables into the final per-group value, in work-group
-/// order.
+/// Folds the partial tables into every aggregate's final per-group value, in
+/// work-group order.
 struct FoldPartialsKernel {
     partials: Buffer,
-    output: Buffer,
+    outputs: Vec<(GroupedAgg, Buffer)>,
     num_groups: usize,
     tables: usize,
-    agg: GroupedAgg,
+    layout: Accumulators,
 }
 
 impl Kernel for FoldPartialsKernel {
@@ -205,95 +385,146 @@ impl Kernel for FoldPartialsKernel {
         "grouped_fold"
     }
     fn run_group(&self, group: &mut WorkGroupCtx) {
-        let table_words = self.num_groups * self.agg.words_per_group();
+        let words = self.layout.words();
+        let table_words = self.num_groups * words;
         let partials = self.partials.chunk(0, self.tables * table_words);
-        let column = |gid: usize| partials[gid..].iter().step_by(table_words).copied();
-        let floats = |gid: usize| column(gid).map(f32::from_bits);
         for item in group.items() {
             for gid in item.assigned() {
-                let value = match self.agg {
-                    GroupedAgg::SumF32 => floats(gid).fold(0.0, |a, b| a + b),
-                    GroupedAgg::MinF32 => floats(gid).fold(f32::INFINITY, f32::min),
-                    GroupedAgg::MaxF32 => floats(gid).fold(f32::NEG_INFINITY, f32::max),
-                    GroupedAgg::Count => column(gid).sum::<u32>() as f32,
-                    GroupedAgg::AvgF32 => {
-                        let sum = floats(gid).fold(0.0, |a, b| a + b);
-                        match column(self.num_groups + gid).sum::<u32>() {
-                            0 => 0.0,
-                            count => sum / count as f32,
-                        }
+                let accumulator =
+                    |slot: usize| partials[gid * words + slot..].iter().step_by(table_words);
+                let float = |fold: Fold, column: usize| {
+                    let partials = accumulator(self.layout.slot(fold, column));
+                    let partials = partials.map(|bits| f32::from_bits(*bits));
+                    match fold {
+                        Fold::Sum => partials.fold(0.0, |a, b| a + b),
+                        Fold::Min => partials.fold(f32::INFINITY, f32::min),
+                        Fold::Max => partials.fold(f32::NEG_INFINITY, f32::max),
                     }
                 };
-                self.output.set_f32(gid, value);
+                let count = || {
+                    let slot = self.layout.count_slot().expect("counted layouts have the slot");
+                    accumulator(slot).sum::<u32>()
+                };
+                for (func, output) in &self.outputs {
+                    let value = match *func {
+                        GroupedAgg::Sum(column) => float(Fold::Sum, column),
+                        GroupedAgg::Min(column) => float(Fold::Min, column),
+                        GroupedAgg::Max(column) => float(Fold::Max, column),
+                        GroupedAgg::Count => count() as f32,
+                        GroupedAgg::Avg(column) => match count() {
+                            0 => 0.0,
+                            count => float(Fold::Sum, column) / count as f32,
+                        },
+                    };
+                    output.set_f32(gid, value);
+                }
             }
         }
     }
     fn cost(&self, launch: &LaunchConfig) -> KernelCost {
-        let words = (self.tables * self.num_groups * self.agg.words_per_group()) as u64;
-        KernelCost::new(words * 4, (launch.n as u64) * 4, words, 0)
+        let words = (self.tables * self.num_groups * self.layout.words()) as u64;
+        KernelCost::new(words * 4, (launch.n * self.outputs.len()) as u64 * 4, words, 0)
     }
     fn declared_accesses(&self, launch: &LaunchConfig) -> Option<KernelAccesses> {
-        let table_words = self.num_groups * self.agg.words_per_group();
-        Some(KernelAccesses::of(vec![
-            BufferAccess::slice_read(&self.partials, 0..self.tables * table_words),
-            BufferAccess::cells_write(&self.output, 0..launch.n),
-        ]))
+        let table_words = self.num_groups * self.layout.words();
+        let mut accesses =
+            vec![BufferAccess::slice_read(&self.partials, 0..self.tables * table_words)];
+        for (_, output) in &self.outputs {
+            accesses.push(BufferAccess::cells_write(output, 0..launch.n));
+        }
+        Some(KernelAccesses::of(accesses))
     }
 }
 
-fn grouped_aggregate(
+/// Computes every aggregate in `funcs` over one grouping in a single
+/// accumulation launch and a single fold launch (module docs), returning one
+/// `num_groups`-long column per aggregate, in `funcs` order. Lazy: `gids`
+/// and the value columns may carry deferred lengths.
+///
+/// # Panics
+/// Panics if an aggregate names a value column `values` does not have, or
+/// if a value column it reads is shorter than the group-id column.
+pub fn grouped_aggs(
     ctx: &OcelotContext,
-    values: Option<&DevColumn<f32>>,
+    values: &[&DevColumn<f32>],
     gids: &DevColumn<Oid>,
     num_groups: usize,
-    agg: GroupedAgg,
-) -> Result<DevColumn<f32>> {
-    if let Some(values) = values {
+    funcs: &[GroupedAgg],
+) -> Result<Vec<DevColumn<f32>>> {
+    let layout = Accumulators::of(funcs);
+    for column in layout.columns() {
+        assert!(column < values.len(), "grouped aggregate: no value column {column}");
         // Aligned inputs: when both lengths are host-known they must match;
         // a deferred value column (e.g. a fetch over an uncounted selection)
         // only needs to cover every row the gid column can address.
-        match (values.host_len(), gids.host_len()) {
+        match (values[column].host_len(), gids.host_len()) {
             (Some(a), Some(b)) => assert_eq!(a, b, "grouped aggregate: length mismatch"),
-            _ => assert!(values.cap() >= gids.cap(), "grouped aggregate: length mismatch"),
+            _ => assert!(values[column].cap() >= gids.cap(), "grouped aggregate: length mismatch"),
         }
     }
-    // The fold writes every group's word.
-    let output = ctx.alloc_uninit(num_groups.max(1), "grouped_output")?;
-    if num_groups == 0 {
-        return DevColumn::new(output, 0);
+    // The fold writes every group's word of every output.
+    let outputs: Vec<Buffer> = funcs
+        .iter()
+        .map(|_| ctx.alloc_uninit(num_groups.max(1), "grouped_output"))
+        .collect::<Result<_>>()?;
+    let columns = |outputs: Vec<Buffer>| {
+        outputs.into_iter().map(|output| DevColumn::new(output, num_groups)).collect()
+    };
+    if num_groups == 0 || funcs.is_empty() {
+        return columns(outputs);
     }
-    let tables = partial_tables_for(gids.cap(), num_groups, agg);
-    let table_words = num_groups * agg.words_per_group();
+    let tables = partial_tables_for(gids.cap(), num_groups);
     // Every work-group initialises its own table.
-    let partials = ctx.alloc_uninit(tables * table_words, "grouped_partials")?;
+    let partials = ctx.alloc_uninit(tables * num_groups * layout.words(), "grouped_partials")?;
 
-    let mut wait = ctx.wait_for(gids);
-    if let Some(values) = values {
-        wait.extend(ctx.wait_for(values));
+    let mut wait: Vec<EventId> = ctx.wait_for(gids);
+    for column in layout.columns() {
+        wait.extend(ctx.wait_for(values[column]));
     }
     let partials_event = ctx.queue().enqueue_kernel(
         Arc::new(GroupedPartialsKernel {
-            values: values.map(|v| v.buffer.clone()),
+            values: values.iter().map(|column| column.buffer.clone()).collect(),
             gids: gids.buffer.clone(),
             partials: partials.clone(),
             num_groups,
-            agg,
+            layout: layout.clone(),
             n: gids.len_source(),
         }),
         ctx.launch(gids.cap()).with_num_groups(tables),
         &wait,
     )?;
     let fold_event = ctx.queue().enqueue_kernel(
-        Arc::new(FoldPartialsKernel { partials, output: output.clone(), num_groups, tables, agg }),
+        Arc::new(FoldPartialsKernel {
+            partials,
+            outputs: funcs.iter().copied().zip(outputs.iter().cloned()).collect(),
+            num_groups,
+            tables,
+            layout: layout.clone(),
+        }),
         ctx.launch(num_groups),
         &[partials_event],
     )?;
     ctx.memory().record_consumer(&gids.buffer, partials_event);
-    if let Some(values) = values {
-        ctx.memory().record_consumer(&values.buffer, partials_event);
+    for column in layout.columns() {
+        ctx.memory().record_consumer(&values[column].buffer, partials_event);
     }
-    ctx.memory().record_producer(&output, fold_event);
-    DevColumn::new(output, num_groups)
+    for output in &outputs {
+        ctx.memory().record_producer(output, fold_event);
+    }
+    columns(outputs)
+}
+
+/// [`grouped_aggs`] with one aggregate over (at most) one value column.
+fn grouped_agg(
+    ctx: &OcelotContext,
+    values: Option<&DevColumn<f32>>,
+    gids: &DevColumn<Oid>,
+    num_groups: usize,
+    func: GroupedAgg,
+) -> Result<DevColumn<f32>> {
+    let values: Vec<&DevColumn<f32>> = values.into_iter().collect();
+    let mut columns = grouped_aggs(ctx, &values, gids, num_groups, &[func])?;
+    Ok(columns.pop().expect("one aggregate, one column"))
 }
 
 /// Per-group sums of a float column.
@@ -303,7 +534,7 @@ pub fn grouped_sum_f32(
     gids: &DevColumn<Oid>,
     num_groups: usize,
 ) -> Result<DevColumn<f32>> {
-    grouped_aggregate(ctx, Some(values), gids, num_groups, GroupedAgg::SumF32)
+    grouped_agg(ctx, Some(values), gids, num_groups, GroupedAgg::Sum(0))
 }
 
 /// Per-group minima of a float column (`+∞` for empty groups).
@@ -313,7 +544,7 @@ pub fn grouped_min_f32(
     gids: &DevColumn<Oid>,
     num_groups: usize,
 ) -> Result<DevColumn<f32>> {
-    grouped_aggregate(ctx, Some(values), gids, num_groups, GroupedAgg::MinF32)
+    grouped_agg(ctx, Some(values), gids, num_groups, GroupedAgg::Min(0))
 }
 
 /// Per-group maxima of a float column (`-∞` for empty groups).
@@ -323,7 +554,7 @@ pub fn grouped_max_f32(
     gids: &DevColumn<Oid>,
     num_groups: usize,
 ) -> Result<DevColumn<f32>> {
-    grouped_aggregate(ctx, Some(values), gids, num_groups, GroupedAgg::MaxF32)
+    grouped_agg(ctx, Some(values), gids, num_groups, GroupedAgg::Max(0))
 }
 
 /// Per-group row counts, returned as a float column (the four-byte engine
@@ -333,18 +564,18 @@ pub fn grouped_count(
     gids: &DevColumn<Oid>,
     num_groups: usize,
 ) -> Result<DevColumn<f32>> {
-    grouped_aggregate(ctx, None, gids, num_groups, GroupedAgg::Count)
+    grouped_agg(ctx, None, gids, num_groups, GroupedAgg::Count)
 }
 
-/// Per-group averages of a float column (0 for empty groups), in one pass:
-/// sum and count partials come out of the same kernel.
+/// Per-group averages of a float column (0 for empty groups): sum and count
+/// accumulators side by side, divided at the fold.
 pub fn grouped_avg_f32(
     ctx: &OcelotContext,
     values: &DevColumn<f32>,
     gids: &DevColumn<Oid>,
     num_groups: usize,
 ) -> Result<DevColumn<f32>> {
-    grouped_aggregate(ctx, Some(values), gids, num_groups, GroupedAgg::AvgF32)
+    grouped_agg(ctx, Some(values), gids, num_groups, GroupedAgg::Avg(0))
 }
 
 /// Divides the one-word sum by the (possibly device-resident) element count:
@@ -464,19 +695,39 @@ mod tests {
     #[test]
     fn few_groups_use_many_accumulators() {
         // Few groups: many private tables (short, accurate partial sums).
-        assert_eq!(partial_tables_for(3_000_000, 4, GroupedAgg::SumF32), MAX_PARTIAL_TABLES);
-        assert_eq!(partial_tables_for(20_000, 4, GroupedAgg::SumF32), 19);
-        // Many groups: the partials never outgrow the input.
-        assert_eq!(partial_tables_for(38_000, 18_000, GroupedAgg::SumF32), 2);
-        assert_eq!(partial_tables_for(38_000, 18_000, GroupedAgg::AvgF32), 1);
-        assert_eq!(partial_tables_for(10, 10, GroupedAgg::Count), 1);
-        assert_eq!(partial_tables_for(0, 4, GroupedAgg::MinF32), 1);
+        assert_eq!(partial_tables_for(3_000_000, 4), MAX_PARTIAL_TABLES);
+        assert_eq!(partial_tables_for(20_000, 4), 19);
+        // Many groups: no accumulator's partial column outgrows its input.
+        assert_eq!(partial_tables_for(38_000, 18_000), 2);
+        assert_eq!(partial_tables_for(38_000, 20_000), 1);
+        assert_eq!(partial_tables_for(10, 10), 1);
+        assert_eq!(partial_tables_for(0, 4), 1);
         for (rows, groups) in [(1usize, 1usize), (5_000, 37), (1 << 20, 1 << 19)] {
-            for agg in [GroupedAgg::SumF32, GroupedAgg::AvgF32] {
-                let words = partial_tables_for(rows, groups, agg) * groups * agg.words_per_group();
-                assert!(words <= rows.max(groups * agg.words_per_group()));
-            }
+            assert!(partial_tables_for(rows, groups) * groups <= rows.max(groups));
         }
+    }
+
+    #[test]
+    fn aggregates_share_accumulators_and_passes() {
+        use GroupedAgg::{Avg, Count, Max, Min, Sum};
+        // Q1's shape: sum and avg of one column share its sum, every avg and
+        // the count share one counter — 5 floats + 1 count, one pass.
+        let q1 = [Sum(0), Sum(1), Sum(2), Sum(3), Avg(0), Avg(1), Avg(4), Count];
+        let layout = Accumulators::of(&q1);
+        assert_eq!(layout.floats, (0..5).map(|c| (Fold::Sum, c)).collect::<Vec<_>>());
+        assert_eq!((layout.words(), layout.count_slot()), (6, Some(5)));
+        assert_eq!(layout.batches(), vec![(Fold::Sum, 0, 5)]);
+        // Kinds are runs; a run wider than MAX_BATCH splits.
+        let mixed: Vec<GroupedAgg> =
+            (0..10).map(Sum).chain([Max(1), Min(1), Min(0), Min(1)]).collect();
+        let layout = Accumulators::of(&mixed);
+        assert_eq!(layout.words(), 13);
+        assert_eq!(layout.count_slot(), None);
+        assert_eq!(
+            layout.batches(),
+            vec![(Fold::Sum, 0, 8), (Fold::Sum, 8, 2), (Fold::Min, 10, 2), (Fold::Max, 12, 1)]
+        );
+        assert_eq!(Accumulators::of(&[Count]).batches(), vec![]);
     }
 
     #[test]

@@ -1,20 +1,40 @@
 //! The group-by operator (paper §4.1.6).
 //!
-//! Produces a column assigning a *dense group id* to every tuple. Two
-//! implementations are provided, chosen by the caller based on the BAT's
-//! `sorted` descriptor flag:
+//! Produces a column assigning a *dense group id* to every tuple. One entry
+//! point, [`group_by_columns`], and two ways to run it, chosen from the key
+//! ranges the operator observes — never by the caller:
 //!
-//! * **Sorted path** — every thread compares its values with their
-//!   successors to find group boundaries; a prefix sum over the boundary
-//!   flags yields dense ids.
-//! * **Hash path** — one parallel hash table over the keys. The build's
-//!   check round records every row's slot, so the dense ids and the
-//!   representatives fall out of the build as gathers (a flag pass and a
-//!   prefix sum over the rows); the input is never probed again.
+//! * **Dense-code path** — when the keys span few enough values that every
+//!   *possible* key tuple can have a table slot, grouping needs no hash at
+//!   all. Each row's key tuple is its mixed-radix **code**
+//!   `Σ (keyᵢ − minᵢ) · strideᵢ`; one pass folds every work-group's rows into
+//!   a private first-row table `code → smallest row`, a second kernel folds
+//!   the tables, the host ranks the present codes by first row, and a last
+//!   pass writes `gid[row] = rank[code(row)]`. Four streaming launches, no
+//!   atomics, no per-row slot buffer, no probe sequence.
+//! * **Hash path** — one parallel hash table over the composite key
+//!   ([`OcelotHashTable`]). The build's check round records every row's
+//!   slot, so the dense ids and the representatives fall out of the build
+//!   as gathers (a flag pass and a prefix sum over the rows); the input is
+//!   never probed again.
+//!
+//! **Code-space rule.** [`key_shape`] reduces every key column to its
+//! `min`/`max` in one fused launch (enqueued before a deferred length
+//! resolves, so length and ranges share a flush). The code space is
+//! `Π (maxᵢ − minᵢ + 1)`, computed in `u64` and saturating. At most
+//! [`GROUPING_START`] codes take the dense path; anything larger takes the
+//! hash path. `GROUPING_START` is the number of keys the hash path's first
+//! table is sized for when it knows nothing: below it the hash path would
+//! allocate and fill a table of that size anyway, so a first-row table of at
+//! most as many words (≤ 4 KB, cache-resident, read back in one transfer) is
+//! never the larger structure — and above it the private tables, one per
+//! work-group, would stop being small.
 //!
 //! Group ids follow first appearance — group `g`'s representative is its
 //! smallest row id and representatives ascend with `g` — on both paths, on
-//! every device, run to run.
+//! every device, run to run: `gids`, `num_groups` and `representatives` do
+//! not depend on which path ran, and equal MonetDB's sequential grouping id
+//! for id.
 //!
 //! **Stated deviation from §4.1.6.** The paper groups `k` columns
 //! recursively: group the next column on its own, combine the two dense-id
@@ -24,17 +44,25 @@
 //! representative row id and equality compares all key columns at that
 //! row, so any number of columns is **one** build over the composite key:
 //! no id product to overflow, no reserved key value, and the same
-//! partition of the rows.
+//! partition of the rows. The dense path does multiply — but ranges it has
+//! measured, and only when the product is small.
 //!
-//! **Deliberate sync point:** `num_groups` shapes the result schema (it
-//! sizes every grouped aggregate), so grouping resolves it on the host —
-//! via the hash build's internal flushes or the sorted path's scan-total
-//! `.get()`. Everything downstream of the grouping stays lazy.
+//! **Deliberate sync points:** the key ranges choose the path, and
+//! `num_groups` shapes the result schema (it sizes every grouped
+//! aggregate), so grouping resolves both on the host. The dense path reads
+//! the folded first-row table there — its one read after the ranges — and
+//! ranks it on the host; the hash path reads the build's counters and the
+//! rank total. Everything downstream of the grouping stays lazy.
 
-use crate::context::{DevColumn, DevWord, OcelotContext, Oid};
-use crate::ops::hash_table::OcelotHashTable;
-use crate::primitives::prefix_sum::exclusive_scan_u32;
-use ocelot_kernel::{Buffer, Kernel, KernelCost, LaunchConfig, Result, WorkGroupCtx};
+use crate::context::{DevColumn, DevWord, LenSource, OcelotContext, Oid};
+use crate::ops::aggregate::partial_tables_for;
+use crate::ops::hash_table::{
+    key_reads, key_shape, key_views, KeyRange, OcelotHashTable, GROUPING_START,
+};
+use ocelot_kernel::{
+    Buffer, BufferAccess, EventId, Kernel, KernelAccesses, KernelCost, LaunchConfig, Result,
+    WorkGroupCtx,
+};
 use std::sync::Arc;
 
 /// Result of a grouping operation.
@@ -49,148 +77,13 @@ pub struct GroupBy {
     pub representatives: DevColumn<Oid>,
 }
 
-/// Group-by over an unsorted key column using the parallel hash table.
+/// Group-by over a single key column.
 pub fn group_by_hash<T: DevWord>(ctx: &OcelotContext, keys: &DevColumn<T>) -> Result<GroupBy> {
     group_by_columns(ctx, &[keys])
 }
 
-// ---- sorted fast path ----
-
-struct BoundaryKernel {
-    keys: Buffer,
-    flags: Buffer,
-}
-
-impl Kernel for BoundaryKernel {
-    fn name(&self) -> &str {
-        "group_boundaries"
-    }
-    fn run_group(&self, group: &mut WorkGroupCtx) {
-        for item in group.items() {
-            for idx in item.assigned() {
-                let flag = if idx == 0 {
-                    0
-                } else {
-                    u32::from(self.keys.get_u32(idx) != self.keys.get_u32(idx - 1))
-                };
-                self.flags.set_u32(idx, flag);
-            }
-        }
-    }
-    fn cost(&self, launch: &LaunchConfig) -> KernelCost {
-        KernelCost::new((launch.n as u64) * 8, (launch.n as u64) * 4, launch.n as u64, 0)
-    }
-}
-
-struct RepresentativeFromBoundariesKernel {
-    gids: Buffer,
-    flags: Buffer,
-    representatives: Buffer,
-    n: usize,
-}
-
-impl Kernel for RepresentativeFromBoundariesKernel {
-    fn name(&self) -> &str {
-        "group_sorted_representatives"
-    }
-    fn run_group(&self, group: &mut WorkGroupCtx) {
-        for item in group.items() {
-            for idx in item.assigned() {
-                if idx >= self.n {
-                    continue;
-                }
-                if idx == 0 || self.flags.get_u32(idx) == 1 {
-                    let gid = self.gids.get_u32(idx) as usize;
-                    self.representatives.set_u32(gid, idx as u32);
-                }
-            }
-        }
-    }
-}
-
-/// Group-by over a key column that is known to be sorted: boundary flags +
-/// prefix sum (no hash table, no atomics). Resolves the group count on the
-/// host (see module docs); a deferred input length resolves with it.
-pub fn group_by_sorted<T: DevWord>(ctx: &OcelotContext, keys: &DevColumn<T>) -> Result<GroupBy> {
-    let n = keys.len(ctx)?;
-    if n == 0 {
-        let empty = ctx.alloc(1, "group_empty")?;
-        return Ok(GroupBy {
-            gids: DevColumn::new(empty.clone(), 0)?,
-            num_groups: 0,
-            representatives: DevColumn::new(empty, 0)?,
-        });
-    }
-    let flags = ctx.alloc(n, "group_flags")?;
-    let wait = ctx.wait_for(keys);
-    let boundary_event = ctx.queue().enqueue_kernel(
-        Arc::new(BoundaryKernel { keys: keys.buffer.clone(), flags: flags.clone() }),
-        ctx.launch(n),
-        &wait,
-    )?;
-    ctx.memory().record_producer(&flags, boundary_event);
-    let flags_col = DevColumn::<u32>::new(flags.clone(), n)?;
-    // Inclusive group id of row i = exclusive_scan(flags)[i] + flags[i]; but
-    // because flags[0] is 0 and boundaries carry a 1 exactly where a new
-    // group starts, the *inclusive* scan is the group id. We get it from the
-    // exclusive scan shifted by the flag itself.
-    let (exclusive, total) = exclusive_scan_u32(ctx, &flags_col)?;
-    let gids = ctx.alloc(n, "group_gids")?;
-    let fixup_event = ctx.queue().enqueue_kernel(
-        Arc::new(InclusiveFixupKernel {
-            exclusive: exclusive.buffer.clone(),
-            flags: flags.clone(),
-            gids: gids.clone(),
-        }),
-        ctx.launch(n),
-        &ctx.memory().wait_for_read(&exclusive.buffer),
-    )?;
-    ctx.memory().record_producer(&gids, fixup_event);
-    // Schema-shaping resolve: the group count sizes the representatives.
-    let num_groups = (total.get(ctx)? as usize) + 1;
-    let representatives = ctx.alloc(num_groups, "group_reps")?;
-    let rep_event = ctx.queue().enqueue_kernel(
-        Arc::new(RepresentativeFromBoundariesKernel {
-            gids: gids.clone(),
-            flags,
-            representatives: representatives.clone(),
-            n,
-        }),
-        ctx.launch(n),
-        &ctx.memory().wait_for_read(&gids),
-    )?;
-    ctx.memory().record_producer(&representatives, rep_event);
-    Ok(GroupBy {
-        gids: DevColumn::new(gids, n)?,
-        num_groups,
-        representatives: DevColumn::new(representatives, num_groups)?,
-    })
-}
-
-struct InclusiveFixupKernel {
-    exclusive: Buffer,
-    flags: Buffer,
-    gids: Buffer,
-}
-
-impl Kernel for InclusiveFixupKernel {
-    fn name(&self) -> &str {
-        "group_inclusive_fixup"
-    }
-    fn run_group(&self, group: &mut WorkGroupCtx) {
-        for item in group.items() {
-            for idx in item.assigned() {
-                let gid = self.exclusive.get_u32(idx) + self.flags.get_u32(idx);
-                self.gids.set_u32(idx, gid);
-            }
-        }
-    }
-}
-
-// ---- multi-column grouping ----
-
-/// Groups by several key columns at once: one hash build over the composite
-/// key (see the module docs for why this is not the paper's recursion).
+/// Groups by several key columns at once (module docs: dense codes when the
+/// observed key ranges allow it, one composite-key hash build otherwise).
 ///
 /// # Panics
 /// Panics if `columns` is empty or the columns' logical lengths differ.
@@ -198,12 +91,262 @@ pub fn group_by_columns<T: DevWord>(
     ctx: &OcelotContext,
     columns: &[&DevColumn<T>],
 ) -> Result<GroupBy> {
-    let table = OcelotHashTable::build_composite(ctx, columns)?;
+    let shape = key_shape(ctx, columns)?;
+    if shape.rows == 0 {
+        let empty = ctx.alloc(1, "group_empty")?;
+        return Ok(GroupBy {
+            gids: DevColumn::new(empty.clone(), 0)?,
+            num_groups: 0,
+            representatives: DevColumn::new(empty, 0)?,
+        });
+    }
+    if let Some(codes) = DenseCodes::of(&shape.ranges) {
+        return group_by_dense(ctx, columns, shape.rows, codes);
+    }
+    let table = OcelotHashTable::build_grouping(ctx, columns, &shape)?;
     Ok(GroupBy {
         gids: table.row_gids(),
         num_groups: table.num_distinct(),
         representatives: table.representatives(),
     })
+}
+
+// ---- dense-code path ----
+
+/// First-row table entry of a code no row carries.
+const NO_ROW: u32 = u32::MAX;
+/// Rows whose codes a kernel computes at a time: column-at-a-time over a
+/// stack buffer, so the arithmetic vectorises and the table pass that
+/// follows reads its codes from L1.
+const CODE_BLOCK: usize = 1024;
+
+/// The mixed-radix numbering of the key tuples inside the observed ranges.
+#[derive(Debug, Clone)]
+struct DenseCodes {
+    mins: Vec<u32>,
+    strides: Vec<u32>,
+    space: usize,
+}
+
+impl DenseCodes {
+    /// The numbering, if the code space is at most [`GROUPING_START`].
+    fn of(ranges: &[KeyRange]) -> Option<DenseCodes> {
+        let space = ranges.iter().fold(1u64, |space, range| space.saturating_mul(range.span));
+        if space > GROUPING_START as u64 {
+            return None;
+        }
+        let mut strides = vec![1u32; ranges.len()];
+        for column in (1..ranges.len()).rev() {
+            strides[column - 1] = strides[column] * ranges[column].span as u32;
+        }
+        Some(DenseCodes {
+            mins: ranges.iter().map(|range| range.min).collect(),
+            strides,
+            space: space as usize,
+        })
+    }
+
+    /// Writes the codes of rows `start .. start + codes.len()`. Every key
+    /// lies inside its observed range, so a code never reaches `space`; the
+    /// wrapping arithmetic only keeps debug and release builds identical.
+    #[inline]
+    fn encode(&self, keys: &[&[u32]], start: usize, codes: &mut [u32]) {
+        codes.fill(0);
+        let rows = start..start + codes.len();
+        for ((column, min), stride) in keys.iter().zip(&self.mins).zip(&self.strides) {
+            for (code, key) in codes.iter_mut().zip(&column[rows.clone()]) {
+                *code = code.wrapping_add(key.wrapping_sub(*min).wrapping_mul(*stride));
+            }
+        }
+    }
+}
+
+/// Every work-group folds its rows into its own first-row table
+/// `tables[group_id × space ..][.. space]`: `code → smallest row`.
+struct FirstRowsKernel {
+    keys: Vec<Buffer>,
+    codes: DenseCodes,
+    tables: Buffer,
+    n: LenSource,
+}
+
+impl Kernel for FirstRowsKernel {
+    fn name(&self) -> &str {
+        "group_first_rows"
+    }
+    fn run_group(&self, group: &mut WorkGroupCtx) {
+        let n = self.n.get();
+        let keys = key_views(&self.keys);
+        let base = group.group_id() * self.codes.space;
+        // SAFETY: the table of work-group `group_id` is this range and no
+        // other work-group's; the group's items run one after another.
+        let table = unsafe { self.tables.chunk_mut(base, base + self.codes.space) };
+        table.fill(NO_ROW);
+        let mut block = [0u32; CODE_BLOCK];
+        for item in group.items() {
+            let (start, end) = item.chunk_bounds(n);
+            for block_start in (start..end).step_by(CODE_BLOCK) {
+                let codes = &mut block[..(end - block_start).min(CODE_BLOCK)];
+                self.codes.encode(&keys, block_start, codes);
+                for (row, code) in (block_start as u32..).zip(codes.iter()) {
+                    // A store only for a code's first row of the chunk: an
+                    // unconditional `min` would chain every row of a code
+                    // through the previous one's store.
+                    let first = &mut table[*code as usize];
+                    if row < *first {
+                        *first = row;
+                    }
+                }
+            }
+        }
+    }
+    fn cost(&self, launch: &LaunchConfig) -> KernelCost {
+        let words = (launch.n * self.keys.len()) as u64;
+        let tables = (launch.num_groups * self.codes.space) as u64;
+        KernelCost::new(words * 4, tables * 4, words + launch.n as u64, 0)
+    }
+    fn declared_accesses(&self, launch: &LaunchConfig) -> Option<KernelAccesses> {
+        let mut accesses = key_reads(&self.keys);
+        accesses
+            .push(BufferAccess::slice_write(&self.tables, 0..launch.num_groups * self.codes.space));
+        Some(KernelAccesses::of(accesses))
+    }
+}
+
+/// Folds the per-work-group tables into one first-row table.
+struct FoldFirstRowsKernel {
+    tables: Buffer,
+    first_rows: Buffer,
+    space: usize,
+    count: usize,
+}
+
+impl Kernel for FoldFirstRowsKernel {
+    fn name(&self) -> &str {
+        "group_first_rows_fold"
+    }
+    fn run_group(&self, group: &mut WorkGroupCtx) {
+        let tables = self.tables.chunk(0, self.count * self.space);
+        for item in group.items() {
+            for code in item.assigned() {
+                let first = tables[code..].iter().step_by(self.space).copied().min();
+                self.first_rows.set_u32(code, first.unwrap_or(NO_ROW));
+            }
+        }
+    }
+    fn cost(&self, launch: &LaunchConfig) -> KernelCost {
+        let words = (self.count * self.space) as u64;
+        KernelCost::new(words * 4, (launch.n as u64) * 4, words, 0)
+    }
+    fn declared_accesses(&self, launch: &LaunchConfig) -> Option<KernelAccesses> {
+        Some(KernelAccesses::of(vec![
+            BufferAccess::slice_read(&self.tables, 0..self.count * self.space),
+            BufferAccess::cells_write(&self.first_rows, 0..launch.n),
+        ]))
+    }
+}
+
+/// Writes `gids[row] = ranks[code(row)]`. Items walk contiguous chunks
+/// whatever the device's access pattern, so the output is a tier-2 write.
+struct DenseGidsKernel {
+    keys: Vec<Buffer>,
+    codes: DenseCodes,
+    ranks: Buffer,
+    gids: Buffer,
+}
+
+impl Kernel for DenseGidsKernel {
+    fn name(&self) -> &str {
+        "group_dense_gids"
+    }
+    fn run_group(&self, group: &mut WorkGroupCtx) {
+        let keys = key_views(&self.keys);
+        let ranks = self.ranks.chunk(0, self.codes.space);
+        let mut block = [0u32; CODE_BLOCK];
+        for item in group.items() {
+            let (start, end) = item.chunk_bounds(group.n());
+            // SAFETY: `chunk_bounds` partitions `0..n` among the items; this
+            // item alone touches `start..end` of the output in this launch.
+            let gids = unsafe { self.gids.chunk_mut(start, end) };
+            for (index, gids) in gids.chunks_mut(CODE_BLOCK).enumerate() {
+                let codes = &mut block[..gids.len()];
+                self.codes.encode(&keys, start + index * CODE_BLOCK, codes);
+                for (gid, code) in gids.iter_mut().zip(codes.iter()) {
+                    *gid = ranks[*code as usize];
+                }
+            }
+        }
+    }
+    fn cost(&self, launch: &LaunchConfig) -> KernelCost {
+        let words = (launch.n * self.keys.len()) as u64;
+        KernelCost::new(words * 4, (launch.n as u64) * 4, words + launch.n as u64, 0)
+    }
+    fn declared_accesses(&self, launch: &LaunchConfig) -> Option<KernelAccesses> {
+        let mut accesses = key_reads(&self.keys);
+        accesses.push(BufferAccess::slice_read(&self.ranks, 0..self.codes.space));
+        accesses.push(BufferAccess::slice_write(&self.gids, 0..launch.n));
+        Some(KernelAccesses::of(accesses))
+    }
+}
+
+/// The dense-code path (module docs) over `rows > 0` rows.
+fn group_by_dense<T: DevWord>(
+    ctx: &OcelotContext,
+    columns: &[&DevColumn<T>],
+    rows: usize,
+    codes: DenseCodes,
+) -> Result<GroupBy> {
+    let keys: Vec<Buffer> = columns.iter().map(|c| c.buffer.clone()).collect();
+    let key_wait: Vec<EventId> = columns.iter().flat_map(|c| ctx.wait_for(*c)).collect();
+    let space = codes.space;
+    // The table count reads the row and code counts only (the partial-table
+    // rule of `ops::aggregate`), never the device's core count.
+    let count = partial_tables_for(rows, space);
+    let tables = ctx.alloc_uninit(count * space, "group_first_row_tables")?;
+    let folded_rows = ctx.queue().enqueue_kernel(
+        Arc::new(FirstRowsKernel {
+            keys: keys.clone(),
+            codes: codes.clone(),
+            tables: tables.clone(),
+            n: LenSource::Fixed(rows),
+        }),
+        ctx.launch(rows).with_num_groups(count),
+        &key_wait,
+    )?;
+    let first_rows = ctx.alloc_uninit(space, "group_first_rows")?;
+    let folded_tables = ctx.queue().enqueue_kernel(
+        Arc::new(FoldFirstRowsKernel { tables, first_rows: first_rows.clone(), space, count }),
+        ctx.launch(space),
+        &[folded_rows],
+    )?;
+    ctx.memory().record_producer(&first_rows, folded_tables);
+
+    // Schema-shaping resolve: the present codes are the groups. Ranking them
+    // by first row makes ids follow first appearance.
+    ctx.materialize(&first_rows, space)?;
+    let mut present: Vec<(u32, usize)> = (0..space)
+        .map(|code| (first_rows.get_u32(code), code))
+        .filter(|(first, _)| *first != NO_ROW)
+        .collect();
+    present.sort_unstable();
+    let mut ranks = vec![NO_ROW; space];
+    for (gid, (_, code)) in present.iter().enumerate() {
+        ranks[*code] = gid as u32;
+    }
+    let representatives: Vec<u32> = present.iter().map(|(first, _)| *first).collect();
+    let ranks = ctx.upload_u32(&ranks, "group_code_ranks")?;
+    let representatives = ctx.upload_u32(&representatives, "group_reps")?;
+
+    let gids = ctx.alloc_uninit(rows, "group_gids")?;
+    let mut wait = key_wait;
+    wait.extend(ctx.wait_for(&ranks));
+    let written = ctx.queue().enqueue_kernel(
+        Arc::new(DenseGidsKernel { keys, codes, ranks: ranks.buffer, gids: gids.clone() }),
+        ctx.launch(rows),
+        &wait,
+    )?;
+    ctx.memory().record_producer(&gids, written);
+    Ok(GroupBy { gids: DevColumn::new(gids, rows)?, num_groups: present.len(), representatives })
 }
 
 #[cfg(test)]
@@ -233,23 +376,29 @@ mod tests {
     }
 
     #[test]
-    fn sorted_grouping_matches_hash_grouping() {
-        let mut values: Vec<i32> = (0..5_000).map(|i| (i * 17 + 3) % 50).collect();
-        values.sort_unstable();
-        let ctx = OcelotContext::cpu();
-        let col = ctx.upload_i32(&values, "keys").unwrap();
-        let sorted = group_by_sorted(&ctx, &col).unwrap();
-        assert_eq!(sorted.num_groups, 50);
-        let gids = sorted.gids.read(&ctx).unwrap();
-        // Sorted input: group ids must be non-decreasing and dense.
-        assert!(gids.windows(2).all(|w| w[1] == w[0] || w[1] == w[0] + 1));
-        assert_eq!(*gids.last().unwrap() as usize, sorted.num_groups - 1);
-        check_equals_monet(&values, &sorted, &ctx);
-        // Representatives point at the first row of each group.
-        let reps = sorted.representatives.read(&ctx).unwrap();
-        for (gid, rep) in reps.iter().enumerate() {
-            assert_eq!(gids[*rep as usize] as usize, gid);
-            assert!(*rep == 0 || gids[(*rep - 1) as usize] as usize == gid - 1);
+    fn sorted_input_groups_like_monet_on_both_paths() {
+        // Sorted keys: 50 values take the dense-code path, 5 000 spread-out
+        // values the hash path. Either way ids are non-decreasing, dense and
+        // equal to MonetDB's, and representatives are each group's first row.
+        for (distinct, stride) in [(50, 1), (5_000, 7)] {
+            let mut values: Vec<i32> =
+                (0..20_000).map(|i| ((i * 17 + 3) % distinct) * stride - 40).collect();
+            values.sort_unstable();
+            for ctx in [OcelotContext::cpu_sequential(), OcelotContext::cpu(), OcelotContext::gpu()]
+            {
+                let col = ctx.upload_i32(&values, "keys").unwrap();
+                let result = group_by_columns(&ctx, &[&col]).unwrap();
+                assert_eq!(result.num_groups, distinct as usize);
+                let gids = result.gids.read(&ctx).unwrap();
+                assert!(gids.windows(2).all(|w| w[1] == w[0] || w[1] == w[0] + 1));
+                assert_eq!(*gids.last().unwrap() as usize, result.num_groups - 1);
+                check_equals_monet(&values, &result, &ctx);
+                let reps = result.representatives.read(&ctx).unwrap();
+                for (gid, rep) in reps.iter().enumerate() {
+                    assert_eq!(gids[*rep as usize] as usize, gid);
+                    assert!(*rep == 0 || gids[(*rep - 1) as usize] as usize == gid - 1);
+                }
+            }
         }
     }
 
@@ -360,6 +509,5 @@ mod tests {
 
         let empty = ctx.upload_i32(&[], "e").unwrap();
         assert_eq!(group_by_hash(&ctx, &empty).unwrap().num_groups, 0);
-        assert_eq!(group_by_sorted(&ctx, &empty).unwrap().num_groups, 0);
     }
 }

@@ -42,9 +42,13 @@
 //!
 //! # Sizing rule
 //!
-//! `min` and `max` of a single-column build come from one fused reduction
-//! launch, enqueued before the (possibly deferred) row count is resolved so
-//! one flush answers both. When the key range `max − min + 1` is at most
+//! `min` and `max` of every key column come from one fused reduction launch
+//! ([`key_shape`]), enqueued before the (possibly deferred) row count is
+//! resolved so one flush answers both. Grouping reads the ranges of all its
+//! key columns first — they decide whether it needs a hash table at all
+//! (`ops::groupby`, the dense-code path) — and hands them to the build; a
+//! table sizes itself from a *single-column* key's range only. When that
+//! key range `max − min + 1` is at most
 //! [`RANGE_SLOTS_PER_ROW`]` × rows`, the table has `next_pow2(range)` slots:
 //! the range-relative first slot is then collision-free between different
 //! keys, so no row of such a build can fail, whatever the duplicates, and
@@ -58,11 +62,13 @@
 //! `next_pow2(1.4 × d)` slots (the paper's 1.4, from its observed ~75 % fill
 //! rate), where `d` is the caller's distinct-count bound for single-column
 //! builds (joins pass the build side's row count) and at most
-//! [`GROUPING_START`] keys for composite group-by keys, which have no bound
-//! to offer. A failed attempt is evidence, not a reason to double: the
-//! table held at most `capacity` keys and the check round counted `failed`
-//! rows outside it, so `capacity + failed` bounds the distinct count and the
-//! next table is sized for that — clamped to `next_pow2(1.4 × rows)`, which
+//! [`GROUPING_START`] keys for group-by keys, which have no bound to offer
+//! — and which, had their ranges spanned no more than that many key tuples,
+//! would have been grouped without a table. A failed attempt is evidence,
+//! not a reason to double: the table held at most `capacity` keys and the
+//! check round counted `failed` rows outside it, so `capacity + failed`
+//! bounds the distinct count and the next table is sized for that — clamped
+//! to `next_pow2(1.4 × rows)`, which
 //! always suffices for distinct keys, and grown at least twofold so
 //! pathological collisions still terminate. Two attempts are the norm from
 //! any start, three the exception; no table exceeds
@@ -76,7 +82,7 @@
 //! **join build** ([`OcelotHashTable::build`]) stops there: probes return
 //! representative row ids and nothing reads a dense id, so no per-row
 //! buffer is allocated and nothing is ranked. The **grouping builds**
-//! ([`OcelotHashTable::build_ranked`], [`OcelotHashTable::build_composite`])
+//! ([`OcelotHashTable::build_ranked`] and the group-by's composite-key build)
 //! additionally record every row's slot during the check round and rank
 //! the representatives: dense group ids are the rank of the representative
 //! among all representatives — ids follow first appearance, as in MonetDB's
@@ -109,7 +115,9 @@ const HASH_SEEDS: [u32; 6] =
 pub const LINEAR_WINDOW: usize = 16;
 /// Length of every probe sequence — a constant, never the table size.
 pub const MAX_PROBE: usize = HASH_SEEDS.len() + LINEAR_WINDOW;
-/// Distinct keys the first table of a composite-key group-by is sized for.
+/// Distinct keys the first table of a group-by is sized for — and therefore
+/// the largest key-tuple space `ops::groupby` groups by dense codes instead
+/// (a first-row table of that many words is never the larger structure).
 pub const GROUPING_START: usize = 1024;
 /// A single-column build whose key range is at most this many slots per
 /// build row gets a table covering the range (module docs, sizing rule).
@@ -178,11 +186,11 @@ fn rows_equal(columns: &[&[u32]], a: usize, b: usize) -> bool {
     columns.iter().all(|column| column[a] == column[b])
 }
 
-fn key_views(columns: &[Buffer]) -> Vec<&[u32]> {
+pub(crate) fn key_views(columns: &[Buffer]) -> Vec<&[u32]> {
     columns.iter().map(Buffer::as_words).collect()
 }
 
-fn key_reads(columns: &[Buffer]) -> Vec<BufferAccess> {
+pub(crate) fn key_reads(columns: &[Buffer]) -> Vec<BufferAccess> {
     columns.iter().map(|c| BufferAccess::slice_read(c, 0..c.len())).collect()
 }
 
@@ -200,25 +208,47 @@ fn lower_representative(slot: &AtomicU32, current: u32, row: u32) {
 /// `u32`, where differences are plain (wrapping) subtractions.
 const SIGN_BIT: u32 = 0x8000_0000;
 
-/// Smallest key word and number of values between it and the largest.
+/// Smallest key word of one key column and the number of values between it
+/// and the largest.
 #[derive(Debug, Clone, Copy)]
-struct KeyRange {
-    min: u32,
-    span: u64,
+pub(crate) struct KeyRange {
+    pub min: u32,
+    pub span: u64,
 }
 
-/// Folds the smallest and largest key into `bounds`: word 0 is the maximum
-/// of the *complemented* biased keys, word 1 the maximum of the biased keys,
-/// so a zeroed buffer is the identity of both and one launch does it all.
+/// Smallest and largest of a non-empty run of key words, as `i32`. Eight
+/// independent lanes, so the reduction is not one serial min/max chain and
+/// vectorises.
+fn signed_bounds(keys: &[u32]) -> (i32, i32) {
+    const LANES: usize = 8;
+    let (mut mins, mut maxs) = ([i32::MAX; LANES], [i32::MIN; LANES]);
+    let chunks = keys.chunks_exact(LANES);
+    let tail = chunks.remainder();
+    for chunk in chunks {
+        for lane in 0..LANES {
+            mins[lane] = mins[lane].min(chunk[lane] as i32);
+            maxs[lane] = maxs[lane].max(chunk[lane] as i32);
+        }
+    }
+    let keys = tail.iter().map(|key| *key as i32);
+    let min = mins.into_iter().chain(keys.clone()).min().expect("lanes are never empty");
+    let max = maxs.into_iter().chain(keys).max().expect("lanes are never empty");
+    (min, max)
+}
+
+/// Folds the smallest and largest key of every column into `bounds`: for
+/// column `c`, word `2c` is the maximum of the *complemented* biased keys and
+/// word `2c + 1` the maximum of the biased keys, so a zeroed buffer is the
+/// identity of both and one launch covers all columns.
 struct KeyRangeKernel {
-    keys: Buffer,
+    keys: Vec<Buffer>,
     bounds: Buffer,
     n: LenSource,
 }
 
 impl KeyRangeKernel {
-    fn decode(bounds: &Buffer) -> KeyRange {
-        let (min, max) = (!bounds.get_u32(0), bounds.get_u32(1));
+    fn decode(bounds: &Buffer, column: usize) -> KeyRange {
+        let (min, max) = (!bounds.get_u32(2 * column), bounds.get_u32(2 * column + 1));
         KeyRange { min: min ^ SIGN_BIT, span: u64::from(max.wrapping_sub(min)) + 1 }
     }
 }
@@ -230,31 +260,29 @@ impl Kernel for KeyRangeKernel {
     fn run_group(&self, group: &mut WorkGroupCtx) {
         // A deferred row count resolves here, at flush time.
         let n = self.n.get();
-        let keys = self.keys.as_words();
         for item in group.items() {
             let (start, end) = item.chunk_bounds(n);
             if start == end {
                 continue;
             }
-            let (mut min, mut max) = (u32::MAX, 0u32);
-            for &key in &keys[start..end] {
-                let biased = key ^ SIGN_BIT;
-                min = min.min(biased);
-                max = max.max(biased);
+            for (column, keys) in self.keys.iter().enumerate() {
+                let (min, max) = signed_bounds(&keys.as_words()[start..end]);
+                let (min, max) = (min as u32 ^ SIGN_BIT, max as u32 ^ SIGN_BIT);
+                self.bounds.cell(2 * column).fetch_max(!min, Ordering::Relaxed);
+                self.bounds.cell(2 * column + 1).fetch_max(max, Ordering::Relaxed);
             }
-            self.bounds.cell(0).fetch_max(!min, Ordering::Relaxed);
-            self.bounds.cell(1).fetch_max(max, Ordering::Relaxed);
         }
     }
     fn cost(&self, launch: &LaunchConfig) -> KernelCost {
+        let (words, columns) = ((launch.n * self.keys.len()) as u64, self.keys.len() as u64);
         let items = launch.total_items() as u64;
-        KernelCost::new((launch.n as u64) * 4, 8, (launch.n as u64) * 2, items * 2)
+        KernelCost::new(words * 4, columns * 8, words * 2, items * columns * 2)
     }
     fn declared_accesses(&self, launch: &LaunchConfig) -> Option<KernelAccesses> {
-        Some(KernelAccesses::of(vec![
-            BufferAccess::slice_read(&self.keys, 0..launch.n),
-            BufferAccess::cells_write(&self.bounds, 0..2),
-        ]))
+        let mut accesses: Vec<BufferAccess> =
+            self.keys.iter().map(|keys| BufferAccess::slice_read(keys, 0..launch.n)).collect();
+        accesses.push(BufferAccess::cells_write(&self.bounds, 0..2 * self.keys.len()));
+        Some(KernelAccesses::of(accesses))
     }
 }
 
@@ -709,7 +737,8 @@ impl OcelotHashTable {
         keys_col: &DevColumn<T>,
         distinct_hint: usize,
     ) -> Result<OcelotHashTable> {
-        Self::build_from(ctx, &[keys_col], distinct_hint, false)
+        let shape = key_shape(ctx, &[keys_col])?;
+        Self::build_from(ctx, &[keys_col], &shape, distinct_hint, false)
     }
 
     /// [`OcelotHashTable::build`] plus dense ids: the single-column grouping
@@ -720,50 +749,38 @@ impl OcelotHashTable {
         keys_col: &DevColumn<T>,
         distinct_hint: usize,
     ) -> Result<OcelotHashTable> {
-        Self::build_from(ctx, &[keys_col], distinct_hint, true)
+        let shape = key_shape(ctx, &[keys_col])?;
+        Self::build_from(ctx, &[keys_col], &shape, distinct_hint, true)
     }
 
-    /// Builds a grouping table (dense ids ranked) over a composite key: rows
-    /// are equal when they agree on every column. Takes no sizing hint — a
-    /// table not sized by its key range starts at [`GROUPING_START`] keys
-    /// and a restart is sized from what that attempt observed. Same sync
-    /// points as [`OcelotHashTable::build`].
-    ///
-    /// # Panics
-    /// Panics if `columns` is empty or the columns' logical lengths differ.
-    pub fn build_composite<T: DevWord>(
+    /// Builds a grouping table (dense ids ranked) over the key columns whose
+    /// `shape` the caller already resolved ([`key_shape`]): rows are equal
+    /// when they agree on every column. Takes no sizing hint — a table not
+    /// sized by its key range starts at [`GROUPING_START`] keys and a restart
+    /// is sized from what that attempt observed. Same sync points as
+    /// [`OcelotHashTable::build`], minus the range it is handed.
+    pub(crate) fn build_grouping<T: DevWord>(
         ctx: &OcelotContext,
         columns: &[&DevColumn<T>],
+        shape: &KeyShape,
     ) -> Result<OcelotHashTable> {
-        assert!(!columns.is_empty(), "hash table: need at least one key column");
-        Self::build_from(ctx, columns, GROUPING_START, true)
+        Self::build_from(ctx, columns, shape, GROUPING_START, true)
     }
 
     fn build_from<T: DevWord>(
         ctx: &OcelotContext,
         columns: &[&DevColumn<T>],
+        shape: &KeyShape,
         distinct_hint: usize,
         ranked: bool,
     ) -> Result<OcelotHashTable> {
         let keys: Vec<Buffer> = columns.iter().map(|c| c.buffer.clone()).collect();
         let key_wait: Vec<EventId> = columns.iter().flat_map(|c| ctx.wait_for(*c)).collect();
-        // Enqueued before the length resolves: a deferred length and the key
-        // range then cost one flush between them.
-        let bounds = match columns {
-            [column] if column.cap() > 0 => Some(key_bounds(ctx, column, &key_wait)?),
-            _ => None,
-        };
-        let rows = columns[0].len(ctx)?;
-        for column in &columns[1..] {
-            // Alignment is on *logical* lengths: a deferred column's capacity
-            // bound may exceed its neighbours'.
-            assert_eq!(column.len(ctx)?, rows, "hash table: key column length mismatch");
-        }
-        let range = match bounds {
-            Some(bounds) if rows > 0 => {
-                ctx.materialize(&bounds, 2)?;
-                Some(KeyRangeKernel::decode(&bounds))
-            }
+        let rows = shape.rows;
+        // Only a single-column key has an order for the first probe to keep
+        // and a range a table can cover.
+        let range = match shape.ranges.as_slice() {
+            [range] => Some(*range),
             _ => None,
         };
         let origin = if columns.len() == 1 { Some(range.map_or(0, |r| r.min)) } else { None };
@@ -1012,25 +1029,61 @@ impl OcelotHashTable {
     }
 }
 
-/// Enqueues the fused min/max reduction over a single key column and
-/// returns its two-word result buffer (see [`KeyRangeKernel`]).
-fn key_bounds<T: DevWord>(
+/// What a build learns about its key columns before it sizes anything: the
+/// common row count and every column's key range (none for an empty input).
+#[derive(Debug, Clone)]
+pub(crate) struct KeyShape {
+    pub rows: usize,
+    pub ranges: Vec<KeyRange>,
+}
+
+/// Resolves the row count and the per-column key ranges of `columns` — the
+/// sync point every build starts with. One fused min/max launch covers all
+/// columns and is enqueued before the (possibly deferred) length resolves,
+/// so a deferred length and the ranges cost one flush between them.
+///
+/// # Panics
+/// Panics if `columns` is empty or the columns' logical lengths differ.
+pub(crate) fn key_shape<T: DevWord>(
     ctx: &OcelotContext,
-    column: &DevColumn<T>,
-    wait: &[EventId],
-) -> Result<Buffer> {
-    let bounds = ctx.alloc(2, "hash_key_bounds")?;
-    let event = ctx.queue().enqueue_kernel(
-        Arc::new(KeyRangeKernel {
-            keys: column.buffer.clone(),
-            bounds: bounds.clone(),
-            n: column.len_source(),
-        }),
-        ctx.launch(column.cap()),
-        wait,
-    )?;
-    ctx.memory().record_producer(&bounds, event);
-    Ok(bounds)
+    columns: &[&DevColumn<T>],
+) -> Result<KeyShape> {
+    assert!(!columns.is_empty(), "hash table: need at least one key column");
+    // Alignment is on *logical* lengths: a deferred column's capacity bound
+    // may exceed its neighbours'. Driving the launch from the smallest bound
+    // keeps every read inside every buffer even before the lengths are
+    // compared below.
+    let shortest =
+        columns.iter().min_by_key(|column| column.cap()).expect("at least one key column");
+    let bounds = if shortest.cap() > 0 {
+        let bounds = ctx.alloc(2 * columns.len(), "hash_key_bounds")?;
+        let wait: Vec<EventId> = columns.iter().flat_map(|c| ctx.wait_for(*c)).collect();
+        let event = ctx.queue().enqueue_kernel(
+            Arc::new(KeyRangeKernel {
+                keys: columns.iter().map(|c| c.buffer.clone()).collect(),
+                bounds: bounds.clone(),
+                n: shortest.len_source(),
+            }),
+            ctx.launch(shortest.cap()),
+            &wait,
+        )?;
+        ctx.memory().record_producer(&bounds, event);
+        Some(bounds)
+    } else {
+        None
+    };
+    let rows = columns[0].len(ctx)?;
+    for column in &columns[1..] {
+        assert_eq!(column.len(ctx)?, rows, "hash table: key column length mismatch");
+    }
+    let ranges = match bounds {
+        Some(bounds) if rows > 0 => {
+            ctx.materialize(&bounds, 2 * columns.len())?;
+            (0..columns.len()).map(|column| KeyRangeKernel::decode(&bounds, column)).collect()
+        }
+        _ => Vec::new(),
+    };
+    Ok(KeyShape { rows, ranges })
 }
 
 /// Flags each group's representative row and ranks the flags: the scanned

@@ -7,6 +7,17 @@
 //! assembled from per-predicate bitmaps with bit operations
 //! ([`crate::primitives::bitmap::combine`]).
 //!
+//! One kernel evaluates every predicate kind, monomorphised per kind: the
+//! constant comparisons (range, equality, inequality), membership in a short
+//! `IN` list ([`select_in_i32`] — one pass comparing each row against every
+//! listed value, not one selection per value and a union), and the
+//! **two-input** predicate `left <op> right` over two aligned columns
+//! ([`select_cmp_i32`] — both columns are read and the bitmap written
+//! directly, with no cast, difference or other full-column intermediate).
+//! A selection over a candidate list fetches its input column(s) at the
+//! candidates first and selects over the fetched values (the engine's
+//! `select_with` shape), so it streams candidates, not the base table.
+//!
 //! Bitmaps are internal: [`materialize_bitmap`] converts them to the OID
 //! lists MonetDB-style operators expect, using the two-step
 //! count-scan-write pattern (per-item bit counts, exclusive scan, position
@@ -23,10 +34,12 @@ use crate::primitives::prefix_sum::exclusive_scan_u32;
 use ocelot_kernel::{
     Buffer, BufferAccess, Kernel, KernelAccesses, KernelCost, LaunchConfig, Result, WorkGroupCtx,
 };
+use ocelot_storage::CmpOp;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// The comparison a selection kernel evaluates.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone)]
 enum Predicate {
     /// `low <= value <= high` over `i32`.
     RangeI32 { low: i32, high: i32 },
@@ -36,6 +49,11 @@ enum Predicate {
     EqI32 { needle: i32 },
     /// `value != needle` over `i32`.
     NeI32 { needle: i32 },
+    /// `value` is one of a short list of `i32`s (sorted, distinct).
+    InI32 { values: Arc<[i32]> },
+    /// `value <op> right[row]` over `i32`: the two-input predicate. `right`
+    /// is a second column aligned with the input.
+    CmpI32 { op: CmpOp, right: Buffer },
 }
 
 /// Selection kernel: each work-item produces whole bitmap words for its
@@ -52,10 +70,27 @@ struct SelectKernel {
     rows: Option<usize>,
 }
 
-/// Builds the bitmap words `start_word..start_word + out.len()` from `input`
-/// with a monomorphised predicate: the enum dispatch happens once per chunk,
-/// and the bit loop runs over plain slices (tier-2 views). Bits at positions
-/// `>= n` stay zero — the bitmap zero-padding invariant.
+/// Builds the bitmap words `start_word..start_word + out.len()`, asking
+/// `bits_of` for the predicate bits of each word's rows (at most 32, all
+/// `< n`). Bits at positions `>= n` stay zero — the bitmap zero-padding
+/// invariant.
+#[inline]
+fn build_words(
+    out: &mut [u32],
+    start_word: usize,
+    n: usize,
+    bits_of: impl Fn(Range<usize>) -> u32,
+) {
+    for (offset, word) in out.iter_mut().enumerate() {
+        let base = (start_word + offset) * 32;
+        let limit = (base + 32).min(n);
+        *word = if base < limit { bits_of(base..limit) } else { 0 };
+    }
+}
+
+/// [`build_words`] for a one-input predicate, monomorphised per predicate:
+/// the enum dispatch happens once per chunk, and the bit loop runs over
+/// plain slices (tier-2 views).
 #[inline]
 fn build_bitmap_words(
     input: &[u32],
@@ -64,17 +99,26 @@ fn build_bitmap_words(
     n: usize,
     matches: impl Fn(u32) -> bool,
 ) {
-    for (offset, word) in out.iter_mut().enumerate() {
-        let base = (start_word + offset) * 32;
-        let limit = (base + 32).min(n);
-        let mut bits = 0u32;
-        if base < limit {
-            for (bit, &value) in input[base..limit].iter().enumerate() {
-                bits |= (matches(value) as u32) << bit;
-            }
-        }
-        *word = bits;
-    }
+    build_words(out, start_word, n, |rows| {
+        input[rows].iter().enumerate().fold(0, |bits, (bit, &v)| bits | (matches(v) as u32) << bit)
+    });
+}
+
+/// [`build_words`] for a predicate over two aligned `i32` columns.
+#[inline]
+fn build_bitmap_words_cmp(
+    (left, right): (&[u32], &[u32]),
+    out: &mut [u32],
+    start_word: usize,
+    n: usize,
+    matches: impl Fn(i32, i32) -> bool,
+) {
+    build_words(out, start_word, n, |rows| {
+        let pairs = left[rows.clone()].iter().zip(&right[rows]);
+        pairs
+            .enumerate()
+            .fold(0, |bits, (bit, (&l, &r))| bits | (matches(l as i32, r as i32) as u32) << bit)
+    });
 }
 
 impl Kernel for SelectKernel {
@@ -98,37 +142,75 @@ impl Kernel for SelectKernel {
             // to this item within this phase (chunk_bounds partitions the
             // word range across items).
             let out = unsafe { self.bitmap.chunk_mut(start_word, end_word) };
-            match self.predicate {
-                Predicate::RangeI32 { low, high } => {
+            match &self.predicate {
+                &Predicate::RangeI32 { low, high } => {
                     build_bitmap_words(input, out, start_word, n, |w| {
                         let v = w as i32;
                         v >= low && v <= high
                     });
                 }
-                Predicate::RangeF32 { low, high } => {
+                &Predicate::RangeF32 { low, high } => {
                     build_bitmap_words(input, out, start_word, n, |w| {
                         let v = f32::from_bits(w);
                         v >= low && v <= high
                     });
                 }
-                Predicate::EqI32 { needle } => {
+                &Predicate::EqI32 { needle } => {
                     build_bitmap_words(input, out, start_word, n, |w| w as i32 == needle);
                 }
-                Predicate::NeI32 { needle } => {
+                &Predicate::NeI32 { needle } => {
                     build_bitmap_words(input, out, start_word, n, |w| w as i32 != needle);
+                }
+                Predicate::InI32 { values } => {
+                    // Every value is compared, hit or not: a scan that stops
+                    // at the first hit branches on the data, and on a short
+                    // list the mispredictions cost more than the compares.
+                    let values: &[i32] = values;
+                    build_bitmap_words(input, out, start_word, n, |w| {
+                        values.iter().fold(false, |hit, value| hit | (*value == w as i32))
+                    });
+                }
+                Predicate::CmpI32 { op, right } => {
+                    // One monomorphised bit loop per operator.
+                    let columns = (input, right.as_words());
+                    match op {
+                        CmpOp::Lt => {
+                            build_bitmap_words_cmp(columns, out, start_word, n, |l, r| l < r)
+                        }
+                        CmpOp::Le => {
+                            build_bitmap_words_cmp(columns, out, start_word, n, |l, r| l <= r)
+                        }
+                        CmpOp::Gt => {
+                            build_bitmap_words_cmp(columns, out, start_word, n, |l, r| l > r)
+                        }
+                        CmpOp::Ge => {
+                            build_bitmap_words_cmp(columns, out, start_word, n, |l, r| l >= r)
+                        }
+                        CmpOp::Eq => {
+                            build_bitmap_words_cmp(columns, out, start_word, n, |l, r| l == r)
+                        }
+                        CmpOp::Ne => {
+                            build_bitmap_words_cmp(columns, out, start_word, n, |l, r| l != r)
+                        }
+                    }
                 }
             }
         }
     }
     fn cost(&self, launch: &LaunchConfig) -> KernelCost {
-        KernelCost::new((launch.n as u64) * 4, (launch.n as u64) / 8, launch.n as u64, 0)
+        let inputs = if matches!(self.predicate, Predicate::CmpI32 { .. }) { 2 } else { 1 };
+        KernelCost::new((launch.n as u64) * 4 * inputs, (launch.n as u64) / 8, launch.n as u64, 0)
     }
     fn declared_accesses(&self, _launch: &LaunchConfig) -> Option<KernelAccesses> {
         let words = Bitmap::words_for(self.n.cap());
-        let mut declared = KernelAccesses::of(vec![
+        let mut accesses = vec![
             BufferAccess::slice_read(&self.input, 0..self.input.len()),
             BufferAccess::slice_write(&self.bitmap, 0..words),
-        ]);
+        ];
+        if let Predicate::CmpI32 { right, .. } = &self.predicate {
+            accesses.push(BufferAccess::slice_read(right, 0..right.len()));
+        }
+        let mut declared = KernelAccesses::of(accesses);
         if let Some(rows) = self.rows {
             declared = declared.with_bitmap(&self.bitmap, rows);
         }
@@ -148,6 +230,10 @@ fn run_select(
     if len.cap() == 0 {
         return Ok(bitmap);
     }
+    let right = match &predicate {
+        Predicate::CmpI32 { right, .. } => Some(right.clone()),
+        _ => None,
+    };
     let event = ctx.queue().enqueue_kernel(
         Arc::new(SelectKernel {
             input: input.clone(),
@@ -164,6 +250,9 @@ fn run_select(
     )?;
     ctx.memory().record_producer(&bitmap.buffer, event);
     ctx.memory().record_consumer(input, event);
+    if let Some(right) = right {
+        ctx.memory().record_consumer(&right, event);
+    }
     Ok(bitmap)
 }
 
@@ -219,6 +308,54 @@ pub fn select_ne_i32(ctx: &OcelotContext, input: &DevColumn<i32>, needle: i32) -
         input.col_len(),
         ctx.wait_for(input),
         Predicate::NeI32 { needle },
+    )
+}
+
+/// Membership selection `input IN (values…)` over an integer column, in one
+/// pass: the list is short, so every row scans it (sorted, duplicates
+/// dropped) instead of the column being selected once per value.
+pub fn select_in_i32(
+    ctx: &OcelotContext,
+    input: &DevColumn<i32>,
+    values: &[i32],
+) -> Result<Bitmap> {
+    let mut values = values.to_vec();
+    values.sort_unstable();
+    values.dedup();
+    run_select(
+        ctx,
+        &input.buffer,
+        input.col_len(),
+        ctx.wait_for(input),
+        Predicate::InI32 { values: values.into() },
+    )
+}
+
+/// Column-vs-column selection `left <op> right` over two aligned integer
+/// columns, in one kernel that reads both and writes the bitmap — no cast,
+/// no difference column. The bitmap takes `left`'s (possibly deferred)
+/// length.
+///
+/// # Panics
+/// Panics if `right` cannot cover every row `left` may have.
+pub fn select_cmp_i32(
+    ctx: &OcelotContext,
+    left: &DevColumn<i32>,
+    right: &DevColumn<i32>,
+    op: CmpOp,
+) -> Result<Bitmap> {
+    match (left.host_len(), right.host_len()) {
+        (Some(a), Some(b)) => assert_eq!(a, b, "column comparison: length mismatch"),
+        _ => assert!(right.cap() >= left.cap(), "column comparison: length mismatch"),
+    }
+    let mut wait = ctx.wait_for(left);
+    wait.extend(ctx.wait_for(right));
+    run_select(
+        ctx,
+        &left.buffer,
+        left.col_len(),
+        wait,
+        Predicate::CmpI32 { op, right: right.buffer.clone() },
     )
 }
 

@@ -25,8 +25,9 @@
 //! Operators fall into three classes:
 //!
 //! * **Streaming** — enqueue kernels and return device handles without
-//!   touching host values: binds, selections, maps, fetch, grouped
-//!   aggregates over an existing grouping, and the deferred scalar sum.
+//!   touching host values: binds, selections (constant, `IN`-list and
+//!   column-vs-column alike), maps, fetch, the fused grouped aggregates over
+//!   an existing grouping, and the deferred scalar sum.
 //! * **Host-resolving** — internally resolve host values mid-plan (the
 //!   "deliberate sync points" of the operator library): hash joins
 //!   (monolithic and partitioned), semi/anti joins, grouping (its group
@@ -52,6 +53,7 @@
 //! `Scheduler` admission re-check every plan in debug builds.
 
 use crate::plan::{Plan, PlanError, PlanNode, PlanOp, ValueKind, Var};
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::fmt;
 
@@ -262,9 +264,12 @@ impl fmt::Display for VerifyReport {
 enum InputSig {
     /// Exactly these kinds, in operand order.
     Exact(&'static [ValueKind]),
-    /// `[column]` or `[column, candidates]` — the optional candidate-list
-    /// form every selection supports.
-    Select,
+    /// This many column operands, optionally followed by a candidate list —
+    /// the form every selection supports.
+    Select(usize),
+    /// A grouping followed by value columns, at least this many: every one
+    /// the node's aggregates name by position (`grouped_aggs`).
+    GroupThenValues(usize),
     /// One or more key columns (`group_by`).
     Keys,
     /// Any number of registers of any kind (`sync`).
@@ -288,15 +293,17 @@ enum FlushClass {
 /// The operator signature table: operand shape, result kinds and flush
 /// class. This is the verifier's single source of truth per operator;
 /// `PlanBuilder::push_node` reuses the result kinds for raw-node plans.
-fn signature(op: &PlanOp) -> (InputSig, &'static [ValueKind], FlushClass) {
+fn signature(op: &PlanOp) -> (InputSig, Cow<'static, [ValueKind]>, FlushClass) {
     use FlushClass::{Boundary, HostResolving, Streaming};
-    use InputSig::{AnyDefined, Exact, Keys, Results, Select};
-    match op {
+    use InputSig::{AnyDefined, Exact, GroupThenValues, Keys, Results, Select};
+    let (inputs, outputs, class): (InputSig, &'static [ValueKind], FlushClass) = match op {
         PlanOp::Bind { .. } => (Exact(&[]), &[COLUMN], Streaming),
         PlanOp::SelectRangeI32 { .. }
         | PlanOp::SelectRangeF32 { .. }
         | PlanOp::SelectEqI32 { .. }
-        | PlanOp::SelectNeI32 { .. } => (Select, &[COLUMN], Streaming),
+        | PlanOp::SelectNeI32 { .. }
+        | PlanOp::SelectInI32 { .. } => (Select(1), &[COLUMN], Streaming),
+        PlanOp::SelectCmpI32 { .. } => (Select(2), &[COLUMN], Streaming),
         PlanOp::UnionOids => (Exact(&[COLUMN, COLUMN]), &[COLUMN], HostResolving),
         PlanOp::Fetch | PlanOp::MulF32 | PlanOp::AddF32 | PlanOp::SubF32 => {
             (Exact(&[COLUMN, COLUMN]), &[COLUMN], Streaming)
@@ -312,23 +319,25 @@ fn signature(op: &PlanOp) -> (InputSig, &'static [ValueKind], FlushClass) {
         PlanOp::SemiJoin | PlanOp::AntiJoin => (Exact(&[COLUMN, COLUMN]), &[COLUMN], HostResolving),
         PlanOp::GroupBy => (Keys, &[GROUP], HostResolving),
         PlanOp::GroupReps => (Exact(&[GROUP]), &[COLUMN], Streaming),
-        PlanOp::GroupedSumF32
-        | PlanOp::GroupedMinF32
-        | PlanOp::GroupedMaxF32
-        | PlanOp::GroupedAvgF32 => (Exact(&[COLUMN, GROUP]), &[COLUMN], Streaming),
-        PlanOp::GroupedCount => (Exact(&[GROUP]), &[COLUMN], Streaming),
+        // One result column per aggregate: the only operator whose result
+        // count is a parameter.
+        PlanOp::GroupedAggs { funcs } => {
+            let named = funcs.iter().filter_map(|func| func.input()).max().map_or(0, |top| top + 1);
+            return (GroupThenValues(named), vec![COLUMN; funcs.len()].into(), Streaming);
+        }
         PlanOp::SortOrderI32 { .. } | PlanOp::SortOrderF32 { .. } => {
             (Exact(&[COLUMN]), &[COLUMN], HostResolving)
         }
         PlanOp::SumF32 => (Exact(&[COLUMN]), &[ValueKind::Scalar], Streaming),
         PlanOp::Sync => (AnyDefined, &[], Boundary),
         PlanOp::Result => (Results, &[], Boundary),
-    }
+    };
+    (inputs, outputs.into(), class)
 }
 
 /// Result kinds of an operator, for kind-assigning raw-node appends
 /// (`PlanBuilder::push_node`).
-pub(crate) fn output_kinds(op: &PlanOp) -> &'static [ValueKind] {
+pub(crate) fn output_kinds(op: &PlanOp) -> Cow<'static, [ValueKind]> {
     signature(op).1
 }
 
@@ -372,14 +381,30 @@ pub fn verify(plan: &Plan) -> VerifyReport {
                     None
                 })
             }
-            InputSig::Select => matches!(node.inputs.len(), 1 | 2)
+            InputSig::Select(columns) => (node.inputs.len() == columns
+                || node.inputs.len() == columns + 1)
                 .then(|| vec![COLUMN; node.inputs.len()])
                 .or_else(|| {
                     diagnostics.push(PlanDiagnostic::InputArity {
                         node: index,
                         op,
                         found: node.inputs.len(),
-                        expected: "1 or 2",
+                        expected: if columns == 1 { "1 or 2" } else { "2 or 3" },
+                    });
+                    None
+                }),
+            InputSig::GroupThenValues(named) => (node.inputs.len() > named)
+                .then(|| {
+                    let mut kinds = vec![COLUMN; node.inputs.len()];
+                    kinds[0] = GROUP;
+                    kinds
+                })
+                .or_else(|| {
+                    diagnostics.push(PlanDiagnostic::InputArity {
+                        node: index,
+                        op,
+                        found: node.inputs.len(),
+                        expected: "a grouping plus every value column its aggregates name",
                     });
                     None
                 }),
@@ -521,7 +546,7 @@ fn flush_bound(plan: &Plan) -> FlushBound {
 pub(crate) fn admit_raw_node(
     node: &PlanNode,
     kinds: &HashMap<Var, ValueKind>,
-) -> Result<&'static [ValueKind], PlanError> {
+) -> Result<Cow<'static, [ValueKind]>, PlanError> {
     for var in &node.inputs {
         if !kinds.contains_key(var) {
             return Err(PlanError::UndefinedVar { var: *var });

@@ -17,7 +17,8 @@
 //! the paper's Ocelot does when a MonetDB operator consumes a selection
 //! result.
 
-use ocelot_storage::BatRef;
+pub use ocelot_core::ops::aggregate::GroupedAgg;
+use ocelot_storage::{BatRef, CmpOp};
 use ocelot_trace::{MetricsRegistry, TraceSink};
 use std::sync::Arc;
 
@@ -147,7 +148,28 @@ pub trait Backend {
         needle: i32,
         cands: Option<&Self::Column>,
     ) -> Self::Column;
-    /// Union of two sorted candidate lists (`IN (a, b)` style predicates).
+    /// Membership selection `col IN (values…)` over integers, in one pass
+    /// over the column (or the candidates) whatever the list's length.
+    fn select_in_i32(
+        &self,
+        col: &Self::Column,
+        values: &[i32],
+        cands: Option<&Self::Column>,
+    ) -> Self::Column;
+    /// Column-vs-column selection `left <op> right` over two aligned integer
+    /// columns, optionally restricted to candidates: one comparison pass, no
+    /// cast or difference intermediates (Ocelot: one kernel writing the
+    /// bitmap, after fetching both sides at the candidates when there are
+    /// any).
+    fn select_cmp_i32(
+        &self,
+        left: &Self::Column,
+        right: &Self::Column,
+        op: CmpOp,
+        cands: Option<&Self::Column>,
+    ) -> Self::Column;
+    /// Union of two sorted candidate lists (a genuine `OR` of predicates; a
+    /// host-side merge on Ocelot, so a sync point mid-plan).
     fn union_oids(&self, a: &Self::Column, b: &Self::Column) -> Self::Column;
 
     // ---- projection / fetch join ----
@@ -203,37 +225,28 @@ pub trait Backend {
 
     // ---- grouping ----
 
-    /// Multi-column group-by producing dense group ids.
+    /// Multi-column group-by producing dense group ids in first-appearance
+    /// order (Ocelot: by dense codes when the observed key ranges span few
+    /// enough key tuples, by one composite-key hash build otherwise —
+    /// `ocelot_core::ops::groupby`; the choice is invisible in the result).
     fn group_by(&self, keys: &[&Self::Column]) -> GroupHandle<Self::Column>;
 
     // ---- grouped aggregation (float results, the engine's 4-byte model) ----
 
-    /// Per-group sums.
-    fn grouped_sum_f32(
+    /// Every aggregate of one grouping at once: one result column per entry
+    /// of `funcs`, in order, each `groups.num_groups` long. A [`GroupedAgg`]
+    /// names the value column it reads by its position in `values`, so
+    /// aggregates over the same column (`sum(x)`, `avg(x)`) share it. Ocelot
+    /// runs the whole set as one accumulation launch plus one fold launch —
+    /// group ids read once, each distinct value column once, one counter for
+    /// `count` and every `avg` (`ocelot_core::ops::aggregate`); the Monet
+    /// baselines evaluate aggregate by aggregate.
+    fn grouped_aggs(
         &self,
-        values: &Self::Column,
         groups: &GroupHandle<Self::Column>,
-    ) -> Self::Column;
-    /// Per-group counts (as floats).
-    fn grouped_count(&self, groups: &GroupHandle<Self::Column>) -> Self::Column;
-    /// Per-group minima.
-    fn grouped_min_f32(
-        &self,
-        values: &Self::Column,
-        groups: &GroupHandle<Self::Column>,
-    ) -> Self::Column;
-    /// Per-group maxima.
-    fn grouped_max_f32(
-        &self,
-        values: &Self::Column,
-        groups: &GroupHandle<Self::Column>,
-    ) -> Self::Column;
-    /// Per-group averages.
-    fn grouped_avg_f32(
-        &self,
-        values: &Self::Column,
-        groups: &GroupHandle<Self::Column>,
-    ) -> Self::Column;
+        values: &[&Self::Column],
+        funcs: &[GroupedAgg],
+    ) -> Vec<Self::Column>;
 
     // ---- ungrouped aggregation ----
 

@@ -1,11 +1,11 @@
 //! The "MP" configuration: parallel MonetDB-style execution (mitosis
 //! partitioning across all cores), backed by `ocelot_monet::parallel`.
 
-use crate::backend::{Backend, GroupHandle};
+use crate::backend::{Backend, GroupHandle, GroupedAgg};
 use crate::backends::{HostColumn, HostView};
 use ocelot_monet::parallel as par;
 use ocelot_monet::sequential as seq;
-use ocelot_storage::BatRef;
+use ocelot_storage::{BatRef, CmpOp};
 use parking_lot::Mutex;
 use std::sync::Arc;
 use std::time::Instant;
@@ -144,6 +144,38 @@ impl Backend for MonetParBackend {
         HostColumn::Oid(Arc::new(seq::select_ne_i32_cand(col.as_i32(), cands, needle)))
     }
 
+    fn select_in_i32(
+        &self,
+        col: &HostColumn,
+        values: &[i32],
+        cands: Option<&HostColumn>,
+    ) -> HostColumn {
+        let oids = match cands {
+            None => par::par_select_in_i32(col.as_i32(), values, self.threads),
+            Some(cands) => {
+                par::par_select_in_i32_cand(col.as_i32(), cands.as_oids(), values, self.threads)
+            }
+        };
+        HostColumn::Oid(Arc::new(oids))
+    }
+
+    fn select_cmp_i32(
+        &self,
+        left: &HostColumn,
+        right: &HostColumn,
+        op: CmpOp,
+        cands: Option<&HostColumn>,
+    ) -> HostColumn {
+        let (left, right) = (left.as_i32(), right.as_i32());
+        let oids = match cands {
+            None => par::par_select_cmp_i32(left, right, op, self.threads),
+            Some(cands) => {
+                par::par_select_cmp_i32_cand(left, right, cands.as_oids(), op, self.threads)
+            }
+        };
+        HostColumn::Oid(Arc::new(oids))
+    }
+
     fn union_oids(&self, a: &HostColumn, b: &HostColumn) -> HostColumn {
         HostColumn::Oid(Arc::new(seq::union_oids(a.as_oids(), b.as_oids())))
     }
@@ -269,41 +301,36 @@ impl Backend for MonetParBackend {
         }
     }
 
-    fn grouped_sum_f32(&self, values: &HostColumn, groups: &GroupHandle<HostColumn>) -> HostColumn {
-        HostColumn::F32(Arc::new(par::par_grouped_sum_f32(
-            values.as_f32(),
-            groups.gids.as_oids(),
-            groups.num_groups,
-            self.threads,
-        )))
-    }
-    fn grouped_count(&self, groups: &GroupHandle<HostColumn>) -> HostColumn {
-        let counts = par::par_grouped_count(groups.gids.as_oids(), groups.num_groups, self.threads);
-        HostColumn::F32(Arc::new(counts.into_iter().map(|c| c as f32).collect()))
-    }
-    fn grouped_min_f32(&self, values: &HostColumn, groups: &GroupHandle<HostColumn>) -> HostColumn {
-        HostColumn::F32(Arc::new(par::par_grouped_min_f32(
-            values.as_f32(),
-            groups.gids.as_oids(),
-            groups.num_groups,
-            self.threads,
-        )))
-    }
-    fn grouped_max_f32(&self, values: &HostColumn, groups: &GroupHandle<HostColumn>) -> HostColumn {
-        HostColumn::F32(Arc::new(par::par_grouped_max_f32(
-            values.as_f32(),
-            groups.gids.as_oids(),
-            groups.num_groups,
-            self.threads,
-        )))
-    }
-    fn grouped_avg_f32(&self, values: &HostColumn, groups: &GroupHandle<HostColumn>) -> HostColumn {
-        HostColumn::F32(Arc::new(par::par_grouped_avg_f32(
-            values.as_f32(),
-            groups.gids.as_oids(),
-            groups.num_groups,
-            self.threads,
-        )))
+    fn grouped_aggs(
+        &self,
+        groups: &GroupHandle<HostColumn>,
+        values: &[&HostColumn],
+        funcs: &[GroupedAgg],
+    ) -> Vec<HostColumn> {
+        let (gids, num_groups, threads) = (groups.gids.as_oids(), groups.num_groups, self.threads);
+        let value = |column: usize| values[column].as_f32();
+        funcs
+            .iter()
+            .map(|func| match *func {
+                GroupedAgg::Sum(column) => {
+                    par::par_grouped_sum_f32(value(column), gids, num_groups, threads)
+                }
+                GroupedAgg::Min(column) => {
+                    par::par_grouped_min_f32(value(column), gids, num_groups, threads)
+                }
+                GroupedAgg::Max(column) => {
+                    par::par_grouped_max_f32(value(column), gids, num_groups, threads)
+                }
+                GroupedAgg::Avg(column) => {
+                    par::par_grouped_avg_f32(value(column), gids, num_groups, threads)
+                }
+                GroupedAgg::Count => par::par_grouped_count(gids, num_groups, threads)
+                    .into_iter()
+                    .map(|c| c as f32)
+                    .collect(),
+            })
+            .map(|column| HostColumn::F32(Arc::new(column)))
+            .collect()
     }
 
     fn sum_f32(&self, values: &HostColumn) -> f32 {
@@ -382,6 +409,7 @@ mod tests {
         let par_backend = MonetParBackend::with_threads(3);
         let keys: Vec<i32> = (0..3_000).map(|i| i % 13).collect();
         let values: Vec<f32> = (0..3_000).map(|i| (i % 7) as f32).collect();
+        let sum = [GroupedAgg::Sum(0)];
 
         let kseq = seq_backend.lift_i32(keys.clone());
         let vseq = seq_backend.lift_f32(values.clone());
@@ -389,7 +417,7 @@ mod tests {
         let mut seq_pairs: Vec<(i32, f32)> = seq_backend
             .to_i32(&seq_backend.fetch(&kseq, &gseq.representatives))
             .into_iter()
-            .zip(seq_backend.to_f32(&seq_backend.grouped_sum_f32(&vseq, &gseq)))
+            .zip(seq_backend.to_f32(&seq_backend.grouped_aggs(&gseq, &[&vseq], &sum)[0]))
             .collect();
 
         let kpar = par_backend.lift_i32(keys);
@@ -398,7 +426,7 @@ mod tests {
         let mut par_pairs: Vec<(i32, f32)> = par_backend
             .to_i32(&par_backend.fetch(&kpar, &gpar.representatives))
             .into_iter()
-            .zip(par_backend.to_f32(&par_backend.grouped_sum_f32(&vpar, &gpar)))
+            .zip(par_backend.to_f32(&par_backend.grouped_aggs(&gpar, &[&vpar], &sum)[0]))
             .collect();
 
         seq_pairs.sort_by_key(|(k, _)| *k);

@@ -1,10 +1,10 @@
 //! The "MS" configuration: sequential MonetDB-style execution on a single
 //! CPU core, backed by the hand-tuned operators in `ocelot-monet`.
 
-use crate::backend::{Backend, GroupHandle};
+use crate::backend::{Backend, GroupHandle, GroupedAgg};
 use crate::backends::{HostColumn, HostView};
 use ocelot_monet::sequential as seq;
-use ocelot_storage::BatRef;
+use ocelot_storage::{BatRef, CmpOp};
 use parking_lot::Mutex;
 use std::sync::Arc;
 use std::time::Instant;
@@ -116,6 +116,34 @@ impl Backend for MonetSeqBackend {
         HostColumn::Oid(Arc::new(oids))
     }
 
+    fn select_in_i32(
+        &self,
+        col: &HostColumn,
+        values: &[i32],
+        cands: Option<&HostColumn>,
+    ) -> HostColumn {
+        let oids = match cands {
+            None => seq::select_in_i32(col.as_i32(), values),
+            Some(cands) => seq::select_in_i32_cand(col.as_i32(), cands.as_oids(), values),
+        };
+        HostColumn::Oid(Arc::new(oids))
+    }
+
+    fn select_cmp_i32(
+        &self,
+        left: &HostColumn,
+        right: &HostColumn,
+        op: CmpOp,
+        cands: Option<&HostColumn>,
+    ) -> HostColumn {
+        let (left, right) = (left.as_i32(), right.as_i32());
+        let oids = match cands {
+            None => seq::select_cmp_i32(left, right, op),
+            Some(cands) => seq::select_cmp_i32_cand(left, right, cands.as_oids(), op),
+        };
+        HostColumn::Oid(Arc::new(oids))
+    }
+
     fn union_oids(&self, a: &HostColumn, b: &HostColumn) -> HostColumn {
         HostColumn::Oid(Arc::new(seq::union_oids(a.as_oids(), b.as_oids())))
     }
@@ -206,37 +234,27 @@ impl Backend for MonetSeqBackend {
         }
     }
 
-    fn grouped_sum_f32(&self, values: &HostColumn, groups: &GroupHandle<HostColumn>) -> HostColumn {
-        HostColumn::F32(Arc::new(seq::grouped_sum_f32(
-            values.as_f32(),
-            groups.gids.as_oids(),
-            groups.num_groups,
-        )))
-    }
-    fn grouped_count(&self, groups: &GroupHandle<HostColumn>) -> HostColumn {
-        let counts = seq::grouped_count(groups.gids.as_oids(), groups.num_groups);
-        HostColumn::F32(Arc::new(counts.into_iter().map(|c| c as f32).collect()))
-    }
-    fn grouped_min_f32(&self, values: &HostColumn, groups: &GroupHandle<HostColumn>) -> HostColumn {
-        HostColumn::F32(Arc::new(seq::grouped_min_f32(
-            values.as_f32(),
-            groups.gids.as_oids(),
-            groups.num_groups,
-        )))
-    }
-    fn grouped_max_f32(&self, values: &HostColumn, groups: &GroupHandle<HostColumn>) -> HostColumn {
-        HostColumn::F32(Arc::new(seq::grouped_max_f32(
-            values.as_f32(),
-            groups.gids.as_oids(),
-            groups.num_groups,
-        )))
-    }
-    fn grouped_avg_f32(&self, values: &HostColumn, groups: &GroupHandle<HostColumn>) -> HostColumn {
-        HostColumn::F32(Arc::new(seq::grouped_avg_f32(
-            values.as_f32(),
-            groups.gids.as_oids(),
-            groups.num_groups,
-        )))
+    fn grouped_aggs(
+        &self,
+        groups: &GroupHandle<HostColumn>,
+        values: &[&HostColumn],
+        funcs: &[GroupedAgg],
+    ) -> Vec<HostColumn> {
+        let (gids, num_groups) = (groups.gids.as_oids(), groups.num_groups);
+        let value = |column: usize| values[column].as_f32();
+        funcs
+            .iter()
+            .map(|func| match *func {
+                GroupedAgg::Sum(column) => seq::grouped_sum_f32(value(column), gids, num_groups),
+                GroupedAgg::Min(column) => seq::grouped_min_f32(value(column), gids, num_groups),
+                GroupedAgg::Max(column) => seq::grouped_max_f32(value(column), gids, num_groups),
+                GroupedAgg::Avg(column) => seq::grouped_avg_f32(value(column), gids, num_groups),
+                GroupedAgg::Count => {
+                    seq::grouped_count(gids, num_groups).into_iter().map(|c| c as f32).collect()
+                }
+            })
+            .map(|column| HostColumn::F32(Arc::new(column)))
+            .collect()
     }
 
     fn sum_f32(&self, values: &HostColumn) -> f32 {
@@ -295,7 +313,8 @@ mod tests {
         let c_sel = backend.fetch(&c, &sel);
         let groups = backend.group_by(&[&c_sel]);
         assert_eq!(groups.num_groups, 2);
-        let sums = backend.to_f32(&backend.grouped_sum_f32(&b_sel, &groups));
+        let sums =
+            backend.to_f32(&backend.grouped_aggs(&groups, &[&b_sel], &[GroupedAgg::Sum(0)])[0]);
         let keys = backend.to_i32(&backend.fetch(&c_sel, &groups.representatives));
         let mut pairs: Vec<(i32, f32)> = keys.into_iter().zip(sums).collect();
         pairs.sort_by_key(|(k, _)| *k);

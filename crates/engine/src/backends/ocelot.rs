@@ -10,7 +10,7 @@
 //! the eager scalar aggregates) are the single sync boundary, so a chained
 //! query pipeline performs exactly one queue flush — at the read.
 
-use crate::backend::{Backend, GroupHandle, ProfileMarker};
+use crate::backend::{Backend, GroupHandle, GroupedAgg, ProfileMarker};
 use ocelot_core::ops::{
     aggregate, calc, groupby, hash_table::OcelotHashTable, join, project, select, sort_radix,
 };
@@ -20,7 +20,7 @@ use ocelot_core::{
     Oid, PartitionedJoinConfig, SharedDevice, SpillStats, TransientFault,
 };
 use ocelot_kernel::{DeviceKind, GpuConfig, KernelError};
-use ocelot_storage::BatRef;
+use ocelot_storage::{BatRef, CmpOp};
 use ocelot_trace::{MetricsRegistry, TraceSink};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -193,38 +193,36 @@ impl OcelotBackend {
         }
     }
 
-    /// Selection helper: evaluates a predicate bitmap over either the full
-    /// column or the candidate subset, returning an OID candidate list whose
-    /// length stays on the device — candidate chains never synchronise.
+    /// Selection helper: evaluates a predicate bitmap over the full columns
+    /// or, with candidates, over the columns' values at the candidates —
+    /// returning an OID candidate list whose length stays on the device:
+    /// candidate chains never synchronise. `pred` sees the columns in `cols`
+    /// order.
     fn select_with<F>(
         &self,
-        col: &OcelotColumn,
+        cols: &[&OcelotColumn],
         cands: Option<&OcelotColumn>,
         pred: F,
     ) -> OcelotColumn
     where
-        F: Fn(&OcelotContext, &OcelotColumn) -> ocelot_kernel::Result<Bitmap>,
+        F: Fn(&OcelotContext, &[&OcelotColumn]) -> ocelot_kernel::Result<Bitmap>,
     {
-        match cands {
-            None => {
-                let bitmap = pred(&self.ctx, col).unwrap_or_else(|e| raise("selection failed", e));
-                let oids = select::materialize_bitmap(&self.ctx, &bitmap)
-                    .unwrap_or_else(|e| raise("materialize failed", e));
-                OcelotColumn::Oid(oids)
-            }
-            Some(cands) => {
-                // Evaluate the predicate on the candidate rows' values, then
-                // map the qualifying positions back to the original OIDs.
-                let values = self.fetch(col, cands);
-                let bitmap =
-                    pred(&self.ctx, &values).unwrap_or_else(|e| raise("selection failed", e));
-                let positions = select::materialize_bitmap(&self.ctx, &bitmap)
-                    .unwrap_or_else(|e| raise("materialize failed", e));
-                let oids = gather::gather(&self.ctx, &cands.as_oid(), &positions)
-                    .unwrap_or_else(|e| raise("candidate remap failed", e));
-                OcelotColumn::Oid(oids)
-            }
-        }
+        let Some(cands) = cands else {
+            let bitmap = pred(&self.ctx, cols).unwrap_or_else(|e| raise("selection failed", e));
+            let oids = select::materialize_bitmap(&self.ctx, &bitmap)
+                .unwrap_or_else(|e| raise("materialize failed", e));
+            return OcelotColumn::Oid(oids);
+        };
+        // Evaluate the predicate on the candidate rows' values, then map the
+        // qualifying positions back to the original OIDs.
+        let values: Vec<OcelotColumn> = cols.iter().map(|col| self.fetch(col, cands)).collect();
+        let values: Vec<&OcelotColumn> = values.iter().collect();
+        let bitmap = pred(&self.ctx, &values).unwrap_or_else(|e| raise("selection failed", e));
+        let positions = select::materialize_bitmap(&self.ctx, &bitmap)
+            .unwrap_or_else(|e| raise("materialize failed", e));
+        let oids = gather::gather(&self.ctx, &cands.as_oid(), &positions)
+            .unwrap_or_else(|e| raise("candidate remap failed", e));
+        OcelotColumn::Oid(oids)
     }
 }
 
@@ -280,8 +278,8 @@ impl Backend for OcelotBackend {
         high: i32,
         cands: Option<&OcelotColumn>,
     ) -> OcelotColumn {
-        self.select_with(col, cands, |ctx, values| {
-            select::select_range_i32(ctx, &values.as_i32(), low, high)
+        self.select_with(&[col], cands, |ctx, values| {
+            select::select_range_i32(ctx, &values[0].as_i32(), low, high)
         })
     }
     fn select_range_f32(
@@ -291,8 +289,8 @@ impl Backend for OcelotBackend {
         high: f32,
         cands: Option<&OcelotColumn>,
     ) -> OcelotColumn {
-        self.select_with(col, cands, |ctx, values| {
-            select::select_range_f32(ctx, &values.as_f32(), low, high)
+        self.select_with(&[col], cands, |ctx, values| {
+            select::select_range_f32(ctx, &values[0].as_f32(), low, high)
         })
     }
     fn select_eq_i32(
@@ -301,8 +299,8 @@ impl Backend for OcelotBackend {
         needle: i32,
         cands: Option<&OcelotColumn>,
     ) -> OcelotColumn {
-        self.select_with(col, cands, |ctx, values| {
-            select::select_eq_i32(ctx, &values.as_i32(), needle)
+        self.select_with(&[col], cands, |ctx, values| {
+            select::select_eq_i32(ctx, &values[0].as_i32(), needle)
         })
     }
     fn select_ne_i32(
@@ -311,8 +309,29 @@ impl Backend for OcelotBackend {
         needle: i32,
         cands: Option<&OcelotColumn>,
     ) -> OcelotColumn {
-        self.select_with(col, cands, |ctx, values| {
-            select::select_ne_i32(ctx, &values.as_i32(), needle)
+        self.select_with(&[col], cands, |ctx, values| {
+            select::select_ne_i32(ctx, &values[0].as_i32(), needle)
+        })
+    }
+    fn select_in_i32(
+        &self,
+        col: &OcelotColumn,
+        values: &[i32],
+        cands: Option<&OcelotColumn>,
+    ) -> OcelotColumn {
+        self.select_with(&[col], cands, |ctx, fetched| {
+            select::select_in_i32(ctx, &fetched[0].as_i32(), values)
+        })
+    }
+    fn select_cmp_i32(
+        &self,
+        left: &OcelotColumn,
+        right: &OcelotColumn,
+        op: CmpOp,
+        cands: Option<&OcelotColumn>,
+    ) -> OcelotColumn {
+        self.select_with(&[left, right], cands, |ctx, sides| {
+            select::select_cmp_i32(ctx, &sides[0].as_i32(), &sides[1].as_i32(), op)
         })
     }
 
@@ -454,71 +473,25 @@ impl Backend for OcelotBackend {
         }
     }
 
-    fn grouped_sum_f32(
+    fn grouped_aggs(
         &self,
-        values: &OcelotColumn,
         groups: &GroupHandle<OcelotColumn>,
-    ) -> OcelotColumn {
-        OcelotColumn::F32(
-            aggregate::grouped_sum_f32(
-                &self.ctx,
-                &values.as_f32(),
-                &groups.gids.as_oid(),
-                groups.num_groups,
-            )
-            .unwrap_or_else(|e| raise("grouped sum failed", e)),
+        values: &[&OcelotColumn],
+        funcs: &[GroupedAgg],
+    ) -> Vec<OcelotColumn> {
+        let columns: Vec<DevColumn<f32>> = values.iter().map(|column| column.as_f32()).collect();
+        let columns: Vec<&DevColumn<f32>> = columns.iter().collect();
+        aggregate::grouped_aggs(
+            &self.ctx,
+            &columns,
+            &groups.gids.as_oid(),
+            groups.num_groups,
+            funcs,
         )
-    }
-    fn grouped_count(&self, groups: &GroupHandle<OcelotColumn>) -> OcelotColumn {
-        OcelotColumn::F32(
-            aggregate::grouped_count(&self.ctx, &groups.gids.as_oid(), groups.num_groups)
-                .unwrap_or_else(|e| raise("grouped count failed", e)),
-        )
-    }
-    fn grouped_min_f32(
-        &self,
-        values: &OcelotColumn,
-        groups: &GroupHandle<OcelotColumn>,
-    ) -> OcelotColumn {
-        OcelotColumn::F32(
-            aggregate::grouped_min_f32(
-                &self.ctx,
-                &values.as_f32(),
-                &groups.gids.as_oid(),
-                groups.num_groups,
-            )
-            .unwrap_or_else(|e| raise("grouped min failed", e)),
-        )
-    }
-    fn grouped_max_f32(
-        &self,
-        values: &OcelotColumn,
-        groups: &GroupHandle<OcelotColumn>,
-    ) -> OcelotColumn {
-        OcelotColumn::F32(
-            aggregate::grouped_max_f32(
-                &self.ctx,
-                &values.as_f32(),
-                &groups.gids.as_oid(),
-                groups.num_groups,
-            )
-            .unwrap_or_else(|e| raise("grouped max failed", e)),
-        )
-    }
-    fn grouped_avg_f32(
-        &self,
-        values: &OcelotColumn,
-        groups: &GroupHandle<OcelotColumn>,
-    ) -> OcelotColumn {
-        OcelotColumn::F32(
-            aggregate::grouped_avg_f32(
-                &self.ctx,
-                &values.as_f32(),
-                &groups.gids.as_oid(),
-                groups.num_groups,
-            )
-            .unwrap_or_else(|e| raise("grouped avg failed", e)),
-        )
+        .unwrap_or_else(|e| raise("grouped aggregation failed", e))
+        .into_iter()
+        .map(OcelotColumn::F32)
+        .collect()
     }
 
     fn sum_scalar_f32(&self, values: &OcelotColumn) -> OcelotColumn {
@@ -683,7 +656,8 @@ mod tests {
         let b_sel = backend.fetch(&b, &sel);
         let c_sel = backend.fetch(&c, &sel);
         let groups = backend.group_by(&[&c_sel]);
-        let sums = backend.to_f32(&backend.grouped_sum_f32(&b_sel, &groups));
+        let sums =
+            backend.to_f32(&backend.grouped_aggs(&groups, &[&b_sel], &[GroupedAgg::Sum(0)])[0]);
         let keys = backend.to_i32(&backend.fetch(&c_sel, &groups.representatives));
         let mut pairs: Vec<(i32, f32)> = keys.into_iter().zip(sums).collect();
         pairs.sort_by_key(|(k, _)| *k);

@@ -65,7 +65,7 @@ pub mod serve;
 pub mod session;
 
 pub use analyze::{verify, FlushBound, PlanDiagnostic, VerifyReport};
-pub use backend::{Backend, GroupHandle, ProfileMarker};
+pub use backend::{Backend, GroupHandle, GroupedAgg, ProfileMarker};
 pub use backends::{MonetParBackend, MonetSeqBackend, OcelotBackend};
 pub use ocelot_trace::{
     MetricsRegistry, NodeAction, SchedAction, TraceEvent, TraceEventKind, TraceSink,

@@ -55,11 +55,11 @@
 //! the protocol "one protocol, two triggers": PR 4's OOM restart is now
 //! just the reclaim-gated trigger of this loop.
 
-use crate::backend::{Backend, GroupHandle, ProfileMarker};
+use crate::backend::{Backend, GroupHandle, GroupedAgg, ProfileMarker};
 use crate::query::Query;
 use ocelot_core::{DeviceLostFault, DeviceOom, TransientFault};
 use ocelot_kernel::FaultSite;
-use ocelot_storage::Catalog;
+use ocelot_storage::{Catalog, CmpOp};
 use ocelot_trace::{MetricsRegistry, NodeAction, TraceEventKind, TraceHandle};
 use std::collections::HashMap;
 use std::fmt;
@@ -239,6 +239,18 @@ pub enum PlanOp {
         /// Value to exclude.
         needle: i32,
     },
+    /// Membership selection `col IN (values…)`. Inputs: `[col]` or
+    /// `[col, candidates]`.
+    SelectInI32 {
+        /// The values to match (sorted, distinct).
+        values: Vec<i32>,
+    },
+    /// Column-vs-column selection `left <op> right` over two aligned integer
+    /// columns. Inputs: `[left, right]` or `[left, right, candidates]`.
+    SelectCmpI32 {
+        /// The comparison.
+        op: CmpOp,
+    },
     /// Union of two sorted OID candidate lists. Inputs: `[a, b]`.
     UnionOids,
     /// Left fetch join `values[oid]`. Inputs: `[values, oids]`.
@@ -285,16 +297,13 @@ pub enum PlanOp {
     GroupBy,
     /// Representative row OIDs of a grouping. Inputs: `[group]`.
     GroupReps,
-    /// Per-group sums. Inputs: `[values, group]`.
-    GroupedSumF32,
-    /// Per-group minima. Inputs: `[values, group]`.
-    GroupedMinF32,
-    /// Per-group maxima. Inputs: `[values, group]`.
-    GroupedMaxF32,
-    /// Per-group averages. Inputs: `[values, group]`.
-    GroupedAvgF32,
-    /// Per-group counts (as floats). Inputs: `[group]`.
-    GroupedCount,
+    /// Every aggregate of one grouping in one node. Inputs: `[group,
+    /// values…]`; outputs: one column per aggregate, in order.
+    GroupedAggs {
+        /// The aggregates; each names its value column by position among
+        /// the node's value operands (`inputs[1..]`).
+        funcs: Vec<GroupedAgg>,
+    },
     /// Sort permutation of an integer column. Inputs: `[col]`.
     SortOrderI32 {
         /// Descending order when set.
@@ -323,6 +332,8 @@ impl PlanOp {
             PlanOp::SelectRangeF32 { .. } => "select_range_f32",
             PlanOp::SelectEqI32 { .. } => "select_eq_i32",
             PlanOp::SelectNeI32 { .. } => "select_ne_i32",
+            PlanOp::SelectInI32 { .. } => "select_in_i32",
+            PlanOp::SelectCmpI32 { .. } => "select_cmp_i32",
             PlanOp::UnionOids => "union_oids",
             PlanOp::Fetch => "fetch",
             PlanOp::MulF32 => "mul_f32",
@@ -339,11 +350,7 @@ impl PlanOp {
             PlanOp::AntiJoin => "anti_join",
             PlanOp::GroupBy => "group_by",
             PlanOp::GroupReps => "group_reps",
-            PlanOp::GroupedSumF32 => "grouped_sum_f32",
-            PlanOp::GroupedMinF32 => "grouped_min_f32",
-            PlanOp::GroupedMaxF32 => "grouped_max_f32",
-            PlanOp::GroupedAvgF32 => "grouped_avg_f32",
-            PlanOp::GroupedCount => "grouped_count",
+            PlanOp::GroupedAggs { .. } => "grouped_aggs",
             PlanOp::SortOrderI32 { .. } => "sort_order_i32",
             PlanOp::SortOrderF32 { .. } => "sort_order_f32",
             PlanOp::SumF32 => "sum_f32",
@@ -365,6 +372,12 @@ impl fmt::Display for PlanOp {
             }
             PlanOp::SelectEqI32 { needle } => write!(f, "select_eq_i32 {needle}"),
             PlanOp::SelectNeI32 { needle } => write!(f, "select_ne_i32 {needle}"),
+            PlanOp::SelectInI32 { values } => write!(f, "select_in_i32 {values:?}"),
+            PlanOp::SelectCmpI32 { op } => write!(f, "select_cmp_i32 {}", op.symbol()),
+            PlanOp::GroupedAggs { funcs } => {
+                write!(f, "grouped_aggs")?;
+                funcs.iter().try_for_each(|func| write!(f, " {func}"))
+            }
             PlanOp::ConstMinusF32 { constant } => write!(f, "const_minus_f32 {constant:?}"),
             PlanOp::ConstPlusF32 { constant } => write!(f, "const_plus_f32 {constant:?}"),
             PlanOp::MulConstF32 { constant } => write!(f, "mul_const_f32 {constant:?}"),
@@ -576,7 +589,9 @@ impl Plan {
                     + hash_table(input_bytes(1) / 2, input_bytes(0) / 2)
             }
             PlanOp::GroupBy => {
-                // Grouping hashes every input row.
+                // A hash grouping hashes every input row. (Dense-code
+                // grouping needs a few KB instead, but which one runs is
+                // only known from the data.)
                 hash_table(input_bytes(0), input_bytes(0))
             }
             _ => 0,
@@ -743,6 +758,35 @@ impl PlanBuilder {
         self.select(PlanOp::SelectNeI32 { needle }, input, cands)
     }
 
+    /// Membership selection `input IN (values…)`, optionally over a
+    /// candidate list. The node keeps the values sorted and distinct.
+    pub fn select_in_i32(
+        &mut self,
+        input: Var,
+        values: &[i32],
+        cands: Option<Var>,
+    ) -> Result<Var, PlanError> {
+        let mut values = values.to_vec();
+        values.sort_unstable();
+        values.dedup();
+        self.select(PlanOp::SelectInI32 { values }, input, cands)
+    }
+
+    /// Column-vs-column selection `left <op> right` over two aligned integer
+    /// columns, optionally over a candidate list.
+    pub fn select_cmp_i32(
+        &mut self,
+        left: Var,
+        right: Var,
+        op: CmpOp,
+        cands: Option<Var>,
+    ) -> Result<Var, PlanError> {
+        let mut inputs = vec![left, right];
+        inputs.extend(cands);
+        self.columns(&inputs)?;
+        Ok(self.push(PlanOp::SelectCmpI32 { op }, inputs, ValueKind::Column))
+    }
+
     /// Union of two sorted OID candidate lists.
     pub fn union_oids(&mut self, a: Var, b: Var) -> Result<Var, PlanError> {
         self.columns(&[a, b])?;
@@ -863,36 +907,69 @@ impl PlanBuilder {
         Ok(self.push(PlanOp::GroupReps, vec![group], ValueKind::Column))
     }
 
-    fn grouped(&mut self, op: PlanOp, values: Var, group: Var) -> Result<Var, PlanError> {
-        self.expect(values, ValueKind::Column)?;
+    /// Every aggregate in `aggs` over one grouping, as **one** node: returns
+    /// one result register per aggregate, in order. Here each
+    /// [`GroupedAgg`] names its value *register*; the node lists every
+    /// distinct one once (`inputs[1..]`) and its aggregates refer to them by
+    /// position, so `sum(x)` and `avg(x)` share the operand.
+    pub fn grouped_aggs(&mut self, group: Var, aggs: &[GroupedAgg]) -> Result<Vec<Var>, PlanError> {
         self.expect(group, ValueKind::Group)?;
-        Ok(self.push(op, vec![values, group], ValueKind::Column))
+        let mut inputs = vec![group];
+        let mut funcs = Vec::with_capacity(aggs.len());
+        for agg in aggs {
+            let mut operand = |values: Var| -> Result<usize, PlanError> {
+                self.expect(values, ValueKind::Column)?;
+                let found = inputs[1..].iter().position(|input| *input == values);
+                Ok(found.unwrap_or_else(|| {
+                    inputs.push(values);
+                    inputs.len() - 2
+                }))
+            };
+            funcs.push(match *agg {
+                GroupedAgg::Sum(values) => GroupedAgg::Sum(operand(values)?),
+                GroupedAgg::Min(values) => GroupedAgg::Min(operand(values)?),
+                GroupedAgg::Max(values) => GroupedAgg::Max(operand(values)?),
+                GroupedAgg::Avg(values) => GroupedAgg::Avg(operand(values)?),
+                GroupedAgg::Count => GroupedAgg::Count,
+            });
+        }
+        let outputs: Vec<Var> = aggs.iter().map(|_| self.fresh(ValueKind::Column)).collect();
+        self.nodes.push(PlanNode {
+            op: PlanOp::GroupedAggs { funcs },
+            inputs,
+            outputs: outputs.clone(),
+        });
+        Ok(outputs)
+    }
+
+    /// [`PlanBuilder::grouped_aggs`] with one aggregate.
+    fn grouped_agg(&mut self, group: Var, agg: GroupedAgg) -> Result<Var, PlanError> {
+        Ok(self.grouped_aggs(group, &[agg])?[0])
     }
 
     /// Per-group sums.
     pub fn grouped_sum_f32(&mut self, values: Var, group: Var) -> Result<Var, PlanError> {
-        self.grouped(PlanOp::GroupedSumF32, values, group)
+        self.grouped_agg(group, GroupedAgg::Sum(values))
     }
 
     /// Per-group minima.
     pub fn grouped_min_f32(&mut self, values: Var, group: Var) -> Result<Var, PlanError> {
-        self.grouped(PlanOp::GroupedMinF32, values, group)
+        self.grouped_agg(group, GroupedAgg::Min(values))
     }
 
     /// Per-group maxima.
     pub fn grouped_max_f32(&mut self, values: Var, group: Var) -> Result<Var, PlanError> {
-        self.grouped(PlanOp::GroupedMaxF32, values, group)
+        self.grouped_agg(group, GroupedAgg::Max(values))
     }
 
     /// Per-group averages.
     pub fn grouped_avg_f32(&mut self, values: Var, group: Var) -> Result<Var, PlanError> {
-        self.grouped(PlanOp::GroupedAvgF32, values, group)
+        self.grouped_agg(group, GroupedAgg::Avg(values))
     }
 
     /// Per-group counts (as floats).
     pub fn grouped_count(&mut self, group: Var) -> Result<Var, PlanError> {
-        self.expect(group, ValueKind::Group)?;
-        Ok(self.push(PlanOp::GroupedCount, vec![group], ValueKind::Column))
+        self.grouped_agg(group, GroupedAgg::Count)
     }
 
     /// Sort permutation of an integer column.
@@ -1383,8 +1460,10 @@ impl<'a, B: Backend> PlanRun<'a, B> {
         }
     }
 
-    fn cands(&self, node: &PlanNode) -> Result<Option<B::Column>, PlanError> {
-        match node.inputs.get(1) {
+    /// The candidate list of a selection node: the operand after its
+    /// `columns` column operand(s), when present.
+    fn cands(&self, node: &PlanNode, columns: usize) -> Result<Option<B::Column>, PlanError> {
+        match node.inputs.get(columns) {
             Some(var) => Ok(Some(self.column(*var)?.0)),
             None => Ok(None),
         }
@@ -1649,26 +1728,39 @@ impl<'a, B: Backend> PlanRun<'a, B> {
             }
             PlanOp::SelectRangeI32 { low, high } => {
                 let (col, _) = self.column(node.inputs[0])?;
-                let cands = self.cands(node)?;
+                let cands = self.cands(node, 1)?;
                 let out = b.select_range_i32(&col, *low, *high, cands.as_ref());
                 set(self, Slot::Column(out, ColKind::Oid));
             }
             PlanOp::SelectRangeF32 { low, high } => {
                 let (col, _) = self.column(node.inputs[0])?;
-                let cands = self.cands(node)?;
+                let cands = self.cands(node, 1)?;
                 let out = b.select_range_f32(&col, *low, *high, cands.as_ref());
                 set(self, Slot::Column(out, ColKind::Oid));
             }
             PlanOp::SelectEqI32 { needle } => {
                 let (col, _) = self.column(node.inputs[0])?;
-                let cands = self.cands(node)?;
+                let cands = self.cands(node, 1)?;
                 let out = b.select_eq_i32(&col, *needle, cands.as_ref());
                 set(self, Slot::Column(out, ColKind::Oid));
             }
             PlanOp::SelectNeI32 { needle } => {
                 let (col, _) = self.column(node.inputs[0])?;
-                let cands = self.cands(node)?;
+                let cands = self.cands(node, 1)?;
                 let out = b.select_ne_i32(&col, *needle, cands.as_ref());
+                set(self, Slot::Column(out, ColKind::Oid));
+            }
+            PlanOp::SelectInI32 { values } => {
+                let (col, _) = self.column(node.inputs[0])?;
+                let cands = self.cands(node, 1)?;
+                let out = b.select_in_i32(&col, values, cands.as_ref());
+                set(self, Slot::Column(out, ColKind::Oid));
+            }
+            PlanOp::SelectCmpI32 { op } => {
+                let (left, _) = self.column(node.inputs[0])?;
+                let (right, _) = self.column(node.inputs[1])?;
+                let cands = self.cands(node, 2)?;
+                let out = b.select_cmp_i32(&left, &right, *op, cands.as_ref());
                 set(self, Slot::Column(out, ColKind::Oid));
             }
             PlanOp::UnionOids => {
@@ -1748,25 +1840,16 @@ impl<'a, B: Backend> PlanRun<'a, B> {
                 let reps = self.group(node.inputs[0])?.representatives.clone();
                 set(self, Slot::Column(reps, ColKind::Oid));
             }
-            PlanOp::GroupedSumF32
-            | PlanOp::GroupedMinF32
-            | PlanOp::GroupedMaxF32
-            | PlanOp::GroupedAvgF32 => {
-                let (values, _) = self.column(node.inputs[0])?;
-                let group = self.group(node.inputs[1])?;
-                let out = match node.op {
-                    PlanOp::GroupedSumF32 => b.grouped_sum_f32(&values, group),
-                    PlanOp::GroupedMinF32 => b.grouped_min_f32(&values, group),
-                    PlanOp::GroupedMaxF32 => b.grouped_max_f32(&values, group),
-                    _ => b.grouped_avg_f32(&values, group),
-                };
-                let out_slot = Slot::Column(out, ColKind::F32);
-                self.registers.insert(node.outputs[0], out_slot);
-            }
-            PlanOp::GroupedCount => {
-                let group = self.group(node.inputs[0])?;
-                let out = Slot::Column(b.grouped_count(group), ColKind::F32);
-                self.registers.insert(node.outputs[0], out);
+            PlanOp::GroupedAggs { funcs } => {
+                let values: Vec<B::Column> = node.inputs[1..]
+                    .iter()
+                    .map(|var| self.column(*var).map(|(c, _)| c))
+                    .collect::<Result<_, _>>()?;
+                let refs: Vec<&B::Column> = values.iter().collect();
+                let columns = b.grouped_aggs(self.group(node.inputs[0])?, &refs, funcs);
+                for (out, column) in node.outputs.iter().zip(columns) {
+                    self.registers.insert(*out, Slot::Column(column, ColKind::F32));
+                }
             }
             PlanOp::SortOrderI32 { descending } => {
                 let (col, _) = self.column(node.inputs[0])?;
@@ -2130,6 +2213,23 @@ mod tests {
         ) -> Self::Column {
             self.inner.select_ne_i32(c, n, cands)
         }
+        fn select_in_i32(
+            &self,
+            c: &Self::Column,
+            v: &[i32],
+            cands: Option<&Self::Column>,
+        ) -> Self::Column {
+            self.inner.select_in_i32(c, v, cands)
+        }
+        fn select_cmp_i32(
+            &self,
+            l: &Self::Column,
+            r: &Self::Column,
+            op: CmpOp,
+            cands: Option<&Self::Column>,
+        ) -> Self::Column {
+            self.inner.select_cmp_i32(l, r, op, cands)
+        }
         fn union_oids(&self, a: &Self::Column, b: &Self::Column) -> Self::Column {
             self.inner.union_oids(a, b)
         }
@@ -2172,20 +2272,13 @@ mod tests {
         fn group_by(&self, keys: &[&Self::Column]) -> GroupHandle<Self::Column> {
             self.inner.group_by(keys)
         }
-        fn grouped_sum_f32(&self, v: &Self::Column, g: &GroupHandle<Self::Column>) -> Self::Column {
-            self.inner.grouped_sum_f32(v, g)
-        }
-        fn grouped_count(&self, g: &GroupHandle<Self::Column>) -> Self::Column {
-            self.inner.grouped_count(g)
-        }
-        fn grouped_min_f32(&self, v: &Self::Column, g: &GroupHandle<Self::Column>) -> Self::Column {
-            self.inner.grouped_min_f32(v, g)
-        }
-        fn grouped_max_f32(&self, v: &Self::Column, g: &GroupHandle<Self::Column>) -> Self::Column {
-            self.inner.grouped_max_f32(v, g)
-        }
-        fn grouped_avg_f32(&self, v: &Self::Column, g: &GroupHandle<Self::Column>) -> Self::Column {
-            self.inner.grouped_avg_f32(v, g)
+        fn grouped_aggs(
+            &self,
+            g: &GroupHandle<Self::Column>,
+            v: &[&Self::Column],
+            f: &[GroupedAgg],
+        ) -> Vec<Self::Column> {
+            self.inner.grouped_aggs(g, v, f)
         }
         fn sum_f32(&self, v: &Self::Column) -> f32 {
             self.inner.sum_f32(v)

@@ -4,9 +4,9 @@
 //! nothing in it names a physical operator. The lowering pass decides how
 //! an expression executes: a comparison against a literal becomes a
 //! range/equality **selection** (with candidate-list chaining), a
-//! column-vs-column comparison becomes a cast + subtraction + positivity
-//! selection, `IN` becomes a union of equality selections, and arithmetic
-//! becomes the backend's element-wise map kernels.
+//! column-vs-column comparison and an `IN` list each become one selection
+//! of their own kind, and arithmetic becomes the backend's element-wise map
+//! kernels.
 //!
 //! Expressions are built with [`col`], [`lit`]/[`litf`] and the fluent
 //! comparison/boolean methods, plus the std `+ - *` operators:
@@ -24,36 +24,7 @@
 
 use std::fmt;
 
-/// A comparison operator in a predicate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CmpOp {
-    /// `<`
-    Lt,
-    /// `<=`
-    Le,
-    /// `>`
-    Gt,
-    /// `>=`
-    Ge,
-    /// `=`
-    Eq,
-    /// `<>`
-    Ne,
-}
-
-impl CmpOp {
-    /// SQL-ish rendering.
-    pub fn symbol(&self) -> &'static str {
-        match self {
-            CmpOp::Lt => "<",
-            CmpOp::Le => "<=",
-            CmpOp::Gt => ">",
-            CmpOp::Ge => ">=",
-            CmpOp::Eq => "=",
-            CmpOp::Ne => "<>",
-        }
-    }
-}
+pub use ocelot_storage::CmpOp;
 
 /// A logical scalar expression over named columns (see module docs).
 #[derive(Debug, Clone, PartialEq)]

@@ -2,11 +2,12 @@
 //! physical [`PlanBuilder`].
 //!
 //! The lowerer owns every physical decision (module docs in
-//! [`super`]): selection operator choice with candidate-list chaining,
-//! column-vs-column comparisons as cast + delta + band selection, `IN`/`OR`
-//! as unions of selections, the hash-join build side, which join sides get
-//! position lists at all, and the materialisation order around groupings
-//! and sorts. Each decision appends a note rendered by
+//! [`super`]): selection operator choice with candidate-list chaining
+//! (column-vs-column comparisons and `IN` lists are single selections;
+//! only a genuine `OR` unions candidate lists), the hash-join build side,
+//! which join sides get position lists at all, one fused aggregate node per
+//! grouping, and the materialisation order around groupings and sorts. Each
+//! decision appends a note rendered by
 //! [`super::Query::explain`].
 //!
 //! Internally a lowered relation ([`Rel`]) tracks, per source table, an OID
@@ -22,8 +23,9 @@
 
 use super::rewrite::{available_columns, classify, column_stats, selectivity, Atom, ColTy, Pred};
 use super::{AggFunc, AggSpec, JoinKind, Logical, QueryBuildError, RewriteConfig};
+use crate::backend::GroupedAgg;
 use crate::plan::{Plan, PlanBuilder, Var};
-use crate::query::expr::{CmpOp, Expr};
+use crate::query::expr::Expr;
 use ocelot_storage::Catalog;
 use std::collections::{HashMap, HashSet};
 
@@ -485,7 +487,7 @@ impl<'a> Lower<'a> {
                 Some(prev) => {
                     let unioned = self.p.union_oids(prev, selected)?;
                     self.notes.push(format!(
-                        "OR/IN union: combined candidate lists for `{}`",
+                        "OR union: combined candidate lists for `{}`",
                         atom.describe()
                     ));
                     unioned
@@ -495,8 +497,7 @@ impl<'a> Lower<'a> {
         result.ok_or_else(|| QueryBuildError::Unsupported("empty predicate".to_string()))
     }
 
-    /// One atom as one (or, for `IN`/`<>` deltas, a few unioned)
-    /// selection(s).
+    /// One atom as one selection.
     fn select_atom(
         &mut self,
         rel: &mut Rel,
@@ -534,59 +535,12 @@ impl<'a> Lower<'a> {
             }
             Atom::InI32 { col, values } => {
                 let v = col_var(self, rel, col)?;
-                let mut result: Option<Var> = None;
-                for value in values {
-                    let selected = self.p.select_eq_i32(v, *value, cands)?;
-                    result = Some(match result {
-                        None => selected,
-                        Some(prev) => self.p.union_oids(prev, selected)?,
-                    });
-                }
-                self.notes
-                    .push(format!("IN on {col}: {} equality selections unioned", values.len()));
-                result
-                    .ok_or_else(|| QueryBuildError::Unsupported(format!("empty IN list on {col}")))
+                Ok(self.p.select_in_i32(v, values, cands)?)
             }
             Atom::ColCmp { op, left, right } => {
-                // left ⋈ right over integer columns: cast both sides,
-                // subtract, and band-select the delta. Day-number deltas
-                // (and anything < 2^24) are exact in f32.
                 let lv = col_var(self, rel, left)?;
                 let rv = col_var(self, rel, right)?;
-                let lf = self.p.cast_i32_f32(lv)?;
-                let rf = self.p.cast_i32_f32(rv)?;
-                self.notes.push(format!(
-                    "column comparison {left} {} {right}: cast + delta + band selection",
-                    op.symbol()
-                ));
-                match op {
-                    CmpOp::Lt => {
-                        let delta = self.p.sub_f32(rf, lf)?;
-                        Ok(self.p.select_range_f32(delta, 0.5, f32::MAX, cands)?)
-                    }
-                    CmpOp::Le => {
-                        let delta = self.p.sub_f32(rf, lf)?;
-                        Ok(self.p.select_range_f32(delta, -0.5, f32::MAX, cands)?)
-                    }
-                    CmpOp::Gt => {
-                        let delta = self.p.sub_f32(lf, rf)?;
-                        Ok(self.p.select_range_f32(delta, 0.5, f32::MAX, cands)?)
-                    }
-                    CmpOp::Ge => {
-                        let delta = self.p.sub_f32(lf, rf)?;
-                        Ok(self.p.select_range_f32(delta, -0.5, f32::MAX, cands)?)
-                    }
-                    CmpOp::Eq => {
-                        let delta = self.p.sub_f32(lf, rf)?;
-                        Ok(self.p.select_range_f32(delta, -0.25, 0.25, cands)?)
-                    }
-                    CmpOp::Ne => {
-                        let delta = self.p.sub_f32(lf, rf)?;
-                        let below = self.p.select_range_f32(delta, f32::MIN, -0.5, cands)?;
-                        let above = self.p.select_range_f32(delta, 0.5, f32::MAX, cands)?;
-                        Ok(self.p.union_oids(below, above)?)
-                    }
-                }
+                Ok(self.p.select_cmp_i32(lv, rv, *op, cands)?)
             }
         }
     }
@@ -878,7 +832,8 @@ impl<'a> Lower<'a> {
         let group = self.p.group_by(&key_vars)?;
         let reps = self.p.group_reps(group)?;
         self.notes.push(format!(
-            "group by [{}]: hash grouping, keys carried by representative fetches",
+            "group by [{}]: one grouping (dense codes or a hash build, chosen at run time from \
+             the key ranges), keys carried by representative fetches",
             keys.join(", ")
         ));
 
@@ -895,34 +850,57 @@ impl<'a> Lower<'a> {
             out.cols
                 .insert(key.clone(), RelCol { var: fetched, ty: ColTy::I32, refetchable: false });
         }
+        // FIRSTs are representative fetches; everything else is one fused
+        // aggregate node whose results come back in `fused` order.
+        let mut fused: Vec<(GroupedAgg, &AggSpec)> = Vec::new();
+        // One float view per input column, so `sum(x)` and `avg(x)` over an
+        // integer `x` share one cast and one operand.
+        let mut float_inputs: HashMap<&str, Var> = HashMap::new();
         for agg in aggs {
-            let (var, ty) = match agg.func {
-                AggFunc::Count => (self.p.grouped_count(group)?, ColTy::F32),
+            let input = |what: &str| {
+                agg.input.as_deref().ok_or_else(|| {
+                    QueryBuildError::Unsupported(format!("{what} without an input column"))
+                })
+            };
+            let func = match agg.func {
+                AggFunc::Count => GroupedAgg::Count,
                 AggFunc::First => {
-                    let name = agg.input.as_deref().ok_or_else(|| {
-                        QueryBuildError::Unsupported("FIRST without an input column".to_string())
-                    })?;
-                    let (value, ty) = self.materialize(&mut rel, name)?;
-                    (self.p.fetch(value, reps)?, ty)
+                    let (value, ty) = self.materialize(&mut rel, input("FIRST")?)?;
+                    let var = self.p.fetch(value, reps)?;
+                    out.cols.insert(agg.output.clone(), RelCol { var, ty, refetchable: false });
+                    continue;
                 }
                 AggFunc::Sum | AggFunc::Avg | AggFunc::Min | AggFunc::Max => {
-                    let name = agg.input.as_deref().ok_or_else(|| {
-                        QueryBuildError::Unsupported(format!(
-                            "{}(…) without an input column",
-                            agg.func.name()
-                        ))
-                    })?;
-                    let values = self.materialize_f32(&mut rel, name)?;
-                    let var = match agg.func {
-                        AggFunc::Sum => self.p.grouped_sum_f32(values, group)?,
-                        AggFunc::Avg => self.p.grouped_avg_f32(values, group)?,
-                        AggFunc::Min => self.p.grouped_min_f32(values, group)?,
-                        _ => self.p.grouped_max_f32(values, group)?,
+                    let name = input(&format!("{}(…)", agg.func.name()))?;
+                    let values = match float_inputs.get(name) {
+                        Some(values) => *values,
+                        None => {
+                            let values = self.materialize_f32(&mut rel, name)?;
+                            float_inputs.insert(name, values);
+                            values
+                        }
                     };
-                    (var, ColTy::F32)
+                    match agg.func {
+                        AggFunc::Sum => GroupedAgg::Sum(values),
+                        AggFunc::Avg => GroupedAgg::Avg(values),
+                        AggFunc::Min => GroupedAgg::Min(values),
+                        _ => GroupedAgg::Max(values),
+                    }
                 }
             };
-            out.cols.insert(agg.output.clone(), RelCol { var, ty, refetchable: false });
+            fused.push((func, agg));
+        }
+        if !fused.is_empty() {
+            let funcs: Vec<GroupedAgg> = fused.iter().map(|(func, _)| *func).collect();
+            let vars = self.p.grouped_aggs(group, &funcs)?;
+            self.notes.push(format!(
+                "aggregates [{}]: one fused grouped_aggs node",
+                fused.iter().map(|(_, agg)| agg.output.as_str()).collect::<Vec<_>>().join(", ")
+            ));
+            for ((_, agg), var) in fused.iter().zip(vars) {
+                out.cols
+                    .insert(agg.output.clone(), RelCol { var, ty: ColTy::F32, refetchable: false });
+            }
         }
         Ok(out)
     }

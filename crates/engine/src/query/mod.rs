@@ -29,14 +29,13 @@
 //! The logical tree says **what**: relations, predicates, computed columns,
 //! groupings. The lowerer owns every **how** decision:
 //!
-//! * which *selection operator* evaluates a predicate — range vs equality
-//!   vs inequality select, `IN`/`OR` as a union of selections
-//!   (bitmap-combine), all chained through candidate lists when the
-//!   relation is still a single base table, or as positional re-selections
-//!   over materialised columns after a join;
-//! * how a *column-vs-column* comparison runs — int→float casts, a
-//!   subtraction and a positivity/band selection (exact for day-number
-//!   deltas and any |value| < 2²⁴);
+//! * which *selection operator* evaluates a predicate — range, equality,
+//!   inequality, `IN`-list or column-vs-column select, one node each; only
+//!   a genuine `OR` unions candidate lists — all chained through candidate
+//!   lists when the relation is still a single base table, or as positional
+//!   re-selections over materialised columns after a join;
+//! * how a grouping's aggregates run — one fused `grouped_aggs` node per
+//!   `GROUP BY`, whatever the number of aggregates;
 //! * the *join build side* — the unique-key side builds the hash table;
 //!   when both keys are unique the smaller (estimated) side builds;
 //! * which *join sides survive* — position lists for tables no downstream

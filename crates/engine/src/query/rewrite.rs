@@ -133,10 +133,10 @@ pub(crate) enum Atom {
     EqI32 { col: String, value: i32 },
     /// `col <> value`.
     NeI32 { col: String, value: i32 },
-    /// `col IN (values…)` — lowered as a union of equality selections.
+    /// `col IN (values…)` — one membership selection.
     InI32 { col: String, values: Vec<i32> },
-    /// `left <op> right` over two integer columns — lowered as casts, a
-    /// subtraction and a band selection on the delta.
+    /// `left <op> right` over two integer columns — one two-input
+    /// selection.
     ColCmp { op: CmpOp, left: String, right: String },
 }
 

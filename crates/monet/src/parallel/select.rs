@@ -3,7 +3,7 @@
 
 use super::partition::run_partitions;
 use crate::sequential;
-use ocelot_storage::Oid;
+use ocelot_storage::{CmpOp, Oid};
 
 fn offset_and_concat(parts: Vec<Vec<Oid>>) -> Vec<Oid> {
     let total: usize = parts.iter().map(|p| p.len()).sum();
@@ -99,6 +99,62 @@ pub fn par_select_eq_i32_cand(
     offset_and_concat(parts)
 }
 
+/// Runs `select` over every partition's rows `start..end` of a column and
+/// shifts the partition-relative OIDs it returns back to row ids.
+fn select_partitions(
+    rows: usize,
+    threads: usize,
+    select: impl Fn(usize, usize) -> Vec<Oid> + Sync,
+) -> Vec<Oid> {
+    let parts = run_partitions(rows, threads, |start, end| {
+        let mut local = select(start, end);
+        local.iter_mut().for_each(|oid| *oid += start as Oid);
+        local
+    });
+    offset_and_concat(parts)
+}
+
+/// Parallel column-vs-column selection `left <op> right`.
+pub fn par_select_cmp_i32(left: &[i32], right: &[i32], op: CmpOp, threads: usize) -> Vec<Oid> {
+    select_partitions(left.len().min(right.len()), threads, |start, end| {
+        sequential::select_cmp_i32(&left[start..end], &right[start..end], op)
+    })
+}
+
+/// Parallel column-vs-column selection restricted to a candidate list.
+pub fn par_select_cmp_i32_cand(
+    left: &[i32],
+    right: &[i32],
+    candidates: &[Oid],
+    op: CmpOp,
+    threads: usize,
+) -> Vec<Oid> {
+    let parts = run_partitions(candidates.len(), threads, |start, end| {
+        sequential::select_cmp_i32_cand(left, right, &candidates[start..end], op)
+    });
+    offset_and_concat(parts)
+}
+
+/// Parallel membership selection `value IN (values…)`.
+pub fn par_select_in_i32(column: &[i32], values: &[i32], threads: usize) -> Vec<Oid> {
+    select_partitions(column.len(), threads, |start, end| {
+        sequential::select_in_i32(&column[start..end], values)
+    })
+}
+
+/// Parallel membership selection restricted to a candidate list.
+pub fn par_select_in_i32_cand(
+    column: &[i32],
+    candidates: &[Oid],
+    values: &[i32],
+    threads: usize,
+) -> Vec<Oid> {
+    let parts = run_partitions(candidates.len(), threads, |start, end| {
+        sequential::select_in_i32_cand(column, &candidates[start..end], values)
+    });
+    offset_and_concat(parts)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -152,6 +208,34 @@ mod tests {
             par_select_range_f32_cand(&reals, &cands, 100.0, 300.0, 4),
             sequential::select_range_f32_cand(&reals, &cands, 100.0, 300.0)
         );
+    }
+
+    #[test]
+    fn comparison_and_membership_match_sequential() {
+        let left = column(5_000);
+        let right: Vec<i32> = left.iter().rev().copied().collect();
+        let cands = sequential::select_range_i32(&left, 0, 500);
+        for threads in [1, 3, 4] {
+            for op in [CmpOp::Lt, CmpOp::Le, CmpOp::Gt, CmpOp::Ge, CmpOp::Eq, CmpOp::Ne] {
+                assert_eq!(
+                    par_select_cmp_i32(&left, &right, op, threads),
+                    sequential::select_cmp_i32(&left, &right, op)
+                );
+                assert_eq!(
+                    par_select_cmp_i32_cand(&left, &right, &cands, op, threads),
+                    sequential::select_cmp_i32_cand(&left, &right, &cands, op)
+                );
+            }
+            let values = [11, 48, 999, -5];
+            assert_eq!(
+                par_select_in_i32(&left, &values, threads),
+                sequential::select_in_i32(&left, &values)
+            );
+            assert_eq!(
+                par_select_in_i32_cand(&left, &cands, &values, threads),
+                sequential::select_in_i32_cand(&left, &cands, &values)
+            );
+        }
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Sequential selection: scan a column, return the OIDs of qualifying rows.
 
-use ocelot_storage::Oid;
+use ocelot_storage::{CmpOp, Oid};
 
 /// Inclusive range selection over an `i32` column: rows with
 /// `low <= value <= high`.
@@ -77,6 +77,50 @@ pub fn select_ne_i32_cand(column: &[i32], candidates: &[Oid], needle: i32) -> Ve
     let mut out = Vec::new();
     for &row in candidates {
         if column[row as usize] != needle {
+            out.push(row);
+        }
+    }
+    out
+}
+
+/// Column-vs-column selection: rows with `left[row] <op> right[row]`.
+pub fn select_cmp_i32(left: &[i32], right: &[i32], op: CmpOp) -> Vec<Oid> {
+    let mut out = Vec::new();
+    for (row, (l, r)) in left.iter().zip(right).enumerate() {
+        if op.holds(*l, *r) {
+            out.push(row as Oid);
+        }
+    }
+    out
+}
+
+/// Column-vs-column selection restricted to a candidate list.
+pub fn select_cmp_i32_cand(left: &[i32], right: &[i32], candidates: &[Oid], op: CmpOp) -> Vec<Oid> {
+    let mut out = Vec::new();
+    for &row in candidates {
+        if op.holds(left[row as usize], right[row as usize]) {
+            out.push(row);
+        }
+    }
+    out
+}
+
+/// Membership selection `value IN (values…)` over an `i32` column.
+pub fn select_in_i32(column: &[i32], values: &[i32]) -> Vec<Oid> {
+    let mut out = Vec::new();
+    for (row, value) in column.iter().enumerate() {
+        if values.contains(value) {
+            out.push(row as Oid);
+        }
+    }
+    out
+}
+
+/// Membership selection restricted to a candidate list.
+pub fn select_in_i32_cand(column: &[i32], candidates: &[Oid], values: &[i32]) -> Vec<Oid> {
+    let mut out = Vec::new();
+    for &row in candidates {
+        if values.contains(&column[row as usize]) {
             out.push(row);
         }
     }
@@ -163,6 +207,20 @@ mod tests {
         assert_eq!(select_ne_i32_cand(&col, &cands, 3), vec![0, 2]);
         let reals = vec![0.1, 0.2, 0.3, 0.4, 0.5, 0.6];
         assert_eq!(select_range_f32_cand(&reals, &cands, 0.25, 0.65), vec![2, 3, 5]);
+    }
+
+    #[test]
+    fn column_comparison_and_membership() {
+        let left = vec![5, 1, 9, 3, 7, 3];
+        let right = vec![5, 2, 8, 3, 9, -3];
+        let cands = vec![0, 2, 3, 5];
+        assert_eq!(select_cmp_i32(&left, &right, CmpOp::Lt), vec![1, 4]);
+        assert_eq!(select_cmp_i32(&left, &right, CmpOp::Ne), vec![1, 2, 4, 5]);
+        assert_eq!(select_cmp_i32_cand(&left, &right, &cands, CmpOp::Ge), vec![0, 2, 3, 5]);
+        assert_eq!(select_cmp_i32_cand(&left, &right, &cands, CmpOp::Eq), vec![0, 3]);
+        assert_eq!(select_in_i32(&left, &[3, 9, 4]), vec![2, 3, 5]);
+        assert_eq!(select_in_i32(&left, &[]), Vec::<Oid>::new());
+        assert_eq!(select_in_i32_cand(&left, &cands, &[3, 5]), vec![0, 3, 5]);
     }
 
     #[test]

@@ -33,4 +33,4 @@ pub use bat::{Bat, BatRef, BatSummary, ColumnData};
 pub use catalog::{Catalog, Table};
 pub use chunked::{ChunkData, ChunkSource, ChunkedColumn, ChunkedTable, RowGroup};
 pub use dictionary::StringDictionary;
-pub use types::{ColumnType, Oid, Value};
+pub use types::{CmpOp, ColumnType, Oid, Value};

@@ -30,7 +30,7 @@
 
 use ocelot_engine::plan::{Plan, PlanBuilder, PlanError, QueryValue};
 use ocelot_engine::query::{col, lit, param, AggSpec, ParamValue, Query, QueryBuildError};
-use ocelot_engine::{Backend, Session};
+use ocelot_engine::{Backend, GroupedAgg, Session};
 use ocelot_storage::types::date_to_days;
 use std::fmt;
 
@@ -325,14 +325,23 @@ pub fn q1_direct<B: Backend>(b: &B, db: &TpchDb) -> QueryResult {
     let charge = b.mul_f32(&disc_price, &one_plus_tax);
 
     let groups = b.group_by(&[&returnflag, &linestatus]);
-    let sum_qty = b.to_f32(&b.grouped_sum_f32(&quantity, &groups));
-    let sum_price = b.to_f32(&b.grouped_sum_f32(&price, &groups));
-    let sum_disc_price = b.to_f32(&b.grouped_sum_f32(&disc_price, &groups));
-    let sum_charge = b.to_f32(&b.grouped_sum_f32(&charge, &groups));
-    let avg_qty = b.to_f32(&b.grouped_avg_f32(&quantity, &groups));
-    let avg_price = b.to_f32(&b.grouped_avg_f32(&price, &groups));
-    let avg_disc = b.to_f32(&b.grouped_avg_f32(&discount, &groups));
-    let counts = b.to_f32(&b.grouped_count(&groups));
+    // Value columns by position: quantity, price, disc_price, charge, discount.
+    let values = [&quantity, &price, &disc_price, &charge, &discount];
+    let aggs = b.grouped_aggs(
+        &groups,
+        &values,
+        &[
+            GroupedAgg::Sum(0),
+            GroupedAgg::Sum(1),
+            GroupedAgg::Sum(2),
+            GroupedAgg::Sum(3),
+            GroupedAgg::Avg(0),
+            GroupedAgg::Avg(1),
+            GroupedAgg::Avg(4),
+            GroupedAgg::Count,
+        ],
+    );
+    let aggs: Vec<Vec<f32>> = aggs.iter().map(|column| b.to_f32(column)).collect();
 
     // The representatives carry the grouping key values.
     let rf_keys = b.to_i32(&b.fetch(&returnflag, &groups.representatives));
@@ -340,18 +349,9 @@ pub fn q1_direct<B: Backend>(b: &B, db: &TpchDb) -> QueryResult {
 
     let rows: Vec<Vec<f64>> = (0..groups.num_groups)
         .map(|g| {
-            vec![
-                rf_keys[g] as f64,
-                ls_keys[g] as f64,
-                sum_qty[g] as f64,
-                sum_price[g] as f64,
-                sum_disc_price[g] as f64,
-                sum_charge[g] as f64,
-                avg_qty[g] as f64,
-                avg_price[g] as f64,
-                avg_disc[g] as f64,
-                counts[g] as f64,
-            ]
+            let mut row = vec![rf_keys[g] as f64, ls_keys[g] as f64];
+            row.extend(aggs.iter().map(|column| column[g] as f64));
+            row
         })
         .collect();
     result_of(1, &Q1_COLUMNS, rows, 2)
@@ -498,7 +498,8 @@ pub fn q3_plan(db: &TpchDb) -> Result<Plan, PlanError> {
 
 /// Q4 through the query DSL: `EXISTS` as a semi join against the lagging
 /// lineitems; the `l_commitdate < l_receiptdate` column comparison lowers
-/// to the cast + delta + positivity selection.
+/// to one `select_cmp_i32` (the hand-built oracle below keeps the cast +
+/// delta + positivity form).
 pub fn q4_query(db: &TpchDb) -> Query {
     let _ = db; // Q4's literals are scale-independent.
     let lo = date_to_days(1993, 7, 1);

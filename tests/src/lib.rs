@@ -661,7 +661,7 @@ mod recovery {
         let plan = &plans()[1]; // Q3: enough device ops to draw real faults.
         let run = || {
             let shared = SharedDevice::cpu();
-            shared.device().install_fault_plan(FaultPlan::seeded(9, 0.05, 0.0));
+            shared.device().install_fault_plan(FaultPlan::seeded(7, 0.05, 0.0));
             let session = Session::ocelot(&shared);
             let values = session.run(plan, catalog).unwrap();
             (values, session.recovery_stats(), session.recovery_trace())
@@ -2057,6 +2057,9 @@ mod join_locality {
         }
     }
 }
+
+#[cfg(test)]
+mod grouped_aggregation;
 
 #[cfg(test)]
 mod steady_state {
