@@ -37,21 +37,47 @@
 //! order, and not the number of aggregates, so an aggregate's bits do not
 //! depend on what it was fused with.
 //!
+//! **Fused accumulation** ([`fused_aggs`]). The accumulation launch does not
+//! need its value columns to exist: it takes a [`RowSource`] — every row, the
+//! rows a candidate list names, or the rows a conjunction of predicates
+//! keeps — and one value *expression* per value column
+//! ([`super::rowexpr`]), and evaluates both on its way through the rows, a
+//! batch at a time: a 1024-row tile of rows or list entries, or — under a
+//! row filter, whose tile-local masks keep few rows each — the survivors of
+//! as many tiles as it takes to collect a tile's worth. The batch's
+//! base-column values are gathered — or, when a grouping's listed rows are
+//! at least every other row of the stretch they lie in, the stretch is read
+//! as it lies — the expressions go into tile-sized scratch, then the same
+//! accumulator pass as ever. Selection, fetch and arithmetic intermediates
+//! never reach device memory. [`grouped_aggs`] is the case where every
+//! expression is a column that already exists; an ungrouped sum is the
+//! one-group case, and there the pass is not row by row — one accumulator
+//! would wait for every addition before it — but column by column: each
+//! batch's value column is folded eight partials wide ([`Fold::reduce`])
+//! and joins the work-group's one record.
+//!
 //! **Equality rule.** Grouped results are bit-equal run to run on one
 //! backend and device configuration. Across backends, integers, counts and
 //! OIDs are exact; floats agree within relative `1e-4` (the Monet backends
-//! accumulate in `f64`, the devices in `f32` in the order above).
+//! accumulate in `f64`, the devices in `f32` in the order above). Work-groups
+//! partition *positions* — rows, or candidate-list entries — so a float sum
+//! computed over a row filter inside the launch and the same sum over the
+//! filter's materialised result group their additions differently: each
+//! reproducible — work-groups and batches are cut by row counts and by the
+//! data, never by timing — within the rule of each other, not bit-equal.
 //!
 //! Counts are accumulated in `u32` and converted to the engine's four-byte
 //! float representation once, at the fold: exact up to 2^24 rows per group
 //! and correctly rounded beyond, never saturating.
 
+use super::rowexpr::{conjunction_mask, Map, Pred, Scratch, TILE};
 use crate::context::{DevColumn, DevScalar, LenSource, OcelotContext, Oid};
 use crate::primitives::reduce;
 use ocelot_kernel::{
     Buffer, BufferAccess, EventId, Kernel, KernelAccesses, KernelCost, LaunchConfig, Result,
     WorkGroupCtx,
 };
+use std::ops::Range;
 use std::sync::Arc;
 
 pub use crate::primitives::reduce::{max_f32, max_i32, min_f32, min_i32, sum_f32, sum_i32};
@@ -129,6 +155,35 @@ impl Fold {
             Fold::Sum => 0.0,
             Fold::Min => f32::INFINITY,
             Fold::Max => f32::NEG_INFINITY,
+        }
+    }
+
+    fn combine(self, a: f32, b: f32) -> f32 {
+        match self {
+            Fold::Sum => a + b,
+            Fold::Min => a.min(b),
+            Fold::Max => a.max(b),
+        }
+    }
+
+    /// Folds a whole column of float words into one value: position `i` into
+    /// partial `i mod 8`, the eight partials combined in order — eight
+    /// independent chains the compiler runs as vector lanes, where one
+    /// accumulator would wait for every addition before it.
+    fn reduce(self, values: &[u32]) -> f32 {
+        fn lanes(values: &[u32], identity: f32, combine: impl Fn(f32, f32) -> f32) -> f32 {
+            let mut partials = [identity; 8];
+            for chunk in values.chunks(8) {
+                for (partial, value) in partials.iter_mut().zip(chunk) {
+                    *partial = combine(*partial, f32::from_bits(*value));
+                }
+            }
+            partials.into_iter().fold(identity, combine)
+        }
+        match self {
+            Fold::Sum => lanes(values, 0.0, |a, b| a + b),
+            Fold::Min => lanes(values, f32::INFINITY, f32::min),
+            Fold::Max => lanes(values, f32::NEG_INFINITY, f32::max),
         }
     }
 }
@@ -233,74 +288,192 @@ impl<const N: usize> Pass<'_, N> {
         }
     }
 
-    /// Monomorphised per width and kind, so the per-row accumulator loop is
-    /// unrolled and the accumulators' dependency chains run side by side.
+    /// Folds one tile — position `i` takes row `row_of(i)` of every column
+    /// and belongs to group `gids[i]` — into `table`. Monomorphised per
+    /// width and kind, so the per-row accumulator loop is unrolled and the
+    /// accumulators' dependency chains run side by side.
     #[inline(always)]
     fn run(
         &self,
-        group: &WorkGroupCtx,
-        n: usize,
         table: &mut [u32],
         gids: &[u32],
+        row_of: impl Fn(usize) -> usize,
         combine: impl Fn(f32, f32) -> f32 + Copy,
     ) {
-        for item in group.items() {
-            let assigned = item.assigned();
-            match assigned.as_range() {
-                // A contiguous chunk: one slice per input, so the row loop
-                // carries one bounds check (the group id's) instead of one
-                // per column.
-                Some(rows) => {
-                    let rows = rows.start.min(n)..rows.end.min(n);
-                    let columns = self.columns.map(|column| &column[rows.clone()]);
-                    for (row, gid) in gids[rows].iter().enumerate() {
-                        self.fold_row(table, *gid, &columns, row, combine);
-                    }
-                }
-                None => {
-                    for row in assigned.filter(|row| *row < n) {
-                        self.fold_row(table, gids[row], &self.columns, row, combine);
-                    }
-                }
-            }
+        for (position, gid) in gids.iter().enumerate() {
+            self.fold_row(table, *gid, &self.columns, row_of(position), combine);
         }
     }
 }
 
+/// Where the rows of a fused aggregation come from.
+#[derive(Debug, Clone, Copy)]
+pub enum RowSource<'a> {
+    /// Every row of the column slots, in order; group ids align with them.
+    All,
+    /// The rows a candidate list names, in list order: the column slots are
+    /// read *through* the list, group ids align with its positions.
+    Candidates(&'a DevColumn<Oid>),
+    /// The rows on which every conjunct holds, evaluated in the accumulation
+    /// launch itself — no bitmap, no candidate list. Ungrouped only.
+    Where(&'a [Pred]),
+}
+
+/// [`RowSource`] as the kernel holds it.
+enum Rows {
+    All,
+    Candidates(Buffer),
+    Where(Vec<Pred>),
+}
+
+/// Per-work-group scratch of the accumulation kernel: one tile per gathered
+/// column slot and per computed value column, grown on first use.
+struct Tiles {
+    gathered: Vec<Vec<u32>>,
+    computed: Vec<Vec<u32>>,
+    scratch: Scratch,
+}
+
+/// The most positions one batch holds: the survivors of a row filter are
+/// collected until there is a tile's worth, so a batch ends less than one
+/// tile past that.
+const BATCH: usize = 2 * TILE;
+
+/// The longest stretch of a column a batch's listed rows may span and still
+/// be read as it lies: listed rows that are at least every other row of
+/// their stretch touch all its cache lines anyway, so the stretch is
+/// streamed whole and nothing is gathered.
+const REACH: usize = 2 * TILE;
+
 /// The accumulation kernel: every work-group folds its rows into its own
-/// table `partials[group_id × table_words ..][.. table_words]`.
-struct GroupedPartialsKernel {
-    /// The call's value columns (only those an accumulator names are read).
-    values: Vec<Buffer>,
-    gids: Buffer,
+/// table `partials[group_id × table_words ..][.. table_words]`, evaluating
+/// the row source and the value expressions batch by batch on the way — what
+/// they produce lives in [`Tiles`], never in device memory.
+struct FusedPartialsKernel {
+    /// The column slots predicates and value expressions read.
+    cols: Vec<Buffer>,
+    rows: Rows,
+    /// The aggregates' value columns, as expressions over the slots and the
+    /// value columns before them.
+    values: Vec<Map>,
+    /// The slots those expressions read.
+    value_slots: Vec<usize>,
+    /// Group id per position; `None` folds everything into group 0.
+    gids: Option<Buffer>,
     partials: Buffer,
     num_groups: usize,
     layout: Accumulators,
+    /// `layout.batches()`, computed once.
+    batches: Vec<(Fold, usize, usize)>,
+    /// Positions: rows, or candidate-list entries.
     n: LenSource,
 }
 
-impl GroupedPartialsKernel {
+impl FusedPartialsKernel {
     fn table_words(&self) -> usize {
         self.num_groups * self.layout.words()
+    }
+
+    /// Folds one batch into `table`: the rows `listed`, in list order — or,
+    /// with no list, the rows `span` — of groups `gids` (`None`: all of
+    /// group 0).
+    fn fold(
+        &self,
+        listed: Option<&[u32]>,
+        span: Range<usize>,
+        gids: Option<&[u32]>,
+        cols: &[&[u32]],
+        table: &mut [u32],
+        tiles: &mut Tiles,
+    ) {
+        let Tiles { gathered, computed, scratch } = tiles;
+        let rows = listed.map_or(span.len(), |list| list.len());
+        // The slots the values read: a stretch of each column as it lies —
+        // the span, or (`picks`) the stretch dense listed rows of a grouping
+        // lie in, each position picking its row — or the listed rows
+        // gathered. The stretch is the one between the first and the last
+        // listed row, if no row lies outside it (one unsigned comparison per
+        // row; a list whose last row is before its first has no such stretch).
+        let dense = listed.filter(|_| gids.is_some()).and_then(|list| {
+            let (low, reach) = (*list.first()?, list.last()?.wrapping_sub(*list.first()?));
+            let outside = |row: &u32| row.wrapping_sub(low) > reach;
+            let dense = (reach as usize) < REACH.min(2 * list.len())
+                && !list.iter().fold(false, |any, row| any | outside(row));
+            dense.then_some((low, reach as usize))
+        });
+        let stretch = match (listed, dense) {
+            (None, _) => Some(span),
+            (_, Some((low, reach))) => Some(low as usize..low as usize + reach + 1),
+            (Some(list), None) => {
+                for slot in &self.value_slots {
+                    let (tile, column) = (&mut gathered[*slot], cols[*slot]);
+                    tile.clear();
+                    tile.extend(list.iter().map(|&row| column[row as usize]));
+                }
+                None
+            }
+        };
+        let len = stretch.as_ref().map_or(rows, |stretch| stretch.len());
+        let mut operands: Vec<&[u32]> = vec![&[]; cols.len()];
+        for slot in &self.value_slots {
+            operands[*slot] = match &stretch {
+                Some(stretch) => &cols[*slot][stretch.clone()],
+                None => &gathered[*slot][..rows],
+            };
+        }
+        // The value columns, in order: each joins the operands, where a
+        // later one may read it.
+        for (value, tile) in self.values.iter().zip(computed.iter_mut()) {
+            operands.push(match value {
+                Map::Col(slot) => operands[*slot],
+                _ => {
+                    tile.resize(len, 0);
+                    value.eval(&operands, tile, scratch);
+                    tile
+                }
+            });
+        }
+        let values = &operands[cols.len()..];
+        let mut count_slot = self.layout.count_slot();
+        // One group: every accumulator takes its whole column, folded eight
+        // partials wide; the count takes the batch.
+        let Some(gids) = gids else {
+            for (word, (fold, value)) in table.iter_mut().zip(&self.layout.floats) {
+                *word = fold.combine(f32::from_bits(*word), fold.reduce(values[*value])).to_bits();
+            }
+            count_slot.into_iter().for_each(|slot| table[slot] += rows as u32);
+            return;
+        };
+        let picks = listed.zip(dense).map(|(list, (low, _))| (list, low));
+        // The count rides on the first pass; with no float accumulator at
+        // all it is a pass of its own.
+        for (fold, first_slot, width) in &self.batches {
+            self.pass(table, gids, picks, values, *fold, *first_slot, *width, count_slot.take());
+        }
+        if count_slot.is_some() {
+            self.pass(table, gids, picks, values, Fold::Sum, 0, 0, count_slot);
+        }
     }
 
     /// One pass of `width` float accumulators from `first_slot` on.
     #[allow(clippy::too_many_arguments)]
     fn pass(
         &self,
-        group: &WorkGroupCtx,
-        n: usize,
         table: &mut [u32],
+        gids: &[u32],
+        picks: Option<(&[u32], u32)>,
+        values: &[&[u32]],
         fold: Fold,
         first_slot: usize,
         width: usize,
         count_slot: Option<usize>,
     ) {
-        let gids = self.gids.as_words();
-        let columns: Vec<&[u32]> = self.layout.floats[first_slot..first_slot + width]
-            .iter()
-            .map(|(_, column)| self.values[*column].as_words())
-            .collect();
+        let mut columns: [&[u32]; MAX_BATCH] = [&[]; MAX_BATCH];
+        for (column, (_, value)) in
+            columns.iter_mut().zip(&self.layout.floats[first_slot..first_slot + width])
+        {
+            *column = values[*value];
+        }
         macro_rules! run {
             ($($width:literal)*) => {
                 match width {
@@ -308,13 +481,22 @@ impl GroupedPartialsKernel {
                         let pass = Pass::<$width> {
                             words: self.layout.words(),
                             first_slot,
-                            columns: columns.as_slice().try_into().expect("width matches"),
+                            columns: columns[..$width].try_into().expect("width matches"),
                             count_slot,
                         };
-                        match fold {
-                            Fold::Sum => pass.run(group, n, table, gids, |a, b| a + b),
-                            Fold::Min => pass.run(group, n, table, gids, f32::min),
-                            Fold::Max => pass.run(group, n, table, gids, f32::max),
+                        match (fold, picks) {
+                            (Fold::Sum, None) => pass.run(table, gids, |i| i, |a, b| a + b),
+                            (Fold::Min, None) => pass.run(table, gids, |i| i, f32::min),
+                            (Fold::Max, None) => pass.run(table, gids, |i| i, f32::max),
+                            (Fold::Sum, Some((list, low))) => {
+                                pass.run(table, gids, |i| (list[i] - low) as usize, |a, b| a + b)
+                            }
+                            (Fold::Min, Some((list, low))) => {
+                                pass.run(table, gids, |i| (list[i] - low) as usize, f32::min)
+                            }
+                            (Fold::Max, Some((list, low))) => {
+                                pass.run(table, gids, |i| (list[i] - low) as usize, f32::max)
+                            }
                         }
                     })*
                     _ => unreachable!("a batch is at most MAX_BATCH accumulators wide"),
@@ -325,7 +507,7 @@ impl GroupedPartialsKernel {
     }
 }
 
-impl Kernel for GroupedPartialsKernel {
+impl Kernel for FusedPartialsKernel {
     fn name(&self) -> &str {
         "grouped_partials"
     }
@@ -339,33 +521,78 @@ impl Kernel for GroupedPartialsKernel {
             self.layout.floats.iter().map(|(fold, _)| fold.identity().to_bits()).collect();
         record.extend(self.layout.count_slot().map(|_| 0));
         table.chunks_exact_mut(record.len()).for_each(|group| group.copy_from_slice(&record));
-        // The count rides on the first pass; with no float accumulator at
-        // all it is a pass of its own.
-        let mut count_slot = self.layout.count_slot();
-        for (fold, first_slot, width) in self.layout.batches() {
-            self.pass(group, n, table, fold, first_slot, width, count_slot.take());
-        }
-        if count_slot.is_some() {
-            self.pass(group, n, table, Fold::Sum, 0, 0, count_slot);
+        let cols: Vec<&[u32]> = self.cols.iter().map(|col| col.as_words()).collect();
+        let mut tiles = Tiles {
+            gathered: vec![Vec::new(); cols.len()],
+            computed: vec![Vec::new(); self.values.len()],
+            scratch: Scratch::new(),
+        };
+        // The group's items hold consecutive chunks of the positions: one
+        // stretch, walked in tiles (per-item walks would cut a short
+        // stretch into tiles a quarter the size, in the same order).
+        let mut chunks = group.items().map(|item| item.chunk_bounds(self.n.cap()));
+        let (start, first_end) = chunks.next().unwrap_or((0, 0));
+        let end = chunks.last().map_or(first_end, |(_, end)| end).min(n);
+        let spans = (start..end).step_by(TILE).map(|start| start..(start + TILE).min(end));
+        let gids = self.gids.as_ref().map(|gids| gids.as_words());
+        match &self.rows {
+            Rows::All => spans.for_each(|span| {
+                let gids = gids.map(|gids| &gids[span.clone()]);
+                self.fold(None, span, gids, &cols, table, &mut tiles)
+            }),
+            Rows::Candidates(list) => spans.for_each(|span| {
+                let (listed, gids) =
+                    (&list.as_words()[span.clone()], gids.map(|g| &g[span.clone()]));
+                self.fold(Some(listed), span, gids, &cols, table, &mut tiles)
+            }),
+            // The rows each tile's mask keeps are folded a tile's worth at a
+            // time, however many tiles it takes to find them.
+            Rows::Where(preds) => {
+                let (mut survivors, mut kept) = ([0u32; BATCH], 0);
+                for span in spans {
+                    let mut mask = [0u32; TILE / 32];
+                    conjunction_mask(preds, &cols, span.clone(), &mut mask);
+                    for (word, bits) in mask.iter().enumerate() {
+                        let mut bits = *bits;
+                        while bits != 0 {
+                            survivors[kept] =
+                                (span.start + word * 32) as u32 + bits.trailing_zeros();
+                            kept += 1;
+                            bits &= bits - 1;
+                        }
+                    }
+                    if kept >= TILE {
+                        self.fold(Some(&survivors[..kept]), span, None, &cols, table, &mut tiles);
+                        kept = 0;
+                    }
+                }
+                self.fold(Some(&survivors[..kept]), end..end, None, &cols, table, &mut tiles);
+            }
         }
     }
     fn cost(&self, launch: &LaunchConfig) -> KernelCost {
-        let streamed = (launch.n * (self.layout.columns().len() + 1)) as u64;
+        // Every source column — each is a slot — is charged once, however
+        // many conjuncts and expressions read it; so are the two lists.
+        let lists = usize::from(self.gids.is_some())
+            + usize::from(matches!(self.rows, Rows::Candidates(_)));
         KernelCost::new(
-            streamed * 4,
+            (launch.n * (self.cols.len() + lists)) as u64 * 4,
             (launch.num_groups * self.table_words()) as u64 * 4,
-            (launch.n * self.layout.words()) as u64,
+            (launch.n * (self.layout.words() + self.cols.len())) as u64,
             0,
         )
     }
     fn declared_accesses(&self, launch: &LaunchConfig) -> Option<KernelAccesses> {
-        let mut accesses = vec![
-            BufferAccess::slice_read(&self.gids, 0..launch.n),
-            BufferAccess::slice_write(&self.partials, 0..launch.num_groups * self.table_words()),
-        ];
-        for column in self.layout.columns() {
-            accesses.push(BufferAccess::slice_read(&self.values[column], 0..launch.n));
-        }
+        let mut accesses = vec![BufferAccess::slice_write(
+            &self.partials,
+            0..launch.num_groups * self.table_words(),
+        )];
+        let lists = self.gids.iter().chain(match &self.rows {
+            Rows::Candidates(list) => Some(list),
+            _ => None,
+        });
+        accesses.extend(lists.map(|list| BufferAccess::slice_read(list, 0..launch.n)));
+        accesses.extend(self.cols.iter().map(|col| BufferAccess::slice_read(col, 0..col.len())));
         Some(KernelAccesses::of(accesses))
     }
 }
@@ -436,30 +663,60 @@ impl Kernel for FoldPartialsKernel {
     }
 }
 
-/// Computes every aggregate in `funcs` over one grouping in a single
-/// accumulation launch and a single fold launch (module docs), returning one
-/// `num_groups`-long column per aggregate, in `funcs` order. Lazy: `gids`
-/// and the value columns may carry deferred lengths.
+/// Computes every aggregate in `funcs` in a single accumulation launch and a
+/// single fold launch (module docs), over rows and value columns that are
+/// *computed in that launch*: `rows` says which rows of the column slots
+/// `cols` take part, `values[i]` is the expression behind the value column
+/// the aggregates call `i` — over the slots and, as operand
+/// `cols.len() + j`, any value column `j < i` — and `gids` gives the group
+/// of every position
+/// (`None`: one group, `num_groups` 1 — the ungrouped sum). Returns one
+/// `num_groups`-long column per aggregate, in `funcs` order. Lazy: every
+/// input may carry a deferred length.
+///
+/// Work-groups partition *positions* — base rows for [`RowSource::All`] and
+/// [`RowSource::Where`], list entries for [`RowSource::Candidates`] — so a
+/// float sum over a selection adds in base-row blocks here and in
+/// candidate blocks when the selection was materialised first:
+/// reproducible either way, not bit-equal to each other.
 ///
 /// # Panics
-/// Panics if an aggregate names a value column `values` does not have, or
-/// if a value column it reads is shorter than the group-id column.
-pub fn grouped_aggs(
+/// Panics if an aggregate names a value `values` does not have, if a column
+/// cannot cover the positions, or if a [`RowSource::Where`] is grouped.
+pub fn fused_aggs(
     ctx: &OcelotContext,
-    values: &[&DevColumn<f32>],
-    gids: &DevColumn<Oid>,
+    cols: &[&DevColumn<Oid>],
+    rows: RowSource<'_>,
+    values: &[Map],
+    gids: Option<&DevColumn<Oid>>,
     num_groups: usize,
     funcs: &[GroupedAgg],
 ) -> Result<Vec<DevColumn<f32>>> {
     let layout = Accumulators::of(funcs);
     for column in layout.columns() {
         assert!(column < values.len(), "grouped aggregate: no value column {column}");
-        // Aligned inputs: when both lengths are host-known they must match;
-        // a deferred value column (e.g. a fetch over an uncounted selection)
-        // only needs to cover every row the gid column can address.
-        match (values[column].host_len(), gids.host_len()) {
+    }
+    let mut value_slots = Vec::new();
+    values.iter().for_each(|value| value.slots(&mut value_slots));
+    value_slots.retain(|slot| *slot < cols.len());
+    value_slots.sort_unstable();
+    value_slots.dedup();
+    // What counts the positions — the group ids when there are any: a
+    // grouping has resolved its length — and what has to cover them.
+    let (positions, aligned): (&DevColumn<Oid>, Vec<&DevColumn<Oid>>) = match (rows, gids) {
+        (RowSource::Where(_), Some(_)) => panic!("grouped aggregate: a row filter is ungrouped"),
+        (RowSource::Candidates(list), Some(gids)) => (gids, vec![list]),
+        (RowSource::Candidates(list), None) => (list, Vec::new()),
+        (RowSource::All, Some(gids)) => (gids, value_slots.iter().map(|s| cols[*s]).collect()),
+        (RowSource::All | RowSource::Where(_), None) => (cols[0], cols[1..].to_vec()),
+    };
+    for column in aligned {
+        // When both lengths are host-known they must match; a deferred
+        // column (e.g. a fetch over an uncounted selection) only needs to
+        // cover every position.
+        match (column.host_len(), positions.host_len()) {
             (Some(a), Some(b)) => assert_eq!(a, b, "grouped aggregate: length mismatch"),
-            _ => assert!(values[column].cap() >= gids.cap(), "grouped aggregate: length mismatch"),
+            _ => assert!(column.cap() >= positions.cap(), "grouped aggregate: length mismatch"),
         }
     }
     // The fold writes every group's word of every output.
@@ -473,25 +730,34 @@ pub fn grouped_aggs(
     if num_groups == 0 || funcs.is_empty() {
         return columns(outputs);
     }
-    let tables = partial_tables_for(gids.cap(), num_groups);
+    let tables = partial_tables_for(positions.cap(), num_groups);
     // Every work-group initialises its own table.
     let partials = ctx.alloc_uninit(tables * num_groups * layout.words(), "grouped_partials")?;
 
-    let mut wait: Vec<EventId> = ctx.wait_for(gids);
-    for column in layout.columns() {
-        wait.extend(ctx.wait_for(values[column]));
-    }
+    let candidates = match rows {
+        RowSource::Candidates(list) => Some(list),
+        _ => None,
+    };
+    let inputs: Vec<&DevColumn<Oid>> = cols.iter().copied().chain(candidates).chain(gids).collect();
     let partials_event = ctx.queue().enqueue_kernel(
-        Arc::new(GroupedPartialsKernel {
-            values: values.iter().map(|column| column.buffer.clone()).collect(),
-            gids: gids.buffer.clone(),
+        Arc::new(FusedPartialsKernel {
+            cols: cols.iter().map(|column| column.buffer.clone()).collect(),
+            rows: match rows {
+                RowSource::All => Rows::All,
+                RowSource::Candidates(list) => Rows::Candidates(list.buffer.clone()),
+                RowSource::Where(preds) => Rows::Where(preds.to_vec()),
+            },
+            values: values.to_vec(),
+            value_slots,
+            gids: gids.map(|gids| gids.buffer.clone()),
             partials: partials.clone(),
             num_groups,
+            batches: layout.batches(),
             layout: layout.clone(),
-            n: gids.len_source(),
+            n: positions.len_source(),
         }),
-        ctx.launch(gids.cap()).with_num_groups(tables),
-        &wait,
+        ctx.launch(positions.cap()).with_num_groups(tables),
+        &inputs.iter().flat_map(|column| ctx.wait_for(column)).collect::<Vec<EventId>>(),
     )?;
     let fold_event = ctx.queue().enqueue_kernel(
         Arc::new(FoldPartialsKernel {
@@ -504,14 +770,32 @@ pub fn grouped_aggs(
         ctx.launch(num_groups),
         &[partials_event],
     )?;
-    ctx.memory().record_consumer(&gids.buffer, partials_event);
-    for column in layout.columns() {
-        ctx.memory().record_consumer(&values[column].buffer, partials_event);
+    for column in inputs {
+        ctx.memory().record_consumer(&column.buffer, partials_event);
     }
     for output in &outputs {
         ctx.memory().record_producer(output, fold_event);
     }
     columns(outputs)
+}
+
+/// [`fused_aggs`] over value columns that already exist: every aggregate of
+/// one grouping, one `num_groups`-long column each, in `funcs` order.
+///
+/// # Panics
+/// Panics if an aggregate names a value column `values` does not have, or
+/// if a value column it reads is shorter than the group-id column.
+pub fn grouped_aggs(
+    ctx: &OcelotContext,
+    values: &[&DevColumn<f32>],
+    gids: &DevColumn<Oid>,
+    num_groups: usize,
+    funcs: &[GroupedAgg],
+) -> Result<Vec<DevColumn<f32>>> {
+    let cols: Vec<DevColumn<Oid>> = values.iter().map(|column| column.reinterpret()).collect();
+    let maps: Vec<Map> = (0..cols.len()).map(Map::Col).collect();
+    let cols: Vec<&DevColumn<Oid>> = cols.iter().collect();
+    fused_aggs(ctx, &cols, RowSource::All, &maps, Some(gids), num_groups, funcs)
 }
 
 /// [`grouped_aggs`] with one aggregate over (at most) one value column.
@@ -689,6 +973,52 @@ mod tests {
         let expected_avgs = monet::grouped_avg_f32(&values, &gids, 11);
         for (a, b) in avgs.iter().zip(expected_avgs.iter()) {
             assert!((a - b).abs() < 1e-2, "{a} vs {b}");
+        }
+    }
+
+    #[test]
+    fn fused_aggregates_read_through_any_candidate_list() {
+        // Ascending and dense (read as the stretch lies), descending, dense
+        // but shuffled, with repeats, sparse: the same sums and counts as
+        // the list gathered on the host, grouped and ungrouped.
+        let rows = 5_000usize;
+        let column: Vec<f32> = (0..rows).map(|i| ((i * 31) % 97) as f32 * 0.25).collect();
+        let dense: Vec<u32> = (100..3_100).filter(|row| row % 7 != 0).collect();
+        let lists: [Vec<u32>; 5] = [
+            dense.clone(),
+            dense.iter().rev().copied().collect(),
+            dense.chunks(2).flat_map(|pair| pair.iter().rev().copied()).collect(),
+            (0..2_000).map(|i| 40 + (i % 50)).collect(),
+            (0..rows as u32).step_by(37).collect(),
+        ];
+        for ctx in [OcelotContext::cpu_sequential(), OcelotContext::cpu(), OcelotContext::gpu()] {
+            let col = ctx.upload_f32(&column, "c").unwrap().reinterpret();
+            for list in &lists {
+                let gids: Vec<u32> = (0..list.len() as u32).map(|i| (i * 13) % 5).collect();
+                let picked: Vec<f32> = list.iter().map(|row| column[*row as usize]).collect();
+                let (oids, groups) =
+                    (ctx.upload_u32(list, "l").unwrap(), ctx.upload_u32(&gids, "g").unwrap());
+                let funcs = [GroupedAgg::Sum(0), GroupedAgg::Max(0), GroupedAgg::Count];
+                let run = |gids: Option<&DevColumn<Oid>>, groups: usize| -> Vec<Vec<f32>> {
+                    let source = RowSource::Candidates(&oids);
+                    fused_aggs(&ctx, &[&col], source, &[Map::Col(0)], gids, groups, &funcs)
+                        .unwrap()
+                        .iter()
+                        .map(|column| column.read(&ctx).unwrap())
+                        .collect()
+                };
+                let close = |a: f32, b: f32| (a - b).abs() <= 1e-4 * b.abs().max(1.0);
+                let grouped = run(Some(&groups), 5);
+                let sums = monet::grouped_sum_f32(&picked, &gids, 5);
+                assert!(grouped[0].iter().zip(&sums).all(|(a, b)| close(*a, *b)), "{grouped:?}");
+                assert_eq!(grouped[1], monet::grouped_max_f32(&picked, &gids, 5));
+                let counts = monet::grouped_count(&gids, 5);
+                assert!(grouped[2].iter().zip(&counts).all(|(a, b)| *a as i64 == *b));
+                let whole = run(None, 1);
+                assert!(close(whole[0][0], picked.iter().sum()), "{whole:?}");
+                assert_eq!(whole[1][0], picked.iter().copied().fold(f32::NEG_INFINITY, f32::max));
+                assert_eq!(whole[2][0], list.len() as f32);
+            }
         }
     }
 

@@ -1,149 +1,22 @@
 //! Element-wise arithmetic map operators — the hardware-oblivious analogue
 //! of MonetDB's `batcalc` module.
 //!
-//! TPC-H expressions like `l_extendedprice * (1 - l_discount)` become chains
-//! of these kernels. Every kernel is a trivial streaming map (the paper's
-//! Listing 1 is exactly this shape), so the default [`KernelCost`] applies.
+//! TPC-H expressions like `l_extendedprice * (1 - l_discount)` are trees of
+//! these maps. Each function here launches a *one-node* tree through the
+//! row-expression evaluator ([`super::rowexpr::map_columns`]; the paper's
+//! Listing 1 is exactly this shape — a trivial streaming map, so the default
+//! [`ocelot_kernel::KernelCost`] applies); a fused plan region evaluates the
+//! whole tree per tile instead and never materialises the inner nodes.
 //!
 //! Maps are fully lazy and length-polymorphic: when the inputs carry a
 //! deferred length (aligned gathers over an uncounted selection), the kernel
 //! resolves the actual count at flush time and the output inherits the same
 //! deferred length.
 
+use super::rowexpr::{map_columns, Map};
 use crate::context::{DevColumn, DevWord, LenSource, OcelotContext};
-use ocelot_kernel::{
-    Buffer, BufferAccess, Kernel, KernelAccesses, KernelCost, LaunchConfig, Result, WorkGroupCtx,
-};
-use ocelot_storage::types::days_to_date;
+use ocelot_kernel::{Buffer, Kernel, Result, WorkGroupCtx};
 use std::sync::Arc;
-
-/// The element-wise operation a [`MapKernel`] applies.
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum MapOp {
-    /// `out = a * b` (f32).
-    MulF32,
-    /// `out = a + b` (f32).
-    AddF32,
-    /// `out = a - b` (f32).
-    SubF32,
-    /// `out = c - a` (f32).
-    ConstMinusF32(f32),
-    /// `out = c + a` (f32).
-    ConstPlusF32(f32),
-    /// `out = a * c` (f32).
-    MulConstF32(f32),
-    /// `out = (f32) a` for an i32 column.
-    CastI32F32,
-    /// `out = year(a)` for a day-number date column.
-    ExtractYear,
-}
-
-struct MapKernel {
-    a: Buffer,
-    b: Option<Buffer>,
-    output: Buffer,
-    op: MapOp,
-    n: LenSource,
-}
-
-/// Binary float map over raw word slices: the op is monomorphised per chunk
-/// so the inner loop is a plain vectorisable stream.
-#[inline]
-fn map2_f32(out: &mut [u32], a: &[u32], b: &[u32], f: impl Fn(f32, f32) -> f32) {
-    for ((o, &x), &y) in out.iter_mut().zip(a).zip(b) {
-        *o = f(f32::from_bits(x), f32::from_bits(y)).to_bits();
-    }
-}
-
-/// Unary word map over raw word slices.
-#[inline]
-fn map1(out: &mut [u32], a: &[u32], f: impl Fn(u32) -> u32) {
-    for (o, &x) in out.iter_mut().zip(a) {
-        *o = f(x);
-    }
-}
-
-impl MapKernel {
-    /// Applies the op to one contiguous chunk through tier-2 slice views.
-    fn run_chunk(&self, out: &mut [u32], a: &[u32], b: Option<&[u32]>) {
-        let binary = || b.expect("binary op requires b");
-        match self.op {
-            MapOp::MulF32 => map2_f32(out, a, binary(), |x, y| x * y),
-            MapOp::AddF32 => map2_f32(out, a, binary(), |x, y| x + y),
-            MapOp::SubF32 => map2_f32(out, a, binary(), |x, y| x - y),
-            MapOp::ConstMinusF32(c) => map1(out, a, |w| (c - f32::from_bits(w)).to_bits()),
-            MapOp::ConstPlusF32(c) => map1(out, a, |w| (c + f32::from_bits(w)).to_bits()),
-            MapOp::MulConstF32(c) => map1(out, a, |w| (f32::from_bits(w) * c).to_bits()),
-            MapOp::CastI32F32 => map1(out, a, |w| ((w as i32) as f32).to_bits()),
-            MapOp::ExtractYear => map1(out, a, |w| {
-                let (year, _, _) = days_to_date(w as i32);
-                year as u32
-            }),
-        }
-    }
-}
-
-impl Kernel for MapKernel {
-    fn name(&self) -> &str {
-        match self.op {
-            MapOp::MulF32 => "calc_mul_f32",
-            MapOp::AddF32 => "calc_add_f32",
-            MapOp::SubF32 => "calc_sub_f32",
-            MapOp::ConstMinusF32(_) => "calc_const_minus_f32",
-            MapOp::ConstPlusF32(_) => "calc_const_plus_f32",
-            MapOp::MulConstF32(_) => "calc_mul_const_f32",
-            MapOp::CastI32F32 => "calc_cast_i32_f32",
-            MapOp::ExtractYear => "calc_extract_year",
-        }
-    }
-    fn run_group(&self, group: &mut WorkGroupCtx) {
-        // Deferred lengths resolve at flush time.
-        let n = self.n.get();
-        let a = self.a.as_words();
-        let b = self.b.as_ref().map(|b| b.as_words());
-        for item in group.items() {
-            let assigned = item.assigned();
-            if let Some(range) = assigned.as_range() {
-                let end = range.end.min(n);
-                let start = range.start.min(end);
-                if start >= end {
-                    continue;
-                }
-                // SAFETY: the contiguous pattern assigns `range` of the
-                // output exclusively to this item within this phase.
-                let out = unsafe { self.output.chunk_mut(start, end) };
-                self.run_chunk(out, &a[start..end], b.map(|b| &b[start..end]));
-            } else {
-                // Strided/coalesced pattern: apply per element through a
-                // one-word tier-2 chunk — the strided assignment gives each
-                // index to exactly one work-item, so the chunks are
-                // pairwise disjoint.
-                for idx in assigned {
-                    if idx >= n {
-                        continue;
-                    }
-                    // SAFETY: index `idx` is owned by this item alone
-                    // within this phase (disjoint one-word chunks).
-                    let out = unsafe { self.output.chunk_mut(idx, idx + 1) };
-                    self.run_chunk(out, &a[idx..idx + 1], b.map(|b| &b[idx..idx + 1]));
-                }
-            }
-        }
-    }
-    fn cost(&self, launch: &LaunchConfig) -> KernelCost {
-        KernelCost::streaming(launch.n)
-    }
-    fn declared_accesses(&self, _launch: &LaunchConfig) -> Option<KernelAccesses> {
-        let mut accesses = vec![
-            BufferAccess::slice_read(&self.a, 0..self.a.len()),
-            BufferAccess::slice_write(&self.output, 0..self.output.len()),
-        ];
-        if let Some(b) = &self.b {
-            accesses.push(BufferAccess::slice_read(b, 0..b.len()));
-        }
-        Some(KernelAccesses::of(accesses))
-    }
-}
 
 /// Writes `min(a, b)` of two (possibly device-resident) element counts into
 /// a one-word counter — the aligned length of a binary map whose inputs
@@ -203,47 +76,29 @@ fn aligned_len(
     }
 }
 
-fn run_map<A: DevWord, B: DevWord, O: DevWord>(
+/// `op(a, b)` over two aligned float columns.
+fn binary(
+    ctx: &OcelotContext,
+    a: &DevColumn<f32>,
+    b: &DevColumn<f32>,
+    op: fn(Box<Map>, Box<Map>) -> Map,
+) -> Result<DevColumn<f32>> {
+    assert_eq!(a.cap(), b.cap(), "calc: input length mismatch");
+    if let (Some(la), Some(lb)) = (a.host_len(), b.host_len()) {
+        assert_eq!(la, lb, "calc: input length mismatch");
+    }
+    let len = aligned_len(ctx, a.col_len(), b.col_len())?;
+    let map = op(Box::new(Map::Col(0)), Box::new(Map::Col(1)));
+    map_columns(ctx, &[&a.reinterpret(), &b.reinterpret()], &map, len)
+}
+
+/// `op(a)` over one column.
+fn unary<A: DevWord, O: DevWord>(
     ctx: &OcelotContext,
     a: &DevColumn<A>,
-    b: Option<&DevColumn<B>>,
-    op: MapOp,
+    op: impl FnOnce(Box<Map>) -> Map,
 ) -> Result<DevColumn<O>> {
-    if let Some(b) = b {
-        assert_eq!(a.cap(), b.cap(), "calc: input length mismatch");
-        if let (Some(la), Some(lb)) = (a.host_len(), b.host_len()) {
-            assert_eq!(la, lb, "calc: input length mismatch");
-        }
-    }
-    let len = match b {
-        Some(b) => aligned_len(ctx, a.col_len(), b.col_len())?,
-        None => a.col_len().clone(),
-    };
-    let output = ctx.alloc_uninit(a.cap().max(1), "calc_output")?;
-    if a.cap() == 0 {
-        return DevColumn::new(output, 0);
-    }
-    let mut wait = ctx.wait_for(a);
-    if let Some(b) = b {
-        wait.extend(ctx.wait_for(b));
-    }
-    let event = ctx.queue().enqueue_kernel(
-        Arc::new(MapKernel {
-            a: a.buffer.clone(),
-            b: b.map(|col| col.buffer.clone()),
-            output: output.clone(),
-            op,
-            n: len.source(),
-        }),
-        ctx.launch(a.cap()),
-        &wait,
-    )?;
-    ctx.memory().record_producer(&output, event);
-    ctx.memory().record_consumer(&a.buffer, event);
-    if let Some(b) = b {
-        ctx.memory().record_consumer(&b.buffer, event);
-    }
-    DevColumn::with_len(output, len)
+    map_columns(ctx, &[&a.reinterpret()], &op(Box::new(Map::Col(0))), a.col_len().clone())
 }
 
 /// Element-wise `a * b` over float columns.
@@ -252,7 +107,7 @@ pub fn mul_f32(
     a: &DevColumn<f32>,
     b: &DevColumn<f32>,
 ) -> Result<DevColumn<f32>> {
-    run_map(ctx, a, Some(b), MapOp::MulF32)
+    binary(ctx, a, b, Map::Mul)
 }
 
 /// Element-wise `a + b` over float columns.
@@ -261,7 +116,7 @@ pub fn add_f32(
     a: &DevColumn<f32>,
     b: &DevColumn<f32>,
 ) -> Result<DevColumn<f32>> {
-    run_map(ctx, a, Some(b), MapOp::AddF32)
+    binary(ctx, a, b, Map::Add)
 }
 
 /// Element-wise `a - b` over float columns.
@@ -270,7 +125,7 @@ pub fn sub_f32(
     a: &DevColumn<f32>,
     b: &DevColumn<f32>,
 ) -> Result<DevColumn<f32>> {
-    run_map(ctx, a, Some(b), MapOp::SubF32)
+    binary(ctx, a, b, Map::Sub)
 }
 
 /// Element-wise `constant - a` (e.g. `1 - l_discount`).
@@ -279,7 +134,7 @@ pub fn const_minus_f32(
     constant: f32,
     a: &DevColumn<f32>,
 ) -> Result<DevColumn<f32>> {
-    run_map::<f32, f32, f32>(ctx, a, None, MapOp::ConstMinusF32(constant))
+    unary(ctx, a, |a| Map::ConstMinus(constant, a))
 }
 
 /// Element-wise `constant + a` (e.g. `1 + l_tax`).
@@ -288,7 +143,7 @@ pub fn const_plus_f32(
     constant: f32,
     a: &DevColumn<f32>,
 ) -> Result<DevColumn<f32>> {
-    run_map::<f32, f32, f32>(ctx, a, None, MapOp::ConstPlusF32(constant))
+    unary(ctx, a, |a| Map::ConstPlus(constant, a))
 }
 
 /// Element-wise `a * constant`.
@@ -297,17 +152,17 @@ pub fn mul_const_f32(
     a: &DevColumn<f32>,
     constant: f32,
 ) -> Result<DevColumn<f32>> {
-    run_map::<f32, f32, f32>(ctx, a, None, MapOp::MulConstF32(constant))
+    unary(ctx, a, |a| Map::MulConst(a, constant))
 }
 
 /// Casts an integer column to float.
 pub fn cast_i32_f32(ctx: &OcelotContext, a: &DevColumn<i32>) -> Result<DevColumn<f32>> {
-    run_map::<i32, i32, f32>(ctx, a, None, MapOp::CastI32F32)
+    unary(ctx, a, Map::CastI32F32)
 }
 
 /// Extracts the calendar year from a day-number date column.
 pub fn extract_year(ctx: &OcelotContext, a: &DevColumn<i32>) -> Result<DevColumn<i32>> {
-    run_map::<i32, i32, i32>(ctx, a, None, MapOp::ExtractYear)
+    unary(ctx, a, Map::Year)
 }
 
 #[cfg(test)]

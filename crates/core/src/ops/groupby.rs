@@ -117,8 +117,10 @@ pub fn group_by_columns<T: DevWord>(
 const NO_ROW: u32 = u32::MAX;
 /// Rows whose codes a kernel computes at a time: column-at-a-time over a
 /// stack buffer, so the arithmetic vectorises and the table pass that
-/// follows reads its codes from L1.
-const CODE_BLOCK: usize = 1024;
+/// follows reads its codes from L1 — and 1 KB of a key column at a time, so
+/// the key columns are streamed side by side (a page of one, then a page of
+/// the next, leaves one prefetch stream in flight; see `rowexpr::STRIDE`).
+const CODE_BLOCK: usize = 256;
 
 /// The mixed-radix numbering of the key tuples inside the observed ranges.
 #[derive(Debug, Clone)]

@@ -10,5 +10,6 @@ pub mod groupby;
 pub mod hash_table;
 pub mod join;
 pub mod project;
+pub mod rowexpr;
 pub mod select;
 pub mod sort_radix;

@@ -4,256 +4,48 @@
 //! work-item evaluates the predicate on a small chunk of the input and emits
 //! whole bitmap words. Bitmaps keep the result size independent of the
 //! selectivity (the effect Figure 5b measures) and let complex predicates be
-//! assembled from per-predicate bitmaps with bit operations
-//! ([`crate::primitives::bitmap::combine`]).
+//! assembled from per-predicate bitmaps — with bit operations
+//! ([`crate::primitives::bitmap::combine`]) or, for a conjunction, inside one
+//! launch: [`select_where`] evaluates a whole list of conjuncts per 1024-row
+//! tile and writes one bitmap.
 //!
-//! One kernel evaluates every predicate kind, monomorphised per kind: the
-//! constant comparisons (range, equality, inequality), membership in a short
-//! `IN` list ([`select_in_i32`] — one pass comparing each row against every
-//! listed value, not one selection per value and a union), and the
-//! **two-input** predicate `left <op> right` over two aligned columns
-//! ([`select_cmp_i32`] — both columns are read and the bitmap written
-//! directly, with no cast, difference or other full-column intermediate).
-//! A selection over a candidate list fetches its input column(s) at the
+//! Every `select_*` function here is a one-conjunct program over that
+//! evaluator ([`super::rowexpr`]): the constant comparisons (range,
+//! equality, inequality), membership in a short `IN` list
+//! ([`select_in_i32`] — one pass comparing each row against every listed
+//! value), and the **two-input** predicate `left <op> right` over two
+//! aligned columns ([`select_cmp_i32`] — both columns read, the bitmap
+//! written, no cast, difference or other full-column intermediate). A
+//! selection over a candidate list fetches its input column(s) at the
 //! candidates first and selects over the fetched values (the engine's
 //! `select_with` shape), so it streams candidates, not the base table.
 //!
 //! Bitmaps are internal: [`materialize_bitmap`] converts them to the OID
 //! lists MonetDB-style operators expect, using the two-step
 //! count-scan-write pattern (per-item bit counts, exclusive scan, position
-//! writes). The materialised column's length is the scan total — which stays
+//! writes — the scan hands every item its own range of the output, so the
+//! positions are tier-2 stores, written a bitmap byte at a time where the
+//! bitmap is dense). The materialised column's length is the scan total — which stays
 //! **on the device**: the output is allocated at the bitmap's capacity bound
 //! and carries the total as a deferred length, so no host round-trip happens
 //! anywhere in a select→materialise→consume chain. (The capacity allocation
 //! trades transient memory for the removed sync — the paper's lazy-queue
 //! bet.)
 
-use crate::context::{DevColumn, DevScalar, LenSource, OcelotContext, Oid};
+pub use super::rowexpr::select_where;
+use super::rowexpr::Pred;
+use crate::context::{DevColumn, DevScalar, DevWord, OcelotContext, Oid};
 use crate::primitives::bitmap::Bitmap;
 use crate::primitives::prefix_sum::exclusive_scan_u32;
 use ocelot_kernel::{
     Buffer, BufferAccess, Kernel, KernelAccesses, KernelCost, LaunchConfig, Result, WorkGroupCtx,
 };
 use ocelot_storage::CmpOp;
-use std::ops::Range;
 use std::sync::Arc;
 
-/// The comparison a selection kernel evaluates.
-#[derive(Debug, Clone)]
-enum Predicate {
-    /// `low <= value <= high` over `i32`.
-    RangeI32 { low: i32, high: i32 },
-    /// `low <= value <= high` over `f32`.
-    RangeF32 { low: f32, high: f32 },
-    /// `value == needle` over `i32`.
-    EqI32 { needle: i32 },
-    /// `value != needle` over `i32`.
-    NeI32 { needle: i32 },
-    /// `value` is one of a short list of `i32`s (sorted, distinct).
-    InI32 { values: Arc<[i32]> },
-    /// `value <op> right[row]` over `i32`: the two-input predicate. `right`
-    /// is a second column aligned with the input.
-    CmpI32 { op: CmpOp, right: Buffer },
-}
-
-/// Selection kernel: each work-item produces whole bitmap words for its
-/// chunk of the input (the paper found one result byte — eight values — per
-/// thread iteration to work well; one 32-bit word per iteration is the same
-/// idea on word granularity).
-struct SelectKernel {
-    input: Buffer,
-    bitmap: Buffer,
-    predicate: Predicate,
-    n: LenSource,
-    /// Host-known logical row count, when there is one — lets the race
-    /// detector's bitmap-padding check run at kernel completion.
-    rows: Option<usize>,
-}
-
-/// Builds the bitmap words `start_word..start_word + out.len()`, asking
-/// `bits_of` for the predicate bits of each word's rows (at most 32, all
-/// `< n`). Bits at positions `>= n` stay zero — the bitmap zero-padding
-/// invariant.
-#[inline]
-fn build_words(
-    out: &mut [u32],
-    start_word: usize,
-    n: usize,
-    bits_of: impl Fn(Range<usize>) -> u32,
-) {
-    for (offset, word) in out.iter_mut().enumerate() {
-        let base = (start_word + offset) * 32;
-        let limit = (base + 32).min(n);
-        *word = if base < limit { bits_of(base..limit) } else { 0 };
-    }
-}
-
-/// [`build_words`] for a one-input predicate, monomorphised per predicate:
-/// the enum dispatch happens once per chunk, and the bit loop runs over
-/// plain slices (tier-2 views).
-#[inline]
-fn build_bitmap_words(
-    input: &[u32],
-    out: &mut [u32],
-    start_word: usize,
-    n: usize,
-    matches: impl Fn(u32) -> bool,
-) {
-    build_words(out, start_word, n, |rows| {
-        input[rows].iter().enumerate().fold(0, |bits, (bit, &v)| bits | (matches(v) as u32) << bit)
-    });
-}
-
-/// [`build_words`] for a predicate over two aligned `i32` columns.
-#[inline]
-fn build_bitmap_words_cmp(
-    (left, right): (&[u32], &[u32]),
-    out: &mut [u32],
-    start_word: usize,
-    n: usize,
-    matches: impl Fn(i32, i32) -> bool,
-) {
-    build_words(out, start_word, n, |rows| {
-        let pairs = left[rows.clone()].iter().zip(&right[rows]);
-        pairs
-            .enumerate()
-            .fold(0, |bits, (bit, (&l, &r))| bits | (matches(l as i32, r as i32) as u32) << bit)
-    });
-}
-
-impl Kernel for SelectKernel {
-    fn name(&self) -> &str {
-        "select_bitmap"
-    }
-    fn run_group(&self, group: &mut WorkGroupCtx) {
-        // A deferred row count resolves here, at flush time; rows past `n`
-        // hold garbage and must contribute zero bits.
-        let n = self.n.get();
-        let words = Bitmap::words_for(self.n.cap());
-        let input = self.input.as_words();
-        for item in group.items() {
-            // Each item owns a contiguous range of bitmap *words* so that a
-            // word is written by exactly one item.
-            let (start_word, end_word) = item.chunk_bounds(words);
-            if start_word >= end_word {
-                continue;
-            }
-            // SAFETY: bitmap words `start_word..end_word` belong exclusively
-            // to this item within this phase (chunk_bounds partitions the
-            // word range across items).
-            let out = unsafe { self.bitmap.chunk_mut(start_word, end_word) };
-            match &self.predicate {
-                &Predicate::RangeI32 { low, high } => {
-                    build_bitmap_words(input, out, start_word, n, |w| {
-                        let v = w as i32;
-                        v >= low && v <= high
-                    });
-                }
-                &Predicate::RangeF32 { low, high } => {
-                    build_bitmap_words(input, out, start_word, n, |w| {
-                        let v = f32::from_bits(w);
-                        v >= low && v <= high
-                    });
-                }
-                &Predicate::EqI32 { needle } => {
-                    build_bitmap_words(input, out, start_word, n, |w| w as i32 == needle);
-                }
-                &Predicate::NeI32 { needle } => {
-                    build_bitmap_words(input, out, start_word, n, |w| w as i32 != needle);
-                }
-                Predicate::InI32 { values } => {
-                    // Every value is compared, hit or not: a scan that stops
-                    // at the first hit branches on the data, and on a short
-                    // list the mispredictions cost more than the compares.
-                    let values: &[i32] = values;
-                    build_bitmap_words(input, out, start_word, n, |w| {
-                        values.iter().fold(false, |hit, value| hit | (*value == w as i32))
-                    });
-                }
-                Predicate::CmpI32 { op, right } => {
-                    // One monomorphised bit loop per operator.
-                    let columns = (input, right.as_words());
-                    match op {
-                        CmpOp::Lt => {
-                            build_bitmap_words_cmp(columns, out, start_word, n, |l, r| l < r)
-                        }
-                        CmpOp::Le => {
-                            build_bitmap_words_cmp(columns, out, start_word, n, |l, r| l <= r)
-                        }
-                        CmpOp::Gt => {
-                            build_bitmap_words_cmp(columns, out, start_word, n, |l, r| l > r)
-                        }
-                        CmpOp::Ge => {
-                            build_bitmap_words_cmp(columns, out, start_word, n, |l, r| l >= r)
-                        }
-                        CmpOp::Eq => {
-                            build_bitmap_words_cmp(columns, out, start_word, n, |l, r| l == r)
-                        }
-                        CmpOp::Ne => {
-                            build_bitmap_words_cmp(columns, out, start_word, n, |l, r| l != r)
-                        }
-                    }
-                }
-            }
-        }
-    }
-    fn cost(&self, launch: &LaunchConfig) -> KernelCost {
-        let inputs = if matches!(self.predicate, Predicate::CmpI32 { .. }) { 2 } else { 1 };
-        KernelCost::new((launch.n as u64) * 4 * inputs, (launch.n as u64) / 8, launch.n as u64, 0)
-    }
-    fn declared_accesses(&self, _launch: &LaunchConfig) -> Option<KernelAccesses> {
-        let words = Bitmap::words_for(self.n.cap());
-        let mut accesses = vec![
-            BufferAccess::slice_read(&self.input, 0..self.input.len()),
-            BufferAccess::slice_write(&self.bitmap, 0..words),
-        ];
-        if let Predicate::CmpI32 { right, .. } = &self.predicate {
-            accesses.push(BufferAccess::slice_read(right, 0..right.len()));
-        }
-        let mut declared = KernelAccesses::of(accesses);
-        if let Some(rows) = self.rows {
-            declared = declared.with_bitmap(&self.bitmap, rows);
-        }
-        Some(declared)
-    }
-}
-
-fn run_select(
-    ctx: &OcelotContext,
-    input: &Buffer,
-    len: &crate::context::ColLen,
-    wait: Vec<ocelot_kernel::EventId>,
-    predicate: Predicate,
-) -> Result<Bitmap> {
-    // The kernel writes every backing word, so the bitmap can skip zeroing.
-    let bitmap = Bitmap::for_overwrite(ctx, len.clone())?;
-    if len.cap() == 0 {
-        return Ok(bitmap);
-    }
-    let right = match &predicate {
-        Predicate::CmpI32 { right, .. } => Some(right.clone()),
-        _ => None,
-    };
-    let event = ctx.queue().enqueue_kernel(
-        Arc::new(SelectKernel {
-            input: input.clone(),
-            bitmap: bitmap.buffer.clone(),
-            predicate,
-            n: len.source(),
-            rows: match len {
-                crate::context::ColLen::Host(n) => Some(*n),
-                crate::context::ColLen::Device { .. } => None,
-            },
-        }),
-        ctx.launch(len.cap()),
-        &wait,
-    )?;
-    ctx.memory().record_producer(&bitmap.buffer, event);
-    ctx.memory().record_consumer(input, event);
-    if let Some(right) = right {
-        ctx.memory().record_consumer(&right, event);
-    }
-    Ok(bitmap)
+/// One conjunct over one column.
+fn select_one<T: DevWord>(ctx: &OcelotContext, input: &DevColumn<T>, pred: Pred) -> Result<Bitmap> {
+    select_where(ctx, &[&input.reinterpret()], &[pred])
 }
 
 /// Inclusive range selection over an integer column.
@@ -263,13 +55,7 @@ pub fn select_range_i32(
     low: i32,
     high: i32,
 ) -> Result<Bitmap> {
-    run_select(
-        ctx,
-        &input.buffer,
-        input.col_len(),
-        ctx.wait_for(input),
-        Predicate::RangeI32 { low, high },
-    )
+    select_one(ctx, input, Pred::RangeI32 { col: 0, low, high })
 }
 
 /// Inclusive range selection over a float column.
@@ -279,56 +65,29 @@ pub fn select_range_f32(
     low: f32,
     high: f32,
 ) -> Result<Bitmap> {
-    run_select(
-        ctx,
-        &input.buffer,
-        input.col_len(),
-        ctx.wait_for(input),
-        Predicate::RangeF32 { low, high },
-    )
+    select_one(ctx, input, Pred::RangeF32 { col: 0, low, high })
 }
 
 /// Equality selection over an integer column (also serves dictionary-encoded
 /// strings and dates).
 pub fn select_eq_i32(ctx: &OcelotContext, input: &DevColumn<i32>, needle: i32) -> Result<Bitmap> {
-    run_select(
-        ctx,
-        &input.buffer,
-        input.col_len(),
-        ctx.wait_for(input),
-        Predicate::EqI32 { needle },
-    )
+    select_one(ctx, input, Pred::EqI32 { col: 0, needle })
 }
 
 /// Inequality selection over an integer column.
 pub fn select_ne_i32(ctx: &OcelotContext, input: &DevColumn<i32>, needle: i32) -> Result<Bitmap> {
-    run_select(
-        ctx,
-        &input.buffer,
-        input.col_len(),
-        ctx.wait_for(input),
-        Predicate::NeI32 { needle },
-    )
+    select_one(ctx, input, Pred::NeI32 { col: 0, needle })
 }
 
 /// Membership selection `input IN (values…)` over an integer column, in one
-/// pass: the list is short, so every row scans it (sorted, duplicates
-/// dropped) instead of the column being selected once per value.
+/// pass: the list is short, so every row scans it instead of the column
+/// being selected once per value.
 pub fn select_in_i32(
     ctx: &OcelotContext,
     input: &DevColumn<i32>,
     values: &[i32],
 ) -> Result<Bitmap> {
-    let mut values = values.to_vec();
-    values.sort_unstable();
-    values.dedup();
-    run_select(
-        ctx,
-        &input.buffer,
-        input.col_len(),
-        ctx.wait_for(input),
-        Predicate::InI32 { values: values.into() },
-    )
+    select_one(ctx, input, Pred::InI32 { col: 0, values: values.into() })
 }
 
 /// Column-vs-column selection `left <op> right` over two aligned integer
@@ -344,19 +103,8 @@ pub fn select_cmp_i32(
     right: &DevColumn<i32>,
     op: CmpOp,
 ) -> Result<Bitmap> {
-    match (left.host_len(), right.host_len()) {
-        (Some(a), Some(b)) => assert_eq!(a, b, "column comparison: length mismatch"),
-        _ => assert!(right.cap() >= left.cap(), "column comparison: length mismatch"),
-    }
-    let mut wait = ctx.wait_for(left);
-    wait.extend(ctx.wait_for(right));
-    run_select(
-        ctx,
-        &left.buffer,
-        left.col_len(),
-        wait,
-        Predicate::CmpI32 { op, right: right.buffer.clone() },
-    )
+    let pred = Pred::CmpI32 { op, left: 0, right: 1 };
+    select_where(ctx, &[&left.reinterpret(), &right.reinterpret()], &[pred])
 }
 
 // ---- bitmap materialisation (paper §4.1.2) ----
@@ -390,9 +138,68 @@ impl Kernel for CountBitsKernel {
     }
 }
 
+/// Per byte of a bitmap word: the positions of its set bits, lowest first
+/// (the entries past the byte's bit count are zero), and how many there are.
+static BYTE_POSITIONS: [([u8; 8], u8); 256] = {
+    let mut table = [([0u8; 8], 0u8); 256];
+    let mut byte = 0;
+    while byte < 256 {
+        let mut bit = 0;
+        while bit < 8 {
+            if byte >> bit & 1 == 1 {
+                table[byte].0[table[byte].1 as usize] = bit as u8;
+                table[byte].1 += 1;
+            }
+            bit += 1;
+        }
+        byte += 1;
+    }
+    table
+};
+
+/// Writes the positions of the set bits of `words` — bit `i` of word `w`
+/// stands for row `base + 32 w + i` — into `out`, which has exactly one
+/// entry per set bit. Where a quarter of the bits or more are set the words
+/// go byte by byte through [`BYTE_POSITIONS`] — eight positions stored
+/// whatever the byte holds, the cursor advanced by its bit count — which
+/// costs the same for every word; sparser words are walked bit by bit, which
+/// costs what is set.
+fn write_positions(words: &[u32], base: usize, out: &mut [u32]) {
+    let mut cursor = 0;
+    let dense = out.len() * 4 >= words.len() * 32;
+    for (offset, &word) in words.iter().enumerate().filter(|(_, word)| **word != 0) {
+        let row = (base + offset * 32) as u32;
+        if !dense {
+            let mut remaining = word;
+            while remaining != 0 {
+                out[cursor] = row + remaining.trailing_zeros();
+                cursor += 1;
+                remaining &= remaining - 1;
+            }
+            continue;
+        }
+        for (byte, bits) in word.to_le_bytes().into_iter().enumerate() {
+            let (row, (positions, count)) = (row + byte as u32 * 8, BYTE_POSITIONS[bits as usize]);
+            match out[cursor..].first_chunk_mut::<8>() {
+                Some(slots) => {
+                    slots.iter_mut().zip(positions).for_each(|(slot, p)| *slot = row + p as u32)
+                }
+                // The last entries of the range: only the byte's own.
+                None => out[cursor..].iter_mut().zip(positions).for_each(|(slot, p)| {
+                    *slot = row + p as u32;
+                }),
+            }
+            cursor += count as usize;
+        }
+    }
+}
+
 struct WritePositionsKernel {
     bitmap: Buffer,
+    /// Per item: where its positions start (the exclusive scan of the
+    /// items' bit counts), and the scan's total.
     offsets: Buffer,
+    total: Buffer,
     output: Buffer,
     words: usize,
 }
@@ -403,26 +210,19 @@ impl Kernel for WritePositionsKernel {
     }
     fn run_group(&self, group: &mut WorkGroupCtx) {
         let bitmap = self.bitmap.as_words();
-        let output = self.output.cells();
         for item in group.items() {
             let (start, end) = item.chunk_bounds(self.words);
-            let mut cursor = self.offsets.get_u32(item.global_id) as usize;
-            for (offset, &word) in bitmap[start..end].iter().enumerate() {
-                if word == 0 {
-                    continue;
-                }
-                let base = (start + offset) * 32;
-                // Iterate set bits only (count_ones-driven) instead of
-                // testing all 32 positions. Padding bits are zero by the
-                // bitmap invariant, so no row-limit check is needed.
-                let mut remaining = word;
-                while remaining != 0 {
-                    let bit = remaining.trailing_zeros() as usize;
-                    remaining &= remaining - 1;
-                    output[cursor].store((base + bit) as u32, std::sync::atomic::Ordering::Relaxed);
-                    cursor += 1;
-                }
-            }
+            let first = self.offsets.get_u32(item.global_id) as usize;
+            let next = match item.global_id + 1 < item.total_items() {
+                true => self.offsets.get_u32(item.global_id + 1),
+                false => self.total.get_u32(0),
+            };
+            // SAFETY: the scan gives this item `first..next` of the output
+            // — one entry per set bit of its words — and no other item any
+            // of it. Padding bits are zero by the bitmap invariant, so every
+            // position written is a row.
+            let out = unsafe { self.output.chunk_mut(first, next as usize) };
+            write_positions(&bitmap[start..end], start * 32, out);
         }
     }
     fn cost(&self, launch: &LaunchConfig) -> KernelCost {
@@ -432,7 +232,8 @@ impl Kernel for WritePositionsKernel {
         Some(KernelAccesses::of(vec![
             BufferAccess::slice_read(&self.bitmap, 0..self.words),
             BufferAccess::cells_read(&self.offsets, 0..launch.total_items()),
-            BufferAccess::cells_write(&self.output, 0..self.output.len()),
+            BufferAccess::cells_read(&self.total, 0..1),
+            BufferAccess::slice_write(&self.output, 0..self.output.len()),
         ]))
     }
 }
@@ -471,11 +272,13 @@ pub fn materialize_bitmap(ctx: &OcelotContext, bitmap: &Bitmap) -> Result<DevCol
     let cap = bitmap.cap_bits();
     let output = ctx.alloc_uninit(cap.max(1), "materialized_oids")?;
     let mut write_wait = ctx.memory().wait_for_read(&offsets.buffer);
+    write_wait.extend(ctx.memory().wait_for_read(total.buffer()));
     write_wait.extend(ctx.memory().wait_for_read(&bitmap.buffer));
     let write_event = ctx.queue().enqueue_kernel(
         Arc::new(WritePositionsKernel {
             bitmap: bitmap.buffer.clone(),
             offsets: offsets.buffer.clone(),
+            total: total.buffer().clone(),
             output: output.clone(),
             words,
         }),

@@ -14,7 +14,9 @@
 //! as the result column's deferred length, so a whole
 //! select→scan→write pipeline synchronises only at its final read.
 //!
-//! The implementation is the classic three-phase scheme: (1) every work-item
+//! An input no longer than the launch has work-items — every per-item count
+//! table — is scanned by a single work-item in one launch. Anything longer
+//! takes the classic three-phase scheme: (1) every work-item
 //! reduces its assigned slice to a partial sum, (2) the per-item partials —
 //! a tiny array of `num_groups × group_size` values — are scanned by a
 //! single work-item, (3) every work-item rescans its slice, adding its
@@ -64,9 +66,12 @@ impl Kernel for PartialSumKernel {
 }
 
 /// Phase 2: scan the per-item partials (single work-item — the partial array
-/// has only `total_items` entries).
+/// has only `total_items` entries). Also the whole scan of an input that is
+/// no longer than that: `output` may be `input` itself (entry `i` is read
+/// before it is written).
 struct ScanPartialsKernel {
-    partials: ocelot_kernel::Buffer,
+    input: ocelot_kernel::Buffer,
+    output: ocelot_kernel::Buffer,
     total: ocelot_kernel::Buffer,
     count: usize,
 }
@@ -79,14 +84,11 @@ impl Kernel for ScanPartialsKernel {
         if group.group_id() != 0 {
             return;
         }
-        // SAFETY: only group 0 touches the partials in this phase, and the
-        // producing phase is ordered before it by the kernel's wait-list.
-        let partials = unsafe { self.partials.chunk_mut(0, self.count) };
         let mut running: u32 = 0;
-        for value in partials.iter_mut() {
-            let next = running.wrapping_add(*value);
-            *value = running;
-            running = next;
+        for index in 0..self.count {
+            let value = self.input.get_u32(index);
+            self.output.set_u32(index, running);
+            running = running.wrapping_add(value);
         }
         self.total.set_u32(0, running);
     }
@@ -95,7 +97,8 @@ impl Kernel for ScanPartialsKernel {
     }
     fn declared_accesses(&self, _launch: &LaunchConfig) -> Option<KernelAccesses> {
         Some(KernelAccesses::of(vec![
-            BufferAccess::slice_write(&self.partials, 0..self.count),
+            BufferAccess::cells_read(&self.input, 0..self.count),
+            BufferAccess::cells_write(&self.output, 0..self.count),
             BufferAccess::cells_write(&self.total, 0..1),
         ]))
     }
@@ -184,11 +187,29 @@ pub fn exclusive_scan_u32(
         return Ok((DevColumn::new(output, 0)?, DevScalar::constant(ctx, 0u32)?));
     }
     let launch = ctx.launch(n);
-    let partials = ctx.alloc_uninit(launch.total_items(), "scan_partials")?;
     let total = ctx.alloc(1, "scan_total")?;
-
     let queue = ctx.queue();
     let wait = ctx.wait_for(input);
+    // An input no longer than the per-item partials would be — a per-item
+    // count table, as materialisation and join compaction scan — is what
+    // phase 2 scans anyway: one launch instead of three.
+    if n <= launch.total_items() {
+        let event = queue.enqueue_kernel(
+            Arc::new(ScanPartialsKernel {
+                input: input.buffer.clone(),
+                output: output.clone(),
+                total: total.clone(),
+                count: n,
+            }),
+            ctx.launch(n),
+            &wait,
+        )?;
+        ctx.memory().record_producer(&output, event);
+        ctx.memory().record_producer(&total, event);
+        ctx.memory().record_consumer(&input.buffer, event);
+        return Ok((DevColumn::new(output, n)?, DevScalar::new(total, Some(event))));
+    }
+    let partials = ctx.alloc_uninit(launch.total_items(), "scan_partials")?;
     let e1 = queue.enqueue_kernel(
         Arc::new(PartialSumKernel { input: input.buffer.clone(), partials: partials.clone(), n }),
         launch.clone(),
@@ -196,7 +217,8 @@ pub fn exclusive_scan_u32(
     )?;
     let e2 = queue.enqueue_kernel(
         Arc::new(ScanPartialsKernel {
-            partials: partials.clone(),
+            input: partials.clone(),
+            output: partials.clone(),
             total: total.clone(),
             count: launch.total_items(),
         }),

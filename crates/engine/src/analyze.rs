@@ -15,6 +15,7 @@
 //! | input arity | [`PlanDiagnostic::InputArity`] | operand count matches the operator signature |
 //! | output arity | [`PlanDiagnostic::OutputArity`] | result count matches the operator signature |
 //! | operand kinds | [`PlanDiagnostic::InputKind`] | column/scalar/grouping kinds agree with the signature table |
+//! | fused regions | [`PlanDiagnostic::PipelineMember`] / [`PlanDiagnostic::PipelineInterface`] | a `pipeline` node's members are streaming operators only, each checked against its own signature inside the region's scope; the node reads exactly what its members read from outside and writes exactly what its sink writes; a member's value is visible to later members and to nothing else |
 //! | register liveness | [`PlanDiagnostic::LastUseMismatch`] | the recorded last-use map equals the true dataflow last use — the executor frees registers and [`Plan::estimate_register_footprint`] sizes live sets from this map, so a stale entry either leaks device memory or frees a register that is still read |
 //!
 //! # Flush-boundary analysis
@@ -27,7 +28,8 @@
 //! * **Streaming** — enqueue kernels and return device handles without
 //!   touching host values: binds, selections (constant, `IN`-list and
 //!   column-vs-column alike), maps, fetch, the fused grouped aggregates over
-//!   an existing grouping, and the deferred scalar sum.
+//!   an existing grouping, the deferred scalar sum — and a `pipeline` node,
+//!   whose members are all of these.
 //! * **Host-resolving** — internally resolve host values mid-plan (the
 //!   "deliberate sync points" of the operator library): hash joins
 //!   (monolithic and partitioned), semi/anti joins, grouping (its group
@@ -134,6 +136,27 @@ pub enum PlanDiagnostic {
         /// The kind the register actually holds.
         found: ValueKind,
     },
+    /// A `pipeline` node carries a member that may not be fused: a `bind`,
+    /// `sync`, `result`, a nested pipeline or a host-resolving operator.
+    PipelineMember {
+        /// Index of the pipeline node.
+        node: usize,
+        /// Position of the offending member within the node.
+        member: usize,
+        /// Operator name of the offending member.
+        op: &'static str,
+    },
+    /// A `pipeline` node's registers are not its members': it must read
+    /// exactly what the members read and no member writes (in first-use
+    /// order) and write exactly what its last member writes.
+    PipelineInterface {
+        /// Index of the pipeline node.
+        node: usize,
+        /// The inputs the members imply.
+        inputs: Vec<Var>,
+        /// The outputs the sink implies.
+        outputs: Vec<Var>,
+    },
     /// The plan's recorded last-use entry for a register disagrees with
     /// the true dataflow last use. The executor frees registers from this
     /// map and [`Plan::estimate_register_footprint`] sizes live sets from
@@ -178,6 +201,14 @@ impl fmt::Display for PlanDiagnostic {
                 f,
                 "node {node} ({op}): operand {index} (v{var}) holds a {found}, expected a \
                  {expected}"
+            ),
+            PlanDiagnostic::PipelineMember { node, member, op } => {
+                write!(f, "node {node} (pipeline): member {member} ({op}) cannot be fused")
+            }
+            PlanDiagnostic::PipelineInterface { node, inputs, outputs } => write!(
+                f,
+                "node {node} (pipeline): its members read {inputs:?} and its sink writes \
+                 {outputs:?}; the node declares something else"
             ),
             PlanDiagnostic::LastUseMismatch { var, recorded, actual } => {
                 let show = |value: &Option<usize>| match value {
@@ -272,7 +303,8 @@ enum InputSig {
     GroupThenValues(usize),
     /// One or more key columns (`group_by`).
     Keys,
-    /// Any number of registers of any kind (`sync`).
+    /// Any number of registers of any kind (`sync`; a `pipeline`, whose
+    /// operands are checked member by member).
     AnyDefined,
     /// Zero or more columns/scalars — groupings are not materialisable
     /// (`result`).
@@ -329,6 +361,13 @@ fn signature(op: &PlanOp) -> (InputSig, Cow<'static, [ValueKind]>, FlushClass) {
             (Exact(&[COLUMN]), &[COLUMN], HostResolving)
         }
         PlanOp::SumF32 => (Exact(&[COLUMN]), &[ValueKind::Scalar], Streaming),
+        // A region is what its members are — streaming, or rejected — and
+        // produces what its sink produces.
+        PlanOp::Pipeline { members } => {
+            let outputs =
+                members.last().map_or(Cow::Borrowed(&[][..]), |sink| signature(&sink.op).1);
+            return (AnyDefined, outputs, Streaming);
+        }
         PlanOp::Sync => (AnyDefined, &[], Boundary),
         PlanOp::Result => (Results, &[], Boundary),
     };
@@ -341,98 +380,72 @@ pub(crate) fn output_kinds(op: &PlanOp) -> Cow<'static, [ValueKind]> {
     signature(op).1
 }
 
-/// Verifies a plan (see module docs for the full check list) and computes
-/// its static flush bound. Pure: reads the plan, executes nothing, never
-/// panics — every violation becomes a [`PlanDiagnostic`].
-pub fn verify(plan: &Plan) -> VerifyReport {
-    let nodes = plan.nodes();
-    let mut diagnostics = Vec::new();
+/// The forward walk of [`verify`]: definitions seen so far and findings.
+struct Walk {
+    /// Definition sites over the whole plan (for telling a use-before-def
+    /// apart from a genuinely dangling register), first-writer-wins.
+    first_def: HashMap<Var, usize>,
+    defined_at: HashMap<Var, usize>,
+    diagnostics: Vec<PlanDiagnostic>,
+}
 
-    // Definition sites over the whole plan (for telling a use-before-def
-    // apart from a genuinely dangling register), first-writer-wins.
-    let mut first_def: HashMap<Var, usize> = HashMap::new();
-    for (index, node) in nodes.iter().enumerate() {
-        for out in &node.outputs {
-            first_def.entry(*out).or_insert(index);
-        }
-    }
-
-    // Forward walk: defined-so-far kinds, signature checks.
-    let mut kinds: HashMap<Var, ValueKind> = HashMap::new();
-    let mut defined_at: HashMap<Var, usize> = HashMap::new();
-    for (index, node) in nodes.iter().enumerate() {
+impl Walk {
+    /// Checks one node — a plan node, or a member of the pipeline at `index`
+    /// — against its signature in the scope `kinds`, then defines its outputs
+    /// there.
+    fn node(&mut self, index: usize, node: &PlanNode, kinds: &mut HashMap<Var, ValueKind>) {
         let op = node.op.name();
         let (inputs_sig, outputs_sig, _) = signature(&node.op);
+        let mut arity = |expected: &'static str| {
+            self.diagnostics.push(PlanDiagnostic::InputArity {
+                node: index,
+                op,
+                found: node.inputs.len(),
+                expected,
+            });
+            None
+        };
 
         // Expected operand kinds, or None when the arity itself is wrong.
         let expected: Option<Vec<ValueKind>> = match inputs_sig {
             InputSig::Exact(kinds) => {
                 (node.inputs.len() == kinds.len()).then(|| kinds.to_vec()).or_else(|| {
-                    diagnostics.push(PlanDiagnostic::InputArity {
-                        node: index,
-                        op,
-                        found: node.inputs.len(),
-                        expected: match kinds.len() {
-                            0 => "0",
-                            1 => "1",
-                            _ => "2",
-                        },
-                    });
-                    None
+                    arity(match kinds.len() {
+                        0 => "0",
+                        1 => "1",
+                        _ => "2",
+                    })
                 })
             }
             InputSig::Select(columns) => (node.inputs.len() == columns
                 || node.inputs.len() == columns + 1)
                 .then(|| vec![COLUMN; node.inputs.len()])
-                .or_else(|| {
-                    diagnostics.push(PlanDiagnostic::InputArity {
-                        node: index,
-                        op,
-                        found: node.inputs.len(),
-                        expected: if columns == 1 { "1 or 2" } else { "2 or 3" },
-                    });
-                    None
-                }),
+                .or_else(|| arity(if columns == 1 { "1 or 2" } else { "2 or 3" })),
             InputSig::GroupThenValues(named) => (node.inputs.len() > named)
                 .then(|| {
                     let mut kinds = vec![COLUMN; node.inputs.len()];
                     kinds[0] = GROUP;
                     kinds
                 })
-                .or_else(|| {
-                    diagnostics.push(PlanDiagnostic::InputArity {
-                        node: index,
-                        op,
-                        found: node.inputs.len(),
-                        expected: "a grouping plus every value column its aggregates name",
-                    });
-                    None
-                }),
-            InputSig::Keys => {
-                (!node.inputs.is_empty()).then(|| vec![COLUMN; node.inputs.len()]).or_else(|| {
-                    diagnostics.push(PlanDiagnostic::InputArity {
-                        node: index,
-                        op,
-                        found: 0,
-                        expected: "at least 1",
-                    });
-                    None
-                })
-            }
-            // Kind checks for sync/result happen below, per operand.
+                .or_else(|| arity("a grouping plus every value column its aggregates name")),
+            InputSig::Keys => (!node.inputs.is_empty())
+                .then(|| vec![COLUMN; node.inputs.len()])
+                .or_else(|| arity("at least 1")),
+            // Kind checks for sync/result happen below, per operand; a
+            // pipeline's happen member by member.
             InputSig::AnyDefined | InputSig::Results => None,
         };
 
         for (position, var) in node.inputs.iter().enumerate() {
             match kinds.get(var) {
-                None => match first_def.get(var) {
-                    Some(later) => diagnostics.push(PlanDiagnostic::UseBeforeDef {
+                None => match self.first_def.get(var) {
+                    Some(later) => self.diagnostics.push(PlanDiagnostic::UseBeforeDef {
                         node: index,
                         op,
                         var: *var,
                         defined_at: *later,
                     }),
-                    None => diagnostics.push(PlanDiagnostic::UndefinedInput {
+                    None => self.diagnostics.push(PlanDiagnostic::UndefinedInput {
                         node: index,
                         op,
                         var: *var,
@@ -450,7 +463,7 @@ pub fn verify(plan: &Plan) -> VerifyReport {
                         _ => None,
                     };
                     if let Some(expected) = want {
-                        diagnostics.push(PlanDiagnostic::InputKind {
+                        self.diagnostics.push(PlanDiagnostic::InputKind {
                             node: index,
                             op,
                             index: position,
@@ -463,8 +476,12 @@ pub fn verify(plan: &Plan) -> VerifyReport {
             }
         }
 
+        if !node.members().is_empty() {
+            self.region(index, node, kinds);
+        }
+
         if node.outputs.len() != outputs_sig.len() {
-            diagnostics.push(PlanDiagnostic::OutputArity {
+            self.diagnostics.push(PlanDiagnostic::OutputArity {
                 node: index,
                 op,
                 found: node.outputs.len(),
@@ -472,29 +489,99 @@ pub fn verify(plan: &Plan) -> VerifyReport {
             });
         }
         for (position, out) in node.outputs.iter().enumerate() {
-            if let Some(first) = defined_at.get(out) {
-                diagnostics.push(PlanDiagnostic::DoubleDefine {
-                    node: index,
-                    op,
-                    var: *out,
-                    first: *first,
-                });
-                continue;
+            let kind = outputs_sig.get(position).copied().unwrap_or(COLUMN);
+            match self.defined_at.get(out) {
+                // A pipeline's outputs were defined by its sink, just now.
+                Some(first) if *first == index && !node.members().is_empty() => {}
+                Some(first) => {
+                    self.diagnostics.push(PlanDiagnostic::DoubleDefine {
+                        node: index,
+                        op,
+                        var: *out,
+                        first: *first,
+                    });
+                    continue;
+                }
+                None => {
+                    self.defined_at.insert(*out, index);
+                }
             }
-            defined_at.insert(*out, index);
-            kinds.insert(*out, outputs_sig.get(position).copied().unwrap_or(COLUMN));
+            kinds.insert(*out, kind);
         }
     }
 
+    /// The members of the pipeline `node`, in a scope holding nothing but
+    /// the node's inputs: what a member defines is visible to later members
+    /// only (any other reader finds it undefined), and single assignment
+    /// holds across the whole plan.
+    fn region(&mut self, index: usize, node: &PlanNode, kinds: &HashMap<Var, ValueKind>) {
+        let mut scope: HashMap<Var, ValueKind> =
+            node.inputs.iter().filter_map(|var| Some((*var, *kinds.get(var)?))).collect();
+        let mut reads: Vec<Var> = Vec::new();
+        // Plan-level definitions mean nothing inside the scope.
+        let first_def = std::mem::take(&mut self.first_def);
+        for (position, member) in node.members().iter().enumerate() {
+            let fusable = signature(&member.op).2 == FlushClass::Streaming
+                && !matches!(member.op, PlanOp::Bind { .. } | PlanOp::Pipeline { .. });
+            if !fusable {
+                self.diagnostics.push(PlanDiagnostic::PipelineMember {
+                    node: index,
+                    member: position,
+                    op: member.op.name(),
+                });
+                continue;
+            }
+            for var in &member.inputs {
+                let inner = self.defined_at.get(var) == Some(&index) && !node.inputs.contains(var);
+                if !inner && !reads.contains(var) {
+                    reads.push(*var);
+                }
+            }
+            self.node(index, member, &mut scope);
+        }
+        self.first_def = first_def;
+        let outputs = node.members().last().map_or(&[][..], |sink| &sink.outputs);
+        if reads != node.inputs || outputs != node.outputs {
+            self.diagnostics.push(PlanDiagnostic::PipelineInterface {
+                node: index,
+                inputs: reads,
+                outputs: outputs.to_vec(),
+            });
+        }
+    }
+}
+
+/// Verifies a plan (see module docs for the full check list) and computes
+/// its static flush bound. Pure: reads the plan, executes nothing, never
+/// panics — every violation becomes a [`PlanDiagnostic`].
+pub fn verify(plan: &Plan) -> VerifyReport {
+    let nodes = plan.nodes();
+    let mut first_def: HashMap<Var, usize> = HashMap::new();
+    for (index, node) in nodes.iter().enumerate() {
+        for out in &node.outputs {
+            first_def.entry(*out).or_insert(index);
+        }
+    }
+
+    // Forward walk: defined-so-far kinds, signature checks.
+    let mut walk = Walk { first_def, defined_at: HashMap::new(), diagnostics: Vec::new() };
+    let mut kinds: HashMap<Var, ValueKind> = HashMap::new();
+    for (index, node) in nodes.iter().enumerate() {
+        walk.node(index, node, &mut kinds);
+    }
+    let Walk { first_def, defined_at, mut diagnostics } = walk;
+
     // Liveness: the recorded last-use map must equal the true dataflow
-    // last read, for every register that appears anywhere in the plan.
+    // last read, for every register that appears anywhere in the plan — a
+    // pipeline member's included, which no plan node reads.
     let mut actual_last_use: HashMap<Var, usize> = HashMap::new();
     for (index, node) in nodes.iter().enumerate() {
         for var in &node.inputs {
             actual_last_use.insert(*var, index);
         }
     }
-    let mut seen: Vec<Var> = first_def.keys().chain(actual_last_use.keys()).copied().collect();
+    let mut seen: Vec<Var> =
+        first_def.keys().chain(defined_at.keys()).chain(actual_last_use.keys()).copied().collect();
     seen.sort_unstable();
     seen.dedup();
     for var in seen {

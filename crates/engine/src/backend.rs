@@ -17,6 +17,7 @@
 //! the paper's Ocelot does when a MonetDB operator consumes a selection
 //! result.
 
+use crate::plan::{PlanError, PlanNode, Registers};
 pub use ocelot_core::ops::aggregate::GroupedAgg;
 use ocelot_storage::{BatRef, CmpOp};
 use ocelot_trace::{MetricsRegistry, TraceSink};
@@ -247,6 +248,21 @@ pub trait Backend {
         values: &[&Self::Column],
         funcs: &[GroupedAgg],
     ) -> Vec<Self::Column>;
+
+    // ---- fused regions ----
+
+    /// Runs a `pipeline` node — a fused streaming region (`crate::fuse`) —
+    /// and returns its outputs, in order. `registers` holds the node's
+    /// inputs. The default runs the member nodes one after another, which
+    /// is exactly the unfused plan; a backend that can evaluate the region
+    /// in one pass (Ocelot) overrides it.
+    fn pipeline(
+        &self,
+        node: &PlanNode,
+        registers: &Registers<Self::Column>,
+    ) -> Result<Vec<Self::Column>, PlanError> {
+        crate::plan::run_members(self, node, registers)
+    }
 
     // ---- ungrouped aggregation ----
 

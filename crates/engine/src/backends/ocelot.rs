@@ -11,6 +11,8 @@
 //! query pipeline performs exactly one queue flush — at the read.
 
 use crate::backend::{Backend, GroupHandle, GroupedAgg, ProfileMarker};
+use crate::fuse::{Program, ProgramRows, ProgramSink};
+use crate::plan::{run_members, PlanError, PlanNode, Registers};
 use ocelot_core::ops::{
     aggregate, calc, groupby, hash_table::OcelotHashTable, join, project, select, sort_radix,
 };
@@ -492,6 +494,66 @@ impl Backend for OcelotBackend {
         .into_iter()
         .map(OcelotColumn::F32)
         .collect()
+    }
+
+    /// The region compiled to the row-expression evaluator: a conjunctive
+    /// chain is one bitmap launch and one materialisation; an aggregating
+    /// region is one accumulation launch — predicates, base columns read
+    /// through the candidate list, value expressions, all per tile — plus the
+    /// fold launch. Nothing the members exchanged is ever allocated.
+    fn pipeline(
+        &self,
+        node: &PlanNode,
+        registers: &Registers<OcelotColumn>,
+    ) -> Result<Vec<OcelotColumn>, PlanError> {
+        let Some(program) = Program::of(node) else {
+            return run_members(self, node, registers);
+        };
+        let word_column = |var: &usize| registers.column(*var).map(|column| column.as_oid());
+        let cols: Vec<DevColumn<Oid>> =
+            program.cols.iter().map(word_column).collect::<Result<_, _>>()?;
+        let cols: Vec<&DevColumn<Oid>> = cols.iter().collect();
+        let candidates = match &program.rows {
+            ProgramRows::Candidates(list) => Some(word_column(list)?),
+            _ => None,
+        };
+        let rows = match (&program.rows, &candidates) {
+            (ProgramRows::Where(preds), _) => aggregate::RowSource::Where(preds),
+            (_, Some(list)) => aggregate::RowSource::Candidates(list),
+            _ => aggregate::RowSource::All,
+        };
+        match &program.sink {
+            ProgramSink::Oids => {
+                let aggregate::RowSource::Where(preds) = rows else {
+                    return run_members(self, node, registers);
+                };
+                let bitmap = select::select_where(&self.ctx, &cols, preds)
+                    .unwrap_or_else(|e| raise("selection failed", e));
+                let oids = select::materialize_bitmap(&self.ctx, &bitmap)
+                    .unwrap_or_else(|e| raise("materialize failed", e));
+                Ok(vec![OcelotColumn::Oid(oids)])
+            }
+            ProgramSink::Aggs { group, values, funcs } => {
+                let (gids, num_groups) = match group {
+                    Some(group) => {
+                        let group = registers.group(*group)?;
+                        (Some(group.gids.as_oid()), group.num_groups)
+                    }
+                    None => (None, 1),
+                };
+                let columns = aggregate::fused_aggs(
+                    &self.ctx,
+                    &cols,
+                    rows,
+                    values,
+                    gids.as_ref(),
+                    num_groups,
+                    funcs,
+                )
+                .unwrap_or_else(|e| raise("fused aggregation failed", e));
+                Ok(columns.into_iter().map(OcelotColumn::F32).collect())
+            }
+        }
     }
 
     fn sum_scalar_f32(&self, values: &OcelotColumn) -> OcelotColumn {

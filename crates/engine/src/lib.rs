@@ -57,6 +57,7 @@
 pub mod analyze;
 pub mod backend;
 pub mod backends;
+pub mod fuse;
 pub mod mal;
 pub mod plan;
 pub mod query;
@@ -67,6 +68,7 @@ pub mod session;
 pub use analyze::{verify, FlushBound, PlanDiagnostic, VerifyReport};
 pub use backend::{Backend, GroupHandle, GroupedAgg, ProfileMarker};
 pub use backends::{MonetParBackend, MonetSeqBackend, OcelotBackend};
+pub use fuse::fuse_plan;
 pub use ocelot_trace::{
     MetricsRegistry, NodeAction, SchedAction, TraceEvent, TraceEventKind, TraceSink,
 };

@@ -316,6 +316,15 @@ pub enum PlanOp {
     },
     /// Ungrouped sum as a deferred one-element scalar. Inputs: `[values]`.
     SumF32,
+    /// A fused streaming region ([`crate::fuse`]): the nodes it replaced, in
+    /// plan order, the last one its sink. Inputs: every register a member
+    /// reads and no member writes, in first-use order; outputs: the sink's.
+    /// [`Backend::pipeline`] runs it — member by member unless the backend
+    /// compiles the region.
+    Pipeline {
+        /// The member nodes (never `bind`, `sync`, `result` or a pipeline).
+        members: Vec<PlanNode>,
+    },
     /// The `ocelot.sync` ownership boundary: flushes outstanding device
     /// work. Inputs: the registers whose producers must have completed.
     Sync,
@@ -354,6 +363,7 @@ impl PlanOp {
             PlanOp::SortOrderI32 { .. } => "sort_order_i32",
             PlanOp::SortOrderF32 { .. } => "sort_order_f32",
             PlanOp::SumF32 => "sum_f32",
+            PlanOp::Pipeline { .. } => "pipeline",
             PlanOp::Sync => "sync",
             PlanOp::Result => "result",
         }
@@ -390,6 +400,21 @@ impl fmt::Display for PlanOp {
             PlanOp::PkFkJoinPartitioned { ndv_hint } => {
                 write!(f, "pkfk_join_partitioned ndv~{ndv_hint}")
             }
+            // One line: what was fused, by kind, and what it ends in. The
+            // members themselves are listed by [`Plan::listing`].
+            PlanOp::Pipeline { members } => {
+                let count = |wanted: fn(&str) -> bool| {
+                    members.iter().filter(|member| wanted(member.op.name())).count()
+                };
+                let selects = count(|name| name.starts_with("select_"));
+                let fetches = count(|name| name == "fetch");
+                let sink = members.last().map_or("nothing", |sink| sink.op.name());
+                let (maps, sink) = match selects == members.len() {
+                    true => (0, "oids"),
+                    false => (members.len() - selects - fetches - 1, sink),
+                };
+                write!(f, "pipeline [{selects} select, {fetches} fetch, {maps} map] => {sink}")
+            }
             other => write!(f, "{}", other.name()),
         }
     }
@@ -405,6 +430,22 @@ pub struct PlanNode {
     pub inputs: Vec<Var>,
     /// Registers this node writes, in operand order.
     pub outputs: Vec<Var>,
+}
+
+impl PlanNode {
+    /// The nodes a `pipeline` node fused (empty for any other node).
+    pub fn members(&self) -> &[PlanNode] {
+        match &self.op {
+            PlanOp::Pipeline { members } => members,
+            _ => &[],
+        }
+    }
+
+    /// The operator that produces the node's outputs: a pipeline's last
+    /// member, the node's own operator otherwise.
+    pub fn sink(&self) -> &PlanOp {
+        self.members().last().map_or(&self.op, |sink| &sink.op)
+    }
 }
 
 impl fmt::Display for PlanNode {
@@ -448,6 +489,12 @@ impl Plan {
         &self.nodes
     }
 
+    /// Takes the plan apart into its nodes (for rewrites over the node
+    /// list, which re-assemble with [`Plan::from_nodes_unchecked`]).
+    pub(crate) fn into_nodes(self) -> Vec<PlanNode> {
+        self.nodes
+    }
+
     /// Assembles a plan from raw nodes **without any checking**, computing
     /// the last-use map honestly from the node inputs. Ill-formed node
     /// lists are accepted deliberately: this is the entry point for
@@ -487,6 +534,28 @@ impl Plan {
     /// Number of nodes.
     pub fn len(&self) -> usize {
         self.nodes.len()
+    }
+
+    /// The nodes with every `pipeline` node replaced by its members: the
+    /// plan as lowered, before fusion.
+    pub fn unfused_nodes(&self) -> impl Iterator<Item = &PlanNode> {
+        self.nodes.iter().flat_map(|node| match node.members() {
+            [] => std::slice::from_ref(node),
+            members => members,
+        })
+    }
+
+    /// The indexed node listing `explain()` prints: one line per node, and
+    /// under every `pipeline` node the nodes it replaced.
+    pub fn listing(&self) -> String {
+        let mut out = String::new();
+        for (index, node) in self.nodes.iter().enumerate() {
+            out.push_str(&format!("  {index:3}: {node}\n"));
+            for member in node.members() {
+                out.push_str(&format!("         | {member}\n"));
+            }
+        }
+        out
     }
 
     /// Whether the plan has no nodes.
@@ -606,7 +675,9 @@ impl Plan {
             if include_scratch {
                 peak = peak.max(live + Plan::scratch_bytes(node, &sizes));
             }
-            let out_bytes = match &node.op {
+            // A pipeline is charged for what it hands on, like its sink: the
+            // values its members exchanged are never device registers.
+            let out_bytes = match node.sink() {
                 PlanOp::Bind { table, column } => {
                     catalog.column(table, column).map(|bat| bat.len() * 4).unwrap_or(0)
                 }
@@ -1082,10 +1153,57 @@ enum ColKind {
     Oid,
 }
 
+#[derive(Clone)]
 enum Slot<C> {
     Column(C, ColKind),
     Scalar(C),
     Group(GroupHandle<C>),
+}
+
+/// The live registers of a plan run — or, inside [`run_members`], of one
+/// pipeline's member scope.
+pub struct Registers<C> {
+    slots: HashMap<Var, Slot<C>>,
+}
+
+impl<C: Clone> Registers<C> {
+    fn new() -> Registers<C> {
+        Registers { slots: HashMap::new() }
+    }
+
+    fn typed_column(&self, var: Var) -> Result<(C, ColKind), PlanError> {
+        let found = match self.slots.get(&var) {
+            Some(Slot::Column(c, kind)) => return Ok((c.clone(), *kind)),
+            Some(Slot::Scalar(_)) => ValueKind::Scalar,
+            Some(Slot::Group(_)) => ValueKind::Group,
+            None => return Err(PlanError::UndefinedVar { var }),
+        };
+        Err(PlanError::KindMismatch { var, expected: ValueKind::Column, found })
+    }
+
+    /// The column in register `var`.
+    pub fn column(&self, var: Var) -> Result<C, PlanError> {
+        Ok(self.typed_column(var)?.0)
+    }
+
+    /// The grouping in register `var`.
+    pub fn group(&self, var: Var) -> Result<&GroupHandle<C>, PlanError> {
+        match self.slots.get(&var) {
+            Some(Slot::Group(g)) => Ok(g),
+            Some(_) => Err(PlanError::KindMismatch {
+                var,
+                expected: ValueKind::Group,
+                found: ValueKind::Column,
+            }),
+            None => Err(PlanError::UndefinedVar { var }),
+        }
+    }
+
+    /// The candidate list of a selection node: the operand after its
+    /// `columns` column operand(s), when present.
+    fn cands(&self, node: &PlanNode, columns: usize) -> Result<Option<C>, PlanError> {
+        node.inputs.get(columns).map(|var| self.column(*var)).transpose()
+    }
 }
 
 /// Outcome of one [`PlanRun::step`].
@@ -1312,7 +1430,7 @@ pub struct PlanRun<'a, B: Backend> {
     plan: &'a Plan,
     backend: &'a B,
     catalog: &'a Catalog,
-    registers: HashMap<Var, Slot<B::Column>>,
+    registers: Registers<B::Column>,
     results: Vec<QueryValue>,
     pc: usize,
     restarts: u64,
@@ -1358,7 +1476,7 @@ impl<'a, B: Backend> PlanRun<'a, B> {
             plan,
             backend,
             catalog,
-            registers: HashMap::new(),
+            registers: Registers::new(),
             results: Vec::new(),
             pc: 0,
             restarts: 0,
@@ -1431,44 +1549,6 @@ impl<'a, B: Backend> PlanRun<'a, B> {
         self.results
     }
 
-    fn column(&self, var: Var) -> Result<(B::Column, ColKind), PlanError> {
-        match self.registers.get(&var) {
-            Some(Slot::Column(c, kind)) => Ok((c.clone(), *kind)),
-            Some(Slot::Scalar(_)) => Err(PlanError::KindMismatch {
-                var,
-                expected: ValueKind::Column,
-                found: ValueKind::Scalar,
-            }),
-            Some(Slot::Group(_)) => Err(PlanError::KindMismatch {
-                var,
-                expected: ValueKind::Column,
-                found: ValueKind::Group,
-            }),
-            None => Err(PlanError::UndefinedVar { var }),
-        }
-    }
-
-    fn group(&self, var: Var) -> Result<&GroupHandle<B::Column>, PlanError> {
-        match self.registers.get(&var) {
-            Some(Slot::Group(g)) => Ok(g),
-            Some(_) => Err(PlanError::KindMismatch {
-                var,
-                expected: ValueKind::Group,
-                found: ValueKind::Column,
-            }),
-            None => Err(PlanError::UndefinedVar { var }),
-        }
-    }
-
-    /// The candidate list of a selection node: the operand after its
-    /// `columns` column operand(s), when present.
-    fn cands(&self, node: &PlanNode, columns: usize) -> Result<Option<B::Column>, PlanError> {
-        match node.inputs.get(columns) {
-            Some(var) => Ok(Some(self.column(*var)?.0)),
-            None => Ok(None),
-        }
-    }
-
     /// Restart attempts per node before a recoverable fault becomes a plan
     /// error — the **shared budget** of the unified recovery protocol: OOM
     /// restarts and transient retries of one node draw from the same
@@ -1497,7 +1577,7 @@ impl<'a, B: Backend> PlanRun<'a, B> {
     /// step of every recovery trigger.
     fn discard_attempt(&mut self, node: &PlanNode, results_before: usize) {
         for out in &node.outputs {
-            self.registers.remove(out);
+            self.registers.slots.remove(out);
         }
         self.results.truncate(results_before);
     }
@@ -1665,12 +1745,12 @@ impl<'a, B: Backend> PlanRun<'a, B> {
         // complete.
         for var in &node.inputs {
             if self.plan.last_use(*var) == Some(self.pc) {
-                self.registers.remove(var);
+                self.registers.slots.remove(var);
             }
         }
         for var in &node.outputs {
             if self.plan.last_use(*var).is_none() {
-                self.registers.remove(var);
+                self.registers.slots.remove(var);
             }
         }
         if let (Some(profile), Some(start)) = (self.profile.as_mut(), step_start) {
@@ -1695,7 +1775,7 @@ impl<'a, B: Backend> PlanRun<'a, B> {
     /// has already drained the queue), group count for groupings, 1 for
     /// scalars, 0 for output-less nodes (`sync`, `result`).
     fn profiled_rows(&self, node: &PlanNode) -> u64 {
-        match node.outputs.first().and_then(|var| self.registers.get(var)) {
+        match node.outputs.first().and_then(|var| self.registers.slots.get(var)) {
             Some(Slot::Column(c, _)) => self.backend.len(c) as u64,
             Some(Slot::Scalar(_)) => 1,
             Some(Slot::Group(g)) => g.num_groups as u64,
@@ -1705,12 +1785,11 @@ impl<'a, B: Backend> PlanRun<'a, B> {
 
     /// Runs one node's operator against the backend (no register
     /// reclamation, no program-counter advance — [`PlanRun::step`] owns
-    /// those, so a restarted node re-executes this body alone).
+    /// those, so a restarted node re-executes this body alone). `bind` and
+    /// `result` touch the catalog and the result list; everything else is
+    /// [`exec_op`].
     fn exec_node(&mut self, node: &PlanNode) -> Result<(), PlanError> {
         let b = self.backend;
-        let set = |run: &mut Self, slot: Slot<B::Column>| {
-            run.registers.insert(node.outputs[0], slot);
-        };
         match &node.op {
             PlanOp::Bind { table, column } => {
                 let bat = self.catalog.column(table, column).ok_or_else(|| {
@@ -1723,157 +1802,11 @@ impl<'a, B: Backend> PlanRun<'a, B> {
                 } else {
                     ColKind::I32
                 };
-                let col = b.bat(bat);
-                set(self, Slot::Column(col, kind));
-            }
-            PlanOp::SelectRangeI32 { low, high } => {
-                let (col, _) = self.column(node.inputs[0])?;
-                let cands = self.cands(node, 1)?;
-                let out = b.select_range_i32(&col, *low, *high, cands.as_ref());
-                set(self, Slot::Column(out, ColKind::Oid));
-            }
-            PlanOp::SelectRangeF32 { low, high } => {
-                let (col, _) = self.column(node.inputs[0])?;
-                let cands = self.cands(node, 1)?;
-                let out = b.select_range_f32(&col, *low, *high, cands.as_ref());
-                set(self, Slot::Column(out, ColKind::Oid));
-            }
-            PlanOp::SelectEqI32 { needle } => {
-                let (col, _) = self.column(node.inputs[0])?;
-                let cands = self.cands(node, 1)?;
-                let out = b.select_eq_i32(&col, *needle, cands.as_ref());
-                set(self, Slot::Column(out, ColKind::Oid));
-            }
-            PlanOp::SelectNeI32 { needle } => {
-                let (col, _) = self.column(node.inputs[0])?;
-                let cands = self.cands(node, 1)?;
-                let out = b.select_ne_i32(&col, *needle, cands.as_ref());
-                set(self, Slot::Column(out, ColKind::Oid));
-            }
-            PlanOp::SelectInI32 { values } => {
-                let (col, _) = self.column(node.inputs[0])?;
-                let cands = self.cands(node, 1)?;
-                let out = b.select_in_i32(&col, values, cands.as_ref());
-                set(self, Slot::Column(out, ColKind::Oid));
-            }
-            PlanOp::SelectCmpI32 { op } => {
-                let (left, _) = self.column(node.inputs[0])?;
-                let (right, _) = self.column(node.inputs[1])?;
-                let cands = self.cands(node, 2)?;
-                let out = b.select_cmp_i32(&left, &right, *op, cands.as_ref());
-                set(self, Slot::Column(out, ColKind::Oid));
-            }
-            PlanOp::UnionOids => {
-                let (a, _) = self.column(node.inputs[0])?;
-                let (c, _) = self.column(node.inputs[1])?;
-                set(self, Slot::Column(b.union_oids(&a, &c), ColKind::Oid));
-            }
-            PlanOp::Fetch => {
-                let (values, kind) = self.column(node.inputs[0])?;
-                let (oids, _) = self.column(node.inputs[1])?;
-                set(self, Slot::Column(b.fetch(&values, &oids), kind));
-            }
-            PlanOp::MulF32 | PlanOp::AddF32 | PlanOp::SubF32 => {
-                let (x, _) = self.column(node.inputs[0])?;
-                let (y, _) = self.column(node.inputs[1])?;
-                let out = match node.op {
-                    PlanOp::MulF32 => b.mul_f32(&x, &y),
-                    PlanOp::AddF32 => b.add_f32(&x, &y),
-                    _ => b.sub_f32(&x, &y),
-                };
-                set(self, Slot::Column(out, ColKind::F32));
-            }
-            PlanOp::ConstMinusF32 { constant } => {
-                let (a, _) = self.column(node.inputs[0])?;
-                set(self, Slot::Column(b.const_minus_f32(*constant, &a), ColKind::F32));
-            }
-            PlanOp::ConstPlusF32 { constant } => {
-                let (a, _) = self.column(node.inputs[0])?;
-                set(self, Slot::Column(b.const_plus_f32(*constant, &a), ColKind::F32));
-            }
-            PlanOp::MulConstF32 { constant } => {
-                let (a, _) = self.column(node.inputs[0])?;
-                set(self, Slot::Column(b.mul_const_f32(&a, *constant), ColKind::F32));
-            }
-            PlanOp::CastI32F32 => {
-                let (a, _) = self.column(node.inputs[0])?;
-                set(self, Slot::Column(b.cast_i32_f32(&a), ColKind::F32));
-            }
-            PlanOp::ExtractYear => {
-                let (a, _) = self.column(node.inputs[0])?;
-                set(self, Slot::Column(b.extract_year(&a), ColKind::I32));
-            }
-            PlanOp::PkFkJoin => {
-                let (fk, _) = self.column(node.inputs[0])?;
-                let (pk, _) = self.column(node.inputs[1])?;
-                let (fk_oids, pk_oids) = b.pkfk_join(&fk, &pk);
-                self.registers.insert(node.outputs[0], Slot::Column(fk_oids, ColKind::Oid));
-                self.registers.insert(node.outputs[1], Slot::Column(pk_oids, ColKind::Oid));
-            }
-            PlanOp::PkFkJoinPartitioned { ndv_hint } => {
-                let (fk, _) = self.column(node.inputs[0])?;
-                let (pk, _) = self.column(node.inputs[1])?;
-                let (fk_oids, pk_oids) = b.pkfk_join_partitioned(&fk, &pk, *ndv_hint);
-                self.registers.insert(node.outputs[0], Slot::Column(fk_oids, ColKind::Oid));
-                self.registers.insert(node.outputs[1], Slot::Column(pk_oids, ColKind::Oid));
-            }
-            PlanOp::SemiJoin => {
-                let (l, _) = self.column(node.inputs[0])?;
-                let (r, _) = self.column(node.inputs[1])?;
-                set(self, Slot::Column(b.semi_join(&l, &r), ColKind::Oid));
-            }
-            PlanOp::AntiJoin => {
-                let (l, _) = self.column(node.inputs[0])?;
-                let (r, _) = self.column(node.inputs[1])?;
-                set(self, Slot::Column(b.anti_join(&l, &r), ColKind::Oid));
-            }
-            PlanOp::GroupBy => {
-                let keys: Vec<B::Column> = node
-                    .inputs
-                    .iter()
-                    .map(|var| self.column(*var).map(|(c, _)| c))
-                    .collect::<Result<_, _>>()?;
-                let refs: Vec<&B::Column> = keys.iter().collect();
-                set(self, Slot::Group(b.group_by(&refs)));
-            }
-            PlanOp::GroupReps => {
-                let reps = self.group(node.inputs[0])?.representatives.clone();
-                set(self, Slot::Column(reps, ColKind::Oid));
-            }
-            PlanOp::GroupedAggs { funcs } => {
-                let values: Vec<B::Column> = node.inputs[1..]
-                    .iter()
-                    .map(|var| self.column(*var).map(|(c, _)| c))
-                    .collect::<Result<_, _>>()?;
-                let refs: Vec<&B::Column> = values.iter().collect();
-                let columns = b.grouped_aggs(self.group(node.inputs[0])?, &refs, funcs);
-                for (out, column) in node.outputs.iter().zip(columns) {
-                    self.registers.insert(*out, Slot::Column(column, ColKind::F32));
-                }
-            }
-            PlanOp::SortOrderI32 { descending } => {
-                let (col, _) = self.column(node.inputs[0])?;
-                set(self, Slot::Column(b.sort_order_i32(&col, *descending), ColKind::Oid));
-            }
-            PlanOp::SortOrderF32 { descending } => {
-                let (col, _) = self.column(node.inputs[0])?;
-                set(self, Slot::Column(b.sort_order_f32(&col, *descending), ColKind::Oid));
-            }
-            PlanOp::SumF32 => {
-                let (values, _) = self.column(node.inputs[0])?;
-                set(self, Slot::Scalar(b.sum_scalar_f32(&values)));
-            }
-            PlanOp::Sync => {
-                for var in &node.inputs {
-                    if !self.registers.contains_key(var) {
-                        return Err(PlanError::UndefinedVar { var: *var });
-                    }
-                }
-                b.sync();
+                self.registers.slots.insert(node.outputs[0], Slot::Column(b.bat(bat), kind));
             }
             PlanOp::Result => {
                 for var in &node.inputs {
-                    let value = match self.registers.get(var) {
+                    let value = match self.registers.slots.get(var) {
                         Some(Slot::Scalar(c)) => {
                             let scalars = b.to_f32(c);
                             QueryValue::Scalar(scalars.first().copied().unwrap_or(0.0))
@@ -1893,6 +1826,7 @@ impl<'a, B: Backend> PlanRun<'a, B> {
                     self.results.push(value);
                 }
             }
+            _ => exec_op(b, node, &mut self.registers)?,
         }
         Ok(())
     }
@@ -1902,6 +1836,171 @@ impl<'a, B: Backend> PlanRun<'a, B> {
         while !matches!(self.step()?, StepOutcome::Done) {}
         Ok(())
     }
+}
+
+/// Runs the operator of one node — anything but `bind` and `result` —
+/// against the backend, reading and writing `regs`.
+fn exec_op<B: Backend + ?Sized>(
+    b: &B,
+    node: &PlanNode,
+    regs: &mut Registers<B::Column>,
+) -> Result<(), PlanError> {
+    let column = |regs: &Registers<B::Column>, index: usize| regs.column(node.inputs[index]);
+    let out = match &node.op {
+        PlanOp::SelectRangeI32 { low, high } => {
+            let out =
+                b.select_range_i32(&column(regs, 0)?, *low, *high, regs.cands(node, 1)?.as_ref());
+            Slot::Column(out, ColKind::Oid)
+        }
+        PlanOp::SelectRangeF32 { low, high } => {
+            let out =
+                b.select_range_f32(&column(regs, 0)?, *low, *high, regs.cands(node, 1)?.as_ref());
+            Slot::Column(out, ColKind::Oid)
+        }
+        PlanOp::SelectEqI32 { needle } => {
+            let out = b.select_eq_i32(&column(regs, 0)?, *needle, regs.cands(node, 1)?.as_ref());
+            Slot::Column(out, ColKind::Oid)
+        }
+        PlanOp::SelectNeI32 { needle } => {
+            let out = b.select_ne_i32(&column(regs, 0)?, *needle, regs.cands(node, 1)?.as_ref());
+            Slot::Column(out, ColKind::Oid)
+        }
+        PlanOp::SelectInI32 { values } => {
+            let out = b.select_in_i32(&column(regs, 0)?, values, regs.cands(node, 1)?.as_ref());
+            Slot::Column(out, ColKind::Oid)
+        }
+        PlanOp::SelectCmpI32 { op } => {
+            let (left, right) = (column(regs, 0)?, column(regs, 1)?);
+            let out = b.select_cmp_i32(&left, &right, *op, regs.cands(node, 2)?.as_ref());
+            Slot::Column(out, ColKind::Oid)
+        }
+        PlanOp::UnionOids => {
+            Slot::Column(b.union_oids(&column(regs, 0)?, &column(regs, 1)?), ColKind::Oid)
+        }
+        PlanOp::Fetch => {
+            let (values, kind) = regs.typed_column(node.inputs[0])?;
+            Slot::Column(b.fetch(&values, &column(regs, 1)?), kind)
+        }
+        PlanOp::MulF32 | PlanOp::AddF32 | PlanOp::SubF32 => {
+            let (x, y) = (column(regs, 0)?, column(regs, 1)?);
+            let out = match node.op {
+                PlanOp::MulF32 => b.mul_f32(&x, &y),
+                PlanOp::AddF32 => b.add_f32(&x, &y),
+                _ => b.sub_f32(&x, &y),
+            };
+            Slot::Column(out, ColKind::F32)
+        }
+        PlanOp::ConstMinusF32 { constant } => {
+            Slot::Column(b.const_minus_f32(*constant, &column(regs, 0)?), ColKind::F32)
+        }
+        PlanOp::ConstPlusF32 { constant } => {
+            Slot::Column(b.const_plus_f32(*constant, &column(regs, 0)?), ColKind::F32)
+        }
+        PlanOp::MulConstF32 { constant } => {
+            Slot::Column(b.mul_const_f32(&column(regs, 0)?, *constant), ColKind::F32)
+        }
+        PlanOp::CastI32F32 => Slot::Column(b.cast_i32_f32(&column(regs, 0)?), ColKind::F32),
+        PlanOp::ExtractYear => Slot::Column(b.extract_year(&column(regs, 0)?), ColKind::I32),
+        PlanOp::PkFkJoin | PlanOp::PkFkJoinPartitioned { .. } => {
+            let (fk, pk) = (column(regs, 0)?, column(regs, 1)?);
+            let (fk_oids, pk_oids) = match &node.op {
+                PlanOp::PkFkJoinPartitioned { ndv_hint } => {
+                    b.pkfk_join_partitioned(&fk, &pk, *ndv_hint)
+                }
+                _ => b.pkfk_join(&fk, &pk),
+            };
+            regs.slots.insert(node.outputs[0], Slot::Column(fk_oids, ColKind::Oid));
+            regs.slots.insert(node.outputs[1], Slot::Column(pk_oids, ColKind::Oid));
+            return Ok(());
+        }
+        PlanOp::SemiJoin => {
+            Slot::Column(b.semi_join(&column(regs, 0)?, &column(regs, 1)?), ColKind::Oid)
+        }
+        PlanOp::AntiJoin => {
+            Slot::Column(b.anti_join(&column(regs, 0)?, &column(regs, 1)?), ColKind::Oid)
+        }
+        PlanOp::GroupBy => {
+            let keys: Vec<B::Column> =
+                node.inputs.iter().map(|var| regs.column(*var)).collect::<Result<_, _>>()?;
+            Slot::Group(b.group_by(&keys.iter().collect::<Vec<_>>()))
+        }
+        PlanOp::GroupReps => {
+            Slot::Column(regs.group(node.inputs[0])?.representatives.clone(), ColKind::Oid)
+        }
+        PlanOp::GroupedAggs { funcs } => {
+            let values: Vec<B::Column> =
+                node.inputs[1..].iter().map(|var| regs.column(*var)).collect::<Result<_, _>>()?;
+            let refs: Vec<&B::Column> = values.iter().collect();
+            let columns = b.grouped_aggs(regs.group(node.inputs[0])?, &refs, funcs);
+            for (out, column) in node.outputs.iter().zip(columns) {
+                regs.slots.insert(*out, Slot::Column(column, ColKind::F32));
+            }
+            return Ok(());
+        }
+        PlanOp::SortOrderI32 { descending } => {
+            Slot::Column(b.sort_order_i32(&column(regs, 0)?, *descending), ColKind::Oid)
+        }
+        PlanOp::SortOrderF32 { descending } => {
+            Slot::Column(b.sort_order_f32(&column(regs, 0)?, *descending), ColKind::Oid)
+        }
+        PlanOp::SumF32 => Slot::Scalar(b.sum_scalar_f32(&column(regs, 0)?)),
+        PlanOp::Pipeline { .. } => {
+            // The outputs are the sink's, and so are their kinds.
+            let kind = |column| match node.sink() {
+                PlanOp::SumF32 => Slot::Scalar(column),
+                PlanOp::GroupedAggs { .. } => Slot::Column(column, ColKind::F32),
+                _ => Slot::Column(column, ColKind::Oid),
+            };
+            for (out, column) in node.outputs.iter().zip(b.pipeline(node, regs)?) {
+                regs.slots.insert(*out, kind(column));
+            }
+            return Ok(());
+        }
+        PlanOp::Sync => {
+            if let Some(var) = node.inputs.iter().find(|var| !regs.slots.contains_key(var)) {
+                return Err(PlanError::UndefinedVar { var: *var });
+            }
+            b.sync();
+            return Ok(());
+        }
+        PlanOp::Bind { .. } | PlanOp::Result => {
+            unreachable!("`bind` and `result` run in `PlanRun::exec_node`")
+        }
+    };
+    regs.slots.insert(node.outputs[0], out);
+    Ok(())
+}
+
+/// The default body of [`Backend::pipeline`]: runs the members of the
+/// `pipeline` node `node` one after another in a scope of their own, seeded
+/// with the node's inputs from `outer`, freeing every member's value at its
+/// last use as the unfused plan did — operator for operator what ran before
+/// the region was fused. Returns the node's outputs, in order.
+pub fn run_members<B: Backend + ?Sized>(
+    b: &B,
+    node: &PlanNode,
+    outer: &Registers<B::Column>,
+) -> Result<Vec<B::Column>, PlanError> {
+    let members = node.members();
+    let mut scope = Registers::new();
+    for var in &node.inputs {
+        let slot = outer.slots.get(var).ok_or(PlanError::UndefinedVar { var: *var })?;
+        scope.slots.insert(*var, slot.clone());
+    }
+    for (index, member) in members.iter().enumerate() {
+        exec_op(b, member, &mut scope)?;
+        let read_later = |var: &Var| members[index + 1..].iter().any(|m| m.inputs.contains(var));
+        for var in member.inputs.iter().filter(|var| !read_later(var)) {
+            scope.slots.remove(var);
+        }
+    }
+    node.outputs
+        .iter()
+        .map(|out| match scope.slots.remove(out) {
+            Some(Slot::Column(column, _) | Slot::Scalar(column)) => Ok(column),
+            _ => Err(PlanError::UndefinedVar { var: *out }),
+        })
+        .collect()
 }
 
 /// Convenience: builds a run, executes it fully and returns the
@@ -2008,7 +2107,7 @@ mod tests {
         run.run_to_completion().unwrap();
         assert!(run.is_done());
         assert!(
-            run.registers.is_empty(),
+            run.registers.slots.is_empty(),
             "every register is dead after the result node materialises"
         );
     }
@@ -2034,12 +2133,12 @@ mod tests {
         while !run.is_done() {
             run.step().unwrap();
             assert!(
-                !run.registers.contains_key(&discarded),
+                !run.registers.slots.contains_key(&discarded),
                 "discarded join side must never be retained (after node {})",
                 run.completed_nodes()
             );
         }
-        assert!(run.registers.is_empty());
+        assert!(run.registers.slots.is_empty());
     }
 
     #[test]

@@ -8,7 +8,9 @@
 //! which join sides get position lists at all, one fused aggregate node per
 //! grouping, and the materialisation order around groupings and sorts. Each
 //! decision appends a note rendered by
-//! [`super::Query::explain`].
+//! [`super::Query::explain`]. The node list is then handed to
+//! [`crate::fuse::fuse_plan`] ([`RewriteConfig::fuse`]), which collapses its
+//! streaming regions into `pipeline` nodes.
 //!
 //! Internally a lowered relation ([`Rel`]) tracks, per source table, an OID
 //! column aligned to the relation's rows (`None` while the relation is
@@ -107,7 +109,18 @@ pub(crate) fn lower(
         vars.push(var);
     }
     lower.p.result(&vars)?;
-    Ok(Lowered { plan: lower.p.finish(), notes: lower.notes })
+    let (mut plan, mut notes) = (lower.p.finish(), lower.notes);
+    if cfg.fuse {
+        let (fused, fused_notes) = crate::fuse::fuse_plan(plan);
+        debug_assert!(
+            crate::analyze::verify(&fused).is_ok(),
+            "the fused plan must verify:\n{}",
+            crate::analyze::verify(&fused)
+        );
+        plan = fused;
+        notes.extend(fused_notes);
+    }
+    Ok(Lowered { plan, notes })
 }
 
 /// Estimated device working set of a monolithic hash join: both key

@@ -23,6 +23,15 @@
 //!   kind-checked physical [`crate::plan::Plan`] the session / scheduler /
 //!   column-cache stack already executes. Nothing below `engine::plan`
 //!   changes.
+//! * **Fusion pass** ([`crate::fuse`]) — the one rule over the *physical*
+//!   plan: streaming regions of the lowered node list (a conjunctive
+//!   selection chain; fetches of base columns at one candidate list and the
+//!   maps over them, ending in `sum_f32` or `grouped_aggs`) collapse into
+//!   one `pipeline` node each, which carries the nodes it replaced.
+//!
+//! The rules, in order, each behind its [`RewriteConfig`] flag: `fold`,
+//! `pushdown`, `selectivity_order`, `prune` (logical), then `fuse`
+//! (physical). `RewriteConfig::naive()` turns all five off.
 //!
 //! ## The logical / physical boundary
 //!
@@ -45,7 +54,9 @@
 //!
 //! Every decision is recorded as a note and rendered by
 //! [`Query::explain`], together with the logical tree before and after the
-//! rewrite rules and the full physical node listing.
+//! rewrite rules and the full physical node listing — in which a `pipeline`
+//! node is followed by the nodes it replaced, one `|` line each, and the
+//! notes end with one `fused nodes [...]` line per region.
 //!
 //! ## Adding a rewrite rule
 //!
@@ -684,8 +695,10 @@ impl Query {
     }
 
     /// Renders the query end to end: the logical tree, the rewritten tree
-    /// with its rule annotations, the lowered physical plan and the
-    /// lowering decisions. The debugging surface of the whole layer.
+    /// with its rule annotations, the lowered physical plan
+    /// ([`Plan::listing`]: fused regions show their members) and the
+    /// lowering and fusion decisions. The debugging surface of the whole
+    /// layer.
     pub fn explain(&self, catalog: &Catalog) -> Result<String, QueryBuildError> {
         self.explain_with(catalog, &RewriteConfig::optimized())
     }
@@ -722,9 +735,7 @@ impl Query {
         }
         let lowered = lower::lower(&rewritten, &outputs, catalog, cfg)?;
         out.push_str(&format!("=== physical plan ({} nodes) ===\n", lowered.plan.len()));
-        for (index, node) in lowered.plan.nodes().iter().enumerate() {
-            out.push_str(&format!("  {index:3}: {node}\n"));
-        }
+        out.push_str(&lowered.plan.listing());
         out.push_str("=== lowering decisions ===\n");
         for note in &lowered.notes {
             out.push_str(&format!("  * {note}\n"));
@@ -833,8 +844,7 @@ mod tests {
         // And the lowered plan's first selection is the d-range.
         let plan = q.lower(&catalog).unwrap();
         let first_select = plan
-            .nodes()
-            .iter()
+            .unfused_nodes()
             .find_map(|n| match &n.op {
                 PlanOp::SelectRangeI32 { low, high } => Some((*low, *high)),
                 _ => None,

@@ -5,7 +5,8 @@
 //! under a [`RewriteConfig`] so benchmarks can ablate individual rules.
 //! Rule order: constant folding (incl. `YEAR` normalisation and conjunct
 //! splitting) → predicate pushdown (to fixpoint) → selectivity ordering →
-//! projection pruning.
+//! projection pruning. (The one rule over the *physical* plan — fusing
+//! streaming regions, [`RewriteConfig::fuse`] — runs after lowering.)
 //!
 //! Selectivity estimates come from [`column_stats`]: per-column min/max and a
 //! sampled distinct-count over the catalog's base data, kept on the BATs
@@ -32,6 +33,10 @@ pub struct RewriteConfig {
     /// columns the query reads (naive lowering materialises every scan
     /// column instead).
     pub prune: bool,
+    /// Fused streaming pipelines: collapse conjunctive selection chains and
+    /// fetch → calc → aggregate regions of the lowered plan into `pipeline`
+    /// nodes (`crate::fuse`).
+    pub fuse: bool,
     /// Device memory budget (bytes) the lowering plans joins against:
     /// when a hash join's estimated working set would overflow it, the
     /// lowering emits the partitioned hybrid hash join (planned spilling)
@@ -48,6 +53,7 @@ impl RewriteConfig {
             pushdown: true,
             selectivity_order: true,
             prune: true,
+            fuse: true,
             device_budget: None,
         }
     }
@@ -60,6 +66,7 @@ impl RewriteConfig {
             pushdown: false,
             selectivity_order: false,
             prune: false,
+            fuse: false,
             device_budget: None,
         }
     }

@@ -320,6 +320,7 @@ impl PlanCache {
             cfg.pushdown as u8,
             cfg.selectivity_order as u8,
             cfg.prune as u8,
+            cfg.fuse as u8,
         ]);
         for id in query.params() {
             let kind = match params.get(id as usize) {

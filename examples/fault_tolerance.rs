@@ -28,9 +28,10 @@ fn main() {
     let reference_q3 = Session::ocelot(&SharedDevice::cpu()).run(&q3, db.catalog()).unwrap();
 
     // --- 1. Scripted transient faults: retried, invisibly. ---
+    // (Fused, Q6 is two launches — accumulate and fold; the second one fails.)
     let flaky = SharedDevice::cpu();
     flaky.device().install_fault_plan(FaultPlan::scripted(vec![
-        FaultSpec::TransientKernel { at_launch: 3 },
+        FaultSpec::TransientKernel { at_launch: 1 },
         FaultSpec::TransientTransfer { at_transfer: 1 },
     ]));
     let session = Session::ocelot(&flaky);

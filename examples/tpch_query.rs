@@ -4,11 +4,14 @@
 //!
 //! Builds TPC-H Q6 in the declarative `Query` DSL, prints `explain()` —
 //! the logical tree, the rewrite-rule annotations (selectivity ordering,
-//! projection pruning) and the lowered physical plan — then executes the
-//! *same* query on two different devices (multi-core CPU and the simulated
-//! discrete GPU) plus the MonetDB-style host baseline, asserting all three
-//! agree and that the lowered plan preserves the engine's one-flush-per-
-//! plan invariant on both Ocelot devices.
+//! projection pruning) and the lowered physical plan, in which the three
+//! selections, two fetches, the multiply and the sum are **one `pipeline`
+//! node** listed with the nodes it replaced — then executes the *same*
+//! query on two different devices (multi-core CPU and the simulated
+//! discrete GPU) plus the MonetDB-style host baseline (which runs the
+//! pipeline member by member), asserting all three agree and that the plan
+//! preserves the engine's one-flush-per-plan invariant on both Ocelot
+//! devices.
 
 use ocelot_core::SharedDevice;
 use ocelot_engine::Session;
@@ -24,7 +27,9 @@ fn main() {
 
     // The engine picks the physical operators; explain() shows its work.
     let query = q6_query(&db);
-    println!("{}", query.explain(db.catalog()).expect("q6 lowers"));
+    let explained = query.explain(db.catalog()).expect("q6 lowers");
+    println!("{explained}");
+    assert!(explained.contains("pipeline [3 select, 2 fetch, 1 map] => sum_f32"), "q6 fuses");
 
     // Host-side reference configuration.
     let reference = run_query(&Session::monet_seq(), &db, 6).expect("q6 runs on MS");

@@ -387,19 +387,21 @@ fn armed_race_detector_is_silent_over_every_new_kernel() {
     }
 }
 
+/// The operators the plan lowered to (fused regions taken apart again).
 fn op_names(plan: &Plan) -> Vec<&'static str> {
-    plan.nodes().iter().map(|node| node.op.name()).collect()
+    plan.unfused_nodes().map(|node| node.op.name()).collect()
 }
 
 /// Q1 lowers to one `grouped_aggs` node over five value operands (`sum` and
-/// `avg` of a column share it), and on Ocelot that node is two launches —
-/// where eight aggregate nodes took sixteen.
+/// `avg` of a column share it), and on Ocelot that node — with the fetches
+/// and maps feeding it, as one `pipeline` — is two launches, where eight
+/// aggregate nodes took sixteen.
 #[test]
 fn q1_has_one_grouped_aggs_node_of_two_launches() {
     let db = TpchDb::generate(TpchConfig { scale_factor: 0.005, seed: 15 });
     let plan = q1_query(&db).lower(db.catalog()).unwrap();
     let fused: Vec<&PlanNode> =
-        plan.nodes().iter().filter(|node| node.op.name().starts_with("grouped_")).collect();
+        plan.unfused_nodes().filter(|node| node.op.name().starts_with("grouped_")).collect();
     let [node] = fused.as_slice() else { panic!("one aggregate node, found {fused:?}") };
     assert_eq!((node.inputs.len(), node.outputs.len()), (1 + 5, 8), "{node}");
     assert_eq!(
@@ -410,7 +412,7 @@ fn q1_has_one_grouped_aggs_node_of_two_launches() {
         let session = Session::ocelot(&shared);
         let (_, profile) = session.explain_analyze(&plan, db.catalog()).unwrap();
         let aggs: Vec<_> =
-            profile.nodes.iter().filter(|node| node.op.starts_with("grouped_aggs")).collect();
+            profile.nodes.iter().filter(|node| node.op.ends_with("=> grouped_aggs")).collect();
         assert_eq!(aggs.len(), 1);
         assert_eq!(aggs[0].marker.kernels, 2, "{}", profile.render());
         let grouping = profile.nodes.iter().find(|node| node.op == "group_by").expect("Q1 groups");

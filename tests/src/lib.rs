@@ -653,30 +653,44 @@ mod recovery {
 
     #[test]
     fn recovery_traces_are_reproducible_for_a_seed() {
-        // Same seed ⇒ same recovery decisions: two fresh devices replaying
-        // one seeded fault schedule take the exact same retry/backoff trace
-        // (fresh devices matter — a warm column cache would skip uploads
-        // and shift the operation sequence).
+        // Same seed ⇒ same recovery decisions, whatever the outcome: two
+        // fresh devices replaying one seeded fault schedule take the exact
+        // same retry/backoff trace, count the same counters and end the
+        // same way — reference-equal when the plan completes, the typed
+        // quarantine error when a node's budget runs out. (Fresh devices
+        // matter — a warm column cache would skip uploads and shift the
+        // operation sequence.) Which operations a seed hits depends on the
+        // plan's launch sequence, so no single seed is pinned: the property
+        // holds for every seed of the set and the set must retry somewhere.
         let catalog = db().catalog();
         let plan = &plans()[1]; // Q3: enough device ops to draw real faults.
-        let run = || {
+        let run = |seed: u64| {
             let shared = SharedDevice::cpu();
-            shared.device().install_fault_plan(FaultPlan::seeded(7, 0.05, 0.0));
+            shared.device().install_fault_plan(FaultPlan::seeded(seed, 0.05, 0.0));
             let session = Session::ocelot(&shared);
-            let values = session.run(plan, catalog).unwrap();
-            (values, session.recovery_stats(), session.recovery_trace())
+            let outcome = session.run(plan, catalog);
+            (outcome, session.recovery_stats(), session.recovery_trace())
         };
-        let (values_a, stats_a, trace_a) = run();
-        let (values_b, stats_b, trace_b) = run();
-        assert!(stats_a.retries > 0, "the chosen seed must exercise retries: {stats_a:?}");
-        assert!(
-            trace_a.iter().any(|e| matches!(e, RecoveryEvent::TransientRetry { .. })),
-            "retries must be traced"
-        );
-        assert_eq!(stats_a, stats_b, "same seed, same counters");
-        assert_eq!(trace_a, trace_b, "same seed, same ordered recovery trace");
-        assert_eq!(values_a, values_b);
-        assert_eq!(&values_a, &reference()[1], "retried runs stay reference-equal");
+        let mut seeds_with_retries = 0;
+        for seed in 1..=8 {
+            let ((outcome_a, stats_a, trace_a), (outcome_b, stats_b, trace_b)) =
+                (run(seed), run(seed));
+            assert_eq!(stats_a, stats_b, "seed {seed}: same seed, same counters");
+            assert_eq!(trace_a, trace_b, "seed {seed}: same seed, same ordered recovery trace");
+            assert_eq!(outcome_a, outcome_b, "seed {seed}: same seed, same outcome");
+            match &outcome_a {
+                Ok(values) => assert_eq!(values, &reference()[1], "seed {seed}: reference-equal"),
+                Err(PlanError::Faulted { .. }) => {}
+                Err(other) => panic!("seed {seed}: untyped failure {other:?}"),
+            }
+            let traced = trace_a
+                .iter()
+                .filter(|e| matches!(e, RecoveryEvent::TransientRetry { .. }))
+                .count();
+            assert_eq!(traced as u64, stats_a.retries, "seed {seed}: every retry is traced");
+            seeds_with_retries += usize::from(stats_a.retries > 0);
+        }
+        assert!(seeds_with_retries > 0, "some seed of the set must exercise a retry");
     }
 
     fn toy_catalog(keys: &[i32], values: &[f32]) -> Catalog {
@@ -1486,7 +1500,8 @@ mod analysis {
     /// Every ported TPC-H plan — DSL-lowered and the hand-built physical
     /// oracles — passes the verifier, checked through all four evaluated
     /// backend configurations; running the workload then re-checks every
-    /// plan at admission (debug builds).
+    /// plan at admission (debug builds) — the fused plans included, which
+    /// lowering already verified once after fusing them.
     #[test]
     fn ported_workload_passes_the_verifier_on_all_four_backends() {
         let db = TpchDb::generate(TpchConfig { scale_factor: 0.002, seed: 7 });
@@ -1534,12 +1549,23 @@ mod analysis {
         }
 
         // Execute the whole ported workload on every backend: in debug
-        // builds `Session::run` re-verifies each plan at admission.
+        // builds `Session::run` re-verifies each plan at admission. The
+        // Ocelot devices run it — fused regions and all — under the armed
+        // race detector: every declared kernel's tier-2 ranges are checked
+        // against the kernels it is unordered with, and nothing is found.
+        let queues = [&ocelot_cpu, &ocelot_gpu].map(|s| s.backend().context().queue());
+        queues.iter().for_each(|queue| queue.race().arm());
         for query in PORTED_QUERY_IDS {
             run_query(&ms, &db, query).unwrap();
             run_query(&mp, &db, query).unwrap();
             run_query(&ocelot_cpu, &db, query).unwrap();
             run_query(&ocelot_gpu, &db, query).unwrap();
+        }
+        for queue in queues {
+            let (stats, diagnostics) = (queue.race().stats(), queue.race().take_diagnostics());
+            queue.race().disarm();
+            assert!(diagnostics.is_empty(), "{diagnostics:?}");
+            assert!(stats.kernels_declared > 0 && stats.pairs_checked > 0, "{stats:?}");
         }
     }
 
@@ -1671,6 +1697,7 @@ mod grouping {
     use ocelot_core::ops::{aggregate, groupby, join};
     use ocelot_core::{OcelotContext, SharedDevice};
     use ocelot_engine::{Backend, OcelotBackend, Session};
+    use ocelot_kernel::Device;
     use ocelot_tpch::{run_query, QueryResult, TpchConfig, TpchDb, PORTED_QUERY_IDS};
     use proptest::prelude::*;
     use std::collections::HashMap;
@@ -1852,7 +1879,9 @@ mod grouping {
     /// ROADMAP open item 1's gate: every ported query, 20 runs per backend,
     /// bit-identical — the float aggregates included. (Fresh results every
     /// run; the sessions and their caches are reused, as a serving process
-    /// would.)
+    /// would.) Ocelot CPU runs at thread-pool sizes 1, 2 and N, and the
+    /// fused Q1 and Q6 — whose float sums partition rows by row and group
+    /// counts only — are bit-identical *across* those sizes as well.
     #[test]
     fn every_ported_query_is_bit_identical_across_20_runs_per_backend() {
         let db = TpchDb::generate(TpchConfig { scale_factor: 0.005, seed: 97 });
@@ -1867,8 +1896,19 @@ mod grouping {
         }
         check(&Session::monet_seq(), &db);
         check(&Session::monet_par(), &db);
-        check(&Session::ocelot(&SharedDevice::cpu()), &db);
         check(&Session::new(OcelotBackend::gpu()), &db);
+        let cores = std::thread::available_parallelism().map_or(4, |n| n.get());
+        let mut across_sizes: Vec<(usize, [QueryResult; 2])> = Vec::new();
+        for threads in [1, 2, cores] {
+            let device = Device::cpu_multicore_with(threads);
+            let session = Session::ocelot(&SharedDevice::with_device(device));
+            check(&session, &db);
+            let fused = [1, 6].map(|query| run_query(&session, &db, query).unwrap());
+            across_sizes.push((threads, fused));
+        }
+        for (threads, fused) in &across_sizes[1..] {
+            assert_eq!(fused, &across_sizes[0].1, "Q1/Q6 at {threads} threads vs 1");
+        }
     }
 }
 
@@ -2052,7 +2092,9 @@ mod join_locality {
             for gone in ["hash_representative_flags", "hash_finalize", "join_count_matches"] {
                 assert!(!launched.iter().any(|k| k == gone), "{gone} in {launched:?}");
             }
-            assert_eq!(launched.len(), 9, "{}: {launched:?}", backend.name());
+            // Seven: the compaction's per-item counts are scanned in one
+            // launch (PR 16), not three.
+            assert_eq!(launched.len(), 7, "{}: {launched:?}", backend.name());
             assert_eq!(backend.context().queue().flush_count() - flushes, 2, "{}", backend.name());
         }
     }
@@ -2060,6 +2102,9 @@ mod join_locality {
 
 #[cfg(test)]
 mod grouped_aggregation;
+
+#[cfg(test)]
+mod fused_pipelines;
 
 #[cfg(test)]
 mod steady_state {
