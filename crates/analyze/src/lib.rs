@@ -27,6 +27,7 @@
 //! | `chunk-mut-outside-kernel` | `Buffer::chunk_mut` / `Bitmap::words_mut` (unchecked tier-2 mutable aliasing) appear only in kernel-side modules: `crates/kernel/src`, `crates/core/src/ops`, `crates/core/src/primitives` |
 //! | `eager-host-scalar` | no public free-function operator in `crates/core/src/{ops,primitives}` returns a host scalar eagerly — operators return device handles (`DevColumn`, `DevScalar`, …) and the *caller* picks the sync point |
 //! | `float-atomic-in-ops` | no float atomic (`atomic_*_f32`/`_f64` helpers, `AtomicF32`/`AtomicF64`) in `crates/core/src/ops` — contended float updates fold in thread-interleaving order; operators fold into private per-work-group partials combined in a fixed order |
+//! | `unwind-as-control-flow` | no `panic_any(`, `catch_unwind(`, `resume_unwind(`, `set_hook(` or `take_hook(` under `crates/core/src` or `crates/engine/src` outside a file's `#[cfg(test)]` module — device failures cross `Backend` as `Result<_, PlanError>` and `PlanRun::step` matches on the returned error; a panic is a bug, never a message |
 //! | `stats-without-metrics` | every file defining a `pub struct *Stats` also registers it with the unified metrics registry (`register_metrics`) |
 //! | `registry-dependency` | every manifest dependency is `path = …` or `workspace = true` — the build environment has no crates.io access, so a version requirement can never resolve |
 //!

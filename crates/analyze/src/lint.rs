@@ -38,6 +38,16 @@ const KERNEL_SIDE: &[&str] =
 /// `eager-host-scalar` rule.
 const HOST_SCALARS: &[&str] = &["f32", "f64", "i32", "i64", "u32", "u64", "usize", "bool"];
 
+/// Directories where failures are values: the `unwind-as-control-flow`
+/// rule's scope. (`crates/kernel/src/thread_pool.rs` replays worker panics
+/// for the scoped-borrow safety of `for_each_slice` and is out of scope by
+/// path.)
+const ERRORS_AS_VALUES: &[&str] = &["crates/core/src", "crates/engine/src"];
+
+/// The calls that turn a panic into a message or its delivery into policy.
+const UNWIND_CALLS: &[&str] =
+    &["panic_any(", "catch_unwind(", "resume_unwind(", "set_hook(", "take_hook("];
+
 /// Whether `code` names a float atomic: an `atomic_…_f32`/`…_f64` helper
 /// (the CAS-emulated family `ocelot_kernel::atomic` used to export) or an
 /// `AtomicF32`/`AtomicF64` type.
@@ -77,9 +87,28 @@ pub fn scan_source(rel_path: &str, content: &str) -> Vec<LintDiagnostic> {
     let kernel_side = KERNEL_SIDE.iter().any(|prefix| path.starts_with(prefix));
     let core_ops = path.starts_with("crates/core/src/ops");
     let core_operator_module = core_ops || path.starts_with("crates/core/src/primitives");
+    let errors_as_values = ERRORS_AS_VALUES.iter().any(|prefix| path.starts_with(prefix));
+    // A file's unit tests are one `#[cfg(test)] mod tests` at its end.
+    let tests_from = lines.iter().position(|line| *line == "#[cfg(test)]").unwrap_or(lines.len());
 
     for (index, line) in lines.iter().enumerate() {
         let code = line.split("//").next().unwrap_or(line);
+
+        if errors_as_values
+            && index < tests_from
+            && UNWIND_CALLS.iter().any(|call| code.contains(call))
+            && !has_allow(&lines, index, "unwind-as-control-flow")
+        {
+            findings.push(LintDiagnostic {
+                path: path.clone(),
+                line: index + 1,
+                rule: "unwind-as-control-flow",
+                message: "panic payload, catch site or panic hook outside a test module — \
+                          failures cross `Backend` as `Result<_, PlanError>` and \
+                          `PlanRun::step` matches on the returned error"
+                    .to_string(),
+            });
+        }
 
         if !kernel_side
             // xlint:allow(chunk-mut-outside-kernel) — the needles themselves.
@@ -276,6 +305,7 @@ pub const FIXTURES: &[(&str, &str, &str)] = &[
     ("eager_scalar_op.rs", "crates/core/src/ops/bad.rs", "eager-host-scalar"),
     ("stats_no_metrics.rs", "crates/core/src/bad.rs", "stats-without-metrics"),
     ("float_atomic_in_ops.rs", "crates/core/src/ops/bad.rs", "float-atomic-in-ops"),
+    ("unwind_in_engine.rs", "crates/engine/src/bad.rs", "unwind-as-control-flow"),
 ];
 
 #[cfg(test)]
@@ -339,6 +369,28 @@ mod tests {
         assert!(scan_source("crates/core/src/ops/a.rs", "// no atomic_add_f32 here\n").is_empty());
         let allowed = "atomic_max_f32(cell, v); // xlint:allow(float-atomic-in-ops)\n";
         assert!(scan_source("crates/core/src/ops/a.rs", allowed).is_empty());
+    }
+
+    #[test]
+    fn unwinds_are_not_control_flow_in_core_and_engine() {
+        for call in UNWIND_CALLS {
+            let line = format!("    let x = panic::{call}f);\n");
+            assert_eq!(scan_source("crates/core/src/cache.rs", &line).len(), 1, "{call}");
+            // The thread pool's catch-and-replay is out of scope by path.
+            assert!(scan_source("crates/kernel/src/thread_pool.rs", &line).is_empty(), "{call}");
+        }
+        // Unit tests may catch a panic to assert on it; comments and
+        // explicit allows pass.
+        let raise = "        std::panic::panic_any(DeviceOom { requested, available })\n";
+        let in_tests = format!("fn f() {{}}\n#[cfg(test)]\nmod tests {{\n{raise}}}\n");
+        assert!(scan_source("crates/engine/src/plan.rs", &in_tests).is_empty());
+        let before_tests = format!("{raise}#[cfg(test)]\nmod tests {{}}\n");
+        let findings = scan_source("crates/engine/src/plan.rs", &before_tests);
+        assert_eq!(findings.len(), 1);
+        assert_eq!((findings[0].rule, findings[0].line), ("unwind-as-control-flow", 1));
+        assert!(scan_source("crates/core/src/a.rs", "// no catch_unwind(...) here\n").is_empty());
+        let allowed = "panic::set_hook(hook); // xlint:allow(unwind-as-control-flow)\n";
+        assert!(scan_source("crates/core/src/a.rs", allowed).is_empty());
     }
 
     #[test]

@@ -45,8 +45,10 @@
 //! most expensive memory to win back, and a node that is *currently
 //! executing* may be about to bind the very column a greedy inline pass
 //! would drop). Instead, when an allocation still fails after inline
-//! eviction, the failure unwinds to the plan layer
-//! (`ocelot_engine::plan::PlanRun`) as a typed [`DeviceOom`]: the register
+//! eviction, the failure *returns* to the plan layer
+//! (`ocelot_engine::plan::PlanRun`) as an ordinary
+//! `KernelError::OutOfDeviceMemory` — through every operator's `Result`
+//! and across the `Backend` trait as `PlanError::Device`: the register
 //! machine drops the failed node's partial outputs, asks the backend to
 //! **release** (flush the queue so finished intermediates become idle) and
 //! **evict** (a full reclaim pass that *does* sweep this cache through the
@@ -63,19 +65,6 @@ use ocelot_trace::{MetricsRegistry, TraceEventKind, TraceHandle};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-
-/// Typed payload of an out-of-device-memory failure travelling from an
-/// operator to the plan layer's restart protocol (see module docs). Raised
-/// with `std::panic::panic_any` by the Ocelot backend when an allocation
-/// fails even after inline eviction; `PlanRun` downcasts, reclaims and
-/// restarts the node instead of failing the query.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DeviceOom {
-    /// Bytes the failing allocation asked for.
-    pub requested: usize,
-    /// Bytes that were available when it failed.
-    pub available: usize,
-}
 
 /// Cache observability counters (the analogue of
 /// [`crate::MemoryStats`] for the shared column cache).
@@ -395,7 +384,7 @@ impl ColumnCache {
     /// Drops **every** entry, pinned or not — the device-loss invalidation
     /// path. When the backing device is lost its memory is gone, so
     /// residency would be a lie and even pinned entries are stale; the
-    /// unwound plan's live [`Pinned`] guards become inert (they match on
+    /// failed plan's live [`Pinned`] guards become inert (they match on
     /// `(key, generation)` and find nothing to unpin). Returns how many
     /// entries were dropped. Counted as evictions in [`CacheStats`].
     pub fn purge_lost_device(&self) -> usize {

@@ -55,10 +55,9 @@ pub mod memory_manager;
 pub mod ops;
 pub mod partition;
 pub mod primitives;
-pub mod recovery;
 
 pub use buffer_pool::{BufferPool, PoolStats};
-pub use cache::{CacheStats, ColumnCache, DeviceOom, Pinned};
+pub use cache::{CacheStats, ColumnCache, Pinned};
 pub use context::{
     ColLen, DevColumn, DevScalar, DevWord, LenSource, OcelotContext, Oid, PlanSlot, SharedDevice,
 };
@@ -69,4 +68,3 @@ pub use partition::{
     SpillPool, SpillStats,
 };
 pub use primitives::bitmap::Bitmap;
-pub use recovery::{DeviceLostFault, TransientFault};

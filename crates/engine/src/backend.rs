@@ -85,6 +85,13 @@ impl ProfileMarker {
 }
 
 /// The single set of logical operators every configuration implements.
+///
+/// Every operator returns `Result<_, PlanError>`, the one failure channel
+/// across this trait: a device failure is [`PlanError::Device`] carrying the
+/// kernel error. The recoverable classes (out of device memory, transient
+/// fault, device loss) are recovered by [`crate::plan::PlanRun`] when the
+/// operator runs as a plan node; every other error, and every error of a
+/// direct call, is final.
 pub trait Backend {
     /// Opaque column handle.
     type Column: Clone;
@@ -96,24 +103,24 @@ pub trait Backend {
 
     /// Wraps a base-table BAT as a backend column (Ocelot routes this
     /// through the Memory Manager's device cache).
-    fn bat(&self, bat: &BatRef) -> Self::Column;
+    fn bat(&self, bat: &BatRef) -> Result<Self::Column, PlanError>;
     /// Lifts host integers into a backend column.
-    fn lift_i32(&self, values: Vec<i32>) -> Self::Column;
+    fn lift_i32(&self, values: Vec<i32>) -> Result<Self::Column, PlanError>;
     /// Lifts host floats into a backend column.
-    fn lift_f32(&self, values: Vec<f32>) -> Self::Column;
+    fn lift_f32(&self, values: Vec<f32>) -> Result<Self::Column, PlanError>;
     /// Lifts host OIDs into a backend column.
-    fn lift_oids(&self, values: Vec<u32>) -> Self::Column;
+    fn lift_oids(&self, values: Vec<u32>) -> Result<Self::Column, PlanError>;
     /// Reads a column back as integers (a `sync` boundary for Ocelot).
-    fn to_i32(&self, col: &Self::Column) -> Vec<i32>;
+    fn to_i32(&self, col: &Self::Column) -> Result<Vec<i32>, PlanError>;
     /// Reads a column back as floats.
-    fn to_f32(&self, col: &Self::Column) -> Vec<f32>;
+    fn to_f32(&self, col: &Self::Column) -> Result<Vec<f32>, PlanError>;
     /// Reads a column back as OIDs.
-    fn to_oids(&self, col: &Self::Column) -> Vec<u32>;
+    fn to_oids(&self, col: &Self::Column) -> Result<Vec<u32>, PlanError>;
     /// Number of values in a column.
-    fn len(&self, col: &Self::Column) -> usize;
+    fn len(&self, col: &Self::Column) -> Result<usize, PlanError>;
     /// Whether a column is empty.
-    fn is_empty(&self, col: &Self::Column) -> bool {
-        self.len(col) == 0
+    fn is_empty(&self, col: &Self::Column) -> Result<bool, PlanError> {
+        Ok(self.len(col)? == 0)
     }
 
     // ---- selection (candidate lists of OIDs) ----
@@ -126,7 +133,7 @@ pub trait Backend {
         low: i32,
         high: i32,
         cands: Option<&Self::Column>,
-    ) -> Self::Column;
+    ) -> Result<Self::Column, PlanError>;
     /// `low <= col <= high` over floats.
     fn select_range_f32(
         &self,
@@ -134,21 +141,21 @@ pub trait Backend {
         low: f32,
         high: f32,
         cands: Option<&Self::Column>,
-    ) -> Self::Column;
+    ) -> Result<Self::Column, PlanError>;
     /// Equality selection over integers (also dictionary-coded strings).
     fn select_eq_i32(
         &self,
         col: &Self::Column,
         needle: i32,
         cands: Option<&Self::Column>,
-    ) -> Self::Column;
+    ) -> Result<Self::Column, PlanError>;
     /// Inequality selection over integers.
     fn select_ne_i32(
         &self,
         col: &Self::Column,
         needle: i32,
         cands: Option<&Self::Column>,
-    ) -> Self::Column;
+    ) -> Result<Self::Column, PlanError>;
     /// Membership selection `col IN (values…)` over integers, in one pass
     /// over the column (or the candidates) whatever the list's length.
     fn select_in_i32(
@@ -156,7 +163,7 @@ pub trait Backend {
         col: &Self::Column,
         values: &[i32],
         cands: Option<&Self::Column>,
-    ) -> Self::Column;
+    ) -> Result<Self::Column, PlanError>;
     /// Column-vs-column selection `left <op> right` over two aligned integer
     /// columns, optionally restricted to candidates: one comparison pass, no
     /// cast or difference intermediates (Ocelot: one kernel writing the
@@ -168,41 +175,45 @@ pub trait Backend {
         right: &Self::Column,
         op: CmpOp,
         cands: Option<&Self::Column>,
-    ) -> Self::Column;
+    ) -> Result<Self::Column, PlanError>;
     /// Union of two sorted candidate lists (a genuine `OR` of predicates; a
     /// host-side merge on Ocelot, so a sync point mid-plan).
-    fn union_oids(&self, a: &Self::Column, b: &Self::Column) -> Self::Column;
+    fn union_oids(&self, a: &Self::Column, b: &Self::Column) -> Result<Self::Column, PlanError>;
 
     // ---- projection / fetch join ----
 
     /// `col[oid]` for every OID — the left fetch join.
-    fn fetch(&self, col: &Self::Column, oids: &Self::Column) -> Self::Column;
+    fn fetch(&self, col: &Self::Column, oids: &Self::Column) -> Result<Self::Column, PlanError>;
 
     // ---- arithmetic maps ----
 
     /// Element-wise `a * b` over floats.
-    fn mul_f32(&self, a: &Self::Column, b: &Self::Column) -> Self::Column;
+    fn mul_f32(&self, a: &Self::Column, b: &Self::Column) -> Result<Self::Column, PlanError>;
     /// Element-wise `a + b` over floats.
-    fn add_f32(&self, a: &Self::Column, b: &Self::Column) -> Self::Column;
+    fn add_f32(&self, a: &Self::Column, b: &Self::Column) -> Result<Self::Column, PlanError>;
     /// Element-wise `a - b` over floats.
-    fn sub_f32(&self, a: &Self::Column, b: &Self::Column) -> Self::Column;
+    fn sub_f32(&self, a: &Self::Column, b: &Self::Column) -> Result<Self::Column, PlanError>;
     /// Element-wise `c - a`.
-    fn const_minus_f32(&self, constant: f32, a: &Self::Column) -> Self::Column;
+    fn const_minus_f32(&self, constant: f32, a: &Self::Column) -> Result<Self::Column, PlanError>;
     /// Element-wise `c + a`.
-    fn const_plus_f32(&self, constant: f32, a: &Self::Column) -> Self::Column;
+    fn const_plus_f32(&self, constant: f32, a: &Self::Column) -> Result<Self::Column, PlanError>;
     /// Element-wise `a * c`.
-    fn mul_const_f32(&self, a: &Self::Column, constant: f32) -> Self::Column;
+    fn mul_const_f32(&self, a: &Self::Column, constant: f32) -> Result<Self::Column, PlanError>;
     /// Casts integers to floats.
-    fn cast_i32_f32(&self, a: &Self::Column) -> Self::Column;
+    fn cast_i32_f32(&self, a: &Self::Column) -> Result<Self::Column, PlanError>;
     /// Extracts the calendar year from a day-number date column.
-    fn extract_year(&self, a: &Self::Column) -> Self::Column;
+    fn extract_year(&self, a: &Self::Column) -> Result<Self::Column, PlanError>;
 
     // ---- joins ----
 
     /// Hash equi-join of a foreign-key column against a (unique) primary-key
     /// column. Returns aligned `(fk_oids, pk_oids)`; FK rows without a
     /// partner are dropped.
-    fn pkfk_join(&self, fk: &Self::Column, pk: &Self::Column) -> (Self::Column, Self::Column);
+    fn pkfk_join(
+        &self,
+        fk: &Self::Column,
+        pk: &Self::Column,
+    ) -> Result<(Self::Column, Self::Column), PlanError>;
     /// Partitioned hybrid hash FK/PK join: semantically identical to
     /// [`Backend::pkfk_join`] — same pairs, same probe-row order — but free
     /// to radix-partition both inputs and spill cold partitions to host
@@ -215,14 +226,22 @@ pub trait Backend {
         fk: &Self::Column,
         pk: &Self::Column,
         ndv_hint: usize,
-    ) -> (Self::Column, Self::Column) {
+    ) -> Result<(Self::Column, Self::Column), PlanError> {
         let _ = ndv_hint;
         self.pkfk_join(fk, pk)
     }
     /// Semi join (`EXISTS`): OIDs of left rows with at least one match.
-    fn semi_join(&self, left: &Self::Column, right: &Self::Column) -> Self::Column;
+    fn semi_join(
+        &self,
+        left: &Self::Column,
+        right: &Self::Column,
+    ) -> Result<Self::Column, PlanError>;
     /// Anti join (`NOT EXISTS`): OIDs of left rows without a match.
-    fn anti_join(&self, left: &Self::Column, right: &Self::Column) -> Self::Column;
+    fn anti_join(
+        &self,
+        left: &Self::Column,
+        right: &Self::Column,
+    ) -> Result<Self::Column, PlanError>;
 
     // ---- grouping ----
 
@@ -230,7 +249,7 @@ pub trait Backend {
     /// order (Ocelot: by dense codes when the observed key ranges span few
     /// enough key tuples, by one composite-key hash build otherwise —
     /// `ocelot_core::ops::groupby`; the choice is invisible in the result).
-    fn group_by(&self, keys: &[&Self::Column]) -> GroupHandle<Self::Column>;
+    fn group_by(&self, keys: &[&Self::Column]) -> Result<GroupHandle<Self::Column>, PlanError>;
 
     // ---- grouped aggregation (float results, the engine's 4-byte model) ----
 
@@ -247,7 +266,7 @@ pub trait Backend {
         groups: &GroupHandle<Self::Column>,
         values: &[&Self::Column],
         funcs: &[GroupedAgg],
-    ) -> Vec<Self::Column>;
+    ) -> Result<Vec<Self::Column>, PlanError>;
 
     // ---- fused regions ----
 
@@ -271,14 +290,16 @@ pub trait Backend {
     /// in a one-word device buffer (a `DevScalar`) until a `to_*` read, so
     /// MAL plans that aggregate and only later materialise stay sync-free.
     /// The default implementation falls back to the eager host sum.
-    fn sum_scalar_f32(&self, values: &Self::Column) -> Self::Column {
-        self.lift_f32(vec![self.sum_f32(values)])
+    fn sum_scalar_f32(&self, values: &Self::Column) -> Result<Self::Column, PlanError> {
+        self.lift_f32(vec![self.sum_f32(values)?])
     }
 
     /// The `ocelot.sync` ownership boundary: flush outstanding device work
     /// so every previously produced column is materialised. A no-op for the
     /// host backends, whose operators are eager.
-    fn sync(&self) {}
+    fn sync(&self) -> Result<(), PlanError> {
+        Ok(())
+    }
 
     /// The **release + evict** step of the OOM-restart protocol
     /// (`ocelot_core::cache` module docs): called by the plan executor when
@@ -294,7 +315,7 @@ pub trait Backend {
 
     /// The **invalidation** step of the device-loss failover protocol
     /// (`ocelot_engine::plan` module docs): called once a plan run has
-    /// unwound with `PlanError::DeviceLost`, before the query is re-run on
+    /// failed with `PlanError::DeviceLost`, before the query is re-run on
     /// a fallback backend. Implementations drop every piece of
     /// device-resident state they cache — for Ocelot that is the shared
     /// column cache's entries and the buffer pool's retained buffers, both
@@ -303,17 +324,13 @@ pub trait Backend {
 
     /// Sum of a float column (**sync boundary** for Ocelot — prefer
     /// [`Backend::sum_scalar_f32`] mid-plan).
-    fn sum_f32(&self, values: &Self::Column) -> f32;
+    fn sum_f32(&self, values: &Self::Column) -> Result<f32, PlanError>;
     /// Minimum of a float column (`+∞` when empty).
-    fn min_f32(&self, values: &Self::Column) -> f32;
+    fn min_f32(&self, values: &Self::Column) -> Result<f32, PlanError>;
     /// Maximum of a float column (`-∞` when empty).
-    fn max_f32(&self, values: &Self::Column) -> f32;
-    /// Minimum of an integer column (`i32::MAX` when empty).
-    fn min_i32(&self, values: &Self::Column) -> i32;
-    /// Average of a float column (`0` when empty).
-    fn avg_f32(&self, values: &Self::Column) -> f32;
+    fn max_f32(&self, values: &Self::Column) -> Result<f32, PlanError>;
     /// Row count.
-    fn count(&self, values: &Self::Column) -> usize {
+    fn count(&self, values: &Self::Column) -> Result<usize, PlanError> {
         self.len(values)
     }
 
@@ -321,9 +338,17 @@ pub trait Backend {
 
     /// The permutation of OIDs that sorts an integer column (ascending or
     /// descending).
-    fn sort_order_i32(&self, col: &Self::Column, descending: bool) -> Self::Column;
+    fn sort_order_i32(
+        &self,
+        col: &Self::Column,
+        descending: bool,
+    ) -> Result<Self::Column, PlanError>;
     /// The permutation of OIDs that sorts a float column.
-    fn sort_order_f32(&self, col: &Self::Column, descending: bool) -> Self::Column;
+    fn sort_order_f32(
+        &self,
+        col: &Self::Column,
+        descending: bool,
+    ) -> Result<Self::Column, PlanError>;
 
     // ---- observability ----
 
@@ -349,13 +374,4 @@ pub trait Backend {
     fn register_metrics(&self, registry: &mut MetricsRegistry) {
         let _ = registry;
     }
-
-    // ---- timing ----
-
-    /// Starts (or restarts) the configuration's timer. For Ocelot this also
-    /// flushes outstanding device work so the measurement starts clean.
-    fn begin_timing(&self);
-    /// Nanoseconds elapsed since [`Backend::begin_timing`]: wall-clock for
-    /// CPU configurations, modeled device time for the simulated GPU.
-    fn elapsed_ns(&self) -> u64;
 }

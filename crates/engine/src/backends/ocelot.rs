@@ -18,36 +18,15 @@ use ocelot_core::ops::{
 };
 use ocelot_core::primitives::gather;
 use ocelot_core::{
-    partitioned_pkfk_join, Bitmap, DevColumn, DevWord, DeviceLostFault, DeviceOom, OcelotContext,
-    Oid, PartitionedJoinConfig, SharedDevice, SpillStats, TransientFault,
+    partitioned_pkfk_join, Bitmap, DevColumn, DevWord, OcelotContext, Oid, PartitionedJoinConfig,
+    SharedDevice, SpillStats,
 };
-use ocelot_kernel::{DeviceKind, GpuConfig, KernelError};
+use ocelot_kernel::{DeviceKind, GpuConfig};
 use ocelot_storage::{BatRef, CmpOp};
 use ocelot_trace::{MetricsRegistry, TraceSink};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
-
-/// Unwraps a kernel result. The recoverable failures — out-of-device-memory,
-/// transient launch/transfer faults, device loss — unwind as **typed
-/// payloads** so the plan executor's unified recovery protocol can catch
-/// and classify them (restart after reclaim, retry after backoff, unwind
-/// the plan for failover; see `ocelot_engine::plan`); every other kernel
-/// error is a real bug and panics with its message, which the protocol
-/// never swallows.
-fn raise<T>(what: &str, error: KernelError) -> T {
-    match error {
-        KernelError::OutOfDeviceMemory { requested, available } => {
-            std::panic::panic_any(DeviceOom { requested, available })
-        }
-        KernelError::TransientFault { site, op } => {
-            std::panic::panic_any(TransientFault { site, op })
-        }
-        KernelError::DeviceLost => std::panic::panic_any(DeviceLostFault),
-        other => panic!("{what}: {other}"),
-    }
-}
 
 /// A typed device column handle: the `Backend::Column` of the Ocelot
 /// configurations.
@@ -96,7 +75,6 @@ impl OcelotColumn {
 pub struct OcelotBackend {
     ctx: OcelotContext,
     label: String,
-    timer: Mutex<(Instant, u64)>,
     /// Number of reclaim passes run for the OOM-restart protocol — one per
     /// node restart the plan executor performed on this backend.
     reclaims: AtomicU64,
@@ -145,7 +123,6 @@ impl OcelotBackend {
         OcelotBackend {
             ctx,
             label: label.to_string(),
-            timer: Mutex::new((Instant::now(), 0)),
             reclaims: AtomicU64::new(0),
             spill_stats: Mutex::new(SpillStats::default()),
         }
@@ -175,23 +152,10 @@ impl OcelotBackend {
     /// protects the entry from eviction while any plan register still
     /// holds it. Stand-alone contexts fall back to the Memory Manager's
     /// private BAT registry.
-    fn cached_column<T: DevWord>(&self, bat: &BatRef) -> DevColumn<T> {
+    fn cached_column<T: DevWord>(&self, bat: &BatRef) -> ocelot_kernel::Result<DevColumn<T>> {
         match self.ctx.column_cache() {
-            Some(cache) => cache
-                .column_for_bat(&self.ctx, bat)
-                .unwrap_or_else(|e| raise("cached column bind failed", e)),
-            None => project::device_column_for_bat(&self.ctx, bat)
-                .unwrap_or_else(|e| raise("device upload failed", e)),
-        }
-    }
-
-    fn upload_bat(&self, bat: &BatRef) -> OcelotColumn {
-        if bat.as_f32().is_some() {
-            OcelotColumn::F32(self.cached_column(bat))
-        } else if bat.as_oid().is_some() {
-            OcelotColumn::Oid(self.cached_column(bat))
-        } else {
-            OcelotColumn::I32(self.cached_column(bat))
+            Some(cache) => cache.column_for_bat(&self.ctx, bat),
+            None => project::device_column_for_bat(&self.ctx, bat),
         }
     }
 
@@ -205,26 +169,22 @@ impl OcelotBackend {
         cols: &[&OcelotColumn],
         cands: Option<&OcelotColumn>,
         pred: F,
-    ) -> OcelotColumn
+    ) -> Result<OcelotColumn, PlanError>
     where
         F: Fn(&OcelotContext, &[&OcelotColumn]) -> ocelot_kernel::Result<Bitmap>,
     {
         let Some(cands) = cands else {
-            let bitmap = pred(&self.ctx, cols).unwrap_or_else(|e| raise("selection failed", e));
-            let oids = select::materialize_bitmap(&self.ctx, &bitmap)
-                .unwrap_or_else(|e| raise("materialize failed", e));
-            return OcelotColumn::Oid(oids);
+            let bitmap = pred(&self.ctx, cols)?;
+            return Ok(OcelotColumn::Oid(select::materialize_bitmap(&self.ctx, &bitmap)?));
         };
         // Evaluate the predicate on the candidate rows' values, then map the
         // qualifying positions back to the original OIDs.
-        let values: Vec<OcelotColumn> = cols.iter().map(|col| self.fetch(col, cands)).collect();
+        let values: Vec<OcelotColumn> =
+            cols.iter().map(|col| self.fetch(col, cands)).collect::<Result<_, _>>()?;
         let values: Vec<&OcelotColumn> = values.iter().collect();
-        let bitmap = pred(&self.ctx, &values).unwrap_or_else(|e| raise("selection failed", e));
-        let positions = select::materialize_bitmap(&self.ctx, &bitmap)
-            .unwrap_or_else(|e| raise("materialize failed", e));
-        let oids = gather::gather(&self.ctx, &cands.as_oid(), &positions)
-            .unwrap_or_else(|e| raise("candidate remap failed", e));
-        OcelotColumn::Oid(oids)
+        let bitmap = pred(&self.ctx, &values)?;
+        let positions = select::materialize_bitmap(&self.ctx, &bitmap)?;
+        Ok(OcelotColumn::Oid(gather::gather(&self.ctx, &cands.as_oid(), &positions)?))
     }
 }
 
@@ -235,42 +195,36 @@ impl Backend for OcelotBackend {
         &self.label
     }
 
-    fn bat(&self, bat: &BatRef) -> OcelotColumn {
-        self.upload_bat(bat)
+    fn bat(&self, bat: &BatRef) -> Result<OcelotColumn, PlanError> {
+        Ok(if bat.as_f32().is_some() {
+            OcelotColumn::F32(self.cached_column(bat)?)
+        } else if bat.as_oid().is_some() {
+            OcelotColumn::Oid(self.cached_column(bat)?)
+        } else {
+            OcelotColumn::I32(self.cached_column(bat)?)
+        })
     }
-    fn lift_i32(&self, values: Vec<i32>) -> OcelotColumn {
-        OcelotColumn::I32(
-            self.ctx
-                .upload_i32(&values, "lifted_i32")
-                .unwrap_or_else(|e| raise("upload failed", e)),
-        )
+    fn lift_i32(&self, values: Vec<i32>) -> Result<OcelotColumn, PlanError> {
+        Ok(OcelotColumn::I32(self.ctx.upload_i32(&values, "lifted_i32")?))
     }
-    fn lift_f32(&self, values: Vec<f32>) -> OcelotColumn {
-        OcelotColumn::F32(
-            self.ctx
-                .upload_f32(&values, "lifted_f32")
-                .unwrap_or_else(|e| raise("upload failed", e)),
-        )
+    fn lift_f32(&self, values: Vec<f32>) -> Result<OcelotColumn, PlanError> {
+        Ok(OcelotColumn::F32(self.ctx.upload_f32(&values, "lifted_f32")?))
     }
-    fn lift_oids(&self, values: Vec<u32>) -> OcelotColumn {
-        OcelotColumn::Oid(
-            self.ctx
-                .upload_u32(&values, "lifted_oids")
-                .unwrap_or_else(|e| raise("upload failed", e)),
-        )
+    fn lift_oids(&self, values: Vec<u32>) -> Result<OcelotColumn, PlanError> {
+        Ok(OcelotColumn::Oid(self.ctx.upload_u32(&values, "lifted_oids")?))
     }
-    fn to_i32(&self, col: &OcelotColumn) -> Vec<i32> {
-        col.as_i32().read(&self.ctx).unwrap_or_else(|e| raise("read failed", e))
+    fn to_i32(&self, col: &OcelotColumn) -> Result<Vec<i32>, PlanError> {
+        Ok(col.as_i32().read(&self.ctx)?)
     }
-    fn to_f32(&self, col: &OcelotColumn) -> Vec<f32> {
-        col.as_f32().read(&self.ctx).unwrap_or_else(|e| raise("read failed", e))
+    fn to_f32(&self, col: &OcelotColumn) -> Result<Vec<f32>, PlanError> {
+        Ok(col.as_f32().read(&self.ctx)?)
     }
-    fn to_oids(&self, col: &OcelotColumn) -> Vec<u32> {
-        col.as_oid().read(&self.ctx).unwrap_or_else(|e| raise("read failed", e))
+    fn to_oids(&self, col: &OcelotColumn) -> Result<Vec<u32>, PlanError> {
+        Ok(col.as_oid().read(&self.ctx)?)
     }
-    fn len(&self, col: &OcelotColumn) -> usize {
+    fn len(&self, col: &OcelotColumn) -> Result<usize, PlanError> {
         // Resolves a deferred length (sync boundary, like `to_*`).
-        col.as_oid().len(&self.ctx).unwrap_or_else(|e| raise("length resolve failed", e))
+        Ok(col.as_oid().len(&self.ctx)?)
     }
 
     fn select_range_i32(
@@ -279,7 +233,7 @@ impl Backend for OcelotBackend {
         low: i32,
         high: i32,
         cands: Option<&OcelotColumn>,
-    ) -> OcelotColumn {
+    ) -> Result<OcelotColumn, PlanError> {
         self.select_with(&[col], cands, |ctx, values| {
             select::select_range_i32(ctx, &values[0].as_i32(), low, high)
         })
@@ -290,7 +244,7 @@ impl Backend for OcelotBackend {
         low: f32,
         high: f32,
         cands: Option<&OcelotColumn>,
-    ) -> OcelotColumn {
+    ) -> Result<OcelotColumn, PlanError> {
         self.select_with(&[col], cands, |ctx, values| {
             select::select_range_f32(ctx, &values[0].as_f32(), low, high)
         })
@@ -300,7 +254,7 @@ impl Backend for OcelotBackend {
         col: &OcelotColumn,
         needle: i32,
         cands: Option<&OcelotColumn>,
-    ) -> OcelotColumn {
+    ) -> Result<OcelotColumn, PlanError> {
         self.select_with(&[col], cands, |ctx, values| {
             select::select_eq_i32(ctx, &values[0].as_i32(), needle)
         })
@@ -310,7 +264,7 @@ impl Backend for OcelotBackend {
         col: &OcelotColumn,
         needle: i32,
         cands: Option<&OcelotColumn>,
-    ) -> OcelotColumn {
+    ) -> Result<OcelotColumn, PlanError> {
         self.select_with(&[col], cands, |ctx, values| {
             select::select_ne_i32(ctx, &values[0].as_i32(), needle)
         })
@@ -320,7 +274,7 @@ impl Backend for OcelotBackend {
         col: &OcelotColumn,
         values: &[i32],
         cands: Option<&OcelotColumn>,
-    ) -> OcelotColumn {
+    ) -> Result<OcelotColumn, PlanError> {
         self.select_with(&[col], cands, |ctx, fetched| {
             select::select_in_i32(ctx, &fetched[0].as_i32(), values)
         })
@@ -331,110 +285,78 @@ impl Backend for OcelotBackend {
         right: &OcelotColumn,
         op: CmpOp,
         cands: Option<&OcelotColumn>,
-    ) -> OcelotColumn {
+    ) -> Result<OcelotColumn, PlanError> {
         self.select_with(&[left, right], cands, |ctx, sides| {
             select::select_cmp_i32(ctx, &sides[0].as_i32(), &sides[1].as_i32(), op)
         })
     }
 
-    fn union_oids(&self, a: &OcelotColumn, b: &OcelotColumn) -> OcelotColumn {
+    fn union_oids(&self, a: &OcelotColumn, b: &OcelotColumn) -> Result<OcelotColumn, PlanError> {
         // Candidate lists are sorted; the union is a small host-side merge
         // (the paper's union operator similarly runs on materialised OID
         // lists when feeding MonetDB operators).
-        let left = self.to_oids(a);
-        let right = self.to_oids(b);
-        let merged = ocelot_monet::sequential::union_oids(&left, &right);
-        self.lift_oids(merged)
+        let left = self.to_oids(a)?;
+        let right = self.to_oids(b)?;
+        self.lift_oids(ocelot_monet::sequential::union_oids(&left, &right))
     }
 
-    fn fetch(&self, col: &OcelotColumn, oids: &OcelotColumn) -> OcelotColumn {
+    fn fetch(&self, col: &OcelotColumn, oids: &OcelotColumn) -> Result<OcelotColumn, PlanError> {
         let idx = oids.as_oid();
-        match col {
-            OcelotColumn::I32(c) => OcelotColumn::I32(
-                project::fetch_join(&self.ctx, c, &idx)
-                    .unwrap_or_else(|e| raise("fetch join failed", e)),
-            ),
-            OcelotColumn::F32(c) => OcelotColumn::F32(
-                project::fetch_join(&self.ctx, c, &idx)
-                    .unwrap_or_else(|e| raise("fetch join failed", e)),
-            ),
-            OcelotColumn::Oid(c) => OcelotColumn::Oid(
-                project::fetch_join(&self.ctx, c, &idx)
-                    .unwrap_or_else(|e| raise("fetch join failed", e)),
-            ),
-        }
+        Ok(match col {
+            OcelotColumn::I32(c) => OcelotColumn::I32(project::fetch_join(&self.ctx, c, &idx)?),
+            OcelotColumn::F32(c) => OcelotColumn::F32(project::fetch_join(&self.ctx, c, &idx)?),
+            OcelotColumn::Oid(c) => OcelotColumn::Oid(project::fetch_join(&self.ctx, c, &idx)?),
+        })
     }
 
-    fn mul_f32(&self, a: &OcelotColumn, b: &OcelotColumn) -> OcelotColumn {
-        OcelotColumn::F32(
-            calc::mul_f32(&self.ctx, &a.as_f32(), &b.as_f32())
-                .unwrap_or_else(|e| raise("calc failed", e)),
-        )
+    fn mul_f32(&self, a: &OcelotColumn, b: &OcelotColumn) -> Result<OcelotColumn, PlanError> {
+        Ok(OcelotColumn::F32(calc::mul_f32(&self.ctx, &a.as_f32(), &b.as_f32())?))
     }
-    fn add_f32(&self, a: &OcelotColumn, b: &OcelotColumn) -> OcelotColumn {
-        OcelotColumn::F32(
-            calc::add_f32(&self.ctx, &a.as_f32(), &b.as_f32())
-                .unwrap_or_else(|e| raise("calc failed", e)),
-        )
+    fn add_f32(&self, a: &OcelotColumn, b: &OcelotColumn) -> Result<OcelotColumn, PlanError> {
+        Ok(OcelotColumn::F32(calc::add_f32(&self.ctx, &a.as_f32(), &b.as_f32())?))
     }
-    fn sub_f32(&self, a: &OcelotColumn, b: &OcelotColumn) -> OcelotColumn {
-        OcelotColumn::F32(
-            calc::sub_f32(&self.ctx, &a.as_f32(), &b.as_f32())
-                .unwrap_or_else(|e| raise("calc failed", e)),
-        )
+    fn sub_f32(&self, a: &OcelotColumn, b: &OcelotColumn) -> Result<OcelotColumn, PlanError> {
+        Ok(OcelotColumn::F32(calc::sub_f32(&self.ctx, &a.as_f32(), &b.as_f32())?))
     }
-    fn const_minus_f32(&self, constant: f32, a: &OcelotColumn) -> OcelotColumn {
-        OcelotColumn::F32(
-            calc::const_minus_f32(&self.ctx, constant, &a.as_f32())
-                .unwrap_or_else(|e| raise("calc failed", e)),
-        )
+    fn const_minus_f32(&self, constant: f32, a: &OcelotColumn) -> Result<OcelotColumn, PlanError> {
+        Ok(OcelotColumn::F32(calc::const_minus_f32(&self.ctx, constant, &a.as_f32())?))
     }
-    fn const_plus_f32(&self, constant: f32, a: &OcelotColumn) -> OcelotColumn {
-        OcelotColumn::F32(
-            calc::const_plus_f32(&self.ctx, constant, &a.as_f32())
-                .unwrap_or_else(|e| raise("calc failed", e)),
-        )
+    fn const_plus_f32(&self, constant: f32, a: &OcelotColumn) -> Result<OcelotColumn, PlanError> {
+        Ok(OcelotColumn::F32(calc::const_plus_f32(&self.ctx, constant, &a.as_f32())?))
     }
-    fn mul_const_f32(&self, a: &OcelotColumn, constant: f32) -> OcelotColumn {
-        OcelotColumn::F32(
-            calc::mul_const_f32(&self.ctx, &a.as_f32(), constant)
-                .unwrap_or_else(|e| raise("calc failed", e)),
-        )
+    fn mul_const_f32(&self, a: &OcelotColumn, constant: f32) -> Result<OcelotColumn, PlanError> {
+        Ok(OcelotColumn::F32(calc::mul_const_f32(&self.ctx, &a.as_f32(), constant)?))
     }
-    fn cast_i32_f32(&self, a: &OcelotColumn) -> OcelotColumn {
-        OcelotColumn::F32(
-            calc::cast_i32_f32(&self.ctx, &a.as_i32()).unwrap_or_else(|e| raise("calc failed", e)),
-        )
+    fn cast_i32_f32(&self, a: &OcelotColumn) -> Result<OcelotColumn, PlanError> {
+        Ok(OcelotColumn::F32(calc::cast_i32_f32(&self.ctx, &a.as_i32())?))
     }
-    fn extract_year(&self, a: &OcelotColumn) -> OcelotColumn {
-        OcelotColumn::I32(
-            calc::extract_year(&self.ctx, &a.as_i32()).unwrap_or_else(|e| raise("calc failed", e)),
-        )
+    fn extract_year(&self, a: &OcelotColumn) -> Result<OcelotColumn, PlanError> {
+        Ok(OcelotColumn::I32(calc::extract_year(&self.ctx, &a.as_i32())?))
     }
 
-    fn pkfk_join(&self, fk: &OcelotColumn, pk: &OcelotColumn) -> (OcelotColumn, OcelotColumn) {
+    fn pkfk_join(
+        &self,
+        fk: &OcelotColumn,
+        pk: &OcelotColumn,
+    ) -> Result<(OcelotColumn, OcelotColumn), PlanError> {
         let pk_col = pk.as_i32();
-        let table = OcelotHashTable::build(&self.ctx, &pk_col, pk_col.cap().max(1))
-            .unwrap_or_else(|e| raise("hash table build failed", e));
-        let result = join::hash_join(&self.ctx, &fk.as_i32(), &table)
-            .unwrap_or_else(|e| raise("hash join failed", e));
-        (OcelotColumn::Oid(result.probe_oids), OcelotColumn::Oid(result.build_oids))
+        let table = OcelotHashTable::build(&self.ctx, &pk_col, pk_col.cap().max(1))?;
+        let result = join::hash_join(&self.ctx, &fk.as_i32(), &table)?;
+        Ok((OcelotColumn::Oid(result.probe_oids), OcelotColumn::Oid(result.build_oids)))
     }
     fn pkfk_join_partitioned(
         &self,
         fk: &OcelotColumn,
         pk: &OcelotColumn,
         ndv_hint: usize,
-    ) -> (OcelotColumn, OcelotColumn) {
+    ) -> Result<(OcelotColumn, OcelotColumn), PlanError> {
         let fk_col = fk.as_i32();
         let pk_col = pk.as_i32();
         // Resolving the input sizes here is a deliberate sync point: the
         // out-of-core path trades the lazy pipeline for host-side partition
         // scheduling (see `ocelot_core::partition`).
-        let probe_rows =
-            fk_col.len(&self.ctx).unwrap_or_else(|e| raise("length resolve failed", e));
-        let build_rows =
-            pk_col.len(&self.ctx).unwrap_or_else(|e| raise("length resolve failed", e));
+        let probe_rows = fk_col.len(&self.ctx)?;
+        let build_rows = pk_col.len(&self.ctx)?;
         // The spill pool's working-set cap is the device headroom *now*,
         // not the configured budget: by the time a plan reaches its join,
         // the device already holds the plan's pinned base columns and live
@@ -444,35 +366,35 @@ impl Backend for OcelotBackend {
         let budget = (self.ctx.memory().budget() != usize::MAX)
             .then(|| (self.ctx.memory().headroom() / 2).max(64 * 1024));
         let cfg = PartitionedJoinConfig::plan(build_rows, probe_rows, ndv_hint.max(1), budget);
-        let result = partitioned_pkfk_join(&self.ctx, &fk_col, &pk_col, &cfg)
-            .unwrap_or_else(|e| raise("partitioned join failed", e));
+        let result = partitioned_pkfk_join(&self.ctx, &fk_col, &pk_col, &cfg)?;
         self.spill_stats.lock().merge(&result.stats);
-        (OcelotColumn::Oid(result.probe_oids), OcelotColumn::Oid(result.build_oids))
+        Ok((OcelotColumn::Oid(result.probe_oids), OcelotColumn::Oid(result.build_oids)))
     }
 
-    fn semi_join(&self, left: &OcelotColumn, right: &OcelotColumn) -> OcelotColumn {
-        OcelotColumn::Oid(
-            join::semi_join(&self.ctx, &left.as_i32(), &right.as_i32())
-                .unwrap_or_else(|e| raise("semi join failed", e)),
-        )
+    fn semi_join(
+        &self,
+        left: &OcelotColumn,
+        right: &OcelotColumn,
+    ) -> Result<OcelotColumn, PlanError> {
+        Ok(OcelotColumn::Oid(join::semi_join(&self.ctx, &left.as_i32(), &right.as_i32())?))
     }
-    fn anti_join(&self, left: &OcelotColumn, right: &OcelotColumn) -> OcelotColumn {
-        OcelotColumn::Oid(
-            join::anti_join(&self.ctx, &left.as_i32(), &right.as_i32())
-                .unwrap_or_else(|e| raise("anti join failed", e)),
-        )
+    fn anti_join(
+        &self,
+        left: &OcelotColumn,
+        right: &OcelotColumn,
+    ) -> Result<OcelotColumn, PlanError> {
+        Ok(OcelotColumn::Oid(join::anti_join(&self.ctx, &left.as_i32(), &right.as_i32())?))
     }
 
-    fn group_by(&self, keys: &[&OcelotColumn]) -> GroupHandle<OcelotColumn> {
+    fn group_by(&self, keys: &[&OcelotColumn]) -> Result<GroupHandle<OcelotColumn>, PlanError> {
         let word_columns: Vec<DevColumn<Oid>> = keys.iter().map(|k| k.as_oid()).collect();
         let columns: Vec<&DevColumn<Oid>> = word_columns.iter().collect();
-        let result = groupby::group_by_columns(&self.ctx, &columns)
-            .unwrap_or_else(|e| raise("group by failed", e));
-        GroupHandle {
+        let result = groupby::group_by_columns(&self.ctx, &columns)?;
+        Ok(GroupHandle {
             gids: OcelotColumn::Oid(result.gids),
             num_groups: result.num_groups,
             representatives: OcelotColumn::Oid(result.representatives),
-        }
+        })
     }
 
     fn grouped_aggs(
@@ -480,20 +402,13 @@ impl Backend for OcelotBackend {
         groups: &GroupHandle<OcelotColumn>,
         values: &[&OcelotColumn],
         funcs: &[GroupedAgg],
-    ) -> Vec<OcelotColumn> {
+    ) -> Result<Vec<OcelotColumn>, PlanError> {
         let columns: Vec<DevColumn<f32>> = values.iter().map(|column| column.as_f32()).collect();
         let columns: Vec<&DevColumn<f32>> = columns.iter().collect();
-        aggregate::grouped_aggs(
-            &self.ctx,
-            &columns,
-            &groups.gids.as_oid(),
-            groups.num_groups,
-            funcs,
-        )
-        .unwrap_or_else(|e| raise("grouped aggregation failed", e))
-        .into_iter()
-        .map(OcelotColumn::F32)
-        .collect()
+        let gids = groups.gids.as_oid();
+        let results =
+            aggregate::grouped_aggs(&self.ctx, &columns, &gids, groups.num_groups, funcs)?;
+        Ok(results.into_iter().map(OcelotColumn::F32).collect())
     }
 
     /// The region compiled to the row-expression evaluator: a conjunctive
@@ -527,10 +442,8 @@ impl Backend for OcelotBackend {
                 let aggregate::RowSource::Where(preds) = rows else {
                     return run_members(self, node, registers);
                 };
-                let bitmap = select::select_where(&self.ctx, &cols, preds)
-                    .unwrap_or_else(|e| raise("selection failed", e));
-                let oids = select::materialize_bitmap(&self.ctx, &bitmap)
-                    .unwrap_or_else(|e| raise("materialize failed", e));
+                let bitmap = select::select_where(&self.ctx, &cols, preds)?;
+                let oids = select::materialize_bitmap(&self.ctx, &bitmap)?;
                 Ok(vec![OcelotColumn::Oid(oids)])
             }
             ProgramSink::Aggs { group, values, funcs } => {
@@ -549,26 +462,22 @@ impl Backend for OcelotBackend {
                     gids.as_ref(),
                     num_groups,
                     funcs,
-                )
-                .unwrap_or_else(|e| raise("fused aggregation failed", e));
+                )?;
                 Ok(columns.into_iter().map(OcelotColumn::F32).collect())
             }
         }
     }
 
-    fn sum_scalar_f32(&self, values: &OcelotColumn) -> OcelotColumn {
+    fn sum_scalar_f32(&self, values: &OcelotColumn) -> Result<OcelotColumn, PlanError> {
         // The deferred path: the one-word result buffer becomes a one-element
         // device column — no flush until someone reads it.
-        let scalar = aggregate::sum_f32(&self.ctx, &values.as_f32())
-            .unwrap_or_else(|e| raise("sum failed", e));
-        OcelotColumn::F32(
-            DevColumn::new(scalar.buffer().clone(), 1)
-                .unwrap_or_else(|e| raise("scalar buffer holds one word", e)),
-        )
+        let scalar = aggregate::sum_f32(&self.ctx, &values.as_f32())?;
+        Ok(OcelotColumn::F32(DevColumn::new(scalar.buffer().clone(), 1)?))
     }
 
-    fn sync(&self) {
-        self.ctx.sync().unwrap_or_else(|e| raise("sync failed", e));
+    fn sync(&self) -> Result<(), PlanError> {
+        self.ctx.sync()?;
+        Ok(())
     }
 
     fn reclaim_memory(&self, requested_bytes: usize) -> bool {
@@ -593,56 +502,44 @@ impl Backend for OcelotBackend {
         self.ctx.memory().pool().clear();
     }
 
-    fn sum_f32(&self, values: &OcelotColumn) -> f32 {
-        let scalar = aggregate::sum_f32(&self.ctx, &values.as_f32())
-            .unwrap_or_else(|e| raise("sum failed", e));
-        scalar.get(&self.ctx).unwrap_or_else(|e| raise("sum readback failed", e))
+    fn sum_f32(&self, values: &OcelotColumn) -> Result<f32, PlanError> {
+        Ok(aggregate::sum_f32(&self.ctx, &values.as_f32())?.get(&self.ctx)?)
     }
-    fn min_f32(&self, values: &OcelotColumn) -> f32 {
-        let scalar = aggregate::min_f32(&self.ctx, &values.as_f32())
-            .unwrap_or_else(|e| raise("min failed", e));
-        scalar.get(&self.ctx).unwrap_or_else(|e| raise("min readback failed", e))
+    fn min_f32(&self, values: &OcelotColumn) -> Result<f32, PlanError> {
+        Ok(aggregate::min_f32(&self.ctx, &values.as_f32())?.get(&self.ctx)?)
     }
-    fn max_f32(&self, values: &OcelotColumn) -> f32 {
-        let scalar = aggregate::max_f32(&self.ctx, &values.as_f32())
-            .unwrap_or_else(|e| raise("max failed", e));
-        scalar.get(&self.ctx).unwrap_or_else(|e| raise("max readback failed", e))
-    }
-    fn min_i32(&self, values: &OcelotColumn) -> i32 {
-        let scalar = aggregate::min_i32(&self.ctx, &values.as_i32())
-            .unwrap_or_else(|e| raise("min failed", e));
-        scalar.get(&self.ctx).unwrap_or_else(|e| raise("min readback failed", e))
-    }
-    fn avg_f32(&self, values: &OcelotColumn) -> f32 {
-        let scalar = aggregate::avg_f32(&self.ctx, &values.as_f32())
-            .unwrap_or_else(|e| raise("avg failed", e));
-        scalar.get(&self.ctx).unwrap_or_else(|e| raise("avg readback failed", e))
+    fn max_f32(&self, values: &OcelotColumn) -> Result<f32, PlanError> {
+        Ok(aggregate::max_f32(&self.ctx, &values.as_f32())?.get(&self.ctx)?)
     }
 
-    fn sort_order_i32(&self, col: &OcelotColumn, descending: bool) -> OcelotColumn {
-        let result = sort_radix::sort_i32(&self.ctx, &col.as_i32())
-            .unwrap_or_else(|e| raise("sort failed", e));
+    fn sort_order_i32(
+        &self,
+        col: &OcelotColumn,
+        descending: bool,
+    ) -> Result<OcelotColumn, PlanError> {
+        let result = sort_radix::sort_i32(&self.ctx, &col.as_i32())?;
         if descending {
             // Reversal is a host boundary op (ORDER BY ... DESC feeds the
             // result set); ascending orders stay device-resident.
-            let mut order =
-                result.order.read(&self.ctx).unwrap_or_else(|e| raise("read failed", e));
+            let mut order = result.order.read(&self.ctx)?;
             order.reverse();
             self.lift_oids(order)
         } else {
-            OcelotColumn::Oid(result.order)
+            Ok(OcelotColumn::Oid(result.order))
         }
     }
-    fn sort_order_f32(&self, col: &OcelotColumn, descending: bool) -> OcelotColumn {
-        let result = sort_radix::sort_f32(&self.ctx, &col.as_f32())
-            .unwrap_or_else(|e| raise("sort failed", e));
+    fn sort_order_f32(
+        &self,
+        col: &OcelotColumn,
+        descending: bool,
+    ) -> Result<OcelotColumn, PlanError> {
+        let result = sort_radix::sort_f32(&self.ctx, &col.as_f32())?;
         if descending {
-            let mut order =
-                result.order.read(&self.ctx).unwrap_or_else(|e| raise("read failed", e));
+            let mut order = result.order.read(&self.ctx)?;
             order.reverse();
             self.lift_oids(order)
         } else {
-            OcelotColumn::Oid(result.order)
+            Ok(OcelotColumn::Oid(result.order))
         }
     }
 
@@ -683,23 +580,6 @@ impl Backend for OcelotBackend {
             faults.register_metrics("ocelot.faults", registry);
         }
     }
-
-    fn begin_timing(&self) {
-        // Drain outstanding work so it is not attributed to the measurement.
-        self.ctx.sync().unwrap_or_else(|e| raise("sync failed", e));
-        let stats = self.ctx.queue().total_stats();
-        *self.timer.lock() = (Instant::now(), stats.modeled_ns);
-    }
-
-    fn elapsed_ns(&self) -> u64 {
-        self.ctx.sync().unwrap_or_else(|e| raise("sync failed", e));
-        let (started, modeled_at_start) = *self.timer.lock();
-        if self.ctx.device().is_unified() {
-            started.elapsed().as_nanos() as u64
-        } else {
-            self.ctx.queue().total_stats().modeled_ns - modeled_at_start
-        }
-    }
 }
 
 #[cfg(test)]
@@ -708,30 +588,33 @@ mod tests {
     use crate::backends::MonetSeqBackend;
     use ocelot_storage::Bat;
 
-    fn mini_pipeline<B: Backend>(backend: &B) -> (Vec<u32>, Vec<(i32, f32)>) {
-        let a = backend.bat(&Bat::from_i32("a", (0..2_000).map(|i| i % 100).collect()).into_ref());
-        let b = backend
-            .bat(&Bat::from_f32("b", (0..2_000).map(|i| i as f32 * 0.5).collect()).into_ref());
-        let c = backend.bat(&Bat::from_i32("c", (0..2_000).map(|i| i % 7).collect()).into_ref());
+    type MiniResult = (Vec<u32>, Vec<(i32, f32)>);
 
-        let sel = backend.select_range_i32(&a, 10, 39, None);
-        let b_sel = backend.fetch(&b, &sel);
-        let c_sel = backend.fetch(&c, &sel);
-        let groups = backend.group_by(&[&c_sel]);
+    fn mini_pipeline<B: Backend>(backend: &B) -> Result<MiniResult, PlanError> {
+        let a =
+            backend.bat(&Bat::from_i32("a", (0..2_000).map(|i| i % 100).collect()).into_ref())?;
+        let b = backend
+            .bat(&Bat::from_f32("b", (0..2_000).map(|i| i as f32 * 0.5).collect()).into_ref())?;
+        let c = backend.bat(&Bat::from_i32("c", (0..2_000).map(|i| i % 7).collect()).into_ref())?;
+
+        let sel = backend.select_range_i32(&a, 10, 39, None)?;
+        let b_sel = backend.fetch(&b, &sel)?;
+        let c_sel = backend.fetch(&c, &sel)?;
+        let groups = backend.group_by(&[&c_sel])?;
         let sums =
-            backend.to_f32(&backend.grouped_aggs(&groups, &[&b_sel], &[GroupedAgg::Sum(0)])[0]);
-        let keys = backend.to_i32(&backend.fetch(&c_sel, &groups.representatives));
+            backend.to_f32(&backend.grouped_aggs(&groups, &[&b_sel], &[GroupedAgg::Sum(0)])?[0])?;
+        let keys = backend.to_i32(&backend.fetch(&c_sel, &groups.representatives)?)?;
         let mut pairs: Vec<(i32, f32)> = keys.into_iter().zip(sums).collect();
         pairs.sort_by_key(|(k, _)| *k);
-        (backend.to_oids(&sel), pairs)
+        Ok((backend.to_oids(&sel)?, pairs))
     }
 
     #[test]
     fn ocelot_matches_monet_reference_on_cpu_and_gpu() {
-        let reference = mini_pipeline(&MonetSeqBackend::new());
+        let reference = mini_pipeline(&MonetSeqBackend::new()).unwrap();
         for backend in [OcelotBackend::cpu(), OcelotBackend::gpu(), OcelotBackend::cpu_sequential()]
         {
-            let result = mini_pipeline(&backend);
+            let result = mini_pipeline(&backend).unwrap();
             assert_eq!(result.0, reference.0, "{}", backend.name());
             assert_eq!(result.1.len(), reference.1.len());
             for ((ka, va), (kb, vb)) in result.1.iter().zip(reference.1.iter()) {
@@ -742,45 +625,46 @@ mod tests {
     }
 
     #[test]
-    fn candidate_selection_composes() {
+    fn candidate_selection_composes() -> Result<(), PlanError> {
         let backend = OcelotBackend::cpu();
         let reference = MonetSeqBackend::new();
         let values: Vec<i32> = (0..3_000).map(|i| i % 50).collect();
         let other: Vec<i32> = (0..3_000).map(|i| i % 11).collect();
 
-        let oc_v = backend.lift_i32(values.clone());
-        let oc_o = backend.lift_i32(other.clone());
-        let first = backend.select_range_i32(&oc_v, 5, 30, None);
-        let second = backend.select_eq_i32(&oc_o, 3, Some(&first));
+        let oc_v = backend.lift_i32(values.clone())?;
+        let oc_o = backend.lift_i32(other.clone())?;
+        let first = backend.select_range_i32(&oc_v, 5, 30, None)?;
+        let second = backend.select_eq_i32(&oc_o, 3, Some(&first))?;
 
-        let ms_v = reference.lift_i32(values);
-        let ms_o = reference.lift_i32(other);
-        let ms_first = reference.select_range_i32(&ms_v, 5, 30, None);
-        let ms_second = reference.select_eq_i32(&ms_o, 3, Some(&ms_first));
+        let ms_v = reference.lift_i32(values)?;
+        let ms_o = reference.lift_i32(other)?;
+        let ms_first = reference.select_range_i32(&ms_v, 5, 30, None)?;
+        let ms_second = reference.select_eq_i32(&ms_o, 3, Some(&ms_first))?;
 
-        assert_eq!(backend.to_oids(&second), reference.to_oids(&ms_second));
+        assert_eq!(backend.to_oids(&second)?, reference.to_oids(&ms_second)?);
+        Ok(())
     }
 
     #[test]
-    fn chained_candidate_pipeline_flushes_once() {
+    fn chained_candidate_pipeline_flushes_once() -> Result<(), PlanError> {
         // select → candidate select → fetch → multiply → sum, driven through
         // the Backend interface: exactly one queue flush, at the sum.
         let backend = OcelotBackend::cpu();
         let values: Vec<i32> = (0..20_000).map(|i| i % 50).collect();
         let payload: Vec<f32> = (0..20_000).map(|i| i as f32 * 0.25).collect();
-        let v = backend.lift_i32(values.clone());
-        let p = backend.lift_f32(payload.clone());
+        let v = backend.lift_i32(values.clone())?;
+        let p = backend.lift_f32(payload.clone())?;
         let flushes = backend.context().queue().flush_count();
-        let sel = backend.select_range_i32(&v, 5, 30, None);
-        let narrowed = backend.select_range_i32(&v, 10, 20, Some(&sel));
-        let fetched = backend.fetch(&p, &narrowed);
-        let doubled = backend.mul_const_f32(&fetched, 2.0);
+        let sel = backend.select_range_i32(&v, 5, 30, None)?;
+        let narrowed = backend.select_range_i32(&v, 10, 20, Some(&sel))?;
+        let fetched = backend.fetch(&p, &narrowed)?;
+        let doubled = backend.mul_const_f32(&fetched, 2.0)?;
         assert_eq!(
             backend.context().queue().flush_count(),
             flushes,
             "pipeline must not flush before the read"
         );
-        let total = backend.sum_f32(&doubled);
+        let total = backend.sum_f32(&doubled)?;
         assert_eq!(backend.context().queue().flush_count(), flushes + 1);
         let expected: f32 = values
             .iter()
@@ -789,29 +673,21 @@ mod tests {
             .map(|(_, p)| p * 2.0)
             .sum();
         assert!((total - expected).abs() / expected.abs().max(1.0) < 1e-3, "{total} vs {expected}");
+        Ok(())
     }
 
     #[test]
-    fn gpu_timing_reports_modeled_time() {
-        let backend = OcelotBackend::gpu();
-        backend.begin_timing();
-        let col = backend.lift_i32((0..100_000).collect());
-        let _ = backend.select_range_i32(&col, 0, 50_000, None);
-        let elapsed = backend.elapsed_ns();
-        assert!(elapsed > 0, "modeled time must be accounted");
-    }
-
-    #[test]
-    fn joins_match_reference() {
+    fn joins_match_reference() -> Result<(), PlanError> {
         let backend = OcelotBackend::cpu();
         let reference = MonetSeqBackend::new();
         let fk: Vec<i32> = (0..2_000).map(|i| i % 150).collect();
         let pk: Vec<i32> = (0..150).collect();
 
         let (of, op) =
-            backend.pkfk_join(&backend.lift_i32(fk.clone()), &backend.lift_i32(pk.clone()));
-        let (mf, mp) = reference.pkfk_join(&reference.lift_i32(fk), &reference.lift_i32(pk));
-        assert_eq!(backend.to_oids(&of), reference.to_oids(&mf));
-        assert_eq!(backend.to_oids(&op), reference.to_oids(&mp));
+            backend.pkfk_join(&backend.lift_i32(fk.clone())?, &backend.lift_i32(pk.clone())?)?;
+        let (mf, mp) = reference.pkfk_join(&reference.lift_i32(fk)?, &reference.lift_i32(pk)?)?;
+        assert_eq!(backend.to_oids(&of)?, reference.to_oids(&mf)?);
+        assert_eq!(backend.to_oids(&op)?, reference.to_oids(&mp)?);
+        Ok(())
     }
 }

@@ -48,11 +48,6 @@
 //!   (rewrite + statistics + lowering), then re-bound per request from
 //!   the device-wide [`serve::PlanCache`] — invalidated on device loss
 //!   and versioned by catalog generation.
-//!
-//! Timing is part of the interface: [`backend::Backend::begin_timing`] /
-//! [`backend::Backend::elapsed_ns`] report wall-clock time for the CPU
-//! configurations and modeled device time for the simulated GPU, which is
-//! what the benchmark harness records for every figure.
 
 pub mod analyze;
 pub mod backend;

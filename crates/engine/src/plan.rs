@@ -31,21 +31,26 @@
 //!
 //! # Recovery-protocol lifecycle contract
 //!
-//! Device faults reach the executor as **typed panic payloads** (the
-//! `Backend` operator surface is infallible; see `ocelot_core::recovery`),
-//! and [`PlanRun::step`] runs one **unified recovery protocol** over all of
-//! them — one restart budget ([`PlanRun`]'s `RESTART_LIMIT`), several
-//! triggers. Every fault class has exactly one handler and one observable
-//! counter ([`RecoveryStats`]); the ordered [`RecoveryEvent`] trace records
-//! each decision, and the same fault schedule always produces the same
-//! trace (recovery is deterministic).
+//! Device faults reach the executor as **values**: every [`Backend`]
+//! operator returns `Result<_, PlanError>`, and a failed device operation
+//! is [`PlanError::Device`] carrying the `KernelError` (`?` all the way from
+//! the kernel runtime). [`PlanRun::step`] runs one **unified recovery
+//! protocol** over them — one `match` on the returned error, one restart
+//! budget ([`PlanRun`]'s `RESTART_LIMIT`), several triggers. Every fault
+//! class has exactly one handler and one observable counter
+//! ([`RecoveryStats`]); the ordered [`RecoveryEvent`] trace records each
+//! decision, and the same fault schedule always produces the same trace
+//! (recovery is deterministic).
 //!
-//! | fault class (payload) | handler | observable counter |
+//! | fault class (`KernelError` variant) | handler | observable counter |
 //! |---|---|---|
-//! | `DeviceOom` — allocation failed | drop the attempt's outputs, **reclaim** (release + evict via [`Backend::reclaim_memory`]), re-run the node; give up when reclaim stops progressing or the shared budget is spent → [`PlanError::OutOfDeviceMemory`] | [`RecoveryStats::oom_restarts`] |
+//! | `OutOfDeviceMemory` — allocation failed | drop the attempt's outputs, **reclaim** (release + evict via [`Backend::reclaim_memory`]), re-run the node; give up when reclaim stops progressing or the shared budget is spent → [`PlanError::OutOfDeviceMemory`] | [`RecoveryStats::oom_restarts`] |
 //! | `TransientFault` — a launch/transfer hiccup | drop the attempt's outputs, sleep a **deterministic backoff** step (immediate first retry, then exponential, capped), re-run the node; budget spent → [`PlanError::Faulted`] | [`RecoveryStats::retries`], [`RecoveryStats::backoff_steps`] |
-//! | `DeviceLostFault` — sticky device loss | no node retry can succeed: unwind the **whole plan** as [`PlanError::DeviceLost`]; the session/scheduler invalidates the device's cached state and fails the query over to a fallback backend | [`RecoveryStats::failovers`] (session/scheduler level) |
-//! | any other panic | **not recovery's business** — resume unwinding unchanged | — |
+//! | `DeviceLost` — sticky device loss | no node retry can succeed: fail the **whole plan** with [`PlanError::DeviceLost`]; the session/scheduler invalidates the device's cached state and fails the query over to a fallback backend | [`RecoveryStats::failovers`] (session/scheduler level) |
+//! | any other variant, any other [`PlanError`] | **final** — returned as is after one attempt: no retry, no reclaim pass (under the scheduler: that job's error, the stream proceeds) | — |
+//!
+//! A panic is not a fault: recovery never catches one, and a genuine bug
+//! unwinds through `step` unchanged.
 //!
 //! A plan that exhausts the budget surfaces a *typed* error in its result
 //! slot; under the scheduler the failing plan is quarantined
@@ -57,14 +62,12 @@
 
 use crate::backend::{Backend, GroupHandle, GroupedAgg, ProfileMarker};
 use crate::query::Query;
-use ocelot_core::{DeviceLostFault, DeviceOom, TransientFault};
-use ocelot_kernel::FaultSite;
+use ocelot_kernel::{FaultSite, KernelError};
 use ocelot_storage::{Catalog, CmpOp};
 use ocelot_trace::{MetricsRegistry, NodeAction, TraceEventKind, TraceHandle};
 use std::collections::HashMap;
 use std::fmt;
-use std::panic::{self, AssertUnwindSafe};
-use std::sync::{Arc, Once};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// A virtual register holding an intermediate value.
@@ -149,7 +152,7 @@ pub enum PlanError {
     },
     /// The device executing the plan was lost (sticky: every further
     /// launch, transfer and allocation fails), so no node retry can
-    /// succeed and the whole plan unwinds. Sessions with a fallback
+    /// succeed and the whole plan fails. Sessions with a fallback
     /// backend recover by invalidating the device's cached state and
     /// re-running the query there (see `Session::with_fallback`).
     DeviceLost,
@@ -163,6 +166,18 @@ pub enum PlanError {
         /// The configured per-tenant queue capacity.
         capacity: usize,
     },
+    /// A device operation failed under a [`Backend`] operator: the carrier
+    /// every kernel error crosses the trait in. [`PlanRun::step`] recovers
+    /// the out-of-memory, transient and device-lost classes (or converts
+    /// them to the typed variants above); any other kernel error is not
+    /// retried and reaches the caller as this variant.
+    Device(KernelError),
+}
+
+impl From<KernelError> for PlanError {
+    fn from(error: KernelError) -> PlanError {
+        PlanError::Device(error)
+    }
 }
 
 impl fmt::Display for PlanError {
@@ -195,6 +210,7 @@ impl fmt::Display for PlanError {
                 "admission queue overloaded: {queued} queries already queued at capacity \
                  {capacity} — retry later or shed load"
             ),
+            PlanError::Device(error) => write!(f, "device operation failed: {error}"),
         }
     }
 }
@@ -1289,7 +1305,7 @@ pub enum RecoveryEvent {
         /// Bytes the failing allocation asked for.
         requested: usize,
     },
-    /// The device was lost; the plan unwound as [`PlanError::DeviceLost`].
+    /// The device was lost; the plan failed with [`PlanError::DeviceLost`].
     DeviceLost {
         /// Node index the loss surfaced at.
         node: usize,
@@ -1442,36 +1458,9 @@ pub struct PlanRun<'a, B: Backend> {
     profile: Option<ProfileState>,
 }
 
-/// Typed fault payloads (`DeviceOom`, `TransientFault`, `DeviceLostFault`)
-/// raised under [`PlanRun::step`]'s `catch_unwind` are recovery control
-/// flow, not bugs: the protocol either recovers them or converts them to
-/// typed [`PlanError`]s, so the default panic hook must not spam a "thread
-/// panicked" line for every one. The hook silences exactly those payload
-/// *types*, unconditionally — Result-typed paths above the catch site make
-/// the old scoped-depth bookkeeping unnecessary, and an untyped or foreign
-/// payload still reaches the previous hook unchanged (a genuine bug is
-/// never muted). Installed once, process-wide.
-fn silence_recovery_panics() {
-    static INSTALL: Once = Once::new();
-    INSTALL.call_once(|| {
-        let previous = panic::take_hook();
-        panic::set_hook(Box::new(move |info| {
-            let payload = info.payload();
-            if payload.is::<DeviceOom>()
-                || payload.is::<TransientFault>()
-                || payload.is::<DeviceLostFault>()
-            {
-                return;
-            }
-            previous(info);
-        }));
-    });
-}
-
 impl<'a, B: Backend> PlanRun<'a, B> {
     /// Prepares a run; nothing executes until [`PlanRun::step`].
     pub fn new(plan: &'a Plan, backend: &'a B, catalog: &'a Catalog) -> PlanRun<'a, B> {
-        silence_recovery_panics();
         PlanRun {
             plan,
             backend,
@@ -1573,7 +1562,7 @@ impl<'a, B: Backend> PlanRun<'a, B> {
     }
 
     /// Drops everything a failed node attempt produced, so the re-run (or
-    /// the unwinding plan) starts from a clean slate — the shared restart
+    /// the failing plan) starts from a clean slate — the shared restart
     /// step of every recovery trigger.
     fn discard_attempt(&mut self, node: &PlanNode, results_before: usize) {
         for out in &node.outputs {
@@ -1583,14 +1572,14 @@ impl<'a, B: Backend> PlanRun<'a, B> {
     }
 
     /// Executes exactly one node. Errors leave the run unable to proceed —
-    /// except for the typed fault payloads the **unified recovery
-    /// protocol** handles (see the module docs for the full lifecycle
-    /// contract): out-of-device-memory restarts the node after a reclaim
-    /// pass ([`Backend::reclaim_memory`]), a transient fault retries it
-    /// after a deterministic backoff step, and both draw from one shared
-    /// restart budget before surfacing as [`PlanError::OutOfDeviceMemory`]
-    /// / [`PlanError::Faulted`]. Device loss is not retryable: the run
-    /// unwinds immediately as [`PlanError::DeviceLost`] for the session or
+    /// except for the device failures the **unified recovery protocol**
+    /// handles (see the module docs for the full lifecycle contract):
+    /// out-of-device-memory restarts the node after a reclaim pass
+    /// ([`Backend::reclaim_memory`]), a transient fault retries it after a
+    /// deterministic backoff step, and both draw from one shared restart
+    /// budget before surfacing as [`PlanError::OutOfDeviceMemory`] /
+    /// [`PlanError::Faulted`]. Device loss is not retryable: the run fails
+    /// immediately with [`PlanError::DeviceLost`] for the session or
     /// scheduler to fail over.
     pub fn step(&mut self) -> Result<StepOutcome, PlanError> {
         if self.pc >= self.plan.len() {
@@ -1618,46 +1607,31 @@ impl<'a, B: Backend> PlanRun<'a, B> {
         let mut attempts = 0usize;
         let mut node_restarts = 0u64;
         let mut node_retries = 0u64;
-        let rows;
-        loop {
-            let caught = panic::catch_unwind(AssertUnwindSafe(|| {
-                self.exec_node(node)?;
-                if profiling {
-                    // Flush the node's enqueued work so the backend's
-                    // counters (and the row resolve below) attribute to
-                    // *this* node — the profiler's documented observer
-                    // effect. Faults raised here re-enter the recovery loop
-                    // like any node fault.
-                    self.backend.sync();
-                    return Ok(self.profiled_rows(node));
+        let rows = loop {
+            let attempt = self.exec_node(node).and_then(|()| {
+                if !profiling {
+                    return Ok(0);
                 }
-                Ok(0)
-            }));
-            let payload = match caught {
-                Ok(result) => {
-                    rows = result?;
-                    break;
-                }
-                Err(payload) => payload,
-            };
-            let payload = match payload.downcast::<DeviceOom>() {
-                Ok(oom) => {
+                // Flush the node's enqueued work so the backend's counters
+                // (and the row resolve below) attribute to *this* node — the
+                // profiler's documented observer effect. Faults returned
+                // here re-enter the recovery loop like any node fault.
+                self.backend.sync()?;
+                self.profiled_rows(node)
+            });
+            match attempt {
+                Ok(rows) => break rows,
+                Err(PlanError::Device(KernelError::OutOfDeviceMemory { requested, available })) => {
                     self.discard_attempt(node, results_before);
                     attempts += 1;
-                    let progressed = self.backend.reclaim_memory(oom.requested);
+                    let progressed = self.backend.reclaim_memory(requested);
                     if attempts > Self::RESTART_LIMIT || !progressed {
-                        return Err(PlanError::OutOfDeviceMemory {
-                            requested: oom.requested,
-                            available: oom.available,
-                        });
+                        return Err(PlanError::OutOfDeviceMemory { requested, available });
                     }
                     self.restarts += 1;
                     self.stats.oom_restarts += 1;
                     node_restarts += 1;
-                    self.trace.push(RecoveryEvent::OomRestart {
-                        node: self.pc,
-                        requested: oom.requested,
-                    });
+                    self.trace.push(RecoveryEvent::OomRestart { node: self.pc, requested });
                     self.node_trace.emit(|| TraceEventKind::Node {
                         pc,
                         op: node.op.name().to_string(),
@@ -1665,20 +1639,12 @@ impl<'a, B: Backend> PlanRun<'a, B> {
                         rows: 0,
                         host_ns: 0,
                     });
-                    continue;
                 }
-                Err(other) => other,
-            };
-            let payload = match payload.downcast::<TransientFault>() {
-                Ok(fault) => {
+                Err(PlanError::Device(KernelError::TransientFault { site, op })) => {
                     self.discard_attempt(node, results_before);
                     attempts += 1;
                     if attempts > Self::RESTART_LIMIT {
-                        return Err(PlanError::Faulted {
-                            site: fault.site,
-                            op: fault.op,
-                            attempts: attempts as u64,
-                        });
+                        return Err(PlanError::Faulted { site, op, attempts: attempts as u64 });
                     }
                     let backoff = Self::backoff(attempts);
                     if !backoff.is_zero() {
@@ -1689,8 +1655,8 @@ impl<'a, B: Backend> PlanRun<'a, B> {
                     node_retries += 1;
                     self.trace.push(RecoveryEvent::TransientRetry {
                         node: self.pc,
-                        site: fault.site,
-                        op: fault.op,
+                        site,
+                        op,
                         attempt: attempts as u64,
                         backoff_ns: backoff.as_nanos() as u64,
                     });
@@ -1701,19 +1667,15 @@ impl<'a, B: Backend> PlanRun<'a, B> {
                         rows: 0,
                         host_ns: 0,
                     });
-                    continue;
                 }
-                Err(other) => other,
-            };
-            match payload.downcast::<DeviceLostFault>() {
-                Ok(_) => {
+                Err(PlanError::Device(KernelError::DeviceLost)) => {
                     self.discard_attempt(node, results_before);
                     self.trace.push(RecoveryEvent::DeviceLost { node: self.pc });
                     return Err(PlanError::DeviceLost);
                 }
-                Err(other) => panic::resume_unwind(other),
+                Err(other) => return Err(other),
             }
-        }
+        };
         let node_ns = step_start.map(|start| start.elapsed().as_nanos() as u64).unwrap_or(0);
         self.node_trace.emit(|| TraceEventKind::Node {
             pc,
@@ -1774,13 +1736,13 @@ impl<'a, B: Backend> PlanRun<'a, B> {
     /// first output register's length (a resolved read — the profiling sync
     /// has already drained the queue), group count for groupings, 1 for
     /// scalars, 0 for output-less nodes (`sync`, `result`).
-    fn profiled_rows(&self, node: &PlanNode) -> u64 {
-        match node.outputs.first().and_then(|var| self.registers.slots.get(var)) {
-            Some(Slot::Column(c, _)) => self.backend.len(c) as u64,
+    fn profiled_rows(&self, node: &PlanNode) -> Result<u64, PlanError> {
+        Ok(match node.outputs.first().and_then(|var| self.registers.slots.get(var)) {
+            Some(Slot::Column(c, _)) => self.backend.len(c)? as u64,
             Some(Slot::Scalar(_)) => 1,
             Some(Slot::Group(g)) => g.num_groups as u64,
             None => 0,
-        }
+        })
     }
 
     /// Runs one node's operator against the backend (no register
@@ -1802,18 +1764,20 @@ impl<'a, B: Backend> PlanRun<'a, B> {
                 } else {
                     ColKind::I32
                 };
-                self.registers.slots.insert(node.outputs[0], Slot::Column(b.bat(bat), kind));
+                self.registers.slots.insert(node.outputs[0], Slot::Column(b.bat(bat)?, kind));
             }
             PlanOp::Result => {
                 for var in &node.inputs {
                     let value = match self.registers.slots.get(var) {
                         Some(Slot::Scalar(c)) => {
-                            let scalars = b.to_f32(c);
+                            let scalars = b.to_f32(c)?;
                             QueryValue::Scalar(scalars.first().copied().unwrap_or(0.0))
                         }
-                        Some(Slot::Column(c, ColKind::I32)) => QueryValue::IntColumn(b.to_i32(c)),
-                        Some(Slot::Column(c, ColKind::F32)) => QueryValue::FloatColumn(b.to_f32(c)),
-                        Some(Slot::Column(c, ColKind::Oid)) => QueryValue::OidColumn(b.to_oids(c)),
+                        Some(Slot::Column(c, ColKind::I32)) => QueryValue::IntColumn(b.to_i32(c)?),
+                        Some(Slot::Column(c, ColKind::F32)) => {
+                            QueryValue::FloatColumn(b.to_f32(c)?)
+                        }
+                        Some(Slot::Column(c, ColKind::Oid)) => QueryValue::OidColumn(b.to_oids(c)?),
                         Some(Slot::Group(_)) => {
                             return Err(PlanError::KindMismatch {
                                 var: *var,
@@ -1849,37 +1813,37 @@ fn exec_op<B: Backend + ?Sized>(
     let out = match &node.op {
         PlanOp::SelectRangeI32 { low, high } => {
             let out =
-                b.select_range_i32(&column(regs, 0)?, *low, *high, regs.cands(node, 1)?.as_ref());
+                b.select_range_i32(&column(regs, 0)?, *low, *high, regs.cands(node, 1)?.as_ref())?;
             Slot::Column(out, ColKind::Oid)
         }
         PlanOp::SelectRangeF32 { low, high } => {
             let out =
-                b.select_range_f32(&column(regs, 0)?, *low, *high, regs.cands(node, 1)?.as_ref());
+                b.select_range_f32(&column(regs, 0)?, *low, *high, regs.cands(node, 1)?.as_ref())?;
             Slot::Column(out, ColKind::Oid)
         }
         PlanOp::SelectEqI32 { needle } => {
-            let out = b.select_eq_i32(&column(regs, 0)?, *needle, regs.cands(node, 1)?.as_ref());
+            let out = b.select_eq_i32(&column(regs, 0)?, *needle, regs.cands(node, 1)?.as_ref())?;
             Slot::Column(out, ColKind::Oid)
         }
         PlanOp::SelectNeI32 { needle } => {
-            let out = b.select_ne_i32(&column(regs, 0)?, *needle, regs.cands(node, 1)?.as_ref());
+            let out = b.select_ne_i32(&column(regs, 0)?, *needle, regs.cands(node, 1)?.as_ref())?;
             Slot::Column(out, ColKind::Oid)
         }
         PlanOp::SelectInI32 { values } => {
-            let out = b.select_in_i32(&column(regs, 0)?, values, regs.cands(node, 1)?.as_ref());
+            let out = b.select_in_i32(&column(regs, 0)?, values, regs.cands(node, 1)?.as_ref())?;
             Slot::Column(out, ColKind::Oid)
         }
         PlanOp::SelectCmpI32 { op } => {
             let (left, right) = (column(regs, 0)?, column(regs, 1)?);
-            let out = b.select_cmp_i32(&left, &right, *op, regs.cands(node, 2)?.as_ref());
+            let out = b.select_cmp_i32(&left, &right, *op, regs.cands(node, 2)?.as_ref())?;
             Slot::Column(out, ColKind::Oid)
         }
         PlanOp::UnionOids => {
-            Slot::Column(b.union_oids(&column(regs, 0)?, &column(regs, 1)?), ColKind::Oid)
+            Slot::Column(b.union_oids(&column(regs, 0)?, &column(regs, 1)?)?, ColKind::Oid)
         }
         PlanOp::Fetch => {
             let (values, kind) = regs.typed_column(node.inputs[0])?;
-            Slot::Column(b.fetch(&values, &column(regs, 1)?), kind)
+            Slot::Column(b.fetch(&values, &column(regs, 1)?)?, kind)
         }
         PlanOp::MulF32 | PlanOp::AddF32 | PlanOp::SubF32 => {
             let (x, y) = (column(regs, 0)?, column(regs, 1)?);
@@ -1888,41 +1852,41 @@ fn exec_op<B: Backend + ?Sized>(
                 PlanOp::AddF32 => b.add_f32(&x, &y),
                 _ => b.sub_f32(&x, &y),
             };
-            Slot::Column(out, ColKind::F32)
+            Slot::Column(out?, ColKind::F32)
         }
         PlanOp::ConstMinusF32 { constant } => {
-            Slot::Column(b.const_minus_f32(*constant, &column(regs, 0)?), ColKind::F32)
+            Slot::Column(b.const_minus_f32(*constant, &column(regs, 0)?)?, ColKind::F32)
         }
         PlanOp::ConstPlusF32 { constant } => {
-            Slot::Column(b.const_plus_f32(*constant, &column(regs, 0)?), ColKind::F32)
+            Slot::Column(b.const_plus_f32(*constant, &column(regs, 0)?)?, ColKind::F32)
         }
         PlanOp::MulConstF32 { constant } => {
-            Slot::Column(b.mul_const_f32(&column(regs, 0)?, *constant), ColKind::F32)
+            Slot::Column(b.mul_const_f32(&column(regs, 0)?, *constant)?, ColKind::F32)
         }
-        PlanOp::CastI32F32 => Slot::Column(b.cast_i32_f32(&column(regs, 0)?), ColKind::F32),
-        PlanOp::ExtractYear => Slot::Column(b.extract_year(&column(regs, 0)?), ColKind::I32),
+        PlanOp::CastI32F32 => Slot::Column(b.cast_i32_f32(&column(regs, 0)?)?, ColKind::F32),
+        PlanOp::ExtractYear => Slot::Column(b.extract_year(&column(regs, 0)?)?, ColKind::I32),
         PlanOp::PkFkJoin | PlanOp::PkFkJoinPartitioned { .. } => {
             let (fk, pk) = (column(regs, 0)?, column(regs, 1)?);
             let (fk_oids, pk_oids) = match &node.op {
                 PlanOp::PkFkJoinPartitioned { ndv_hint } => {
-                    b.pkfk_join_partitioned(&fk, &pk, *ndv_hint)
+                    b.pkfk_join_partitioned(&fk, &pk, *ndv_hint)?
                 }
-                _ => b.pkfk_join(&fk, &pk),
+                _ => b.pkfk_join(&fk, &pk)?,
             };
             regs.slots.insert(node.outputs[0], Slot::Column(fk_oids, ColKind::Oid));
             regs.slots.insert(node.outputs[1], Slot::Column(pk_oids, ColKind::Oid));
             return Ok(());
         }
         PlanOp::SemiJoin => {
-            Slot::Column(b.semi_join(&column(regs, 0)?, &column(regs, 1)?), ColKind::Oid)
+            Slot::Column(b.semi_join(&column(regs, 0)?, &column(regs, 1)?)?, ColKind::Oid)
         }
         PlanOp::AntiJoin => {
-            Slot::Column(b.anti_join(&column(regs, 0)?, &column(regs, 1)?), ColKind::Oid)
+            Slot::Column(b.anti_join(&column(regs, 0)?, &column(regs, 1)?)?, ColKind::Oid)
         }
         PlanOp::GroupBy => {
             let keys: Vec<B::Column> =
                 node.inputs.iter().map(|var| regs.column(*var)).collect::<Result<_, _>>()?;
-            Slot::Group(b.group_by(&keys.iter().collect::<Vec<_>>()))
+            Slot::Group(b.group_by(&keys.iter().collect::<Vec<_>>())?)
         }
         PlanOp::GroupReps => {
             Slot::Column(regs.group(node.inputs[0])?.representatives.clone(), ColKind::Oid)
@@ -1931,19 +1895,19 @@ fn exec_op<B: Backend + ?Sized>(
             let values: Vec<B::Column> =
                 node.inputs[1..].iter().map(|var| regs.column(*var)).collect::<Result<_, _>>()?;
             let refs: Vec<&B::Column> = values.iter().collect();
-            let columns = b.grouped_aggs(regs.group(node.inputs[0])?, &refs, funcs);
+            let columns = b.grouped_aggs(regs.group(node.inputs[0])?, &refs, funcs)?;
             for (out, column) in node.outputs.iter().zip(columns) {
                 regs.slots.insert(*out, Slot::Column(column, ColKind::F32));
             }
             return Ok(());
         }
         PlanOp::SortOrderI32 { descending } => {
-            Slot::Column(b.sort_order_i32(&column(regs, 0)?, *descending), ColKind::Oid)
+            Slot::Column(b.sort_order_i32(&column(regs, 0)?, *descending)?, ColKind::Oid)
         }
         PlanOp::SortOrderF32 { descending } => {
-            Slot::Column(b.sort_order_f32(&column(regs, 0)?, *descending), ColKind::Oid)
+            Slot::Column(b.sort_order_f32(&column(regs, 0)?, *descending)?, ColKind::Oid)
         }
-        PlanOp::SumF32 => Slot::Scalar(b.sum_scalar_f32(&column(regs, 0)?)),
+        PlanOp::SumF32 => Slot::Scalar(b.sum_scalar_f32(&column(regs, 0)?)?),
         PlanOp::Pipeline { .. } => {
             // The outputs are the sink's, and so are their kinds.
             let kind = |column| match node.sink() {
@@ -1960,8 +1924,7 @@ fn exec_op<B: Backend + ?Sized>(
             if let Some(var) = node.inputs.iter().find(|var| !regs.slots.contains_key(var)) {
                 return Err(PlanError::UndefinedVar { var: *var });
             }
-            b.sync();
-            return Ok(());
+            return b.sync();
         }
         PlanOp::Bind { .. } | PlanOp::Result => {
             unreachable!("`bind` and `result` run in `PlanRun::exec_node`")
@@ -2190,20 +2153,22 @@ mod tests {
         assert!(err.to_string().contains("unknown column"));
     }
 
-    /// What a failing [`OomBackend`] attempt unwinds with — one variant
-    /// per fault class of the unified recovery protocol, plus a plain
-    /// panic to prove unrelated unwinds are never swallowed.
+    /// What a failing [`OomBackend`] attempt returns — one variant per
+    /// fault class of the unified recovery protocol and one kernel error
+    /// outside them — plus a plain panic to prove genuine unwinds pass
+    /// through `step` untouched.
     #[derive(Clone, Copy)]
     enum FailMode {
         Oom,
         Transient,
         DeviceLost,
+        Internal,
         PlainPanic,
     }
 
     /// A backend whose `bat` fails a configured number of times before
     /// succeeding — the deterministic harness for the unified recovery
-    /// protocol (OOM restarts, transient retries, device-loss unwinds).
+    /// protocol (OOM restarts, transient retries, device-loss failures).
     struct OomBackend {
         inner: MonetSeqBackend,
         failures_left: std::sync::atomic::AtomicUsize,
@@ -2229,27 +2194,30 @@ mod tests {
         }
     }
 
+    type HostResult = Result<<MonetSeqBackend as Backend>::Column, PlanError>;
+
     impl Backend for OomBackend {
         type Column = <MonetSeqBackend as Backend>::Column;
         fn name(&self) -> &str {
             "OOM harness"
         }
-        fn bat(&self, bat: &ocelot_storage::BatRef) -> Self::Column {
+        fn bat(&self, bat: &ocelot_storage::BatRef) -> HostResult {
             use std::sync::atomic::Ordering;
             let left = self.failures_left.load(Ordering::Relaxed);
             if left > 0 {
                 self.failures_left.store(left - 1, Ordering::Relaxed);
-                match self.mode {
+                return Err(PlanError::Device(match self.mode {
                     FailMode::PlainPanic => std::panic::panic_any("unrelated panic"),
-                    FailMode::Transient => std::panic::panic_any(TransientFault {
+                    FailMode::Transient => KernelError::TransientFault {
                         site: FaultSite::KernelLaunch,
                         op: left as u64,
-                    }),
-                    FailMode::DeviceLost => std::panic::panic_any(DeviceLostFault),
+                    },
+                    FailMode::DeviceLost => KernelError::DeviceLost,
+                    FailMode::Internal => KernelError::Internal("broken invariant".into()),
                     FailMode::Oom => {
-                        std::panic::panic_any(DeviceOom { requested: 4096, available: 0 })
+                        KernelError::OutOfDeviceMemory { requested: 4096, available: 0 }
                     }
-                }
+                }));
             }
             self.inner.bat(bat)
         }
@@ -2257,25 +2225,25 @@ mod tests {
             self.reclaims.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
             self.reclaim_succeeds
         }
-        fn lift_i32(&self, v: Vec<i32>) -> Self::Column {
+        fn lift_i32(&self, v: Vec<i32>) -> HostResult {
             self.inner.lift_i32(v)
         }
-        fn lift_f32(&self, v: Vec<f32>) -> Self::Column {
+        fn lift_f32(&self, v: Vec<f32>) -> HostResult {
             self.inner.lift_f32(v)
         }
-        fn lift_oids(&self, v: Vec<u32>) -> Self::Column {
+        fn lift_oids(&self, v: Vec<u32>) -> HostResult {
             self.inner.lift_oids(v)
         }
-        fn to_i32(&self, c: &Self::Column) -> Vec<i32> {
+        fn to_i32(&self, c: &Self::Column) -> Result<Vec<i32>, PlanError> {
             self.inner.to_i32(c)
         }
-        fn to_f32(&self, c: &Self::Column) -> Vec<f32> {
+        fn to_f32(&self, c: &Self::Column) -> Result<Vec<f32>, PlanError> {
             self.inner.to_f32(c)
         }
-        fn to_oids(&self, c: &Self::Column) -> Vec<u32> {
+        fn to_oids(&self, c: &Self::Column) -> Result<Vec<u32>, PlanError> {
             self.inner.to_oids(c)
         }
-        fn len(&self, c: &Self::Column) -> usize {
+        fn len(&self, c: &Self::Column) -> Result<usize, PlanError> {
             self.inner.len(c)
         }
         fn select_range_i32(
@@ -2284,7 +2252,7 @@ mod tests {
             lo: i32,
             hi: i32,
             cands: Option<&Self::Column>,
-        ) -> Self::Column {
+        ) -> HostResult {
             self.inner.select_range_i32(c, lo, hi, cands)
         }
         fn select_range_f32(
@@ -2293,7 +2261,7 @@ mod tests {
             lo: f32,
             hi: f32,
             cands: Option<&Self::Column>,
-        ) -> Self::Column {
+        ) -> HostResult {
             self.inner.select_range_f32(c, lo, hi, cands)
         }
         fn select_eq_i32(
@@ -2301,7 +2269,7 @@ mod tests {
             c: &Self::Column,
             n: i32,
             cands: Option<&Self::Column>,
-        ) -> Self::Column {
+        ) -> HostResult {
             self.inner.select_eq_i32(c, n, cands)
         }
         fn select_ne_i32(
@@ -2309,7 +2277,7 @@ mod tests {
             c: &Self::Column,
             n: i32,
             cands: Option<&Self::Column>,
-        ) -> Self::Column {
+        ) -> HostResult {
             self.inner.select_ne_i32(c, n, cands)
         }
         fn select_in_i32(
@@ -2317,7 +2285,7 @@ mod tests {
             c: &Self::Column,
             v: &[i32],
             cands: Option<&Self::Column>,
-        ) -> Self::Column {
+        ) -> HostResult {
             self.inner.select_in_i32(c, v, cands)
         }
         fn select_cmp_i32(
@@ -2326,49 +2294,53 @@ mod tests {
             r: &Self::Column,
             op: CmpOp,
             cands: Option<&Self::Column>,
-        ) -> Self::Column {
+        ) -> HostResult {
             self.inner.select_cmp_i32(l, r, op, cands)
         }
-        fn union_oids(&self, a: &Self::Column, b: &Self::Column) -> Self::Column {
+        fn union_oids(&self, a: &Self::Column, b: &Self::Column) -> HostResult {
             self.inner.union_oids(a, b)
         }
-        fn fetch(&self, c: &Self::Column, o: &Self::Column) -> Self::Column {
+        fn fetch(&self, c: &Self::Column, o: &Self::Column) -> HostResult {
             self.inner.fetch(c, o)
         }
-        fn mul_f32(&self, a: &Self::Column, b: &Self::Column) -> Self::Column {
+        fn mul_f32(&self, a: &Self::Column, b: &Self::Column) -> HostResult {
             self.inner.mul_f32(a, b)
         }
-        fn add_f32(&self, a: &Self::Column, b: &Self::Column) -> Self::Column {
+        fn add_f32(&self, a: &Self::Column, b: &Self::Column) -> HostResult {
             self.inner.add_f32(a, b)
         }
-        fn sub_f32(&self, a: &Self::Column, b: &Self::Column) -> Self::Column {
+        fn sub_f32(&self, a: &Self::Column, b: &Self::Column) -> HostResult {
             self.inner.sub_f32(a, b)
         }
-        fn const_minus_f32(&self, k: f32, a: &Self::Column) -> Self::Column {
+        fn const_minus_f32(&self, k: f32, a: &Self::Column) -> HostResult {
             self.inner.const_minus_f32(k, a)
         }
-        fn const_plus_f32(&self, k: f32, a: &Self::Column) -> Self::Column {
+        fn const_plus_f32(&self, k: f32, a: &Self::Column) -> HostResult {
             self.inner.const_plus_f32(k, a)
         }
-        fn mul_const_f32(&self, a: &Self::Column, k: f32) -> Self::Column {
+        fn mul_const_f32(&self, a: &Self::Column, k: f32) -> HostResult {
             self.inner.mul_const_f32(a, k)
         }
-        fn cast_i32_f32(&self, a: &Self::Column) -> Self::Column {
+        fn cast_i32_f32(&self, a: &Self::Column) -> HostResult {
             self.inner.cast_i32_f32(a)
         }
-        fn extract_year(&self, a: &Self::Column) -> Self::Column {
+        fn extract_year(&self, a: &Self::Column) -> HostResult {
             self.inner.extract_year(a)
         }
-        fn pkfk_join(&self, fk: &Self::Column, pk: &Self::Column) -> (Self::Column, Self::Column) {
+        fn pkfk_join(
+            &self,
+            fk: &Self::Column,
+            pk: &Self::Column,
+        ) -> Result<(Self::Column, Self::Column), PlanError> {
             self.inner.pkfk_join(fk, pk)
         }
-        fn semi_join(&self, l: &Self::Column, r: &Self::Column) -> Self::Column {
+        fn semi_join(&self, l: &Self::Column, r: &Self::Column) -> HostResult {
             self.inner.semi_join(l, r)
         }
-        fn anti_join(&self, l: &Self::Column, r: &Self::Column) -> Self::Column {
+        fn anti_join(&self, l: &Self::Column, r: &Self::Column) -> HostResult {
             self.inner.anti_join(l, r)
         }
-        fn group_by(&self, keys: &[&Self::Column]) -> GroupHandle<Self::Column> {
+        fn group_by(&self, keys: &[&Self::Column]) -> Result<GroupHandle<Self::Column>, PlanError> {
             self.inner.group_by(keys)
         }
         fn grouped_aggs(
@@ -2376,35 +2348,23 @@ mod tests {
             g: &GroupHandle<Self::Column>,
             v: &[&Self::Column],
             f: &[GroupedAgg],
-        ) -> Vec<Self::Column> {
+        ) -> Result<Vec<Self::Column>, PlanError> {
             self.inner.grouped_aggs(g, v, f)
         }
-        fn sum_f32(&self, v: &Self::Column) -> f32 {
+        fn sum_f32(&self, v: &Self::Column) -> Result<f32, PlanError> {
             self.inner.sum_f32(v)
         }
-        fn min_f32(&self, v: &Self::Column) -> f32 {
+        fn min_f32(&self, v: &Self::Column) -> Result<f32, PlanError> {
             self.inner.min_f32(v)
         }
-        fn max_f32(&self, v: &Self::Column) -> f32 {
+        fn max_f32(&self, v: &Self::Column) -> Result<f32, PlanError> {
             self.inner.max_f32(v)
         }
-        fn min_i32(&self, v: &Self::Column) -> i32 {
-            self.inner.min_i32(v)
-        }
-        fn avg_f32(&self, v: &Self::Column) -> f32 {
-            self.inner.avg_f32(v)
-        }
-        fn sort_order_i32(&self, c: &Self::Column, d: bool) -> Self::Column {
+        fn sort_order_i32(&self, c: &Self::Column, d: bool) -> HostResult {
             self.inner.sort_order_i32(c, d)
         }
-        fn sort_order_f32(&self, c: &Self::Column, d: bool) -> Self::Column {
+        fn sort_order_f32(&self, c: &Self::Column, d: bool) -> HostResult {
             self.inner.sort_order_f32(c, d)
-        }
-        fn begin_timing(&self) {
-            self.inner.begin_timing()
-        }
-        fn elapsed_ns(&self) -> u64 {
-            self.inner.elapsed_ns()
         }
     }
 
@@ -2451,12 +2411,12 @@ mod tests {
 
     #[test]
     fn non_oom_panics_are_not_swallowed() {
-        // Only typed fault payloads enter the recovery protocol; any other
-        // panic must unwind through step() to the caller unchanged.
+        // Recovery reads returned errors only; a genuine panic must unwind
+        // through step() to the caller unchanged.
         let plan = grouped_plan();
         let catalog = catalog();
         let backend = OomBackend::failing(1, true).with_mode(FailMode::PlainPanic);
-        let caught = std::panic::catch_unwind(AssertUnwindSafe(|| {
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             PlanRun::new(&plan, &backend, &catalog).run_to_completion().unwrap();
         }));
         let payload = caught.unwrap_err();
@@ -2562,6 +2522,47 @@ mod tests {
             "device loss is not retryable: no reclaim, no retry"
         );
         assert!(matches!(run.recovery_trace(), [RecoveryEvent::DeviceLost { node: 0 }]));
+    }
+
+    #[test]
+    fn unexpected_kernel_errors_are_typed_and_final() {
+        // A kernel error outside the three recoverable classes is neither
+        // retried nor reclaimed for: one attempt (of the two that would
+        // fail), then the carrier variant.
+        use std::sync::atomic::Ordering;
+        let plan = grouped_plan();
+        let catalog = catalog();
+        let backend = OomBackend::failing(2, true).with_mode(FailMode::Internal);
+        let mut run = PlanRun::new(&plan, &backend, &catalog);
+        let err = run.run_to_completion().unwrap_err();
+        assert_eq!(err, PlanError::Device(KernelError::Internal("broken invariant".into())));
+        assert!(err.to_string().contains("broken invariant"), "{err}");
+        assert_eq!(backend.failures_left.load(Ordering::Relaxed), 1, "exactly one attempt");
+        assert_eq!(backend.reclaims.load(Ordering::Relaxed), 0);
+        assert_eq!(run.recovery_stats(), RecoveryStats::default());
+        assert!(run.recovery_trace().is_empty());
+    }
+
+    #[test]
+    fn unexpected_kernel_errors_fail_their_job_alone_under_the_scheduler() {
+        use crate::scheduler::{QueryJob, Scheduler};
+        use crate::session::Session;
+        let plan = grouped_plan();
+        let catalog = catalog();
+        let reference = execute_plan(&plan, &MonetSeqBackend::new(), &catalog).unwrap();
+        let sessions = [
+            Session::new(OomBackend::failing(0, true)),
+            Session::new(OomBackend::failing(1, true).with_mode(FailMode::Internal)),
+            Session::new(OomBackend::failing(0, true)),
+        ];
+        let jobs: Vec<QueryJob<'_, OomBackend>> = sessions
+            .iter()
+            .map(|session| QueryJob { session, plan: &plan, catalog: &catalog })
+            .collect();
+        let results = Scheduler::new().run(&jobs);
+        assert_eq!(results[0].as_ref().unwrap(), &reference);
+        assert!(matches!(results[1], Err(PlanError::Device(KernelError::Internal(_)))));
+        assert_eq!(results[2].as_ref().unwrap(), &reference);
     }
 
     #[test]

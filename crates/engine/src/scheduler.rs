@@ -46,8 +46,8 @@
 //!   [`PlanError::Faulted`] stays in its slot, the quarantine is counted,
 //!   and the rest of the stream proceeds.
 //! * **Device-loss failover.** Under [`Scheduler::run_with_fallback`],
-//!   jobs that unwound with [`PlanError::DeviceLost`] (device loss is
-//!   sticky, so every in-flight plan on the lost device unwinds as it next
+//!   jobs that failed with [`PlanError::DeviceLost`] (device loss is
+//!   sticky, so every in-flight plan on the lost device fails as it next
 //!   steps) are re-run on the fallback session **in submission order**
 //!   after their device's cached state is invalidated
 //!   ([`crate::backend::Backend::on_device_lost`]) — results land in their
@@ -242,7 +242,7 @@ impl Scheduler {
 
     /// Like [`Scheduler::run`], with the scheduler arms of the unified
     /// recovery protocol applied (module docs): after the normal admission
-    /// run, every job that unwound with [`PlanError::DeviceLost`] has its
+    /// run, every job that failed with [`PlanError::DeviceLost`] has its
     /// session's device state invalidated and is **resubmitted on
     /// `fallback` in submission order** (re-lowered from its plan's
     /// logical source when it carries one), and every job whose typed

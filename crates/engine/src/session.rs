@@ -17,7 +17,7 @@
 //! # Failover
 //!
 //! A session may carry a **fallback session** ([`Session::with_fallback`]).
-//! When a plan run unwinds with [`PlanError::DeviceLost`] (the sticky,
+//! When a plan run fails with [`PlanError::DeviceLost`] (the sticky,
 //! non-retryable fault class of the unified recovery protocol —
 //! `crate::plan` module docs), the session invalidates the lost device's
 //! cached state ([`crate::backend::Backend::on_device_lost`]), re-lowers

@@ -168,7 +168,7 @@ pub fn run_query_reference<B: Backend>(
     query: u32,
 ) -> Result<QueryResult, QueryError> {
     match query {
-        1 => Ok(q1_direct(session.backend(), db)),
+        1 => Ok(q1_direct(session.backend(), db)?),
         3 => shape_q3(session.run(&q3_plan(db)?, db.catalog())?),
         4 => shape_q4(session.run(&q4_plan(db)?, db.catalog())?),
         6 => shape_q6(session.run(&q6_plan(db)?, db.catalog())?),
@@ -307,24 +307,24 @@ fn q1<B: Backend>(session: &Session<B>, db: &TpchDb) -> Result<QueryResult, Quer
 
 /// The pre-DSL Q1, written directly against the [`Backend`] trait — kept
 /// as the oracle the DSL port is verified against.
-pub fn q1_direct<B: Backend>(b: &B, db: &TpchDb) -> QueryResult {
-    let shipdate = b.bat(db.col("lineitem", "l_shipdate"));
-    let cands = b.select_range_i32(&shipdate, i32::MIN, date_to_days(1998, 9, 2), None);
+pub fn q1_direct<B: Backend>(b: &B, db: &TpchDb) -> Result<QueryResult, PlanError> {
+    let shipdate = b.bat(db.col("lineitem", "l_shipdate"))?;
+    let cands = b.select_range_i32(&shipdate, i32::MIN, date_to_days(1998, 9, 2), None)?;
 
-    let returnflag = b.fetch(&b.bat(db.col("lineitem", "l_returnflag")), &cands);
-    let linestatus = b.fetch(&b.bat(db.col("lineitem", "l_linestatus")), &cands);
-    let quantity = b.fetch(&b.bat(db.col("lineitem", "l_quantity")), &cands);
-    let price = b.fetch(&b.bat(db.col("lineitem", "l_extendedprice")), &cands);
-    let discount = b.fetch(&b.bat(db.col("lineitem", "l_discount")), &cands);
-    let tax = b.fetch(&b.bat(db.col("lineitem", "l_tax")), &cands);
+    let returnflag = b.fetch(&b.bat(db.col("lineitem", "l_returnflag"))?, &cands)?;
+    let linestatus = b.fetch(&b.bat(db.col("lineitem", "l_linestatus"))?, &cands)?;
+    let quantity = b.fetch(&b.bat(db.col("lineitem", "l_quantity"))?, &cands)?;
+    let price = b.fetch(&b.bat(db.col("lineitem", "l_extendedprice"))?, &cands)?;
+    let discount = b.fetch(&b.bat(db.col("lineitem", "l_discount"))?, &cands)?;
+    let tax = b.fetch(&b.bat(db.col("lineitem", "l_tax"))?, &cands)?;
 
     // disc_price = price * (1 - discount); charge = disc_price * (1 + tax)
-    let one_minus_disc = b.const_minus_f32(1.0, &discount);
-    let disc_price = b.mul_f32(&price, &one_minus_disc);
-    let one_plus_tax = b.const_plus_f32(1.0, &tax);
-    let charge = b.mul_f32(&disc_price, &one_plus_tax);
+    let one_minus_disc = b.const_minus_f32(1.0, &discount)?;
+    let disc_price = b.mul_f32(&price, &one_minus_disc)?;
+    let one_plus_tax = b.const_plus_f32(1.0, &tax)?;
+    let charge = b.mul_f32(&disc_price, &one_plus_tax)?;
 
-    let groups = b.group_by(&[&returnflag, &linestatus]);
+    let groups = b.group_by(&[&returnflag, &linestatus])?;
     // Value columns by position: quantity, price, disc_price, charge, discount.
     let values = [&quantity, &price, &disc_price, &charge, &discount];
     let aggs = b.grouped_aggs(
@@ -340,12 +340,13 @@ pub fn q1_direct<B: Backend>(b: &B, db: &TpchDb) -> QueryResult {
             GroupedAgg::Avg(4),
             GroupedAgg::Count,
         ],
-    );
-    let aggs: Vec<Vec<f32>> = aggs.iter().map(|column| b.to_f32(column)).collect();
+    )?;
+    let aggs: Vec<Vec<f32>> =
+        aggs.iter().map(|column| b.to_f32(column)).collect::<Result<_, _>>()?;
 
     // The representatives carry the grouping key values.
-    let rf_keys = b.to_i32(&b.fetch(&returnflag, &groups.representatives));
-    let ls_keys = b.to_i32(&b.fetch(&linestatus, &groups.representatives));
+    let rf_keys = b.to_i32(&b.fetch(&returnflag, &groups.representatives)?)?;
+    let ls_keys = b.to_i32(&b.fetch(&linestatus, &groups.representatives)?)?;
 
     let rows: Vec<Vec<f64>> = (0..groups.num_groups)
         .map(|g| {
@@ -354,7 +355,7 @@ pub fn q1_direct<B: Backend>(b: &B, db: &TpchDb) -> QueryResult {
             row
         })
         .collect();
-    result_of(1, &Q1_COLUMNS, rows, 2)
+    Ok(result_of(1, &Q1_COLUMNS, rows, 2))
 }
 
 // ===========================================================================

@@ -7,10 +7,10 @@
 //! on the same Q3-shaped three-table join under the same device budget:
 //!
 //! 1. **Reactive (PR 4).** The in-memory hash-join plan runs under a
-//!    budget smaller than its working set. Every `OutOfDeviceMemory` fault
-//!    unwinds the executing node, a reclaim pass evicts what it can, and
-//!    the node restarts — correct, but the work up to the fault is thrown
-//!    away each time (`reclaim_count() > 0`).
+//!    budget smaller than its working set. Every `OutOfDeviceMemory` error
+//!    is returned by the executing node, a reclaim pass evicts what it can,
+//!    and the node restarts — correct, but the work up to the fault is
+//!    thrown away each time (`reclaim_count() > 0`).
 //! 2. **Planned (this PR).** Lowering is told the budget up front
 //!    (`RewriteConfig::with_device_budget`), estimates the join working
 //!    set from catalog statistics and emits the *partitioned* hybrid hash

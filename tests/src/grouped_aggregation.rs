@@ -13,7 +13,7 @@ use ocelot_core::ops::hash_table::GROUPING_START;
 use ocelot_core::ops::{groupby, select};
 use ocelot_core::primitives::gather;
 use ocelot_core::{DevColumn, OcelotContext, SharedDevice, TraceSink};
-use ocelot_engine::plan::{Plan, PlanBuilder, PlanNode, PlanOp};
+use ocelot_engine::plan::{Plan, PlanBuilder, PlanError, PlanNode, PlanOp};
 use ocelot_engine::{Backend, MonetSeqBackend, OcelotBackend, Session, TraceEventKind};
 use ocelot_monet::sequential as monet;
 use ocelot_storage::CmpOp;
@@ -322,26 +322,26 @@ fn column_comparison_and_in_list_selections_equal_monet() {
         (left, right, code): (&[i32], &[i32], &[i32]),
         ops: &[CmpOp],
         in_lists: &[&[i32]],
-    ) -> Vec<Vec<u32>> {
+    ) -> Result<Vec<Vec<u32>>, PlanError> {
         let (l, r, c) =
-            (b.lift_i32(left.to_vec()), b.lift_i32(right.to_vec()), b.lift_i32(code.to_vec()));
-        let cands = b.select_range_i32(&c, 2, 8, None);
+            (b.lift_i32(left.to_vec())?, b.lift_i32(right.to_vec())?, b.lift_i32(code.to_vec())?);
+        let cands = b.select_range_i32(&c, 2, 8, None)?;
         let mut out = Vec::new();
         for with in [None, Some(&cands)] {
             for op in ops {
-                out.push(b.to_oids(&b.select_cmp_i32(&l, &r, *op, with)));
+                out.push(b.to_oids(&b.select_cmp_i32(&l, &r, *op, with)?)?);
             }
             for values in in_lists {
-                out.push(b.to_oids(&b.select_in_i32(&c, values, with)));
+                out.push(b.to_oids(&b.select_in_i32(&c, values, with)?)?);
             }
         }
-        out
+        Ok(out)
     }
     let data = (left.as_slice(), right.as_slice(), code.as_slice());
-    let expected = answers(&MonetSeqBackend::new(), data, &ops, &in_lists);
+    let expected = answers(&MonetSeqBackend::new(), data, &ops, &in_lists).unwrap();
     assert!(expected.iter().filter(|oids| !oids.is_empty()).count() > 16, "the cases select rows");
     for backend in [OcelotBackend::cpu_sequential(), OcelotBackend::cpu(), OcelotBackend::gpu()] {
-        let got = answers(&backend, data, &ops, &in_lists);
+        let got = answers(&backend, data, &ops, &in_lists).unwrap();
         for (case, (got, want)) in got.iter().zip(&expected).enumerate() {
             assert_eq!(got, want, "case {case} on {}", backend.name());
         }
@@ -363,21 +363,21 @@ fn armed_race_detector_is_silent_over_every_new_kernel() {
     for backend in [OcelotBackend::cpu_sequential(), OcelotBackend::cpu(), OcelotBackend::gpu()] {
         let ctx = backend.context();
         ctx.queue().race().arm();
-        let columns: Vec<_> = keys.iter().map(|c| backend.lift_i32(c.clone())).collect();
+        let columns: Vec<_> = keys.iter().map(|c| backend.lift_i32(c.clone()).unwrap()).collect();
         let (a, b) = (&columns[0], &columns[1]);
-        let v = backend.lift_f32(values.clone());
-        let cands = backend.select_cmp_i32(a, b, CmpOp::Lt, None);
-        let narrowed = backend.select_cmp_i32(b, a, CmpOp::Ne, Some(&cands));
-        let listed = backend.select_in_i32(b, &[41, 44, 47], Some(&narrowed));
-        backend.select_in_i32(a, &[0, 2], None);
-        let (ka, kb) = (backend.fetch(a, &listed), backend.fetch(b, &listed));
-        let deferred = backend.group_by(&[&ka, &kb]);
-        let fetched = backend.fetch(&v, &listed);
-        backend.grouped_aggs(&deferred, &[&fetched, &fetched], &many);
-        let groups = backend.group_by(&[a, b]);
+        let v = backend.lift_f32(values.clone()).unwrap();
+        let cands = backend.select_cmp_i32(a, b, CmpOp::Lt, None).unwrap();
+        let narrowed = backend.select_cmp_i32(b, a, CmpOp::Ne, Some(&cands)).unwrap();
+        let listed = backend.select_in_i32(b, &[41, 44, 47], Some(&narrowed)).unwrap();
+        backend.select_in_i32(a, &[0, 2], None).unwrap();
+        let (ka, kb) = (backend.fetch(a, &listed).unwrap(), backend.fetch(b, &listed).unwrap());
+        let deferred = backend.group_by(&[&ka, &kb]).unwrap();
+        let fetched = backend.fetch(&v, &listed).unwrap();
+        backend.grouped_aggs(&deferred, &[&fetched, &fetched], &many).unwrap();
+        let groups = backend.group_by(&[a, b]).unwrap();
         assert_eq!(groups.num_groups, 45);
-        backend.grouped_aggs(&groups, &[&v], &[Sum(0), Avg(0), Count]);
-        backend.sync();
+        backend.grouped_aggs(&groups, &[&v], &[Sum(0), Avg(0), Count]).unwrap();
+        backend.sync().unwrap();
         let stats = ctx.queue().race().stats();
         let diagnostics = ctx.queue().race().take_diagnostics();
         ctx.queue().race().disarm();
