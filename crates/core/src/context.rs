@@ -783,13 +783,6 @@ impl SharedDevice {
         self
     }
 
-    /// Overrides the column cache's resident-byte budget independently of
-    /// the device-memory budget.
-    pub fn with_cache_budget(self, bytes: usize) -> SharedDevice {
-        self.cache.set_budget(bytes);
-        self
-    }
-
     /// The configured device-memory budget, if any.
     pub fn memory_budget(&self) -> Option<usize> {
         match self.memory_budget.load(std::sync::atomic::Ordering::Relaxed) {

@@ -530,9 +530,8 @@ impl Kernel for FusedPartialsKernel {
         // The group's items hold consecutive chunks of the positions: one
         // stretch, walked in tiles (per-item walks would cut a short
         // stretch into tiles a quarter the size, in the same order).
-        let mut chunks = group.items().map(|item| item.chunk_bounds(self.n.cap()));
-        let (start, first_end) = chunks.next().unwrap_or((0, 0));
-        let end = chunks.last().map_or(first_end, |(_, end)| end).min(n);
+        let (start, end) = group.chunk_bounds(self.n.cap());
+        let end = end.min(n);
         let spans = (start..end).step_by(TILE).map(|start| start..(start + TILE).min(end));
         let gids = self.gids.as_ref().map(|gids| gids.as_words());
         match &self.rows {

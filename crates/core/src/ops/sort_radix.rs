@@ -1,243 +1,195 @@
 //! The sort operator: a binary radix sort (paper §4.1.3, §5.2.7).
 //!
-//! Least-significant-digit radix sort with an 8-bit radix (four passes over
-//! 32-bit keys). Every pass runs three steps, all expressed as kernels:
+//! Least-significant-digit radix sort with an 8-bit radix: four passes over
+//! 32-bit keys, two launches each, both under one launch configuration of
+//! `tables = partial_tables_for(n, 256)` work-groups (the count-table scheme
+//! of [`crate::primitives::histogram`]):
 //!
-//! 1. **Histogram** — every work-item counts the digit occurrences of its
-//!    slice into a digit-major count table (`counts[digit][item]`).
-//! 2. **Scan** — an exclusive prefix sum over the count table yields, for
-//!    every `(digit, item)` pair, the first output position of that item's
-//!    elements with that digit (this is the "shuffle the histograms so that
-//!    all buckets for the same radix are laid out consecutively" step).
-//! 3. **Scatter** — every work-item replays its slice in order and writes
-//!    each element (key and its OID) to its reserved position.
+//! 1. **Histogram** — every work-group counts the digits of its stretch of
+//!    the rows into its own 256-counter row of the count table.
+//! 2. **Scatter** — every work-group walks the table once for its 256 start
+//!    cursors — behind every row of a smaller digit, and behind the rows the
+//!    groups before it hold of the same digit — then replays its stretch in
+//!    order and writes each element (key and OID) to its reserved position.
 //!
-//! Negative integers and floats are handled by an order-preserving key
-//! transformation (sign-bit flip / IEEE-754 total-order transform), matching
-//! the paper's "minor modifications to handle arbitrary input sizes and
-//! negative values".
+//! The work follows the rows: `tables ≤ 64` is read off the row count alone,
+//! the table is `256 · tables` words — 1 KiB for a five-row sort on any
+//! device — and a scatter work-group's walk of it is at most 16 words per
+//! row of its stretch (at 65 536 rows; one word per row at a million).
 //!
-//! Work-items always walk *contiguous* slices here (regardless of the
-//! device's preferred access pattern): LSD radix sort requires a stable
-//! element order per pass, and the strided interleaving would interleave
-//! items' elements non-monotonically.
+//! Raw words become sortable unsigned keys by an order-preserving transform
+//! ([`KeyMap`]: sign-bit flip / IEEE-754 total order), matching the paper's
+//! "minor modifications to handle arbitrary input sizes and negative
+//! values". The first pass reads the raw column and encodes in registers —
+//! its OIDs are the row indices — and the last writes only the OIDs. A
+//! descending sort sorts the complemented key, so it is the same eight
+//! launches and stable too: **equal keys keep input order in both
+//! directions**, which makes the order a function of the input alone.
+//!
+//! **Deliberate sync point:** the table count and the staging buffers are
+//! sized from the row count on the host, so a deferred input length is
+//! resolved on entry. Nothing else flushes and nothing crosses to the host.
 
 use crate::context::{DevColumn, DevWord, OcelotContext, Oid};
-use crate::primitives::prefix_sum::exclusive_scan_u32;
-use ocelot_kernel::{Buffer, Kernel, KernelCost, LaunchConfig, Result, WorkGroupCtx};
+use crate::ops::aggregate::partial_tables_for;
+use crate::primitives::gather::gather;
+use crate::primitives::histogram::{sum_rows, HistogramKernel, MAX_DIGITS};
+use ocelot_kernel::{
+    Buffer, BufferAccess, EventId, Kernel, KernelAccesses, KernelCost, LaunchConfig, Result,
+    WorkGroupCtx,
+};
+use std::sync::atomic::Ordering::Relaxed;
 use std::sync::Arc;
 
-const RADIX_BITS: usize = 8;
-const RADIX_SIZE: usize = 1 << RADIX_BITS;
+/// One digit fills a row of the work-group count table.
+const RADIX_SIZE: usize = MAX_DIGITS;
+const RADIX_BITS: usize = RADIX_SIZE.trailing_zeros() as usize;
 const PASSES: usize = 32 / RADIX_BITS;
 
-/// How raw column words map to sortable unsigned keys.
+/// How column words map to unsigned keys whose ascending order is the sort
+/// order: `word ^ flip`, negative words (sign bit set) flipping
+/// `flip_negative` as well.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum KeyTransform {
-    /// Signed integers: flip the sign bit.
-    I32,
-    /// IEEE-754 floats: flip all bits of negatives, set the sign bit of
-    /// positives (total order).
-    F32,
+struct KeyMap {
+    flip: u32,
+    flip_negative: u32,
 }
 
-impl KeyTransform {
+impl KeyMap {
+    /// Signed integers: flip the sign bit.
+    const I32: KeyMap = KeyMap { flip: 0x8000_0000, flip_negative: 0 };
+    /// IEEE-754 floats: set the sign bit of positives, flip all bits of
+    /// negatives (total order).
+    const F32: KeyMap = KeyMap { flip: 0x8000_0000, flip_negative: 0x7FFF_FFFF };
+
+    /// The complemented key: its ascending order is the column's descending
+    /// order, ties still in input order.
+    fn descending(self, descending: bool) -> KeyMap {
+        KeyMap { flip: if descending { !self.flip } else { self.flip }, ..self }
+    }
+
     #[inline]
     fn encode(self, word: u32) -> u32 {
-        match self {
-            KeyTransform::I32 => word ^ 0x8000_0000,
-            KeyTransform::F32 => {
-                if word & 0x8000_0000 != 0 {
-                    !word
-                } else {
-                    word | 0x8000_0000
-                }
-            }
-        }
-    }
-
-    #[inline]
-    fn decode(self, key: u32) -> u32 {
-        match self {
-            KeyTransform::I32 => key ^ 0x8000_0000,
-            KeyTransform::F32 => {
-                if key & 0x8000_0000 != 0 {
-                    key & 0x7FFF_FFFF
-                } else {
-                    !key
-                }
-            }
-        }
+        word ^ self.flip ^ (((word as i32 >> 31) as u32) & self.flip_negative)
     }
 }
 
-struct TransformKernel {
-    input: Buffer,
-    keys: Buffer,
-    oids: Buffer,
-    transform: KeyTransform,
+#[inline]
+fn digit_of(key: u32, shift: usize) -> usize {
+    (key >> shift) as usize & (RADIX_SIZE - 1)
 }
 
-impl Kernel for TransformKernel {
-    fn name(&self) -> &str {
-        "radix_transform"
-    }
-    fn run_group(&self, group: &mut WorkGroupCtx) {
-        let input = self.input.as_words();
-        for item in group.items() {
-            let assigned = item.assigned();
-            if let Some(range) = assigned.as_range() {
-                if range.is_empty() {
-                    continue;
-                }
-                // SAFETY: the contiguous pattern assigns `range` of both
-                // outputs exclusively to this item within this phase.
-                let keys = unsafe { self.keys.chunk_mut(range.start, range.end) };
-                let oids = unsafe { self.oids.chunk_mut(range.start, range.end) };
-                for (offset, ((key, oid), &word)) in
-                    keys.iter_mut().zip(oids.iter_mut()).zip(&input[range.clone()]).enumerate()
-                {
-                    *key = self.transform.encode(word);
-                    *oid = (range.start + offset) as u32;
-                }
-            } else {
-                let keys = self.keys.cells();
-                let oids = self.oids.cells();
-                for idx in assigned {
-                    keys[idx].store(
-                        self.transform.encode(input[idx]),
-                        std::sync::atomic::Ordering::Relaxed,
-                    );
-                    oids[idx].store(idx as u32, std::sync::atomic::Ordering::Relaxed);
-                }
-            }
-        }
-    }
-}
-
-struct HistogramKernel {
-    keys: Buffer,
-    counts: Buffer,
-    shift: usize,
-    total_items: usize,
-    n: usize,
-}
-
-impl Kernel for HistogramKernel {
-    fn name(&self) -> &str {
-        "radix_histogram"
-    }
-    fn run_group(&self, group: &mut WorkGroupCtx) {
-        let keys = self.keys.as_words();
-        let counts = self.counts.cells();
-        for item in group.items() {
-            let (start, end) = item.chunk_bounds(self.n);
-            let mut local = [0u32; RADIX_SIZE];
-            for &key in &keys[start..end] {
-                let digit = ((key >> self.shift) as usize) & (RADIX_SIZE - 1);
-                local[digit] += 1;
-            }
-            // The count table is digit-major: cell (digit, item) is written
-            // by exactly one item, so relaxed stores through the cell slice
-            // suffice.
-            for (digit, count) in local.iter().enumerate() {
-                counts[digit * self.total_items + item.global_id]
-                    .store(*count, std::sync::atomic::Ordering::Relaxed);
-            }
-        }
-    }
-    fn cost(&self, launch: &LaunchConfig) -> KernelCost {
-        KernelCost::new(
-            (launch.n as u64) * 4,
-            (launch.total_items() * RADIX_SIZE) as u64 * 4,
-            launch.n as u64,
-            0,
-        )
-    }
-}
-
-struct ScatterKernel {
+/// `K` is the key of a word of `keys_in`: [`KeyMap::encode`] on the first
+/// pass, the word itself once the keys are staged.
+struct ScatterKernel<K> {
     keys_in: Buffer,
-    oids_in: Buffer,
-    keys_out: Buffer,
+    /// Carried OIDs; `None` on the first pass (the OID *is* the row index).
+    oids_in: Option<Buffer>,
+    /// `None` on the last pass: nothing reads the keys again.
+    keys_out: Option<Buffer>,
     oids_out: Buffer,
-    offsets: Buffer,
+    counts: Buffer,
+    key: K,
     shift: usize,
-    total_items: usize,
-    n: usize,
 }
 
-impl Kernel for ScatterKernel {
+impl<K: Fn(u32) -> u32 + Send + Sync> Kernel for ScatterKernel<K> {
     fn name(&self) -> &str {
         "radix_scatter"
     }
     fn run_group(&self, group: &mut WorkGroupCtx) {
-        let keys_in = self.keys_in.as_words();
-        let oids_in = self.oids_in.as_words();
-        // Scatter targets are disjoint across items (the scanned offsets
+        let (start, end) = group.chunk_bounds(group.n());
+        if start == end {
+            return;
+        }
+        let (this, tables) = (group.group_id(), group.num_groups());
+        let counts = self.counts.chunk(0, tables * RADIX_SIZE);
+        let (before, rest) =
+            (sum_rows(counts, RADIX_SIZE, 0..this), sum_rows(counts, RADIX_SIZE, this..tables));
+        let (mut cursors, mut digit_start) = ([0u32; RADIX_SIZE], 0);
+        for (digit, cursor) in cursors.iter_mut().enumerate() {
+            *cursor = digit_start + before[digit];
+            digit_start += before[digit] + rest[digit];
+        }
+        let oids_in = self.oids_in.as_ref().map(|oids| &oids.as_words()[start..end]);
+        // Scatter targets are disjoint across work-groups (the cursors
         // reserve a unique position per element) but not contiguous, so the
         // writes go through the atomic-cell slices.
-        let keys_out = self.keys_out.cells();
+        let keys_out = self.keys_out.as_ref().map(|keys| keys.cells());
         let oids_out = self.oids_out.cells();
-        let offsets = self.offsets.as_words();
-        for item in group.items() {
-            let (start, end) = item.chunk_bounds(self.n);
-            if start >= end {
-                continue;
+        for (offset, &word) in self.keys_in.as_words()[start..end].iter().enumerate() {
+            let key = (self.key)(word);
+            let cursor = &mut cursors[digit_of(key, self.shift)];
+            let position = *cursor as usize;
+            *cursor += 1;
+            if let Some(keys_out) = keys_out {
+                keys_out[position].store(key, Relaxed);
             }
-            let mut cursors = [0u32; RADIX_SIZE];
-            for (digit, cursor) in cursors.iter_mut().enumerate() {
-                *cursor = offsets[digit * self.total_items + item.global_id];
-            }
-            for (&key, &oid) in keys_in[start..end].iter().zip(&oids_in[start..end]) {
-                let digit = ((key >> self.shift) as usize) & (RADIX_SIZE - 1);
-                let position = cursors[digit] as usize;
-                keys_out[position].store(key, std::sync::atomic::Ordering::Relaxed);
-                oids_out[position].store(oid, std::sync::atomic::Ordering::Relaxed);
-                cursors[digit] += 1;
-            }
+            let oid = oids_in.map_or((start + offset) as u32, |oids| oids[offset]);
+            oids_out[position].store(oid, Relaxed);
         }
     }
     fn cost(&self, launch: &LaunchConfig) -> KernelCost {
-        KernelCost::new((launch.n as u64) * 8, (launch.n as u64) * 8, launch.n as u64, 0)
+        let columns = |buffer: &Option<Buffer>| 1 + u64::from(buffer.is_some());
+        // Every work-group walks the whole count table.
+        let table_walks = (launch.num_groups * launch.num_groups * RADIX_SIZE) as u64;
+        KernelCost::new(
+            (launch.n as u64 * columns(&self.oids_in) + table_walks) * 4,
+            launch.n as u64 * columns(&self.keys_out) * 4,
+            launch.n as u64 + table_walks,
+            0,
+        )
+    }
+    fn declared_accesses(&self, launch: &LaunchConfig) -> Option<KernelAccesses> {
+        let rows = 0..launch.n;
+        let mut accesses = vec![
+            BufferAccess::slice_read(&self.keys_in, rows.clone()),
+            BufferAccess::slice_read(&self.counts, 0..launch.num_groups * RADIX_SIZE),
+            BufferAccess::cells_write(&self.oids_out, rows.clone()),
+        ];
+        accesses.extend(self.oids_in.iter().map(|b| BufferAccess::slice_read(b, rows.clone())));
+        accesses.extend(self.keys_out.iter().map(|b| BufferAccess::cells_write(b, rows.clone())));
+        Some(KernelAccesses::of(accesses))
     }
 }
 
-struct DecodeKernel {
-    keys: Buffer,
-    output: Buffer,
-    transform: KeyTransform,
+/// What one pass reads and writes: the keys and the OIDs they carry.
+struct Pass {
+    keys_in: Buffer,
+    oids_in: Option<Buffer>,
+    keys_out: Option<Buffer>,
+    oids_out: Buffer,
+    shift: usize,
 }
 
-impl Kernel for DecodeKernel {
-    fn name(&self) -> &str {
-        "radix_decode"
-    }
-    fn run_group(&self, group: &mut WorkGroupCtx) {
-        let keys = self.keys.as_words();
-        for item in group.items() {
-            let assigned = item.assigned();
-            if let Some(range) = assigned.as_range() {
-                if range.is_empty() {
-                    continue;
-                }
-                // SAFETY: the contiguous pattern assigns `range` of the
-                // output exclusively to this item within this phase.
-                let out = unsafe { self.output.chunk_mut(range.start, range.end) };
-                for (o, &key) in out.iter_mut().zip(&keys[range]) {
-                    *o = self.transform.decode(key);
-                }
-            } else {
-                let output = self.output.cells();
-                for idx in assigned {
-                    output[idx].store(
-                        self.transform.decode(keys[idx]),
-                        std::sync::atomic::Ordering::Relaxed,
-                    );
-                }
-            }
-        }
-    }
+/// Enqueues one pass over the digit at `shift` of `key(word)` — histogram,
+/// then scatter, the one count table between them — behind `wait`.
+fn enqueue_pass<K: Fn(u32) -> u32 + Copy + Send + Sync + 'static>(
+    ctx: &OcelotContext,
+    launch: &LaunchConfig,
+    counts: &Buffer,
+    pass: Pass,
+    key: K,
+    wait: &[EventId],
+) -> Result<EventId> {
+    let Pass { keys_in, oids_in, keys_out, oids_out, shift } = pass;
+    let counted = ctx.queue().enqueue_kernel(
+        Arc::new(HistogramKernel {
+            name: "radix_histogram",
+            keys: keys_in.clone(),
+            counts: counts.clone(),
+            digits: RADIX_SIZE,
+            digit: move |word| digit_of(key(word), shift),
+        }),
+        launch.clone(),
+        wait,
+    )?;
+    let counts = counts.clone();
+    ctx.queue().enqueue_kernel(
+        Arc::new(ScatterKernel { keys_in, oids_in, keys_out, oids_out, counts, key, shift }),
+        launch.clone(),
+        &[counted],
+    )
 }
 
 /// The result of a sort: the sorted values and the permutation of input OIDs
@@ -250,99 +202,96 @@ pub struct SortResult<T: DevWord> {
     pub order: DevColumn<Oid>,
 }
 
-/// **Deliberate sync point:** the multi-pass ping-pong schedule is host-side
-/// control flow over the element count, so a deferred input length is
-/// resolved on entry. The passes themselves (including their scans) are
-/// fully lazy — nothing flushes until the caller reads a result.
-fn radix_sort<T: DevWord>(
+/// Transient device bytes a sort of `rows` rows allocates: four staging
+/// buffers — two of keys, two of OIDs, one of which leaves as the order —
+/// and the count table. The engine's admission estimate charges this.
+// xlint:allow(eager-host-scalar): a sizing rule over a row count, no device value is read.
+pub fn scratch_bytes(rows: usize) -> usize {
+    (4 * rows + RADIX_SIZE * partial_tables_for(rows, RADIX_SIZE)) * 4
+}
+
+/// The stable permutation that sorts `input` by `key` (module docs).
+fn radix_sort_order<T: DevWord>(
     ctx: &OcelotContext,
     input: &DevColumn<T>,
-    transform: KeyTransform,
-) -> Result<SortResult<T>> {
+    key: KeyMap,
+) -> Result<DevColumn<Oid>> {
     let n = input.len(ctx)?;
     if n == 0 {
-        let empty_v = ctx.alloc(1, "sort_values")?;
-        let empty_o = ctx.alloc(1, "sort_order")?;
-        return Ok(SortResult {
-            values: DevColumn::new(empty_v, 0)?,
-            order: DevColumn::new(empty_o, 0)?,
-        });
+        return DevColumn::new(ctx.alloc(1, "sort_order")?, 0);
     }
-    let launch = ctx.launch(n);
-    let total_items = launch.total_items();
+    let tables = partial_tables_for(n, RADIX_SIZE);
+    let launch = ctx.launch(n).with_num_groups(tables);
+    let counts = ctx.alloc_uninit(RADIX_SIZE * tables, "sort_counts")?;
+    let keys = [ctx.alloc_uninit(n, "sort_keys_a")?, ctx.alloc_uninit(n, "sort_keys_b")?];
+    let oids = [ctx.alloc_uninit(n, "sort_oids_a")?, ctx.alloc_uninit(n, "sort_oids_b")?];
 
-    let mut keys_a = ctx.alloc_uninit(n, "sort_keys_a")?;
-    let mut oids_a = ctx.alloc_uninit(n, "sort_oids_a")?;
-    let mut keys_b = ctx.alloc_uninit(n, "sort_keys_b")?;
-    let mut oids_b = ctx.alloc_uninit(n, "sort_oids_b")?;
-
-    let wait = ctx.wait_for(input);
-    ctx.queue().enqueue_kernel(
-        Arc::new(TransformKernel {
-            input: input.buffer.clone(),
-            keys: keys_a.clone(),
-            oids: oids_a.clone(),
-            transform,
-        }),
-        launch.clone(),
-        &wait,
-    )?;
-
-    for pass in 0..PASSES {
-        let shift = pass * RADIX_BITS;
-        let counts = ctx.alloc_uninit(RADIX_SIZE * total_items, "sort_counts")?;
-        ctx.queue().enqueue_kernel(
-            Arc::new(HistogramKernel {
-                keys: keys_a.clone(),
-                counts: counts.clone(),
-                shift,
-                total_items,
-                n,
-            }),
-            launch.clone(),
-            &[],
-        )?;
-        let counts_col = DevColumn::<u32>::new(counts, RADIX_SIZE * total_items)?;
-        // The scan total equals `n` by construction; it stays deferred and
-        // unread — the offsets feed the scatter directly on the device.
-        let (offsets, _total) = exclusive_scan_u32(ctx, &counts_col)?;
-        ctx.queue().enqueue_kernel(
-            Arc::new(ScatterKernel {
-                keys_in: keys_a.clone(),
-                oids_in: oids_a.clone(),
-                keys_out: keys_b.clone(),
-                oids_out: oids_b.clone(),
-                offsets: offsets.buffer.clone(),
-                shift,
-                total_items,
-                n,
-            }),
-            launch.clone(),
-            &[],
-        )?;
-        std::mem::swap(&mut keys_a, &mut keys_b);
-        std::mem::swap(&mut oids_a, &mut oids_b);
+    // The first pass reads the column and encodes in registers; pass `p`
+    // scatters into side `p % 2` of the staging buffers what the pass before
+    // it left in the other side, and the last leaves only the order.
+    let first = Pass {
+        keys_in: input.buffer.clone(),
+        oids_in: None,
+        keys_out: Some(keys[0].clone()),
+        oids_out: oids[0].clone(),
+        shift: 0,
+    };
+    let encode = move |word| key.encode(word);
+    let mut scattered = enqueue_pass(ctx, &launch, &counts, first, encode, &ctx.wait_for(input))?;
+    ctx.memory().record_consumer(&input.buffer, scattered);
+    for pass in 1..PASSES {
+        let (from, to) = ((pass + 1) % 2, pass % 2);
+        let staged = Pass {
+            keys_in: keys[from].clone(),
+            oids_in: Some(oids[from].clone()),
+            keys_out: (pass + 1 < PASSES).then(|| keys[to].clone()),
+            oids_out: oids[to].clone(),
+            shift: pass * RADIX_BITS,
+        };
+        scattered = enqueue_pass(ctx, &launch, &counts, staged, |key| key, &[scattered])?;
     }
+    let order = oids[(PASSES - 1) % 2].clone();
+    ctx.memory().record_producer(&order, scattered);
+    DevColumn::new(order, n)
+}
 
-    let values = ctx.alloc_uninit(n, "sort_values")?;
-    let decode_event = ctx.queue().enqueue_kernel(
-        Arc::new(DecodeKernel { keys: keys_a, output: values.clone(), transform }),
-        launch,
-        &[],
-    )?;
-    ctx.memory().record_producer(&values, decode_event);
-    ctx.memory().record_producer(&oids_a, decode_event);
-    Ok(SortResult { values: DevColumn::new(values, n)?, order: DevColumn::new(oids_a, n)? })
+/// The permutation that sorts an integer column, ascending or descending:
+/// `order[i]` = OID of the input row at sorted position `i`. Stable in both
+/// directions — equal keys keep input order.
+pub fn sort_order_i32(
+    ctx: &OcelotContext,
+    input: &DevColumn<i32>,
+    descending: bool,
+) -> Result<DevColumn<Oid>> {
+    radix_sort_order(ctx, input, KeyMap::I32.descending(descending))
+}
+
+/// The permutation that sorts a float column (IEEE total order), ascending or
+/// descending; stable in both directions.
+pub fn sort_order_f32(
+    ctx: &OcelotContext,
+    input: &DevColumn<f32>,
+    descending: bool,
+) -> Result<DevColumn<Oid>> {
+    radix_sort_order(ctx, input, KeyMap::F32.descending(descending))
+}
+
+fn sorted<T: DevWord>(
+    ctx: &OcelotContext,
+    input: &DevColumn<T>,
+    order: DevColumn<Oid>,
+) -> Result<SortResult<T>> {
+    Ok(SortResult { values: gather(ctx, input, &order)?, order })
 }
 
 /// Sorts an integer column ascending.
 pub fn sort_i32(ctx: &OcelotContext, input: &DevColumn<i32>) -> Result<SortResult<i32>> {
-    radix_sort(ctx, input, KeyTransform::I32)
+    sorted(ctx, input, sort_order_i32(ctx, input, false)?)
 }
 
 /// Sorts a float column ascending (IEEE total order).
 pub fn sort_f32(ctx: &OcelotContext, input: &DevColumn<f32>) -> Result<SortResult<f32>> {
-    radix_sort(ctx, input, KeyTransform::F32)
+    sorted(ctx, input, sort_order_f32(ctx, input, false)?)
 }
 
 #[cfg(test)]
@@ -424,6 +373,27 @@ mod tests {
             let mut expected = input.clone();
             expected.sort_unstable();
             assert_eq!(result.values.read(&ctx).unwrap(), expected);
+        }
+    }
+
+    #[test]
+    fn count_table_is_sized_by_the_rows_on_every_device() {
+        // 256 counters per 1 024 rows, at least one table, at most 64 —
+        // whatever the device's work-item count (4 … 1 344 here).
+        for ctx in contexts() {
+            for (rows, tables) in [(5, 1), (2_047, 1), (5_000, 4), (65_536, 64), (1 << 22, 64)] {
+                let launch = ctx.launch(rows).with_num_groups(partial_tables_for(rows, RADIX_SIZE));
+                let counts = ctx.alloc(RADIX_SIZE * tables, "counts").unwrap();
+                let histogram = HistogramKernel {
+                    name: "radix_histogram",
+                    keys: counts.clone(),
+                    counts,
+                    digits: RADIX_SIZE,
+                    digit: |word| digit_of(word, 0),
+                };
+                assert_eq!(launch.num_groups, tables);
+                assert_eq!(histogram.cost(&launch).bytes_written, (256 * tables * 4) as u64);
+            }
         }
     }
 

@@ -37,12 +37,13 @@
 //!
 //! # Deliberate sync points
 //!
-//! Partitioning resolves the per-partition sizes on the host (one flush):
-//! the partition buffers are exact-size allocations and the spill/restore
-//! schedule is host-side control flow, exactly like the group-by's group
-//! count and the sort's pass schedule. Spilling flushes the queue (pending
-//! producers must run before a snapshot). The per-partition joins then
-//! stay lazy until their results are read for the OID remap.
+//! Partitioning resolves the per-partition sizes on the host (one flush,
+//! reading the count table — `2^bits` words per work-group, a work-group per
+//! 1024 input rows, at most 64): the partition buffers are exact-size
+//! allocations and the spill/restore schedule is host-side control flow,
+//! exactly like the group-by's group count. Spilling flushes the queue
+//! (pending producers must run before a snapshot). The per-partition joins
+//! then stay lazy until their results are read for the OID remap.
 //!
 //! # Skew
 //!
@@ -58,15 +59,19 @@
 
 use crate::context::{DevColumn, OcelotContext, Oid};
 use crate::memory_manager::MemoryManager;
+use crate::ops::aggregate::partial_tables_for;
 use crate::ops::hash_table::OcelotHashTable;
 use crate::ops::join;
-use crate::primitives::prefix_sum::exclusive_scan_u32;
-use ocelot_kernel::{Buffer, Kernel, KernelCost, LaunchConfig, Result, WorkGroupCtx};
+use crate::primitives::histogram::{sum_rows, HistogramKernel, MAX_DIGITS};
+use ocelot_kernel::{
+    Buffer, BufferAccess, Kernel, KernelAccesses, KernelCost, LaunchConfig, Result, WorkGroupCtx,
+};
 use std::sync::Arc;
 
-/// Upper bound on partition bits per pass (256 partitions): the histogram
-/// keeps a per-item count table of `2^bits` entries.
+/// Upper bound on partition bits per pass (256 partitions): a row of the
+/// count table ([`crate::primitives::histogram`]) holds `2^bits` entries.
 pub const MAX_PARTITION_BITS: u32 = 8;
+const _: () = assert!(1 << MAX_PARTITION_BITS == MAX_DIGITS);
 
 /// One multiplicative hash seed per recursion pass, so a repartition
 /// redistributes keys that collided in the parent pass.
@@ -128,63 +133,20 @@ impl SpillStats {
 // Radix partitioning kernels
 // ---------------------------------------------------------------------------
 
-struct PartitionHistogramKernel {
-    keys: Buffer,
-    counts: Buffer,
-    pass: usize,
-    bits: u32,
-    total_items: usize,
-    n: usize,
-}
-
-impl Kernel for PartitionHistogramKernel {
-    fn name(&self) -> &str {
-        "partition_histogram"
-    }
-    fn run_group(&self, group: &mut WorkGroupCtx) {
-        let keys = self.keys.as_words();
-        let counts = self.counts.cells();
-        let parts = 1usize << self.bits;
-        for item in group.items() {
-            let (start, end) = item.chunk_bounds(self.n);
-            let mut local = vec![0u32; parts];
-            for &key in &keys[start..end] {
-                local[partition_of(key, self.pass, self.bits)] += 1;
-            }
-            // Digit-major count table: cell (partition, item) is written by
-            // exactly one item, so relaxed stores suffice.
-            for (p, count) in local.iter().enumerate() {
-                counts[p * self.total_items + item.global_id]
-                    .store(*count, std::sync::atomic::Ordering::Relaxed);
-            }
-        }
-    }
-    fn cost(&self, launch: &LaunchConfig) -> KernelCost {
-        KernelCost::new(
-            (launch.n as u64) * 4,
-            (launch.total_items() as u64) * (1u64 << self.bits) * 4,
-            launch.n as u64,
-            0,
-        )
-    }
-}
-
 /// Scatters each element (key and OID) into its partition's own exact-size
-/// buffer. `starts[p]` is the global first output position of partition `p`
-/// (resolved on the host), so the in-partition position is the scanned
-/// offset minus the partition start.
+/// buffer. The histogram that ran under the same launch left every
+/// work-group's partition counts in `counts` (group-major rows,
+/// [`crate::primitives::histogram`]): a group's rows of a partition go
+/// behind the rows the groups before it put there, in input order.
 struct PartitionScatterKernel {
     keys_in: Buffer,
     /// Carried OIDs; `None` at the top level (the OID *is* the row index).
     oids_in: Option<Buffer>,
     keys_out: Vec<Buffer>,
     oids_out: Vec<Buffer>,
-    offsets: Buffer,
-    starts: Vec<u32>,
+    counts: Buffer,
     pass: usize,
     bits: u32,
-    total_items: usize,
-    n: usize,
 }
 
 impl Kernel for PartitionScatterKernel {
@@ -192,38 +154,46 @@ impl Kernel for PartitionScatterKernel {
         "partition_scatter"
     }
     fn run_group(&self, group: &mut WorkGroupCtx) {
+        let (start, end) = group.chunk_bounds(group.n());
         let keys_in = self.keys_in.as_words();
         let oids_in = self.oids_in.as_ref().map(|b| b.as_words());
-        let offsets = self.offsets.as_words();
         let parts = 1usize << self.bits;
-        for item in group.items() {
-            let (start, end) = item.chunk_bounds(self.n);
-            if start >= end {
-                continue;
-            }
-            let mut cursors = vec![0u32; parts];
-            for (p, cursor) in cursors.iter_mut().enumerate() {
-                *cursor = offsets[p * self.total_items + item.global_id];
-            }
-            for idx in start..end {
-                let key = keys_in[idx];
-                let p = partition_of(key, self.pass, self.bits);
-                let local = (cursors[p] - self.starts[p]) as usize;
-                let oid = match oids_in {
-                    Some(oids) => oids[idx],
-                    None => idx as u32,
-                };
-                // Scatter targets are disjoint across items (the scanned
-                // offsets reserve a unique position per element) but not
-                // contiguous, so the writes go through the atomic cells.
-                self.keys_out[p].cells()[local].store(key, std::sync::atomic::Ordering::Relaxed);
-                self.oids_out[p].cells()[local].store(oid, std::sync::atomic::Ordering::Relaxed);
-                cursors[p] += 1;
-            }
+        let counts = self.counts.chunk(0, group.num_groups() * parts);
+        let mut cursors = sum_rows(counts, parts, 0..group.group_id());
+        for idx in start..end {
+            let key = keys_in[idx];
+            let p = partition_of(key, self.pass, self.bits);
+            let local = cursors[p] as usize;
+            let oid = match oids_in {
+                Some(oids) => oids[idx],
+                None => idx as u32,
+            };
+            // Scatter targets are disjoint across work-groups (the cursors
+            // reserve a unique position per element) but not contiguous, so
+            // the writes go through the atomic cells.
+            self.keys_out[p].cells()[local].store(key, std::sync::atomic::Ordering::Relaxed);
+            self.oids_out[p].cells()[local].store(oid, std::sync::atomic::Ordering::Relaxed);
+            cursors[p] += 1;
         }
     }
     fn cost(&self, launch: &LaunchConfig) -> KernelCost {
-        KernelCost::new((launch.n as u64) * 8, (launch.n as u64) * 8, launch.n as u64, 0)
+        let table_walks = ((launch.num_groups * launch.num_groups) << self.bits) as u64;
+        KernelCost::new(
+            (launch.n as u64 * 2 + table_walks) * 4,
+            (launch.n as u64) * 8,
+            launch.n as u64 + table_walks,
+            0,
+        )
+    }
+    fn declared_accesses(&self, launch: &LaunchConfig) -> Option<KernelAccesses> {
+        let mut accesses = vec![
+            BufferAccess::slice_read(&self.keys_in, 0..launch.n),
+            BufferAccess::slice_read(&self.counts, 0..launch.num_groups << self.bits),
+        ];
+        accesses.extend(self.oids_in.iter().map(|b| BufferAccess::slice_read(b, 0..launch.n)));
+        let outputs = self.keys_out.iter().chain(&self.oids_out);
+        accesses.extend(outputs.map(|b| BufferAccess::cells_write(b, 0..b.len())));
+        Some(KernelAccesses::of(accesses))
     }
 }
 
@@ -406,39 +376,33 @@ pub fn partition_by_key(
         return Ok(empty);
     }
 
-    let launch = ctx.launch(n);
-    let total_items = launch.total_items();
-    let counts = ctx.alloc_uninit(parts * total_items, "partition_counts")?;
+    // One count row per work-group, the work-groups from the row count alone
+    // (the partial-table rule of `ops::aggregate`).
+    let tables = partial_tables_for(n, parts);
+    let launch = ctx.launch(n).with_num_groups(tables);
+    let counts = ctx.alloc_uninit(parts * tables, "partition_counts")?;
     let mut wait = ctx.wait_for(keys);
     if let Some(oids) = oids {
         wait.extend(ctx.wait_for(oids));
     }
     let count_event = ctx.queue().enqueue_kernel(
-        Arc::new(PartitionHistogramKernel {
+        Arc::new(HistogramKernel {
+            name: "partition_histogram",
             keys: keys.buffer.clone(),
             counts: counts.clone(),
-            pass,
-            bits,
-            total_items,
-            n,
+            digits: parts,
+            digit: move |key| partition_of(key, pass, bits),
         }),
         launch.clone(),
         &wait,
     )?;
     ctx.memory().record_producer(&counts, count_event);
-    let counts_col = DevColumn::<u32>::new(counts, parts * total_items)?;
-    let (offsets, _total) = exclusive_scan_u32(ctx, &counts_col)?;
 
-    // Host-resolve the partition starts (the documented sync point): the
-    // scanned value at (partition, item 0) is the partition's first global
-    // output position.
-    ctx.queue().flush()?;
-    let mut starts = Vec::with_capacity(parts + 1);
-    for p in 0..parts {
-        starts.push(offsets.buffer.get_u32(p * total_items));
-    }
-    starts.push(n as u32);
-    let sizes: Vec<usize> = (0..parts).map(|p| (starts[p + 1] - starts[p]) as usize).collect();
+    // Host-resolve the partition sizes (the documented sync point) from the
+    // count table.
+    ctx.materialize(&counts, parts * tables)?;
+    let sizes = sum_rows(counts.chunk(0, parts * tables), parts, 0..tables);
+    let sizes: Vec<usize> = sizes[..parts].iter().map(|rows| *rows as usize).collect();
 
     // Exact-size (pool-bypassing) allocations: each partition's buffers are
     // individually spillable, and dropping them must actually return the
@@ -456,15 +420,12 @@ pub fn partition_by_key(
             oids_in: oids.map(|o| o.buffer.clone()),
             keys_out: keys_out.clone(),
             oids_out: oids_out.clone(),
-            offsets: offsets.buffer.clone(),
-            starts: starts[..parts].to_vec(),
+            counts,
             pass,
             bits,
-            total_items,
-            n,
         }),
         launch,
-        &ctx.memory().wait_for_read(&offsets.buffer),
+        &[count_event],
     )?;
 
     let mut partitions = Vec::with_capacity(parts);

@@ -9,9 +9,12 @@
 //! * [`reduce`] — hierarchical reductions for ungrouped aggregation
 //!   (paper §4.1.7),
 //! * [`bitmap`] — the bitmap representation of selection results and the
-//!   bit-wise combination of predicate bitmaps (paper §4.1.1).
+//!   bit-wise combination of predicate bitmaps (paper §4.1.1),
+//! * `histogram` — work-group digit count tables, the counting half of the
+//!   radix sort's passes and of radix partitioning (paper §4.1.3).
 
 pub mod bitmap;
 pub mod gather;
+pub(crate) mod histogram;
 pub mod prefix_sum;
 pub mod reduce;

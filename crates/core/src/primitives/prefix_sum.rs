@@ -1,11 +1,10 @@
 //! Exclusive prefix sums (scans).
 //!
 //! The scan is the workhorse behind every operator whose result size is not
-//! known upfront: bitmap materialisation, the two-step join output scheme,
-//! radix-sort offsets and sorted-input grouping all compute per-work-item
-//! counts, scan them to obtain unique write offsets, and then write without
-//! synchronisation (paper §4.1.2, §4.1.5, citing Sengupta et al.'s scan
-//! primitives).
+//! known upfront: bitmap materialisation and the two-step join output scheme
+//! compute per-work-item counts, scan them to obtain unique write offsets,
+//! and then write without synchronisation (paper §4.1.2, §4.1.5, citing
+//! Sengupta et al.'s scan primitives).
 //!
 //! The total of the scanned input is returned as a deferred
 //! [`DevScalar<u32>`] — **no flush happens here**. Consumers that need the

@@ -33,10 +33,11 @@
 //! * **Host-resolving** — internally resolve host values mid-plan (the
 //!   "deliberate sync points" of the operator library): hash joins
 //!   (monolithic and partitioned), semi/anti joins, grouping (its group
-//!   count shapes the schema), sorts (host-side ping-pong schedule) and
-//!   the OID-list union (host merge). Their internal flush count is
-//!   data-dependent, so any plan containing one gets a
-//!   [`FlushBound::DataDependent`] bound.
+//!   count shapes the schema), sorts (staging and the count table are
+//!   sized from the row count, so a deferred input length is resolved on
+//!   entry — the sort itself flushes nothing) and the OID-list union (host
+//!   merge). Their internal flush count is data-dependent, so any plan
+//!   containing one gets a [`FlushBound::DataDependent`] bound.
 //! * **Boundary** — `sync` and `result` flush pending work exactly once
 //!   and leave the queue empty.
 //!

@@ -337,13 +337,17 @@ pub trait Backend {
     // ---- sorting ----
 
     /// The permutation of OIDs that sorts an integer column (ascending or
-    /// descending).
+    /// descending). **Stable in both directions: equal keys keep input
+    /// order** — so the order is a function of the column alone, and OID
+    /// for OID the same on every backend.
     fn sort_order_i32(
         &self,
         col: &Self::Column,
         descending: bool,
     ) -> Result<Self::Column, PlanError>;
-    /// The permutation of OIDs that sorts a float column.
+    /// The permutation of OIDs that sorts a float column by IEEE total order
+    /// (`f32::total_cmp`); stable in both directions like
+    /// [`Backend::sort_order_i32`].
     fn sort_order_f32(
         &self,
         col: &Self::Column,

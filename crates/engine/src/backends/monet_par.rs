@@ -347,18 +347,12 @@ impl Backend for MonetParBackend {
     }
 
     fn sort_order_i32(&self, col: &HostColumn, descending: bool) -> Result<HostColumn, PlanError> {
-        let (_, mut order) = par::par_sort_i32(col.as_i32(), self.threads);
-        if descending {
-            order.reverse();
-        }
-        Ok(HostColumn::Oid(Arc::new(order)))
+        let sort = if descending { par::par_sort_i32_desc } else { par::par_sort_i32 };
+        Ok(HostColumn::Oid(Arc::new(sort(col.as_i32(), self.threads).1)))
     }
     fn sort_order_f32(&self, col: &HostColumn, descending: bool) -> Result<HostColumn, PlanError> {
-        let (_, mut order) = par::par_sort_f32(col.as_f32(), self.threads);
-        if descending {
-            order.reverse();
-        }
-        Ok(HostColumn::Oid(Arc::new(order)))
+        let sort = if descending { par::par_sort_f32_desc } else { par::par_sort_f32 };
+        Ok(HostColumn::Oid(Arc::new(sort(col.as_f32(), self.threads).1)))
     }
 }
 

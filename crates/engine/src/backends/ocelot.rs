@@ -512,35 +512,22 @@ impl Backend for OcelotBackend {
         Ok(aggregate::max_f32(&self.ctx, &values.as_f32())?.get(&self.ctx)?)
     }
 
+    // Descending is the complemented key on the device, not a host-side
+    // reversal: either direction is the same eight launches, flushes nothing
+    // and leaves the order device-resident.
     fn sort_order_i32(
         &self,
         col: &OcelotColumn,
         descending: bool,
     ) -> Result<OcelotColumn, PlanError> {
-        let result = sort_radix::sort_i32(&self.ctx, &col.as_i32())?;
-        if descending {
-            // Reversal is a host boundary op (ORDER BY ... DESC feeds the
-            // result set); ascending orders stay device-resident.
-            let mut order = result.order.read(&self.ctx)?;
-            order.reverse();
-            self.lift_oids(order)
-        } else {
-            Ok(OcelotColumn::Oid(result.order))
-        }
+        Ok(OcelotColumn::Oid(sort_radix::sort_order_i32(&self.ctx, &col.as_i32(), descending)?))
     }
     fn sort_order_f32(
         &self,
         col: &OcelotColumn,
         descending: bool,
     ) -> Result<OcelotColumn, PlanError> {
-        let result = sort_radix::sort_f32(&self.ctx, &col.as_f32())?;
-        if descending {
-            let mut order = result.order.read(&self.ctx)?;
-            order.reverse();
-            self.lift_oids(order)
-        } else {
-            Ok(OcelotColumn::Oid(result.order))
-        }
+        Ok(OcelotColumn::Oid(sort_radix::sort_order_f32(&self.ctx, &col.as_f32(), descending)?))
     }
 
     fn profile_marker(&self) -> ProfileMarker {

@@ -62,6 +62,7 @@
 
 use crate::backend::{Backend, GroupHandle, GroupedAgg, ProfileMarker};
 use crate::query::Query;
+use ocelot_core::ops::sort_radix;
 use ocelot_kernel::{FaultSite, KernelError};
 use ocelot_storage::{Catalog, CmpOp};
 use ocelot_trace::{MetricsRegistry, NodeAction, TraceEventKind, TraceHandle};
@@ -628,21 +629,17 @@ impl Plan {
     /// builds (joins, grouping) allocate a power-of-two slot table of
     /// ~1.4× the build cardinality plus per-probe flag space, and the
     /// radix sort allocates four ping-pong staging buffers plus its
-    /// per-work-item digit histogram (≈2 MiB on the simulated discrete
-    /// GPU — the dominant fixed cost that made the register-only estimate
-    /// under-count sort-heavy plans). Still an estimate, not a bound:
-    /// admission budgets should keep slack.
+    /// work-group count table (`sort_radix::scratch_bytes`: the table is
+    /// 1 KiB per 1024 rows, ≤ 64 KiB, on any device). Still an estimate,
+    /// not a bound: admission budgets should keep slack.
     pub fn estimate_device_footprint(&self, catalog: &Catalog) -> usize {
         self.walk_footprint(catalog, true)
     }
 
-    /// The simulated discrete GPU's radix-sort digit histogram:
-    /// 256 radixes × ~2048 work-items × 4 bytes.
-    const RADIX_HISTOGRAM_BYTES: usize = 256 * 2048 * 4;
-
     /// Transient device bytes the node's operator allocates beyond its
     /// input/output registers (hash-table slots, sort staging). Mirrors the
-    /// sizing rules in `ocelot_core::ops::{hash_table, sort_radix}`.
+    /// sizing rule in `ocelot_core::ops::hash_table`; the sort states its
+    /// own.
     fn scratch_bytes(node: &PlanNode, sizes: &HashMap<Var, usize>) -> usize {
         let input_bytes =
             |index: usize| node.inputs.get(index).and_then(|v| sizes.get(v)).copied().unwrap_or(0);
@@ -658,9 +655,7 @@ impl Plan {
         };
         match &node.op {
             PlanOp::SortOrderI32 { .. } | PlanOp::SortOrderF32 { .. } => {
-                // Four ping-pong staging buffers (keys/oids × 2) plus the
-                // per-work-item digit histogram.
-                4 * input_bytes(0) + Plan::RADIX_HISTOGRAM_BYTES
+                sort_radix::scratch_bytes(input_bytes(0) / 4)
             }
             PlanOp::PkFkJoin | PlanOp::SemiJoin | PlanOp::AntiJoin => {
                 hash_table(input_bytes(1), input_bytes(0))
@@ -2621,8 +2616,7 @@ mod tests {
     #[test]
     fn sort_heavy_plans_charge_scratch_beyond_register_lifetimes() {
         // The admission estimate must include operator scratch: the radix
-        // sort's staging buffers and its (GPU) digit histogram dwarf the
-        // registers of a small sort plan.
+        // sort's staging buffers outweigh the registers of a small sort plan.
         let catalog = catalog();
         let mut p = PlanBuilder::new();
         let v = p.bind("t", "v");
@@ -2638,8 +2632,10 @@ mod tests {
             "scratch-aware estimate ({device}) must strictly exceed the register-lifetime \
              bound ({registers}) for a sort-heavy plan"
         );
-        // The histogram alone dominates: 256 radixes x 2048 work-items x 4B.
-        assert!(device >= registers + 256 * 2048 * 4, "covers the radix histogram: {device}");
+        // The peak is the sort node: its 2 000-row input register plus four
+        // staging buffers of that size and one 1 KiB count table.
+        assert_eq!(device, 8_000 + sort_radix::scratch_bytes(2_000));
+        assert_eq!(sort_radix::scratch_bytes(2_000), 4 * 8_000 + 1_024);
 
         // Hash joins charge build-side scratch too.
         let mut j = PlanBuilder::new();

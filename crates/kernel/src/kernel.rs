@@ -217,6 +217,15 @@ impl WorkGroupCtx {
     /// close to its OpenCL counterpart.
     pub fn barrier(&self) {}
 
+    /// The one contiguous stretch `(start, end)` of `0..elements` that this
+    /// group's items' [`WorkItem::chunk_bounds`] add up to — for kernels whose
+    /// unit of work is the work-group (a private table per group, one ordered
+    /// walk over its rows), whatever the group size.
+    pub fn chunk_bounds(&self, elements: usize) -> (usize, usize) {
+        let chunk = elements.div_ceil(self.total_items().max(1)) * self.group_size;
+        ((self.group_id * chunk).min(elements), ((self.group_id + 1) * chunk).min(elements))
+    }
+
     /// Iterates over the work-items of this group.
     pub fn items(&self) -> impl Iterator<Item = WorkItem> + '_ {
         let group_id = self.group_id;
@@ -438,10 +447,14 @@ mod tests {
         let mut covered = Vec::new();
         for g in 0..2 {
             let ctx = WorkGroupCtx::new(g, &launch);
+            let from = covered.len();
             for item in ctx.items() {
                 let (s, e) = item.chunk_bounds(13);
                 covered.extend(s..e);
             }
+            // The group's bounds are the stretch its items' chunks add up to.
+            let (s, e) = ctx.chunk_bounds(13);
+            assert_eq!(covered[from..], (s..e).collect::<Vec<_>>());
         }
         covered.sort_unstable();
         assert_eq!(covered, (0..13).collect::<Vec<_>>());

@@ -4,13 +4,11 @@
 
 use super::partition::run_partitions;
 use ocelot_storage::Oid;
+use std::cmp::Ordering;
 
-fn merge_runs_by_key<K: Copy + PartialOrd, F: Fn(Oid) -> K>(
-    runs: Vec<Vec<Oid>>,
-    key: F,
-) -> Vec<Oid> {
-    let mut merged: Vec<Oid> = Vec::with_capacity(runs.iter().map(|r| r.len()).sum());
-    let mut runs = runs;
+/// Merges sorted runs pairwise. A tie takes the earlier run's row: the runs
+/// cover increasing row ranges, so equal keys keep input order.
+fn merge_runs(mut runs: Vec<Vec<Oid>>, cmp: &impl Fn(Oid, Oid) -> Ordering) -> Vec<Oid> {
     while runs.len() > 1 {
         let mut next_round = Vec::with_capacity(runs.len().div_ceil(2));
         let mut iter = runs.into_iter();
@@ -21,7 +19,7 @@ fn merge_runs_by_key<K: Copy + PartialOrd, F: Fn(Oid) -> K>(
                     let mut out = Vec::with_capacity(a.len() + b.len());
                     let (mut i, mut j) = (0, 0);
                     while i < a.len() && j < b.len() {
-                        if key(a[i]) <= key(b[j]) {
+                        if cmp(a[i], b[j]) != Ordering::Greater {
                             out.push(a[i]);
                             i += 1;
                         } else {
@@ -37,36 +35,46 @@ fn merge_runs_by_key<K: Copy + PartialOrd, F: Fn(Oid) -> K>(
         }
         runs = next_round;
     }
-    if let Some(run) = runs.pop() {
-        merged = run;
-    }
-    merged
+    runs.pop().unwrap_or_default()
+}
+
+/// Sorts `column` stably under `cmp`: every partition sorted stably on its
+/// own thread, the runs merged. Returns `(sorted_values, order)`.
+fn par_sort_by<T: Copy + Sync>(
+    column: &[T],
+    threads: usize,
+    cmp: impl Fn(&T, &T) -> Ordering + Sync,
+) -> (Vec<T>, Vec<Oid>) {
+    let cmp = |a: Oid, b: Oid| cmp(&column[a as usize], &column[b as usize]);
+    let runs = run_partitions(column.len(), threads, |start, end| {
+        let mut order: Vec<Oid> = (start as u32..end as u32).collect();
+        order.sort_by(|&a, &b| cmp(a, b));
+        order
+    });
+    let order = merge_runs(runs, &cmp);
+    (order.iter().map(|&oid| column[oid as usize]).collect(), order)
 }
 
 /// Parallel ascending sort of an integer column. Returns
-/// `(sorted_values, order)` like the sequential variant.
+/// `(sorted_values, order)` like the sequential variant, stable like it.
 pub fn par_sort_i32(column: &[i32], threads: usize) -> (Vec<i32>, Vec<Oid>) {
-    let runs = run_partitions(column.len(), threads, |start, end| {
-        let mut order: Vec<Oid> = (start as u32..end as u32).collect();
-        order.sort_by_key(|&oid| column[oid as usize]);
-        order
-    });
-    let order = merge_runs_by_key(runs, |oid| column[oid as usize]);
-    let sorted = order.iter().map(|&oid| column[oid as usize]).collect();
-    (sorted, order)
+    par_sort_by(column, threads, i32::cmp)
 }
 
-/// Parallel ascending sort of a float column (IEEE total order).
+/// Parallel descending sort of an integer column (stable: equal keys keep
+/// input order, as in the sequential variant).
+pub fn par_sort_i32_desc(column: &[i32], threads: usize) -> (Vec<i32>, Vec<Oid>) {
+    par_sort_by(column, threads, |a, b| b.cmp(a))
+}
+
+/// Parallel ascending sort of a float column (IEEE total order, stable).
 pub fn par_sort_f32(column: &[f32], threads: usize) -> (Vec<f32>, Vec<Oid>) {
-    let runs = run_partitions(column.len(), threads, |start, end| {
-        let mut order: Vec<Oid> = (start as u32..end as u32).collect();
-        order.sort_by(|&a, &b| column[a as usize].total_cmp(&column[b as usize]));
-        order
-    });
-    // total_cmp and <= agree for the non-NaN data the engine produces.
-    let order = merge_runs_by_key(runs, |oid| column[oid as usize]);
-    let sorted = order.iter().map(|&oid| column[oid as usize]).collect();
-    (sorted, order)
+    par_sort_by(column, threads, f32::total_cmp)
+}
+
+/// Parallel descending sort of a float column (IEEE total order, stable).
+pub fn par_sort_f32_desc(column: &[f32], threads: usize) -> (Vec<f32>, Vec<Oid>) {
+    par_sort_by(column, threads, |a, b| b.total_cmp(a))
 }
 
 #[cfg(test)]
@@ -98,6 +106,18 @@ mod tests {
         let (seq_sorted, _) = sequential::sort_f32(&column);
         let (par_sorted, _) = par_sort_f32(&column, 4);
         assert_eq!(par_sorted, seq_sorted);
+    }
+
+    #[test]
+    fn both_directions_are_stable_and_order_floats_totally() {
+        let ints = [3, 1, 3, 2, 1, 3];
+        let floats = [0.0f32, -0.0, f32::NAN, 1.0, -f32::NAN, 0.0, f32::INFINITY, -0.0, 1.0];
+        for threads in [1, 2, 4] {
+            assert_eq!(par_sort_i32_desc(&ints, threads).1, vec![0, 2, 5, 3, 1, 4]);
+            assert_eq!(par_sort_i32(&ints, threads).1, sequential::sort_i32(&ints).1);
+            assert_eq!(par_sort_f32(&floats, threads).1, sequential::sort_f32(&floats).1);
+            assert_eq!(par_sort_f32_desc(&floats, threads).1, sequential::sort_f32_desc(&floats).1);
+        }
     }
 
     #[test]

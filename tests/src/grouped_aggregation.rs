@@ -25,7 +25,7 @@ fn contexts() -> Vec<OcelotContext> {
 }
 
 /// A cheap deterministic stream of row-dependent pseudo-random words.
-fn scramble(row: usize, seed: u64) -> u64 {
+pub(crate) fn scramble(row: usize, seed: u64) -> u64 {
     let mut x = (row as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ seed;
     x ^= x >> 29;
     x = x.wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -35,7 +35,7 @@ fn scramble(row: usize, seed: u64) -> u64 {
 /// Runs `work` with a tracer on `ctx` and returns what it produced, the
 /// kernels it launched (drained by a final sync) and the flushes it took
 /// before that sync.
-fn observed<R>(ctx: &OcelotContext, work: impl FnOnce() -> R) -> (R, Vec<String>, u64) {
+pub(crate) fn observed<R>(ctx: &OcelotContext, work: impl FnOnce() -> R) -> (R, Vec<String>, u64) {
     ctx.sync().unwrap();
     let sink = Arc::new(TraceSink::new());
     ctx.attach_tracer(&sink);
