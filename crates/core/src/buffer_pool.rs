@@ -29,7 +29,7 @@
 //! a *client* and passes its client id on acquisition; the pool counts hits
 //! where the previous owner was a different client as
 //! [`PoolStats::cross_context_hits`] — the observability hook behind the
-//! cross-session reuse regression tests and `BENCH_pr3.json`.
+//! cross-session reuse regression tests.
 
 use ocelot_kernel::Buffer;
 use parking_lot::Mutex;

@@ -59,7 +59,8 @@ impl RewriteConfig {
     }
 
     /// Every rule disabled: predicates run where they were written, scans
-    /// materialise all columns. The ablation baseline for `bench_pr5`.
+    /// materialise all columns. The all-rules-off reference the differential
+    /// tests lower against.
     pub fn naive() -> RewriteConfig {
         RewriteConfig {
             fold: false,

@@ -101,7 +101,6 @@ use ocelot_storage::Catalog;
 use ocelot_trace::{MetricsRegistry, SchedAction, TraceEvent, TraceEventKind, TraceHandle};
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
-use std::time::Instant;
 
 /// Emits one scheduler event with the timeline-row convention of the
 /// Chrome trace export: `pid` is the tenant, `tid` the job index — so a
@@ -142,30 +141,14 @@ pub struct QueryJob<'a, B: Backend> {
     pub catalog: &'a Catalog,
 }
 
-/// Snapshot of a session's device clocks, taken by the probe around every
-/// scheduled node (see [`Scheduler::run_traced`]).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct DeviceClock {
-    /// Wall-clock nanoseconds the session's device has spent *executing*
-    /// kernels on the host (the simulation stand-in for device busy time).
-    pub kernel_host_ns: u64,
-    /// Modeled device nanoseconds (kernels + transfers; the figure reported
-    /// for discrete devices).
-    pub modeled_ns: u64,
-}
-
-/// Timing of one scheduled node, attributed to host vs device.
+/// One scheduled node, in global execution order (see
+/// [`Scheduler::run_traced`]).
 #[derive(Debug, Clone, Copy)]
 pub struct StepTrace {
     /// Index of the job (submission order).
     pub job: usize,
     /// Node index within the job's plan.
     pub node: usize,
-    /// Host nanoseconds: wall-clock of the step minus the kernel-execution
-    /// time the simulation spent standing in for the device.
-    pub host_ns: u64,
-    /// Modeled device nanoseconds this step caused (0 unless it flushed).
-    pub device_ns: u64,
 }
 
 /// What one scheduling drive produces: per-job results in submission
@@ -237,7 +220,7 @@ impl Scheduler {
         &self,
         jobs: &[QueryJob<'_, B>],
     ) -> Vec<Result<Vec<QueryValue>, PlanError>> {
-        self.drive(jobs, None::<fn(&B) -> DeviceClock>).0
+        self.drive(jobs, false).0
     }
 
     /// Like [`Scheduler::run`], with the scheduler arms of the unified
@@ -255,7 +238,7 @@ impl Scheduler {
         jobs: &[QueryJob<'_, B>],
         fallback: &Session<B>,
     ) -> (Vec<Result<Vec<QueryValue>, PlanError>>, RecoveryStats) {
-        let (mut results, _, mut stats) = self.drive(jobs, None::<fn(&B) -> DeviceClock>);
+        let (mut results, _, mut stats) = self.drive(jobs, false);
         for (index, job) in jobs.iter().enumerate() {
             if !matches!(results[index], Err(PlanError::DeviceLost)) {
                 continue;
@@ -277,29 +260,19 @@ impl Scheduler {
     }
 
     /// Like [`Scheduler::run`], additionally recording a [`StepTrace`] per
-    /// executed node. `probe` samples the session's device clocks (for
-    /// Ocelot: from `Queue::total_stats`); the scheduler attributes each
-    /// step's wall time to host vs device from the probe deltas. The trace
-    /// is in global execution order — exactly the interleaving the
-    /// admission contract prescribes — which is what the concurrency
-    /// benchmarks replay against a serial baseline.
+    /// executed node. The trace is in global execution order — exactly the
+    /// interleaving the admission contract prescribes.
     pub fn run_traced<B: Backend>(
         &self,
         jobs: &[QueryJob<'_, B>],
-        probe: impl Fn(&B) -> DeviceClock,
     ) -> (Vec<Result<Vec<QueryValue>, PlanError>>, Vec<StepTrace>) {
-        let (results, traces, _) = self.drive(jobs, Some(probe));
+        let (results, traces, _) = self.drive(jobs, true);
         (results, traces)
     }
 
-    /// The scheduling loop. `probe` is `None` on the untraced path, which
-    /// then skips clock sampling and trace recording entirely. Also
-    /// aggregates every run's [`RecoveryStats`] for the failover path.
-    fn drive<B: Backend>(
-        &self,
-        jobs: &[QueryJob<'_, B>],
-        probe: Option<impl Fn(&B) -> DeviceClock>,
-    ) -> DriveOutcome {
+    /// The scheduling loop. Records the step order only when `traced`.
+    /// Also aggregates every run's [`RecoveryStats`] for the failover path.
+    fn drive<B: Backend>(&self, jobs: &[QueryJob<'_, B>], traced: bool) -> DriveOutcome {
         #[cfg(debug_assertions)]
         for (index, job) in jobs.iter().enumerate() {
             let report = crate::analyze::verify(job.plan);
@@ -356,27 +329,10 @@ impl Scheduler {
             while slot < active.len() {
                 let (index, _, run) = &mut active[slot];
                 let index = *index;
-                let stepped = match &probe {
-                    None => run.step(),
-                    Some(probe) => {
-                        let backend = jobs[index].session.backend();
-                        let node = run.completed_nodes();
-                        let before = probe(backend);
-                        let started = Instant::now();
-                        let stepped = run.step();
-                        let wall_ns = started.elapsed().as_nanos() as u64;
-                        let after = probe(backend);
-                        let kernel_ns = after.kernel_host_ns.saturating_sub(before.kernel_host_ns);
-                        traces.push(StepTrace {
-                            job: index,
-                            node,
-                            host_ns: wall_ns.saturating_sub(kernel_ns),
-                            device_ns: after.modeled_ns.saturating_sub(before.modeled_ns),
-                        });
-                        stepped
-                    }
-                };
-                match stepped {
+                if traced {
+                    traces.push(StepTrace { job: index, node: run.completed_nodes() });
+                }
+                match run.step() {
                     Err(error) => {
                         let (_, _, run) = active.remove(slot);
                         stats.absorb(&run.recovery_stats());
@@ -883,7 +839,7 @@ mod tests {
         // Budget below 2x the footprint: the second job must wait for the
         // first to finish (its first step comes after every step of job 0).
         let tight = Scheduler::new().with_in_flight(2).with_memory_budget(footprint * 3 / 2);
-        let (results, traces) = tight.run_traced(&jobs, |_| DeviceClock::default());
+        let (results, traces) = tight.run_traced(&jobs);
         assert!(results.iter().all(|r| r.is_ok()));
         let job0_last = traces.iter().rposition(|t| t.job == 0).unwrap();
         assert!(
@@ -893,7 +849,7 @@ mod tests {
 
         // Ample budget: both are admitted together (round-robin start).
         let ample = Scheduler::new().with_in_flight(2).with_memory_budget(footprint * 4);
-        let (results, traces) = ample.run_traced(&jobs, |_| DeviceClock::default());
+        let (results, traces) = ample.run_traced(&jobs);
         assert!(results.iter().all(|r| r.is_ok()));
         assert_eq!(first_step(&traces, 1), 1, "ample budget co-schedules in round-robin");
     }
@@ -912,7 +868,7 @@ mod tests {
             QueryJob { session: &session, plan: &plan, catalog: &catalog },
             QueryJob { session: &session, plan: &plan, catalog: &catalog },
         ];
-        let (results, traces) = scheduler.run_traced(&jobs, |_| DeviceClock::default());
+        let (results, traces) = scheduler.run_traced(&jobs);
         assert!(results.iter().all(|r| r.is_ok()));
         for job in 1..3 {
             let previous_last = traces.iter().rposition(|t| t.job == job - 1).unwrap();
@@ -1126,8 +1082,7 @@ mod tests {
             QueryJob { session: &session, plan: &plan, catalog: &catalog },
             QueryJob { session: &session, plan: &plan, catalog: &catalog },
         ];
-        let (results, traces) =
-            Scheduler::new().with_in_flight(2).run_traced(&jobs, |_| DeviceClock::default());
+        let (results, traces) = Scheduler::new().with_in_flight(2).run_traced(&jobs);
         assert!(results.iter().all(|r| r.is_ok()));
         assert_eq!(traces.len(), 2 * plan.len());
         // Round-robin: the first two steps are node 0 of jobs 0 and 1.

@@ -56,8 +56,9 @@
 //!   site. The event payload is behind a closure and never constructed.
 //! * **Armed but silent** (sink attached, [`TraceSink::set_recording`]
 //!   false): the atomic load plus one short mutex acquisition per site.
-//! * Both must cost **< 2 %** on the Q3/Q5/Q10 query stream, measured by
-//!   `bench_pr9`.
+//! * Neither records anything or changes the launch sequence: the Q3/Q5/Q10
+//!   stream under a silent sink is launch-for-launch and bit-for-bit the
+//!   bare one (`ocelot-tests::observability`).
 //!
 //! Emission sites are per *operation* (a kernel, a flush, a plan node),
 //! never per row, which is what keeps the armed path off the data plane.

@@ -482,9 +482,9 @@ mod query_dsl {
 
     #[test]
     fn naive_lowering_is_semantically_equal_and_physically_bigger() {
-        // Ablation safety net for bench_pr5: turning every rewrite rule off
-        // must only change the physical plan (more binds, later filters),
-        // never the result.
+        // The all-rules-off reference: turning every rewrite rule off must
+        // only change the physical plan (more binds, later filters), never
+        // the result.
         let db = db();
         let q3 = q3_query(db);
         let session = Session::new(OcelotBackend::cpu());
@@ -1175,8 +1175,11 @@ mod streaming_dbgen {
 
 #[cfg(test)]
 mod partitioned_join {
-    use ocelot_core::{partitioned_pkfk_join, OcelotContext, PartitionedJoinConfig};
-    use ocelot_engine::{Backend, MonetParBackend, MonetSeqBackend, OcelotBackend};
+    use ocelot_core::{partitioned_pkfk_join, OcelotContext, PartitionedJoinConfig, SharedDevice};
+    use ocelot_engine::{
+        Backend, MonetParBackend, MonetSeqBackend, OcelotBackend, RewriteConfig, Session,
+    };
+    use ocelot_tpch::{q3_query, TpchConfig, TpchDb};
     use proptest::prelude::*;
     use std::collections::HashMap;
 
@@ -1276,15 +1279,43 @@ mod partitioned_join {
             }
         }
     }
+
+    /// Planned spill replaces OOM restarts (`examples/out_of_core.rs` runs
+    /// the same pair): under a 2 MiB budget the in-memory Q3 plan survives
+    /// only by reclaiming, the plan lowered `with_device_budget` spills and
+    /// never reclaims, and both return the same result. The budget window
+    /// is calibrated to sf 0.01, seed 31.
+    #[test]
+    fn planned_spill_replaces_restarts_under_a_device_budget() {
+        const BUDGET: usize = 2048 * 1024;
+        let db = TpchDb::generate(TpchConfig { scale_factor: 0.01, seed: 31 });
+        let catalog = db.catalog();
+        let run = |config: &RewriteConfig| {
+            let plan = q3_query(&db).lower_with(catalog, config).unwrap();
+            let device = SharedDevice::cpu().with_memory_budget(BUDGET);
+            let session = Session::ocelot(&device);
+            let values = session.run(&plan, catalog).unwrap();
+            (values, session.backend().reclaim_count(), session.backend().spill_stats())
+        };
+        let (in_memory, reclaims, _) = run(&RewriteConfig::optimized());
+        assert!(reclaims > 0, "the in-memory plan must not fit the budget");
+        let (spilled, reclaims, spills) =
+            run(&RewriteConfig::optimized().with_device_budget(BUDGET));
+        assert_eq!(reclaims, 0, "planned spilling must replace the restart protocol");
+        assert!(spills.spills > 0, "the budget must force cold partitions to spill");
+        assert_eq!(spills.unspills, spills.spills, "every spilled partition streams back");
+        assert_eq!(spilled, in_memory, "the partitioned join must equal the in-memory one");
+    }
 }
 
 #[cfg(test)]
 mod observability {
     use ocelot_core::SharedDevice;
     use ocelot_engine::mal::{compile, example_plan, rewrite_for_ocelot};
-    use ocelot_engine::{Session, TraceEventKind, TraceSink};
+    use ocelot_engine::{OcelotBackend, Plan, Session, TraceEventKind, TraceSink};
+    use ocelot_kernel::FaultPlan;
     use ocelot_storage::{Bat, Catalog, Table};
-    use ocelot_tpch::{run_query, TpchConfig, TpchDb};
+    use ocelot_tpch::{q10_query, q3_query, q5_query, run_query, TpchConfig, TpchDb};
     use proptest::collection;
     use proptest::prelude::*;
     use std::sync::Arc;
@@ -1389,6 +1420,51 @@ mod observability {
             );
             assert_eq!(delta, 1, "{}: Q6 keeps its one-flush-per-plan bound", session.name());
         }
+    }
+
+    /// Disarmed layers leave the stream unchanged: a zero-rate fault plan,
+    /// an attached sink that does not record and a race detector armed
+    /// once and disarmed again change no result bit and no launch, flush or
+    /// transfer of the Q3/Q5/Q10 stream, and record nothing. On the
+    /// sequential device, whose launch sequence is deterministic.
+    #[test]
+    fn disarmed_layers_leave_the_stream_unchanged() {
+        let db = TpchDb::generate(TpchConfig { scale_factor: 0.01, seed: 5 });
+        let plans: Vec<Plan> = [q3_query(&db), q5_query(&db), q10_query(&db)]
+            .iter()
+            .map(|query| query.lower(db.catalog()).unwrap())
+            .collect();
+        let bare = Session::ocelot(&SharedDevice::cpu_sequential());
+        let device = SharedDevice::cpu_sequential();
+        device.device().install_fault_plan(FaultPlan::seeded(5, 0.0, 0.0));
+        let layered = Session::ocelot(&device);
+        let sink = Arc::new(TraceSink::new());
+        sink.set_recording(false);
+        layered.attach_tracer(&sink);
+        let race = layered.backend().context().queue().race();
+        race.arm();
+        race.disarm();
+        let race_before = race.stats();
+
+        for plan in &plans {
+            let expected = bare.run(plan, db.catalog()).unwrap();
+            let got = layered.run(plan, db.catalog()).unwrap();
+            // `{:?}` prints every f32 exactly, so equal text is equal bits.
+            assert_eq!(format!("{got:?}"), format!("{expected:?}"), "bit-equal results");
+        }
+        let counters = |session: &Session<OcelotBackend>| {
+            let queue = session.backend().context().queue();
+            let stats = queue.total_stats();
+            (stats.kernels, queue.flush_count(), stats.transfers)
+        };
+        assert_eq!(counters(&layered), counters(&bare), "(launches, flushes, transfers)");
+        let faults = device.device().fault_stats().unwrap();
+        assert!(
+            faults.total() == 0 && faults.ops_observed > 0,
+            "consulted, never fired: {faults:?}"
+        );
+        assert!(sink.is_empty(), "a sink that does not record holds no event");
+        assert_eq!(race.stats(), race_before, "a disarmed detector observes nothing");
     }
 }
 
