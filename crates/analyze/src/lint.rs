@@ -48,6 +48,10 @@ const ERRORS_AS_VALUES: &[&str] = &["crates/core/src", "crates/engine/src"];
 const UNWIND_CALLS: &[&str] =
     &["panic_any(", "catch_unwind(", "resume_unwind(", "set_hook(", "take_hook("];
 
+/// Where kernels walk a work-group's rows as runs (`WorkGroupCtx::runs`),
+/// never one work-item's indices: the `item-row-walk` rule's scope.
+const RUNS_ONLY: &str = "crates/core/src";
+
 /// Whether `code` names a float atomic: an `atomic_…_f32`/`…_f64` helper
 /// (the CAS-emulated family `ocelot_kernel::atomic` used to export) or an
 /// `AtomicF32`/`AtomicF64` type.
@@ -88,6 +92,7 @@ pub fn scan_source(rel_path: &str, content: &str) -> Vec<LintDiagnostic> {
     let core_ops = path.starts_with("crates/core/src/ops");
     let core_operator_module = core_ops || path.starts_with("crates/core/src/primitives");
     let errors_as_values = ERRORS_AS_VALUES.iter().any(|prefix| path.starts_with(prefix));
+    let runs_only = path.starts_with(RUNS_ONLY);
     // A file's unit tests are one `#[cfg(test)] mod tests` at its end.
     let tests_from = lines.iter().position(|line| *line == "#[cfg(test)]").unwrap_or(lines.len());
 
@@ -106,6 +111,22 @@ pub fn scan_source(rel_path: &str, content: &str) -> Vec<LintDiagnostic> {
                 message: "panic payload, catch site or panic hook outside a test module — \
                           failures cross `Backend` as `Result<_, PlanError>` and \
                           `PlanRun::step` matches on the returned error"
+                    .to_string(),
+            });
+        }
+
+        if runs_only
+            && index < tests_from
+            && code.contains(".assigned()")
+            && !has_allow(&lines, index, "item-row-walk")
+        {
+            findings.push(LintDiagnostic {
+                path: path.clone(),
+                line: index + 1,
+                rule: "item-row-walk",
+                message: "per-work-item row walk in an operator — under the strided pattern \
+                          one item's rows lie a launch's work-items apart; walk the group's \
+                          rows as contiguous runs (`for run in group.runs(n)`)"
                     .to_string(),
             });
         }
@@ -306,6 +327,7 @@ pub const FIXTURES: &[(&str, &str, &str)] = &[
     ("stats_no_metrics.rs", "crates/core/src/bad.rs", "stats-without-metrics"),
     ("float_atomic_in_ops.rs", "crates/core/src/ops/bad.rs", "float-atomic-in-ops"),
     ("unwind_in_engine.rs", "crates/engine/src/bad.rs", "unwind-as-control-flow"),
+    ("item_row_walk.rs", "crates/core/src/primitives/bad.rs", "item-row-walk"),
 ];
 
 #[cfg(test)]
@@ -390,6 +412,26 @@ mod tests {
         assert_eq!((findings[0].rule, findings[0].line), ("unwind-as-control-flow", 1));
         assert!(scan_source("crates/core/src/a.rs", "// no catch_unwind(...) here\n").is_empty());
         let allowed = "panic::set_hook(hook); // xlint:allow(unwind-as-control-flow)\n";
+        assert!(scan_source("crates/core/src/a.rs", allowed).is_empty());
+    }
+
+    #[test]
+    fn item_row_walks_are_flagged_in_core_only() {
+        let walk = "            for idx in item.assigned() {\n";
+        for path in ["crates/core/src/primitives/gather.rs", "crates/core/src/ops/join.rs"] {
+            let findings = scan_source(path, walk);
+            assert_eq!(findings.len(), 1, "{path}");
+            assert_eq!((findings[0].rule, findings[0].line), ("item-row-walk", 1));
+        }
+        // The kernel crate defines the per-item walk and tests `runs`
+        // against it; examples may show it.
+        assert!(scan_source("crates/kernel/src/kernel.rs", walk).is_empty());
+        assert!(scan_source("examples/custom_kernel.rs", walk).is_empty());
+        // Unit tests, comments and explicit allows pass.
+        let in_tests = format!("fn f() {{}}\n#[cfg(test)]\nmod tests {{\n{walk}}}\n");
+        assert!(scan_source("crates/core/src/ops/join.rs", &in_tests).is_empty());
+        assert!(scan_source("crates/core/src/a.rs", "// not item.assigned() here\n").is_empty());
+        let allowed = "for i in item.assigned() {} // xlint:allow(item-row-walk)\n";
         assert!(scan_source("crates/core/src/a.rs", allowed).is_empty());
     }
 

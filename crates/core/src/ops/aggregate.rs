@@ -614,8 +614,8 @@ impl Kernel for FoldPartialsKernel {
         let words = self.layout.words();
         let table_words = self.num_groups * words;
         let partials = self.partials.chunk(0, self.tables * table_words);
-        for item in group.items() {
-            for gid in item.assigned() {
+        for run in group.runs(group.n()) {
+            for gid in run {
                 let accumulator =
                     |slot: usize| partials[gid * words + slot..].iter().step_by(table_words);
                 let float = |fold: Fold, column: usize| {

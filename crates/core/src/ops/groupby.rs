@@ -229,10 +229,11 @@ impl Kernel for FoldFirstRowsKernel {
     }
     fn run_group(&self, group: &mut WorkGroupCtx) {
         let tables = self.tables.chunk(0, self.count * self.space);
-        for item in group.items() {
-            for code in item.assigned() {
-                let first = tables[code..].iter().step_by(self.space).copied().min();
-                self.first_rows.set_u32(code, first.unwrap_or(NO_ROW));
+        for run in group.runs(group.n()) {
+            // SAFETY: a group's runs are its own codes, no other group's.
+            let first_rows = unsafe { self.first_rows.chunk_mut(run.start, run.end) };
+            for (first, code) in first_rows.iter_mut().zip(run) {
+                *first = tables[code..].iter().step_by(self.space).copied().min().unwrap_or(NO_ROW);
             }
         }
     }
@@ -243,7 +244,7 @@ impl Kernel for FoldFirstRowsKernel {
     fn declared_accesses(&self, launch: &LaunchConfig) -> Option<KernelAccesses> {
         Some(KernelAccesses::of(vec![
             BufferAccess::slice_read(&self.tables, 0..self.count * self.space),
-            BufferAccess::cells_write(&self.first_rows, 0..launch.n),
+            BufferAccess::slice_write(&self.first_rows, 0..launch.n),
         ]))
     }
 }

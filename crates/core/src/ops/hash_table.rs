@@ -324,8 +324,8 @@ impl Kernel for OptimisticInsertKernel {
     fn run_group(&self, group: &mut WorkGroupCtx) {
         let keys = key_views(&self.keys);
         let slots = self.slots.cells();
-        for item in group.items() {
-            for row in item.assigned() {
+        for run in group.runs(group.n()) {
+            for row in run {
                 let (key, hash) = (keys[0][row], hash_row(&keys, row));
                 for attempt in 0..MAX_PROBE {
                     let slot = &slots[self.probe.slot(key, hash, attempt)];
@@ -375,9 +375,9 @@ impl Kernel for CheckKernel {
         let keys = key_views(&self.keys);
         let slots = self.slots.cells();
         let row_slots = self.row_slots.as_ref().map(Buffer::cells);
-        for item in group.items() {
-            let mut failed = 0u32;
-            for row in item.assigned() {
+        let mut failed = 0u32;
+        for run in group.runs(group.n()) {
+            for row in run {
                 let (key, hash) = (keys[0][row], hash_row(&keys, row));
                 let mut found = UNPLACED;
                 for attempt in 0..MAX_PROBE {
@@ -397,9 +397,9 @@ impl Kernel for CheckKernel {
                     row_slots[row].store(found, Ordering::Relaxed);
                 }
             }
-            if failed > 0 {
-                self.counters.cell(0).fetch_add(failed, Ordering::Relaxed);
-            }
+        }
+        if failed > 0 {
+            self.counters.cell(0).fetch_add(failed, Ordering::Relaxed);
         }
     }
     fn cost(&self, launch: &LaunchConfig) -> KernelCost {
@@ -441,8 +441,8 @@ impl Kernel for PessimisticInsertKernel {
         let slots = self.slots.cells();
         let row_slots = self.row_slots.as_ref().map(Buffer::cells);
         let restart = self.counters.cell(1);
-        for item in group.items() {
-            for row in item.assigned() {
+        for run in group.runs(group.n()) {
+            for row in run {
                 if row_slots.is_some_and(|rs| rs[row].load(Ordering::Relaxed) != UNPLACED) {
                     continue;
                 }
@@ -513,11 +513,11 @@ impl Kernel for RepresentativeFlagKernel {
     fn run_group(&self, group: &mut WorkGroupCtx) {
         let slots = self.slots.as_words();
         let row_slots = self.row_slots.as_words();
-        for item in group.items() {
-            for row in item.assigned() {
-                let slot = row_slots[row];
-                let flag = slot != UNPLACED && slots[slot as usize] == row as u32;
-                self.flags.set_u32(row, u32::from(flag));
+        for run in group.runs(group.n()) {
+            // SAFETY: a group's runs are its own rows, no other group's.
+            let flags = unsafe { self.flags.chunk_mut(run.start, run.end) };
+            for ((flag, &slot), row) in flags.iter_mut().zip(&row_slots[run.clone()]).zip(run) {
+                *flag = u32::from(slot != UNPLACED && slots[slot as usize] == row as u32);
             }
         }
     }
@@ -528,7 +528,7 @@ impl Kernel for RepresentativeFlagKernel {
         Some(KernelAccesses::of(vec![
             BufferAccess::slice_read(&self.slots, 0..self.slots.len()),
             BufferAccess::slice_read(&self.row_slots, 0..launch.n),
-            BufferAccess::cells_write(&self.flags, 0..launch.n),
+            BufferAccess::slice_write(&self.flags, 0..launch.n),
         ]))
     }
 }
@@ -549,17 +549,17 @@ impl Kernel for FinalizeKernel {
     fn run_group(&self, group: &mut WorkGroupCtx) {
         let slots = self.slots.as_words();
         let ranks = self.ranks.as_words();
-        let row_slots = self.row_slots.cells();
-        for item in group.items() {
-            for row in item.assigned() {
-                let slot = row_slots[row].load(Ordering::Relaxed) as usize;
-                let representative = slots[slot] as usize;
+        for run in group.runs(group.n()) {
+            // SAFETY: a group's runs are its own rows, no other group's.
+            let row_slots = unsafe { self.row_slots.chunk_mut(run.start, run.end) };
+            for (entry, row) in row_slots.iter_mut().zip(run) {
+                let representative = slots[*entry as usize] as usize;
                 let gid = ranks[representative];
                 if representative == row {
                     // One representative per gid: the scatter is disjoint.
                     self.representatives.set_u32(gid as usize, row as u32);
                 }
-                row_slots[row].store(gid, Ordering::Relaxed);
+                *entry = gid;
             }
         }
     }
@@ -570,7 +570,7 @@ impl Kernel for FinalizeKernel {
         Some(KernelAccesses::of(vec![
             BufferAccess::slice_read(&self.slots, 0..self.slots.len()),
             BufferAccess::slice_read(&self.ranks, 0..launch.n),
-            BufferAccess::cells_write(&self.row_slots, 0..launch.n),
+            BufferAccess::slice_write(&self.row_slots, 0..launch.n),
             BufferAccess::cells_write(&self.representatives, 0..self.representatives.len()),
         ]))
     }

@@ -205,12 +205,10 @@ impl Kernel for MarkMatchedKernel {
     fn run_group(&self, group: &mut WorkGroupCtx) {
         let n = self.n.get();
         let right_gids = self.right_gids.as_words();
-        for item in group.items() {
-            for idx in item.assigned() {
-                if idx < n && right_gids[idx] != NOT_FOUND {
-                    // Colliding stores all write the same value: tier 1.
-                    self.matched.set_u32(right_gids[idx] as usize, 1);
-                }
+        for run in group.runs(n) {
+            for &gid in right_gids[run].iter().filter(|gid| **gid != NOT_FOUND) {
+                // Colliding stores all write the same value: tier 1.
+                self.matched.set_u32(gid as usize, 1);
             }
         }
     }

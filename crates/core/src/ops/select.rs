@@ -4,10 +4,9 @@
 //! work-item evaluates the predicate on a small chunk of the input and emits
 //! whole bitmap words. Bitmaps keep the result size independent of the
 //! selectivity (the effect Figure 5b measures) and let complex predicates be
-//! assembled from per-predicate bitmaps — with bit operations
-//! ([`crate::primitives::bitmap::combine`]) or, for a conjunction, inside one
-//! launch: [`select_where`] evaluates a whole list of conjuncts per 1024-row
-//! tile and writes one bitmap.
+//! combined with bit operations — for a conjunction inside one launch:
+//! [`select_where`] evaluates a whole list of conjuncts per 1024-row tile,
+//! ANDing their masks word by word, and writes one bitmap.
 //!
 //! Every `select_*` function here is a one-conjunct program over that
 //! evaluator ([`super::rowexpr`]): the constant comparisons (range,
@@ -366,14 +365,15 @@ mod tests {
     }
 
     #[test]
-    fn conjunction_via_bitmap_and() {
-        use crate::primitives::bitmap::{combine, BitmapCombine};
+    fn conjunction_is_one_bitmap() {
         let values: Vec<i32> = (0..2_000).map(|i| i % 100).collect();
         let ctx = OcelotContext::cpu();
-        let col = ctx.upload_i32(&values, "v").unwrap();
-        let a = select_range_i32(&ctx, &col, 10, 60).unwrap();
-        let b = select_range_i32(&ctx, &col, 40, 90).unwrap();
-        let both = combine(&ctx, &a, &b, BitmapCombine::And).unwrap();
+        let col = ctx.upload_i32(&values, "v").unwrap().reinterpret();
+        let preds = [
+            Pred::RangeI32 { col: 0, low: 10, high: 60 },
+            Pred::RangeI32 { col: 0, low: 40, high: 90 },
+        ];
+        let both = select_where(&ctx, &[&col], &preds).unwrap();
         let oids = materialize_bitmap(&ctx, &both).unwrap();
         assert_eq!(oids.read(&ctx).unwrap(), monet::select_range_i32(&values, 40, 60));
     }

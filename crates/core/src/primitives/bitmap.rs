@@ -3,17 +3,18 @@
 //!
 //! Encoding selection results as bitmaps has two advantages the paper
 //! exploits: the result size is independent of the selectivity (Figure 5b),
-//! and complex predicates can be evaluated by combining per-predicate
-//! bitmaps with cheap bit operations. Bitmaps never appear in the BAT
-//! interface; they are materialised into OID lists only when a MonetDB-side
-//! operator needs them (`ops::select::materialize_bitmap`).
+//! and a conjunction of predicates is one bitmap — its conjuncts combined
+//! word by word inside a single selection launch (`ops::rowexpr`). Bitmaps
+//! never appear in the BAT interface; they are materialised into OID lists
+//! only when a MonetDB-side operator needs them
+//! (`ops::select::materialize_bitmap`).
 //!
 //! Layout: one `u32` word per 32 input rows, bit `i % 32` of word `i / 32`
 //! set iff row `i` qualifies.
 //!
 //! **Invariant:** bits beyond the logical row count are always zero — every
-//! producer (the selection kernels, [`Bitmap::from_bools`], [`combine`])
-//! guarantees it. This is what lets popcounts and combines run over the full
+//! producer (the selection kernels, [`Bitmap::from_bools`]) guarantees it.
+//! This is what lets popcounts and materialisations run over the full
 //! capacity without knowing a deferred row count, keeping bitmap pipelines
 //! sync-free.
 
@@ -46,7 +47,7 @@ impl Bitmap {
     }
 
     /// Allocates a bitmap whose words are unspecified — for producers that
-    /// overwrite every backing word (the selection and combine kernels).
+    /// overwrite every backing word (the selection kernels).
     pub fn for_overwrite(ctx: &OcelotContext, bits: ColLen) -> Result<Bitmap> {
         let buffer = ctx.alloc_uninit(Self::words_for(bits.cap()).max(1), "bitmap")?;
         Ok(Bitmap { buffer, bits })
@@ -99,137 +100,6 @@ impl Bitmap {
     }
 }
 
-/// How to combine two bitmaps.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BitmapCombine {
-    /// Logical conjunction of the predicates.
-    And,
-    /// Logical disjunction of the predicates.
-    Or,
-}
-
-struct CombineKernel {
-    left: Buffer,
-    right: Buffer,
-    output: Buffer,
-    mode: BitmapCombine,
-    /// Host-known logical row count of the output, when there is one —
-    /// lets the race detector's bitmap-padding check run on completion.
-    rows: Option<usize>,
-}
-
-impl Kernel for CombineKernel {
-    fn name(&self) -> &str {
-        match self.mode {
-            BitmapCombine::And => "bitmap_and",
-            BitmapCombine::Or => "bitmap_or",
-        }
-    }
-    fn run_group(&self, group: &mut WorkGroupCtx) {
-        let left = self.left.as_words();
-        let right = self.right.as_words();
-        for item in group.items() {
-            let assigned = item.assigned();
-            if let Some(range) = assigned.as_range() {
-                if range.is_empty() {
-                    continue;
-                }
-                // SAFETY: the contiguous pattern assigns `range` of the
-                // output exclusively to this item within this phase.
-                let out = unsafe { self.output.chunk_mut(range.start, range.end) };
-                let (l, r) = (&left[range.clone()], &right[range]);
-                match self.mode {
-                    BitmapCombine::And => {
-                        for ((o, &a), &b) in out.iter_mut().zip(l).zip(r) {
-                            *o = a & b;
-                        }
-                    }
-                    BitmapCombine::Or => {
-                        for ((o, &a), &b) in out.iter_mut().zip(l).zip(r) {
-                            *o = a | b;
-                        }
-                    }
-                }
-            } else {
-                // Strided/coalesced pattern: store through a one-word
-                // tier-2 chunk per element — the strided assignment gives
-                // each index to exactly one work-item, so the chunks are
-                // pairwise disjoint.
-                for idx in assigned {
-                    let combined = match self.mode {
-                        BitmapCombine::And => left[idx] & right[idx],
-                        BitmapCombine::Or => left[idx] | right[idx],
-                    };
-                    // SAFETY: index `idx` is owned by this item alone
-                    // within this phase (disjoint one-word chunks).
-                    unsafe { self.output.chunk_mut(idx, idx + 1)[0] = combined };
-                }
-            }
-        }
-    }
-    fn cost(&self, launch: &LaunchConfig) -> KernelCost {
-        KernelCost::new((launch.n as u64) * 8, (launch.n as u64) * 4, launch.n as u64, 0)
-    }
-    fn declared_accesses(&self, _launch: &LaunchConfig) -> Option<KernelAccesses> {
-        let mut declared = KernelAccesses::of(vec![
-            BufferAccess::slice_read(&self.left, 0..self.left.len()),
-            BufferAccess::slice_read(&self.right, 0..self.right.len()),
-            BufferAccess::slice_write(&self.output, 0..self.output.len()),
-        ]);
-        if let Some(rows) = self.rows {
-            declared = declared.with_bitmap(&self.output, rows);
-        }
-        Some(declared)
-    }
-}
-
-/// Combines two bitmaps of equal length with AND or OR. Zero-padding in both
-/// inputs keeps the padding of the result zero, preserving the module
-/// invariant without resolving deferred row counts.
-pub fn combine(
-    ctx: &OcelotContext,
-    left: &Bitmap,
-    right: &Bitmap,
-    mode: BitmapCombine,
-) -> Result<Bitmap> {
-    // Strict logical-length compatibility (not just equal capacities): an OR
-    // over bitmaps with different logical lengths would set bits beyond the
-    // output's inherited length and break the zero-padding invariant.
-    let compatible = match (left.col_len(), right.col_len()) {
-        (ColLen::Host(a), ColLen::Host(b)) => a == b,
-        (
-            ColLen::Device { counter: ca, cap: cap_a },
-            ColLen::Device { counter: cb, cap: cap_b },
-        ) => ca.id() == cb.id() && cap_a == cap_b,
-        _ => false,
-    };
-    assert!(compatible, "bitmap combine: length mismatch");
-    // The kernel writes every backing word, so the bitmap can skip zeroing.
-    let output = Bitmap::for_overwrite(ctx, left.col_len().clone())?;
-    let words = left.words();
-    if words == 0 {
-        return Ok(output);
-    }
-    let mut wait = ctx.memory().wait_for_read(&left.buffer);
-    wait.extend(ctx.memory().wait_for_read(&right.buffer));
-    let event = ctx.queue().enqueue_kernel(
-        Arc::new(CombineKernel {
-            left: left.buffer.clone(),
-            right: right.buffer.clone(),
-            output: output.buffer.clone(),
-            mode,
-            rows: match output.col_len() {
-                ColLen::Host(n) => Some(*n),
-                ColLen::Device { .. } => None,
-            },
-        }),
-        ctx.launch(words),
-        &wait,
-    )?;
-    ctx.memory().record_producer(&output.buffer, event);
-    Ok(output)
-}
-
 struct PopcountKernel {
     bitmap: Buffer,
     counts: Buffer,
@@ -242,39 +112,32 @@ impl Kernel for PopcountKernel {
     }
     fn run_group(&self, group: &mut WorkGroupCtx) {
         let bitmap = self.bitmap.as_words();
-        for item in group.items() {
-            let assigned = item.assigned();
-            let count: u32 = if let Some(range) = assigned.as_range() {
-                let end = range.end.min(self.words);
-                let start = range.start.min(end);
-                bitmap[start..end].iter().map(|w| w.count_ones()).sum()
-            } else {
-                assigned.filter(|&idx| idx < self.words).map(|idx| bitmap[idx].count_ones()).sum()
-            };
-            self.counts.set_u32(item.global_id, count);
-        }
+        let count: u32 =
+            group.runs(self.words).flat_map(|run| &bitmap[run]).map(|w| w.count_ones()).sum();
+        self.counts.set_u32(group.group_id(), count);
     }
     fn cost(&self, launch: &LaunchConfig) -> KernelCost {
-        KernelCost::new((launch.n as u64) * 4, launch.total_items() as u64 * 4, launch.n as u64, 0)
+        KernelCost::new((launch.n as u64) * 4, launch.num_groups as u64 * 4, launch.n as u64, 0)
     }
     fn declared_accesses(&self, launch: &LaunchConfig) -> Option<KernelAccesses> {
         Some(KernelAccesses::of(vec![
             BufferAccess::slice_read(&self.bitmap, 0..self.words),
-            BufferAccess::cells_write(&self.counts, 0..launch.total_items()),
+            BufferAccess::cells_write(&self.counts, 0..launch.num_groups),
         ]))
     }
 }
 
 /// Counts the set bits of a bitmap (the selection's result cardinality) as a
-/// deferred [`DevScalar`]. Never flushes: per-item popcounts are reduced by
-/// a second kernel, and the total stays device-resident until `.get()`.
+/// deferred [`DevScalar`]. Never flushes: per-work-group popcounts are
+/// reduced by a second kernel, and the total stays device-resident until
+/// `.get()`.
 pub fn count_ones(ctx: &OcelotContext, bitmap: &Bitmap) -> Result<DevScalar<u32>> {
     let words = bitmap.words();
     if words == 0 {
         return DevScalar::constant(ctx, 0u32);
     }
     let launch = ctx.launch(words);
-    let counts = ctx.alloc_uninit(launch.total_items(), "popcount_partials")?;
+    let counts = ctx.alloc_uninit(launch.num_groups, "popcount_partials")?;
     let wait = ctx.memory().wait_for_read(&bitmap.buffer);
     let event = ctx.queue().enqueue_kernel(
         Arc::new(PopcountKernel { bitmap: bitmap.buffer.clone(), counts: counts.clone(), words }),
@@ -283,7 +146,7 @@ pub fn count_ones(ctx: &OcelotContext, bitmap: &Bitmap) -> Result<DevScalar<u32>
     )?;
     ctx.memory().record_consumer(&bitmap.buffer, event);
     ctx.memory().record_producer(&counts, event);
-    let counts_col = DevColumn::<u32>::new(counts, launch.total_items())?;
+    let counts_col = DevColumn::<u32>::new(counts, launch.num_groups)?;
     reduce::sum_u32(ctx, &counts_col)
 }
 
@@ -302,21 +165,6 @@ mod tests {
         assert_eq!(Bitmap::words_for(0), 0);
         assert_eq!(Bitmap::words_for(32), 1);
         assert_eq!(Bitmap::words_for(33), 2);
-    }
-
-    #[test]
-    fn combine_and_or() {
-        let ctx = OcelotContext::cpu();
-        let a: Vec<bool> = (0..70).map(|i| i % 2 == 0).collect();
-        let b: Vec<bool> = (0..70).map(|i| i % 3 == 0).collect();
-        let ba = Bitmap::from_bools(&ctx, &a).unwrap();
-        let bb = Bitmap::from_bools(&ctx, &b).unwrap();
-        let and = combine(&ctx, &ba, &bb, BitmapCombine::And).unwrap();
-        let or = combine(&ctx, &ba, &bb, BitmapCombine::Or).unwrap();
-        let expected_and: Vec<bool> = a.iter().zip(&b).map(|(x, y)| *x && *y).collect();
-        let expected_or: Vec<bool> = a.iter().zip(&b).map(|(x, y)| *x || *y).collect();
-        assert_eq!(and.to_bools(&ctx).unwrap(), expected_and);
-        assert_eq!(or.to_bools(&ctx).unwrap(), expected_or);
     }
 
     #[test]
@@ -346,14 +194,5 @@ mod tests {
         let bitmap = Bitmap::zeroed(&ctx, 0).unwrap();
         assert_eq!(count_ones(&ctx, &bitmap).unwrap().get(&ctx).unwrap(), 0);
         assert!(bitmap.to_bools(&ctx).unwrap().is_empty());
-    }
-
-    #[test]
-    #[should_panic(expected = "length mismatch")]
-    fn combine_length_mismatch_panics() {
-        let ctx = OcelotContext::cpu();
-        let a = Bitmap::zeroed(&ctx, 10).unwrap();
-        let b = Bitmap::zeroed(&ctx, 20).unwrap();
-        let _ = combine(&ctx, &a, &b, BitmapCombine::And);
     }
 }

@@ -33,34 +33,12 @@ impl Kernel for GatherKernel {
         let n = self.n.get();
         let values = self.values.as_words();
         let indices = self.indices.as_words();
-        for item in group.items() {
-            let assigned = item.assigned();
-            if let Some(range) = assigned.as_range() {
-                let end = range.end.min(n);
-                let start = range.start.min(end);
-                if start >= end {
-                    continue;
-                }
-                // SAFETY: the contiguous pattern assigns `range` of the
-                // output exclusively to this item within this phase.
-                let out = unsafe { self.output.chunk_mut(start, end) };
-                for (o, &position) in out.iter_mut().zip(&indices[start..end]) {
-                    *o = values[position as usize];
-                }
-            } else {
-                // Strided/coalesced pattern: store through a one-word
-                // tier-2 chunk per element — the strided assignment gives
-                // each index to exactly one work-item, so the chunks are
-                // pairwise disjoint.
-                for idx in assigned {
-                    if idx >= n {
-                        continue;
-                    }
-                    let position = indices[idx] as usize;
-                    // SAFETY: index `idx` is owned by this item alone
-                    // within this phase (disjoint one-word chunks).
-                    unsafe { self.output.chunk_mut(idx, idx + 1)[0] = values[position] };
-                }
+        for run in group.runs(n) {
+            // SAFETY: a group's runs are its own rows of the output, no
+            // other group's, within this launch.
+            let out = unsafe { self.output.chunk_mut(run.start, run.end) };
+            for (o, &position) in out.iter_mut().zip(&indices[run]) {
+                *o = values[position as usize];
             }
         }
     }

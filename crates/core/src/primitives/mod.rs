@@ -8,8 +8,8 @@
 //! * [`gather`] — the parallel gather used by projections (paper §4.1.2),
 //! * [`reduce`] — hierarchical reductions for ungrouped aggregation
 //!   (paper §4.1.7),
-//! * [`bitmap`] — the bitmap representation of selection results and the
-//!   bit-wise combination of predicate bitmaps (paper §4.1.1),
+//! * [`bitmap`] — the bitmap representation of selection results and its
+//!   popcount (paper §4.1.1),
 //! * `histogram` — work-group digit count tables, the counting half of the
 //!   radix sort's passes and of radix partitioning (paper §4.1.3).
 

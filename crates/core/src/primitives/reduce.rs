@@ -1,12 +1,15 @@
 //! Hierarchical parallel reductions for ungrouped aggregation
 //! (paper §4.1.7, "implemented using a parallel binary reduction strategy").
 //!
-//! Phase 1: every work-item reduces its assigned slice into a private
+//! Phase 1: every work-group reduces its rows — its runs
+//! (`WorkGroupCtx::runs`), in the order it walks them — into one private
 //! accumulator and writes it to a partials buffer. Phase 2: a single
-//! work-item reduces the partials (there are only `num_groups × group_size`
-//! of them). The same two kernels serve SUM/MIN/MAX over `i32` and `f32` by
-//! switching on a [`ReduceOp`] tag, exactly like an OpenCL kernel would
-//! switch on a preprocessor constant.
+//! work-item reduces the partials (there are only `num_groups` of them). The
+//! same two kernels serve SUM/MIN/MAX over `i32` and `f32` by switching on a
+//! [`ReduceOp`] tag, exactly like an OpenCL kernel would switch on a
+//! preprocessor constant. The launch configuration and the resolved length
+//! fix every addition's order, so a float sum is bit-identical run to run
+//! on one device configuration.
 //!
 //! Every reduction returns a **deferred** [`DevScalar`]: the result stays in
 //! a one-word device buffer until the caller's `.get()`, which is the
@@ -15,7 +18,9 @@
 //! element count from the [`LenSource`] counter at flush time.
 
 use crate::context::{DevColumn, DevScalar, DevWord, LenSource, OcelotContext};
-use ocelot_kernel::{Buffer, Kernel, KernelCost, LaunchConfig, Result, WorkGroupCtx};
+use ocelot_kernel::{
+    Buffer, BufferAccess, Kernel, KernelAccesses, KernelCost, LaunchConfig, Result, WorkGroupCtx,
+};
 use std::sync::Arc;
 
 /// Which reduction to perform and over which element type.
@@ -98,18 +103,6 @@ impl ReduceOp {
             }
         }
     }
-
-    /// Combines two raw words according to the operation.
-    fn combine(self, a: u32, b: u32) -> u32 {
-        match self {
-            ReduceOp::SumF32 => (f32::from_bits(a) + f32::from_bits(b)).to_bits(),
-            ReduceOp::MinF32 => f32::from_bits(a).min(f32::from_bits(b)).to_bits(),
-            ReduceOp::MaxF32 => f32::from_bits(a).max(f32::from_bits(b)).to_bits(),
-            ReduceOp::SumI32 => (a as i32).wrapping_add(b as i32) as u32,
-            ReduceOp::MinI32 => (a as i32).min(b as i32) as u32,
-            ReduceOp::MaxI32 => (a as i32).max(b as i32) as u32,
-        }
-    }
 }
 
 struct PartialReduceKernel {
@@ -128,26 +121,19 @@ impl Kernel for PartialReduceKernel {
         // producing kernel has already run).
         let n = self.n.get();
         let input = self.input.as_words();
-        for item in group.items() {
-            let assigned = item.assigned();
-            let acc = if let Some(range) = assigned.as_range() {
-                let end = range.end.min(n);
-                let start = range.start.min(end);
-                self.op.reduce_slice(self.op.identity_word(), &input[start..end])
-            } else {
-                let mut acc = self.op.identity_word();
-                for idx in assigned {
-                    if idx < n {
-                        acc = self.op.combine(acc, input[idx]);
-                    }
-                }
-                acc
-            };
-            self.partials.set_u32(item.global_id, acc);
-        }
+        let acc = group
+            .runs(n)
+            .fold(self.op.identity_word(), |acc, run| self.op.reduce_slice(acc, &input[run]));
+        self.partials.set_u32(group.group_id(), acc);
     }
     fn cost(&self, launch: &LaunchConfig) -> KernelCost {
-        KernelCost::new((launch.n as u64) * 4, launch.total_items() as u64 * 4, launch.n as u64, 0)
+        KernelCost::new((launch.n as u64) * 4, launch.num_groups as u64 * 4, launch.n as u64, 0)
+    }
+    fn declared_accesses(&self, launch: &LaunchConfig) -> Option<KernelAccesses> {
+        Some(KernelAccesses::of(vec![
+            BufferAccess::slice_read(&self.input, 0..launch.n),
+            BufferAccess::cells_write(&self.partials, 0..launch.num_groups),
+        ]))
     }
 }
 
@@ -173,6 +159,12 @@ impl Kernel for FinalReduceKernel {
     fn cost(&self, _launch: &LaunchConfig) -> KernelCost {
         KernelCost::new(self.count as u64 * 4, 4, self.count as u64, 0)
     }
+    fn declared_accesses(&self, _launch: &LaunchConfig) -> Option<KernelAccesses> {
+        Some(KernelAccesses::of(vec![
+            BufferAccess::slice_read(&self.partials, 0..self.count),
+            BufferAccess::cells_write(&self.output, 0..1),
+        ]))
+    }
 }
 
 /// Reduces a column to a deferred one-word scalar. Empty columns yield the
@@ -186,7 +178,7 @@ pub fn reduce<T: DevWord>(
         return DevScalar::constant(ctx, T::from_word(op.identity_word()));
     }
     let launch = ctx.launch(input.cap());
-    let partials = ctx.alloc_uninit(launch.total_items(), "reduce_partials")?;
+    let partials = ctx.alloc_uninit(launch.num_groups, "reduce_partials")?;
     let output = ctx.alloc(1, "reduce_output")?;
     let queue = ctx.queue();
     let wait = ctx.wait_for(input);
@@ -204,10 +196,10 @@ pub fn reduce<T: DevWord>(
         Arc::new(FinalReduceKernel {
             partials,
             output: output.clone(),
-            count: launch.total_items(),
+            count: launch.num_groups,
             op,
         }),
-        ctx.launch(launch.total_items()),
+        ctx.launch(launch.num_groups),
         &[e1],
     )?;
     ctx.memory().record_consumer(&input.buffer, e2);

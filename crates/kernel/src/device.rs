@@ -38,8 +38,9 @@ pub enum DeviceKind {
     CpuMulticore,
     /// A discrete GPU with its own global memory, reached over a PCIe-like
     /// link. In this reproduction the GPU is *emulated*: kernels execute
-    /// bit-faithfully on host threads while execution time is accounted by a
-    /// calibrated cost model (see [`crate::gpu_sim`]).
+    /// bit-faithfully on host threads, each work-group in lock-step (one
+    /// contiguous run of the group's rows per round), while execution time
+    /// is accounted by a calibrated cost model (see [`crate::gpu_sim`]).
     DiscreteGpu,
 }
 
@@ -221,7 +222,9 @@ impl Driver for MulticoreDriver {
 }
 
 /// Driver for the simulated discrete GPU: executes kernels on the host pool
-/// for correctness, but reports modeled time from the [`GpuCostModel`].
+/// for correctness — a work-group's strided items in lock-step, round by
+/// round, as contiguous runs — but reports modeled time from the
+/// [`GpuCostModel`].
 struct GpuSimDriver {
     inner: MulticoreDriver,
     model: GpuCostModel,

@@ -3,6 +3,11 @@
 //! There is no physical GPU (and no OpenCL driver) in the reproduction
 //! environment, so the GPU device executes kernels bit-faithfully on host
 //! threads and *accounts* a modeled execution time instead of measuring one.
+//! It runs a work-group the way a GPU does, in lock-step: under the strided
+//! pattern the group's items touch neighbouring words in each round, so the
+//! host walks one contiguous run of `group_size` words per round
+//! (`WorkGroupCtx::runs`), not one item's rows at a stride of every
+//! work-item in the launch.
 //! The model captures the three effects the paper's GPU results hinge on:
 //!
 //! 1. **High device-memory bandwidth** when accesses are coalesced — the

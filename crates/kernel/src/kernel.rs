@@ -10,12 +10,18 @@
 //! kernels express their barrier-separated phases simply as consecutive
 //! `for item in group.items()` loops.
 //!
-//! Each work-item owns a sequential slice of the logical input `0..n`
-//! (`⌈n / total_items⌉` elements, paper §4.2). How that slice is laid out is
-//! the *driver's* decision, injected through [`AccessPattern`]:
-//! contiguous chunks on CPUs (cache/prefetcher friendly) or a strided
-//! interleaving on GPUs (coalescing friendly). Operator code just writes
-//! `for idx in item.assigned()` and stays hardware-oblivious.
+//! Each work-item owns a share of the logical input `0..n` (`⌈n /
+//! total_items⌉` elements, paper §4.2, [`WorkItem::assigned`]). How the
+//! shares are laid out is the *driver's* decision, injected through
+//! [`AccessPattern`]: contiguous chunks on CPUs (cache/prefetcher friendly)
+//! or a strided interleaving on GPUs (coalescing friendly), where item `l`
+//! of a group touches the word next to item `l − 1`'s. A GPU runs a group's
+//! items in **lock-step**, one round at a time, so a strided group reads
+//! one contiguous run of `group_size` words per round; the emulation walks
+//! the group's rows in the same order. Operator code writes
+//! `for run in group.runs(n)` — one run under the contiguous pattern, one
+//! per round under the strided one, each a slice — and stays
+//! hardware-oblivious.
 
 use crate::device::AccessPattern;
 use crate::scheduling::LaunchConfig;
@@ -226,6 +232,26 @@ impl WorkGroupCtx {
         ((self.group_id * chunk).min(elements), ((self.group_id + 1) * chunk).min(elements))
     }
 
+    /// The rows of `0..rows` this group's items own ([`WorkItem::assigned`]),
+    /// as the contiguous runs a lock-step group visits them in. Contiguous
+    /// pattern: one run, [`WorkGroupCtx::chunk_bounds`]. Strided pattern: run
+    /// `r` is `r·T + g·S .. r·T + g·S + S` (clipped to `rows`), with `T`
+    /// the launch's work-items, `g` the group id and `S` the group size —
+    /// round `r`, in which item `l` owns the row at offset `l`. Kernels pass
+    /// the resolved row count, which may be less than the launch's `n`.
+    pub fn runs(&self, rows: usize) -> impl Iterator<Item = Range<usize>> {
+        let (first, len, step) = match self.access {
+            AccessPattern::Contiguous => {
+                let (start, end) = self.chunk_bounds(rows);
+                (start, end - start, rows)
+            }
+            AccessPattern::Strided => {
+                (self.group_id * self.group_size, self.group_size, self.total_items())
+            }
+        };
+        (first..rows).step_by(step.max(1)).map(move |start| start..(start + len).min(rows))
+    }
+
     /// Iterates over the work-items of this group.
     pub fn items(&self) -> impl Iterator<Item = WorkItem> + '_ {
         let group_id = self.group_id;
@@ -267,7 +293,8 @@ impl WorkItem {
     }
 
     /// The global element indices this work-item is responsible for, laid
-    /// out according to the driver's preferred access pattern.
+    /// out according to the driver's preferred access pattern — the
+    /// per-item definition of what [`WorkGroupCtx::runs`] walks group-wide.
     pub fn assigned(&self) -> AssignedIndices {
         match self.access {
             AccessPattern::Contiguous => {
@@ -311,22 +338,6 @@ pub enum AssignedIndices {
         /// Exclusive upper bound.
         n: usize,
     },
-}
-
-impl AssignedIndices {
-    /// The assignment as a contiguous index range, when it is one.
-    ///
-    /// Streaming kernels use this to take a bulk slice view of their chunk
-    /// (one bounds check per chunk instead of per element) and fall back to
-    /// per-index iteration for the strided/coalesced pattern, where the
-    /// assignment is not a slice.
-    #[inline]
-    pub fn as_range(&self) -> Option<Range<usize>> {
-        match self {
-            AssignedIndices::Contiguous(range) => Some(range.clone()),
-            AssignedIndices::Strided { .. } => None,
-        }
-    }
 }
 
 impl Iterator for AssignedIndices {
@@ -413,6 +424,48 @@ mod tests {
         let ranges: Vec<Vec<usize>> = ctx.items().map(|item| item.assigned().collect()).collect();
         assert_eq!(ranges[0], vec![0, 1, 2, 3]);
         assert_eq!(ranges[3], vec![12, 13, 14, 15]);
+    }
+
+    #[test]
+    fn runs_walk_exactly_the_groups_rows_in_round_order() {
+        for (groups, size) in [(1, 1), (1, 4), (3, 1), (2, 3), (4, 4), (7, 192)] {
+            let total = groups * size;
+            let row_counts = [0, 1, size - 1, size, size + 1, total - 1, total, total + 1];
+            for rows in row_counts.into_iter().chain([10 * total + 3]) {
+                for access in [AccessPattern::Contiguous, AccessPattern::Strided] {
+                    let launch = LaunchConfig::new(groups, size, rows, access);
+                    for g in 0..groups {
+                        let at = format!("{groups}x{size}, {rows} rows, {access:?}, group {g}");
+                        let ctx = WorkGroupCtx::new(g, &launch);
+                        let runs: Vec<Range<usize>> = ctx.runs(rows).collect();
+                        let items: Vec<Vec<usize>> =
+                            ctx.items().map(|item| item.assigned().collect()).collect();
+                        assert!(runs.iter().all(|run| !run.is_empty()), "{at}: {runs:?}");
+                        // Exactly the rows the group's items own, each once.
+                        let walked: Vec<usize> = runs.iter().cloned().flatten().collect();
+                        let mut owned = items.concat();
+                        owned.sort_unstable();
+                        assert_eq!(walked, owned, "{at}");
+                        match access {
+                            AccessPattern::Contiguous => {
+                                let (start, end) = ctx.chunk_bounds(rows);
+                                assert!(
+                                    runs.len() <= 1 && walked == (start..end).collect::<Vec<_>>()
+                                );
+                            }
+                            // Run r is round r: item l's r-th row at offset l.
+                            AccessPattern::Strided => {
+                                for (round, run) in runs.iter().enumerate() {
+                                    for (local, row) in run.clone().enumerate() {
+                                        assert_eq!(items[local][round], row, "{at}");
+                                    }
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

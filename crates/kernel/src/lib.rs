@@ -17,11 +17,12 @@
 //!   in host memory, with residency tracking against the owning device's
 //!   global-memory budget.
 //! * [`Kernel`] — the kernel trait. A kernel is executed once per
-//!   *work-group*; inside the group, work-items are serialized exactly like
-//!   an OpenCL CPU driver serializes them, and each work-item owns a
-//!   sequential slice of the input chosen by the device's preferred
-//!   [`AccessPattern`] (contiguous chunks on CPUs, strided/coalesced
-//!   interleaving on GPUs — paper §4.2, Figure 4).
+//!   *work-group*; each work-item owns a share of the input chosen by the
+//!   device's preferred [`AccessPattern`] (contiguous chunks on CPUs,
+//!   strided/coalesced interleaving on GPUs — paper §4.2, Figure 4), and a
+//!   group walks its items' rows as contiguous runs
+//!   ([`WorkGroupCtx::runs`]): one chunk on a CPU, one run per lock-step
+//!   round on a GPU.
 //! * [`Queue`] — a lazily evaluated command queue with an event model:
 //!   operators only *schedule* kernel invocations and transfers together with
 //!   wait-lists; nothing runs until [`Queue::flush`] (paper §3.4).
@@ -47,10 +48,12 @@
 //! impl Kernel for AddConst {
 //!     fn name(&self) -> &str { "add_const" }
 //!     fn run_group(&self, group: &mut WorkGroupCtx) {
-//!         for item in group.items() {
-//!             for idx in item.assigned() {
-//!                 let v = self.input.get_i32(idx);
-//!                 self.output.set_i32(idx, v + self.constant);
+//!         let input = self.input.as_words();
+//!         for run in group.runs(group.n()) {
+//!             // SAFETY: a group's runs are its own rows of the output.
+//!             let output = unsafe { self.output.chunk_mut(run.start, run.end) };
+//!             for (out, &v) in output.iter_mut().zip(&input[run]) {
+//!                 *out = (v as i32 + self.constant) as u32;
 //!             }
 //!         }
 //!     }

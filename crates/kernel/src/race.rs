@@ -27,7 +27,7 @@
 //! * a kernel that declares a [`BitmapClaim`] is checked *after it
 //!   executes*: every bit at position `>= rows` in its bitmap's last
 //!   partial word must be zero ([`RaceDiagnostic::BitmapPadding`]), the
-//!   invariant `popcount`/`combine` consumers rely on.
+//!   invariant popcount and materialisation consumers rely on.
 //!
 //! Violations are collected, never panicked on: the detector is an oracle
 //! for tests and CI, not a crash box. Undeclared kernels are skipped

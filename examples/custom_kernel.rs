@@ -8,7 +8,8 @@
 //! `ocelot-core`'s operators are built:
 //!
 //! 1. `custom.mul` — a Listing-1-style map kernel producing
-//!    `out[i] = a[i] * b[i]`.
+//!    `out[i] = a[i] * b[i]`, walking its work-group's rows as slices
+//!    (`WorkGroupCtx::runs`).
 //! 2. `custom.group_sum` — a two-phase reduction: each work-item folds its
 //!    assigned slice into **group-local memory**, then the group reduces
 //!    its local cells into one partial sum per work-group.
@@ -35,9 +36,14 @@ impl Kernel for MulKernel {
         "custom.mul"
     }
     fn run_group(&self, group: &mut WorkGroupCtx) {
-        for item in group.items() {
-            for idx in item.assigned() {
-                self.out.set_i32(idx, self.a.get_i32(idx).wrapping_mul(self.b.get_i32(idx)));
+        let (a, b) = (self.a.as_words(), self.b.as_words());
+        // The group's rows as contiguous runs: one chunk on a CPU, one run
+        // per lock-step round on the GPU.
+        for run in group.runs(group.n()) {
+            // SAFETY: a group's runs are its own rows, no other group's.
+            let out = unsafe { self.out.chunk_mut(run.start, run.end) };
+            for ((o, &x), &y) in out.iter_mut().zip(&a[run.clone()]).zip(&b[run]) {
+                *o = (x as i32).wrapping_mul(y as i32) as u32;
             }
         }
     }

@@ -2187,6 +2187,9 @@ mod fused_pipelines;
 mod sort;
 
 #[cfg(test)]
+mod lockstep;
+
+#[cfg(test)]
 mod steady_state {
     //! PR 14 — a warm session is in steady state: the second sweep of the
     //! ported workload allocates no fresh pooled buffer, uploads no base
