@@ -32,7 +32,9 @@
 //! column — sequentially instead of being scattered by a hash into two
 //! dependent cache misses per row. A **composite** key has no such order to
 //! keep: its sequence is six multiplicative hashes of the mixed key words
-//! followed by the same window.
+//! followed by the same window. In a table covering its key range (sizing
+//! rule below) every key sits at its first slot, and the sequence is that
+//! slot alone.
 //!
 //! An insert that finds neither its key nor an empty slot in that sequence
 //! gives up and the build restarts; a lookup that reaches the end reports
@@ -47,21 +49,37 @@
 //! resolved so one flush answers both. Grouping reads the ranges of all its
 //! key columns first — they decide whether it needs a hash table at all
 //! (`ops::groupby`, the dense-code path) — and hands them to the build; a
-//! table sizes itself from a *single-column* key's range only. When that
+//! table sizes itself from a *single-column* key's range only.
+//!
+//! A table covering the key range is filled once and then read by every
+//! build row and every probe row, so all of them pay for the fill: when the
 //! key range `max − min + 1` is at most
-//! [`RANGE_SLOTS_PER_ROW`]` × rows`, the table has `next_pow2(range)` slots:
-//! the range-relative first slot is then collision-free between different
-//! keys, so no row of such a build can fail, whatever the duplicates, and
-//! the build does not stop to read the check round's count. The
-//! constant trades 32 B of sequential fill per build row (8 slots, at most
-//! doubled by the power-of-two rounding) against one missed probe per row
-//! into a hash-sized table — a memset at memory bandwidth is cheaper than a
-//! cache miss per key.
+//! [`RANGE_SLOTS_PER_ROW`]` × rows + probe_rows`, the table has
+//! `next_pow2(range)` slots. `probe_rows` is the caller's host-known bound
+//! on the rows that will look keys up (a join passes its probe side's
+//! capacity, a grouping build 0). It is an upper bound: a probe column
+//! still to be filtered has a capacity of its unfiltered rows, and a table
+//! it pays for may be larger than the rows that arrive need. The range-relative first slot is then
+//! collision-free between different keys, so no row of such a build can
+//! fail, whatever the duplicates, the build does not stop to read the check
+//! round's count, and a lookup is one slot load — sequential for sorted
+//! probe keys — hit or miss. The constant trades 32 B of sequential fill
+//! per build row (8 slots) and 4 B per probe row (at most doubled by the
+//! power-of-two rounding) against a missed probe per row into a hash-sized
+//! table: a memset at memory bandwidth is cheaper than a cache miss per
+//! key. A selective build over a dense key — a filtered `orders` probed by
+//! every `l_orderkey` — is the case the probe side's share decides.
+//!
+//! **Memory bound:** a range table has at most
+//! `next_pow2(8 × rows + probe_rows)` words, i.e. at most 64 B per build row
+//! plus 8 B per probe row; a probe already allocates 4 B per probe row for
+//! its lookup output. [`table_words`] states the bound of a first table;
+//! the device footprint model and the spill schedule size from it and from
+//! [`table_capacity`].
 //!
 //! Otherwise (sparse or composite keys) the first table has
 //! `next_pow2(1.4 × d)` slots (the paper's 1.4, from its observed ~75 % fill
-//! rate), where `d` is the caller's distinct-count bound for single-column
-//! builds (joins pass the build side's row count) and at most
+//! rate), where `d` is the build's row count for a join and at most
 //! [`GROUPING_START`] keys for group-by keys, which have no bound to offer
 //! — and which, had their ranges spanned no more than that many key tuples,
 //! would have been grouped without a table. A failed attempt is evidence,
@@ -72,7 +90,8 @@
 //! always suffices for distinct keys, and grown at least twofold so
 //! pathological collisions still terminate. Two attempts are the norm from
 //! any start, three the exception; no table exceeds
-//! `max(next_pow2(1.4 × rows), range table)` short of those pathologies.
+//! `max(next_pow2(1.4 × rows), next_pow2(8 × rows + probe_rows))`
+//! ([`table_words`]) short of those pathologies.
 //!
 //! # Which builds rank dense ids
 //!
@@ -120,12 +139,23 @@ pub const MAX_PROBE: usize = HASH_SEEDS.len() + LINEAR_WINDOW;
 /// (a first-row table of that many words is never the larger structure).
 pub const GROUPING_START: usize = 1024;
 /// A single-column build whose key range is at most this many slots per
-/// build row gets a table covering the range (module docs, sizing rule).
+/// build row, plus one per probe row, gets a table covering the range
+/// (module docs, sizing rule).
 pub const RANGE_SLOTS_PER_ROW: usize = 8;
 
-/// `next_pow2(1.4 × distinct)`, at least 16 slots.
-fn table_capacity(distinct: usize) -> usize {
+/// Slots of a hash-sized table for `distinct` keys: `next_pow2(1.4 ×
+/// distinct)`, at least 16.
+// xlint:allow(eager-host-scalar): a sizing rule over a row count, no device value is read.
+pub fn table_capacity(distinct: usize) -> usize {
     (((distinct.max(1) as f64) * 1.4).ceil() as usize).next_power_of_two().max(16)
+}
+
+/// Words of the largest first table a single-column build of `rows` keys
+/// that `probe_rows` rows probe allocates: hash-sized, or covering a key
+/// range those rows pay for (module docs, memory bound).
+// xlint:allow(eager-host-scalar): a sizing rule over row counts, no device value is read.
+pub fn table_words(rows: usize, probe_rows: usize) -> usize {
+    table_capacity(rows).max((RANGE_SLOTS_PER_ROW * rows + probe_rows).next_power_of_two())
 }
 
 /// The table after a failed attempt: sized for `capacity + failed` distinct
@@ -142,12 +172,20 @@ struct Probe {
     /// Smallest key of a single-column build: attempt 0 is the key's offset
     /// from it. `None` for composite keys, which hash from attempt 0.
     origin: Option<u32>,
+    /// Slots a sequence visits: [`MAX_PROBE`], or 1 in a table covering the
+    /// key range, whose keys all sit at their first slot.
+    len: usize,
 }
 
 impl Probe {
     fn new(capacity: usize, origin: Option<u32>) -> Probe {
         debug_assert!(capacity.is_power_of_two() && capacity >= 2);
-        Probe { shift: 32 - capacity.trailing_zeros(), mask: capacity - 1, origin }
+        Probe { shift: 32 - capacity.trailing_zeros(), mask: capacity - 1, origin, len: MAX_PROBE }
+    }
+
+    /// The probe of a table covering the key range from `origin`.
+    fn covering(capacity: usize, origin: u32) -> Probe {
+        Probe { len: 1, ..Probe::new(capacity, Some(origin)) }
     }
 
     /// Slot visited at `attempt < MAX_PROBE` by a key whose first column
@@ -327,7 +365,7 @@ impl Kernel for OptimisticInsertKernel {
         for run in group.runs(group.n()) {
             for row in run {
                 let (key, hash) = (keys[0][row], hash_row(&keys, row));
-                for attempt in 0..MAX_PROBE {
+                for attempt in 0..self.probe.len {
                     let slot = &slots[self.probe.slot(key, hash, attempt)];
                     let current = slot.load(Ordering::Relaxed);
                     if current == EMPTY_SLOT {
@@ -380,7 +418,7 @@ impl Kernel for CheckKernel {
             for row in run {
                 let (key, hash) = (keys[0][row], hash_row(&keys, row));
                 let mut found = UNPLACED;
-                for attempt in 0..MAX_PROBE {
+                for attempt in 0..self.probe.len {
                     let index = self.probe.slot(key, hash, attempt);
                     let current = slots[index].load(Ordering::Relaxed);
                     if current == EMPTY_SLOT {
@@ -451,7 +489,7 @@ impl Kernel for PessimisticInsertKernel {
                 }
                 let (key, hash) = (keys[0][row], hash_row(&keys, row));
                 let mut placed = UNPLACED;
-                for attempt in 0..MAX_PROBE {
+                for attempt in 0..self.probe.len {
                     let index = self.probe.slot(key, hash, attempt);
                     let mut current = slots[index].load(Ordering::Relaxed);
                     if current == EMPTY_SLOT {
@@ -624,7 +662,7 @@ impl LookupKernel {
     #[inline]
     fn find(&self, key: u32, build_keys: &[u32], slots: &[u32]) -> u32 {
         let hash = mix(0, key);
-        for attempt in 0..MAX_PROBE {
+        for attempt in 0..self.probe.len {
             let row = slots[self.probe.slot(key, hash, attempt)];
             if row == EMPTY_SLOT {
                 break;
@@ -722,23 +760,26 @@ impl std::fmt::Debug for OcelotHashTable {
 impl OcelotHashTable {
     /// Builds a **join** table over one key column: probes return
     /// representative build rows, no dense ids are ranked (module docs).
-    /// `distinct_hint` bounds the distinct count from above as far as the
-    /// caller knows (joins pass the build side's row count) and sizes the
-    /// first table of a sparse key range; an underestimate costs one
-    /// evidence-sized restart.
+    /// `probe_rows` bounds the rows that will probe the table from above, as
+    /// far as the caller knows without a sync (a join passes its probe
+    /// side's capacity, which counts the rows a pending filter may still
+    /// drop): they share the fill of a table covering the key range, so a
+    /// selective build over a dense key still gets one (module docs, sizing
+    /// rule). Otherwise the table is sized for the build's rows.
     ///
     /// **Deliberate sync point:** the table size depends on the key range
     /// and the optimistic/pessimistic loop's host-side control flow inspects
     /// the failure counter after each round, so the build flushes internally
-    /// (a deferred input length is resolved together with the range). The
-    /// *probes* stay lazy.
+    /// (a deferred input length is resolved together with the range). A
+    /// table covering its key range cannot lose a row and skips that count.
+    /// The *probes* stay lazy.
     pub fn build<T: DevWord>(
         ctx: &OcelotContext,
         keys_col: &DevColumn<T>,
-        distinct_hint: usize,
+        probe_rows: usize,
     ) -> Result<OcelotHashTable> {
         let shape = key_shape(ctx, &[keys_col])?;
-        Self::build_from(ctx, &[keys_col], &shape, distinct_hint, false)
+        Self::build_from(ctx, &[keys_col], &shape, shape.rows, probe_rows, false)
     }
 
     /// [`OcelotHashTable::build`] plus dense ids: the single-column grouping
@@ -747,31 +788,36 @@ impl OcelotHashTable {
     pub fn build_ranked<T: DevWord>(
         ctx: &OcelotContext,
         keys_col: &DevColumn<T>,
-        distinct_hint: usize,
+        probe_rows: usize,
     ) -> Result<OcelotHashTable> {
         let shape = key_shape(ctx, &[keys_col])?;
-        Self::build_from(ctx, &[keys_col], &shape, distinct_hint, true)
+        Self::build_from(ctx, &[keys_col], &shape, shape.rows, probe_rows, true)
     }
 
     /// Builds a grouping table (dense ids ranked) over the key columns whose
     /// `shape` the caller already resolved ([`key_shape`]): rows are equal
-    /// when they agree on every column. Takes no sizing hint — a table not
-    /// sized by its key range starts at [`GROUPING_START`] keys and a restart
-    /// is sized from what that attempt observed. Same sync points as
+    /// when they agree on every column. Nothing probes it but its own rows —
+    /// a range table is paid for by the build alone — and a table not sized
+    /// by its key range starts at [`GROUPING_START`] keys, a restart sized
+    /// from what that attempt observed. Same sync points as
     /// [`OcelotHashTable::build`], minus the range it is handed.
     pub(crate) fn build_grouping<T: DevWord>(
         ctx: &OcelotContext,
         columns: &[&DevColumn<T>],
         shape: &KeyShape,
     ) -> Result<OcelotHashTable> {
-        Self::build_from(ctx, columns, shape, GROUPING_START, true)
+        Self::build_from(ctx, columns, shape, GROUPING_START, 0, true)
     }
 
+    /// The build behind every entry point: `distinct` keys (at most the
+    /// rows) size a first table that does not cover the key range,
+    /// `probe_rows` decide whether one does.
     fn build_from<T: DevWord>(
         ctx: &OcelotContext,
         columns: &[&DevColumn<T>],
         shape: &KeyShape,
-        distinct_hint: usize,
+        distinct: usize,
+        probe_rows: usize,
         ranked: bool,
     ) -> Result<OcelotHashTable> {
         let keys: Vec<Buffer> = columns.iter().map(|c| c.buffer.clone()).collect();
@@ -784,12 +830,14 @@ impl OcelotHashTable {
             _ => None,
         };
         let origin = if columns.len() == 1 { Some(range.map_or(0, |r| r.min)) } else { None };
-        let covers_range =
-            range.is_some_and(|range| range.span <= (RANGE_SLOTS_PER_ROW * rows) as u64);
-        let mut capacity = match range {
-            Some(range) if covers_range => (range.span as usize).next_power_of_two().max(16),
-            _ => table_capacity(distinct_hint.min(rows)),
+        // The rows that will touch a range table pay for its fill.
+        let paid = (RANGE_SLOTS_PER_ROW * rows + probe_rows) as u64;
+        let covered = range.filter(|range| range.span <= paid);
+        let mut capacity = match covered {
+            Some(range) => (range.span as usize).next_power_of_two().max(16),
+            None => table_capacity(distinct.min(rows)),
         };
+        debug_assert!(capacity <= table_words(rows, probe_rows));
         // One per-row buffer serves every attempt of a grouping build and
         // then becomes the gid column, so restarts do not multiply the
         // build's footprint. A join build has no per-row state at all.
@@ -800,7 +848,10 @@ impl OcelotHashTable {
 
         let (slots, probe, ids) = loop {
             build_attempts += 1;
-            let probe = Probe::new(capacity, origin);
+            let probe = match covered {
+                Some(range) => Probe::covering(capacity, range.min),
+                None => Probe::new(capacity, origin),
+            };
             let slots = ctx.alloc_uninit(capacity, "hash_slots")?;
             let filled = ctx.queue().enqueue_kernel(
                 Arc::new(FillKernel { buffer: slots.clone(), value: EMPTY_SLOT }),
@@ -853,7 +904,7 @@ impl OcelotHashTable {
             };
             // A table covering the key range cannot lose a row (module
             // docs), so there is no count to wait for.
-            let failed = if covers_range {
+            let failed = if covered.is_some() {
                 0
             } else {
                 ctx.queue().flush()?;
@@ -1121,13 +1172,25 @@ mod tests {
         vec![OcelotContext::cpu_sequential(), OcelotContext::cpu(), OcelotContext::gpu()]
     }
 
+    /// A build whose first table, unless it covers the key range, is sized
+    /// for `distinct` keys: how a test starts a build too small on purpose.
+    fn build_sized_for(
+        ctx: &OcelotContext,
+        col: &DevColumn<i32>,
+        distinct: usize,
+        ranked: bool,
+    ) -> OcelotHashTable {
+        let shape = key_shape(ctx, &[col]).unwrap();
+        OcelotHashTable::build_from(ctx, &[col], &shape, distinct, 0, ranked).unwrap()
+    }
+
     #[test]
     fn distinct_count_matches_reference_on_all_devices() {
         let keys: Vec<i32> = (0..20_000).map(|i| (i * 131 + 17) % 500).collect();
         let expected: HashSet<i32> = keys.iter().copied().collect();
         for ctx in contexts() {
             let col = ctx.upload_i32(&keys, "keys").unwrap();
-            let table = OcelotHashTable::build_ranked(&ctx, &col, 500).unwrap();
+            let table = OcelotHashTable::build_ranked(&ctx, &col, 0).unwrap();
             assert_eq!(table.num_distinct(), expected.len(), "{:?}", ctx.device().info().kind);
         }
     }
@@ -1137,7 +1200,7 @@ mod tests {
         let keys: Vec<i32> = (0..5_000).map(|i| (i * 7 + 1) % 250).collect();
         let ctx = OcelotContext::cpu();
         let col = ctx.upload_i32(&keys, "keys").unwrap();
-        let table = OcelotHashTable::build_ranked(&ctx, &col, 250).unwrap();
+        let table = OcelotHashTable::build_ranked(&ctx, &col, keys.len()).unwrap();
         let gids_col = table.probe_gids(&ctx, &col).unwrap();
         let gids = gids_col.read(&ctx).unwrap();
 
@@ -1157,7 +1220,7 @@ mod tests {
         let keys: Vec<i32> = (0..3_000).map(|i| (i * 13 + 5) % 77).collect();
         for ctx in contexts() {
             let col = ctx.upload_i32(&keys, "keys").unwrap();
-            let table = OcelotHashTable::build_ranked(&ctx, &col, 77).unwrap();
+            let table = OcelotHashTable::build_ranked(&ctx, &col, 0).unwrap();
             let reps = table.representatives().read(&ctx).unwrap();
             let gids = table.row_gids().read(&ctx).unwrap();
             assert_eq!(reps.len(), table.num_distinct());
@@ -1178,7 +1241,7 @@ mod tests {
     fn missing_probe_keys_return_not_found() {
         let ctx = OcelotContext::cpu();
         let build = ctx.upload_i32(&[10, 20, 30], "build").unwrap();
-        let table = OcelotHashTable::build(&ctx, &build, 3).unwrap();
+        let table = OcelotHashTable::build(&ctx, &build, 7).unwrap();
         let probe = ctx.upload_i32(&[20, 99, 10, 55, 9, i32::MIN, i32::MAX], "probe").unwrap();
         let reps = table.probe_representatives(&ctx, &probe).unwrap().read(&ctx).unwrap();
         assert_eq!(reps, vec![1, NOT_FOUND, 0, NOT_FOUND, NOT_FOUND, NOT_FOUND, NOT_FOUND]);
@@ -1249,20 +1312,27 @@ mod tests {
 
     #[test]
     fn tables_cover_the_key_range_up_to_eight_slots_per_row() {
+        // The rule is `span ≤ 8·rows + probe_rows`; with no probe rows (a
+        // grouping build) it is the build's eight slots per row alone.
         let ctx = OcelotContext::cpu();
         let rows = 1_000usize;
         let mut keys: Vec<i32> = (0..rows as i32).map(|i| i * 7 + 3).collect();
-        for (last, capacity) in [
-            // Range 8·rows exactly: covered (rounded up to a power of two).
-            (3 + 8 * rows as i32 - 1, 8_192),
-            // One more value in the range: sized by the distinct-count hint.
-            (3 + 8 * rows as i32, table_capacity(rows)),
-        ] {
-            keys[rows - 1] = last;
-            let col = ctx.upload_i32(&keys, "keys").unwrap();
-            let table = OcelotHashTable::build(&ctx, &col, rows).unwrap();
-            assert_eq!(table.capacity(), capacity, "last key {last}: {table:?}");
-            check_against_host(&ctx, &keys, &table);
+        for (probe_rows, covered) in [(0, 8_192), (3_000, 16_384), (10_000, 32_768)] {
+            let span = RANGE_SLOTS_PER_ROW * rows + probe_rows;
+            for (last, capacity) in [
+                // Range `span` exactly: covered (rounded up to a power of two).
+                (3 + span as i32 - 1, covered),
+                // One more value in the range: sized by the build rows.
+                (3 + span as i32, table_capacity(rows)),
+            ] {
+                keys[rows - 1] = last;
+                let col = ctx.upload_i32(&keys, "keys").unwrap();
+                let table = OcelotHashTable::build(&ctx, &col, probe_rows).unwrap();
+                let at = format!("{probe_rows} probe rows, last key {last}: {table:?}");
+                assert_eq!(table.capacity(), capacity, "{at}");
+                assert_eq!(table.build_attempts(), 1, "{at}");
+                check_against_host(&ctx, &keys, &table);
+            }
         }
     }
 
@@ -1301,7 +1371,7 @@ mod tests {
         for key in [0, -1, i32::MIN, i32::MAX] {
             for ctx in contexts() {
                 let col = ctx.upload_i32(&[key], "keys").unwrap();
-                let table = OcelotHashTable::build_ranked(&ctx, &col, 1).unwrap();
+                let table = OcelotHashTable::build_ranked(&ctx, &col, 0).unwrap();
                 assert_eq!(table.num_distinct(), 1);
                 assert_eq!(table.row_gids().read(&ctx).unwrap(), vec![0]);
                 check_against_host(&ctx, &[key], &table);
@@ -1311,29 +1381,93 @@ mod tests {
 
     #[test]
     fn undersized_hint_triggers_restart_but_succeeds() {
-        // Sparse keys (range 37·rows), so the table is sized by the hint.
+        // Sparse keys (range 37·rows), so the table is sized for `distinct`.
         let keys: Vec<i32> = (0..4_000).map(|i| i * 37).collect();
         let ctx = OcelotContext::cpu();
         let col = ctx.upload_i32(&keys, "keys").unwrap();
-        // A hint of 4 gives a 16-slot table; the restart is sized from the
+        // Sized for 4 keys: a 16-slot table; the restart is sized from the
         // ~4000 rows the check round counted outside it, not doubled.
-        let table = OcelotHashTable::build_ranked(&ctx, &col, 4).unwrap();
+        let table = build_sized_for(&ctx, &col, 4, true);
         assert_eq!(table.num_distinct(), 4_000);
         assert_eq!(table.build_attempts(), 2, "one evidence-sized restart");
         assert_eq!(table.capacity(), 8_192);
+        // A join build, which records no per-row slots, restarts alike — on
+        // every device, every kernel declared and no unordered conflict.
+        for ctx in contexts() {
+            ctx.queue().race().arm();
+            let col = ctx.upload_i32(&keys, "keys").unwrap();
+            let table = build_sized_for(&ctx, &col, 4, false);
+            assert_eq!(table.build_attempts(), 2, "one evidence-sized restart");
+            assert_eq!(table.capacity(), 8_192);
+            check_against_host(&ctx, &keys, &table);
+            let stats = ctx.queue().race().stats();
+            let diagnostics = ctx.queue().race().take_diagnostics();
+            ctx.queue().race().disarm();
+            assert!(diagnostics.is_empty(), "{diagnostics:?}");
+            assert_eq!(stats.kernels_declared, stats.kernels_observed, "{stats:?}");
+        }
+    }
+
+    /// A join build started too small — the pessimistic round and an
+    /// evidence-sized restart — gives the pairs a host hash map gives on the
+    /// sequential CPU, the multi-core CPU at 1, 2 and N threads and the GPU,
+    /// at row counts on and around the GPU's group size (192) and launch
+    /// width (7 × 192).
+    #[test]
+    fn join_builds_started_too_small_give_the_host_pairs_on_every_device() {
+        const S: usize = 192;
+        const T: usize = 7 * S;
+        let cores = std::thread::available_parallelism().map_or(4, |n| n.get());
+        let mut devices = vec![
+            ("sequential CPU".to_string(), OcelotContext::cpu_sequential()),
+            ("GPU".to_string(), OcelotContext::gpu()),
+        ];
+        for threads in [1, 2, cores] {
+            let device = ocelot_kernel::Device::cpu_multicore_with(threads);
+            devices.push((format!("CPU, {threads} threads"), OcelotContext::with_device(device)));
+        }
+        for (name, ctx) in devices {
+            for rows in [0, 1, S - 1, S, S + 1, T - 1, T, T + 1, 10 * T + 3] {
+                let build: Vec<i32> =
+                    (0..rows as u32).map(|row| row.wrapping_mul(0x9E37_79B1) as i32).collect();
+                // Every fourth probe key is (almost surely) a miss.
+                let probe: Vec<i32> = (0..rows)
+                    .map(|row| match row % 4 {
+                        0 => build[row] ^ 1,
+                        _ => build[(row * 7) % rows],
+                    })
+                    .collect();
+                let index: std::collections::HashMap<i32, u32> =
+                    build.iter().enumerate().map(|(row, key)| (*key, row as u32)).collect();
+                let want: (Vec<u32>, Vec<u32>) = probe
+                    .iter()
+                    .enumerate()
+                    .filter_map(|(row, key)| index.get(key).map(|b| (row as u32, *b)))
+                    .unzip();
+                let table =
+                    build_sized_for(&ctx, &ctx.upload_i32(&build, "build").unwrap(), 1, false);
+                let at = format!("{rows} rows on {name}: {table:?}");
+                assert_eq!(table.build_attempts() > 1, rows > 16, "{at}");
+                let probe = ctx.upload_i32(&probe, "probe").unwrap();
+                let result = crate::ops::join::hash_join(&ctx, &probe, &table).unwrap();
+                let got =
+                    (result.probe_oids.read(&ctx).unwrap(), result.build_oids.read(&ctx).unwrap());
+                assert_eq!(got, want, "{at}");
+            }
+        }
     }
 
     #[test]
     fn empty_input() {
         let ctx = OcelotContext::cpu();
         let col = ctx.upload_i32(&[], "keys").unwrap();
-        let table = OcelotHashTable::build_ranked(&ctx, &col, 10).unwrap();
+        let table = OcelotHashTable::build_ranked(&ctx, &col, 2).unwrap();
         assert_eq!(table.num_distinct(), 0);
         assert!(table.row_gids().read(&ctx).unwrap().is_empty());
         let probe = ctx.upload_i32(&[1, 2], "probe").unwrap();
         let gids = table.probe_gids(&ctx, &probe).unwrap().read(&ctx).unwrap();
         assert_eq!(gids, vec![NOT_FOUND, NOT_FOUND]);
-        let join_table = OcelotHashTable::build(&ctx, &col, 10).unwrap();
+        let join_table = OcelotHashTable::build(&ctx, &col, 2).unwrap();
         let reps = join_table.probe_representatives(&ctx, &probe).unwrap().read(&ctx).unwrap();
         assert_eq!(reps, vec![NOT_FOUND, NOT_FOUND]);
     }
@@ -1351,8 +1485,11 @@ mod tests {
                 let visited: Vec<usize> =
                     (0..MAX_PROBE).map(|a| probe.slot(key, 0xDEAD_BEEF, a)).collect();
                 assert!(visited.iter().all(|slot| *slot < capacity));
-                if origin.is_some() {
+                if let Some(origin) = origin {
                     assert_eq!(visited[0], 5);
+                    // A table covering the key range probes that slot alone.
+                    let covering = Probe::covering(capacity, origin);
+                    assert_eq!((covering.len, covering.slot(key, 0xDEAD_BEEF, 0)), (1, 5));
                 }
                 let last_hashed = visited[HASH_SEEDS.len() - 1];
                 for (offset, slot) in visited[HASH_SEEDS.len()..].iter().enumerate() {
@@ -1367,7 +1504,7 @@ mod tests {
         for ctx in contexts() {
             let keys: Vec<i32> = (0..400).map(|i| i * 30).collect();
             let col = ctx.upload_i32(&keys, "keys").unwrap();
-            let table = OcelotHashTable::build_ranked(&ctx, &col, 1).unwrap();
+            let table = build_sized_for(&ctx, &col, 1, true);
             assert!(table.build_attempts() > 1);
             assert_eq!(table.num_distinct(), 400);
             let probe: Vec<i32> = (0..12_000).collect();
@@ -1389,7 +1526,7 @@ mod tests {
         let keys = [-1, 0, i32::MIN, -1, i32::MAX, 0, -1];
         for ctx in contexts() {
             let col = ctx.upload_i32(&keys, "keys").unwrap();
-            let table = OcelotHashTable::build_ranked(&ctx, &col, keys.len()).unwrap();
+            let table = OcelotHashTable::build_ranked(&ctx, &col, 2).unwrap();
             assert_eq!(table.num_distinct(), 4);
             assert_eq!(table.row_gids().read(&ctx).unwrap(), vec![0, 1, 2, 0, 3, 1, 0]);
             assert_eq!(table.representatives().read(&ctx).unwrap(), vec![0, 1, 2, 4]);
@@ -1411,7 +1548,7 @@ mod tests {
             ctx.sync().unwrap();
             let before = ctx.queue().total_stats().kernels;
             let flushes = ctx.queue().flush_count();
-            let table = OcelotHashTable::build_ranked(&ctx, &col, 1).unwrap();
+            let table = build_sized_for(&ctx, &col, 1, true);
             ctx.sync().unwrap();
             assert_eq!(table.num_distinct(), keys.len());
             assert!(table.build_attempts() > 1 && table.build_attempts() <= 3, "{table:?}");
@@ -1462,6 +1599,6 @@ mod tests {
     fn join_builds_refuse_dense_id_accessors() {
         let ctx = OcelotContext::cpu();
         let col = ctx.upload_i32(&[1, 2, 3], "keys").unwrap();
-        OcelotHashTable::build(&ctx, &col, 3).unwrap().num_distinct();
+        OcelotHashTable::build(&ctx, &col, 0).unwrap().num_distinct();
     }
 }

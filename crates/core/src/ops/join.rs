@@ -269,7 +269,8 @@ impl Kernel for MatchedLookupKernel {
 /// The hash table goes over the smaller input by host-known capacity — over
 /// `right` it is a join build the left rows probe; over `left` it is a
 /// grouping build, the right rows flag the groups they hit and the left
-/// rows read their group's flag.
+/// rows read their group's flag. Either way the other input's capacity is
+/// the probe count the table is sized with.
 fn membership_lookups(
     ctx: &OcelotContext,
     left: &DevColumn<i32>,
@@ -277,10 +278,10 @@ fn membership_lookups(
     keep_found: bool,
 ) -> Result<(DevColumn<Oid>, KeptCounts)> {
     if left.cap() >= right.cap() {
-        let table = OcelotHashTable::build(ctx, right, right.cap())?;
+        let table = OcelotHashTable::build(ctx, right, left.cap())?;
         return table.probe_counted(ctx, left, keep_found);
     }
-    let table = OcelotHashTable::build_ranked(ctx, left, left.cap())?;
+    let table = OcelotHashTable::build_ranked(ctx, left, right.cap())?;
     let left_gids = table.row_gids();
     let rows = left_gids.cap();
     let kept = KeptCounts::alloc(ctx, rows, keep_found)?;
@@ -521,7 +522,7 @@ mod tests {
         for ctx in contexts() {
             let build = ctx.upload_i32(&pk, "pk").unwrap();
             let probe = ctx.upload_i32(&fk, "fk").unwrap();
-            let table = OcelotHashTable::build(&ctx, &build, pk.len()).unwrap();
+            let table = OcelotHashTable::build(&ctx, &build, fk.len()).unwrap();
             let result = hash_join(&ctx, &probe, &table).unwrap();
             assert_eq!(result.probe_oids.read(&ctx).unwrap(), expected_fk);
             assert_eq!(result.build_oids.read(&ctx).unwrap(), expected_pk);
@@ -536,7 +537,7 @@ mod tests {
         let fk: Vec<i32> = (0..10_000).map(|i| (i * 13 + 1) % 150).collect();
         let build = ctx.upload_i32(&pk, "pk").unwrap();
         let probe = ctx.upload_i32(&fk, "fk").unwrap();
-        let table = OcelotHashTable::build(&ctx, &build, pk.len()).unwrap();
+        let table = OcelotHashTable::build(&ctx, &build, fk.len()).unwrap();
         ctx.sync().unwrap();
         let flushes = ctx.queue().flush_count();
         let result = hash_join(&ctx, &probe, &table).unwrap();
@@ -552,7 +553,7 @@ mod tests {
         let ctx = OcelotContext::cpu();
         let build = ctx.upload_i32(&[10, 20, 30], "pk").unwrap();
         let probe = ctx.upload_i32(&[20, 99, 30, 55, 10], "fk").unwrap();
-        let table = OcelotHashTable::build(&ctx, &build, 3).unwrap();
+        let table = OcelotHashTable::build(&ctx, &build, 5).unwrap();
         let result = hash_join(&ctx, &probe, &table).unwrap();
         assert_eq!(result.probe_oids.read(&ctx).unwrap(), vec![0, 2, 4]);
         assert_eq!(result.build_oids.read(&ctx).unwrap(), vec![1, 2, 0]);
@@ -563,7 +564,7 @@ mod tests {
         let ctx = OcelotContext::cpu();
         let build = ctx.upload_i32(&[5, 6, 7], "pk").unwrap();
         let probe = ctx.upload_i32(&[7, 5, 7, 6], "fk").unwrap();
-        let table = OcelotHashTable::build(&ctx, &build, 3).unwrap();
+        let table = OcelotHashTable::build(&ctx, &build, 4).unwrap();
         let aligned = hash_join_aligned(&ctx, &probe, &table).unwrap();
         assert_eq!(aligned.read(&ctx).unwrap(), vec![2, 0, 2, 1]);
     }
@@ -622,7 +623,7 @@ mod tests {
     fn empty_inputs() {
         let ctx = OcelotContext::cpu();
         let empty = ctx.upload_i32(&[], "e").unwrap();
-        let table = OcelotHashTable::build(&ctx, &empty, 4).unwrap();
+        let table = OcelotHashTable::build(&ctx, &empty, 2).unwrap();
         let probe = ctx.upload_i32(&[1, 2], "p").unwrap();
         let result = hash_join(&ctx, &probe, &table).unwrap();
         assert!(result.is_empty(&ctx).unwrap());

@@ -60,7 +60,7 @@
 use crate::context::{DevColumn, OcelotContext, Oid};
 use crate::memory_manager::MemoryManager;
 use crate::ops::aggregate::partial_tables_for;
-use crate::ops::hash_table::OcelotHashTable;
+use crate::ops::hash_table::{self, OcelotHashTable};
 use crate::ops::join;
 use crate::primitives::histogram::{sum_rows, HistogramKernel, MAX_DIGITS};
 use ocelot_kernel::{
@@ -467,12 +467,13 @@ pub struct PartitionedJoinConfig {
     pub max_passes: usize,
 }
 
-/// Bytes of the hash-table working set for a build side of `rows` keys —
-/// the same model `Plan::estimate_device_footprint` charges, so planner
-/// and executor agree on what fits.
+/// Bytes of the hash-table working set for a build side of `rows` keys, as
+/// the spill schedule budgets it: twice the slots of a hash-sized table
+/// ([`hash_table::table_capacity`]). The same model sizes a monolithic
+/// join's working set when a query is lowered, so the planner and this
+/// schedule agree on what fits.
 pub fn hash_table_bytes(rows: usize) -> usize {
-    let slots = (((rows.max(1) as f64) * 1.4).ceil() as usize).next_power_of_two().max(16);
-    2 * slots * 4
+    2 * hash_table::table_capacity(rows) * 4
 }
 
 impl PartitionedJoinConfig {
@@ -634,7 +635,10 @@ fn join_pass(
 }
 
 /// Joins one resident partition pair and appends globally remapped OID
-/// pairs.
+/// pairs. The table is told of no probe rows: a partition's keys are hashed
+/// out of the whole key range, so a table its probe rows paid for would
+/// span that range in every partition, past what the spill schedule
+/// budgets ([`hash_table_bytes`]).
 fn join_partition_pair(
     ctx: &OcelotContext,
     build: &Partition,
@@ -643,7 +647,7 @@ fn join_partition_pair(
 ) -> Result<()> {
     let (build_keys, build_oids) = build.columns();
     let (probe_keys, probe_oids) = probe.columns();
-    let table = OcelotHashTable::build(ctx, build_keys, build.rows())?;
+    let table = OcelotHashTable::build(ctx, build_keys, 0)?;
     let result = join::hash_join(ctx, probe_keys, &table)?;
     let local_probe = result.probe_oids.read(ctx)?;
     let local_build = result.build_oids.read(ctx)?;

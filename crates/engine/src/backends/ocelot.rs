@@ -339,9 +339,9 @@ impl Backend for OcelotBackend {
         fk: &OcelotColumn,
         pk: &OcelotColumn,
     ) -> Result<(OcelotColumn, OcelotColumn), PlanError> {
-        let pk_col = pk.as_i32();
-        let table = OcelotHashTable::build(&self.ctx, &pk_col, pk_col.cap().max(1))?;
-        let result = join::hash_join(&self.ctx, &fk.as_i32(), &table)?;
+        let (fk_col, pk_col) = (fk.as_i32(), pk.as_i32());
+        let table = OcelotHashTable::build(&self.ctx, &pk_col, fk_col.cap())?;
+        let result = join::hash_join(&self.ctx, &fk_col, &table)?;
         Ok((OcelotColumn::Oid(result.probe_oids), OcelotColumn::Oid(result.build_oids)))
     }
     fn pkfk_join_partitioned(

@@ -62,6 +62,7 @@
 
 use crate::backend::{Backend, GroupHandle, GroupedAgg, ProfileMarker};
 use crate::query::Query;
+use ocelot_core::ops::hash_table::{table_capacity, table_words};
 use ocelot_core::ops::sort_radix;
 use ocelot_kernel::{FaultSite, KernelError};
 use ocelot_storage::{Catalog, CmpOp};
@@ -625,11 +626,14 @@ impl Plan {
     /// bytes — the scheduler's cost model for memory-aware admission.
     ///
     /// Extends [`Plan::estimate_register_footprint`] with per-operator
-    /// **scratch models** charged while the producing node runs: hash
-    /// builds (joins, grouping) allocate a power-of-two slot table of
-    /// ~1.4× the build cardinality plus per-probe flag space, and the
-    /// radix sort allocates four ping-pong staging buffers plus its
-    /// work-group count table (`sort_radix::scratch_bytes`: the table is
+    /// **scratch models** charged while the producing node runs: a join
+    /// build allocates the larger of twice a power-of-two slot table of
+    /// ~1.4× the build cardinality and a table covering the key range the
+    /// probe rows pay for (`next_pow2(8 × build + probe)` words,
+    /// `hash_table::table_words`), a grouping build twice the hash-sized
+    /// table; both add one lookup word per probe row. The radix sort
+    /// allocates four ping-pong staging buffers plus its work-group count
+    /// table (`sort_radix::scratch_bytes`: the table is
     /// 1 KiB per 1024 rows, ≤ 64 KiB, on any device). Still an estimate,
     /// not a bound: admission budgets should keep slack.
     pub fn estimate_device_footprint(&self, catalog: &Catalog) -> usize {
@@ -637,42 +641,42 @@ impl Plan {
     }
 
     /// Transient device bytes the node's operator allocates beyond its
-    /// input/output registers (hash-table slots, sort staging). Mirrors the
-    /// sizing rule in `ocelot_core::ops::hash_table`; the sort states its
-    /// own.
+    /// input/output registers (hash-table slots, sort staging). The hash
+    /// tables are sized by `ocelot_core::ops::hash_table`'s functions, the
+    /// sort by its own.
     fn scratch_bytes(node: &PlanNode, sizes: &HashMap<Var, usize>) -> usize {
         let input_bytes =
             |index: usize| node.inputs.get(index).and_then(|v| sizes.get(v)).copied().unwrap_or(0);
-        let hash_table = |build_bytes: usize, probe_bytes: usize| {
-            let build_rows = build_bytes / 4;
-            let capacity =
-                (((build_rows.max(1) as f64) * 1.4).ceil() as usize).next_power_of_two().max(16);
-            // Slots plus as much again — a grouping build's per-row ids
-            // and rank scratch, or the headroom a join build's
-            // range-covering table may take over a hash-sized one — plus
-            // the per-probe lookup word.
-            (2 * capacity) * 4 + probe_bytes
+        // Twice a hash-sized table (a restart's headroom) or the largest
+        // first table of the sizing rule, whichever is larger.
+        let join_table = |build_rows: usize, probe_rows: usize| {
+            (2 * table_capacity(build_rows)).max(table_words(build_rows, probe_rows)) * 4
         };
         match &node.op {
             PlanOp::SortOrderI32 { .. } | PlanOp::SortOrderF32 { .. } => {
                 sort_radix::scratch_bytes(input_bytes(0) / 4)
             }
             PlanOp::PkFkJoin | PlanOp::SemiJoin | PlanOp::AntiJoin => {
-                hash_table(input_bytes(1), input_bytes(0))
+                // The table the probe rows may pay for, plus their lookup
+                // word.
+                join_table(input_bytes(1) / 4, input_bytes(0) / 4) + input_bytes(0)
             }
             PlanOp::PkFkJoinPartitioned { .. } => {
                 // Partition copies of both sides (keys + carried OIDs) plus
                 // one per-partition hash table — the partitioned join never
                 // materialises the monolithic table, so its scratch is the
-                // copies plus a table a partition-count factor smaller.
+                // copies plus a table a partition-count factor smaller, which
+                // its probe rows do not pay for (`ocelot_core::partition`).
                 2 * (input_bytes(0) + input_bytes(1))
-                    + hash_table(input_bytes(1) / 2, input_bytes(0) / 2)
+                    + join_table(input_bytes(1) / 8, 0)
+                    + input_bytes(0) / 2
             }
             PlanOp::GroupBy => {
-                // A hash grouping hashes every input row. (Dense-code
-                // grouping needs a few KB instead, but which one runs is
-                // only known from the data.)
-                hash_table(input_bytes(0), input_bytes(0))
+                // A hash grouping hashes every input row: slots plus as
+                // much again for the per-row ids and rank scratch, plus the
+                // gid word per row. (Dense-code grouping needs a few KB
+                // instead, but which one runs is only known from the data.)
+                2 * table_capacity(input_bytes(0) / 4) * 4 + input_bytes(0)
             }
             _ => 0,
         }
@@ -2650,6 +2654,11 @@ mod tests {
                 > join_plan.estimate_register_footprint(&catalog),
             "hash build space counts toward admission"
         );
+        // The peak is the join: both 2 000-row key columns, the table
+        // covering the build's key range that the probe rows pay for —
+        // next_pow2(8 · 2 000 + 2 000) = 32 768 words, more than twice the
+        // 4 096-slot hash-sized table — and one lookup word per probe row.
+        assert_eq!(join_plan.estimate_device_footprint(&catalog), 2 * 8_000 + 32_768 * 4 + 8_000);
     }
 
     #[test]

@@ -28,6 +28,7 @@ use super::{AggFunc, AggSpec, JoinKind, Logical, QueryBuildError, RewriteConfig}
 use crate::backend::GroupedAgg;
 use crate::plan::{Plan, PlanBuilder, Var};
 use crate::query::expr::Expr;
+use ocelot_core::partition::hash_table_bytes;
 use ocelot_storage::Catalog;
 use std::collections::{HashMap, HashSet};
 
@@ -124,13 +125,12 @@ pub(crate) fn lower(
 }
 
 /// Estimated device working set of a monolithic hash join: both key
-/// columns plus the hash table the build side would allocate (the same
-/// sizing model as `Plan::scratch_bytes`, so planner and footprint
-/// estimator agree on what fits).
+/// columns plus twice a hash-sized table over the build side — the model
+/// `partition::hash_table_bytes` budgets partitions with, so the decision to
+/// partition and the spill schedule agree on what fits.
 fn join_working_set_bytes(build_rows: f64, probe_rows: f64) -> usize {
     let build_rows = build_rows.max(1.0) as usize;
-    let capacity = (((build_rows as f64) * 1.4).ceil() as usize).next_power_of_two().max(16);
-    2 * capacity * 4 + probe_rows.max(0.0) as usize * 4 + build_rows * 4
+    hash_table_bytes(build_rows) + probe_rows.max(0.0) as usize * 4 + build_rows * 4
 }
 
 impl<'a> Lower<'a> {

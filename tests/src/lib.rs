@@ -1177,8 +1177,10 @@ mod streaming_dbgen {
 mod partitioned_join {
     use ocelot_core::{partitioned_pkfk_join, OcelotContext, PartitionedJoinConfig, SharedDevice};
     use ocelot_engine::{
-        Backend, MonetParBackend, MonetSeqBackend, OcelotBackend, RewriteConfig, Session,
+        Backend, MonetParBackend, MonetSeqBackend, OcelotBackend, PlanBuilder, QueryValue,
+        RewriteConfig, Session,
     };
+    use ocelot_storage::{Bat, Catalog, Table};
     use ocelot_tpch::{q3_query, TpchConfig, TpchDb};
     use proptest::prelude::*;
     use std::collections::HashMap;
@@ -1277,6 +1279,40 @@ mod partitioned_join {
                 assert!(join.stats.spills > 0, "mode {mode}: budget must force spills");
                 assert_eq!(join.stats.unspills, join.stats.spills);
             }
+        }
+    }
+
+    /// A selective build over a dense key — every 13th of 120 000 keys,
+    /// probed four times per key — joined partitioned on a device budget
+    /// that only the planned spill schedule fits: the join spills, never
+    /// reclaims, and equals the host join. 7 MiB is the smallest budget in
+    /// 256 KiB steps it completes in; partition tables the probe rows paid
+    /// for (512 KiB each instead of 64 KiB) do not fit it.
+    #[test]
+    fn a_selective_partitioned_build_stays_in_its_budget() {
+        const BUDGET: usize = 7 << 20;
+        let build: Vec<i32> = (0..120_000).step_by(13).collect();
+        let probe: Vec<i32> = (0..120_000).flat_map(|key| [key; 4]).collect();
+        let (exp_fk, exp_pk) = reference(&probe, &build);
+        let mut catalog = Catalog::new();
+        let column = |keys: &[i32]| Bat::from_i32("k", keys.to_vec()).into_ref();
+        catalog.add_table(Table::new("orders").with_column("k", column(&build)));
+        catalog.add_table(Table::new("lineitem").with_column("k", column(&probe)));
+        let mut builder = PlanBuilder::new();
+        let (fk, pk) = (builder.bind("lineitem", "k"), builder.bind("orders", "k"));
+        let (fk_oids, pk_oids) = builder.pkfk_join_partitioned(fk, pk, build.len()).unwrap();
+        builder.result(&[fk_oids, pk_oids]).unwrap();
+        let plan = builder.finish();
+        for device in [SharedDevice::cpu(), SharedDevice::gpu()] {
+            let session = Session::ocelot(&device.with_memory_budget(BUDGET));
+            let values = session.run(&plan, &catalog).unwrap();
+            let at = session.backend().name();
+            assert_eq!(session.backend().reclaim_count(), 0, "{at}");
+            let spills = session.backend().spill_stats();
+            assert!(spills.spills > 0 && spills.unspills == spills.spills, "{at}: {spills:?}");
+            let want =
+                vec![QueryValue::OidColumn(exp_fk.clone()), QueryValue::OidColumn(exp_pk.clone())];
+            assert_eq!(values, want, "{at}");
         }
     }
 
@@ -1831,22 +1867,23 @@ mod grouping {
         /// 1–4 key columns, distinct counts from one group to all-distinct,
         /// on all three devices: group ids and representatives equal the
         /// host reference exactly; and the single-column build reaches the
-        /// same answer from any sizing hint between 1 and 10× the distinct
-        /// count (undersized hints restart, oversized ones waste slots —
-        /// neither changes the result).
+        /// same answer whatever probe count between 1 and 10× the distinct
+        /// count it is told of (a large one can make the probe rows pay for
+        /// a table covering the key range — that does not change the
+        /// result).
         #[test]
         fn group_by_columns_equals_a_host_hashmap(
             n in 1usize..2_500,
             keys in 1usize..5,
             ndv_pick in 0usize..4,
-            hint_tenths in 0usize..100,
+            probe_tenths in 0usize..100,
             seed in 0u64..1 << 20,
         ) {
             let ndv = [1, 6, n / 2, n][ndv_pick].max(1);
             let columns = key_columns(n, keys, ndv, seed);
             let (expected_gids, expected_reps) = reference_grouping(&columns);
             let (single_gids, single_reps) = reference_grouping(&columns[..1]);
-            let hint = (single_reps.len() * hint_tenths / 10).max(1);
+            let probe_rows = (single_reps.len() * probe_tenths / 10).max(1);
             for ctx in contexts() {
                 let device = ctx.device().info().kind;
                 let uploaded: Vec<_> =
@@ -1859,8 +1896,8 @@ mod grouping {
                     &result.representatives.read(&ctx).unwrap(), &expected_reps, "{:?}", device
                 );
 
-                let table = OcelotHashTable::build_ranked(&ctx, &uploaded[0], hint).unwrap();
-                prop_assert_eq!(table.num_distinct(), single_reps.len(), "hint {}", hint);
+                let table = OcelotHashTable::build_ranked(&ctx, &uploaded[0], probe_rows).unwrap();
+                prop_assert_eq!(table.num_distinct(), single_reps.len(), "{} probe rows", probe_rows);
                 prop_assert_eq!(&table.row_gids().read(&ctx).unwrap(), &single_gids);
                 prop_assert_eq!(&table.probe_gids(&ctx, &uploaded[0]).unwrap().read(&ctx).unwrap(), &single_gids);
                 prop_assert_eq!(&table.representatives().read(&ctx).unwrap(), &single_reps);
@@ -2106,12 +2143,13 @@ mod join_locality {
         }
     }
 
-    /// Join builds (range-covering, hash-sized, and one that restarts), the
-    /// fused probe/count pass and both membership orientations under the
-    /// armed detector: every kernel declares its access set and no
-    /// event-unordered pair conflicts. (The partitioned join runs the same
-    /// build and probe per pair; its partitioning kernels are ROADMAP item
-    /// 7d's to declare.)
+    /// Join builds (range-covering and hash-sized), the fused probe/count
+    /// pass and both membership orientations under the armed detector:
+    /// every kernel declares its access set and no event-unordered pair
+    /// conflicts. (A join build that restarts is the hash table's own unit
+    /// test: no probe count starts one too small. The partitioned join runs
+    /// the same build and probe per pair; its partitioning kernels are
+    /// ROADMAP item 7d's to declare.)
     #[test]
     fn armed_race_detector_is_silent_over_join_builds_and_probes() {
         let dense: Vec<i32> = (0..30_000).map(|i| i - 15_000).collect();
@@ -2121,10 +2159,11 @@ mod join_locality {
             let queue = ctx.queue();
             queue.race().arm();
             let p = ctx.upload_i32(&probe, "probe").unwrap();
-            for (keys, hint) in [(&dense, dense.len()), (&sparse, sparse.len()), (&sparse, 1)] {
+            for (keys, covered) in [(&dense, true), (&sparse, false)] {
                 let b = ctx.upload_i32(keys, "build").unwrap();
-                let table = OcelotHashTable::build(&ctx, &b, hint).unwrap();
-                assert_eq!(table.build_attempts() > 1, hint == 1, "{table:?}");
+                let table = OcelotHashTable::build(&ctx, &b, probe.len()).unwrap();
+                assert_eq!(table.capacity() == 32_768, covered, "{table:?}");
+                assert_eq!(table.build_attempts(), 1, "{table:?}");
                 join::hash_join(&ctx, &p, &table).unwrap();
                 join::semi_join(&ctx, &p, &b).unwrap();
                 join::anti_join(&ctx, &b, &p).unwrap();
@@ -2136,6 +2175,88 @@ mod join_locality {
             assert!(diagnostics.is_empty(), "{diagnostics:?}");
             assert_eq!(stats.kernels_declared, stats.kernels_observed, "{stats:?}");
             assert!(stats.pairs_checked > 0, "unordered pairs were actually compared: {stats:?}");
+        }
+    }
+
+    /// A selective build over a dense key — every 13th of 750 000 keys, as a
+    /// date filter leaves `o_orderkey` — probed by a sorted FK column that
+    /// holds every key four times, as `l_orderkey` does, plus keys past both
+    /// ends of `i32`. The build covers an eighth of its range, so it is the
+    /// probe rows that pay for a table covering it: the hash join, semi and
+    /// anti in both orientations and the partitioned join equal MS; the
+    /// table is range-sized and built in one attempt; no build stops for a
+    /// failure count; and the armed detector is silent.
+    #[test]
+    fn a_selective_build_over_a_dense_key_gets_a_range_table() {
+        const KEYS: i32 = 750_000;
+        let build: Vec<i32> = (0..KEYS).step_by(13).collect();
+        let mut probe = vec![i32::MIN, i32::MIN + 1, -1];
+        probe.extend((0..KEYS).flat_map(|key| [key; 4]));
+        probe.extend([KEYS, i32::MAX - 1, i32::MAX]);
+        let span = (build[build.len() - 1] - build[0] + 1) as usize;
+        assert!(span > 8 * build.len(), "the build alone would not pay for the range");
+        let (exp_fk, exp_pk) = monet::pkfk_join_i32(&probe, &MonetHashTable::build(&build));
+        let expected = [
+            monet::semi_join_i32(&probe, &build),
+            monet::anti_join_i32(&probe, &build),
+            monet::semi_join_i32(&build, &probe),
+            monet::anti_join_i32(&build, &probe),
+        ];
+        for ctx in contexts() {
+            let at = format!("{:?}", ctx.device().info().kind);
+            let queue = ctx.queue();
+            queue.race().arm();
+            let (b, p) = (
+                ctx.upload_i32(&build, "build").unwrap(),
+                ctx.upload_i32(&probe, "probe").unwrap(),
+            );
+            ctx.sync().unwrap();
+            let flushes = queue.flush_count();
+            let table = OcelotHashTable::build(&ctx, &b, p.cap()).unwrap();
+            // The key range is the build's only flush: a table covering it
+            // cannot lose a row, so there is no failure count to read.
+            assert_eq!(queue.flush_count() - flushes, 1, "{at}");
+            assert_eq!(table.capacity(), span.next_power_of_two(), "{at}: {table:?}");
+            assert_eq!(table.build_attempts(), 1, "{at}: {table:?}");
+            let joined = join::hash_join(&ctx, &p, &table).unwrap();
+            assert_eq!(joined.probe_oids.read(&ctx).unwrap(), exp_fk, "{at}: fk oids");
+            assert_eq!(joined.build_oids.read(&ctx).unwrap(), exp_pk, "{at}: pk oids");
+
+            // Both membership orientations: a join build the probe rows
+            // look up, which flushes for the range alone, and a grouping
+            // build over the build rows the probe rows mark, which flushes
+            // for its group count too. Nothing else flushes before the read.
+            let read = |oids: ocelot_core::DevColumn<u32>| oids.read(&ctx).unwrap();
+            for (index, (left, right, semi, flushed)) in
+                [(&p, &b, true, 1), (&p, &b, false, 1), (&b, &p, true, 2), (&b, &p, false, 2)]
+                    .into_iter()
+                    .enumerate()
+            {
+                let flushes = queue.flush_count();
+                let oids = if semi {
+                    join::semi_join(&ctx, left, right)
+                } else {
+                    join::anti_join(&ctx, left, right)
+                };
+                assert_eq!(queue.flush_count() - flushes, flushed, "{at}: membership {index}");
+                assert_eq!(read(oids.unwrap()), expected[index], "{at}: membership {index}");
+            }
+
+            let cfg = PartitionedJoinConfig {
+                partition_bits: 2,
+                device_budget: None,
+                max_build_rows: usize::MAX,
+                max_passes: 1,
+            };
+            let parted = partitioned_pkfk_join(&ctx, &p, &b, &cfg).unwrap();
+            assert_eq!(parted.probe_oids.read(&ctx).unwrap(), exp_fk, "{at}: partitioned fk");
+            assert_eq!(parted.build_oids.read(&ctx).unwrap(), exp_pk, "{at}: partitioned pk");
+            ctx.sync().unwrap();
+            let stats = queue.race().stats();
+            let diagnostics = queue.race().take_diagnostics();
+            queue.race().disarm();
+            assert!(diagnostics.is_empty(), "{at}: {diagnostics:?}");
+            assert_eq!(stats.kernels_declared, stats.kernels_observed, "{at}: {stats:?}");
         }
     }
 

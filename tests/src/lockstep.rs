@@ -147,9 +147,11 @@ fn popcounts_and_reductions_agree_on_every_device() {
 }
 
 /// Unique build keys, so every probe row has at most one partner and the
-/// pairs are MS's: a dense range (the collision-free range table), sparse
-/// keys in a table sized by the rows, and sparse keys in a table sized for
-/// one key (the pessimistic round and an evidence-sized restart).
+/// pairs are MS's: a dense range (the collision-free range table) and
+/// sparse keys in a table sized by the rows. (A build started too small —
+/// the pessimistic round and an evidence-sized restart — is the hash
+/// table's own unit test over the same devices and row counts: no probe
+/// count starts one.)
 #[test]
 fn join_builds_give_the_pairs_ms_gives_on_every_device() {
     for (name, ctx) in devices() {
@@ -157,9 +159,7 @@ fn join_builds_give_the_pairs_ms_gives_on_every_device() {
             let dense: Vec<i32> = (0..rows as i32).rev().collect();
             let sparse: Vec<i32> =
                 (0..rows as u32).map(|row| row.wrapping_mul(0x9E37_79B1) as i32).collect();
-            for (shape, build, hint) in
-                [("dense", &dense, rows), ("sparse", &sparse, rows), ("sparse, hint 1", &sparse, 1)]
-            {
+            for (shape, build) in [("dense", &dense), ("sparse", &sparse)] {
                 // A quarter of the probe keys are negative: misses in the
                 // dense range.
                 let probe: Vec<i32> = (0..rows)
@@ -170,7 +170,7 @@ fn join_builds_give_the_pairs_ms_gives_on_every_device() {
                     .collect();
                 let want = monet::pkfk_join_i32(&probe, &MonetHashTable::build(build));
                 let table =
-                    OcelotHashTable::build(&ctx, &ctx.upload_i32(build, "build").unwrap(), hint)
+                    OcelotHashTable::build(&ctx, &ctx.upload_i32(build, "build").unwrap(), rows)
                         .unwrap();
                 let result =
                     join::hash_join(&ctx, &ctx.upload_i32(&probe, "probe").unwrap(), &table)
