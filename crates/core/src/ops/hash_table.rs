@@ -67,8 +67,14 @@
 //! per build row (8 slots) and 4 B per probe row (at most doubled by the
 //! power-of-two rounding) against a missed probe per row into a hash-sized
 //! table: a memset at memory bandwidth is cheaper than a cache miss per
-//! key. A selective build over a dense key — a filtered `orders` probed by
-//! every `l_orderkey` — is the case the probe side's share decides.
+//! key. A selective build over a clustered key — a filtered `orders` of
+//! sparse order keys probed by every `l_orderkey` — is the case the probe
+//! side's share decides.
+//!
+//! A join on a key that is *dense* in its table (`base, base + 1, …`, every
+//! key the generator writes) builds no table at all: the lowering makes it
+//! a positional `ops::join::dense_join`. Range tables serve sparse
+//! single-column join keys and groupings only.
 //!
 //! **Memory bound:** a range table has at most
 //! `next_pow2(8 × rows + probe_rows)` words, i.e. at most 64 B per build row

@@ -1,7 +1,8 @@
 //! Join operators (paper §4.1.5).
 //!
-//! Equi-joins are hash joins against an [`OcelotHashTable`] built over the
-//! (unique-key) build side; theta-joins use a nested-loop kernel. Both
+//! Equi-joins on a dense key are positional (below); every other equi-join
+//! is a hash join against an [`OcelotHashTable`] built over the
+//! (unique-key) build side; theta-joins use a nested-loop kernel. All
 //! produce compact results without synchronisation by the two-step scheme:
 //! every work-item counts the result tuples it will emit, a prefix sum turns
 //! the counts into unique write offsets, and a write pass emits the tuples
@@ -19,13 +20,43 @@
 //! nested-loop theta join is the documented exception: its output bound is
 //! `|L| × |R|`, so it resolves the scan total (one sync) instead of
 //! allocating the quadratic worst case.
+//!
+//! # Positional joins on a dense key
+//!
+//! A key column whose values are `base, base + 1, …` (`Bat::dense_base`,
+//! decided from the data) needs no hash table: value `v` *is* row
+//! `v − base` — MonetDB's dense head and its leftfetchjoin (paper §4.1.2).
+//! [`dense_join`] joins a key column against such a table, restricted to a
+//! list of its rows (`listed`; every row when `None`, the table as it
+//! lies):
+//!
+//! * **PK-FK, and semi/anti with the dense key on the right** — a listed
+//!   side becomes an inverse map over the table's rows (a zeroed
+//!   allocation, then a tier-1 scatter `inverse[listed[p]] = p + 1`). A
+//!   PK-FK join's listed rows are distinct — the lowering builds only on a
+//!   unique key — and a semi/anti join reads only whether a row is listed.
+//!   The probe is one range check plus, with a list, one load per key; it
+//!   counts its kept lookups per work-item like `hash_lookup` does, and the
+//!   compaction above follows. The pairs and their order are exactly what
+//!   [`hash_join`] returns against the listed rows' keys.
+//! * **Semi/anti with the dense key on the left** — the right keys flag
+//!   the table rows they name (a flag word per table row, tier 1), then
+//!   the listed rows read their flag and the compaction keeps their
+//!   positions.
+//!
+//! No key is fetched, no table is filled and no key range is read back. A
+//! dense join resolves its match count before it returns — **one sync per
+//! join**. It is the sync the hash build's key range took, and it is what
+//! keeps a plan's chain of joins from staying queued: queued kernels pin
+//! every intermediate they read.
 
-use crate::context::{DevColumn, LenSource, OcelotContext, Oid};
+use crate::context::{ColLen, DevColumn, LenSource, OcelotContext, Oid};
 use crate::ops::hash_table::{KeptCounts, OcelotHashTable, NOT_FOUND};
 use crate::primitives::prefix_sum::exclusive_scan_u32;
 use ocelot_kernel::{
     Buffer, BufferAccess, Kernel, KernelAccesses, KernelCost, LaunchConfig, Result, WorkGroupCtx,
 };
+use ocelot_storage::DenseKey;
 use std::sync::Arc;
 
 /// A compacted join result: aligned probe-side and build-side OID columns
@@ -225,12 +256,15 @@ impl Kernel for MarkMatchedKernel {
 
 /// Turns the matched-group flags into an aligned lookup column over the
 /// left rows (`NOT_FOUND` = no right row carries the key), counting the
-/// kept rows per work-item chunk like the probe kernel does.
+/// kept rows per work-item chunk like the probe kernel does. A left row's
+/// flag is the one its id in `left_gids` names — its own index when there
+/// are none.
 struct MatchedLookupKernel {
-    left_gids: Buffer,
+    left_gids: Option<Buffer>,
     matched: Buffer,
     lookups: Buffer,
     kept: KeptCounts,
+    n: LenSource,
 }
 
 impl Kernel for MatchedLookupKernel {
@@ -238,16 +272,18 @@ impl Kernel for MatchedLookupKernel {
         "join_matched_lookup"
     }
     fn run_group(&self, group: &mut WorkGroupCtx) {
-        let left_gids = self.left_gids.as_words();
+        let n = self.n.get();
+        let left_gids = self.left_gids.as_ref().map(Buffer::as_words);
         let matched = self.matched.as_words();
         for item in group.items() {
-            let (start, end) = item.chunk_bounds(group.n());
+            let (start, end) = item.chunk_bounds(n);
             // SAFETY: `chunk_bounds` partitions the rows among the items;
             // this item alone touches `start..end` in this launch.
             let lookups = unsafe { self.lookups.chunk_mut(start, end) };
             let mut found = 0u32;
-            for (lookup, &gid) in lookups.iter_mut().zip(&left_gids[start..end]) {
-                let hit = matched[gid as usize] != 0;
+            for (row, lookup) in (start..end).zip(lookups.iter_mut()) {
+                let gid = left_gids.map_or(row as u32, |gids| gids[row]);
+                let hit = matched.get(gid as usize).is_some_and(|flag| *flag != 0);
                 *lookup = if hit { gid } else { NOT_FOUND };
                 found += u32::from(hit);
             }
@@ -255,12 +291,15 @@ impl Kernel for MatchedLookupKernel {
         }
     }
     fn declared_accesses(&self, launch: &LaunchConfig) -> Option<KernelAccesses> {
-        Some(KernelAccesses::of(vec![
-            BufferAccess::slice_read(&self.left_gids, 0..launch.n),
+        let mut accesses = vec![
             BufferAccess::slice_read(&self.matched, 0..self.matched.len()),
             BufferAccess::slice_write(&self.lookups, 0..launch.n),
             BufferAccess::cells_write(&self.kept.counts, 0..launch.total_items()),
-        ]))
+        ];
+        if let Some(left_gids) = &self.left_gids {
+            accesses.push(BufferAccess::slice_read(left_gids, 0..launch.n));
+        }
+        Some(KernelAccesses::of(accesses))
     }
 }
 
@@ -304,10 +343,11 @@ fn membership_lookups(
     wait.push(marked);
     let event = ctx.queue().enqueue_kernel(
         Arc::new(MatchedLookupKernel {
-            left_gids: left_gids.buffer.clone(),
+            left_gids: Some(left_gids.buffer.clone()),
             matched,
             lookups: lookups.clone(),
             kept: kept.clone(),
+            n: left_gids.len_source(),
         }),
         ctx.launch(rows),
         &wait,
@@ -337,6 +377,302 @@ pub fn anti_join(
 ) -> Result<DevColumn<Oid>> {
     let (lookups, kept) = membership_lookups(ctx, left, right, false)?;
     Ok(compact_lookups(ctx, &lookups, kept, false)?.0)
+}
+
+// ---- positional joins on a dense key ----
+
+/// Which rows a positional join on a dense key keeps (module docs).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum DenseJoinKind {
+    /// PK-FK join: every key row that names a listed row, paired with that
+    /// row's list position.
+    Inner,
+    /// Semi join whose right side is the dense one: the key rows that name
+    /// a listed row.
+    Semi,
+    /// Anti join whose right side is the dense one: the key rows that name
+    /// no listed row.
+    Anti,
+    /// Semi join whose left side is the dense one: the list positions whose
+    /// row some key names.
+    ListedSemi,
+    /// Anti join whose left side is the dense one: the list positions whose
+    /// row no key names.
+    ListedAnti,
+}
+
+impl DenseJoinKind {
+    /// Short name (for plan listings).
+    pub fn name(self) -> &'static str {
+        match self {
+            DenseJoinKind::Inner => "inner",
+            DenseJoinKind::Semi => "semi",
+            DenseJoinKind::Anti => "anti",
+            DenseJoinKind::ListedSemi => "listed_semi",
+            DenseJoinKind::ListedAnti => "listed_anti",
+        }
+    }
+
+    /// Whether the join keeps the rows that find a partner (semi, inner) or
+    /// those that do not (anti).
+    fn keeps_found(self) -> bool {
+        !matches!(self, DenseJoinKind::Anti | DenseJoinKind::ListedAnti)
+    }
+}
+
+/// Scatters the list into the inverse map of the table's rows:
+/// `inverse[listed[p]] = p + 1`, over a zeroed map (0 = not listed). The
+/// rows are arbitrary, so the cells are tier 1. A PK-FK join's listed rows
+/// are distinct; a semi/anti join's may repeat, and then any one of their
+/// positions marks the row listed.
+struct DenseInverseKernel {
+    listed: Buffer,
+    inverse: Buffer,
+    rows: usize,
+    n: LenSource,
+}
+
+impl Kernel for DenseInverseKernel {
+    fn name(&self) -> &str {
+        "dense_inverse"
+    }
+    fn run_group(&self, group: &mut WorkGroupCtx) {
+        let n = self.n.get();
+        let listed = self.listed.as_words();
+        for run in group.runs(n) {
+            for (position, &row) in run.clone().zip(&listed[run]) {
+                if (row as usize) < self.rows {
+                    self.inverse.set_u32(row as usize, position as u32 + 1);
+                }
+            }
+        }
+    }
+    fn cost(&self, launch: &LaunchConfig) -> KernelCost {
+        KernelCost::new((launch.n as u64) * 4, (launch.n as u64) * 4, launch.n as u64, 0)
+    }
+    fn declared_accesses(&self, launch: &LaunchConfig) -> Option<KernelAccesses> {
+        Some(KernelAccesses::of(vec![
+            BufferAccess::slice_read(&self.listed, 0..launch.n),
+            BufferAccess::cells_write(&self.inverse, 0..self.rows),
+        ]))
+    }
+}
+
+/// The positional probe: every key's list position — `inverse[key − base]
+/// − 1`, or the row `key − base` itself when every row is listed;
+/// `NOT_FOUND` outside the key range or off the list. One range check and
+/// at most one load per key, counted per item as `hash_lookup` counts.
+struct DenseLookupKernel {
+    keys: Buffer,
+    inverse: Option<Buffer>,
+    key: DenseKey,
+    output: Buffer,
+    kept: KeptCounts,
+    n: LenSource,
+}
+
+impl Kernel for DenseLookupKernel {
+    fn name(&self) -> &str {
+        "dense_lookup"
+    }
+    fn run_group(&self, group: &mut WorkGroupCtx) {
+        let n = self.n.get();
+        let keys = self.keys.as_words();
+        let inverse = self.inverse.as_ref().map(Buffer::as_words);
+        for item in group.items() {
+            let (start, end) = item.chunk_bounds(n);
+            // SAFETY: `chunk_bounds` partitions `0..n` among the items; this
+            // item alone touches `start..end` of the output in this launch.
+            let output = unsafe { self.output.chunk_mut(start, end) };
+            let mut found = 0u32;
+            for (out, &key) in output.iter_mut().zip(&keys[start..end]) {
+                *out = match (self.key.row(key as i32), inverse) {
+                    (Some(row), Some(inverse)) => inverse[row].wrapping_sub(1),
+                    (Some(row), None) => row as u32,
+                    (None, _) => NOT_FOUND,
+                };
+                found += u32::from(*out != NOT_FOUND);
+            }
+            self.kept.record(item.global_id, end - start, found);
+        }
+    }
+    fn cost(&self, launch: &LaunchConfig) -> KernelCost {
+        let loads = if self.inverse.is_some() { 8 } else { 4 };
+        KernelCost::new((launch.n as u64) * loads, (launch.n as u64) * 4, launch.n as u64, 0)
+    }
+    fn declared_accesses(&self, launch: &LaunchConfig) -> Option<KernelAccesses> {
+        let mut accesses = vec![
+            BufferAccess::slice_read(&self.keys, 0..launch.n),
+            BufferAccess::slice_write(&self.output, 0..launch.n),
+            BufferAccess::cells_write(&self.kept.counts, 0..launch.total_items()),
+        ];
+        if let Some(inverse) = &self.inverse {
+            accesses.push(BufferAccess::slice_read(inverse, 0..self.key.rows));
+        }
+        Some(KernelAccesses::of(accesses))
+    }
+}
+
+/// Flags the table rows some key names: `flags[key − base] = 1`. Colliding
+/// stores all write the same value: tier 1.
+struct DenseMarkKernel {
+    keys: Buffer,
+    flags: Buffer,
+    key: DenseKey,
+    n: LenSource,
+}
+
+impl Kernel for DenseMarkKernel {
+    fn name(&self) -> &str {
+        "dense_mark"
+    }
+    fn run_group(&self, group: &mut WorkGroupCtx) {
+        let n = self.n.get();
+        let keys = self.keys.as_words();
+        for run in group.runs(n) {
+            for row in keys[run].iter().filter_map(|key| self.key.row(*key as i32)) {
+                self.flags.set_u32(row, 1);
+            }
+        }
+    }
+    fn cost(&self, launch: &LaunchConfig) -> KernelCost {
+        KernelCost::new((launch.n as u64) * 4, (launch.n as u64) * 4, launch.n as u64, 0)
+    }
+    fn declared_accesses(&self, launch: &LaunchConfig) -> Option<KernelAccesses> {
+        Some(KernelAccesses::of(vec![
+            BufferAccess::slice_read(&self.keys, 0..launch.n),
+            BufferAccess::cells_write(&self.flags, 0..self.key.rows),
+        ]))
+    }
+}
+
+/// The probe of `keys` against the listed rows (every row when `None`):
+/// aligned list positions, `NOT_FOUND` for keys that name no listed row.
+fn dense_lookups(
+    ctx: &OcelotContext,
+    keys: &DevColumn<i32>,
+    listed: Option<&DevColumn<Oid>>,
+    key: DenseKey,
+    keep_found: bool,
+) -> Result<(DevColumn<Oid>, KeptCounts)> {
+    let kept = KeptCounts::alloc(ctx, keys.cap(), keep_found)?;
+    let output = ctx.alloc_uninit(keys.cap().max(1), "dense_lookups")?;
+    if keys.cap() == 0 {
+        return Ok((DevColumn::new(output, 0)?, kept));
+    }
+    let mut wait = ctx.wait_for(keys);
+    let inverse = match listed {
+        Some(listed) => {
+            let inverse = ctx.alloc(key.rows.max(1), "dense_inverse")?;
+            if listed.cap() > 0 {
+                wait.push(ctx.queue().enqueue_kernel(
+                    Arc::new(DenseInverseKernel {
+                        listed: listed.buffer.clone(),
+                        inverse: inverse.clone(),
+                        rows: key.rows,
+                        n: listed.len_source(),
+                    }),
+                    ctx.launch(listed.cap()),
+                    &ctx.wait_for(listed),
+                )?);
+            }
+            Some(inverse)
+        }
+        None => None,
+    };
+    let event = ctx.queue().enqueue_kernel(
+        Arc::new(DenseLookupKernel {
+            keys: keys.buffer.clone(),
+            inverse,
+            key,
+            output: output.clone(),
+            kept: kept.clone(),
+            n: keys.len_source(),
+        }),
+        ctx.launch(keys.cap()),
+        &wait,
+    )?;
+    ctx.memory().record_producer(&output, event);
+    ctx.memory().record_producer(&kept.counts, event);
+    Ok((DevColumn::with_len(output, keys.col_len().clone())?, kept))
+}
+
+/// The flags of the table rows `keys` name, read by the listed rows (every
+/// row when `None`): an aligned lookup column over the list positions,
+/// `NOT_FOUND` where no key names the row.
+fn listed_lookups(
+    ctx: &OcelotContext,
+    keys: &DevColumn<i32>,
+    listed: Option<&DevColumn<Oid>>,
+    key: DenseKey,
+    keep_found: bool,
+) -> Result<(DevColumn<Oid>, KeptCounts)> {
+    let len = listed.map_or(ColLen::Host(key.rows), |listed| listed.col_len().clone());
+    let kept = KeptCounts::alloc(ctx, len.cap(), keep_found)?;
+    let lookups = ctx.alloc_uninit(len.cap().max(1), "dense_listed_lookups")?;
+    if len.cap() == 0 {
+        return Ok((DevColumn::new(lookups, 0)?, kept));
+    }
+    let flags = ctx.alloc(key.rows.max(1), "dense_flags")?;
+    let mut wait = listed.map_or_else(Vec::new, |listed| ctx.wait_for(listed));
+    if keys.cap() > 0 {
+        wait.push(ctx.queue().enqueue_kernel(
+            Arc::new(DenseMarkKernel {
+                keys: keys.buffer.clone(),
+                flags: flags.clone(),
+                key,
+                n: keys.len_source(),
+            }),
+            ctx.launch(keys.cap()),
+            &ctx.wait_for(keys),
+        )?);
+    }
+    let event = ctx.queue().enqueue_kernel(
+        Arc::new(MatchedLookupKernel {
+            left_gids: listed.map(|listed| listed.buffer.clone()),
+            matched: flags,
+            lookups: lookups.clone(),
+            kept: kept.clone(),
+            n: len.source(),
+        }),
+        ctx.launch(len.cap()),
+        &wait,
+    )?;
+    ctx.memory().record_producer(&lookups, event);
+    ctx.memory().record_producer(&kept.counts, event);
+    Ok((DevColumn::with_len(lookups, len)?, kept))
+}
+
+/// Positional join of `keys` against a table whose key column is dense
+/// (`key`), restricted to its `listed` rows — every row when `None` (module
+/// docs). Returns the rows `kind` keeps — of `keys` for
+/// [`DenseJoinKind::Inner`], `Semi` and `Anti`, list positions for
+/// `ListedSemi` and `ListedAnti`, ascending — and, for `Inner`, the aligned
+/// list positions of their partners: the pairs, in the order, that
+/// [`hash_join`] returns against the listed rows' keys.
+///
+/// **Deliberate sync point:** the match count is resolved before the
+/// columns are returned (one flush), so they leave with host-known lengths.
+pub fn dense_join(
+    ctx: &OcelotContext,
+    keys: &DevColumn<i32>,
+    listed: Option<&DevColumn<Oid>>,
+    key: DenseKey,
+    kind: DenseJoinKind,
+) -> Result<(DevColumn<Oid>, Option<DevColumn<Oid>>)> {
+    let keep_found = kind.keeps_found();
+    let (lookups, kept) = match kind {
+        DenseJoinKind::Inner | DenseJoinKind::Semi | DenseJoinKind::Anti => {
+            dense_lookups(ctx, keys, listed, key, keep_found)?
+        }
+        DenseJoinKind::ListedSemi | DenseJoinKind::ListedAnti => {
+            listed_lookups(ctx, keys, listed, key, keep_found)?
+        }
+    };
+    let (rows, positions) = compact_lookups(ctx, &lookups, kept, kind == DenseJoinKind::Inner)?;
+    let matches = rows.len(ctx)?;
+    let resolved = |column: DevColumn<Oid>| DevColumn::new(column.buffer, matches);
+    Ok((resolved(rows)?, positions.map(resolved).transpose()?))
 }
 
 // ---- nested-loop theta join ----

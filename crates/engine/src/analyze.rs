@@ -32,7 +32,8 @@
 //!   whose members are all of these.
 //! * **Host-resolving** — internally resolve host values mid-plan (the
 //!   "deliberate sync points" of the operator library): hash joins
-//!   (monolithic and partitioned), semi/anti joins, grouping (its group
+//!   (monolithic and partitioned), semi/anti joins, positional joins on a
+//!   dense key (one match-count resolve each), grouping (its group
 //!   count shapes the schema), sorts (staging and the count table are
 //!   sized from the row count, so a deferred input length is resolved on
 //!   entry — the sort itself flushes nothing) and the OID-list union (host
@@ -55,6 +56,7 @@
 //! (see `crate::session`) exposes it per session, and `Session::run` plus
 //! `Scheduler` admission re-check every plan in debug builds.
 
+use crate::backend::DenseJoinKind;
 use crate::plan::{Plan, PlanError, PlanNode, PlanOp, ValueKind, Var};
 use std::borrow::Cow;
 use std::collections::HashMap;
@@ -350,6 +352,12 @@ fn signature(op: &PlanOp) -> (InputSig, Cow<'static, [ValueKind]>, FlushClass) {
             (Exact(&[COLUMN, COLUMN]), &[COLUMN, COLUMN], HostResolving)
         }
         PlanOp::SemiJoin | PlanOp::AntiJoin => (Exact(&[COLUMN, COLUMN]), &[COLUMN], HostResolving),
+        // The keys, then the dense side's row list when it has one; the
+        // match count is resolved on the host.
+        PlanOp::DenseJoin { kind: DenseJoinKind::Inner, .. } => {
+            (Select(1), &[COLUMN, COLUMN], HostResolving)
+        }
+        PlanOp::DenseJoin { .. } => (Select(1), &[COLUMN], HostResolving),
         PlanOp::GroupBy => (Keys, &[GROUP], HostResolving),
         PlanOp::GroupReps => (Exact(&[GROUP]), &[COLUMN], Streaming),
         // One result column per aggregate: the only operator whose result

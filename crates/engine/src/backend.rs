@@ -19,7 +19,8 @@
 
 use crate::plan::{PlanError, PlanNode, Registers};
 pub use ocelot_core::ops::aggregate::GroupedAgg;
-use ocelot_storage::{BatRef, CmpOp};
+pub use ocelot_core::ops::join::DenseJoinKind;
+use ocelot_storage::{BatRef, CmpOp, DenseKey};
 use ocelot_trace::{MetricsRegistry, TraceSink};
 use std::sync::Arc;
 
@@ -242,6 +243,22 @@ pub trait Backend {
         left: &Self::Column,
         right: &Self::Column,
     ) -> Result<Self::Column, PlanError>;
+    /// Positional join of `keys` against a table whose key column is dense
+    /// (`key`: value `v` is row `v − base`), restricted to its `listed` rows
+    /// (every row when `None`; distinct for [`DenseJoinKind::Inner`]) — no
+    /// key column, no hash table. Returns the rows `kind` keeps (of `keys`, or list
+    /// positions for the `Listed*` kinds, ascending) and, for
+    /// [`DenseJoinKind::Inner`], the aligned list positions of their
+    /// partners: the pairs [`Backend::pkfk_join`] returns against the
+    /// listed rows' keys, in the same order (`ocelot_core::ops::join`
+    /// module docs). Ocelot resolves the match count before returning.
+    fn dense_join(
+        &self,
+        keys: &Self::Column,
+        listed: Option<&Self::Column>,
+        key: DenseKey,
+        kind: DenseJoinKind,
+    ) -> Result<(Self::Column, Option<Self::Column>), PlanError>;
 
     // ---- grouping ----
 

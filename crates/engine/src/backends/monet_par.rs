@@ -1,12 +1,12 @@
 //! The "MP" configuration: parallel MonetDB-style execution (mitosis
 //! partitioning across all cores), backed by `ocelot_monet::parallel`.
 
-use crate::backend::{Backend, GroupHandle, GroupedAgg};
+use crate::backend::{Backend, DenseJoinKind, GroupHandle, GroupedAgg};
 use crate::backends::{HostColumn, HostView};
 use crate::plan::PlanError;
 use ocelot_monet::parallel as par;
 use ocelot_monet::sequential as seq;
-use ocelot_storage::{BatRef, CmpOp};
+use ocelot_storage::{BatRef, CmpOp, DenseKey};
 use std::sync::Arc;
 
 /// Parallel MonetDB baseline (the paper's `MP` series).
@@ -291,6 +291,31 @@ impl Backend for MonetParBackend {
             right.as_i32(),
             self.threads,
         ))))
+    }
+    fn dense_join(
+        &self,
+        keys: &HostColumn,
+        listed: Option<&HostColumn>,
+        key: DenseKey,
+        kind: DenseJoinKind,
+    ) -> Result<(HostColumn, Option<HostColumn>), PlanError> {
+        let (keys, listed, threads) =
+            (keys.as_i32(), listed.map(HostColumn::as_oids), self.threads);
+        let oids = |values: Vec<u32>| HostColumn::Oid(Arc::new(values));
+        Ok(match kind {
+            DenseJoinKind::Inner => {
+                let (rows, positions) = par::par_dense_join_i32(keys, listed, key, threads);
+                (oids(rows), Some(oids(positions)))
+            }
+            DenseJoinKind::Semi | DenseJoinKind::Anti => {
+                let keep = kind == DenseJoinKind::Semi;
+                (oids(par::par_dense_semi_join_i32(keys, listed, key, keep, threads)), None)
+            }
+            DenseJoinKind::ListedSemi | DenseJoinKind::ListedAnti => {
+                let keep = kind == DenseJoinKind::ListedSemi;
+                (oids(par::par_dense_listed_semi_join_i32(keys, listed, key, keep, threads)), None)
+            }
+        })
     }
 
     fn group_by(&self, keys: &[&HostColumn]) -> Result<GroupHandle<HostColumn>, PlanError> {

@@ -1,11 +1,11 @@
 //! The "MS" configuration: sequential MonetDB-style execution on a single
 //! CPU core, backed by the hand-tuned operators in `ocelot-monet`.
 
-use crate::backend::{Backend, GroupHandle, GroupedAgg};
+use crate::backend::{Backend, DenseJoinKind, GroupHandle, GroupedAgg};
 use crate::backends::{HostColumn, HostView};
 use crate::plan::PlanError;
 use ocelot_monet::sequential as seq;
-use ocelot_storage::{BatRef, CmpOp};
+use ocelot_storage::{BatRef, CmpOp, DenseKey};
 use std::sync::Arc;
 
 /// Sequential MonetDB baseline (the paper's `MS` series).
@@ -218,6 +218,30 @@ impl Backend for MonetSeqBackend {
     }
     fn anti_join(&self, left: &HostColumn, right: &HostColumn) -> Result<HostColumn, PlanError> {
         Ok(HostColumn::Oid(Arc::new(seq::anti_join_i32(left.as_i32(), right.as_i32()))))
+    }
+    fn dense_join(
+        &self,
+        keys: &HostColumn,
+        listed: Option<&HostColumn>,
+        key: DenseKey,
+        kind: DenseJoinKind,
+    ) -> Result<(HostColumn, Option<HostColumn>), PlanError> {
+        let (keys, listed) = (keys.as_i32(), listed.map(HostColumn::as_oids));
+        let oids = |values: Vec<u32>| HostColumn::Oid(Arc::new(values));
+        Ok(match kind {
+            DenseJoinKind::Inner => {
+                let (rows, positions) = seq::dense_join_i32(keys, listed, key);
+                (oids(rows), Some(oids(positions)))
+            }
+            DenseJoinKind::Semi | DenseJoinKind::Anti => {
+                let keep = kind == DenseJoinKind::Semi;
+                (oids(seq::dense_semi_join_i32(keys, listed, key, keep)), None)
+            }
+            DenseJoinKind::ListedSemi | DenseJoinKind::ListedAnti => {
+                let keep = kind == DenseJoinKind::ListedSemi;
+                (oids(seq::dense_listed_semi_join_i32(keys, listed, key, keep)), None)
+            }
+        })
     }
 
     fn group_by(&self, keys: &[&HostColumn]) -> Result<GroupHandle<HostColumn>, PlanError> {

@@ -10,7 +10,7 @@
 //! the eager scalar aggregates) are the single sync boundary, so a chained
 //! query pipeline performs exactly one queue flush — at the read.
 
-use crate::backend::{Backend, GroupHandle, GroupedAgg, ProfileMarker};
+use crate::backend::{Backend, DenseJoinKind, GroupHandle, GroupedAgg, ProfileMarker};
 use crate::fuse::{Program, ProgramRows, ProgramSink};
 use crate::plan::{run_members, PlanError, PlanNode, Registers};
 use ocelot_core::ops::{
@@ -22,7 +22,7 @@ use ocelot_core::{
     SharedDevice, SpillStats,
 };
 use ocelot_kernel::{DeviceKind, GpuConfig};
-use ocelot_storage::{BatRef, CmpOp};
+use ocelot_storage::{BatRef, CmpOp, DenseKey};
 use ocelot_trace::{MetricsRegistry, TraceSink};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -384,6 +384,18 @@ impl Backend for OcelotBackend {
         right: &OcelotColumn,
     ) -> Result<OcelotColumn, PlanError> {
         Ok(OcelotColumn::Oid(join::anti_join(&self.ctx, &left.as_i32(), &right.as_i32())?))
+    }
+    fn dense_join(
+        &self,
+        keys: &OcelotColumn,
+        listed: Option<&OcelotColumn>,
+        key: DenseKey,
+        kind: DenseJoinKind,
+    ) -> Result<(OcelotColumn, Option<OcelotColumn>), PlanError> {
+        let listed = listed.map(OcelotColumn::as_oid);
+        let (rows, positions) =
+            join::dense_join(&self.ctx, &keys.as_i32(), listed.as_ref(), key, kind)?;
+        Ok((OcelotColumn::Oid(rows), positions.map(OcelotColumn::Oid)))
     }
 
     fn group_by(&self, keys: &[&OcelotColumn]) -> Result<GroupHandle<OcelotColumn>, PlanError> {

@@ -60,12 +60,12 @@
 //! the protocol "one protocol, two triggers": PR 4's OOM restart is now
 //! just the reclaim-gated trigger of this loop.
 
-use crate::backend::{Backend, GroupHandle, GroupedAgg, ProfileMarker};
+use crate::backend::{Backend, DenseJoinKind, GroupHandle, GroupedAgg, ProfileMarker};
 use crate::query::Query;
 use ocelot_core::ops::hash_table::{table_capacity, table_words};
 use ocelot_core::ops::sort_radix;
 use ocelot_kernel::{FaultSite, KernelError};
-use ocelot_storage::{Catalog, CmpOp};
+use ocelot_storage::{Catalog, CmpOp, DenseKey};
 use ocelot_trace::{MetricsRegistry, NodeAction, TraceEventKind, TraceHandle};
 use std::collections::HashMap;
 use std::fmt;
@@ -311,6 +311,17 @@ pub enum PlanOp {
     SemiJoin,
     /// Anti join (`NOT EXISTS`). Inputs: `[left, right]`.
     AntiJoin,
+    /// Positional join on a dense key ([`Backend::dense_join`]): the join's
+    /// dense side is a table whose key column holds `base, base + 1, …`,
+    /// restricted to a list of its rows. Inputs: `[keys]` (the table is the
+    /// relation as it lies) or `[keys, listed]`; outputs: `[kept rows]`, or
+    /// `[kept rows, list positions]` for [`DenseJoinKind::Inner`].
+    DenseJoin {
+        /// Which rows the join keeps.
+        kind: DenseJoinKind,
+        /// The dense key: the table's first key value and row count.
+        key: DenseKey,
+    },
     /// Multi-column grouping. Inputs: the key columns; output: a grouping.
     GroupBy,
     /// Representative row OIDs of a grouping. Inputs: `[group]`.
@@ -375,6 +386,7 @@ impl PlanOp {
             PlanOp::PkFkJoinPartitioned { .. } => "pkfk_join_partitioned",
             PlanOp::SemiJoin => "semi_join",
             PlanOp::AntiJoin => "anti_join",
+            PlanOp::DenseJoin { .. } => "dense_join",
             PlanOp::GroupBy => "group_by",
             PlanOp::GroupReps => "group_reps",
             PlanOp::GroupedAggs { .. } => "grouped_aggs",
@@ -417,6 +429,9 @@ impl fmt::Display for PlanOp {
             }
             PlanOp::PkFkJoinPartitioned { ndv_hint } => {
                 write!(f, "pkfk_join_partitioned ndv~{ndv_hint}")
+            }
+            PlanOp::DenseJoin { kind, key } => {
+                write!(f, "dense_join {} base {} rows {}", kind.name(), key.base, key.rows)
             }
             // One line: what was fused, by kind, and what it ends in. The
             // members themselves are listed by [`Plan::listing`].
@@ -631,9 +646,12 @@ impl Plan {
     /// ~1.4× the build cardinality and a table covering the key range the
     /// probe rows pay for (`next_pow2(8 × build + probe)` words,
     /// `hash_table::table_words`), a grouping build twice the hash-sized
-    /// table; both add one lookup word per probe row. The radix sort
-    /// allocates four ping-pong staging buffers plus its work-group count
-    /// table (`sort_radix::scratch_bytes`: the table is
+    /// table; both add one lookup word per probe row. A positional join on
+    /// a dense key allocates a word per table row — the inverse map when it
+    /// is given a row list, the flags of a semi/anti join whose dense side
+    /// is the left one — plus one lookup word per row it looks up. The
+    /// radix sort allocates four ping-pong staging buffers plus its
+    /// work-group count table (`sort_radix::scratch_bytes`: the table is
     /// 1 KiB per 1024 rows, ≤ 64 KiB, on any device). Still an estimate,
     /// not a bound: admission budgets should keep slack.
     pub fn estimate_device_footprint(&self, catalog: &Catalog) -> usize {
@@ -660,6 +678,17 @@ impl Plan {
                 // The table the probe rows may pay for, plus their lookup
                 // word.
                 join_table(input_bytes(1) / 4, input_bytes(0) / 4) + input_bytes(0)
+            }
+            PlanOp::DenseJoin { kind, key } => {
+                let table = key.rows * 4;
+                // The rows looked up: the keys, or the listed rows reading
+                // their flags.
+                match kind {
+                    DenseJoinKind::ListedSemi | DenseJoinKind::ListedAnti => {
+                        table + node.inputs.get(1).map_or(table, |_| input_bytes(1))
+                    }
+                    _ => node.inputs.get(1).map_or(0, |_| table) + input_bytes(0),
+                }
             }
             PlanOp::PkFkJoinPartitioned { .. } => {
                 // Partition copies of both sides (keys + carried OIDs) plus
@@ -976,6 +1005,28 @@ impl PlanBuilder {
     /// Anti join (`NOT EXISTS`).
     pub fn anti_join(&mut self, left: Var, right: Var) -> Result<Var, PlanError> {
         self.binary(PlanOp::AntiJoin, left, right)
+    }
+
+    /// Positional join of `keys` against the `listed` rows of a table whose
+    /// key column is dense (`key`; every row when `listed` is `None`).
+    /// Returns the kept rows and, for [`DenseJoinKind::Inner`], the aligned
+    /// list positions.
+    pub fn dense_join(
+        &mut self,
+        kind: DenseJoinKind,
+        keys: Var,
+        listed: Option<Var>,
+        key: DenseKey,
+    ) -> Result<(Var, Option<Var>), PlanError> {
+        let mut inputs = vec![keys];
+        inputs.extend(listed);
+        self.columns(&inputs)?;
+        let rows = self.fresh(ValueKind::Column);
+        let positions = (kind == DenseJoinKind::Inner).then(|| self.fresh(ValueKind::Column));
+        let mut outputs = vec![rows];
+        outputs.extend(positions);
+        self.nodes.push(PlanNode { op: PlanOp::DenseJoin { kind, key }, inputs, outputs });
+        Ok((rows, positions))
     }
 
     /// Multi-column grouping.
@@ -1882,6 +1933,15 @@ fn exec_op<B: Backend + ?Sized>(
         PlanOp::AntiJoin => {
             Slot::Column(b.anti_join(&column(regs, 0)?, &column(regs, 1)?)?, ColKind::Oid)
         }
+        PlanOp::DenseJoin { kind, key } => {
+            let listed = regs.cands(node, 1)?;
+            let (rows, positions) =
+                b.dense_join(&column(regs, 0)?, listed.as_ref(), *key, *kind)?;
+            for (out, column) in node.outputs.iter().zip(std::iter::once(rows).chain(positions)) {
+                regs.slots.insert(*out, Slot::Column(column, ColKind::Oid));
+            }
+            return Ok(());
+        }
         PlanOp::GroupBy => {
             let keys: Vec<B::Column> =
                 node.inputs.iter().map(|var| regs.column(*var)).collect::<Result<_, _>>()?;
@@ -2339,6 +2399,15 @@ mod tests {
         fn anti_join(&self, l: &Self::Column, r: &Self::Column) -> HostResult {
             self.inner.anti_join(l, r)
         }
+        fn dense_join(
+            &self,
+            keys: &Self::Column,
+            listed: Option<&Self::Column>,
+            key: DenseKey,
+            kind: DenseJoinKind,
+        ) -> Result<(Self::Column, Option<Self::Column>), PlanError> {
+            self.inner.dense_join(keys, listed, key, kind)
+        }
         fn group_by(&self, keys: &[&Self::Column]) -> Result<GroupHandle<Self::Column>, PlanError> {
             self.inner.group_by(keys)
         }
@@ -2659,6 +2728,24 @@ mod tests {
         // next_pow2(8 · 2 000 + 2 000) = 32 768 words, more than twice the
         // 4 096-slot hash-sized table — and one lookup word per probe row.
         assert_eq!(join_plan.estimate_device_footprint(&catalog), 2 * 8_000 + 32_768 * 4 + 8_000);
+
+        // A positional join charges a word per table row for its inverse map
+        // (only when it is given a row list) or its flags, plus a lookup word
+        // per row it looks up: the keys, or the listed rows (every table
+        // row without a list) reading their flags. 10 000 keys, 100 listed
+        // rows, a 2 000-row table.
+        let key = DenseKey { base: -7, rows: 2_000 };
+        let sizes: HashMap<Var, usize> = [(0, 40_000), (1, 400)].into_iter().collect();
+        let scratch = |kind, inputs: Vec<Var>| {
+            let op = PlanOp::DenseJoin { kind, key };
+            Plan::scratch_bytes(&PlanNode { op, inputs, outputs: vec![2] }, &sizes)
+        };
+        assert_eq!(scratch(DenseJoinKind::Inner, vec![0]), 40_000);
+        assert_eq!(scratch(DenseJoinKind::Inner, vec![0, 1]), 8_000 + 40_000);
+        assert_eq!(scratch(DenseJoinKind::Anti, vec![0, 1]), 8_000 + 40_000);
+        assert_eq!(scratch(DenseJoinKind::Semi, vec![0]), 40_000);
+        assert_eq!(scratch(DenseJoinKind::ListedSemi, vec![0, 1]), 8_000 + 400);
+        assert_eq!(scratch(DenseJoinKind::ListedAnti, vec![0]), 8_000 + 8_000);
     }
 
     #[test]

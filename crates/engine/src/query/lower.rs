@@ -4,10 +4,10 @@
 //! The lowerer owns every physical decision (module docs in
 //! [`super`]): selection operator choice with candidate-list chaining
 //! (column-vs-column comparisons and `IN` lists are single selections;
-//! only a genuine `OR` unions candidate lists), the hash-join build side,
-//! which join sides get position lists at all, one fused aggregate node per
-//! grouping, and the materialisation order around groupings and sorts. Each
-//! decision appends a note rendered by
+//! only a genuine `OR` unions candidate lists), the join build side and its
+//! algorithm, which join sides get position lists at all, one fused
+//! aggregate node per grouping, and the materialisation order around
+//! groupings and sorts. Each decision appends a note rendered by
 //! [`super::Query::explain`]. The node list is then handed to
 //! [`crate::fuse::fuse_plan`] ([`RewriteConfig::fuse`]), which collapses its
 //! streaming regions into `pipeline` nodes.
@@ -22,14 +22,26 @@
 //! operators are built for); after joins they lower as **positional
 //! selections** over materialised columns, and the whole relation is
 //! re-aligned through the resulting position list.
+//!
+//! A join whose build side's key is a **dense** base column of one of that
+//! side's tables (`Bat::dense_base`, decided from the data: `base, base + 1,
+//! …`) lowers to one `dense_join` node: its inputs are the other side's key
+//! and that table's OID column (none while the side is the table's
+//! identity), and the node carries the key's base and the table's row
+//! count. The dense key itself is never bound or fetched, and no
+//! partitioning decision is taken — the node's scratch is a word per table
+//! row. Semi and anti joins take the same path with the dense key on
+//! either side. Every other join — a sparse key (official TPC-H's
+//! `o_orderkey`), a computed key, a non-key column — is a hash join,
+//! lowered as it always was. `explain()` names the path each join took.
 
 use super::rewrite::{available_columns, classify, column_stats, selectivity, Atom, ColTy, Pred};
 use super::{AggFunc, AggSpec, JoinKind, Logical, QueryBuildError, RewriteConfig};
-use crate::backend::GroupedAgg;
+use crate::backend::{DenseJoinKind, GroupedAgg};
 use crate::plan::{Plan, PlanBuilder, Var};
 use crate::query::expr::Expr;
 use ocelot_core::partition::hash_table_bytes;
-use ocelot_storage::Catalog;
+use ocelot_storage::{Catalog, DenseKey};
 use std::collections::{HashMap, HashSet};
 
 /// The result of lowering: the physical plan plus the decision notes.
@@ -585,27 +597,44 @@ impl<'a> Lower<'a> {
         }
         let mut lrel = self.node(left, &left_needed)?;
         let mut rrel = self.node(right, &right_needed)?;
-
-        let (lk, lty) = self.materialize(&mut lrel, left_key)?;
-        let (rk, rty) = self.materialize(&mut rrel, right_key)?;
-        if lty != ColTy::I32 || rty != ColTy::I32 {
-            return Err(QueryBuildError::Unsupported(format!(
-                "join keys {left_key} = {right_key} must both be integer columns"
-            )));
-        }
+        let on = format!("{left_key} = {right_key}");
 
         match kind {
             JoinKind::Semi | JoinKind::Anti => {
-                let pos = match kind {
-                    JoinKind::Semi => self.p.semi_join(lk, rk)?,
-                    _ => self.p.anti_join(lk, rk)?,
+                let semi = kind == JoinKind::Semi;
+                let what = if semi { "semi join" } else { "anti join" };
+                // A dense side is positions: its key is never read.
+                let pos = if let Some((key, listed)) = self.dense_key(&rrel, right_key) {
+                    let probe = self.join_key(&mut lrel, left_key, &on)?;
+                    let kind = if semi { DenseJoinKind::Semi } else { DenseJoinKind::Anti };
+                    self.notes.push(format!(
+                        "{what} {on}: {right_key} is dense (base {}, {} rows) — positional probe \
+                         of {left_key}, no hash table",
+                        key.base, key.rows
+                    ));
+                    self.p.dense_join(kind, probe, listed, key)?.0
+                } else if let Some((key, listed)) = self.dense_key(&lrel, left_key) {
+                    let marks = self.join_key(&mut rrel, right_key, &on)?;
+                    let kind =
+                        if semi { DenseJoinKind::ListedSemi } else { DenseJoinKind::ListedAnti };
+                    self.notes.push(format!(
+                        "{what} {on}: {left_key} is dense (base {}, {} rows) — {right_key} flags \
+                         the rows it names, the left rows read their flag, no hash table",
+                        key.base, key.rows
+                    ));
+                    self.p.dense_join(kind, marks, listed, key)?.0
+                } else {
+                    let lk = self.join_key(&mut lrel, left_key, &on)?;
+                    let rk = self.join_key(&mut rrel, right_key, &on)?;
+                    let pos =
+                        if semi { self.p.semi_join(lk, rk)? } else { self.p.anti_join(lk, rk)? };
+                    self.notes.push(format!(
+                        "{what} {on}: hash build on the right (est {:.0} rows), probe keeps left \
+                         rows",
+                        rrel.rows
+                    ));
+                    pos
                 };
-                self.notes.push(format!(
-                    "{} {left_key} = {right_key}: hash build on the right (est {:.0} rows), \
-                     probe keeps left rows",
-                    if kind == JoinKind::Semi { "semi join" } else { "anti join" },
-                    rrel.rows
-                ));
                 self.trim_tables(&mut lrel, needed);
                 self.remap(&mut lrel, pos)?;
                 lrel.rows = (lrel.rows * 0.5).max(1.0);
@@ -620,8 +649,8 @@ impl<'a> Lower<'a> {
                     (true, true) => {
                         let build_right = rrel.rows <= lrel.rows;
                         self.notes.push(format!(
-                            "join {left_key} = {right_key}: both keys unique — build side by \
-                             estimated cardinality: {} (est {:.0} vs {:.0} rows)",
+                            "join {on}: both keys unique — build side by estimated cardinality: \
+                             {} (est {:.0} vs {:.0} rows)",
                             if build_right { "right" } else { "left" },
                             rrel.rows,
                             lrel.rows
@@ -635,79 +664,8 @@ impl<'a> Lower<'a> {
                         })
                     }
                 };
-                // Out-of-core choice: when the monolithic join's working set
-                // would claim more than a quarter of the device budget,
-                // lower the partitioned hybrid hash join — planned spilling
-                // replaces the OOM-restart protocol as this join's way of
-                // surviving memory pressure (the restart path stays as the
-                // backstop for estimation misses). The working set is sized
-                // for the *base* cardinalities, not the post-filter
-                // estimates: selectivity guesses are the least reliable
-                // statistic, and an under-provisioned monolithic join faults
-                // at runtime, while an over-provisioned partitioned join
-                // merely spills a little. The quarter share mirrors the
-                // execution-side `SpillPool` sizing — the join lives on the
-                // device alongside the plan's pinned base columns and the
-                // other operators' scratch.
-                let (build_rows_est, probe_rows_est) = if build_right {
-                    (
-                        self.base_rows_of_key(&rrel, right_key),
-                        self.base_rows_of_key(&lrel, left_key),
-                    )
-                } else {
-                    (
-                        self.base_rows_of_key(&lrel, left_key),
-                        self.base_rows_of_key(&rrel, right_key),
-                    )
-                };
-                let ndv_hint = if build_right {
-                    self.base_ndv_of_key(&rrel, right_key)
-                } else {
-                    self.base_ndv_of_key(&lrel, left_key)
-                };
-                let partitioned = match self.cfg.device_budget {
-                    Some(budget) => {
-                        join_working_set_bytes(build_rows_est, probe_rows_est) * 4 > budget
-                    }
-                    None => false,
-                };
-                let (lpos, rpos) = if build_right {
-                    if partitioned {
-                        self.notes.push(format!(
-                            "pkfk join {left_key} = {right_key}: PARTITIONED hybrid hash — \
-                             base working set {} B exceeds a quarter of the device budget; \
-                             build on right (est {:.0} rows, ndv~{ndv_hint}), spill-capable",
-                            join_working_set_bytes(build_rows_est, probe_rows_est),
-                            rrel.rows
-                        ));
-                        self.p.pkfk_join_partitioned(lk, rk, ndv_hint)?
-                    } else {
-                        self.notes.push(format!(
-                            "pkfk join {left_key} = {right_key}: build on right (unique \
-                             {right_key}, est {:.0} rows), probe left (est {:.0} rows)",
-                            rrel.rows, lrel.rows
-                        ));
-                        self.p.pkfk_join(lk, rk)?
-                    }
-                } else if partitioned {
-                    self.notes.push(format!(
-                        "pkfk join {left_key} = {right_key}: PARTITIONED hybrid hash — base \
-                         working set {} B exceeds a quarter of the device budget; build on left \
-                         (est {:.0} rows, ndv~{ndv_hint}), spill-capable",
-                        join_working_set_bytes(build_rows_est, probe_rows_est),
-                        lrel.rows
-                    ));
-                    let (rpos, lpos) = self.p.pkfk_join_partitioned(rk, lk, ndv_hint)?;
-                    (lpos, rpos)
-                } else {
-                    self.notes.push(format!(
-                        "pkfk join {left_key} = {right_key}: build on left (unique \
-                         {left_key}, est {:.0} rows), probe right (est {:.0} rows)",
-                        lrel.rows, rrel.rows
-                    ));
-                    let (rpos, lpos) = self.p.pkfk_join(rk, lk)?;
-                    (lpos, rpos)
-                };
+                let (lpos, rpos) =
+                    self.pkfk_join(&mut lrel, left_key, &mut rrel, right_key, build_right, &on)?;
                 // Probe-side rows survive at most once each; estimate the
                 // match rate from the build side's restriction.
                 let (probe_rows, build_rel_rows, build_table_rows) = if build_right {
@@ -759,6 +717,121 @@ impl<'a> Lower<'a> {
         }
     }
 
+    /// One PK-FK join whose build side is the right one (`build_right`) or
+    /// the left one, its key unique there: the aligned `(left positions,
+    /// right positions)`. A dense build key is positions already — a
+    /// positional probe through the build side's row list, with no key
+    /// bind, no hash table and no partitioning decision (its scratch is a
+    /// word per table row). Otherwise a hash join, partitioned when the
+    /// device budget says so.
+    #[allow(clippy::too_many_arguments)]
+    fn pkfk_join(
+        &mut self,
+        lrel: &mut Rel,
+        left_key: &str,
+        rrel: &mut Rel,
+        right_key: &str,
+        build_right: bool,
+        on: &str,
+    ) -> Result<(Var, Var), QueryBuildError> {
+        let aligned = |probe_pos, build_pos| match build_right {
+            true => (probe_pos, build_pos),
+            false => (build_pos, probe_pos),
+        };
+        let (build, build_key, probe, probe_key) = match build_right {
+            true => (&*rrel, right_key, &*lrel, left_key),
+            false => (&*lrel, left_key, &*rrel, right_key),
+        };
+        if let Some((key, listed)) = self.dense_key(build, build_key) {
+            self.notes.push(format!(
+                "dense join {on}: {build_key} is dense (base {}, {} rows) — positional probe of \
+                 {probe_key} (est {:.0} rows) through the {} rows, no key fetch, no hash table",
+                key.base,
+                key.rows,
+                probe.rows,
+                if listed.is_some() { "listed" } else { "table's" },
+            ));
+            let fk = match build_right {
+                true => self.join_key(lrel, left_key, on)?,
+                false => self.join_key(rrel, right_key, on)?,
+            };
+            let (probe_pos, Some(build_pos)) =
+                self.p.dense_join(DenseJoinKind::Inner, fk, listed, key)?
+            else {
+                unreachable!("an inner dense join outputs the list positions")
+            };
+            return Ok(aligned(probe_pos, build_pos));
+        }
+        let lk = self.join_key(lrel, left_key, on)?;
+        let rk = self.join_key(rrel, right_key, on)?;
+        let (fk, pk, build, build_key, probe, probe_key) = match build_right {
+            true => (lk, rk, &*rrel, right_key, &*lrel, left_key),
+            false => (rk, lk, &*lrel, left_key, &*rrel, right_key),
+        };
+        // Out-of-core choice: when the monolithic join's working set would
+        // claim more than a quarter of the device budget, lower the
+        // partitioned hybrid hash join — planned spilling replaces the
+        // OOM-restart protocol as this join's way of surviving memory
+        // pressure (the restart path stays as the backstop for estimation
+        // misses). The working set is sized for the *base* cardinalities,
+        // not the post-filter estimates: selectivity guesses are the least
+        // reliable statistic, and an under-provisioned monolithic join
+        // faults at runtime, while an over-provisioned partitioned join
+        // merely spills a little. The quarter share mirrors the
+        // execution-side `SpillPool` sizing — the join lives on the device
+        // alongside the plan's pinned base columns and the other operators'
+        // scratch.
+        let working_set = join_working_set_bytes(
+            self.base_rows_of_key(build, build_key),
+            self.base_rows_of_key(probe, probe_key),
+        );
+        let ndv_hint = self.base_ndv_of_key(build, build_key);
+        let (side, other) = if build_right { ("right", "left") } else { ("left", "right") };
+        let (build_rows, probe_rows) = (build.rows, probe.rows);
+        let (probe_pos, build_pos) =
+            if self.cfg.device_budget.is_some_and(|budget| working_set * 4 > budget) {
+                self.notes.push(format!(
+                    "pkfk join {on}: PARTITIONED hybrid hash — base working set {working_set} B \
+                     exceeds a quarter of the device budget; build on {side} (est \
+                     {build_rows:.0} rows, ndv~{ndv_hint}), spill-capable"
+                ));
+                self.p.pkfk_join_partitioned(fk, pk, ndv_hint)?
+            } else {
+                self.notes.push(format!(
+                    "pkfk join {on}: build on {side} (unique {build_key}, est {build_rows:.0} \
+                     rows), probe {other} (est {probe_rows:.0} rows)"
+                ));
+                self.p.pkfk_join(fk, pk)?
+            };
+        Ok(aligned(probe_pos, build_pos))
+    }
+
+    /// A join key as an integer column of `rel`.
+    fn join_key(&mut self, rel: &mut Rel, key: &str, on: &str) -> Result<Var, QueryBuildError> {
+        match self.materialize(rel, key)? {
+            (var, ColTy::I32) => Ok(var),
+            _ => Err(QueryBuildError::Unsupported(format!(
+                "join keys {on} must both be integer columns"
+            ))),
+        }
+    }
+
+    /// `key` as a dense base column of one of `rel`'s tables
+    /// ([`ocelot_storage::Bat::dense_base`], decided from the data), with the
+    /// row list aligning that table to `rel`'s rows (`None`: `rel` is the
+    /// table as it lies). `None` for a computed key or a column that is not
+    /// dense.
+    fn dense_key(&self, rel: &Rel, key: &str) -> Option<(DenseKey, Option<Var>)> {
+        if rel.cols.get(key).is_some_and(|col| !col.refetchable) {
+            return None;
+        }
+        rel.tables.iter().find_map(|(table, listed)| {
+            let bat = self.catalog.column(table, key)?;
+            let key = bat.dense_base().map(|base| DenseKey { base, rows: bat.len() });
+            Some(key.map(|key| (key, *listed)))
+        })?
+    }
+
     /// Distinct-count estimate behind a key column (partition sizing for
     /// the out-of-core join); falls back to the relation's row estimate
     /// for computed keys.
@@ -775,8 +848,8 @@ impl<'a> Lower<'a> {
     /// falls back to the relation's own estimate for computed keys.
     fn base_rows_of_key(&self, rel: &Rel, key: &str) -> f64 {
         for (table, _) in &rel.tables {
-            if self.catalog.column(table, key).is_some() {
-                return column_stats(self.catalog, table, key).rows as f64;
+            if let Some(bat) = self.catalog.column(table, key) {
+                return bat.len() as f64;
             }
         }
         rel.rows

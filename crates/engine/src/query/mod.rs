@@ -45,8 +45,12 @@
 //!   re-selections over materialised columns after a join;
 //! * how a grouping's aggregates run — one fused `grouped_aggs` node per
 //!   `GROUP BY`, whatever the number of aggregates;
-//! * the *join build side* — the unique-key side builds the hash table;
-//!   when both keys are unique the smaller (estimated) side builds;
+//! * the *join build side* — the unique-key side builds; when both keys
+//!   are unique the smaller (estimated) side builds;
+//! * the *join algorithm* — a build key that is a dense base column (its
+//!   values are row ids plus a base, decided from the data) is a
+//!   positional `dense_join`, with no key fetch and no hash table; any
+//!   other build key builds a hash table;
 //! * which *join sides survive* — position lists for tables no downstream
 //!   operator reads are never materialised;
 //! * where `LIMIT` runs — there is no device top-k operator, so `Limit` is

@@ -93,8 +93,6 @@ impl Default for RewriteConfig {
 /// Per-column summary statistics for selectivity estimation.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct ColStats {
-    /// Number of rows.
-    pub rows: usize,
     /// Minimum value (as f64, covering i32 and f32 columns).
     pub min: f64,
     /// Maximum value.
@@ -111,9 +109,9 @@ pub(crate) fn column_stats(catalog: &Catalog, table: &str, column: &str) -> ColS
     match catalog.column(table, column) {
         Some(bat) => {
             let summary = bat.summary();
-            ColStats { rows: bat.len(), min: summary.min, max: summary.max, ndv: summary.ndv }
+            ColStats { min: summary.min, max: summary.max, ndv: summary.ndv }
         }
-        None => ColStats { rows: 0, min: 0.0, max: 0.0, ndv: 1 },
+        None => ColStats { min: 0.0, max: 0.0, ndv: 1 },
     }
 }
 

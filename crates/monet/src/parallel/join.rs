@@ -1,9 +1,21 @@
 //! Parallel joins: the hash table is built once (sequentially, like
-//! MonetDB), the probe side is partitioned across threads.
+//! MonetDB), the probe side is partitioned across threads. The positional
+//! joins on a dense key build their inverse map or row flags the same way
+//! and probe the same way.
 
 use super::partition::run_partitions;
 use crate::hash_table::MonetHashTable;
-use ocelot_storage::Oid;
+use crate::sequential::join::{dense_flags, flagged_positions, DenseProbe};
+use ocelot_storage::{DenseKey, Oid};
+
+/// Concatenates per-partition OID lists into one, allocated once.
+fn concat(parts: Vec<Vec<Oid>>) -> Vec<Oid> {
+    let mut all = Vec::with_capacity(parts.iter().map(Vec::len).sum());
+    for part in parts {
+        all.extend(part);
+    }
+    all
+}
 
 /// Parallel hash equi-join (build over `right`, parallel probe over `left`).
 pub fn par_hash_join_i32(left: &[i32], right: &[i32], threads: usize) -> (Vec<Oid>, Vec<Oid>) {
@@ -86,6 +98,49 @@ pub fn par_anti_join_i32(left: &[i32], right: &[i32], threads: usize) -> Vec<Oid
     .collect()
 }
 
+/// Parallel [`crate::sequential::dense_join_i32`].
+pub fn par_dense_join_i32(
+    values: &[i32],
+    listed: Option<&[Oid]>,
+    key: DenseKey,
+    threads: usize,
+) -> (Vec<Oid>, Vec<Oid>) {
+    let probe = DenseProbe::new(listed, key);
+    let parts =
+        run_partitions(values.len(), threads, |start, end| probe.join(&values[start..end], start));
+    let (rows, positions): (Vec<_>, Vec<_>) = parts.into_iter().unzip();
+    (concat(rows), concat(positions))
+}
+
+/// Parallel [`crate::sequential::dense_semi_join_i32`].
+pub fn par_dense_semi_join_i32(
+    values: &[i32],
+    listed: Option<&[Oid]>,
+    key: DenseKey,
+    keep_found: bool,
+    threads: usize,
+) -> Vec<Oid> {
+    let probe = DenseProbe::new(listed, key);
+    concat(run_partitions(values.len(), threads, |start, end| {
+        probe.semi(&values[start..end], start, keep_found)
+    }))
+}
+
+/// Parallel [`crate::sequential::dense_listed_semi_join_i32`].
+pub fn par_dense_listed_semi_join_i32(
+    values: &[i32],
+    listed: Option<&[Oid]>,
+    key: DenseKey,
+    keep_found: bool,
+    threads: usize,
+) -> Vec<Oid> {
+    let flags = dense_flags(values, key);
+    let positions = listed.map_or(key.rows, <[Oid]>::len);
+    concat(run_partitions(positions, threads, |start, end| {
+        flagged_positions(&flags, listed, start, end, keep_found)
+    }))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -128,6 +183,29 @@ mod tests {
         let right = keys(100, 150);
         assert_eq!(par_semi_join_i32(&left, &right, 4), sequential::semi_join_i32(&left, &right));
         assert_eq!(par_anti_join_i32(&left, &right, 4), sequential::anti_join_i32(&left, &right));
+    }
+
+    #[test]
+    fn dense_joins_match_sequential() {
+        let key = DenseKey { base: 7, rows: 300 };
+        let values = keys(4_000, 400);
+        let listed: Vec<Oid> = (0..300).rev().step_by(3).collect();
+        for listed in [None, Some(&listed[..])] {
+            for threads in [1, 3] {
+                let joined = par_dense_join_i32(&values, listed, key, threads);
+                assert_eq!(joined, sequential::dense_join_i32(&values, listed, key));
+                for keep in [true, false] {
+                    assert_eq!(
+                        par_dense_semi_join_i32(&values, listed, key, keep, threads),
+                        sequential::dense_semi_join_i32(&values, listed, key, keep)
+                    );
+                    assert_eq!(
+                        par_dense_listed_semi_join_i32(&values, listed, key, keep, threads),
+                        sequential::dense_listed_semi_join_i32(&values, listed, key, keep)
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -1,8 +1,17 @@
-//! Sequential join operators: hash equi-join, PK-FK join, semi/anti join and
-//! a nested-loop theta join.
+//! Sequential join operators: hash equi-join, PK-FK join, semi/anti join,
+//! their positional forms on a dense key, and a nested-loop theta join.
+//!
+//! A **dense key** column holds `base, base + 1, …` (`Bat::dense_base`), so a
+//! value names its row by arithmetic — MonetDB's void head, which needs no
+//! hash table. The relation on the dense side is the column's table
+//! restricted to a list of its rows (`listed`; every row when `None`). A
+//! positional join maps each value to the position of its row in that list
+//! through an inverse map of the table's rows; a semi/anti join whose left
+//! side is the dense one flags the rows the right values name and reads
+//! the flags of the listed rows.
 
 use crate::hash_table::MonetHashTable;
-use ocelot_storage::Oid;
+use ocelot_storage::{DenseKey, Oid};
 
 /// Hash equi-join: returns every matching `(left_oid, right_oid)` pair as a
 /// pair of aligned OID columns. The hash table is built over the right
@@ -55,6 +64,133 @@ pub fn anti_join_i32(left: &[i32], right: &[i32]) -> Vec<Oid> {
         .filter(|(_, key)| !table.contains(**key))
         .map(|(row, _)| row as Oid)
         .collect()
+}
+
+/// Where a value lands among the listed rows of a dense key: the position
+/// of its row in the list, or the row itself when every row is listed.
+pub(crate) struct DenseProbe {
+    key: DenseKey,
+    /// Position + 1 of every listed row, 0 for the others; `None` when
+    /// every row is listed.
+    inverse: Option<Vec<u32>>,
+}
+
+impl DenseProbe {
+    pub(crate) fn new(listed: Option<&[Oid]>, key: DenseKey) -> DenseProbe {
+        let inverse = listed.map(|listed| {
+            let mut inverse = vec![0u32; key.rows];
+            for (position, &row) in listed.iter().enumerate() {
+                inverse[row as usize] = position as u32 + 1;
+            }
+            inverse
+        });
+        DenseProbe { key, inverse }
+    }
+
+    #[inline]
+    fn find(&self, value: i32) -> Option<Oid> {
+        let row = self.key.row(value)?;
+        match &self.inverse {
+            Some(inverse) => inverse[row].checked_sub(1),
+            None => Some(row as Oid),
+        }
+    }
+
+    /// The `(value row, list position)` pairs of `values`, whose first row
+    /// is `first`. The pairs are counted first, so each output is allocated
+    /// once, at its length.
+    pub(crate) fn join(&self, values: &[i32], first: usize) -> (Vec<Oid>, Vec<Oid>) {
+        let pairs = values.iter().filter(|value| self.find(**value).is_some()).count();
+        let mut rows = Vec::with_capacity(pairs);
+        let mut positions = Vec::with_capacity(pairs);
+        for (row, &value) in (first..).zip(values) {
+            if let Some(position) = self.find(value) {
+                rows.push(row as Oid);
+                positions.push(position);
+            }
+        }
+        (rows, positions)
+    }
+
+    /// The rows of `values` (the first is `first`) whose value names a
+    /// listed row (`keep_found`) or does not.
+    pub(crate) fn semi(&self, values: &[i32], first: usize, keep_found: bool) -> Vec<Oid> {
+        collect_exact(
+            (first..)
+                .zip(values)
+                .filter(|(_, value)| self.find(**value).is_some() == keep_found)
+                .map(|(row, _)| row as Oid),
+        )
+    }
+}
+
+/// Collects `oids` into a vector allocated once, at its length: the
+/// iterator runs twice, counting first.
+fn collect_exact(oids: impl Iterator<Item = Oid> + Clone) -> Vec<Oid> {
+    let mut collected = Vec::with_capacity(oids.clone().count());
+    collected.extend(oids);
+    collected
+}
+
+/// Flags the rows of a dense key that some value names.
+pub(crate) fn dense_flags(values: &[i32], key: DenseKey) -> Vec<bool> {
+    let mut flags = vec![false; key.rows];
+    for row in values.iter().filter_map(|value| key.row(*value)) {
+        flags[row] = true;
+    }
+    flags
+}
+
+/// The positions `start..end` of the list (of the rows, when every row is
+/// listed) whose row is flagged (`keep_found`) or is not.
+pub(crate) fn flagged_positions(
+    flags: &[bool],
+    listed: Option<&[Oid]>,
+    start: usize,
+    end: usize,
+    keep_found: bool,
+) -> Vec<Oid> {
+    let flagged = |position: usize| match listed {
+        Some(listed) => flags[listed[position] as usize],
+        None => flags[position],
+    };
+    collect_exact((start..end).filter(|p| flagged(*p) == keep_found).map(|p| p as Oid))
+}
+
+/// PK-FK join against a dense key: for every value that names one of the
+/// `listed` rows (listed rows are distinct), `(value row, list position)`,
+/// in value order — the pairs [`pkfk_join_i32`] returns against the listed
+/// rows' keys, with no table.
+pub fn dense_join_i32(
+    values: &[i32],
+    listed: Option<&[Oid]>,
+    key: DenseKey,
+) -> (Vec<Oid>, Vec<Oid>) {
+    DenseProbe::new(listed, key).join(values, 0)
+}
+
+/// Semi (`keep_found`) or anti join of `values` against the `listed` rows
+/// of a dense key: the value rows kept, ascending.
+pub fn dense_semi_join_i32(
+    values: &[i32],
+    listed: Option<&[Oid]>,
+    key: DenseKey,
+    keep_found: bool,
+) -> Vec<Oid> {
+    DenseProbe::new(listed, key).semi(values, 0, keep_found)
+}
+
+/// Semi (`keep_found`) or anti join whose *left* side is the dense key: the
+/// positions of the `listed` rows (the rows, when `None`) that some value
+/// names — or that none does — ascending.
+pub fn dense_listed_semi_join_i32(
+    values: &[i32],
+    listed: Option<&[Oid]>,
+    key: DenseKey,
+    keep_found: bool,
+) -> Vec<Oid> {
+    let end = listed.map_or(key.rows, <[Oid]>::len);
+    flagged_positions(&dense_flags(values, key), listed, 0, end, keep_found)
 }
 
 /// Nested-loop theta join: every `(left_oid, right_oid)` pair for which
@@ -110,6 +246,34 @@ mod tests {
         assert_eq!(semi, vec![1, 3]);
         assert_eq!(anti, vec![0, 2, 4]);
         assert_eq!(semi.len() + anti.len(), left.len());
+    }
+
+    #[test]
+    fn dense_joins_equal_the_hash_joins_over_the_listed_keys() {
+        let key = DenseKey { base: -3, rows: 8 };
+        let table_keys: Vec<i32> = (-3..5).collect();
+        let values = vec![4, -3, 9, 0, 0, -4, 2, i32::MIN];
+        for listed in [None, Some(vec![]), Some(vec![6, 0, 3, 7])] {
+            let keys: Vec<i32> = match &listed {
+                Some(rows) => rows.iter().map(|row| table_keys[*row as usize]).collect(),
+                None => table_keys.clone(),
+            };
+            let listed = listed.as_deref();
+            let expected = pkfk_join_i32(&values, &MonetHashTable::build(&keys));
+            assert_eq!(dense_join_i32(&values, listed, key), expected);
+            assert_eq!(
+                dense_semi_join_i32(&values, listed, key, true),
+                semi_join_i32(&values, &keys)
+            );
+            assert_eq!(
+                dense_semi_join_i32(&values, listed, key, false),
+                anti_join_i32(&values, &keys)
+            );
+            let listed_semi = dense_listed_semi_join_i32(&values, listed, key, true);
+            assert_eq!(listed_semi, semi_join_i32(&keys, &values));
+            let listed_anti = dense_listed_semi_join_i32(&values, listed, key, false);
+            assert_eq!(listed_anti, anti_join_i32(&keys, &values));
+        }
     }
 
     #[test]

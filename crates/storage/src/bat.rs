@@ -12,6 +12,10 @@
 //! * `summary` — min/max and a sampled distinct count of the tail, computed
 //!   on first request and kept with the (immutable) BAT, so query
 //!   compilation scans a column for them once, not once per compile,
+//! * `dense_base` — whether the tail is `base, base + 1, …` (MonetDB's
+//!   dense "void" column: value `v` *is* row `v − base`), decided from the
+//!   data on first request and kept like the summary — a property of the
+//!   values, never a hint,
 //! * `ocelot_owned` — the flag the paper added to MonetDB's BAT descriptor
 //!   (§4.3): while set, the BAT's contents live in a device buffer managed
 //!   by Ocelot's Memory Manager and MonetDB must not touch it until an
@@ -65,6 +69,25 @@ pub struct BatSummary {
     pub ndv: usize,
 }
 
+/// The shape of a dense key column ([`Bat::dense_base`]): its `rows` rows
+/// hold `base, base + 1, …`, so key `v` names row `v − base`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct DenseKey {
+    /// The value of row 0.
+    pub base: i32,
+    /// The column's row count.
+    pub rows: usize,
+}
+
+impl DenseKey {
+    /// The row key `value` names, if it lies in `base .. base + rows`.
+    #[inline]
+    pub fn row(self, value: i32) -> Option<usize> {
+        let offset = (value as u32).wrapping_sub(self.base as u32) as usize;
+        (offset < self.rows).then_some(offset)
+    }
+}
+
 /// A single column (BAT) with MonetDB-style descriptor flags.
 #[derive(Debug)]
 pub struct Bat {
@@ -74,6 +97,7 @@ pub struct Bat {
     sorted: bool,
     key: bool,
     summary: OnceLock<BatSummary>,
+    dense_base: OnceLock<Option<i32>>,
     ocelot_owned: AtomicBool,
 }
 
@@ -97,6 +121,7 @@ impl Bat {
             sorted: false,
             key: false,
             summary: OnceLock::new(),
+            dense_base: OnceLock::new(),
             ocelot_owned: AtomicBool::new(false),
         }
     }
@@ -110,6 +135,7 @@ impl Bat {
             sorted: false,
             key: false,
             summary: OnceLock::new(),
+            dense_base: OnceLock::new(),
             ocelot_owned: AtomicBool::new(false),
         }
     }
@@ -123,6 +149,7 @@ impl Bat {
             sorted: false,
             key: false,
             summary: OnceLock::new(),
+            dense_base: OnceLock::new(),
             ocelot_owned: AtomicBool::new(false),
         }
     }
@@ -186,6 +213,27 @@ impl Bat {
     /// asserting that a warm compile scans nothing).
     pub fn has_summary(&self) -> bool {
         self.summary.get().is_some()
+    }
+
+    /// `Some(base)` when the tail is `base, base + 1, …, base + len − 1`
+    /// with no `i32` overflow: the column is dense, and value `v` is row
+    /// `v − base`. Only an integer-word tail can be dense (never a float or
+    /// an OID column), and an empty one is not. Decided from the data by
+    /// one scan — stopping at the first value out of step — on the first
+    /// call only; the tail never changes.
+    pub fn dense_base(&self) -> Option<i32> {
+        *self.dense_base.get_or_init(|| {
+            let values = self.as_i32()?;
+            let base = *values.first()?;
+            let last = base.checked_add(i32::try_from(values.len() - 1).ok()?)?;
+            values.iter().copied().eq(base..=last).then_some(base)
+        })
+    }
+
+    /// Whether [`Bat::dense_base`] has been decided (observability for tests
+    /// asserting that a warm compile scans nothing).
+    pub fn has_dense_base(&self) -> bool {
+        self.dense_base.get().is_some()
     }
 
     fn compute_summary(&self) -> BatSummary {
@@ -288,6 +336,7 @@ impl Clone for Bat {
             sorted: self.sorted,
             key: self.key,
             summary: self.summary.clone(),
+            dense_base: self.dense_base.clone(),
             ocelot_owned: AtomicBool::new(self.is_ocelot_owned()),
         }
     }

@@ -6,7 +6,8 @@
 //! reproduction:
 //!
 //! * [`Bat`] — a single column with MonetDB-style descriptor flags
-//!   (`sorted`, `key`, and the `ocelot_owned` flag the paper adds in §4.3),
+//!   (`sorted`, `key`, and the `ocelot_owned` flag the paper adds in §4.3)
+//!   and the data-decided density of a key column ([`DenseKey`]),
 //!   backed by 128-byte-aligned storage ([`alignment::AlignedVec`], matching
 //!   the SSE-alignment change the paper made to MonetDB's allocator).
 //! * [`ColumnType`] / [`Value`] — the supported four-byte data types:
@@ -29,7 +30,7 @@ pub mod dictionary;
 pub mod types;
 
 pub use alignment::AlignedVec;
-pub use bat::{Bat, BatRef, BatSummary, ColumnData};
+pub use bat::{Bat, BatRef, BatSummary, ColumnData, DenseKey};
 pub use catalog::{Catalog, Table};
 pub use chunked::{ChunkData, ChunkSource, ChunkedColumn, ChunkedTable, RowGroup};
 pub use dictionary::StringDictionary;

@@ -35,8 +35,8 @@
 
 use ocelot_storage::types::date_to_days;
 use ocelot_storage::{
-    Catalog, ChunkData, ChunkSource, ChunkedColumn, ChunkedTable, ColumnType, RowGroup,
-    StringDictionary,
+    Bat, Catalog, ChunkData, ChunkSource, ChunkedColumn, ChunkedTable, ColumnType, RowGroup,
+    StringDictionary, Table,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -643,6 +643,34 @@ impl TpchDb {
     pub fn lineitem_rows(&self) -> usize {
         self.catalog.table("lineitem").map(|t| t.row_count()).unwrap_or(0)
     }
+}
+
+/// A copy of `catalog` whose order and customer keys are sparse: every value
+/// `k` of a `*_orderkey` or `*_custkey` column becomes `3k + 1`, as official
+/// TPC-H's `o_orderkey` is sparse. Every other column, the key flags and the
+/// dictionaries stay, so the queries run unchanged — but no join on those
+/// keys finds a dense key, and each one takes the hash path.
+pub fn sparse_keys(catalog: &Catalog) -> Catalog {
+    let mut sparse = catalog.clone();
+    for name in catalog.table_names() {
+        let Some(dense) = catalog.table(name) else { continue };
+        let mut table = Table::new(name);
+        for (column, bat) in dense.columns() {
+            let remapped = match bat.as_i32() {
+                Some(keys) if column.ends_with("_orderkey") || column.ends_with("_custkey") => {
+                    let keys = keys.iter().map(|k| 3 * k + 1).collect();
+                    Bat::from_i32_typed(column, keys, bat.column_type())
+                        .with_key(bat.is_key())
+                        .with_sorted(bat.is_sorted())
+                        .into_ref()
+                }
+                _ => Arc::clone(bat),
+            };
+            table.add_column(column, remapped);
+        }
+        sparse.add_table(table);
+    }
+    sparse
 }
 
 #[cfg(test)]

@@ -957,14 +957,28 @@ mod tests {
         // about — chosen by the lowerer, not the query author.
         use ocelot_engine::PlanOp;
         let ops: Vec<&str> = plan.nodes().iter().map(|n| n.op.name()).collect();
-        for expected in ["select_eq_i32", "pkfk_join", "group_by", "sort_order_f32"] {
+        for expected in ["select_eq_i32", "dense_join", "group_by", "sort_order_f32"] {
             assert!(ops.contains(&expected), "q3 plan lacks {expected}: {ops:?}");
         }
+        let joins = |plan: &Plan, wanted: fn(&PlanOp) -> bool| {
+            plan.nodes().iter().filter(|n| wanted(&n.op)).count()
+        };
+        // The generator's keys are row ids: both joins are positional, and
+        // neither binds the key it builds on.
         assert_eq!(
-            plan.nodes().iter().filter(|n| matches!(n.op, PlanOp::PkFkJoin)).count(),
+            joins(&plan, |op| matches!(op, PlanOp::DenseJoin { .. })),
             2,
             "customer→orders and orders→lineitem joins"
         );
+        assert_eq!(joins(&plan, |op| matches!(op, PlanOp::PkFkJoin)), 0);
+        for key in ["c_custkey", "o_orderkey"] {
+            assert!(!plan.listing().contains(key), "{key} is bound:\n{}", plan.listing());
+        }
+        // Sparse keys — official TPC-H's `o_orderkey` — take the hash path.
+        let sparse = crate::dbgen::sparse_keys(db.catalog());
+        let plan = q3_query(&db).lower(&sparse).unwrap();
+        assert_eq!(joins(&plan, |op| matches!(op, PlanOp::PkFkJoin)), 2);
+        assert_eq!(joins(&plan, |op| matches!(op, PlanOp::DenseJoin { .. })), 0);
         // Q3 keeps a reasonable result set at this scale.
         let result = run_query(&Session::monet_seq(), &db, 3).unwrap();
         assert!(result.rows.len() > 5, "suspiciously few rows: {}", result.rows.len());
@@ -1221,10 +1235,18 @@ mod tests {
             "predicate pushdown",
             "projection pruning",
             "=== physical plan",
-            "pkfk join",
+            "dense join l_orderkey = o_orderkey: o_orderkey is dense",
+            "dense_join inner base 0",
             "bind lineitem.l_orderkey",
         ] {
             assert!(text.contains(needle), "q3 explain lacks `{needle}`:\n{text}");
+        }
+        let sparse = crate::dbgen::sparse_keys(db.catalog());
+        let text = q3_query(&db).explain(&sparse).unwrap();
+        for needle in
+            ["pkfk join l_orderkey = o_orderkey: build on right", "bind orders.o_orderkey"]
+        {
+            assert!(text.contains(needle), "sparse-key q3 explain lacks `{needle}`:\n{text}");
         }
         // Selectivity ordering needs a multi-predicate chain over one scan
         // — Q6's three selections are the canonical case.

@@ -6,12 +6,15 @@
 //!
 //! Three demonstrations:
 //!
-//! 1. **EXPLAIN ANALYZE.** TPC-H Q3's in-memory join runs under a device
-//!    budget below its working set. The profile attributes wall time,
-//!    rows, kernels, transfers and flushes to every plan node — and pins
-//!    the recovery work (OOM restarts, spills) on the node that incurred
-//!    it. The per-node times plus the accounted overhead sum to the plan
-//!    total *exactly* (the conservation invariant is epsilon = 0).
+//! 1. **EXPLAIN ANALYZE.** TPC-H Q3's in-memory hash join runs under a
+//!    device budget below its working set — on a copy of the database
+//!    whose order and customer keys are sparse (`sparse_keys`), since a
+//!    join on the generator's dense keys is positional and fits. The
+//!    profile attributes wall time, rows, kernels, transfers and flushes to
+//!    every plan node — and pins the recovery work (OOM restarts, spills)
+//!    on the node that incurred it. The per-node times plus the accounted
+//!    overhead sum to the plan total *exactly* (the conservation invariant
+//!    is epsilon = 0).
 //! 2. **Unified metrics registry.** The same session renders every
 //!    subsystem's counters (queue, memory, pool, cache, recovery) under
 //!    one namespace, without disturbing the existing typed accessors.
@@ -26,10 +29,10 @@ use ocelot_engine::{
     Lane, PlanCache, QueryJob, SchedAction, ServeJob, ServeScheduler, Session, TraceEventKind,
     TraceSink,
 };
-use ocelot_tpch::{q3_query, q6_params, q6_query_p, TpchConfig, TpchDb};
+use ocelot_tpch::{q3_query, q6_params, q6_query_p, sparse_keys, TpchConfig, TpchDb};
 use std::sync::Arc;
 
-/// Device budget for the pressured Q3 run: below the in-memory join's
+/// Device budget for the pressured Q3 run: below the in-memory hash join's
 /// working set at this scale factor, so the join node must recover.
 const DEVICE_BUDGET: usize = 2048 * 1024;
 
@@ -38,10 +41,11 @@ fn main() {
     let catalog = db.catalog();
 
     // --- 1. EXPLAIN ANALYZE: pressured Q3, per-node attribution. -------
-    let plan = q3_query(&db).lower(catalog).unwrap();
+    let sparse = sparse_keys(catalog);
+    let plan = q3_query(&db).lower(&sparse).unwrap();
     let pressured = SharedDevice::cpu().with_memory_budget(DEVICE_BUDGET);
     let session = Session::ocelot(&pressured);
-    let (_, profile) = session.explain_analyze(&plan, catalog).unwrap();
+    let (_, profile) = session.explain_analyze(&plan, &sparse).unwrap();
     print!("{}", profile.render());
 
     assert_eq!(

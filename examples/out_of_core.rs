@@ -18,10 +18,16 @@
 //!    partitions stay device-resident, cold ones spill to host staging and
 //!    stream back one pair at a time. Same result, zero restarts, and the
 //!    spill accounting proves the out-of-core path actually engaged.
+//!
+//! The generator's keys are row ids, and a join on a dense key is
+//! positional: no hash table, a word of scratch per row, within budget. So
+//! the demonstration runs on a copy of the database whose order and
+//! customer keys are sparse (`sparse_keys`), as official TPC-H's
+//! `o_orderkey` is — its joins hash.
 
 use ocelot_core::SharedDevice;
 use ocelot_engine::{RewriteConfig, Session};
-use ocelot_tpch::{q3_query, TpchConfig, TpchDb};
+use ocelot_tpch::{q3_query, sparse_keys, TpchConfig, TpchDb};
 
 /// Device budget for both runs: below the in-memory join's working set at
 /// this scale factor (so the reactive path must restart), above the
@@ -31,7 +37,7 @@ const DEVICE_BUDGET: usize = 2048 * 1024;
 
 fn main() {
     let db = TpchDb::generate(TpchConfig { scale_factor: 0.01, seed: 31 });
-    let catalog = db.catalog();
+    let catalog = &sparse_keys(db.catalog());
 
     // Reference: the in-memory plan on an unconstrained device.
     let in_memory = q3_query(&db).lower_with(catalog, &RewriteConfig::optimized()).unwrap();

@@ -1181,7 +1181,7 @@ mod partitioned_join {
         RewriteConfig, Session,
     };
     use ocelot_storage::{Bat, Catalog, Table};
-    use ocelot_tpch::{q3_query, TpchConfig, TpchDb};
+    use ocelot_tpch::{q3_query, sparse_keys, TpchConfig, TpchDb};
     use proptest::prelude::*;
     use std::collections::HashMap;
 
@@ -1319,13 +1319,15 @@ mod partitioned_join {
     /// Planned spill replaces OOM restarts (`examples/out_of_core.rs` runs
     /// the same pair): under a 2 MiB budget the in-memory Q3 plan survives
     /// only by reclaiming, the plan lowered `with_device_budget` spills and
-    /// never reclaims, and both return the same result. The budget window
-    /// is calibrated to sf 0.01, seed 31.
+    /// never reclaims, and both return the same result. The generator's
+    /// keys are dense and join positionally within any budget, so the pair
+    /// runs on their sparse copy (`sparse_keys`), whose joins hash. The
+    /// budget window is calibrated to sf 0.01, seed 31.
     #[test]
     fn planned_spill_replaces_restarts_under_a_device_budget() {
         const BUDGET: usize = 2048 * 1024;
         let db = TpchDb::generate(TpchConfig { scale_factor: 0.01, seed: 31 });
-        let catalog = db.catalog();
+        let catalog = &sparse_keys(db.catalog());
         let run = |config: &RewriteConfig| {
             let plan = q3_query(&db).lower_with(catalog, config).unwrap();
             let device = SharedDevice::cpu().with_memory_budget(BUDGET);
@@ -2309,6 +2311,9 @@ mod sort;
 
 #[cfg(test)]
 mod lockstep;
+
+#[cfg(test)]
+mod dense_join;
 
 #[cfg(test)]
 mod steady_state {

@@ -31,7 +31,7 @@ const T: usize = 7 * S;
 const ROWS: [usize; 9] = [0, 1, S - 1, S, S + 1, T - 1, T, T + 1, 10 * T + 3];
 
 /// Every device configuration the suite compares, named.
-fn devices() -> Vec<(String, OcelotContext)> {
+pub(crate) fn devices() -> Vec<(String, OcelotContext)> {
     let cores = std::thread::available_parallelism().map_or(4, |n| n.get());
     let mut devices = vec![("sequential CPU".to_string(), OcelotContext::cpu_sequential())];
     for threads in [1, 2, cores] {
