@@ -29,6 +29,7 @@
 //! | `float-atomic-in-ops` | no float atomic (`atomic_*_f32`/`_f64` helpers, `AtomicF32`/`AtomicF64`) in `crates/core/src/ops` — contended float updates fold in thread-interleaving order; operators fold into private per-work-group partials combined in a fixed order |
 //! | `unwind-as-control-flow` | no `panic_any(`, `catch_unwind(`, `resume_unwind(`, `set_hook(` or `take_hook(` under `crates/core/src` or `crates/engine/src` outside a file's `#[cfg(test)]` module — device failures cross `Backend` as `Result<_, PlanError>` and `PlanRun::step` matches on the returned error; a panic is a bug, never a message |
 //! | `item-row-walk` | no `.assigned()` under `crates/core/src` outside a file's `#[cfg(test)]` module — operator kernels walk a work-group's rows as contiguous runs (`WorkGroupCtx::runs`: one chunk under the contiguous pattern, one run per lock-step round under the strided one), never one work-item's indices, which under the strided pattern lie a launch's work-items apart |
+//! | `undeclared-kernel` | every `impl Kernel for` block under `crates/core/src` outside a file's `#[cfg(test)]` module defines `fn declared_accesses` — the race detector checks only declared kernels, so an operator kernel that declares nothing is observed but never checked |
 //! | `stats-without-metrics` | every file defining a `pub struct *Stats` also registers it with the unified metrics registry (`register_metrics`) |
 //! | `registry-dependency` | every manifest dependency is `path = …` or `workspace = true` — the build environment has no crates.io access, so a version requirement can never resolve |
 //!

@@ -48,9 +48,11 @@ const ERRORS_AS_VALUES: &[&str] = &["crates/core/src", "crates/engine/src"];
 const UNWIND_CALLS: &[&str] =
     &["panic_any(", "catch_unwind(", "resume_unwind(", "set_hook(", "take_hook("];
 
-/// Where kernels walk a work-group's rows as runs (`WorkGroupCtx::runs`),
-/// never one work-item's indices: the `item-row-walk` rule's scope.
-const RUNS_ONLY: &str = "crates/core/src";
+/// The operator library: kernels walk a work-group's rows as runs
+/// (`WorkGroupCtx::runs`), never one work-item's indices, and declare the
+/// buffer ranges they touch — the scope of the `item-row-walk` and
+/// `undeclared-kernel` rules.
+const CORE_SRC: &str = "crates/core/src";
 
 /// Whether `code` names a float atomic: an `atomic_…_f32`/`…_f64` helper
 /// (the CAS-emulated family `ocelot_kernel::atomic` used to export) or an
@@ -66,6 +68,12 @@ fn names_float_atomic(code: &str) -> bool {
             .unwrap_or_default();
         ident.ends_with("_f32") || ident.ends_with("_f64")
     })
+}
+
+/// Whether `code` opens an `impl Kernel for …` block (the trait named bare
+/// or by path, generic or not).
+fn implements_kernel(code: &str) -> bool {
+    code.starts_with("impl") && (code.contains(" Kernel for ") || code.contains("::Kernel for "))
 }
 
 fn has_allow(lines: &[&str], index: usize, rule: &str) -> bool {
@@ -92,7 +100,7 @@ pub fn scan_source(rel_path: &str, content: &str) -> Vec<LintDiagnostic> {
     let core_ops = path.starts_with("crates/core/src/ops");
     let core_operator_module = core_ops || path.starts_with("crates/core/src/primitives");
     let errors_as_values = ERRORS_AS_VALUES.iter().any(|prefix| path.starts_with(prefix));
-    let runs_only = path.starts_with(RUNS_ONLY);
+    let core_src = path.starts_with(CORE_SRC);
     // A file's unit tests are one `#[cfg(test)] mod tests` at its end.
     let tests_from = lines.iter().position(|line| *line == "#[cfg(test)]").unwrap_or(lines.len());
 
@@ -115,7 +123,7 @@ pub fn scan_source(rel_path: &str, content: &str) -> Vec<LintDiagnostic> {
             });
         }
 
-        if runs_only
+        if core_src
             && index < tests_from
             && code.contains(".assigned()")
             && !has_allow(&lines, index, "item-row-walk")
@@ -129,6 +137,29 @@ pub fn scan_source(rel_path: &str, content: &str) -> Vec<LintDiagnostic> {
                           rows as contiguous runs (`for run in group.runs(n)`)"
                     .to_string(),
             });
+        }
+
+        // An impl block ends at the first closing brace in column 0.
+        if core_src
+            && index < tests_from
+            && implements_kernel(code)
+            && !has_allow(&lines, index, "undeclared-kernel")
+        {
+            let end = lines[index..]
+                .iter()
+                .position(|line| *line == "}")
+                .map_or(lines.len(), |e| index + e);
+            if !lines[index..end].iter().any(|line| line.contains("fn declared_accesses")) {
+                findings.push(LintDiagnostic {
+                    path: path.clone(),
+                    line: index + 1,
+                    rule: "undeclared-kernel",
+                    message: "operator kernel without `declared_accesses` — the race detector \
+                              observes it but cannot check it; declare every buffer range it \
+                              reads and writes, with its tier"
+                        .to_string(),
+                });
+            }
         }
 
         if !kernel_side
@@ -328,6 +359,7 @@ pub const FIXTURES: &[(&str, &str, &str)] = &[
     ("float_atomic_in_ops.rs", "crates/core/src/ops/bad.rs", "float-atomic-in-ops"),
     ("unwind_in_engine.rs", "crates/engine/src/bad.rs", "unwind-as-control-flow"),
     ("item_row_walk.rs", "crates/core/src/primitives/bad.rs", "item-row-walk"),
+    ("undeclared_kernel.rs", "crates/core/src/ops/bad.rs", "undeclared-kernel"),
 ];
 
 #[cfg(test)]
@@ -433,6 +465,32 @@ mod tests {
         assert!(scan_source("crates/core/src/a.rs", "// not item.assigned() here\n").is_empty());
         let allowed = "for i in item.assigned() {} // xlint:allow(item-row-walk)\n";
         assert!(scan_source("crates/core/src/a.rs", allowed).is_empty());
+    }
+
+    #[test]
+    fn undeclared_kernels_are_flagged_in_core_only() {
+        let kernel = |body: &str| {
+            format!("impl<T: DevWord> Kernel for ScaleKernel<T> {{\n    fn name(&self) -> &str {{\n        \"scale\"\n    }}\n{body}}}\n")
+        };
+        let undeclared = kernel("");
+        for path in ["crates/core/src/ops/calc.rs", "crates/core/src/primitives/gather.rs"] {
+            let findings = scan_source(path, &undeclared);
+            assert_eq!(findings.len(), 1, "{path}");
+            assert_eq!((findings[0].rule, findings[0].line), ("undeclared-kernel", 1));
+        }
+        let declared = kernel("    fn declared_accesses(&self, _: &LaunchConfig) -> Option<KernelAccesses> {\n        None\n    }\n");
+        assert!(scan_source("crates/core/src/ops/calc.rs", &declared).is_empty());
+        // A declaration in the *next* impl block does not count.
+        let next = format!("{undeclared}{declared}");
+        assert_eq!(scan_source("crates/core/src/ops/calc.rs", &next).len(), 1);
+        // Kernels outside the operator library (the kernel crate's own
+        // tests and examples) and in unit tests pass, as do explicit allows.
+        assert!(scan_source("crates/kernel/src/queue.rs", &undeclared).is_empty());
+        assert!(scan_source("examples/custom_kernel.rs", &undeclared).is_empty());
+        let in_tests = format!("fn f() {{}}\n#[cfg(test)]\nmod tests {{\n{undeclared}}}\n");
+        assert!(scan_source("crates/core/src/ops/calc.rs", &in_tests).is_empty());
+        let allowed = format!("// xlint:allow(undeclared-kernel)\n{undeclared}");
+        assert!(scan_source("crates/core/src/ops/calc.rs", &allowed).is_empty());
     }
 
     #[test]

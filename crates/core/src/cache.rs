@@ -1,13 +1,16 @@
 //! The device column cache: lazily uploaded, budgeted, evictable base
 //! columns shared by every session on a device (paper §3.3, §4.3).
 //!
-//! The Memory Manager's per-context BAT registry (PR 1) made repeated binds
-//! *within one context* free, but every new session re-uploaded the same
-//! base columns. This module lifts that registry into a standalone,
-//! `Arc`-shared [`ColumnCache`] — one per [`crate::SharedDevice`] — so a
-//! query stream re-running the same queries in fresh sessions performs zero
-//! base-column re-uploads, and so device memory pressure has a single,
-//! device-wide pool of resident columns to evict from.
+//! This is the paper's BAT registry ("when a BAT is requested, the
+//! corresponding buffer object is returned from this registry"), and the
+//! only one: a standalone, `Arc`-shared [`ColumnCache`] — one per
+//! [`crate::SharedDevice`] — that every [`OcelotContext`] binds through.
+//! Session contexts of one device share it, so a query stream re-running
+//! the same queries in fresh sessions performs zero base-column re-uploads,
+//! and device memory pressure has a single, device-wide pool of resident
+//! columns to evict from. A stand-alone context (`OcelotContext::cpu()`
+//! and friends) is the only context of a fresh device handle and so owns a
+//! private cache under the same contract.
 //!
 //! # Lifecycle contract
 //!
@@ -26,10 +29,9 @@
 //!   queue operations additionally fail the idle check
 //!   (`handle_count() == 1`) until the owning queue flushes.
 //! * **Evicted** — dropped from the cache under memory pressure (the
-//!   cache's own byte budget at admission time, or a
-//!   [`MemoryManager`](crate::memory_manager::MemoryManager) reclaim pass
-//!   during the OOM-restart protocol below). The next bind is a miss and
-//!   re-uploads.
+//!   cache's own byte budget at admission time, or the context's reclaim
+//!   pass during the OOM-restart protocol below). The next bind is a miss
+//!   and re-uploads.
 //!
 //! Eviction runs a **second-chance (clock) sweep**: victims must be
 //! unpinned and idle; entries whose referenced bit is set get the bit
@@ -40,25 +42,24 @@
 //! # The OOM-restart protocol
 //!
 //! Cached columns are deliberately **not** evicted by the Memory Manager's
-//! inline per-allocation eviction chain (idle pool buffers and the
-//! manager's private registry go first — re-uploading a base column is the
-//! most expensive memory to win back, and a node that is *currently
-//! executing* may be about to bind the very column a greedy inline pass
-//! would drop). Instead, when an allocation still fails after inline
-//! eviction, the failure *returns* to the plan layer
+//! inline per-allocation eviction chain, which only releases idle pooled
+//! buffers — re-uploading a base column is the most expensive memory to win
+//! back, and a node that is *currently executing* may be about to bind the
+//! very column a greedy inline pass would drop. Instead, when an allocation
+//! still fails after inline eviction, the failure *returns* to the plan
+//! layer
 //! (`ocelot_engine::plan::PlanRun`) as an ordinary
 //! `KernelError::OutOfDeviceMemory` — through every operator's `Result`
 //! and across the `Backend` trait as `PlanError::Device`: the register
 //! machine drops the failed node's partial outputs, asks the backend to
 //! **release** (flush the queue so finished intermediates become idle) and
-//! **evict** (a full reclaim pass that *does* sweep this cache through the
-//! Memory Manager's eviction callbacks), and then **restarts the failed
-//! node** from scratch — the paper's operator-restart discipline. Columns
+//! **evict** (`OcelotContext::reclaim_device_memory`, a full reclaim pass
+//! that *does* sweep this cache), and then **restarts the failed node**
+//! from scratch — the paper's operator-restart discipline. Columns
 //! pinned by the plan's own live registers survive the sweep, so a restart
 //! never invalidates data the retried node is about to read.
 
 use crate::context::{DevColumn, DevWord, OcelotContext};
-use crate::memory_manager::EvictionSink;
 use ocelot_kernel::{Buffer, Result};
 use ocelot_storage::BatRef;
 use ocelot_trace::{MetricsRegistry, TraceEventKind, TraceHandle};
@@ -347,8 +348,7 @@ impl ColumnCache {
         None
     }
 
-    /// Evicts one unpinned, idle column (second-chance order). The reclaim
-    /// entry point the Memory Manager's eviction callbacks use.
+    /// Evicts one unpinned, idle column (second-chance order).
     pub fn evict_one(&self) -> bool {
         match Self::evict_one_locked(&mut self.state.lock()) {
             Some(bytes) => {
@@ -360,6 +360,7 @@ impl ColumnCache {
     }
 
     /// Evicts every unpinned, idle column; returns how many were dropped.
+    /// The cache's half of the context's reclaim pass.
     pub fn evict_unpinned(&self) -> usize {
         let mut dropped = 0;
         while self.evict_one() {
@@ -368,8 +369,8 @@ impl ColumnCache {
         dropped
     }
 
-    /// Drops the entry of a deleted/replaced BAT (mirror of
-    /// [`crate::MemoryManager::invalidate`]).
+    /// Drops the entry of a deleted/replaced BAT (the callback MonetDB
+    /// invokes when a BAT is deleted or recycled, paper §4.3).
     pub fn invalidate(&self, bat: &BatRef) {
         let key = bat_key(bat);
         self.state.lock().entries.retain(|e| e.key != key);
@@ -394,12 +395,6 @@ impl ColumnCache {
         state.hand = 0;
         state.stats.evictions += dropped as u64;
         dropped
-    }
-}
-
-impl EvictionSink for ColumnCache {
-    fn evict_one(&self) -> bool {
-        ColumnCache::evict_one(self)
     }
 }
 
@@ -430,18 +425,24 @@ mod tests {
 
     #[test]
     fn second_use_is_a_hit_with_no_new_upload() {
-        let ctx = gpu_ctx();
-        let cache = ColumnCache::new();
-        let b = bat(100, "a");
-        let (first, pin1) = cache.get_or_upload(&ctx, &b).unwrap();
-        let (second, pin2) = cache.get_or_upload(&ctx, &b).unwrap();
-        assert_eq!(first.id(), second.id());
-        let stats = cache.stats();
-        assert_eq!((stats.misses, stats.hits), (1, 1));
-        assert_eq!(stats.bytes_uploaded, 400, "only the first bind transfers");
-        assert_eq!(cache.pinned_entries(), 1);
-        drop((pin1, pin2));
-        assert_eq!(cache.pinned_entries(), 0, "dropping every guard unpins");
+        // On a discrete device only the first bind transfers; on unified
+        // memory the upload is zero-copy and counts no bytes at all.
+        let unified = OcelotContext::with_device(ocelot_kernel::Device::cpu_multicore_with(2));
+        for (ctx, uploaded) in [(gpu_ctx(), 400), (unified, 0)] {
+            let cache = ColumnCache::new();
+            let b = bat(100, "a");
+            let (first, pin1) = cache.get_or_upload(&ctx, &b).unwrap();
+            let (second, pin2) = cache.get_or_upload(&ctx, &b).unwrap();
+            assert_eq!(first.id(), second.id());
+            let stats = cache.stats();
+            assert_eq!((stats.misses, stats.hits), (1, 1));
+            assert_eq!(stats.bytes_uploaded, uploaded);
+            assert_eq!(cache.pinned_entries(), 1);
+            drop((pin1, pin2));
+            assert_eq!(cache.pinned_entries(), 0, "dropping every guard unpins");
+            ctx.sync().unwrap();
+            assert_eq!(first.prefix_i32(100), (0..100).collect::<Vec<i32>>());
+        }
     }
 
     #[test]

@@ -1,5 +1,12 @@
 //! The Ocelot execution context: device + lazily evaluated queue + Memory
-//! Manager, plus the *typed deferred value* handles every operator returns.
+//! Manager + column cache, plus the *typed deferred value* handles every
+//! operator returns.
+//!
+//! Every context comes from a [`SharedDevice`] and binds base columns
+//! through that device's one [`ColumnCache`]; a stand-alone context
+//! ([`OcelotContext::cpu`], [`OcelotContext::with_device`], …) is the only
+//! context of a fresh device handle, so it owns a private cache, pool and
+//! plan slot.
 //!
 //! # The deferred-value contract
 //!
@@ -30,10 +37,10 @@
 //! Exceptions, documented at their definition sites, are operators whose
 //! host-side control flow inherently depends on a device value: the hash
 //! table build (the key range sizes it and its optimistic/pessimistic
-//! restart loop inspects a failure counter), `group_by` (the group count sizes the result schema), and the
-//! nested-loop join (its output bound is quadratic, so it resolves the scan
-//! total instead of allocating the worst case). Each resolves via the same
-//! `.get()` path and is a deliberate, visible sync point.
+//! restart loop inspects a failure counter), `group_by` (the group count
+//! sizes the result schema) and the dense join (its match count; see
+//! `crate::ops::join`). Each resolves via the same `.get()` path and is a
+//! deliberate, visible sync point.
 
 use crate::buffer_pool::BufferPool;
 use crate::cache::{ColumnCache, Pinned};
@@ -464,18 +471,15 @@ impl std::fmt::Debug for PlanSlot {
 }
 
 /// Bundles everything an Ocelot operator needs: the device, its command
-/// queue and the Memory Manager (paper Figure 2).
+/// queue, the Memory Manager and the device's column cache (paper Figure 2).
 pub struct OcelotContext {
     device: Device,
     queue: Arc<Queue>,
     memory: MemoryManager,
-    /// The device-wide shared column cache, when this context was created
-    /// from a [`SharedDevice`]. Base-column binds route through it; `None`
-    /// falls back to the Memory Manager's private BAT registry.
-    column_cache: Option<Arc<ColumnCache>>,
-    /// The device-wide compiled-plan slot, when this context was created
-    /// from a [`SharedDevice`] (see [`PlanSlot`]).
-    plan_slot: Option<Arc<PlanSlot>>,
+    /// The device-wide column cache every base-column bind goes through.
+    column_cache: Arc<ColumnCache>,
+    /// The device-wide compiled-plan slot (see [`PlanSlot`]).
+    plan_slot: Arc<PlanSlot>,
 }
 
 impl OcelotContext {
@@ -502,53 +506,35 @@ impl OcelotContext {
         Self::with_device(Device::simulated_gpu(config))
     }
 
-    /// Context on an arbitrary device.
+    /// Stand-alone context on an arbitrary device: the one context of a
+    /// fresh [`SharedDevice`], so its pool, column cache and plan slot are
+    /// its own.
     pub fn with_device(device: Device) -> OcelotContext {
-        Self::with_device_and_pool(device, Arc::new(BufferPool::new()))
+        SharedDevice::with_device(device).context()
     }
 
-    /// Context on an arbitrary device whose result buffers recycle through a
-    /// **shared** pool — the construction [`SharedDevice`] uses so several
-    /// contexts (query sessions) on one device reuse each other's finished
-    /// intermediates. The context still gets its own command queue: flushes
-    /// of one session never execute another session's work.
-    pub fn with_device_and_pool(device: Device, pool: Arc<BufferPool>) -> OcelotContext {
-        let queue = Arc::new(device.create_queue());
-        let memory = MemoryManager::with_pool(device.clone(), Arc::clone(&queue), pool);
-        OcelotContext { device, queue, memory, column_cache: None, plan_slot: None }
+    /// The column cache every base-column bind of this context goes
+    /// through — the device's, shared with every other context of it.
+    pub fn column_cache(&self) -> &ColumnCache {
+        &self.column_cache
     }
 
-    /// Attaches the device's shared column cache: base-column binds are
-    /// served from (and admitted to) it, and it is registered as a
-    /// reclaim-time eviction sink with this context's Memory Manager.
-    pub fn attach_column_cache(&mut self, cache: Arc<ColumnCache>) {
-        self.memory.register_eviction_sink(Arc::clone(&cache) as Arc<_>);
-        self.column_cache = Some(cache);
+    /// The device-wide compiled-plan slot.
+    pub fn plan_slot(&self) -> &PlanSlot {
+        &self.plan_slot
     }
 
-    /// The shared column cache, when attached (see
-    /// [`OcelotContext::attach_column_cache`]).
-    pub fn column_cache(&self) -> Option<&Arc<ColumnCache>> {
-        self.column_cache.as_ref()
-    }
-
-    /// Attaches the device's compiled-plan slot (done by
-    /// [`SharedDevice::context`]).
-    pub fn attach_plan_slot(&mut self, slot: Arc<PlanSlot>) {
-        self.plan_slot = Some(slot);
-    }
-
-    /// The device-wide compiled-plan slot, when attached.
-    pub fn plan_slot(&self) -> Option<&Arc<PlanSlot>> {
-        self.plan_slot.as_ref()
-    }
-
-    /// The **release + evict** step of the OOM-restart protocol (delegates
-    /// to [`MemoryManager::reclaim`]): flush pending work, drain idle
-    /// pooled buffers, evict unpinned cached columns. Returns whether the
-    /// pass made progress — callers only retry a failed node when it did.
-    pub fn reclaim_device_memory(&self, requested_bytes: usize) -> bool {
-        self.memory.reclaim(requested_bytes)
+    /// The **release + evict** step of the OOM-restart protocol: the Memory
+    /// Manager's release pass ([`MemoryManager::reclaim`]: flush pending
+    /// work, drain idle pooled buffers), then every unpinned, idle column
+    /// out of the column cache. Returns whether the pass made progress,
+    /// against the used bytes read before both steps — callers only retry a
+    /// failed node when it did.
+    pub fn reclaim_device_memory(&self) -> bool {
+        let used_before = self.device.memory().used();
+        let released = self.memory.reclaim();
+        self.column_cache.evict_unpinned();
+        released || self.device.memory().used() < used_before
     }
 
     /// The underlying device.
@@ -584,8 +570,8 @@ impl OcelotContext {
         self.device.launch_config_with_local(n, local_words)
     }
 
-    /// Allocates a result buffer of `words` values, evicting cached BATs if
-    /// the device is out of memory.
+    /// Allocates a result buffer of `words` values, releasing idle pooled
+    /// buffers if the device is out of memory.
     pub fn alloc(&self, words: usize, label: &str) -> Result<Buffer> {
         self.memory.alloc_result(words, label)
     }
@@ -681,16 +667,13 @@ impl OcelotContext {
     /// Attaches one trace sink to every emitter reachable from this
     /// context: the command queue (kernel/transfer/flush events), the
     /// device (allocation events), the Memory Manager (spill/unspill
-    /// events) and the shared column cache when one is attached
-    /// (bind/evict events). Events interleave on the shared sink in
-    /// arrival order.
+    /// events) and the column cache (bind/evict events). Events interleave
+    /// on the shared sink in arrival order.
     pub fn attach_tracer(&self, sink: &Arc<ocelot_trace::TraceSink>) {
         self.queue.trace().attach(Arc::clone(sink));
         self.device.trace().attach(Arc::clone(sink));
         self.memory.trace().attach(Arc::clone(sink));
-        if let Some(cache) = &self.column_cache {
-            cache.trace().attach(Arc::clone(sink));
-        }
+        self.column_cache.trace().attach(Arc::clone(sink));
     }
 
     /// Detaches the tracer from every emitter [`OcelotContext::attach_tracer`]
@@ -699,9 +682,7 @@ impl OcelotContext {
         self.queue.trace().detach();
         self.device.trace().detach();
         self.memory.trace().detach();
-        if let Some(cache) = &self.column_cache {
-            cache.trace().detach();
-        }
+        self.column_cache.trace().detach();
     }
 }
 
@@ -711,16 +692,16 @@ impl std::fmt::Debug for OcelotContext {
     }
 }
 
-/// One physical device plus the buffer pool its sessions share.
+/// One physical device plus the buffer pool, column cache and plan slot its
+/// sessions share.
 ///
-/// A [`SharedDevice`] is the factory for *session contexts*: every
+/// A [`SharedDevice`] is the factory for every context: each
 /// [`SharedDevice::context`] call produces a fresh [`OcelotContext`] with
 /// its **own** command queue and Memory Manager (so per-session flush
 /// accounting and event bookkeeping stay independent) but a **shared**
-/// [`BufferPool`] and the same underlying device memory accountant. This is
-/// the cross-context reuse point the ROADMAP left open after PR 2: result
+/// [`BufferPool`], [`ColumnCache`] and device memory accountant: result
 /// buffers released by one session's finished query serve the allocations
-/// of the next, whichever context it runs in.
+/// of the next, and a column one session uploaded is a hit for the others.
 #[derive(Clone)]
 pub struct SharedDevice {
     device: Device,
@@ -812,17 +793,25 @@ impl SharedDevice {
     }
 
     /// Creates a session context: own queue and Memory Manager, shared
-    /// buffer pool, shared column cache and shared device memory (the
-    /// memory budget, when set, is installed on the new manager).
+    /// buffer pool, column cache, plan slot and device memory (the memory
+    /// budget, when set, is installed on the new manager).
     pub fn context(&self) -> OcelotContext {
-        let mut ctx =
-            OcelotContext::with_device_and_pool(self.device.clone(), Arc::clone(&self.pool));
+        let queue = Arc::new(self.device.create_queue());
+        let memory = MemoryManager::with_pool(
+            self.device.clone(),
+            Arc::clone(&queue),
+            Arc::clone(&self.pool),
+        );
         if let Some(budget) = self.memory_budget() {
-            ctx.memory().set_budget(budget);
+            memory.set_budget(budget);
         }
-        ctx.attach_column_cache(Arc::clone(&self.cache));
-        ctx.attach_plan_slot(Arc::clone(&self.plans));
-        ctx
+        OcelotContext {
+            device: self.device.clone(),
+            queue,
+            memory,
+            column_cache: Arc::clone(&self.cache),
+            plan_slot: Arc::clone(&self.plans),
+        }
     }
 }
 

@@ -12,14 +12,14 @@
 //! The crate is organised the way Figure 2 of the paper draws the system:
 //!
 //! * [`context::OcelotContext`] — bundles a device, its lazily evaluated
-//!   command queue and the Memory Manager (the paper's "OpenCL context
-//!   management" + "memory manager" boxes).
-//! * [`memory_manager::MemoryManager`] — transparently turns MonetDB-style
-//!   BATs into device buffers, caches them on the device, evicts in LRU
-//!   order under memory pressure, supports pinning, offloads intermediates
-//!   to the host, and tracks producer/consumer events per buffer (§3.3).
-//! * [`cache::ColumnCache`] — the *device-wide* base-column cache shared by
-//!   every session of a [`SharedDevice`]: lazy upload on first bind,
+//!   command queue, the Memory Manager and the device's column cache (the
+//!   paper's "OpenCL context management" + "memory manager" boxes).
+//! * [`memory_manager::MemoryManager`] — pooled, budgeted allocation of
+//!   device buffers, the reclaim pass of the OOM-restart protocol, host
+//!   offload of intermediates, and producer events per buffer (§3.3).
+//! * [`cache::ColumnCache`] — the paper's BAT registry: the *device-wide*
+//!   base-column cache shared by every context of a [`SharedDevice`] (a
+//!   stand-alone context owns a private one): lazy upload on first bind,
 //!   refcounted pinning through the deferred-value handles, second-chance
 //!   eviction under a byte budget, and the OOM-restart protocol that lets
 //!   plans survive allocation failure (§3.3, §4.3 — see the module docs
@@ -27,9 +27,10 @@
 //! * [`primitives`] — the data-parallel building blocks the operators are
 //!   composed of: prefix sums, gather, reduction, bitmaps and the two-phase
 //!   "count, scan, write" pattern used whenever result sizes are unknown.
-//! * [`ops`] — the operators themselves: bitmap selection, projection /
-//!   fetch join, radix sort, the optimistic/pessimistic parallel hash table,
-//!   hash and nested-loop joins, grouping and aggregation (§4.1).
+//! * [`ops`] — the operators themselves: bitmap selection, radix sort, the
+//!   optimistic/pessimistic parallel hash table, hash and positional joins,
+//!   grouping and aggregation (§4.1). A projection (left fetch join) is
+//!   [`primitives::gather`].
 //!
 //! ## Quick example
 //!
@@ -61,7 +62,7 @@ pub use cache::{CacheStats, ColumnCache, Pinned};
 pub use context::{
     ColLen, DevColumn, DevScalar, DevWord, LenSource, OcelotContext, Oid, PlanSlot, SharedDevice,
 };
-pub use memory_manager::{EvictionSink, MemoryManager, MemoryStats};
+pub use memory_manager::{MemoryManager, MemoryStats};
 pub use ocelot_trace::{MetricsRegistry, TraceEvent, TraceEventKind, TraceHandle, TraceSink};
 pub use partition::{
     partition_by_key, partitioned_pkfk_join, Partition, PartitionedJoin, PartitionedJoinConfig,

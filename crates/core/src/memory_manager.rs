@@ -1,76 +1,50 @@
 //! The Memory Manager (paper §3.3).
 //!
-//! The Memory Manager is the storage interface between Ocelot and the BAT
-//! world: operators never allocate device memory themselves, they request
-//! buffers for BATs and result columns here. Responsibilities reproduced
-//! from the paper:
+//! Operators never allocate device memory themselves, they request result
+//! buffers here. How the paper's Memory Manager maps onto this crate:
 //!
-//! * **BAT registry / device cache** — the first request for a BAT uploads
-//!   it and registers the buffer; later requests are served from the cache.
-//!   On unified-memory devices the "upload" is zero-copy (no transfer cost);
-//!   on the simulated GPU it is charged PCIe transfer time.
-//! * **LRU eviction** — when an allocation does not fit, unpinned,
-//!   not-in-use cache entries are evicted in least-recently-used order and
-//!   the allocation is retried.
-//! * **Pinning & reference counting** — pinned BATs are never evicted;
-//!   entries whose buffer handle is still held by a running operator are
-//!   skipped as well (the `handle_count` check).
+//! * **BAT registry / device cache, LRU eviction, pinning** — these live in
+//!   the base-column cache, [`crate::cache::ColumnCache`]: lazy upload on
+//!   first bind, second-chance eviction, pins carried by the column handles.
+//!   Every [`crate::OcelotContext`] binds through exactly one of them; the
+//!   Memory Manager keeps no registry of its own.
+//! * **Budgeted allocation** — an allocation that does not fit the device or
+//!   the configured budget flushes the queue and releases idle pooled
+//!   buffers until it does; what still fails returns
+//!   [`KernelError::OutOfDeviceMemory`] to the plan layer, whose restart
+//!   protocol begins with [`MemoryManager::reclaim`].
 //! * **Host offload** — intermediate result buffers can be offloaded to the
 //!   host and restored later instead of being recomputed.
-//! * **Producer/consumer events** — every buffer's pending writes and reads
-//!   are tracked so operators can build wait-lists for the lazy queue
-//!   (paper §3.4).
-//! * **Hash-table cache** — hash tables built over base-table columns are
-//!   cached for reuse across queries (paper §5.2.6).
+//! * **Producer events** — every buffer's pending writes are tracked so
+//!   operators can build wait-lists for the lazy queue (paper §3.4).
 //! * **Result-buffer recycling** — operators allocate a fresh result buffer
 //!   per call; without pooling every large allocation is served by fresh
 //!   zero pages whose page-in cost lands on the first kernel that touches
 //!   them. Recycling is delegated to a [`BufferPool`] (power-of-two size
 //!   classes, idle-when-`handle_count() == 1` reuse guard — see
-//!   `crate::buffer_pool` for the full protocol). Since PR 3 the pool is a
-//!   standalone, `Arc`-shared object: managers created from the same
+//!   `crate::buffer_pool` for the full protocol). The pool is a standalone,
+//!   `Arc`-shared object: managers created from the same
 //!   [`crate::SharedDevice`] recycle buffers **across contexts**, so one
 //!   query session's finished intermediates serve the next session's
 //!   allocations.
+//!
+//! The paper's hash-table cache (§5.2.6) is not reproduced: no operator
+//! reuses a table across queries.
 
 use crate::buffer_pool::{recycle_class, BufferPool, MIN_POOLED_WORDS};
-use crate::ops::hash_table::OcelotHashTable;
 use ocelot_kernel::{Buffer, Device, EventId, HostCopy, KernelError, Queue, Result};
-use ocelot_storage::BatRef;
 use ocelot_trace::{MetricsRegistry, TraceEventKind, TraceHandle};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-/// An external holder of evictable device memory (the shared
-/// [`ColumnCache`](crate::cache::ColumnCache) is the canonical one).
-/// Registered sinks are consulted **only** by [`MemoryManager::reclaim`] —
-/// the plan layer's OOM-restart pass — never by the inline per-allocation
-/// eviction chain: dropping a shared base column mid-node would thrash
-/// re-uploads and could invalidate data the very node about to be retried
-/// still binds. See `crate::cache` for the full protocol.
-pub trait EvictionSink: Send + Sync {
-    /// Drops one evictable entry; returns whether anything was released.
-    fn evict_one(&self) -> bool;
-}
-
-/// Cache/transfer statistics, used by benchmarks (Figure 7b/7d swapping
-/// analysis) and tests.
+/// Offload and recycling statistics, used by the out-of-core accounting and
+/// tests.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MemoryStats {
-    /// Cache hits when requesting a BAT buffer.
-    pub cache_hits: u64,
-    /// Cache misses (uploads).
-    pub cache_misses: u64,
-    /// Number of cache entries evicted under memory pressure.
-    pub evictions: u64,
-    /// Bytes uploaded host → device for BATs.
-    pub bytes_uploaded: u64,
     /// Bytes of intermediates offloaded to the host.
     pub bytes_offloaded: u64,
-    /// Hash-table cache hits.
-    pub hash_cache_hits: u64,
     /// Result-buffer allocations served from the recycle pool (this
     /// manager's hits only; the shared pool's own [`BufferPool::stats`]
     /// additionally distinguishes cross-context hits).
@@ -79,44 +53,17 @@ pub struct MemoryStats {
 
 impl MemoryStats {
     /// Projects these counters into a [`MetricsRegistry`] under
-    /// `<prefix>.cache_hits`, `<prefix>.cache_misses`,
-    /// `<prefix>.evictions`, `<prefix>.bytes_uploaded`,
-    /// `<prefix>.bytes_offloaded`, `<prefix>.hash_cache_hits` and
-    /// `<prefix>.recycle_hits`.
+    /// `<prefix>.bytes_offloaded` and `<prefix>.recycle_hits`.
     pub fn register_metrics(&self, prefix: &str, registry: &mut MetricsRegistry) {
-        registry.set_counter(&format!("{prefix}.cache_hits"), self.cache_hits);
-        registry.set_counter(&format!("{prefix}.cache_misses"), self.cache_misses);
-        registry.set_counter(&format!("{prefix}.evictions"), self.evictions);
-        registry.set_counter(&format!("{prefix}.bytes_uploaded"), self.bytes_uploaded);
         registry.set_counter(&format!("{prefix}.bytes_offloaded"), self.bytes_offloaded);
-        registry.set_counter(&format!("{prefix}.hash_cache_hits"), self.hash_cache_hits);
         registry.set_counter(&format!("{prefix}.recycle_hits"), self.recycle_hits);
     }
 }
 
-struct CacheEntry {
-    buffer: Buffer,
-    /// Keeps the BAT alive while it is cached: the cache key is the BAT's
-    /// allocation address, so the registry must hold a reference to prevent
-    /// a later BAT from reusing the address and aliasing the entry.
-    #[allow(dead_code)]
-    bat: BatRef,
-    last_used: u64,
-    pinned: bool,
-}
-
-#[derive(Default)]
-struct EventEntry {
-    producers: Vec<EventId>,
-    consumers: Vec<EventId>,
-}
-
 struct State {
-    cache: HashMap<usize, CacheEntry>,
-    clock: u64,
     stats: MemoryStats,
-    events: HashMap<u64, EventEntry>,
-    hash_tables: HashMap<usize, Arc<OcelotHashTable>>,
+    /// Producer events per buffer id.
+    events: HashMap<u64, Vec<EventId>>,
     offloaded: HashMap<u64, HostCopy>,
 }
 
@@ -134,15 +81,8 @@ pub struct MemoryManager {
     /// [`crate::SharedDevice`] given the same budget behaves like a small
     /// device even on unified-memory hardware.
     budget: AtomicUsize,
-    /// Reclaim-time eviction callbacks (see [`EvictionSink`]).
-    sinks: Mutex<Vec<Arc<dyn EvictionSink>>>,
     state: Mutex<State>,
     trace: TraceHandle,
-}
-
-/// Stable cache key for a BAT: the address of its shared allocation.
-fn bat_key(bat: &BatRef) -> usize {
-    Arc::as_ptr(bat) as usize
 }
 
 impl MemoryManager {
@@ -163,13 +103,9 @@ impl MemoryManager {
             pool,
             pool_client,
             budget: AtomicUsize::new(usize::MAX),
-            sinks: Mutex::new(Vec::new()),
             state: Mutex::new(State {
-                cache: HashMap::new(),
-                clock: 0,
                 stats: MemoryStats::default(),
                 events: HashMap::new(),
-                hash_tables: HashMap::new(),
                 offloaded: HashMap::new(),
             }),
             trace: TraceHandle::new(),
@@ -209,36 +145,21 @@ impl MemoryManager {
         self.device.memory().available().min(self.budget().saturating_sub(used))
     }
 
-    /// Registers a reclaim-time eviction callback (see [`EvictionSink`]).
-    pub fn register_eviction_sink(&self, sink: Arc<dyn EvictionSink>) {
-        self.sinks.lock().push(sink);
-    }
-
-    /// The **release + evict** half of the OOM-restart protocol: flushes
-    /// the queue (pending operations drop their buffer clones, so dead
-    /// intermediates and the failed node's partial allocations become
-    /// idle), drains every idle pooled buffer, evicts this manager's own
-    /// unpinned cached BATs, and sweeps the registered eviction sinks (the
-    /// shared column cache) dry. The pass is deliberately **aggressive** —
-    /// everything evictable goes, not just `requested_bytes` worth: a
-    /// restarted node re-runs its whole allocation sequence, so freeing
-    /// minimally would ratchet through one restart per allocation and
-    /// exhaust the restart limit before converging. After the pass, used
-    /// memory is exactly the pinned working set plus live registers —
-    /// if the retry still does not fit, the plan genuinely cannot run in
-    /// the budget. Returns whether the pass made progress — the plan
-    /// layer only restarts a failed node when it did.
-    pub fn reclaim(&self, requested_bytes: usize) -> bool {
-        let _ = requested_bytes;
+    /// The **release** half of the OOM-restart protocol: flushes the queue
+    /// (pending operations drop their buffer clones, so dead intermediates
+    /// and the failed node's partial allocations become idle) and drains
+    /// every idle pooled buffer. The pass is deliberately **aggressive** —
+    /// everything releasable goes, not just what the failed allocation
+    /// asked for: a restarted node re-runs its whole allocation sequence, so
+    /// freeing minimally would ratchet through one restart per allocation
+    /// and exhaust the restart limit before converging. Returns whether the
+    /// pass made progress. `OcelotContext::reclaim_device_memory` follows
+    /// it with a sweep of the context's column cache.
+    pub fn reclaim(&self) -> bool {
         let had_pending = self.queue.pending_ops() > 0;
         let used_before = self.device.memory().used();
         let _ = self.queue.flush();
         while self.pool.release_one_idle() {}
-        while self.evict_one_cached() {}
-        let sinks: Vec<Arc<dyn EvictionSink>> = self.sinks.lock().clone();
-        for sink in sinks {
-            while sink.evict_one() {}
-        }
         had_pending || self.device.memory().used() < used_before
     }
 
@@ -247,62 +168,8 @@ impl MemoryManager {
         self.state.lock().stats
     }
 
-    /// Number of BATs currently cached on the device.
-    pub fn cached_entries(&self) -> usize {
-        self.state.lock().cache.len()
-    }
-
-    /// Bytes of device memory currently used by cached BATs.
-    pub fn cached_bytes(&self) -> usize {
-        self.state.lock().cache.values().map(|e| e.buffer.bytes()).sum()
-    }
-
-    /// Returns the device buffer for a BAT, uploading it on first use
-    /// (paper: "when a BAT is requested, the corresponding buffer object is
-    /// returned from this registry").
-    pub fn get_or_upload(&self, bat: &BatRef) -> Result<Buffer> {
-        let key = bat_key(bat);
-        {
-            let mut state = self.state.lock();
-            state.clock += 1;
-            let clock = state.clock;
-            let cached = state.cache.get_mut(&key).map(|entry| {
-                entry.last_used = clock;
-                entry.buffer.clone()
-            });
-            if let Some(buffer) = cached {
-                state.stats.cache_hits += 1;
-                return Ok(buffer);
-            }
-        }
-        // Miss: allocate (with eviction retries), fill, and schedule the
-        // host-to-device transfer.
-        let words = bat.to_words();
-        let buffer = self.alloc_with_eviction(words.len(), bat.name())?;
-        buffer.copy_from_u32(&words);
-        let event = self.queue.enqueue_write_prefix(&buffer, words.len(), &[])?;
-        let mut state = self.state.lock();
-        state.clock += 1;
-        let clock = state.clock;
-        state.stats.cache_misses += 1;
-        if !self.device.is_unified() {
-            state.stats.bytes_uploaded += buffer.bytes() as u64;
-        }
-        state.events.entry(buffer.id()).or_default().producers.push(event);
-        state.cache.insert(
-            key,
-            CacheEntry {
-                buffer: buffer.clone(),
-                bat: bat.clone(),
-                last_used: clock,
-                pinned: false,
-            },
-        );
-        Ok(buffer)
-    }
-
-    /// Allocates a result buffer, evicting cached BATs in LRU order until
-    /// the allocation fits. Large requests are served from the recycle pool
+    /// Allocates a result buffer, releasing idle pooled buffers until the
+    /// allocation fits. Large requests are served from the recycle pool
     /// when an idle same-sized buffer is available (re-zeroed, so callers
     /// may rely on fresh result buffers reading as zero either way).
     pub fn alloc_result(&self, words: usize, label: &str) -> Result<Buffer> {
@@ -349,7 +216,7 @@ impl MemoryManager {
     }
 
     /// Exact-size allocation through the inline eviction chain, bypassing
-    /// the recycle pool — the allocation path of the shared
+    /// the recycle pool — the allocation path of the
     /// [`crate::cache::ColumnCache`] (cached columns must not be
     /// class-rounded or pool-retained).
     pub(crate) fn alloc_exact(&self, words: usize, label: &str) -> Result<Buffer> {
@@ -367,13 +234,18 @@ impl MemoryManager {
             match self.device.alloc_capped(words, label, self.budget()) {
                 Ok(buffer) => return Ok(buffer),
                 Err(KernelError::OutOfDeviceMemory { .. }) => {
-                    if self.evict_one()? {
+                    // Inline eviction: flush, so buffers held only by pending
+                    // work become idle, then release one idle pooled buffer.
+                    // Cached base columns are never touched here (see
+                    // `crate::cache`).
+                    self.queue.flush()?;
+                    if self.pool.release_one_idle() {
                         retried_after_flush = false;
                     } else {
-                        // No pool/cache victim — but the flush inside
-                        // `evict_one` may still have released non-pooled
-                        // buffers held only by pending queue operations.
-                        // Give the allocation one retry when room appeared.
+                        // No pool victim — but the flush may still have
+                        // released non-pooled buffers held only by pending
+                        // queue operations. Give the allocation one retry
+                        // when room appeared.
                         if !retried_after_flush && self.headroom() >= bytes {
                             retried_after_flush = true;
                             continue;
@@ -389,111 +261,24 @@ impl MemoryManager {
         }
     }
 
-    /// Evicts the least-recently-used unpinned, not-in-use cache entry.
-    /// Returns `false` when nothing can be evicted.
-    fn evict_one(&self) -> Result<bool> {
-        // Make sure pending work on cached buffers has executed before we
-        // drop one of them.
-        self.queue.flush()?;
-        // Idle recycled buffers are the cheapest memory to give back:
-        // release them before evicting cached BATs (which would have to be
-        // re-uploaded).
-        if self.pool.release_one_idle() {
-            return Ok(true);
-        }
-        Ok(self.evict_one_cached())
-    }
-
-    /// Evicts the least-recently-used unpinned, not-in-use entry of this
-    /// manager's private BAT registry (no flush, no pool interaction).
-    fn evict_one_cached(&self) -> bool {
-        let mut state = self.state.lock();
-        let victim = state
-            .cache
-            .iter()
-            .filter(|(_, e)| !e.pinned && e.buffer.handle_count() <= 1)
-            .min_by_key(|(_, e)| e.last_used)
-            .map(|(k, _)| *k);
-        match victim {
-            Some(key) => {
-                if let Some(entry) = state.cache.remove(&key) {
-                    state.events.remove(&entry.buffer.id());
-                    state.stats.evictions += 1;
-                }
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// Pins a BAT so it is never evicted (paper: "this mechanism can be used
-    /// to pin frequently accessed BATs permanently to the device").
-    pub fn pin(&self, bat: &BatRef) -> Result<()> {
-        let buffer = self.get_or_upload(bat)?;
-        let key = bat_key(bat);
-        let mut state = self.state.lock();
-        if let Some(entry) = state.cache.get_mut(&key) {
-            entry.pinned = true;
-        }
-        drop(buffer);
-        Ok(())
-    }
-
-    /// Unpins a previously pinned BAT.
-    pub fn unpin(&self, bat: &BatRef) {
-        let key = bat_key(bat);
-        let mut state = self.state.lock();
-        if let Some(entry) = state.cache.get_mut(&key) {
-            entry.pinned = false;
-        }
-    }
-
-    /// Drops the cached buffer of a BAT (the callback MonetDB invokes when a
-    /// BAT is deleted or recycled, paper §4.3).
-    pub fn invalidate(&self, bat: &BatRef) {
-        let key = bat_key(bat);
-        let mut state = self.state.lock();
-        if let Some(entry) = state.cache.remove(&key) {
-            state.events.remove(&entry.buffer.id());
-        }
-        state.hash_tables.remove(&key);
-    }
-
-    /// Clears the whole cache (used between benchmark configurations). Also
-    /// empties the recycle pool — including buffers donated by other
-    /// contexts when the pool is shared.
-    pub fn clear(&self) {
-        let mut state = self.state.lock();
-        state.cache.clear();
-        state.events.clear();
-        state.hash_tables.clear();
-        state.offloaded.clear();
-        drop(state);
-        self.pool.clear();
-    }
-
-    // ---- producer / consumer event tracking (paper §3.4) ----
+    // ---- producer event tracking (paper §3.4) ----
 
     /// Entry count past which [`MemoryManager::record_producer`] prunes
     /// event bookkeeping for quiesced buffers (see below).
     const EVENTS_PRUNE_THRESHOLD: usize = 512;
 
-    /// Drops event entries whose every recorded event has completed. Such
-    /// entries only ever contribute completed events to wait-lists (no-ops),
-    /// so removing them is always sound. This bounds the `events` map on
-    /// long-running sessions: without it, buffers that leave this manager's
-    /// life through the *shared* pool — retired under the pool cap, or
-    /// acquired by another context — would leave their entries behind
-    /// forever (only a same-manager re-acquire removes them eagerly).
+    /// Drops event entries whose every recorded producer has completed.
+    /// Such entries only ever contribute completed events to wait-lists
+    /// (no-ops), so removing them is always sound. This bounds the `events`
+    /// map on long-running sessions: without it, buffers that leave this
+    /// manager's life through the *shared* pool — retired under the pool
+    /// cap, or acquired by another context — would leave their entries
+    /// behind forever (only a same-manager re-acquire removes them eagerly).
     fn prune_completed_events(state: &mut State, queue: &Queue) {
         let registry = queue.events();
-        state.events.retain(|_, entry| {
-            entry
-                .producers
-                .iter()
-                .chain(entry.consumers.iter())
-                .any(|event| !registry.is_complete(*event))
-        });
+        state
+            .events
+            .retain(|_, producers| producers.iter().any(|event| !registry.is_complete(*event)));
     }
 
     /// Records that `event` produces (writes) `buffer`.
@@ -502,12 +287,7 @@ impl MemoryManager {
         if state.events.len() >= Self::EVENTS_PRUNE_THRESHOLD {
             Self::prune_completed_events(&mut state, &self.queue);
         }
-        state.events.entry(buffer.id()).or_default().producers.push(event);
-    }
-
-    /// Records that `event` consumes (reads) `buffer`.
-    pub fn record_consumer(&self, buffer: &Buffer, event: EventId) {
-        self.state.lock().events.entry(buffer.id()).or_default().consumers.push(event);
+        state.events.entry(buffer.id()).or_default().push(event);
     }
 
     /// Number of buffers with event bookkeeping (observability for the
@@ -519,22 +299,7 @@ impl MemoryManager {
     /// Wait-list for an operation that wants to *read* `buffer`: all of its
     /// producers.
     pub fn wait_for_read(&self, buffer: &Buffer) -> Vec<EventId> {
-        self.state.lock().events.get(&buffer.id()).map(|e| e.producers.clone()).unwrap_or_default()
-    }
-
-    /// Wait-list for an operation that wants to *overwrite* `buffer`: its
-    /// producers and consumers.
-    pub fn wait_for_write(&self, buffer: &Buffer) -> Vec<EventId> {
-        self.state
-            .lock()
-            .events
-            .get(&buffer.id())
-            .map(|e| {
-                let mut all = e.producers.clone();
-                all.extend(e.consumers.iter().copied());
-                all
-            })
-            .unwrap_or_default()
+        self.state.lock().events.get(&buffer.id()).cloned().unwrap_or_default()
     }
 
     // ---- host offload of intermediates (paper §3.3) ----
@@ -574,33 +339,11 @@ impl MemoryManager {
         self.trace.emit(|| TraceEventKind::Unspill { bytes });
         Ok(buffer)
     }
-
-    // ---- hash-table cache (paper §5.2.6) ----
-
-    /// Returns the cached hash table for a base-table BAT, if one was built
-    /// before.
-    pub fn cached_hash_table(&self, bat: &BatRef) -> Option<Arc<OcelotHashTable>> {
-        let mut state = self.state.lock();
-        let found = state.hash_tables.get(&bat_key(bat)).cloned();
-        if found.is_some() {
-            state.stats.hash_cache_hits += 1;
-        }
-        found
-    }
-
-    /// Stores a hash table built over a base-table BAT for later reuse.
-    pub fn cache_hash_table(&self, bat: &BatRef, table: Arc<OcelotHashTable>) {
-        self.state.lock().hash_tables.insert(bat_key(bat), table);
-    }
 }
 
 impl std::fmt::Debug for MemoryManager {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let state = self.state.lock();
-        f.debug_struct("MemoryManager")
-            .field("cached_entries", &state.cache.len())
-            .field("stats", &state.stats)
-            .finish()
+        f.debug_struct("MemoryManager").field("stats", &self.state.lock().stats).finish()
     }
 }
 
@@ -608,7 +351,6 @@ impl std::fmt::Debug for MemoryManager {
 mod tests {
     use super::*;
     use ocelot_kernel::GpuConfig;
-    use ocelot_storage::Bat;
 
     fn gpu_manager(mem_bytes: usize) -> (Device, Arc<Queue>, MemoryManager) {
         let device = Device::simulated_gpu(GpuConfig::default().with_global_mem(mem_bytes));
@@ -617,80 +359,17 @@ mod tests {
         (device, queue, mm)
     }
 
-    fn bat(n: usize, name: &str) -> BatRef {
-        Bat::from_i32(name, (0..n as i32).collect()).into_ref()
-    }
-
-    #[test]
-    fn caches_uploaded_bats() {
-        let (_, _, mm) = gpu_manager(1 << 20);
-        let b = bat(100, "a");
-        let first = mm.get_or_upload(&b).unwrap();
-        let second = mm.get_or_upload(&b).unwrap();
-        assert_eq!(first.id(), second.id());
-        let stats = mm.stats();
-        assert_eq!(stats.cache_misses, 1);
-        assert_eq!(stats.cache_hits, 1);
-        assert_eq!(stats.bytes_uploaded, 400);
-        assert_eq!(mm.cached_entries(), 1);
-        assert_eq!(mm.cached_bytes(), 400);
-    }
-
-    #[test]
-    fn uploads_preserve_contents() {
-        let (_, queue, mm) = gpu_manager(1 << 20);
-        let b = Bat::from_f32("f", vec![1.5, -2.5]).into_ref();
-        let buffer = mm.get_or_upload(&b).unwrap();
-        queue.flush().unwrap();
-        assert_eq!(buffer.prefix_f32(2), vec![1.5, -2.5]);
-    }
-
-    #[test]
-    fn evicts_lru_under_pressure() {
-        // Device fits two 100-word BATs but not three.
-        let (_, _, mm) = gpu_manager(1000);
-        let a = bat(100, "a");
-        let b = bat(100, "b");
-        let c = bat(100, "c");
-        drop(mm.get_or_upload(&a).unwrap());
-        drop(mm.get_or_upload(&b).unwrap());
-        // Touch `a` so `b` becomes the LRU victim.
-        drop(mm.get_or_upload(&a).unwrap());
-        drop(mm.get_or_upload(&c).unwrap());
-        assert_eq!(mm.stats().evictions, 1);
-        assert_eq!(mm.cached_entries(), 2);
-        // `b` was evicted; re-requesting it is a miss again.
-        let misses_before = mm.stats().cache_misses;
-        drop(mm.get_or_upload(&b).unwrap());
-        assert_eq!(mm.stats().cache_misses, misses_before + 1);
-    }
-
-    #[test]
-    fn pinned_bats_are_never_evicted() {
-        let (_, _, mm) = gpu_manager(1000);
-        let a = bat(100, "a");
-        let b = bat(100, "b");
-        mm.pin(&a).unwrap();
-        drop(mm.get_or_upload(&b).unwrap());
-        // Allocating more than fits must evict `b`, not the pinned `a`.
-        let _big = mm.alloc_result(100, "scratch").unwrap();
-        assert_eq!(mm.cached_entries(), 1);
-        let hits_before = mm.stats().cache_hits;
-        drop(mm.get_or_upload(&a).unwrap());
-        assert_eq!(mm.stats().cache_hits, hits_before + 1, "pinned BAT still cached");
-        mm.unpin(&a);
-    }
-
     #[test]
     fn in_use_buffers_are_not_evicted() {
-        let (_, _, mm) = gpu_manager(1000);
-        let a = bat(100, "a");
-        let held = mm.get_or_upload(&a).unwrap();
-        // Allocation pressure cannot evict `a` because we hold its buffer.
-        let err = mm.alloc_result(200, "big").unwrap_err();
+        // The held result buffer sits in the pool, but a live handle keeps
+        // it from being idle: allocation pressure cannot release it.
+        let (_, _, mm) = gpu_manager(10 * MIN_POOLED_WORDS);
+        let held = mm.alloc_result(MIN_POOLED_WORDS, "held").unwrap();
+        assert_eq!(mm.pool().retained_bytes(), MIN_POOLED_WORDS * 4);
+        let err = mm.alloc_result(2 * MIN_POOLED_WORDS, "big").unwrap_err();
         assert!(matches!(err, KernelError::OutOfDeviceMemory { .. }));
         drop(held);
-        assert!(mm.alloc_result(150, "big").is_ok());
+        assert!(mm.alloc_result(2 * MIN_POOLED_WORDS, "big").is_ok());
     }
 
     #[test]
@@ -701,27 +380,21 @@ mod tests {
     }
 
     #[test]
-    fn invalidate_removes_cache_entry() {
-        let (_, _, mm) = gpu_manager(1 << 20);
-        let a = bat(10, "a");
-        drop(mm.get_or_upload(&a).unwrap());
-        assert_eq!(mm.cached_entries(), 1);
-        mm.invalidate(&a);
-        assert_eq!(mm.cached_entries(), 0);
-    }
-
-    #[test]
     fn producer_consumer_wait_lists() {
+        // A reader waits on every producer of the buffer, and only on them.
         let (device, queue, mm) = gpu_manager(1 << 20);
         let buffer = device.alloc(10, "x").unwrap();
-        let write = queue.enqueue_write(&buffer, &[]).unwrap();
-        mm.record_producer(&buffer, write);
-        assert_eq!(mm.wait_for_read(&buffer), vec![write]);
+        let other = device.alloc(10, "y").unwrap();
+        assert!(mm.wait_for_read(&buffer).is_empty());
+        let first = queue.enqueue_write(&buffer, &[]).unwrap();
+        mm.record_producer(&buffer, first);
+        let second = queue.enqueue_write(&buffer, &[first]).unwrap();
+        mm.record_producer(&buffer, second);
+        let elsewhere = queue.enqueue_write(&other, &[]).unwrap();
+        mm.record_producer(&other, elsewhere);
+        assert_eq!(mm.wait_for_read(&buffer), vec![first, second]);
         let read = queue.enqueue_read(&buffer, &mm.wait_for_read(&buffer)).unwrap();
-        mm.record_consumer(&buffer, read);
-        let write_wait = mm.wait_for_write(&buffer);
-        assert!(write_wait.contains(&write));
-        assert!(write_wait.contains(&read));
+        assert!(!mm.wait_for_read(&buffer).contains(&read), "a read is no producer");
         queue.flush().unwrap();
     }
 
@@ -868,15 +541,5 @@ mod tests {
                 manager.tracked_event_entries()
             );
         }
-    }
-
-    #[test]
-    fn unified_memory_devices_report_no_upload_bytes() {
-        let device = Device::cpu_multicore_with(2);
-        let queue = Arc::new(device.create_queue());
-        let mm = MemoryManager::new(device, queue);
-        let b = bat(50, "a");
-        drop(mm.get_or_upload(&b).unwrap());
-        assert_eq!(mm.stats().bytes_uploaded, 0, "zero-copy on unified memory");
     }
 }

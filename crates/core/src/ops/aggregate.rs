@@ -72,7 +72,6 @@
 
 use super::rowexpr::{conjunction_mask, Map, Pred, Scratch, TILE};
 use crate::context::{DevColumn, DevScalar, LenSource, OcelotContext, Oid};
-use crate::primitives::reduce;
 use ocelot_kernel::{
     Buffer, BufferAccess, EventId, Kernel, KernelAccesses, KernelCost, LaunchConfig, Result,
     WorkGroupCtx,
@@ -769,9 +768,6 @@ pub fn fused_aggs(
         ctx.launch(num_groups),
         &[partials_event],
     )?;
-    for column in inputs {
-        ctx.memory().record_consumer(&column.buffer, partials_event);
-    }
     for output in &outputs {
         ctx.memory().record_producer(output, fold_event);
     }
@@ -861,28 +857,6 @@ pub fn grouped_avg_f32(
     grouped_agg(ctx, Some(values), gids, num_groups, GroupedAgg::Avg(0))
 }
 
-/// Divides the one-word sum by the (possibly device-resident) element count:
-/// the tail of the deferred average.
-struct ScalarDivByLenKernel {
-    sum: Buffer,
-    output: Buffer,
-    n: LenSource,
-}
-
-impl Kernel for ScalarDivByLenKernel {
-    fn name(&self) -> &str {
-        "scalar_div_by_len"
-    }
-    fn run_group(&self, group: &mut WorkGroupCtx) {
-        if group.group_id() != 0 {
-            return;
-        }
-        let n = self.n.get();
-        let value = if n == 0 { 0.0 } else { self.sum.get_f32(0) / n as f32 };
-        self.output.set_f32(0, value);
-    }
-}
-
 /// Number of rows in a column as a deferred scalar: for host-known lengths a
 /// staged constant, for deferred columns the existing device counter —
 /// either way, no synchronisation.
@@ -894,32 +868,6 @@ pub fn count<T: crate::context::DevWord>(
         crate::context::ColLen::Host(n) => DevScalar::constant(ctx, *n as u32),
         crate::context::ColLen::Device { counter, .. } => Ok(DevScalar::new(counter.clone(), None)),
     }
-}
-
-/// Average of a float column, as a deferred scalar (`0` for an empty
-/// column). The division by the element count happens on the device, so the
-/// average of a deferred-length column is still sync-free.
-pub fn avg_f32(ctx: &OcelotContext, values: &DevColumn<f32>) -> Result<DevScalar<f32>> {
-    if values.cap() == 0 {
-        return DevScalar::constant(ctx, 0.0f32);
-    }
-    let total = reduce::sum_f32(ctx, values)?;
-    let output = ctx.alloc(1, "avg_output")?;
-    let mut wait = ctx.memory().wait_for_read(total.buffer());
-    if let crate::context::ColLen::Device { counter, .. } = values.col_len() {
-        wait.extend(ctx.memory().wait_for_read(counter));
-    }
-    let event = ctx.queue().enqueue_kernel(
-        Arc::new(ScalarDivByLenKernel {
-            sum: total.buffer().clone(),
-            output: output.clone(),
-            n: values.len_source(),
-        }),
-        ctx.launch(1),
-        &wait,
-    )?;
-    ctx.memory().record_producer(&output, event);
-    Ok(DevScalar::new(output, Some(event)))
 }
 
 #[cfg(test)]
@@ -1117,16 +1065,12 @@ mod tests {
         let sum = sum_f32(&ctx, &v).unwrap();
         let min = min_f32(&ctx, &v).unwrap();
         let max = max_f32(&ctx, &v).unwrap();
-        let avg = avg_f32(&ctx, &v).unwrap();
         let n = count(&ctx, &v).unwrap();
         assert_eq!(ctx.queue().flush_count(), flushes, "aggregates must not flush");
         assert_eq!(sum.get(&ctx).unwrap(), 6.0);
         assert_eq!(min.get(&ctx).unwrap(), 1.0);
         assert_eq!(max.get(&ctx).unwrap(), 3.0);
-        assert_eq!(avg.get(&ctx).unwrap(), 2.0);
         assert_eq!(n.get(&ctx).unwrap(), 3);
-        let empty = ctx.upload_f32(&[], "e").unwrap();
-        assert_eq!(avg_f32(&ctx, &empty).unwrap().get(&ctx).unwrap(), 0.0);
     }
 
     #[test]

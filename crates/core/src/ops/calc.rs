@@ -15,7 +15,9 @@
 
 use super::rowexpr::{map_columns, Map};
 use crate::context::{DevColumn, DevWord, LenSource, OcelotContext};
-use ocelot_kernel::{Buffer, Kernel, Result, WorkGroupCtx};
+use ocelot_kernel::{
+    Buffer, BufferAccess, Kernel, KernelAccesses, LaunchConfig, Result, WorkGroupCtx,
+};
 use std::sync::Arc;
 
 /// Writes `min(a, b)` of two (possibly device-resident) element counts into
@@ -36,6 +38,14 @@ impl Kernel for MinLenKernel {
             return;
         }
         self.out.set_u32(0, self.a.get().min(self.b.get()) as u32);
+    }
+    fn declared_accesses(&self, _launch: &LaunchConfig) -> Option<KernelAccesses> {
+        let counters = [&self.a, &self.b].into_iter().filter_map(|len| match len {
+            LenSource::Counter { counter, .. } => Some(BufferAccess::cells_read(counter, 0..1)),
+            LenSource::Fixed(_) => None,
+        });
+        let write = BufferAccess::cells_write(&self.out, 0..1);
+        Some(KernelAccesses::of(counters.chain([write]).collect()))
     }
 }
 
@@ -271,25 +281,46 @@ mod tests {
         assert_eq!(product.read(&ctx).unwrap(), vec![20.0, 60.0]);
     }
 
+    /// A float column whose length is a device counter holding `count`.
+    fn deferred_f32(ctx: &OcelotContext, values: &[f32], count: u32) -> DevColumn<f32> {
+        let raw = ctx.upload_f32(values, "v").unwrap();
+        let counter = ctx.alloc(1, "count").unwrap();
+        counter.set_u32(0, count);
+        ctx.queue().enqueue_write(&counter, &[]).unwrap();
+        DevColumn::<crate::context::Oid>::deferred(raw.buffer.clone(), counter, values.len())
+            .unwrap()
+            .reinterpret()
+    }
+
     #[test]
     fn binary_map_with_two_distinct_deferred_counters_clamps_to_min() {
         // Misaligned deferred inputs must never surface an uninitialised
         // tail: the map combines the two counters into a device-side min.
-        use crate::context::{DevColumn, Oid};
         let ctx = OcelotContext::cpu();
-        let deferred_f32 = |values: &[f32], count: u32| -> DevColumn<f32> {
-            let raw = ctx.upload_f32(values, "v").unwrap();
-            let counter = ctx.alloc(1, "count").unwrap();
-            counter.set_u32(0, count);
-            ctx.queue().enqueue_write(&counter, &[]).unwrap();
-            DevColumn::<Oid>::deferred(raw.buffer.clone(), counter, values.len())
-                .unwrap()
-                .reinterpret()
-        };
-        let a = deferred_f32(&[1.0, 2.0, 3.0, f32::NAN], 3);
-        let b = deferred_f32(&[5.0, 6.0, f32::NAN, f32::NAN], 2);
+        let a = deferred_f32(&ctx, &[1.0, 2.0, 3.0, f32::NAN], 3);
+        let b = deferred_f32(&ctx, &[5.0, 6.0, f32::NAN, f32::NAN], 2);
         let sum = add_f32(&ctx, &a, &b).unwrap();
         assert_eq!(sum.read(&ctx).unwrap(), vec![6.0, 8.0]);
+    }
+
+    #[test]
+    fn min_length_kernel_is_declared_and_race_free() {
+        // The counter-combining kernel declares what it touches: under the
+        // armed race detector every kernel of the map is checked, and none
+        // races the map that reads the combined length.
+        for ctx in [OcelotContext::cpu(), OcelotContext::gpu()] {
+            ctx.queue().race().arm();
+            let a = deferred_f32(&ctx, &[1.0, 2.0, 3.0, f32::NAN], 3);
+            let b = deferred_f32(&ctx, &[5.0, 6.0, f32::NAN, f32::NAN], 2);
+            let sum = add_f32(&ctx, &a, &b).unwrap();
+            assert_eq!(sum.read(&ctx).unwrap(), vec![6.0, 8.0]);
+            let (stats, diagnostics) =
+                (ctx.queue().race().stats(), ctx.queue().race().take_diagnostics());
+            ctx.queue().race().disarm();
+            assert!(diagnostics.is_empty(), "{diagnostics:?}");
+            assert!(stats.kernels_observed >= 2, "{stats:?}");
+            assert_eq!(stats.kernels_declared, stats.kernels_observed, "{stats:?}");
+        }
     }
 
     #[test]

@@ -2,24 +2,17 @@
 //!
 //! Equi-joins on a dense key are positional (below); every other equi-join
 //! is a hash join against an [`OcelotHashTable`] built over the
-//! (unique-key) build side; theta-joins use a nested-loop kernel. All
-//! produce compact results without synchronisation by the two-step scheme:
-//! every work-item counts the result tuples it will emit, a prefix sum turns
-//! the counts into unique write offsets, and a write pass emits the tuples
-//! at those offsets. A hash join is **two passes over the probe side, not
-//! three**: the probe kernel counts its matches while it writes the aligned
-//! lookups, so only the write pass follows the (tiny) scan of the per-item
-//! counts. When the caller knows every probe row matches (e.g. a PK-FK join
-//! against an unfiltered key column), the aligned lookup is returned
-//! directly — the paper's "execute the join directly, omitting the
-//! additional overhead" optimisation.
+//! (unique-key) build side. Both produce compact results without
+//! synchronisation by the two-step scheme: every work-item counts the
+//! result tuples it will emit, a prefix sum turns the counts into unique
+//! write offsets, and a write pass emits the tuples at those offsets. A hash
+//! join is **two passes over the probe side, not three**: the probe kernel
+//! counts its matches while it writes the aligned lookups, so only the write
+//! pass follows the (tiny) scan of the per-item counts.
 //!
 //! Hash-join compaction is fully lazy: a probe row produces at most one
 //! result tuple, so the outputs are allocated at the probe cardinality and
-//! carry the scan total as a deferred length — no host round-trip. The
-//! nested-loop theta join is the documented exception: its output bound is
-//! `|L| × |R|`, so it resolves the scan total (one sync) instead of
-//! allocating the quadratic worst case.
+//! carry the scan total as a deferred length — no host round-trip.
 //!
 //! # Positional joins on a dense key
 //!
@@ -206,17 +199,6 @@ pub fn hash_join(
     let (lookups, kept) = table.probe_counted(ctx, probe, true)?;
     let (probe_oids, build_oids) = compact_lookups(ctx, &lookups, kept, true)?;
     Ok(JoinResult { probe_oids, build_oids: build_oids.expect("build side requested") })
-}
-
-/// Aligned PK-FK lookup: for every probe row the matching build OID
-/// (`NOT_FOUND` when missing). This is the "known result size" fast path the
-/// paper uses when joining against a key column.
-pub fn hash_join_aligned(
-    ctx: &OcelotContext,
-    probe: &DevColumn<i32>,
-    table: &OcelotHashTable,
-) -> Result<DevColumn<Oid>> {
-    table.probe_representatives(ctx, probe)
 }
 
 // ---- semi / anti join: membership of left keys in right ----
@@ -675,169 +657,6 @@ pub fn dense_join(
     Ok((resolved(rows)?, positions.map(resolved).transpose()?))
 }
 
-// ---- nested-loop theta join ----
-
-/// Comparison used by the nested-loop theta join.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ThetaOp {
-    /// `left < right`
-    Less,
-    /// `left <= right`
-    LessEqual,
-    /// `left > right`
-    Greater,
-    /// `left >= right`
-    GreaterEqual,
-    /// `left != right`
-    NotEqual,
-}
-
-impl ThetaOp {
-    #[inline]
-    fn matches(self, left: i32, right: i32) -> bool {
-        match self {
-            ThetaOp::Less => left < right,
-            ThetaOp::LessEqual => left <= right,
-            ThetaOp::Greater => left > right,
-            ThetaOp::GreaterEqual => left >= right,
-            ThetaOp::NotEqual => left != right,
-        }
-    }
-}
-
-struct NestedLoopCountKernel {
-    left: Buffer,
-    right: Buffer,
-    counts: Buffer,
-    op: ThetaOp,
-    left_len: usize,
-    right_len: usize,
-}
-
-impl Kernel for NestedLoopCountKernel {
-    fn name(&self) -> &str {
-        "nested_loop_count"
-    }
-    fn run_group(&self, group: &mut WorkGroupCtx) {
-        for item in group.items() {
-            let (start, end) = item.chunk_bounds(self.left_len);
-            let mut count = 0u32;
-            for l in start..end {
-                let lv = self.left.get_i32(l);
-                for r in 0..self.right_len {
-                    if self.op.matches(lv, self.right.get_i32(r)) {
-                        count += 1;
-                    }
-                }
-            }
-            self.counts.set_u32(item.global_id, count);
-        }
-    }
-    fn cost(&self, launch: &LaunchConfig) -> KernelCost {
-        let pairs = (launch.n as u64) * self.right_len as u64;
-        KernelCost::new(pairs * 8, launch.total_items() as u64 * 4, pairs, 0)
-    }
-}
-
-struct NestedLoopWriteKernel {
-    left: Buffer,
-    right: Buffer,
-    offsets: Buffer,
-    left_out: Buffer,
-    right_out: Buffer,
-    op: ThetaOp,
-    left_len: usize,
-    right_len: usize,
-}
-
-impl Kernel for NestedLoopWriteKernel {
-    fn name(&self) -> &str {
-        "nested_loop_write"
-    }
-    fn run_group(&self, group: &mut WorkGroupCtx) {
-        for item in group.items() {
-            let (start, end) = item.chunk_bounds(self.left_len);
-            let mut cursor = self.offsets.get_u32(item.global_id) as usize;
-            for l in start..end {
-                let lv = self.left.get_i32(l);
-                for r in 0..self.right_len {
-                    if self.op.matches(lv, self.right.get_i32(r)) {
-                        self.left_out.set_u32(cursor, l as u32);
-                        self.right_out.set_u32(cursor, r as u32);
-                        cursor += 1;
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// Nested-loop theta join producing every `(left_oid, right_oid)` pair whose
-/// values satisfy `op`.
-///
-/// **Deliberate sync point:** the output bound is `|L| × |R|`, so the scan
-/// total is resolved on the host to size the result exactly instead of
-/// allocating the quadratic worst case.
-pub fn nested_loop_join(
-    ctx: &OcelotContext,
-    left: &DevColumn<i32>,
-    right: &DevColumn<i32>,
-    op: ThetaOp,
-) -> Result<JoinResult> {
-    let n = left.len(ctx)?;
-    let right_len = right.len(ctx)?;
-    if n == 0 || right_len == 0 {
-        let empty_l = ctx.alloc(1, "nlj_empty_l")?;
-        let empty_r = ctx.alloc(1, "nlj_empty_r")?;
-        return Ok(JoinResult {
-            probe_oids: DevColumn::new(empty_l, 0)?,
-            build_oids: DevColumn::new(empty_r, 0)?,
-        });
-    }
-    let launch = ctx.launch(n);
-    let counts = ctx.alloc(launch.total_items(), "nlj_counts")?;
-    let mut wait = ctx.wait_for(left);
-    wait.extend(ctx.wait_for(right));
-    let count_event = ctx.queue().enqueue_kernel(
-        Arc::new(NestedLoopCountKernel {
-            left: left.buffer.clone(),
-            right: right.buffer.clone(),
-            counts: counts.clone(),
-            op,
-            left_len: n,
-            right_len,
-        }),
-        launch.clone(),
-        &wait,
-    )?;
-    ctx.memory().record_producer(&counts, count_event);
-    let counts_col = DevColumn::<u32>::new(counts, launch.total_items())?;
-    let (offsets, total) = exclusive_scan_u32(ctx, &counts_col)?;
-    let total = total.get(ctx)? as usize;
-    let left_out = ctx.alloc(total.max(1), "nlj_left_oids")?;
-    let right_out = ctx.alloc(total.max(1), "nlj_right_oids")?;
-    let write_event = ctx.queue().enqueue_kernel(
-        Arc::new(NestedLoopWriteKernel {
-            left: left.buffer.clone(),
-            right: right.buffer.clone(),
-            offsets: offsets.buffer.clone(),
-            left_out: left_out.clone(),
-            right_out: right_out.clone(),
-            op,
-            left_len: n,
-            right_len,
-        }),
-        launch,
-        &ctx.memory().wait_for_read(&offsets.buffer),
-    )?;
-    ctx.memory().record_producer(&left_out, write_event);
-    ctx.memory().record_producer(&right_out, write_event);
-    Ok(JoinResult {
-        probe_oids: DevColumn::new(left_out, total)?,
-        build_oids: DevColumn::new(right_out, total)?,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -901,7 +720,7 @@ mod tests {
         let build = ctx.upload_i32(&[5, 6, 7], "pk").unwrap();
         let probe = ctx.upload_i32(&[7, 5, 7, 6], "fk").unwrap();
         let table = OcelotHashTable::build(&ctx, &build, 4).unwrap();
-        let aligned = hash_join_aligned(&ctx, &probe, &table).unwrap();
+        let aligned = table.probe_representatives(&ctx, &probe).unwrap();
         assert_eq!(aligned.read(&ctx).unwrap(), vec![2, 0, 2, 1]);
     }
 
@@ -924,38 +743,6 @@ mod tests {
     }
 
     #[test]
-    fn nested_loop_theta_join_matches_monet() {
-        let left: Vec<i32> = (0..150).map(|i| i % 40).collect();
-        let right: Vec<i32> = (0..60).map(|i| i % 25).collect();
-        let (expected_l, expected_r) = monet::nested_loop_join_i32(&left, &right, |a, b| a < b);
-        let ctx = OcelotContext::cpu();
-        let l = ctx.upload_i32(&left, "l").unwrap();
-        let r = ctx.upload_i32(&right, "r").unwrap();
-        let result = nested_loop_join(&ctx, &l, &r, ThetaOp::Less).unwrap();
-        let mut expected: Vec<(u32, u32)> = expected_l.into_iter().zip(expected_r).collect();
-        let mut got: Vec<(u32, u32)> = result
-            .probe_oids
-            .read(&ctx)
-            .unwrap()
-            .into_iter()
-            .zip(result.build_oids.read(&ctx).unwrap())
-            .collect();
-        expected.sort_unstable();
-        got.sort_unstable();
-        assert_eq!(got, expected);
-    }
-
-    #[test]
-    fn theta_ops_cover_all_comparisons() {
-        assert!(ThetaOp::Less.matches(1, 2));
-        assert!(ThetaOp::LessEqual.matches(2, 2));
-        assert!(ThetaOp::Greater.matches(3, 2));
-        assert!(ThetaOp::GreaterEqual.matches(2, 2));
-        assert!(ThetaOp::NotEqual.matches(1, 2));
-        assert!(!ThetaOp::NotEqual.matches(2, 2));
-    }
-
-    #[test]
     fn empty_inputs() {
         let ctx = OcelotContext::cpu();
         let empty = ctx.upload_i32(&[], "e").unwrap();
@@ -967,7 +754,5 @@ mod tests {
         assert!(semi_join(&ctx, &probe, &empty).unwrap().read(&ctx).unwrap().is_empty());
         assert!(semi_join(&ctx, &empty, &probe).unwrap().read(&ctx).unwrap().is_empty());
         assert!(anti_join(&ctx, &empty, &probe).unwrap().read(&ctx).unwrap().is_empty());
-        let nlj = nested_loop_join(&ctx, &empty, &probe, ThetaOp::Less).unwrap();
-        assert!(nlj.is_empty(&ctx).unwrap());
     }
 }

@@ -9,7 +9,6 @@ pub mod calc;
 pub mod groupby;
 pub mod hash_table;
 pub mod join;
-pub mod project;
 pub mod rowexpr;
 pub mod select;
 pub mod sort_radix;

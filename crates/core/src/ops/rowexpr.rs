@@ -413,7 +413,6 @@ pub fn select_where(
         &cols.iter().flat_map(|col| ctx.wait_for(col)).collect::<Vec<_>>(),
     )?;
     ctx.memory().record_producer(&bitmap.buffer, event);
-    cols.iter().for_each(|col| ctx.memory().record_consumer(&col.buffer, event));
     Ok(bitmap)
 }
 
@@ -478,6 +477,5 @@ pub fn map_columns<O: DevWord>(
         &cols.iter().flat_map(|col| ctx.wait_for(col)).collect::<Vec<_>>(),
     )?;
     ctx.memory().record_producer(&output, event);
-    cols.iter().for_each(|col| ctx.memory().record_consumer(&col.buffer, event));
     DevColumn::with_len(output, len)
 }

@@ -238,7 +238,6 @@ fn radix_sort_order<T: DevWord>(
     };
     let encode = move |word| key.encode(word);
     let mut scattered = enqueue_pass(ctx, &launch, &counts, first, encode, &ctx.wait_for(input))?;
-    ctx.memory().record_consumer(&input.buffer, scattered);
     for pass in 1..PASSES {
         let (from, to) = ((pass + 1) % 2, pass % 2);
         let staged = Pass {

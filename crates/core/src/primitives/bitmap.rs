@@ -144,7 +144,6 @@ pub fn count_ones(ctx: &OcelotContext, bitmap: &Bitmap) -> Result<DevScalar<u32>
         launch.clone(),
         &wait,
     )?;
-    ctx.memory().record_consumer(&bitmap.buffer, event);
     ctx.memory().record_producer(&counts, event);
     let counts_col = DevColumn::<u32>::new(counts, launch.num_groups)?;
     reduce::sum_u32(ctx, &counts_col)

@@ -81,8 +81,6 @@ pub fn gather<T: DevWord>(
         &wait,
     )?;
     ctx.memory().record_producer(&output, event);
-    ctx.memory().record_consumer(&values.buffer, event);
-    ctx.memory().record_consumer(&indices.buffer, event);
     DevColumn::with_len(output, indices.col_len().clone())
 }
 

@@ -205,7 +205,6 @@ pub fn exclusive_scan_u32(
         )?;
         ctx.memory().record_producer(&output, event);
         ctx.memory().record_producer(&total, event);
-        ctx.memory().record_consumer(&input.buffer, event);
         return Ok((DevColumn::new(output, n)?, DevScalar::new(total, Some(event))));
     }
     let partials = ctx.alloc_uninit(launch.total_items(), "scan_partials")?;
@@ -236,7 +235,6 @@ pub fn exclusive_scan_u32(
     )?;
     ctx.memory().record_producer(&output, e3);
     ctx.memory().record_producer(&total, e2);
-    ctx.memory().record_consumer(&input.buffer, e3);
     Ok((DevColumn::new(output, n)?, DevScalar::new(total, Some(e2))))
 }
 

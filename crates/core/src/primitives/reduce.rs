@@ -202,7 +202,6 @@ pub fn reduce<T: DevWord>(
         ctx.launch(launch.num_groups),
         &[e1],
     )?;
-    ctx.memory().record_consumer(&input.buffer, e2);
     ctx.memory().record_producer(&output, e2);
     Ok(DevScalar::new(output, Some(e2)))
 }

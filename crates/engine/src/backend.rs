@@ -325,8 +325,7 @@ pub trait Backend {
     /// unpinned device state they can; the return value says whether the
     /// pass made progress (the executor only retries when it did). Host
     /// backends have no device memory to reclaim.
-    fn reclaim_memory(&self, requested_bytes: usize) -> bool {
-        let _ = requested_bytes;
+    fn reclaim_memory(&self) -> bool {
         false
     }
 

@@ -14,7 +14,7 @@ use crate::backend::{Backend, DenseJoinKind, GroupHandle, GroupedAgg, ProfileMar
 use crate::fuse::{Program, ProgramRows, ProgramSink};
 use crate::plan::{run_members, PlanError, PlanNode, Registers};
 use ocelot_core::ops::{
-    aggregate, calc, groupby, hash_table::OcelotHashTable, join, project, select, sort_radix,
+    aggregate, calc, groupby, hash_table::OcelotHashTable, join, select, sort_radix,
 };
 use ocelot_core::primitives::gather;
 use ocelot_core::{
@@ -145,18 +145,15 @@ impl OcelotBackend {
         *self.spill_stats.lock()
     }
 
-    /// Binds a base column through the device's shared [`ColumnCache`]
-    /// when this context has one (session contexts do): later binds of the
-    /// same column — from *any* session of the device — perform no
-    /// transfer, and the returned column carries a `Pinned` guard that
-    /// protects the entry from eviction while any plan register still
-    /// holds it. Stand-alone contexts fall back to the Memory Manager's
-    /// private BAT registry.
+    /// Binds a base column through the context's [`ColumnCache`]: later
+    /// binds of the same column — from *any* session of the device —
+    /// perform no transfer, and the returned column carries a `Pinned`
+    /// guard that protects the entry from eviction while any plan register
+    /// still holds it.
+    ///
+    /// [`ColumnCache`]: ocelot_core::ColumnCache
     fn cached_column<T: DevWord>(&self, bat: &BatRef) -> ocelot_kernel::Result<DevColumn<T>> {
-        match self.ctx.column_cache() {
-            Some(cache) => cache.column_for_bat(&self.ctx, bat),
-            None => project::device_column_for_bat(&self.ctx, bat),
-        }
+        self.ctx.column_cache().column_for_bat(&self.ctx, bat)
     }
 
     /// Selection helper: evaluates a predicate bitmap over the full columns
@@ -303,9 +300,9 @@ impl Backend for OcelotBackend {
     fn fetch(&self, col: &OcelotColumn, oids: &OcelotColumn) -> Result<OcelotColumn, PlanError> {
         let idx = oids.as_oid();
         Ok(match col {
-            OcelotColumn::I32(c) => OcelotColumn::I32(project::fetch_join(&self.ctx, c, &idx)?),
-            OcelotColumn::F32(c) => OcelotColumn::F32(project::fetch_join(&self.ctx, c, &idx)?),
-            OcelotColumn::Oid(c) => OcelotColumn::Oid(project::fetch_join(&self.ctx, c, &idx)?),
+            OcelotColumn::I32(c) => OcelotColumn::I32(gather::gather(&self.ctx, c, &idx)?),
+            OcelotColumn::F32(c) => OcelotColumn::F32(gather::gather(&self.ctx, c, &idx)?),
+            OcelotColumn::Oid(c) => OcelotColumn::Oid(gather::gather(&self.ctx, c, &idx)?),
         })
     }
 
@@ -492,9 +489,9 @@ impl Backend for OcelotBackend {
         Ok(())
     }
 
-    fn reclaim_memory(&self, requested_bytes: usize) -> bool {
+    fn reclaim_memory(&self) -> bool {
         self.reclaims.fetch_add(1, Ordering::Relaxed);
-        self.ctx.reclaim_device_memory(requested_bytes)
+        self.ctx.reclaim_device_memory()
     }
 
     fn on_device_lost(&self) {
@@ -505,12 +502,8 @@ impl Backend for OcelotBackend {
         // plans are invalidated through the plan slot's epoch — a plan
         // cached for the lost device must never be served again (the
         // serving layer recompiles on its next lookup).
-        if let Some(cache) = self.ctx.column_cache() {
-            cache.purge_lost_device();
-        }
-        if let Some(plans) = self.ctx.plan_slot() {
-            plans.invalidate();
-        }
+        self.ctx.column_cache().purge_lost_device();
+        self.ctx.plan_slot().invalidate();
         self.ctx.memory().pool().clear();
     }
 
@@ -572,9 +565,7 @@ impl Backend for OcelotBackend {
         self.ctx.memory().pool().stats().register_metrics("ocelot.pool", registry);
         self.spill_stats().register_metrics("ocelot.spill", registry);
         registry.set_counter("ocelot.reclaims", self.reclaim_count());
-        if let Some(cache) = self.ctx.column_cache() {
-            cache.stats().register_metrics("ocelot.cache", registry);
-        }
+        self.ctx.column_cache().stats().register_metrics("ocelot.cache", registry);
         if let Some(faults) = self.ctx.device().fault_stats() {
             faults.register_metrics("ocelot.faults", registry);
         }
@@ -621,6 +612,21 @@ mod tests {
                 assert!((va - vb).abs() < 1.0, "{} vs {}", va, vb);
             }
         }
+    }
+
+    #[test]
+    fn standalone_backends_bind_through_their_own_column_cache() -> Result<(), PlanError> {
+        let backend = OcelotBackend::gpu();
+        let bat = Bat::from_i32("base", (0..100).collect()).into_ref();
+        let (first, second) = (backend.bat(&bat)?, backend.bat(&bat)?);
+        let (OcelotColumn::I32(first), OcelotColumn::I32(second)) = (first, second) else {
+            panic!("an integer BAT binds as an integer column");
+        };
+        assert_eq!(first.buffer.id(), second.buffer.id(), "second bind served from the cache");
+        let stats = backend.context().column_cache().stats();
+        assert_eq!((stats.misses, stats.hits), (1, 1));
+        assert_eq!(backend.to_i32(&OcelotColumn::I32(second))?[99], 99);
+        Ok(())
     }
 
     #[test]

@@ -1674,7 +1674,7 @@ impl<'a, B: Backend> PlanRun<'a, B> {
                 Err(PlanError::Device(KernelError::OutOfDeviceMemory { requested, available })) => {
                     self.discard_attempt(node, results_before);
                     attempts += 1;
-                    let progressed = self.backend.reclaim_memory(requested);
+                    let progressed = self.backend.reclaim_memory();
                     if attempts > Self::RESTART_LIMIT || !progressed {
                         return Err(PlanError::OutOfDeviceMemory { requested, available });
                     }
@@ -2280,7 +2280,7 @@ mod tests {
             }
             self.inner.bat(bat)
         }
-        fn reclaim_memory(&self, _requested: usize) -> bool {
+        fn reclaim_memory(&self) -> bool {
             self.reclaims.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
             self.reclaim_succeeds
         }

@@ -6,7 +6,9 @@
 //! flushes never execute another session's work, keeping per-query sync
 //! accounting exact) and a **private Memory Manager** whose result buffers
 //! recycle through the device's **shared pool** — a finished query donates
-//! its intermediates to whichever session allocates next. For the
+//! its intermediates to whichever session allocates next — and it binds
+//! base columns through the device's one **column cache**, so a column any
+//! session uploaded is a hit for every other. For the
 //! MonetDB-style host backends a session is a thin wrapper; the same
 //! session/plan API runs every configuration.
 //!
@@ -229,10 +231,9 @@ impl Session<OcelotBackend> {
     }
 
     /// The device-wide column cache this session binds base columns
-    /// through, when it was created from a [`SharedDevice`] (stand-alone
-    /// contexts bind through their private Memory Manager instead). The
-    /// handle exposes the cache's hit/miss/eviction counters and budget.
-    pub fn column_cache(&self) -> Option<&std::sync::Arc<ocelot_core::ColumnCache>> {
+    /// through. The handle exposes the cache's hit/miss/eviction counters
+    /// and budget.
+    pub fn column_cache(&self) -> &ocelot_core::ColumnCache {
         self.backend.context().column_cache()
     }
 }

@@ -44,17 +44,6 @@ pub fn par_max_f32(values: &[f32], threads: usize) -> Option<f32> {
     partials.into_iter().flatten().reduce(f32::max)
 }
 
-/// Parallel mean of a float column.
-pub fn par_avg_f32(values: &[f32], threads: usize) -> Option<f32> {
-    if values.is_empty() {
-        return None;
-    }
-    let partials = run_partitions(values.len(), threads, |s, e| {
-        values[s..e].iter().map(|v| *v as f64).sum::<f64>()
-    });
-    Some((partials.into_iter().sum::<f64>() / values.len() as f64) as f32)
-}
-
 /// Parallel per-group sums: each partition accumulates a private group
 /// table, the tables are added element-wise.
 pub fn par_grouped_sum_f32(
@@ -171,15 +160,6 @@ mod tests {
             assert_eq!(par_min_f32(&vals, threads), sequential::min_f32(&vals));
             assert_eq!(par_max_f32(&vals, threads), sequential::max_f32(&vals));
         }
-    }
-
-    #[test]
-    fn avg_matches_sequential() {
-        let vals = values(999);
-        let expected = sequential::avg_f32(&vals).unwrap();
-        let got = par_avg_f32(&vals, 4).unwrap();
-        assert!((expected - got).abs() < 1e-4);
-        assert_eq!(par_avg_f32(&[], 4), None);
     }
 
     #[test]

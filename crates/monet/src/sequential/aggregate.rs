@@ -37,15 +37,6 @@ pub fn count(values_len: usize) -> i64 {
     values_len as i64
 }
 
-/// Arithmetic mean of a float column (`None` for an empty column).
-pub fn avg_f32(values: &[f32]) -> Option<f32> {
-    if values.is_empty() {
-        None
-    } else {
-        Some((values.iter().map(|v| *v as f64).sum::<f64>() / values.len() as f64) as f32)
-    }
-}
-
 /// Per-group sums of a float column. `gids[i]` assigns row `i` to a dense
 /// group in `0..num_groups`.
 pub fn grouped_sum_f32(values: &[f32], gids: &[u32], num_groups: usize) -> Vec<f32> {
@@ -154,7 +145,6 @@ mod tests {
         assert_eq!(sum_f32(&reals), 3.0);
         assert_eq!(min_f32(&reals), Some(-1.0));
         assert_eq!(max_f32(&reals), Some(2.5));
-        assert_eq!(avg_f32(&reals), Some(1.0));
     }
 
     #[test]
@@ -162,7 +152,6 @@ mod tests {
         assert_eq!(sum_f32(&[]), 0.0);
         assert_eq!(min_i32(&[]), None);
         assert_eq!(max_f32(&[]), None);
-        assert_eq!(avg_f32(&[]), None);
         assert_eq!(count(0), 0);
     }
 

@@ -1,5 +1,5 @@
-//! Sequential join operators: hash equi-join, PK-FK join, semi/anti join,
-//! their positional forms on a dense key, and a nested-loop theta join.
+//! Sequential join operators: hash equi-join, PK-FK join, semi/anti join
+//! and their positional forms on a dense key.
 //!
 //! A **dense key** column holds `base, base + 1, …` (`Bat::dense_base`), so a
 //! value names its row by arithmetic — MonetDB's void head, which needs no
@@ -193,26 +193,6 @@ pub fn dense_listed_semi_join_i32(
     flagged_positions(&dense_flags(values, key), listed, 0, end, keep_found)
 }
 
-/// Nested-loop theta join: every `(left_oid, right_oid)` pair for which
-/// `predicate(left_value, right_value)` holds. Used for the non-equality
-/// join predicates that the paper's nested-loop kernel handles (§4.1.5).
-pub fn nested_loop_join_i32<F>(left: &[i32], right: &[i32], predicate: F) -> (Vec<Oid>, Vec<Oid>)
-where
-    F: Fn(i32, i32) -> bool,
-{
-    let mut left_out = Vec::new();
-    let mut right_out = Vec::new();
-    for (l, lv) in left.iter().enumerate() {
-        for (r, rv) in right.iter().enumerate() {
-            if predicate(*lv, *rv) {
-                left_out.push(l as Oid);
-                right_out.push(r as Oid);
-            }
-        }
-    }
-    (left_out, right_out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -274,15 +254,6 @@ mod tests {
             let listed_anti = dense_listed_semi_join_i32(&values, listed, key, false);
             assert_eq!(listed_anti, anti_join_i32(&keys, &values));
         }
-    }
-
-    #[test]
-    fn nested_loop_theta_join() {
-        let left = vec![1, 5];
-        let right = vec![3, 4];
-        let (l, r) = nested_loop_join_i32(&left, &right, |a, b| a < b);
-        let pairs: Vec<(Oid, Oid)> = l.into_iter().zip(r).collect();
-        assert_eq!(pairs, vec![(0, 0), (0, 1)]);
     }
 
     #[test]

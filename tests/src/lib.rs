@@ -332,9 +332,9 @@ mod column_cache {
         let shared = SharedDevice::cpu();
         let a = Session::ocelot(&shared);
         let b = Session::ocelot(&shared);
-        let cache_a = a.column_cache().expect("shared-device sessions expose the cache");
-        let cache_b = b.column_cache().unwrap();
-        assert!(std::sync::Arc::ptr_eq(cache_a, cache_b), "one cache per device");
+        let (cache_a, cache_b) = (a.column_cache(), b.column_cache());
+        assert!(std::ptr::eq(cache_a, cache_b), "one cache per device");
+        assert!(std::ptr::eq(cache_a, &**shared.cache()));
         drop(run_query(&a, db(), 6).unwrap());
         assert!(cache_b.stats().misses > 0, "b observes a's binds through the shared handle");
     }
@@ -1665,8 +1665,9 @@ mod analysis {
         // Execute the whole ported workload on every backend: in debug
         // builds `Session::run` re-verifies each plan at admission. The
         // Ocelot devices run it — fused regions and all — under the armed
-        // race detector: every declared kernel's tier-2 ranges are checked
-        // against the kernels it is unordered with, and nothing is found.
+        // race detector: every kernel declares its accesses, every declared
+        // kernel's tier-2 ranges are checked against the kernels it is
+        // unordered with, and nothing is found.
         let queues = [&ocelot_cpu, &ocelot_gpu].map(|s| s.backend().context().queue());
         queues.iter().for_each(|queue| queue.race().arm());
         for query in PORTED_QUERY_IDS {
@@ -1679,7 +1680,8 @@ mod analysis {
             let (stats, diagnostics) = (queue.race().stats(), queue.race().take_diagnostics());
             queue.race().disarm();
             assert!(diagnostics.is_empty(), "{diagnostics:?}");
-            assert!(stats.kernels_declared > 0 && stats.pairs_checked > 0, "{stats:?}");
+            assert!(stats.pairs_checked > 0, "{stats:?}");
+            assert_eq!(stats.kernels_declared, stats.kernels_observed, "{stats:?}");
         }
     }
 
