@@ -54,7 +54,8 @@
 //!
 //! [`verify`] is pure and always available; [`Session::verify_plan`]
 //! (see `crate::session`) exposes it per session, and `Session::run` plus
-//! `Scheduler` admission re-check every plan in debug builds.
+//! every scheduler admission (`Scheduler` and `ServeScheduler` alike)
+//! re-check every plan in debug builds.
 
 use crate::backend::DenseJoinKind;
 use crate::plan::{Plan, PlanError, PlanNode, PlanOp, ValueKind, Var};

@@ -36,13 +36,14 @@
 //!   created from an `ocelot_core::SharedDevice`: private command queue,
 //!   result buffers recycled through the device's shared pool.
 //! * [`scheduler`] — admits several sessions' plans together and
-//!   interleaves their node execution under a deterministic FIFO +
+//!   interleaves their node execution under a deterministic admission +
 //!   round-robin contract (see the module docs), so host-resolve points of
 //!   one query overlap with the enqueue work of another while per-plan
-//!   flush bounds hold unchanged. The serving policy
-//!   ([`scheduler::ServeScheduler`]) layers per-tenant deficit-round-robin
-//!   fair queueing, two priority lanes and bounded-queue backpressure
-//!   (typed [`plan::PlanError::Overloaded`] rejection) on top.
+//!   flush bounds hold unchanged. One drive serves both schedulers: the
+//!   serving policy ([`scheduler::ServeScheduler`]) admits by per-tenant
+//!   deficit round-robin over two priority lanes with bounded-queue
+//!   backpressure (typed [`plan::PlanError::Overloaded`] rejection), and
+//!   FIFO ([`scheduler::Scheduler`]) is that drive with one tenant.
 //! * [`serve`] — the parameterized compiled-plan cache: queries authored
 //!   once per *shape* with [`query::param`] placeholders, compiled once
 //!   (rewrite + statistics + lowering), then re-bound per request from

@@ -14,6 +14,16 @@
 //! session's flush accounting stays exactly what it would be stand-alone —
 //! the per-plan flush bounds of PR 2 hold unchanged under concurrency.
 //!
+//! # One drive
+//!
+//! [`Scheduler`] and [`ServeScheduler`] run through one drive: it admits by
+//! deficit round-robin over per-(lane, tenant) backlogs, steps one node per
+//! in-flight plan per round, and completes and recovers every job the same
+//! way. FIFO scheduling is that drive with **one tenant, one lane and an
+//! unbounded backlog**: [`Scheduler`] submits every job as tenant 0 in
+//! [`Lane::Batch`] behind a backlog that holds them all, and one backlog
+//! popped from the front admits in submission order.
+//!
 //! # Admission and ordering contract
 //!
 //! * **FIFO admission.** Jobs are admitted in submission order. At most
@@ -45,6 +55,9 @@
 //!   exhausted its retry budget is **quarantined**: its typed
 //!   [`PlanError::Faulted`] stays in its slot, the quarantine is counted,
 //!   and the rest of the stream proceeds.
+//! * **Recovery reaches the session.** Every finished run's recovery
+//!   counters and trace are absorbed into its job's session
+//!   ([`Session::recovery_stats`]), as a stand-alone [`Session::run`] does.
 //! * **Device-loss failover.** Under [`Scheduler::run_with_fallback`],
 //!   jobs that failed with [`PlanError::DeviceLost`] (device loss is
 //!   sticky, so every in-flight plan on the lost device fails as it next
@@ -58,9 +71,9 @@
 //!
 //! # Serving contract ([`ServeScheduler`])
 //!
-//! The serving policy grows the FIFO scheduler into a multi-tenant
-//! admission discipline. Jobs become [`ServeJob`]s — a [`QueryJob`] plus a
-//! **tenant** id and a **priority lane** — and the contract is:
+//! The serving policy is the same drive with many tenants. Jobs become
+//! [`ServeJob`]s — a [`QueryJob`] plus a **tenant** id and a **priority
+//! lane** — and the contract is:
 //!
 //! * **Backpressure.** Each tenant has a bounded admission queue of
 //!   [`ServeScheduler::with_queue_capacity`] entries. A submission
@@ -81,13 +94,14 @@
 //!   every backlogged tenant is admitted work in proportion to the
 //!   quantum, not to its arrival rate. A tenant's deficit resets when its
 //!   backlog drains, so idle periods bank no credit.
-//! * **What is preserved.** Execution below admission is exactly the
-//!   FIFO scheduler's drive: one node per in-flight plan per round in
+//! * **What is preserved.** Everything below admission is the one drive,
+//!   so it holds by construction: one node per in-flight plan per round in
 //!   admission order, per-plan program order untouched, results in
-//!   original submission slots, per-job typed errors, and the cost-based
-//!   memory admission of [`ServeScheduler::with_memory_budget`] applied
-//!   unchanged. Within one tenant and lane, completion respects
-//!   submission order ([`ServeStats::completion_order`] exposes it).
+//!   original submission slots, per-job typed errors, counted quarantines,
+//!   and the cost-based memory admission of
+//!   [`ServeScheduler::with_memory_budget`]. Within one tenant and lane,
+//!   completion respects submission order ([`ServeStats::completion_order`]
+//!   exposes it).
 //! * **Plan-cache interplay.** Serving stacks compile jobs through
 //!   `crate::serve::PlanCache` (shape-cached, parameter-bound plans whose
 //!   cache key is the rendered parameter-abstract tree + outputs +
@@ -101,26 +115,6 @@ use ocelot_storage::Catalog;
 use ocelot_trace::{MetricsRegistry, SchedAction, TraceEvent, TraceEventKind, TraceHandle};
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
-
-/// Emits one scheduler event with the timeline-row convention of the
-/// Chrome trace export: `pid` is the tenant, `tid` the job index — so a
-/// rendered timeline groups rows by tenant and threads by job.
-fn emit_sched(
-    trace: &TraceHandle,
-    tenant: u64,
-    job: u64,
-    lane: &'static str,
-    action: SchedAction,
-    detail: u64,
-) {
-    trace.emit_with(|sink| TraceEvent {
-        ts_ns: sink.now_ns(),
-        dur_ns: 0,
-        pid: tenant,
-        tid: job,
-        kind: TraceEventKind::Sched { tenant, job, lane, action, detail },
-    });
-}
 
 /// One unit of admission: a plan to run in a session against a catalog.
 ///
@@ -151,17 +145,13 @@ pub struct StepTrace {
     pub node: usize,
 }
 
-/// What one scheduling drive produces: per-job results in submission
-/// order, the global-order step trace, and the aggregated recovery
-/// counters of every admitted run.
-type DriveOutcome = (Vec<Result<Vec<QueryValue>, PlanError>>, Vec<StepTrace>, RecoveryStats);
-
-/// The multi-query scheduler (see module docs for the contract).
+/// The multi-query scheduler (see module docs for the contract): the
+/// serving drive with one tenant.
 #[derive(Debug, Clone)]
 pub struct Scheduler {
-    in_flight: usize,
-    memory_budget: Option<usize>,
-    trace: Arc<TraceHandle>,
+    /// In-flight cap, memory budget and trace; each run bounds the one
+    /// tenant's backlog by its job count.
+    policy: ServeScheduler,
 }
 
 impl Default for Scheduler {
@@ -173,20 +163,22 @@ impl Default for Scheduler {
 impl Scheduler {
     /// A scheduler admitting up to 4 plans at once.
     pub fn new() -> Scheduler {
-        Scheduler { in_flight: 4, memory_budget: None, trace: Arc::new(TraceHandle::new()) }
+        Scheduler { policy: ServeScheduler::new() }
     }
 
     /// The scheduler's trace attachment point: attach a
     /// [`ocelot_trace::TraceSink`] to receive one
-    /// [`TraceEventKind::Sched`] event per admission, completion and
-    /// quarantine (tenant 0, lane `"fifo"`).
+    /// [`TraceEventKind::Sched`] event per submission, admission,
+    /// completion and quarantine — tenant 0, lane `"batch"`, and an
+    /// admission's detail is the plan's node count, exactly as a one-tenant
+    /// [`ServeScheduler`] run emits them.
     pub fn trace(&self) -> &TraceHandle {
-        &self.trace
+        self.policy.trace()
     }
 
     /// Sets the admission cap (clamped to at least 1).
     pub fn with_in_flight(mut self, in_flight: usize) -> Scheduler {
-        self.in_flight = in_flight.max(1);
+        self.policy = self.policy.with_in_flight(in_flight);
         self
     }
 
@@ -201,18 +193,18 @@ impl Scheduler {
     /// an idle device is still admitted alone — it then relies on
     /// eviction + node restarts rather than deadlocking the queue.
     pub fn with_memory_budget(mut self, bytes: usize) -> Scheduler {
-        self.memory_budget = Some(bytes);
+        self.policy = self.policy.with_memory_budget(bytes);
         self
     }
 
     /// The admission memory budget, if cost-based admission is enabled.
     pub fn memory_budget(&self) -> Option<usize> {
-        self.memory_budget
+        self.policy.memory_budget
     }
 
     /// The admission cap.
     pub fn in_flight(&self) -> usize {
-        self.in_flight
+        self.policy.in_flight
     }
 
     /// Admits and executes every job; returns results in submission order.
@@ -220,7 +212,7 @@ impl Scheduler {
         &self,
         jobs: &[QueryJob<'_, B>],
     ) -> Vec<Result<Vec<QueryValue>, PlanError>> {
-        self.drive(jobs, false).0
+        self.run_as_one_tenant(jobs, None, None).results
     }
 
     /// Like [`Scheduler::run`], with the scheduler arms of the unified
@@ -238,25 +230,8 @@ impl Scheduler {
         jobs: &[QueryJob<'_, B>],
         fallback: &Session<B>,
     ) -> (Vec<Result<Vec<QueryValue>, PlanError>>, RecoveryStats) {
-        let (mut results, _, mut stats) = self.drive(jobs, false);
-        for (index, job) in jobs.iter().enumerate() {
-            if !matches!(results[index], Err(PlanError::DeviceLost)) {
-                continue;
-            }
-            // Invalidation is idempotent, so jobs sharing a lost device
-            // may each purge it.
-            job.session.backend().on_device_lost();
-            let relowered = job.plan.source().and_then(|query| query.lower(job.catalog).ok());
-            results[index] = fallback.run(relowered.as_ref().unwrap_or(job.plan), job.catalog);
-            stats.failovers += 1;
-        }
-        for (index, result) in results.iter().enumerate() {
-            if matches!(result, Err(PlanError::Faulted { .. })) {
-                stats.quarantines += 1;
-                emit_sched(&self.trace, 0, index as u64, "fifo", SchedAction::Quarantine, 0);
-            }
-        }
-        (results, stats)
+        let outcome = self.run_as_one_tenant(jobs, Some(fallback), None);
+        (outcome.results, outcome.stats.recovery)
     }
 
     /// Like [`Scheduler::run`], additionally recording a [`StepTrace`] per
@@ -266,108 +241,28 @@ impl Scheduler {
         &self,
         jobs: &[QueryJob<'_, B>],
     ) -> (Vec<Result<Vec<QueryValue>, PlanError>>, Vec<StepTrace>) {
-        let (results, traces, _) = self.drive(jobs, true);
-        (results, traces)
+        let mut steps = Vec::new();
+        let outcome = self.run_as_one_tenant(jobs, None, Some(&mut steps));
+        (outcome.results, steps)
     }
 
-    /// The scheduling loop. Records the step order only when `traced`.
-    /// Also aggregates every run's [`RecoveryStats`] for the failover path.
-    fn drive<B: Backend>(&self, jobs: &[QueryJob<'_, B>], traced: bool) -> DriveOutcome {
-        #[cfg(debug_assertions)]
-        for (index, job) in jobs.iter().enumerate() {
-            let report = crate::analyze::verify(job.plan);
-            debug_assert!(report.is_ok(), "ill-formed plan admitted (job {index}):\n{report}");
-        }
-        let mut results: Vec<Option<Result<Vec<QueryValue>, PlanError>>> =
-            (0..jobs.len()).map(|_| None).collect();
-        let mut traces = Vec::new();
-        let mut stats = RecoveryStats::default();
-        // Estimated device footprint per job (only computed under
-        // cost-based admission; `0` keeps the plain-FIFO path free).
-        let footprints: Vec<usize> = match self.memory_budget {
-            Some(_) => {
-                jobs.iter().map(|job| job.plan.estimate_device_footprint(job.catalog)).collect()
-            }
-            None => vec![0; jobs.len()],
-        };
-        // FIFO admission queue of job indices not yet admitted.
-        let mut waiting = (0..jobs.len()).peekable();
-        // In-flight runs, in admission order, with their footprints.
-        let mut active: Vec<(usize, usize, PlanRun<'_, B>)> = Vec::new();
-        loop {
-            while active.len() < self.in_flight {
-                let Some(&index) = waiting.peek() else { break };
-                if let Some(budget) = self.memory_budget {
-                    let in_use: usize = active.iter().map(|(_, bytes, _)| *bytes).sum();
-                    // Refuse to co-schedule past the budget; an oversized
-                    // plan still runs once the device is otherwise idle.
-                    if !active.is_empty() && in_use + footprints[index] > budget {
-                        break;
-                    }
-                }
-                waiting.next();
-                let job = &jobs[index];
-                emit_sched(
-                    &self.trace,
-                    0,
-                    index as u64,
-                    "fifo",
-                    SchedAction::Admit,
-                    footprints[index] as u64,
-                );
-                active.push((
-                    index,
-                    footprints[index],
-                    PlanRun::new(job.plan, job.session.backend(), job.catalog),
-                ));
-            }
-            if active.is_empty() {
-                break;
-            }
-            // One scheduling round: each in-flight plan executes one node.
-            let mut slot = 0;
-            while slot < active.len() {
-                let (index, _, run) = &mut active[slot];
-                let index = *index;
-                if traced {
-                    traces.push(StepTrace { job: index, node: run.completed_nodes() });
-                }
-                match run.step() {
-                    Err(error) => {
-                        let (_, _, run) = active.remove(slot);
-                        stats.absorb(&run.recovery_stats());
-                        emit_sched(
-                            &self.trace,
-                            0,
-                            index as u64,
-                            "fifo",
-                            SchedAction::Complete,
-                            run.completed_nodes() as u64,
-                        );
-                        results[index] = Some(Err(error));
-                        // The freed slot admits the next waiting job at the
-                        // top of the loop.
-                    }
-                    Ok(_) if active[slot].2.is_done() => {
-                        let (index, _, run) = active.remove(slot);
-                        stats.absorb(&run.recovery_stats());
-                        emit_sched(
-                            &self.trace,
-                            0,
-                            index as u64,
-                            "fifo",
-                            SchedAction::Complete,
-                            run.completed_nodes() as u64,
-                        );
-                        results[index] = Some(Ok(run.into_results()));
-                    }
-                    Ok(_) => {
-                        slot += 1;
-                    }
-                }
-            }
-        }
-        (results.into_iter().map(|r| r.expect("every job scheduled")).collect(), traces, stats)
+    /// FIFO is deficit round-robin with one tenant: every job is tenant 0
+    /// in the batch lane, and the backlog bound admits them all.
+    fn run_as_one_tenant<B: Backend>(
+        &self,
+        jobs: &[QueryJob<'_, B>],
+        fallback: Option<&Session<B>>,
+        steps: Option<&mut Vec<StepTrace>>,
+    ) -> ServeOutcome {
+        let jobs: Vec<ServeJob<'_, B>> = jobs
+            .iter()
+            .map(|job| ServeJob {
+                job: QueryJob { session: job.session, plan: job.plan, catalog: job.catalog },
+                tenant: 0,
+                lane: Lane::Batch,
+            })
+            .collect();
+        self.policy.clone().with_queue_capacity(jobs.len()).drive(&jobs, fallback, steps)
     }
 }
 
@@ -465,7 +360,7 @@ pub struct ServeOutcome {
 }
 
 /// The serving scheduler: tenant-fair, two-lane, backpressured admission
-/// over the FIFO scheduler's execution drive (module docs).
+/// over the one drive both schedulers share (module docs).
 #[derive(Debug, Clone)]
 pub struct ServeScheduler {
     in_flight: usize,
@@ -497,9 +392,9 @@ impl ServeScheduler {
     /// The serving scheduler's trace attachment point: attach a
     /// [`ocelot_trace::TraceSink`] to receive one
     /// [`TraceEventKind::Sched`] event per submission, rejection,
-    /// admission and completion, with the tenant as the timeline process
-    /// and the job index as the timeline thread — the rows the Chrome
-    /// trace export renders.
+    /// admission, completion and quarantine, with the tenant as the
+    /// timeline process and the job index as the timeline thread — the
+    /// rows the Chrome trace export renders.
     pub fn trace(&self) -> &TraceHandle {
         &self.trace
     }
@@ -544,11 +439,26 @@ impl ServeScheduler {
     /// contract): bounded per-tenant queues reject overflow up front,
     /// interactive jobs admit before batch, tenants within a lane share
     /// by deficit round-robin, and execution interleaves one node per
-    /// in-flight plan per round. Results land in submission slots.
+    /// in-flight plan per round. Results land in submission slots;
+    /// surviving [`PlanError::Faulted`] results count as quarantines.
     pub fn run<B: Backend>(&self, jobs: &[ServeJob<'_, B>]) -> ServeOutcome {
-        let mut results: Vec<Option<Result<Vec<QueryValue>, PlanError>>> =
-            (0..jobs.len()).map(|_| None).collect();
+        self.drive(jobs, None, None)
+    }
+
+    /// The one drive behind both schedulers (module docs). Records the
+    /// global step order into `steps` when given; fails `DeviceLost` jobs
+    /// over to `fallback` when given.
+    fn drive<B: Backend>(
+        &self,
+        jobs: &[ServeJob<'_, B>],
+        fallback: Option<&Session<B>>,
+        mut steps: Option<&mut Vec<StepTrace>>,
+    ) -> ServeOutcome {
         let mut stats = ServeStats::default();
+        // Every job lands here exactly once, rejected up front or
+        // completed; sorting by index yields the submission slots.
+        let mut finished: Vec<(usize, Result<Vec<QueryValue>, PlanError>)> =
+            Vec::with_capacity(jobs.len());
 
         // --- Backpressure: bounded per-tenant admission queues. ---------
         // Per (lane, tenant) FIFO backlog of job indices; the bound counts
@@ -559,28 +469,13 @@ impl ServeScheduler {
             let tenant = stats.tenants.entry(job.tenant).or_default();
             tenant.submitted += 1;
             let depth = queued.entry(job.tenant).or_insert(0);
-            emit_sched(
-                &self.trace,
-                job.tenant as u64,
-                index as u64,
-                job.lane.name(),
-                SchedAction::Submit,
-                *depth as u64,
-            );
+            self.emit(jobs, index, SchedAction::Submit, *depth);
             if *depth >= self.queue_capacity {
                 tenant.rejected += 1;
-                emit_sched(
-                    &self.trace,
-                    job.tenant as u64,
-                    index as u64,
-                    job.lane.name(),
-                    SchedAction::Reject,
-                    self.queue_capacity as u64,
-                );
-                results[index] = Some(Err(PlanError::Overloaded {
-                    queued: *depth,
-                    capacity: self.queue_capacity,
-                }));
+                self.emit(jobs, index, SchedAction::Reject, self.queue_capacity);
+                let overloaded =
+                    PlanError::Overloaded { queued: *depth, capacity: self.queue_capacity };
+                finished.push((index, Err(overloaded)));
                 continue;
             }
             *depth += 1;
@@ -588,7 +483,7 @@ impl ServeScheduler {
             backlog.entry((job.lane, job.tenant)).or_default().push_back(index);
         }
 
-        // Estimated footprints, as in the FIFO drive (0 when unbudgeted).
+        // Estimated device footprint per job (0 when unbudgeted).
         let footprints: Vec<usize> = match self.memory_budget {
             Some(_) => jobs
                 .iter()
@@ -596,133 +491,155 @@ impl ServeScheduler {
                 .collect(),
             None => vec![0; jobs.len()],
         };
+        let node_cost = |index: usize| jobs[index].job.plan.len().max(1);
 
         // --- DRR admission + round-robin execution. ---------------------
         let mut deficits: BTreeMap<usize, usize> = BTreeMap::new();
         // Rotating cursor per lane: the tenant id *after* the last one
         // admitted, so consecutive admissions visit tenants in turn.
         let mut cursors: BTreeMap<Lane, usize> = BTreeMap::new();
-        let mut active: Vec<(usize, usize, PlanRun<'_, B>)> = Vec::new();
+        // In-flight runs, in admission order.
+        let mut active: Vec<(usize, PlanRun<'_, B>)> = Vec::new();
         loop {
-            'admit: while active.len() < self.in_flight {
+            while active.len() < self.in_flight {
                 // Strict lane priority: batch admits only when no
-                // interactive job is backlogged anywhere.
-                let lane = [Lane::Interactive, Lane::Batch]
+                // interactive job is backlogged anywhere. `heads` holds each
+                // backlogged tenant's next job, in tenant id order.
+                let heads_of = |lane: Lane| -> Vec<(usize, usize)> {
+                    backlog
+                        .range((lane, 0)..=(lane, usize::MAX))
+                        .filter_map(|(&(_, tenant), queue)| Some((tenant, *queue.front()?)))
+                        .collect()
+                };
+                let Some((lane, mut heads)) = [Lane::Interactive, Lane::Batch]
                     .into_iter()
-                    .find(|lane| backlog.keys().any(|(l, _)| l == lane));
-                let Some(lane) = lane else { break };
-                let tenants: Vec<usize> =
-                    backlog.keys().filter(|(l, _)| *l == lane).map(|(_, t)| *t).collect();
+                    .map(|lane| (lane, heads_of(lane)))
+                    .find(|(_, heads)| !heads.is_empty())
+                else {
+                    break;
+                };
                 // DRR: starting at the lane cursor, admit the first tenant
                 // whose deficit covers its head plan's node cost; when no
                 // deficit suffices, top every backlogged tenant up by one
                 // quantum and retry (terminates: deficits grow monotonically).
-                loop {
-                    let cursor = cursors.get(&lane).copied().unwrap_or(0);
-                    let start = tenants.iter().position(|t| *t >= cursor).unwrap_or(0);
-                    let mut admitted = false;
-                    for offset in 0..tenants.len() {
-                        let tenant = tenants[(start + offset) % tenants.len()];
-                        let queue = backlog.get_mut(&(lane, tenant)).expect("backlogged");
-                        let index = *queue.front().expect("non-empty queues only");
-                        let cost = jobs[index].job.plan.len().max(1);
-                        if deficits.get(&tenant).copied().unwrap_or(0) < cost {
-                            continue;
-                        }
-                        if let Some(budget) = self.memory_budget {
-                            let in_use: usize = active.iter().map(|(_, bytes, _)| *bytes).sum();
-                            // Same rule as the FIFO drive: never
-                            // co-schedule past the budget, but an
-                            // oversized plan still runs alone.
-                            if !active.is_empty() && in_use + footprints[index] > budget {
-                                break 'admit;
-                            }
-                        }
-                        queue.pop_front();
-                        if queue.is_empty() {
-                            backlog.remove(&(lane, tenant));
-                            // Classic DRR: an emptied backlog banks no
-                            // credit for later bursts.
-                            if !backlog.contains_key(&(Lane::Interactive, tenant))
-                                && !backlog.contains_key(&(Lane::Batch, tenant))
-                            {
-                                deficits.remove(&tenant);
-                            }
-                        }
-                        if let Some(deficit) = deficits.get_mut(&tenant) {
-                            *deficit -= cost;
-                        }
-                        cursors.insert(lane, tenant + 1);
-                        emit_sched(
-                            &self.trace,
-                            tenant as u64,
-                            index as u64,
-                            lane.name(),
-                            SchedAction::Admit,
-                            cost as u64,
-                        );
-                        let job = &jobs[index].job;
-                        active.push((
-                            index,
-                            footprints[index],
-                            PlanRun::new(job.plan, job.session.backend(), job.catalog),
-                        ));
-                        admitted = true;
-                        break;
+                let cursor = cursors.get(&lane).copied().unwrap_or(0);
+                let start = heads.iter().position(|(tenant, _)| *tenant >= cursor).unwrap_or(0);
+                heads.rotate_left(start);
+                let (tenant, index) = loop {
+                    let covered = heads.iter().find(|(tenant, index)| {
+                        deficits.get(tenant).copied().unwrap_or(0) >= node_cost(*index)
+                    });
+                    if let Some(&head) = covered {
+                        break head;
                     }
-                    if admitted {
-                        break;
-                    }
-                    for tenant in &tenants {
+                    for (tenant, _) in &heads {
                         *deficits.entry(*tenant).or_insert(0) += self.quantum;
                     }
+                };
+                if let Some(budget) = self.memory_budget {
+                    let in_use: usize =
+                        active.iter().map(|(running, _)| footprints[*running]).sum();
+                    // Refuse to co-schedule past the budget; an oversized
+                    // plan still runs once the device is otherwise idle.
+                    if !active.is_empty() && in_use + footprints[index] > budget {
+                        break;
+                    }
                 }
+                let queue = backlog.entry((lane, tenant)).or_default();
+                queue.pop_front();
+                if queue.is_empty() {
+                    backlog.remove(&(lane, tenant));
+                    // Classic DRR: an emptied backlog banks no credit for
+                    // later bursts.
+                    if !backlog.contains_key(&(Lane::Interactive, tenant))
+                        && !backlog.contains_key(&(Lane::Batch, tenant))
+                    {
+                        deficits.remove(&tenant);
+                    }
+                }
+                if let Some(deficit) = deficits.get_mut(&tenant) {
+                    *deficit -= node_cost(index);
+                }
+                cursors.insert(lane, tenant + 1);
+                self.emit(jobs, index, SchedAction::Admit, node_cost(index));
+                let job = &jobs[index].job;
+                #[cfg(debug_assertions)]
+                {
+                    let report = crate::analyze::verify(job.plan);
+                    debug_assert!(
+                        report.is_ok(),
+                        "ill-formed plan admitted (job {index}):\n{report}"
+                    );
+                }
+                active.push((index, PlanRun::new(job.plan, job.session.backend(), job.catalog)));
             }
             if active.is_empty() {
                 break;
             }
             // One scheduling round: each in-flight plan executes one node,
-            // in admission order — identical to the FIFO drive.
+            // in admission order; a finished or failed plan frees its slot
+            // for the next admission.
             let mut slot = 0;
             while slot < active.len() {
-                let (index, _, run) = &mut active[slot];
-                let index = *index;
-                match run.step() {
-                    Err(error) => {
-                        let (_, _, run) = active.remove(slot);
-                        stats.recovery.absorb(&run.recovery_stats());
-                        self.complete(&mut stats, jobs, index);
-                        results[index] = Some(Err(error));
-                    }
-                    Ok(_) if active[slot].2.is_done() => {
-                        let (index, _, run) = active.remove(slot);
-                        stats.recovery.absorb(&run.recovery_stats());
-                        self.complete(&mut stats, jobs, index);
-                        results[index] = Some(Ok(run.into_results()));
-                    }
-                    Ok(_) => slot += 1,
+                let (index, run) = &mut active[slot];
+                if let Some(steps) = steps.as_deref_mut() {
+                    steps.push(StepTrace { job: *index, node: run.completed_nodes() });
                 }
+                let outcome = run.step();
+                if outcome.is_ok() && !run.is_done() {
+                    slot += 1;
+                    continue;
+                }
+                let (index, run) = active.remove(slot);
+                let job = &jobs[index];
+                stats.recovery.absorb(&run.recovery_stats());
+                job.job.session.absorb_run(&run);
+                self.emit(jobs, index, SchedAction::Complete, stats.completion_order.len());
+                stats.completion_order.push(index);
+                stats.tenants.entry(job.tenant).or_default().completed += 1;
+                finished.push((index, outcome.map(|_| run.into_results())));
             }
         }
-        ServeOutcome {
-            results: results.into_iter().map(|r| r.expect("every job resolved")).collect(),
-            stats,
+
+        // --- Recovery epilogue, in submission order. --------------------
+        finished.sort_unstable_by_key(|(index, _)| *index);
+        let mut results: Vec<_> = finished.into_iter().map(|(_, result)| result).collect();
+        for (index, result) in results.iter_mut().enumerate() {
+            let job = &jobs[index].job;
+            // Invalidation is idempotent, so jobs sharing a lost device may
+            // each purge it.
+            if let (Some(fallback), Err(PlanError::DeviceLost)) = (fallback, &*result) {
+                *result = job.session.fail_over(Some(fallback), job.plan, job.catalog);
+                stats.recovery.failovers += 1;
+            }
+            if matches!(result, Err(PlanError::Faulted { .. })) {
+                stats.recovery.quarantines += 1;
+                self.emit(jobs, index, SchedAction::Quarantine, 0);
+            }
         }
+        ServeOutcome { results, stats }
     }
 
-    fn complete<B: Backend>(&self, stats: &mut ServeStats, jobs: &[ServeJob<'_, B>], index: usize) {
-        emit_sched(
-            &self.trace,
-            jobs[index].tenant as u64,
-            index as u64,
-            jobs[index].lane.name(),
-            SchedAction::Complete,
-            stats.completion_order.len() as u64,
-        );
-        stats.completion_order.push(index);
-        if let Some(tenant) = stats.tenants.get_mut(&jobs[index].tenant) {
-            tenant.completed += 1;
-        }
+    /// Emits one scheduler event for job `index` with the timeline-row
+    /// convention of the Chrome trace export: `pid` is the tenant, `tid`
+    /// the job index — so a rendered timeline groups rows by tenant and
+    /// threads by job.
+    fn emit<B: Backend>(
+        &self,
+        jobs: &[ServeJob<'_, B>],
+        index: usize,
+        action: SchedAction,
+        detail: usize,
+    ) {
+        let (tenant, job, lane) =
+            (jobs[index].tenant as u64, index as u64, jobs[index].lane.name());
+        self.trace.emit_with(|sink| TraceEvent {
+            ts_ns: sink.now_ns(),
+            dur_ns: 0,
+            pid: tenant,
+            tid: job,
+            kind: TraceEventKind::Sched { tenant, job, lane, action, detail: detail as u64 },
+        });
     }
 }
 
@@ -1094,5 +1011,70 @@ mod tests {
                 traces.iter().filter(|t| t.job == job).map(|t| t.node).collect();
             assert_eq!(nodes, (0..plan.len()).collect::<Vec<_>>());
         }
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "ill-formed plan admitted")]
+    fn serve_admissions_are_verified_in_debug_builds() {
+        use crate::plan::{PlanNode, PlanOp};
+        let catalog = catalog();
+        // Reads register 7, which no node defines.
+        let plan = Plan::from_nodes_unchecked(vec![PlanNode {
+            op: PlanOp::CastI32F32,
+            inputs: vec![7],
+            outputs: vec![0],
+        }]);
+        let session = Session::new(MonetSeqBackend::new());
+        let plans = [plan];
+        let jobs = serve_jobs(&session, &plans, &catalog, &[(0, Lane::Batch)]);
+        ServeScheduler::new().run(&jobs);
+    }
+
+    #[test]
+    fn serve_runs_count_and_trace_quarantines() {
+        use ocelot_kernel::FaultPlan;
+        use ocelot_trace::TraceSink;
+        let catalog = catalog();
+        let plan = compile(&rewrite_for_ocelot(&example_plan("t", "a", "b", 10, 60))).unwrap();
+        let flaky = SharedDevice::cpu();
+        flaky.device().install_fault_plan(FaultPlan::seeded(7, 1.0, 0.0));
+        let session = Session::ocelot(&flaky);
+        let jobs = [ServeJob {
+            job: QueryJob { session: &session, plan: &plan, catalog: &catalog },
+            tenant: 0,
+            lane: Lane::Batch,
+        }];
+        let scheduler = ServeScheduler::new();
+        let sink = Arc::new(TraceSink::new());
+        scheduler.trace().attach(Arc::clone(&sink));
+        let outcome = scheduler.run(&jobs);
+        scheduler.trace().detach();
+
+        assert!(
+            matches!(outcome.results[0], Err(PlanError::Faulted { .. })),
+            "{:?}",
+            outcome.results[0]
+        );
+        assert_eq!(outcome.stats.recovery.quarantines, 1);
+        let quarantines = sink.count(|e| {
+            matches!(e.kind, TraceEventKind::Sched { action: SchedAction::Quarantine, .. })
+        });
+        assert_eq!(quarantines, 1, "one quarantine event for the one faulted job");
+    }
+
+    #[test]
+    fn scheduled_runs_reach_their_session_recovery_counters() {
+        use ocelot_kernel::FaultPlan;
+        let catalog = catalog();
+        let plan = compile(&rewrite_for_ocelot(&example_plan("t", "a", "b", 10, 60))).unwrap();
+        let flaky = SharedDevice::cpu();
+        flaky.device().install_fault_plan(FaultPlan::seeded(7, 1.0, 0.0));
+        let session = Session::ocelot(&flaky);
+        let jobs = [QueryJob { session: &session, plan: &plan, catalog: &catalog }];
+        let results = Scheduler::new().run(&jobs);
+        assert!(matches!(results[0], Err(PlanError::Faulted { .. })), "{:?}", results[0]);
+        let stats = session.recovery_stats();
+        assert!(stats.retries >= 6, "the session saw its scheduled run retry: {stats:?}");
     }
 }

@@ -108,7 +108,7 @@ impl<B: Backend> Session<B> {
             debug_assert!(report.is_ok(), "ill-formed plan admitted:\n{report}");
         }
         match self.run_local(plan, catalog) {
-            Err(PlanError::DeviceLost) => self.fail_over(plan, catalog),
+            Err(PlanError::DeviceLost) => self.fail_over(self.fallback(), plan, catalog),
             outcome => outcome,
         }
     }
@@ -127,19 +127,30 @@ impl<B: Backend> Session<B> {
     fn run_local(&self, plan: &Plan, catalog: &Catalog) -> Result<Vec<QueryValue>, PlanError> {
         let mut run = PlanRun::new(plan, &self.backend, catalog);
         let outcome = run.run_to_completion();
-        let mut recovery = self.recovery.lock();
-        recovery.0.absorb(&run.recovery_stats());
-        recovery.1.extend_from_slice(run.recovery_trace());
-        drop(recovery);
+        self.absorb_run(&run);
         outcome.map(|_| run.into_results())
     }
 
-    /// The device-loss arm of the recovery protocol: invalidate, re-lower,
-    /// re-run on the fallback. Without a fallback the typed error
-    /// propagates.
-    fn fail_over(&self, plan: &Plan, catalog: &Catalog) -> Result<Vec<QueryValue>, PlanError> {
+    /// Adds a finished run's recovery counters and ordered trace to this
+    /// session's — for its own runs and for the scheduler's runs on it.
+    pub(crate) fn absorb_run(&self, run: &PlanRun<'_, B>) {
+        let mut recovery = self.recovery.lock();
+        recovery.0.absorb(&run.recovery_stats());
+        recovery.1.extend_from_slice(run.recovery_trace());
+    }
+
+    /// The device-loss arm of the recovery protocol, for this session's
+    /// own runs and for the scheduler's: invalidate this session's device
+    /// state, re-lower, re-run on `fallback`. Without a fallback the typed
+    /// error propagates.
+    pub(crate) fn fail_over(
+        &self,
+        fallback: Option<&Session<B>>,
+        plan: &Plan,
+        catalog: &Catalog,
+    ) -> Result<Vec<QueryValue>, PlanError> {
         self.backend.on_device_lost();
-        let Some(fallback) = self.fallback.as_deref() else {
+        let Some(fallback) = fallback else {
             return Err(PlanError::DeviceLost);
         };
         {
@@ -169,10 +180,7 @@ impl<B: Backend> Session<B> {
         let mut run = PlanRun::new(plan, &self.backend, catalog);
         run.enable_profiling();
         let outcome = run.run_to_completion();
-        let mut recovery = self.recovery.lock();
-        recovery.0.absorb(&run.recovery_stats());
-        recovery.1.extend_from_slice(run.recovery_trace());
-        drop(recovery);
+        self.absorb_run(&run);
         outcome?;
         let profile = run.take_profile().expect("profiling was enabled");
         Ok((run.into_results(), profile))

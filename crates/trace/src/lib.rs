@@ -111,7 +111,8 @@ impl NodeAction {
 pub enum SchedAction {
     /// A job arrived at the scheduler.
     Submit,
-    /// The job was admitted in flight (`detail` = in-flight count after).
+    /// The job was admitted in flight (`detail` = the plan's node count,
+    /// its deficit-round-robin cost).
     Admit,
     /// The job was rejected by backpressure (`detail` = backlog length).
     Reject,
@@ -218,7 +219,7 @@ pub enum TraceEventKind {
         tenant: u64,
         /// Job index within the run.
         job: u64,
-        /// Lane name (`"interactive"`, `"batch"`, `"fifo"`).
+        /// Lane name (`"interactive"`, `"batch"`).
         lane: &'static str,
         /// What happened.
         action: SchedAction,

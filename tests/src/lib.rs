@@ -662,8 +662,20 @@ mod recovery {
                 .map(|(plan, session)| QueryJob { session, plan, catalog })
                 .collect();
             let fallback = Session::ocelot(&SharedDevice::cpu());
+            // The race detector watches every queue the stream touches, the
+            // fallback's included: retried, failed and failed-over nodes
+            // declare every access they make.
+            for session in sessions.iter().chain([&fallback]) {
+                session.backend().context().queue().race().arm();
+            }
             let (results, stats) =
                 Scheduler::new().with_in_flight(2).run_with_fallback(&jobs, &fallback);
+            for session in sessions.iter().chain([&fallback]) {
+                let race = session.backend().context().queue().race();
+                let diagnostics = race.take_diagnostics();
+                race.disarm();
+                prop_assert!(diagnostics.is_empty(), "{}: {:?}", session.name(), diagnostics);
+            }
 
             for (index, result) in results.iter().enumerate() {
                 match result {
