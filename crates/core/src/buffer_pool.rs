@@ -6,8 +6,7 @@
 //! first one's buffers. This module lifts the pool out into a standalone,
 //! `Arc`-shareable [`BufferPool`]: every context created from the same
 //! [`crate::SharedDevice`] allocates through the same pool, so a query that
-//! finishes donates its intermediates to whichever session allocates next —
-//! the "reuse across contexts" ROADMAP item.
+//! finishes donates its intermediates to whichever session allocates next.
 //!
 //! # Protocol
 //!

@@ -361,7 +361,7 @@ mod tests {
     /// Ids follow first appearance on both paths, so the result equals
     /// MonetDB's sequential grouping id for id — not just as a partition.
     fn check_equals_monet(values: &[i32], result: &GroupBy, ctx: &OcelotContext) {
-        let reference = monet::group_by_i32(values);
+        let reference = monet::group_by_columns(&[values]);
         assert_eq!(result.num_groups, reference.num_groups);
         assert_eq!(result.gids.read(ctx).unwrap(), reference.gids);
         assert_eq!(result.representatives.read(ctx).unwrap(), reference.representatives);

@@ -1,5 +1,12 @@
 //! The "MP" configuration: parallel MonetDB-style execution (mitosis
 //! partitioning across all cores), backed by `ocelot_monet::parallel`.
+//!
+//! Mitosis merges copy nothing they need not: a length-preserving operator
+//! (fetch, the arithmetic maps, cast, year) has every partition write its
+//! own range of one output vector, and a selection's or join's single
+//! partition hands its list through as is. Grouping is MS's grouping per
+//! partition plus one merge of the partitions' groups, so MP's group ids and
+//! representatives are MS's, at any thread count.
 
 use crate::backend::{Backend, DenseJoinKind, GroupHandle, GroupedAgg};
 use crate::backends::{HostColumn, HostView};
@@ -203,11 +210,7 @@ impl Backend for MonetParBackend {
         Ok(HostColumn::F32(Arc::new(par::par_const_plus_f32(constant, a.as_f32(), self.threads))))
     }
     fn mul_const_f32(&self, a: &HostColumn, constant: f32) -> Result<HostColumn, PlanError> {
-        Ok(HostColumn::F32(Arc::new(par::par_mul_f32(
-            a.as_f32(),
-            &vec![constant; a.len()],
-            self.threads,
-        ))))
+        Ok(HostColumn::F32(Arc::new(par::par_mul_const_f32(a.as_f32(), constant, self.threads))))
     }
     fn cast_i32_f32(&self, a: &HostColumn) -> Result<HostColumn, PlanError> {
         Ok(HostColumn::F32(Arc::new(par::par_cast_i32_f32(a.as_i32(), self.threads))))

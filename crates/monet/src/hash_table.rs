@@ -20,6 +20,13 @@ pub fn hash_i32(key: i32, mask: u32) -> u32 {
     h & mask
 }
 
+/// Multiplicative hash of a 64-bit key to a `bits`-bit slot index (the
+/// top bits of the Fibonacci product, which depend on every key bit).
+#[inline]
+pub fn hash_u64(key: u64, bits: u32) -> usize {
+    (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - bits)) as usize
+}
+
 /// A read-only bucket-chained hash table over an `i32` key column.
 #[derive(Debug, Clone)]
 pub struct MonetHashTable {

@@ -11,10 +11,22 @@
 //!   join, sorting) written directly against column slices.
 //! * [`parallel`] — the MP analogue: the same operators parallelised with
 //!   the mitosis pattern (partition the input into per-core slices, run the
-//!   sequential operator per slice, merge the partial results).
-//! * [`hash_table`] — the bucket-chained hash table MonetDB-style joins and
-//!   group-bys are built on; the hash-table-build microbenchmark
-//!   (Figure 5e/5f) measures it directly.
+//!   sequential operator per slice, merge the partial results). A
+//!   length-preserving operator's partitions write their own ranges of one
+//!   output vector, so the merge copies nothing.
+//! * [`hash_table`] — the bucket-chained hash table MonetDB-style joins are
+//!   built on; the hash-table-build microbenchmark (Figure 5e/5f) measures
+//!   it directly.
+//!
+//! **One grouping.** [`sequential::group_by_columns`] groups any number of
+//! key columns in one pass: each row's key tuple becomes a mixed-radix code
+//! over the columns' observed ranges, looked up in a table indexed by the
+//! code when the code space is no larger than the row count, and in an
+//! open-addressed table otherwise (over the codes, or over the key tuples
+//! when the code space overflows `u64`). Ids follow first appearance and
+//! representatives are first rows. [`parallel::par_group_by_columns`] runs
+//! the same pass per slice and merges the slices' groups with it again, so
+//! its ids are the sequential ones.
 //!
 //! These operators are deliberately *hardware-conscious*: they know they run
 //! on a CPU, they use per-thread private state and merge steps instead of
@@ -25,5 +37,6 @@
 pub mod hash_table;
 pub mod parallel;
 pub mod sequential;
+mod slots;
 
 pub use hash_table::MonetHashTable;

@@ -1,135 +1,93 @@
-//! Parallel group-by using the two-phase mitosis pattern: every partition
-//! collects the distinct keys of its slice, a global dense-ID mapping is
-//! built from the per-partition key sets, and a second parallel pass maps
-//! every row to its global group ID.
+//! Parallel group-by: the sequential grouping per slice, then one merge.
+//!
+//! Every partition runs [`sequential::group_by_columns`]'s pass over its
+//! slice and writes its local ids into its own range of the one `gids`
+//! vector. The merge groups the representatives' key values, gathered in
+//! partition order, with the same function; that numbers every group by its
+//! first appearance in partition order — which is row order, so the ids and
+//! representatives are exactly the sequential operator's — and gives every
+//! partition a local → global id map. Each partition then rewrites its ids
+//! in place. A single partition is the sequential operator and needs no
+//! merge.
 
-use super::partition::run_partitions;
-use crate::sequential::GroupResult;
+use super::partition::{fill_partitions, partition_ranges, update_partitions};
+use crate::sequential::{self, group::group_into, GroupResult};
 use ocelot_storage::Oid;
-use std::collections::HashMap;
 
-/// Parallel single-column group-by. The resulting group IDs are dense; group
-/// numbering follows first appearance in partition order, which is a valid
-/// (if different) numbering compared to the sequential operator — consumers
-/// must only rely on "same key ⇔ same gid".
-pub fn par_group_by_i32(column: &[i32], threads: usize) -> GroupResult {
-    // Phase 1: per-partition distinct keys with their first-occurrence row.
-    let locals = run_partitions(column.len(), threads, |start, end| {
-        let mut firsts: HashMap<i32, Oid> = HashMap::new();
-        for (offset, value) in column[start..end].iter().enumerate() {
-            firsts.entry(*value).or_insert((start + offset) as Oid);
-        }
-        let mut pairs: Vec<(i32, Oid)> = firsts.into_iter().collect();
-        // Deterministic order within the partition: by first occurrence.
-        pairs.sort_by_key(|(_, row)| *row);
-        pairs
-    });
-
-    // Phase 2 (sequential, tiny): build the global mapping.
-    let mut mapping: HashMap<i32, u32> = HashMap::new();
-    let mut representatives: Vec<Oid> = Vec::new();
-    for pairs in &locals {
-        for (value, row) in pairs {
-            let next_id = mapping.len() as u32;
-            mapping.entry(*value).or_insert_with(|| {
-                representatives.push(*row);
-                next_id
-            });
-        }
-    }
-
-    // Phase 3: parallel assignment of global group ids.
-    let gid_parts = run_partitions(column.len(), threads, |start, end| {
-        column[start..end].iter().map(|value| mapping[value]).collect::<Vec<u32>>()
-    });
-    let gids: Vec<u32> = gid_parts.into_iter().flatten().collect();
-
-    GroupResult { gids, num_groups: mapping.len(), representatives }
-}
-
-/// Parallel refinement of an existing grouping with an additional column
-/// (multi-column group-by).
-pub fn par_group_refine_i32(column: &[i32], previous: &GroupResult, threads: usize) -> GroupResult {
-    assert_eq!(column.len(), previous.gids.len(), "par_group_refine_i32: length mismatch");
-    let locals = run_partitions(column.len(), threads, |start, end| {
-        let mut firsts: HashMap<(u32, i32), Oid> = HashMap::new();
-        for (offset, value) in column[start..end].iter().enumerate() {
-            let row = start + offset;
-            firsts.entry((previous.gids[row], *value)).or_insert(row as Oid);
-        }
-        let mut pairs: Vec<((u32, i32), Oid)> = firsts.into_iter().collect();
-        pairs.sort_by_key(|(_, row)| *row);
-        pairs
-    });
-
-    let mut mapping: HashMap<(u32, i32), u32> = HashMap::new();
-    let mut representatives: Vec<Oid> = Vec::new();
-    for pairs in &locals {
-        for (key, row) in pairs {
-            let next_id = mapping.len() as u32;
-            mapping.entry(*key).or_insert_with(|| {
-                representatives.push(*row);
-                next_id
-            });
-        }
-    }
-
-    let gid_parts = run_partitions(column.len(), threads, |start, end| {
-        (start..end).map(|row| mapping[&(previous.gids[row], column[row])]).collect::<Vec<u32>>()
-    });
-    let gids: Vec<u32> = gid_parts.into_iter().flatten().collect();
-
-    GroupResult { gids, num_groups: mapping.len(), representatives }
-}
-
-/// Parallel multi-column group-by by repeated refinement.
+/// Parallel multi-column group-by; equal to
+/// [`sequential::group_by_columns`] id for id.
 pub fn par_group_by_columns(columns: &[&[i32]], threads: usize) -> GroupResult {
-    match columns.split_first() {
-        None => GroupResult { gids: vec![], num_groups: 0, representatives: vec![] },
-        Some((first, rest)) => {
-            let mut result = par_group_by_i32(first, threads);
-            for column in rest {
-                result = par_group_refine_i32(column, &result, threads);
-            }
-            result
-        }
+    let rows = columns.first().map_or(0, |column| column.len());
+    assert!(columns.iter().all(|c| c.len() == rows), "par_group_by_columns: length mismatch");
+    let ranges = partition_ranges(rows, threads.max(1));
+    if ranges.len() <= 1 {
+        return sequential::group_by_columns(columns);
     }
+    let (mut gids, locals) = fill_partitions(rows, threads, |start, end, gids| {
+        let slices: Vec<&[i32]> = columns.iter().map(|column| &column[start..end]).collect();
+        let mut firsts = group_into(&slices, gids);
+        firsts.iter_mut().for_each(|row| *row += start as Oid);
+        firsts
+    });
+    let offsets: Vec<usize> = locals
+        .iter()
+        .scan(0, |offset, firsts| {
+            *offset += firsts.len();
+            Some(*offset - firsts.len())
+        })
+        .collect();
+    let firsts = locals.concat();
+    let keys: Vec<Vec<i32>> =
+        columns.iter().map(|column| sequential::fetch_i32(column, &firsts)).collect();
+    let merged = sequential::group_by_columns(&keys.iter().map(Vec::as_slice).collect::<Vec<_>>());
+
+    update_partitions(&mut gids, threads, |start, gids| {
+        let partition = ranges.partition_point(|&(first, _)| first < start);
+        let global = &merged.gids[offsets[partition]..];
+        gids.iter_mut().for_each(|gid| *gid = global[*gid as usize]);
+    });
+    let representatives = merged.representatives.iter().map(|&i| firsts[i as usize]).collect();
+    GroupResult { gids, num_groups: merged.num_groups, representatives }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sequential;
 
-    fn check_equivalent_partition(column: &[i32], seq: &GroupResult, par: &GroupResult) {
-        assert_eq!(seq.num_groups, par.num_groups);
-        assert_eq!(seq.gids.len(), par.gids.len());
-        // Same key ⇔ same group id, even if the numbering differs.
-        for i in 0..column.len() {
-            for j in (i + 1)..column.len().min(i + 50) {
-                assert_eq!(
-                    seq.gids[i] == seq.gids[j],
-                    par.gids[i] == par.gids[j],
-                    "rows {i} and {j}"
-                );
-            }
+    /// Id for id, group for group, representative for representative.
+    fn check_equals_sequential(columns: &[&[i32]]) {
+        let seq = sequential::group_by_columns(columns);
+        for threads in [1, 2, 3, 4, 7] {
+            assert_eq!(par_group_by_columns(columns, threads), seq, "threads={threads}");
         }
     }
 
     #[test]
     fn matches_sequential_partitioning() {
         let column: Vec<i32> = (0..5_000).map(|i| (i * 31 + 7) % 100).collect();
-        let seq = sequential::group_by_i32(&column);
-        for threads in [1, 2, 4, 7] {
-            let par = par_group_by_i32(&column, threads);
-            check_equivalent_partition(&column, &seq, &par);
-        }
+        check_equals_sequential(&[&column]);
+        // Keys that first appear late: partition order must still number
+        // them by their first row.
+        let late: Vec<i32> =
+            (0..5_000).map(|i| if i < 4_000 { i % 3 } else { 7 - i % 5 }).collect();
+        check_equals_sequential(&[&late]);
+    }
+
+    #[test]
+    fn multi_column_equals_sequential() {
+        let a: Vec<i32> = (0..2_000).map(|i| i % 5).collect();
+        let b: Vec<i32> = (0..2_000).map(|i| i % 7).collect();
+        check_equals_sequential(&[&a, &b]);
+        assert_eq!(par_group_by_columns(&[&a, &b], 4).num_groups, 35);
+        // A sparse column moves the merge off the indexed table.
+        let sparse: Vec<i32> = a.iter().map(|k| k.wrapping_mul(0x3FFF_FFFF)).collect();
+        check_equals_sequential(&[&sparse, &b, &sparse]);
     }
 
     #[test]
     fn representatives_belong_to_their_groups() {
         let column: Vec<i32> = (0..1_000).map(|i| i % 13).collect();
-        let par = par_group_by_i32(&column, 4);
+        let par = par_group_by_columns(&[&column], 4);
         assert_eq!(par.representatives.len(), par.num_groups);
         for (gid, rep) in par.representatives.iter().enumerate() {
             assert_eq!(par.gids[*rep as usize] as usize, gid);
@@ -137,28 +95,8 @@ mod tests {
     }
 
     #[test]
-    fn refinement_matches_sequential() {
-        let a: Vec<i32> = (0..2_000).map(|i| i % 5).collect();
-        let b: Vec<i32> = (0..2_000).map(|i| i % 7).collect();
-        let seq = sequential::group_by_columns(&[&a, &b]);
-        let par = par_group_by_columns(&[&a, &b], 4);
-        assert_eq!(seq.num_groups, par.num_groups);
-        assert_eq!(seq.num_groups, 35);
-        // Spot-check the key ⇔ gid equivalence.
-        for i in (0..2_000).step_by(111) {
-            for j in (0..2_000).step_by(97) {
-                assert_eq!(
-                    (a[i], b[i]) == (a[j], b[j]),
-                    par.gids[i] == par.gids[j],
-                    "rows {i},{j}"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn empty_input() {
-        let result = par_group_by_i32(&[], 4);
+        let result = par_group_by_columns(&[&[]], 4);
         assert_eq!(result.num_groups, 0);
         assert!(result.gids.is_empty());
         assert!(par_group_by_columns(&[], 4).gids.is_empty());

@@ -3,18 +3,15 @@
 //! joins on a dense key build their inverse map or row flags the same way
 //! and probe the same way.
 
-use super::partition::run_partitions;
+use super::partition::{concat, run_partitions};
 use crate::hash_table::MonetHashTable;
 use crate::sequential::join::{dense_flags, flagged_positions, DenseProbe};
 use ocelot_storage::{DenseKey, Oid};
 
-/// Concatenates per-partition OID lists into one, allocated once.
-fn concat(parts: Vec<Vec<Oid>>) -> Vec<Oid> {
-    let mut all = Vec::with_capacity(parts.iter().map(Vec::len).sum());
-    for part in parts {
-        all.extend(part);
-    }
-    all
+/// Concatenates per-partition pair lists into one pair of lists.
+fn concat_pairs(parts: Vec<(Vec<Oid>, Vec<Oid>)>) -> (Vec<Oid>, Vec<Oid>) {
+    let (left, right): (Vec<_>, Vec<_>) = parts.into_iter().unzip();
+    (concat(left), concat(right))
 }
 
 /// Parallel hash equi-join (build over `right`, parallel probe over `left`).
@@ -31,13 +28,7 @@ pub fn par_hash_join_i32(left: &[i32], right: &[i32], threads: usize) -> (Vec<Oi
         }
         (left_out, right_out)
     });
-    let mut left_all = Vec::new();
-    let mut right_all = Vec::new();
-    for (l, r) in parts {
-        left_all.extend(l);
-        right_all.extend(r);
-    }
-    (left_all, right_all)
+    concat_pairs(parts)
 }
 
 /// Parallel PK-FK join through a prebuilt hash table.
@@ -57,45 +48,33 @@ pub fn par_pkfk_join_i32(
         }
         (fk_oids, pk_oids)
     });
-    let mut fk_all = Vec::new();
-    let mut pk_all = Vec::new();
-    for (f, p) in parts {
-        fk_all.extend(f);
-        pk_all.extend(p);
-    }
-    (fk_all, pk_all)
+    concat_pairs(parts)
 }
 
 /// Parallel semi join (`EXISTS`).
 pub fn par_semi_join_i32(left: &[i32], right: &[i32], threads: usize) -> Vec<Oid> {
     let table = MonetHashTable::build(right);
-    run_partitions(left.len(), threads, |start, end| {
+    concat(run_partitions(left.len(), threads, |start, end| {
         left[start..end]
             .iter()
             .enumerate()
             .filter(|(_, key)| table.contains(**key))
             .map(|(offset, _)| (start + offset) as Oid)
             .collect::<Vec<Oid>>()
-    })
-    .into_iter()
-    .flatten()
-    .collect()
+    }))
 }
 
 /// Parallel anti join (`NOT EXISTS`).
 pub fn par_anti_join_i32(left: &[i32], right: &[i32], threads: usize) -> Vec<Oid> {
     let table = MonetHashTable::build(right);
-    run_partitions(left.len(), threads, |start, end| {
+    concat(run_partitions(left.len(), threads, |start, end| {
         left[start..end]
             .iter()
             .enumerate()
             .filter(|(_, key)| !table.contains(**key))
             .map(|(offset, _)| (start + offset) as Oid)
             .collect::<Vec<Oid>>()
-    })
-    .into_iter()
-    .flatten()
-    .collect()
+    }))
 }
 
 /// Parallel [`crate::sequential::dense_join_i32`].
@@ -106,10 +85,9 @@ pub fn par_dense_join_i32(
     threads: usize,
 ) -> (Vec<Oid>, Vec<Oid>) {
     let probe = DenseProbe::new(listed, key);
-    let parts =
-        run_partitions(values.len(), threads, |start, end| probe.join(&values[start..end], start));
-    let (rows, positions): (Vec<_>, Vec<_>) = parts.into_iter().unzip();
-    (concat(rows), concat(positions))
+    concat_pairs(run_partitions(values.len(), threads, |start, end| {
+        probe.join(&values[start..end], start)
+    }))
 }
 
 /// Parallel [`crate::sequential::dense_semi_join_i32`].

@@ -1,6 +1,15 @@
 //! The mitosis partitioning helper: split a row range into per-core slices,
 //! run a worker per slice on scoped threads, and collect the partial results
 //! in partition order.
+//!
+//! The merge copies nothing it does not have to. A length-preserving
+//! operator ([`fill_partitions`], [`collect_partitions`]) allocates its
+//! output once and every partition writes its own row range of it. A
+//! variable-length output (a selection, a join) is one list per partition:
+//! [`concat`] moves a single partition's list through untouched and copies
+//! several once into an exact-capacity vector.
+
+use crate::slots::{filled, split_at_ranges, Slots};
 
 /// Splits `0..n` into at most `parts` contiguous, non-empty ranges of nearly
 /// equal size.
@@ -31,28 +40,87 @@ where
     R: Send,
     F: Fn(usize, usize) -> R + Sync,
 {
-    let ranges = partition_ranges(n, threads.max(1));
-    if ranges.is_empty() {
-        return Vec::new();
+    run_each(partition_ranges(n, threads.max(1)), |(start, end)| worker(start, end))
+}
+
+/// Builds an `n`-element output in one allocation: every partition's
+/// `worker(start, end, slots)` writes rows `start..end` straight into its
+/// own range of the vector, so the merge copies nothing. Returns the vector
+/// and the workers' results in partition order.
+pub(crate) fn fill_partitions<T, R, F>(n: usize, threads: usize, worker: F) -> (Vec<T>, Vec<R>)
+where
+    T: Send,
+    R: Send,
+    F: Fn(usize, usize, &mut Slots<'_, T>) -> R + Sync,
+{
+    filled(n, |slots| {
+        slots.split_fill(&partition_ranges(n, threads.max(1)), |pieces| {
+            run_each(pieces, |(start, end, mut piece)| (worker(start, end, &mut piece), piece))
+        })
+    })
+}
+
+/// [`fill_partitions`] for a length-preserving operator: `values(start,
+/// end)` yields the output rows `start..end`.
+pub(crate) fn collect_partitions<T, I, F>(n: usize, threads: usize, values: F) -> Vec<T>
+where
+    T: Send,
+    I: IntoIterator<Item = T>,
+    F: Fn(usize, usize) -> I + Sync,
+{
+    fill_partitions(n, threads, |start, end, slots| slots.extend(values(start, end))).0
+}
+
+/// Runs `worker(start, values)` on every partition's range of `values`, in
+/// place: `values` is split at the partitions of `0..values.len()` that
+/// [`partition_ranges`] gives for `threads`.
+pub(crate) fn update_partitions<T, F>(values: &mut [T], threads: usize, worker: F)
+where
+    T: Send,
+    F: Fn(usize, &mut [T]) + Sync,
+{
+    let ranges = partition_ranges(values.len(), threads.max(1));
+    let pieces: Vec<_> = ranges.iter().zip(split_at_ranges(values, &ranges)).collect();
+    run_each(pieces, |(&(start, _), piece)| worker(start, piece));
+}
+
+/// Concatenates per-partition lists in partition order. A single partition's
+/// list moves through untouched; several are copied once into a vector of
+/// exactly their total length.
+pub(crate) fn concat<T: Copy>(mut parts: Vec<Vec<T>>) -> Vec<T> {
+    if parts.len() == 1 {
+        return parts.pop().unwrap_or_default();
     }
-    if ranges.len() == 1 {
-        let (start, end) = ranges[0];
-        return vec![worker(start, end)];
+    let mut all = Vec::with_capacity(parts.iter().map(Vec::len).sum());
+    for part in &parts {
+        all.extend_from_slice(part);
     }
-    let mut results: Vec<Option<R>> = Vec::with_capacity(ranges.len());
-    results.resize_with(ranges.len(), || None);
+    all
+}
+
+/// Runs `worker` on every item, each on its own scoped thread (a single
+/// item inline), and returns the results in item order. A worker's panic
+/// is re-raised on the caller's thread with its own payload.
+fn run_each<I, R, F>(items: Vec<I>, worker: F) -> Vec<R>
+where
+    I: Send,
+    R: Send,
+    F: Fn(I) -> R + Sync,
+{
+    if items.len() <= 1 {
+        return items.into_iter().map(worker).collect();
+    }
     std::thread::scope(|scope| {
         let worker = &worker;
-        let mut handles = Vec::with_capacity(ranges.len());
-        for (start, end) in &ranges {
-            let (start, end) = (*start, *end);
-            handles.push(scope.spawn(move || worker(start, end)));
-        }
-        for (slot, handle) in results.iter_mut().zip(handles) {
-            *slot = Some(handle.join().expect("mitosis worker panicked"));
-        }
-    });
-    results.into_iter().map(|r| r.expect("missing partition result")).collect()
+        let handles: Vec<_> =
+            items.into_iter().map(|item| scope.spawn(move || worker(item))).collect();
+        handles
+            .into_iter()
+            .map(|handle| {
+                handle.join().unwrap_or_else(|payload| std::panic::resume_unwind(payload))
+            })
+            .collect()
+    })
 }
 
 #[cfg(test)]
@@ -99,6 +167,52 @@ mod tests {
     fn single_thread_runs_inline() {
         let results = run_partitions(10, 1, |start, end| end - start);
         assert_eq!(results, vec![10]);
+    }
+
+    #[test]
+    #[should_panic(expected = "boom")]
+    fn a_worker_panic_keeps_its_message() {
+        run_partitions(100, 4, |start, _| {
+            if start > 0 {
+                panic!("boom");
+            }
+        });
+    }
+
+    #[test]
+    fn fill_partitions_writes_one_vector_in_partition_order() {
+        for threads in [1, 2, 3, 7] {
+            let (values, starts) = fill_partitions(10, threads, |start, end, slots| {
+                slots.extend((start..end).map(|row| row as u32 * 10));
+                start
+            });
+            assert_eq!(values, (0..10).map(|row| row * 10).collect::<Vec<u32>>());
+            assert_eq!(
+                starts,
+                partition_ranges(10, threads).iter().map(|r| r.0).collect::<Vec<_>>()
+            );
+            let doubled = collect_partitions(10, threads, |start, end| (start..end).map(|i| 2 * i));
+            assert_eq!(doubled, (0..10).map(|i| 2 * i).collect::<Vec<_>>());
+        }
+        assert!(collect_partitions(0, 4, |_, _| std::iter::empty::<u32>()).is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "unwritten")]
+    fn a_partition_that_writes_too_little_panics() {
+        collect_partitions(10, 2, |start, end| start..end - 1);
+    }
+
+    #[test]
+    fn concat_moves_a_single_part_and_joins_several() {
+        let single = vec![3u32, 1, 2];
+        let address = single.as_ptr();
+        let moved = concat(vec![single]);
+        assert_eq!(moved.as_ptr(), address);
+        let joined = concat(vec![vec![1u32, 2], vec![], vec![3]]);
+        assert_eq!((joined.len(), joined.capacity()), (3, 3));
+        assert_eq!(joined, vec![1, 2, 3]);
+        assert!(concat::<u32>(vec![]).is_empty());
     }
 
     #[test]

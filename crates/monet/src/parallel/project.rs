@@ -1,37 +1,35 @@
 //! Parallel fetch join: the OID list is partitioned; each thread fetches its
-//! slice; results are concatenated in order.
+//! slice into its own range of the one output vector.
 
-use super::partition::run_partitions;
-use crate::sequential;
+use super::partition::collect_partitions;
 use ocelot_storage::Oid;
+
+/// `column[oid]` for every OID, partition by partition.
+fn par_fetch<T: Copy + Send + Sync>(column: &[T], oids: &[Oid], threads: usize) -> Vec<T> {
+    collect_partitions(oids.len(), threads, |start, end| {
+        oids[start..end].iter().map(|&oid| column[oid as usize])
+    })
+}
 
 /// Parallel fetch of an integer column.
 pub fn par_fetch_i32(column: &[i32], oids: &[Oid], threads: usize) -> Vec<i32> {
-    let parts = run_partitions(oids.len(), threads, |start, end| {
-        sequential::fetch_i32(column, &oids[start..end])
-    });
-    parts.into_iter().flatten().collect()
+    par_fetch(column, oids, threads)
 }
 
 /// Parallel fetch of a float column.
 pub fn par_fetch_f32(column: &[f32], oids: &[Oid], threads: usize) -> Vec<f32> {
-    let parts = run_partitions(oids.len(), threads, |start, end| {
-        sequential::fetch_f32(column, &oids[start..end])
-    });
-    parts.into_iter().flatten().collect()
+    par_fetch(column, oids, threads)
 }
 
 /// Parallel fetch of an OID column.
 pub fn par_fetch_oid(column: &[Oid], oids: &[Oid], threads: usize) -> Vec<Oid> {
-    let parts = run_partitions(oids.len(), threads, |start, end| {
-        sequential::fetch_oid(column, &oids[start..end])
-    });
-    parts.into_iter().flatten().collect()
+    par_fetch(column, oids, threads)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sequential;
 
     #[test]
     fn matches_sequential_fetch() {

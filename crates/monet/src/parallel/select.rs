@@ -1,59 +1,57 @@
-//! Parallel selection: each partition scans its slice, the per-partition
-//! candidate lists are concatenated (they are disjoint and ordered).
+//! Parallel selection: each partition runs the sequential selection over
+//! its slice (of the column, or of the candidate list), and the
+//! per-partition candidate lists are concatenated — they are disjoint and
+//! ordered, and a single partition's list moves through as is.
 
-use super::partition::run_partitions;
+use super::partition::{concat, run_partitions};
 use crate::sequential;
 use ocelot_storage::{CmpOp, Oid};
 
-fn offset_and_concat(parts: Vec<Vec<Oid>>) -> Vec<Oid> {
-    let total: usize = parts.iter().map(|p| p.len()).sum();
-    let mut out = Vec::with_capacity(total);
-    for part in parts {
-        out.extend(part);
-    }
-    out
+/// Runs `select` over every partition's rows `start..end` of a column and
+/// shifts the partition-relative OIDs it returns back to row ids.
+fn select_partitions(
+    rows: usize,
+    threads: usize,
+    select: impl Fn(usize, usize) -> Vec<Oid> + Sync,
+) -> Vec<Oid> {
+    concat(run_partitions(rows, threads, |start, end| {
+        let mut local = select(start, end);
+        if start > 0 {
+            local.iter_mut().for_each(|oid| *oid += start as Oid);
+        }
+        local
+    }))
+}
+
+/// Runs `select` over every partition of a candidate list (its OIDs are row
+/// ids already).
+fn select_candidates(
+    candidates: &[Oid],
+    threads: usize,
+    select: impl Fn(&[Oid]) -> Vec<Oid> + Sync,
+) -> Vec<Oid> {
+    concat(run_partitions(candidates.len(), threads, |start, end| select(&candidates[start..end])))
 }
 
 /// Parallel inclusive range selection over an `i32` column.
 pub fn par_select_range_i32(column: &[i32], low: i32, high: i32, threads: usize) -> Vec<Oid> {
-    let parts = run_partitions(column.len(), threads, |start, end| {
-        let mut local = Vec::new();
-        for (offset, value) in column[start..end].iter().enumerate() {
-            if *value >= low && *value <= high {
-                local.push((start + offset) as Oid);
-            }
-        }
-        local
-    });
-    offset_and_concat(parts)
+    select_partitions(column.len(), threads, |start, end| {
+        sequential::select_range_i32(&column[start..end], low, high)
+    })
 }
 
 /// Parallel inclusive range selection over an `f32` column.
 pub fn par_select_range_f32(column: &[f32], low: f32, high: f32, threads: usize) -> Vec<Oid> {
-    let parts = run_partitions(column.len(), threads, |start, end| {
-        let mut local = Vec::new();
-        for (offset, value) in column[start..end].iter().enumerate() {
-            if *value >= low && *value <= high {
-                local.push((start + offset) as Oid);
-            }
-        }
-        local
-    });
-    offset_and_concat(parts)
+    select_partitions(column.len(), threads, |start, end| {
+        sequential::select_range_f32(&column[start..end], low, high)
+    })
 }
 
 /// Parallel equality selection over an `i32` column.
 pub fn par_select_eq_i32(column: &[i32], needle: i32, threads: usize) -> Vec<Oid> {
-    let parts = run_partitions(column.len(), threads, |start, end| {
-        let mut local = Vec::new();
-        for (offset, value) in column[start..end].iter().enumerate() {
-            if *value == needle {
-                local.push((start + offset) as Oid);
-            }
-        }
-        local
-    });
-    offset_and_concat(parts)
+    select_partitions(column.len(), threads, |start, end| {
+        sequential::select_eq_i32(&column[start..end], needle)
+    })
 }
 
 /// Parallel range selection restricted to a candidate list. The candidate
@@ -66,10 +64,9 @@ pub fn par_select_range_i32_cand(
     high: i32,
     threads: usize,
 ) -> Vec<Oid> {
-    let parts = run_partitions(candidates.len(), threads, |start, end| {
-        sequential::select_range_i32_cand(column, &candidates[start..end], low, high)
-    });
-    offset_and_concat(parts)
+    select_candidates(candidates, threads, |cands| {
+        sequential::select_range_i32_cand(column, cands, low, high)
+    })
 }
 
 /// Parallel float range selection restricted to a candidate list.
@@ -80,10 +77,9 @@ pub fn par_select_range_f32_cand(
     high: f32,
     threads: usize,
 ) -> Vec<Oid> {
-    let parts = run_partitions(candidates.len(), threads, |start, end| {
-        sequential::select_range_f32_cand(column, &candidates[start..end], low, high)
-    });
-    offset_and_concat(parts)
+    select_candidates(candidates, threads, |cands| {
+        sequential::select_range_f32_cand(column, cands, low, high)
+    })
 }
 
 /// Parallel equality selection restricted to a candidate list.
@@ -93,25 +89,9 @@ pub fn par_select_eq_i32_cand(
     needle: i32,
     threads: usize,
 ) -> Vec<Oid> {
-    let parts = run_partitions(candidates.len(), threads, |start, end| {
-        sequential::select_eq_i32_cand(column, &candidates[start..end], needle)
-    });
-    offset_and_concat(parts)
-}
-
-/// Runs `select` over every partition's rows `start..end` of a column and
-/// shifts the partition-relative OIDs it returns back to row ids.
-fn select_partitions(
-    rows: usize,
-    threads: usize,
-    select: impl Fn(usize, usize) -> Vec<Oid> + Sync,
-) -> Vec<Oid> {
-    let parts = run_partitions(rows, threads, |start, end| {
-        let mut local = select(start, end);
-        local.iter_mut().for_each(|oid| *oid += start as Oid);
-        local
-    });
-    offset_and_concat(parts)
+    select_candidates(candidates, threads, |cands| {
+        sequential::select_eq_i32_cand(column, cands, needle)
+    })
 }
 
 /// Parallel column-vs-column selection `left <op> right`.
@@ -129,10 +109,9 @@ pub fn par_select_cmp_i32_cand(
     op: CmpOp,
     threads: usize,
 ) -> Vec<Oid> {
-    let parts = run_partitions(candidates.len(), threads, |start, end| {
-        sequential::select_cmp_i32_cand(left, right, &candidates[start..end], op)
-    });
-    offset_and_concat(parts)
+    select_candidates(candidates, threads, |cands| {
+        sequential::select_cmp_i32_cand(left, right, cands, op)
+    })
 }
 
 /// Parallel membership selection `value IN (values…)`.
@@ -149,10 +128,9 @@ pub fn par_select_in_i32_cand(
     values: &[i32],
     threads: usize,
 ) -> Vec<Oid> {
-    let parts = run_partitions(candidates.len(), threads, |start, end| {
-        sequential::select_in_i32_cand(column, &candidates[start..end], values)
-    });
-    offset_and_concat(parts)
+    select_candidates(candidates, threads, |cands| {
+        sequential::select_in_i32_cand(column, cands, values)
+    })
 }
 
 #[cfg(test)]

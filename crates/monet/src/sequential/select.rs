@@ -1,13 +1,29 @@
 //! Sequential selection: scan a column, return the OIDs of qualifying rows.
+//!
+//! An integer range is tested with one unsigned compare ([`in_range`]), so
+//! the loop has one branch per row, taken as often as rows qualify, however
+//! the compiler lays out the caller it is inlined into. Two compares may be
+//! compiled as two branches, and the one on the lower bound alone
+//! mispredicts on a selective range inside the domain.
 
 use ocelot_storage::{CmpOp, Oid};
+
+/// Whether `low <= value <= high`, for `low <= high`: the offset from `low`
+/// as an unsigned word is at most the range's width.
+#[inline]
+fn in_range(value: i32, low: i32, high: i32) -> bool {
+    value.wrapping_sub(low) as u32 <= high.wrapping_sub(low) as u32
+}
 
 /// Inclusive range selection over an `i32` column: rows with
 /// `low <= value <= high`.
 pub fn select_range_i32(column: &[i32], low: i32, high: i32) -> Vec<Oid> {
     let mut out = Vec::new();
+    if low > high {
+        return out;
+    }
     for (row, value) in column.iter().enumerate() {
-        if *value >= low && *value <= high {
+        if in_range(*value, low, high) {
             out.push(row as Oid);
         }
     }
@@ -40,9 +56,11 @@ pub fn select_eq_i32(column: &[i32], needle: i32) -> Vec<Oid> {
 /// predicates of a conjunction run over the survivors of the previous one).
 pub fn select_range_i32_cand(column: &[i32], candidates: &[Oid], low: i32, high: i32) -> Vec<Oid> {
     let mut out = Vec::new();
+    if low > high {
+        return out;
+    }
     for &row in candidates {
-        let value = column[row as usize];
-        if value >= low && value <= high {
+        if in_range(column[row as usize], low, high) {
             out.push(row);
         }
     }
@@ -182,6 +200,21 @@ mod tests {
         assert_eq!(select_range_i32(&col, 3, 7), vec![0, 3, 4, 5]);
         assert_eq!(select_range_i32(&col, 100, 200), Vec::<Oid>::new());
         assert_eq!(select_range_i32(&col, i32::MIN, i32::MAX).len(), 6);
+    }
+
+    #[test]
+    fn integer_ranges_at_the_ends_of_i32_and_empty_ranges() {
+        let col = vec![i32::MIN, -1, 0, 1, i32::MAX, i32::MIN + 1, i32::MAX - 1];
+        let all: Vec<Oid> = (0..col.len() as Oid).collect();
+        for (low, high) in [(i32::MIN, i32::MAX), (i32::MIN, -1), (0, i32::MAX), (-1, 1), (1, -1)] {
+            let expected: Vec<Oid> = all
+                .iter()
+                .copied()
+                .filter(|&r| low <= col[r as usize] && col[r as usize] <= high)
+                .collect();
+            assert_eq!(select_range_i32(&col, low, high), expected, "[{low}, {high}]");
+            assert_eq!(select_range_i32_cand(&col, &all, low, high), expected, "[{low}, {high}]");
+        }
     }
 
     #[test]

@@ -19,9 +19,10 @@
 //! and the parity suites assert the DSL-lowered plans reproduce their
 //! results on all four backends.
 //!
-//! The remaining workload queries are tracked as a ROADMAP item;
-//! [`run_query`] returns [`QueryError::Unsupported`] for them so harnesses
-//! can skip — structurally, not by pattern-matching on `None`.
+//! The rest of the workload (Q7, Q8, Q11, Q15, Q17, Q19, Q21) is not
+//! ported yet; [`run_query`] returns [`QueryError::Unsupported`] for those
+//! queries so harnesses can skip — structurally, not by pattern-matching on
+//! `None`.
 //!
 //! Results are normalised for comparison across configurations: every cell
 //! is an `f64` (dictionary-coded string columns are reported as their

@@ -1866,8 +1866,8 @@ mod grouping {
     //! equal a `HashMap` id for id, the private-partial aggregates equal an
     //! `f64` reference, the armed race detector stays silent over every new
     //! kernel's declared access set, and every ported query is
-    //! bit-identical run to run on every backend (ROADMAP open item 1's
-    //! gate).
+    //! bit-identical run to run on every backend (the run-to-run
+    //! determinism gate).
 
     use ocelot_core::ops::hash_table::OcelotHashTable;
     use ocelot_core::ops::{aggregate, groupby, join};
@@ -2053,7 +2053,7 @@ mod grouping {
         }
     }
 
-    /// ROADMAP open item 1's gate: every ported query, 20 runs per backend,
+    /// The run-to-run determinism gate: every ported query, 20 runs per backend,
     /// bit-identical — the float aggregates included. (Fresh results every
     /// run; the sessions and their caches are reused, as a serving process
     /// would.) Ocelot CPU runs at thread-pool sizes 1, 2 and N, and the
@@ -2169,7 +2169,7 @@ mod join_locality {
             let doubled: Vec<i32> = build.iter().chain(build.iter().rev()).copied().collect();
             let semi_doubled =
                 [monet::semi_join_i32(&doubled, &probe), monet::anti_join_i32(&doubled, &probe)];
-            let groups = monet::group_by_i32(&probe);
+            let groups = monet::group_by_columns(&[&probe]);
             for ctx in contexts() {
                 let at = format!("{label} on {:?}", ctx.device().info().kind);
                 let b = ctx.upload_i32(&build, "build").unwrap();
@@ -2212,8 +2212,8 @@ mod join_locality {
     /// every kernel declares its access set and no event-unordered pair
     /// conflicts. (A join build that restarts is the hash table's own unit
     /// test: no probe count starts one too small. The partitioned join runs
-    /// the same build and probe per pair; its partitioning kernels are
-    /// ROADMAP item 7d's to declare.)
+    /// the same build and probe per pair; its partitioning kernels are not
+    /// launched here.)
     #[test]
     fn armed_race_detector_is_silent_over_join_builds_and_probes() {
         let dense: Vec<i32> = (0..30_000).map(|i| i - 15_000).collect();
@@ -2376,6 +2376,9 @@ mod lockstep;
 
 #[cfg(test)]
 mod dense_join;
+
+#[cfg(test)]
+mod host_baselines;
 
 #[cfg(test)]
 mod steady_state {
