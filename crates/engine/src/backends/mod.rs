@@ -1,18 +1,18 @@
-//! The four evaluated configurations behind the [`crate::Backend`] trait.
+//! The paper's four evaluated configurations behind the [`crate::Backend`]
+//! trait, as two backends: [`MonetBackend`] is the MonetDB baseline — MS at
+//! one thread, MP at the machine's parallelism — and [`OcelotBackend`] runs
+//! the hardware-oblivious operators on any Ocelot device.
 
-pub mod monet_par;
-pub mod monet_seq;
+pub mod monet;
 pub mod ocelot;
 
-pub use monet_par::MonetParBackend;
-pub use monet_seq::MonetSeqBackend;
+pub use monet::MonetBackend;
 pub use ocelot::OcelotBackend;
 
 use ocelot_storage::{BatRef, ColumnData, Oid};
 use std::sync::Arc;
 
-/// Host-side column representation shared by the two MonetDB-style
-/// baselines: a typed, reference-counted vector for intermediates, or a
+/// Host-side column representation of the MonetDB baseline: a typed, reference-counted vector for intermediates, or a
 /// view of the catalog's BAT for base columns — binding copies nothing, as
 /// in MonetDB.
 #[derive(Debug, Clone)]
@@ -92,7 +92,7 @@ impl HostColumn {
     }
 }
 
-/// Partition bits the host baselines use for a Grace-style partitioned
+/// Partition bits the host baseline uses for a Grace-style partitioned
 /// FK/PK join: one partition per ~64k build rows (cache-sized hash tables),
 /// with the `rows / ndv` skew factor inflating the count the same way the
 /// device path does. Zero bits means "monolithic join is already fine".

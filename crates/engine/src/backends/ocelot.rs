@@ -575,7 +575,7 @@ impl Backend for OcelotBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backends::MonetSeqBackend;
+    use crate::backends::MonetBackend;
     use ocelot_storage::Bat;
 
     type MiniResult = (Vec<u32>, Vec<(i32, f32)>);
@@ -601,7 +601,7 @@ mod tests {
 
     #[test]
     fn ocelot_matches_monet_reference_on_cpu_and_gpu() {
-        let reference = mini_pipeline(&MonetSeqBackend::new()).unwrap();
+        let reference = mini_pipeline(&MonetBackend::with_threads(1)).unwrap();
         for backend in [OcelotBackend::cpu(), OcelotBackend::gpu(), OcelotBackend::cpu_sequential()]
         {
             let result = mini_pipeline(&backend).unwrap();
@@ -632,7 +632,7 @@ mod tests {
     #[test]
     fn candidate_selection_composes() -> Result<(), PlanError> {
         let backend = OcelotBackend::cpu();
-        let reference = MonetSeqBackend::new();
+        let reference = MonetBackend::with_threads(1);
         let values: Vec<i32> = (0..3_000).map(|i| i % 50).collect();
         let other: Vec<i32> = (0..3_000).map(|i| i % 11).collect();
 
@@ -684,7 +684,7 @@ mod tests {
     #[test]
     fn joins_match_reference() -> Result<(), PlanError> {
         let backend = OcelotBackend::cpu();
-        let reference = MonetSeqBackend::new();
+        let reference = MonetBackend::with_threads(1);
         let fk: Vec<i32> = (0..2_000).map(|i| i % 150).collect();
         let pk: Vec<i32> = (0..150).collect();
 

@@ -10,9 +10,11 @@
 //!   sorting). TPC-H queries in `ocelot-tpch` are written once against this
 //!   trait, mirroring how Ocelot's operators are drop-in replacements behind
 //!   MonetDB's operator interface.
-//! * [`backends`] — the four implementations: [`backends::MonetSeqBackend`]
-//!   (MS), [`backends::MonetParBackend`] (MP), and [`backends::OcelotBackend`]
-//!   over any `ocelot-core` device (Ocelot CPU / Ocelot GPU).
+//! * [`backends`] — two backend types for the four configurations:
+//!   [`backends::MonetBackend`] is MS at one thread and MP at the machine's
+//!   parallelism (MP runs MS's own operators per slice, so MS is MP at one
+//!   thread by construction), and [`backends::OcelotBackend`] runs on any
+//!   `ocelot-core` device (Ocelot CPU / Ocelot GPU).
 //! * [`mal`] — a miniature MAL-like program representation and the Ocelot
 //!   query rewriter that reroutes plan instructions from the
 //!   `algebra`/`batcalc` modules to their `ocelot` counterparts and inserts
@@ -63,7 +65,7 @@ pub mod session;
 
 pub use analyze::{verify, FlushBound, PlanDiagnostic, VerifyReport};
 pub use backend::{Backend, GroupHandle, GroupedAgg, ProfileMarker};
-pub use backends::{MonetParBackend, MonetSeqBackend, OcelotBackend};
+pub use backends::{MonetBackend, OcelotBackend};
 pub use fuse::fuse_plan;
 pub use ocelot_trace::{
     MetricsRegistry, NodeAction, SchedAction, TraceEvent, TraceEventKind, TraceSink,

@@ -242,7 +242,7 @@ pub fn example_plan(table: &str, a: &str, b: &str, low: i32, high: i32) -> MalPl
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backends::{MonetSeqBackend, OcelotBackend};
+    use crate::backends::{MonetBackend, OcelotBackend};
     use crate::plan::PlanError;
     use ocelot_storage::{Bat, Catalog, Table};
 
@@ -284,7 +284,7 @@ mod tests {
     fn rewritten_plan_produces_identical_results() {
         let catalog = catalog();
         let plan = example_plan("t", "a", "b", 10, 20);
-        let reference = execute(&plan, &MonetSeqBackend::new(), &catalog).unwrap();
+        let reference = execute(&plan, &MonetBackend::with_threads(1), &catalog).unwrap();
 
         let rewritten = rewrite_for_ocelot(&plan);
         for backend in [OcelotBackend::cpu(), OcelotBackend::gpu()] {
@@ -324,7 +324,7 @@ mod tests {
         // Unknown columns are a catalog property: compilation succeeds, the
         // run reports the error.
         assert!(compile(&plan).is_ok());
-        let err = execute(&plan, &MonetSeqBackend::new(), &catalog).unwrap_err();
+        let err = execute(&plan, &MonetBackend::with_threads(1), &catalog).unwrap_err();
         assert!(err.to_string().contains("unknown column"));
 
         let mut plan = MalPlan::new();
@@ -333,7 +333,7 @@ mod tests {
         // them, nothing executes.
         let err = compile(&plan).unwrap_err();
         assert_eq!(err, PlanError::UndefinedVar { var: 42 });
-        let err = execute(&plan, &MonetSeqBackend::new(), &catalog).unwrap_err();
+        let err = execute(&plan, &MonetBackend::with_threads(1), &catalog).unwrap_err();
         assert!(err.to_string().contains("undefined"));
     }
 
@@ -353,7 +353,7 @@ mod tests {
         // Caught at compile time — kind checking happens before execution.
         let err = compile(&plan).unwrap_err();
         assert!(err.to_string().contains("holds a scalar"), "{err}");
-        let err = execute(&plan, &MonetSeqBackend::new(), &catalog).unwrap_err();
+        let err = execute(&plan, &MonetBackend::with_threads(1), &catalog).unwrap_err();
         assert!(err.to_string().contains("holds a scalar"), "{err}");
     }
 
@@ -389,7 +389,7 @@ mod tests {
         // be the full column, not a one-element scalar.
         .push(MalInstr::MulF32 { module: Module::Batcalc, a: 0, b: 0, out: 1 })
         .push(MalInstr::Result { vars: vec![1] });
-        let result = execute(&plan, &MonetSeqBackend::new(), &catalog).unwrap();
+        let result = execute(&plan, &MonetBackend::with_threads(1), &catalog).unwrap();
         match &result[0] {
             MalValue::FloatColumn(col) => assert_eq!(col.len(), 1_000),
             other => panic!("expected a column, got {other:?}"),

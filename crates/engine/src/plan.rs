@@ -2040,7 +2040,7 @@ pub fn execute_plan<B: Backend>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backends::{MonetSeqBackend, OcelotBackend};
+    use crate::backends::{MonetBackend, OcelotBackend};
     use ocelot_storage::{Bat, Catalog, Table};
 
     fn catalog() -> Catalog {
@@ -2124,7 +2124,7 @@ mod tests {
     fn registers_are_freed_at_last_use() {
         let plan = grouped_plan();
         let catalog = catalog();
-        let backend = MonetSeqBackend::new();
+        let backend = MonetBackend::with_threads(1);
         let mut run = PlanRun::new(&plan, &backend, &catalog);
         run.run_to_completion().unwrap();
         assert!(run.is_done());
@@ -2150,7 +2150,7 @@ mod tests {
         assert_eq!(plan.last_use(discarded), None);
 
         let catalog = catalog();
-        let backend = MonetSeqBackend::new();
+        let backend = MonetBackend::with_threads(1);
         let mut run = PlanRun::new(&plan, &backend, &catalog);
         while !run.is_done() {
             run.step().unwrap();
@@ -2167,7 +2167,7 @@ mod tests {
     fn stepping_matches_run_to_completion() {
         let plan = grouped_plan();
         let catalog = catalog();
-        let backend = MonetSeqBackend::new();
+        let backend = MonetBackend::with_threads(1);
         let mut stepped = PlanRun::new(&plan, &backend, &catalog);
         let mut steps = 0;
         while !matches!(stepped.step().unwrap(), StepOutcome::Done) {
@@ -2182,7 +2182,7 @@ mod tests {
     fn plan_execution_agrees_across_backends() {
         let plan = grouped_plan();
         let catalog = catalog();
-        let reference = execute_plan(&plan, &MonetSeqBackend::new(), &catalog).unwrap();
+        let reference = execute_plan(&plan, &MonetBackend::with_threads(1), &catalog).unwrap();
         assert_eq!(reference.len(), 2);
         for backend in [OcelotBackend::cpu(), OcelotBackend::gpu()] {
             let result = execute_plan(&plan, &backend, &catalog).unwrap();
@@ -2204,7 +2204,7 @@ mod tests {
         let missing = p.bind("nope", "nothing");
         p.result(&[missing]).unwrap();
         let plan = p.finish();
-        let err = execute_plan(&plan, &MonetSeqBackend::new(), &catalog()).unwrap_err();
+        let err = execute_plan(&plan, &MonetBackend::with_threads(1), &catalog()).unwrap_err();
         assert_eq!(
             err,
             PlanError::UnknownColumn { table: "nope".into(), column: "nothing".into() }
@@ -2229,7 +2229,7 @@ mod tests {
     /// succeeding — the deterministic harness for the unified recovery
     /// protocol (OOM restarts, transient retries, device-loss failures).
     struct OomBackend {
-        inner: MonetSeqBackend,
+        inner: MonetBackend,
         failures_left: std::sync::atomic::AtomicUsize,
         reclaims: std::sync::atomic::AtomicUsize,
         reclaim_succeeds: bool,
@@ -2239,7 +2239,7 @@ mod tests {
     impl OomBackend {
         fn failing(times: usize, reclaim_succeeds: bool) -> OomBackend {
             OomBackend {
-                inner: MonetSeqBackend::new(),
+                inner: MonetBackend::with_threads(1),
                 failures_left: std::sync::atomic::AtomicUsize::new(times),
                 reclaims: std::sync::atomic::AtomicUsize::new(0),
                 reclaim_succeeds,
@@ -2253,10 +2253,10 @@ mod tests {
         }
     }
 
-    type HostResult = Result<<MonetSeqBackend as Backend>::Column, PlanError>;
+    type HostResult = Result<<MonetBackend as Backend>::Column, PlanError>;
 
     impl Backend for OomBackend {
-        type Column = <MonetSeqBackend as Backend>::Column;
+        type Column = <MonetBackend as Backend>::Column;
         fn name(&self) -> &str {
             "OOM harness"
         }
@@ -2442,7 +2442,7 @@ mod tests {
         // protocol must reclaim, re-run it, and deliver the correct result.
         let plan = grouped_plan();
         let catalog = catalog();
-        let reference = execute_plan(&plan, &MonetSeqBackend::new(), &catalog).unwrap();
+        let reference = execute_plan(&plan, &MonetBackend::with_threads(1), &catalog).unwrap();
 
         let backend = OomBackend::failing(2, true);
         let mut run = PlanRun::new(&plan, &backend, &catalog);
@@ -2503,7 +2503,7 @@ mod tests {
         // run delivers the same results as a fault-free reference.
         let plan = grouped_plan();
         let catalog = catalog();
-        let reference = execute_plan(&plan, &MonetSeqBackend::new(), &catalog).unwrap();
+        let reference = execute_plan(&plan, &MonetBackend::with_threads(1), &catalog).unwrap();
 
         let trace_of = |times: usize| {
             let backend = OomBackend::failing(times, true).with_mode(FailMode::Transient);
@@ -2542,7 +2542,7 @@ mod tests {
         match err {
             PlanError::Faulted { site, attempts, .. } => {
                 assert_eq!(site, FaultSite::KernelLaunch);
-                assert_eq!(attempts as usize, PlanRun::<MonetSeqBackend>::RESTART_LIMIT + 1);
+                assert_eq!(attempts as usize, PlanRun::<MonetBackend>::RESTART_LIMIT + 1);
             }
             other => panic!("expected Faulted, got {other:?}"),
         }
@@ -2563,7 +2563,7 @@ mod tests {
         // attempt count.
         let plan = grouped_plan();
         let catalog = catalog();
-        let limit = PlanRun::<MonetSeqBackend>::RESTART_LIMIT;
+        let limit = PlanRun::<MonetBackend>::RESTART_LIMIT;
         let backend = OomBackend::failing(limit + 1, true).with_mode(FailMode::Transient);
         let err = PlanRun::new(&plan, &backend, &catalog).run_to_completion().unwrap_err();
         assert!(matches!(err, PlanError::Faulted { .. }));
@@ -2617,7 +2617,7 @@ mod tests {
         use crate::session::Session;
         let plan = grouped_plan();
         let catalog = catalog();
-        let reference = execute_plan(&plan, &MonetSeqBackend::new(), &catalog).unwrap();
+        let reference = execute_plan(&plan, &MonetBackend::with_threads(1), &catalog).unwrap();
         let sessions = [
             Session::new(OomBackend::failing(0, true)),
             Session::new(OomBackend::failing(1, true).with_mode(FailMode::Internal)),
@@ -2682,7 +2682,7 @@ mod tests {
         let binds = plan.nodes().iter().filter(|n| matches!(n.op, PlanOp::Bind { .. })).count();
         assert_eq!(binds, 2, "one bind node per distinct column");
         // The deduped plan still executes correctly.
-        let values = execute_plan(&plan, &MonetSeqBackend::new(), &catalog()).unwrap();
+        let values = execute_plan(&plan, &MonetBackend::with_threads(1), &catalog()).unwrap();
         assert!(matches!(values[0], QueryValue::Scalar(_)));
     }
 
@@ -2755,7 +2755,7 @@ mod tests {
         let g = p.bind("t", "g");
         p.result(&[k, g]).unwrap();
         let plan = p.finish();
-        let values = execute_plan(&plan, &MonetSeqBackend::new(), &catalog()).unwrap();
+        let values = execute_plan(&plan, &MonetBackend::with_threads(1), &catalog()).unwrap();
         assert!(matches!(values[0], QueryValue::IntColumn(_)));
         assert!(matches!(values[1], QueryValue::IntColumn(_)));
     }

@@ -751,7 +751,7 @@ impl Query {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backends::MonetSeqBackend;
+    use crate::backends::MonetBackend;
     use crate::plan::PlanOp;
     use ocelot_storage::{Bat, Catalog, Table};
 
@@ -923,7 +923,7 @@ mod tests {
     #[test]
     fn queries_execute_and_limits_truncate_at_the_host_boundary() {
         let catalog = catalog();
-        let backend = MonetSeqBackend::new();
+        let backend = MonetBackend::with_threads(1);
         let session = crate::session::Session::new(backend);
         let q = Query::scan("fact")
             .filter(col("flag").eq(1))

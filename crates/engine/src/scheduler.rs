@@ -646,7 +646,7 @@ impl ServeScheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backends::MonetSeqBackend;
+    use crate::backends::MonetBackend;
     use crate::mal::{compile, example_plan, rewrite_for_ocelot};
     use ocelot_core::SharedDevice;
     use ocelot_storage::{Bat, Catalog, Table};
@@ -676,7 +676,7 @@ mod tests {
         let plans: Vec<Plan> = (0..6)
             .map(|i| compile(&example_plan("t", "a", "b", i * 7, i * 7 + 20)).unwrap())
             .collect();
-        let session = Session::new(MonetSeqBackend::new());
+        let session = Session::new(MonetBackend::with_threads(1));
         let sequential: Vec<f32> =
             plans.iter().map(|plan| scalar(&session.run(plan, &catalog))).collect();
         for in_flight in [1, 2, 6] {
@@ -695,7 +695,7 @@ mod tests {
         let catalog = catalog();
         let good = compile(&example_plan("t", "a", "b", 10, 30)).unwrap();
         let bad = compile(&example_plan("missing", "a", "b", 10, 30)).unwrap();
-        let session = Session::new(MonetSeqBackend::new());
+        let session = Session::new(MonetBackend::with_threads(1));
         let jobs = [
             QueryJob { session: &session, plan: &good, catalog: &catalog },
             QueryJob { session: &session, plan: &bad, catalog: &catalog },
@@ -745,7 +745,7 @@ mod tests {
     fn memory_budget_refuses_to_coschedule_hungry_plans() {
         let catalog = catalog();
         let plan = compile(&example_plan("t", "a", "b", 0, 50)).unwrap();
-        let session = Session::new(MonetSeqBackend::new());
+        let session = Session::new(MonetBackend::with_threads(1));
         let footprint = plan.estimate_device_footprint(&catalog);
         assert!(footprint > 0, "t has 5 000-row columns: the estimate must see them");
         let jobs = [
@@ -775,7 +775,7 @@ mod tests {
     fn oversized_plans_still_run_alone_and_fifo_is_preserved() {
         let catalog = catalog();
         let plan = compile(&example_plan("t", "a", "b", 0, 50)).unwrap();
-        let session = Session::new(MonetSeqBackend::new());
+        let session = Session::new(MonetBackend::with_threads(1));
         // Budget smaller than a single plan: every job still completes
         // (admitted alone, relying on eviction/restart at the device
         // level), in submission order.
@@ -846,11 +846,11 @@ mod tests {
     }
 
     fn serve_jobs<'a>(
-        session: &'a Session<MonetSeqBackend>,
+        session: &'a Session<MonetBackend>,
         plans: &'a [Plan],
         catalog: &'a Catalog,
         spec: &[(usize, Lane)],
-    ) -> Vec<ServeJob<'a, MonetSeqBackend>> {
+    ) -> Vec<ServeJob<'a, MonetBackend>> {
         spec.iter()
             .enumerate()
             .map(|(i, (tenant, lane))| ServeJob {
@@ -867,7 +867,7 @@ mod tests {
         let plans: Vec<Plan> = (0..8)
             .map(|i| compile(&example_plan("t", "a", "b", i * 5, i * 5 + 20)).unwrap())
             .collect();
-        let session = Session::new(MonetSeqBackend::new());
+        let session = Session::new(MonetBackend::with_threads(1));
         // Tenant 0 floods (6 jobs at capacity 2); tenant 1 stays polite.
         let spec: Vec<(usize, Lane)> =
             (0..6).map(|_| (0, Lane::Batch)).chain([(1, Lane::Batch), (1, Lane::Batch)]).collect();
@@ -916,7 +916,7 @@ mod tests {
     fn drr_shares_admissions_between_a_greedy_and_a_polite_tenant() {
         let catalog = catalog();
         let plans = vec![compile(&example_plan("t", "a", "b", 10, 30)).unwrap()];
-        let session = Session::new(MonetSeqBackend::new());
+        let session = Session::new(MonetBackend::with_threads(1));
         // Greedy tenant 0 submits 6 jobs before tenant 1's 2 arrive.
         let spec: Vec<(usize, Lane)> =
             (0..6).map(|_| (0, Lane::Batch)).chain([(1, Lane::Batch), (1, Lane::Batch)]).collect();
@@ -939,7 +939,7 @@ mod tests {
     fn interactive_lane_admits_strictly_before_batch() {
         let catalog = catalog();
         let plans = vec![compile(&example_plan("t", "a", "b", 10, 30)).unwrap()];
-        let session = Session::new(MonetSeqBackend::new());
+        let session = Session::new(MonetBackend::with_threads(1));
         // Batch jobs submitted first; the interactive job arrives last but
         // must be admitted first.
         let spec = [(0, Lane::Batch), (0, Lane::Batch), (1, Lane::Batch), (1, Lane::Interactive)];
@@ -958,7 +958,7 @@ mod tests {
         use ocelot_trace::TraceSink;
         let catalog = catalog();
         let plans = vec![compile(&example_plan("t", "a", "b", 10, 30)).unwrap()];
-        let session = Session::new(MonetSeqBackend::new());
+        let session = Session::new(MonetBackend::with_threads(1));
         // Tenant 0 submits 3 at capacity 2 (one rejection); tenant 1's
         // interactive job admits first.
         let spec = [(0, Lane::Batch), (1, Lane::Interactive), (0, Lane::Batch), (0, Lane::Batch)];
@@ -994,7 +994,7 @@ mod tests {
     fn traces_cover_every_node_in_admission_round_robin() {
         let catalog = catalog();
         let plan = compile(&example_plan("t", "a", "b", 0, 50)).unwrap();
-        let session = Session::new(MonetSeqBackend::new());
+        let session = Session::new(MonetBackend::with_threads(1));
         let jobs = [
             QueryJob { session: &session, plan: &plan, catalog: &catalog },
             QueryJob { session: &session, plan: &plan, catalog: &catalog },
@@ -1025,7 +1025,7 @@ mod tests {
             inputs: vec![7],
             outputs: vec![0],
         }]);
-        let session = Session::new(MonetSeqBackend::new());
+        let session = Session::new(MonetBackend::with_threads(1));
         let plans = [plan];
         let jobs = serve_jobs(&session, &plans, &catalog, &[(0, Lane::Batch)]);
         ServeScheduler::new().run(&jobs);

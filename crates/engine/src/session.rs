@@ -32,7 +32,7 @@
 //! itself have a fallback.
 
 use crate::backend::Backend;
-use crate::backends::{MonetParBackend, MonetSeqBackend, OcelotBackend};
+use crate::backends::{MonetBackend, OcelotBackend};
 use crate::mal::MalPlan;
 use crate::plan::{
     Plan, PlanError, PlanProfile, PlanRun, QueryValue, RecoveryEvent, RecoveryStats,
@@ -246,17 +246,17 @@ impl Session<OcelotBackend> {
     }
 }
 
-impl Session<MonetSeqBackend> {
-    /// A sequential-MonetDB (MS) session.
-    pub fn monet_seq() -> Session<MonetSeqBackend> {
-        Session::new(MonetSeqBackend::new())
+impl Session<MonetBackend> {
+    /// A sequential-MonetDB (MS) session: the MonetDB baseline at one
+    /// thread.
+    pub fn monet_seq() -> Session<MonetBackend> {
+        Session::new(MonetBackend::with_threads(1))
     }
-}
 
-impl Session<MonetParBackend> {
-    /// A parallel-MonetDB (MP) session.
-    pub fn monet_par() -> Session<MonetParBackend> {
-        Session::new(MonetParBackend::new())
+    /// A parallel-MonetDB (MP) session at the machine's available
+    /// parallelism (MS on a machine, or under an affinity mask, of one CPU).
+    pub fn monet_par() -> Session<MonetBackend> {
+        Session::new(MonetBackend::new())
     }
 }
 
@@ -301,7 +301,8 @@ mod tests {
                 other => panic!("unexpected result shapes: {other:?}"),
             }
         }
-        assert!(Session::monet_par().name().contains("MP"));
+        assert!(Session::monet_seq().name().contains("MS"));
+        assert!(Session::new(MonetBackend::with_threads(2)).name().contains("MP"));
     }
 
     #[test]

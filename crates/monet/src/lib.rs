@@ -9,11 +9,14 @@
 //! * [`sequential`] — single-threaded, hand-tuned operators (selection,
 //!   fetch join / projection, arithmetic maps, aggregation, grouping, hash
 //!   join, sorting) written directly against column slices.
-//! * [`parallel`] — the MP analogue: the same operators parallelised with
-//!   the mitosis pattern (partition the input into per-core slices, run the
-//!   sequential operator per slice, merge the partial results). A
-//!   length-preserving operator's partitions write their own ranges of one
-//!   output vector, so the merge copies nothing.
+//! * [`parallel`] — the MP analogue, which is no second operator set but
+//!   the mitosis pattern: partition the input into per-core slices, run the
+//!   sequential operator on every slice, merge the partial results. There
+//!   is one shape per kind of merge (row selection, candidate selection,
+//!   length-preserving output, pair output, reduction) and two merges that
+//!   are algorithms (grouping, the stable sorted-runs merge). At one thread
+//!   each shape is one call of the sequential operator, so MS is MP at one
+//!   thread.
 //! * [`hash_table`] — the bucket-chained hash table MonetDB-style joins are
 //!   built on; the hash-table-build microbenchmark (Figure 5e/5f) measures
 //!   it directly.

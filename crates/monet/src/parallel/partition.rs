@@ -2,14 +2,15 @@
 //! run a worker per slice on scoped threads, and collect the partial results
 //! in partition order.
 //!
-//! The merge copies nothing it does not have to. A length-preserving
-//! operator ([`fill_partitions`], [`collect_partitions`]) allocates its
-//! output once and every partition writes its own row range of it. A
-//! variable-length output (a selection, a join) is one list per partition:
-//! [`concat`] moves a single partition's list through untouched and copies
-//! several once into an exact-capacity vector.
+//! The merge copies nothing it does not have to. A single partition's
+//! output always moves through untouched, so one thread is one call of the
+//! worker over the whole input. Several partitions of a length-preserving
+//! output write their own ranges of one vector (`fill_partitions`); a
+//! variable-length output (a selection, a join) is one list per partition,
+//! which [`concat()`] copies once into an exact-capacity vector.
 
 use crate::slots::{filled, split_at_ranges, Slots};
+use ocelot_storage::Oid;
 
 /// Splits `0..n` into at most `parts` contiguous, non-empty ranges of nearly
 /// equal size.
@@ -60,17 +61,6 @@ where
     })
 }
 
-/// [`fill_partitions`] for a length-preserving operator: `values(start,
-/// end)` yields the output rows `start..end`.
-pub(crate) fn collect_partitions<T, I, F>(n: usize, threads: usize, values: F) -> Vec<T>
-where
-    T: Send,
-    I: IntoIterator<Item = T>,
-    F: Fn(usize, usize) -> I + Sync,
-{
-    fill_partitions(n, threads, |start, end, slots| slots.extend(values(start, end))).0
-}
-
 /// Runs `worker(start, values)` on every partition's range of `values`, in
 /// place: `values` is split at the partitions of `0..values.len()` that
 /// [`partition_ranges`] gives for `threads`.
@@ -87,7 +77,7 @@ where
 /// Concatenates per-partition lists in partition order. A single partition's
 /// list moves through untouched; several are copied once into a vector of
 /// exactly their total length.
-pub(crate) fn concat<T: Copy>(mut parts: Vec<Vec<T>>) -> Vec<T> {
+pub fn concat<T: Copy>(mut parts: Vec<Vec<T>>) -> Vec<T> {
     if parts.len() == 1 {
         return parts.pop().unwrap_or_default();
     }
@@ -96,6 +86,14 @@ pub(crate) fn concat<T: Copy>(mut parts: Vec<Vec<T>>) -> Vec<T> {
         all.extend_from_slice(part);
     }
     all
+}
+
+/// Turns OIDs relative to a partition that starts at row `start` into row
+/// ids.
+pub(crate) fn offset(oids: &mut [Oid], start: usize) {
+    if start > 0 {
+        oids.iter_mut().for_each(|oid| *oid += start as Oid);
+    }
 }
 
 /// Runs `worker` on every item, each on its own scoped thread (a single
@@ -126,6 +124,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::parallel::collect_partitions;
 
     #[test]
     fn ranges_cover_input_exactly() {
@@ -191,16 +190,17 @@ mod tests {
                 starts,
                 partition_ranges(10, threads).iter().map(|r| r.0).collect::<Vec<_>>()
             );
-            let doubled = collect_partitions(10, threads, |start, end| (start..end).map(|i| 2 * i));
+            let doubled =
+                collect_partitions(10, threads, |start, end| (start..end).map(|i| 2 * i).collect());
             assert_eq!(doubled, (0..10).map(|i| 2 * i).collect::<Vec<_>>());
         }
-        assert!(collect_partitions(0, 4, |_, _| std::iter::empty::<u32>()).is_empty());
+        assert!(collect_partitions(0, 4, |start, end| (start..end).collect::<Vec<_>>()).is_empty());
     }
 
     #[test]
     #[should_panic(expected = "unwritten")]
     fn a_partition_that_writes_too_little_panics() {
-        collect_partitions(10, 2, |start, end| start..end - 1);
+        collect_partitions(10, 2, |start, end| (start..end - 1).collect());
     }
 
     #[test]

@@ -1,80 +1,74 @@
-//! Parallel sorting: partitions are sorted independently in parallel and the
-//! sorted runs are merged — the quick/merge-sort combination MonetDB uses,
-//! parallelised with the mitosis pattern.
+//! Parallel sorting: every partition is sorted by the sequential sort and
+//! the sorted runs are merged — the quick/merge-sort combination MonetDB
+//! uses, parallelised with the mitosis pattern.
 
-use super::partition::run_partitions;
+use super::partition::{offset, run_partitions};
 use ocelot_storage::Oid;
 use std::cmp::Ordering;
 
+/// Sorts `column` stably: `sort` (a sequential sort returning
+/// `(sorted_values, order)`) sorts every partition, and the runs are merged
+/// under `cmp`, the order `sort` sorts by. Returns the order; one partition
+/// is `sort`'s own.
+pub fn sort_runs<T: Copy + Send + Sync>(
+    column: &[T],
+    threads: usize,
+    sort: impl Fn(&[T]) -> (Vec<T>, Vec<Oid>) + Sync,
+    cmp: impl Fn(&T, &T) -> Ordering,
+) -> Vec<Oid> {
+    let runs = run_partitions(column.len(), threads, |start, end| {
+        let (values, mut order) = sort(&column[start..end]);
+        offset(&mut order, start);
+        (values, order)
+    });
+    merge_runs(runs, &cmp).1
+}
+
 /// Merges sorted runs pairwise. A tie takes the earlier run's row: the runs
 /// cover increasing row ranges, so equal keys keep input order.
-fn merge_runs(mut runs: Vec<Vec<Oid>>, cmp: &impl Fn(Oid, Oid) -> Ordering) -> Vec<Oid> {
+fn merge_runs<T: Copy>(
+    mut runs: Vec<(Vec<T>, Vec<Oid>)>,
+    cmp: &impl Fn(&T, &T) -> Ordering,
+) -> (Vec<T>, Vec<Oid>) {
     while runs.len() > 1 {
         let mut next_round = Vec::with_capacity(runs.len().div_ceil(2));
         let mut iter = runs.into_iter();
         while let Some(a) = iter.next() {
-            match iter.next() {
-                None => next_round.push(a),
-                Some(b) => {
-                    let mut out = Vec::with_capacity(a.len() + b.len());
-                    let (mut i, mut j) = (0, 0);
-                    while i < a.len() && j < b.len() {
-                        if cmp(a[i], b[j]) != Ordering::Greater {
-                            out.push(a[i]);
-                            i += 1;
-                        } else {
-                            out.push(b[j]);
-                            j += 1;
-                        }
-                    }
-                    out.extend_from_slice(&a[i..]);
-                    out.extend_from_slice(&b[j..]);
-                    next_round.push(out);
-                }
-            }
+            next_round.push(match iter.next() {
+                None => a,
+                Some(b) => merge_two(a, b, cmp),
+            });
         }
         runs = next_round;
     }
     runs.pop().unwrap_or_default()
 }
 
-/// Sorts `column` stably under `cmp`: every partition sorted stably on its
-/// own thread, the runs merged. Returns `(sorted_values, order)`.
-fn par_sort_by<T: Copy + Sync>(
-    column: &[T],
-    threads: usize,
-    cmp: impl Fn(&T, &T) -> Ordering + Sync,
+/// Merges two sorted runs, `a`'s rows first among equal keys.
+fn merge_two<T: Copy>(
+    (a_values, a_order): (Vec<T>, Vec<Oid>),
+    (b_values, b_order): (Vec<T>, Vec<Oid>),
+    cmp: &impl Fn(&T, &T) -> Ordering,
 ) -> (Vec<T>, Vec<Oid>) {
-    let cmp = |a: Oid, b: Oid| cmp(&column[a as usize], &column[b as usize]);
-    let runs = run_partitions(column.len(), threads, |start, end| {
-        let mut order: Vec<Oid> = (start as u32..end as u32).collect();
-        order.sort_by(|&a, &b| cmp(a, b));
-        order
-    });
-    let order = merge_runs(runs, &cmp);
-    (order.iter().map(|&oid| column[oid as usize]).collect(), order)
-}
-
-/// Parallel ascending sort of an integer column. Returns
-/// `(sorted_values, order)` like the sequential variant, stable like it.
-pub fn par_sort_i32(column: &[i32], threads: usize) -> (Vec<i32>, Vec<Oid>) {
-    par_sort_by(column, threads, i32::cmp)
-}
-
-/// Parallel descending sort of an integer column (stable: equal keys keep
-/// input order, as in the sequential variant).
-pub fn par_sort_i32_desc(column: &[i32], threads: usize) -> (Vec<i32>, Vec<Oid>) {
-    par_sort_by(column, threads, |a, b| b.cmp(a))
-}
-
-/// Parallel ascending sort of a float column (IEEE total order, stable).
-pub fn par_sort_f32(column: &[f32], threads: usize) -> (Vec<f32>, Vec<Oid>) {
-    par_sort_by(column, threads, f32::total_cmp)
-}
-
-/// Parallel descending sort of a float column (IEEE total order, stable).
-pub fn par_sort_f32_desc(column: &[f32], threads: usize) -> (Vec<f32>, Vec<Oid>) {
-    par_sort_by(column, threads, |a, b| b.total_cmp(a))
+    let len = a_values.len() + b_values.len();
+    let (mut values, mut order) = (Vec::with_capacity(len), Vec::with_capacity(len));
+    let (mut i, mut j) = (0, 0);
+    while i < a_values.len() && j < b_values.len() {
+        if cmp(&a_values[i], &b_values[j]) != Ordering::Greater {
+            values.push(a_values[i]);
+            order.push(a_order[i]);
+            i += 1;
+        } else {
+            values.push(b_values[j]);
+            order.push(b_order[j]);
+            j += 1;
+        }
+    }
+    values.extend_from_slice(&a_values[i..]);
+    values.extend_from_slice(&b_values[j..]);
+    order.extend_from_slice(&a_order[i..]);
+    order.extend_from_slice(&b_order[j..]);
+    (values, order)
 }
 
 #[cfg(test)]
@@ -82,20 +76,19 @@ mod tests {
     use super::*;
     use crate::sequential;
 
+    fn sort_i32(column: &[i32], threads: usize) -> Vec<Oid> {
+        sort_runs(column, threads, sequential::sort_i32, i32::cmp)
+    }
+
     #[test]
     fn matches_sequential_values() {
         let column: Vec<i32> = (0..10_000).map(|i| ((i * 73 + 19) % 4001) - 2000).collect();
-        let (seq_sorted, _) = sequential::sort_i32(&column);
+        let (seq_sorted, seq_order) = sequential::sort_i32(&column);
         for threads in [1, 2, 4, 5] {
-            let (par_sorted, par_order) = par_sort_i32(&column, threads);
-            assert_eq!(par_sorted, seq_sorted, "threads={threads}");
-            // The order column is a valid permutation producing the sorted output.
-            let mut check: Vec<bool> = vec![false; column.len()];
-            for (pos, oid) in par_order.iter().enumerate() {
-                assert_eq!(column[*oid as usize], par_sorted[pos]);
-                assert!(!check[*oid as usize], "oid {oid} repeated");
-                check[*oid as usize] = true;
-            }
+            let order = sort_i32(&column, threads);
+            assert_eq!(order, seq_order, "threads={threads}");
+            let sorted: Vec<i32> = order.iter().map(|&oid| column[oid as usize]).collect();
+            assert_eq!(sorted, seq_sorted, "threads={threads}");
         }
     }
 
@@ -103,9 +96,8 @@ mod tests {
     fn float_sort_matches_sequential() {
         let column: Vec<f32> =
             (0..5_000).map(|i| ((i * 31 + 7) % 999) as f32 * 0.25 - 50.0).collect();
-        let (seq_sorted, _) = sequential::sort_f32(&column);
-        let (par_sorted, _) = par_sort_f32(&column, 4);
-        assert_eq!(par_sorted, seq_sorted);
+        let order = sort_runs(&column, 4, sequential::sort_f32, f32::total_cmp);
+        assert_eq!(order, sequential::sort_f32(&column).1);
     }
 
     #[test]
@@ -113,10 +105,14 @@ mod tests {
         let ints = [3, 1, 3, 2, 1, 3];
         let floats = [0.0f32, -0.0, f32::NAN, 1.0, -f32::NAN, 0.0, f32::INFINITY, -0.0, 1.0];
         for threads in [1, 2, 4] {
-            assert_eq!(par_sort_i32_desc(&ints, threads).1, vec![0, 2, 5, 3, 1, 4]);
-            assert_eq!(par_sort_i32(&ints, threads).1, sequential::sort_i32(&ints).1);
-            assert_eq!(par_sort_f32(&floats, threads).1, sequential::sort_f32(&floats).1);
-            assert_eq!(par_sort_f32_desc(&floats, threads).1, sequential::sort_f32_desc(&floats).1);
+            let desc = sort_runs(&ints, threads, sequential::sort_i32_desc, |a, b| b.cmp(a));
+            assert_eq!(desc, vec![0, 2, 5, 3, 1, 4]);
+            assert_eq!(sort_i32(&ints, threads), sequential::sort_i32(&ints).1);
+            let asc = sort_runs(&floats, threads, sequential::sort_f32, f32::total_cmp);
+            assert_eq!(asc, sequential::sort_f32(&floats).1);
+            let desc =
+                sort_runs(&floats, threads, sequential::sort_f32_desc, |a, b| b.total_cmp(a));
+            assert_eq!(desc, sequential::sort_f32_desc(&floats).1);
         }
     }
 
@@ -124,14 +120,15 @@ mod tests {
     fn already_sorted_and_reverse_inputs() {
         let asc: Vec<i32> = (0..1000).collect();
         let desc: Vec<i32> = (0..1000).rev().collect();
-        assert_eq!(par_sort_i32(&asc, 4).0, asc);
-        assert_eq!(par_sort_i32(&desc, 4).0, asc);
+        let ids: Vec<Oid> = (0..1000).collect();
+        assert_eq!(sort_i32(&asc, 4), ids);
+        assert_eq!(sort_i32(&desc, 4), ids.iter().rev().copied().collect::<Vec<_>>());
     }
 
     #[test]
     fn empty_and_tiny() {
-        assert_eq!(par_sort_i32(&[], 4), (vec![], vec![]));
-        assert_eq!(par_sort_i32(&[3], 4), (vec![3], vec![0]));
-        assert_eq!(par_sort_i32(&[2, 1], 4).0, vec![1, 2]);
+        assert!(sort_i32(&[], 4).is_empty());
+        assert_eq!(sort_i32(&[3], 4), vec![0]);
+        assert_eq!(sort_i32(&[2, 1], 4), vec![1, 0]);
     }
 }

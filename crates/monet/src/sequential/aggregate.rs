@@ -4,7 +4,12 @@
 /// Sum of a float column (accumulated in `f64`, returned as the four-byte
 /// `f32` the engine's type system mandates).
 pub fn sum_f32(values: &[f32]) -> f32 {
-    values.iter().map(|v| *v as f64).sum::<f64>() as f32
+    sum_f64(values) as f32
+}
+
+/// [`sum_f32`]'s `f64` accumulation, before it rounds.
+pub fn sum_f64(values: &[f32]) -> f64 {
+    values.iter().map(|v| *v as f64).sum::<f64>()
 }
 
 /// Sum of an integer column, accumulated in `i64` to avoid overflow.
@@ -40,12 +45,17 @@ pub fn count(values_len: usize) -> i64 {
 /// Per-group sums of a float column. `gids[i]` assigns row `i` to a dense
 /// group in `0..num_groups`.
 pub fn grouped_sum_f32(values: &[f32], gids: &[u32], num_groups: usize) -> Vec<f32> {
+    grouped_sum_f64(values, gids, num_groups).into_iter().map(|s| s as f32).collect()
+}
+
+/// [`grouped_sum_f32`]'s `f64` accumulation, before it rounds.
+pub fn grouped_sum_f64(values: &[f32], gids: &[u32], num_groups: usize) -> Vec<f64> {
     assert_eq!(values.len(), gids.len(), "grouped_sum_f32: length mismatch");
     let mut sums = vec![0.0f64; num_groups];
     for (value, gid) in values.iter().zip(gids.iter()) {
         sums[*gid as usize] += *value as f64;
     }
-    sums.into_iter().map(|s| s as f32).collect()
+    sums
 }
 
 /// Per-group row counts.
@@ -121,11 +131,16 @@ pub fn grouped_max_i32(values: &[i32], gids: &[u32], num_groups: usize) -> Vec<i
 
 /// Per-group averages of a float column (`0.0` for empty groups).
 pub fn grouped_avg_f32(values: &[f32], gids: &[u32], num_groups: usize) -> Vec<f32> {
-    let sums = grouped_sum_f32(values, gids, num_groups);
-    let counts = grouped_count(gids, num_groups);
+    averages(&grouped_sum_f64(values, gids, num_groups), &grouped_count(gids, num_groups))
+}
+
+/// Per-group averages from [`grouped_sum_f64`]'s sums and
+/// [`grouped_count`]'s counts: the sum rounded to `f32` as
+/// [`grouped_sum_f32`] returns it, divided by the count.
+pub fn averages(sums: &[f64], counts: &[i64]) -> Vec<f32> {
     sums.iter()
         .zip(counts.iter())
-        .map(|(s, c)| if *c == 0 { 0.0 } else { (*s as f64 / *c as f64) as f32 })
+        .map(|(s, c)| if *c == 0 { 0.0 } else { (*s as f32 as f64 / *c as f64) as f32 })
         .collect()
 }
 

@@ -47,28 +47,30 @@ pub fn pkfk_join_i32(foreign_keys: &[i32], table: &MonetHashTable) -> (Vec<Oid>,
 /// Semi join: the OIDs of left rows whose key occurs at least once in
 /// `right` (SQL `EXISTS` / `IN`).
 pub fn semi_join_i32(left: &[i32], right: &[i32]) -> Vec<Oid> {
-    let table = MonetHashTable::build(right);
-    left.iter()
-        .enumerate()
-        .filter(|(_, key)| table.contains(**key))
-        .map(|(row, _)| row as Oid)
-        .collect()
+    semi_join_table_i32(left, &MonetHashTable::build(right), true)
 }
 
 /// Anti join: the OIDs of left rows whose key does **not** occur in `right`
 /// (SQL `NOT EXISTS` / `NOT IN`).
 pub fn anti_join_i32(left: &[i32], right: &[i32]) -> Vec<Oid> {
-    let table = MonetHashTable::build(right);
+    semi_join_table_i32(left, &MonetHashTable::build(right), false)
+}
+
+/// Semi (`keep_found`) or anti join through a prebuilt hash table of the
+/// right keys: the OIDs of the left rows whose key the table holds, or
+/// does not.
+pub fn semi_join_table_i32(left: &[i32], table: &MonetHashTable, keep_found: bool) -> Vec<Oid> {
     left.iter()
         .enumerate()
-        .filter(|(_, key)| !table.contains(**key))
+        .filter(|(_, key)| table.contains(**key) == keep_found)
         .map(|(row, _)| row as Oid)
         .collect()
 }
 
 /// Where a value lands among the listed rows of a dense key: the position
 /// of its row in the list, or the row itself when every row is listed.
-pub(crate) struct DenseProbe {
+/// Built once, it probes any slice of values.
+pub struct DenseProbe {
     key: DenseKey,
     /// Position + 1 of every listed row, 0 for the others; `None` when
     /// every row is listed.
@@ -76,7 +78,8 @@ pub(crate) struct DenseProbe {
 }
 
 impl DenseProbe {
-    pub(crate) fn new(listed: Option<&[Oid]>, key: DenseKey) -> DenseProbe {
+    /// The probe for the `listed` rows of `key` (every row when `None`).
+    pub fn new(listed: Option<&[Oid]>, key: DenseKey) -> DenseProbe {
         let inverse = listed.map(|listed| {
             let mut inverse = vec![0u32; key.rows];
             for (position, &row) in listed.iter().enumerate() {
@@ -96,14 +99,13 @@ impl DenseProbe {
         }
     }
 
-    /// The `(value row, list position)` pairs of `values`, whose first row
-    /// is `first`. The pairs are counted first, so each output is allocated
-    /// once, at its length.
-    pub(crate) fn join(&self, values: &[i32], first: usize) -> (Vec<Oid>, Vec<Oid>) {
+    /// The `(value row, list position)` pairs of `values`. The pairs are
+    /// counted first, so each output is allocated once, at its length.
+    pub fn join(&self, values: &[i32]) -> (Vec<Oid>, Vec<Oid>) {
         let pairs = values.iter().filter(|value| self.find(**value).is_some()).count();
         let mut rows = Vec::with_capacity(pairs);
         let mut positions = Vec::with_capacity(pairs);
-        for (row, &value) in (first..).zip(values) {
+        for (row, &value) in values.iter().enumerate() {
             if let Some(position) = self.find(value) {
                 rows.push(row as Oid);
                 positions.push(position);
@@ -112,12 +114,13 @@ impl DenseProbe {
         (rows, positions)
     }
 
-    /// The rows of `values` (the first is `first`) whose value names a
-    /// listed row (`keep_found`) or does not.
-    pub(crate) fn semi(&self, values: &[i32], first: usize, keep_found: bool) -> Vec<Oid> {
+    /// The rows of `values` whose value names a listed row (`keep_found`)
+    /// or does not.
+    pub fn semi(&self, values: &[i32], keep_found: bool) -> Vec<Oid> {
         collect_exact(
-            (first..)
-                .zip(values)
+            values
+                .iter()
+                .enumerate()
                 .filter(|(_, value)| self.find(**value).is_some() == keep_found)
                 .map(|(row, _)| row as Oid),
         )
@@ -133,7 +136,7 @@ fn collect_exact(oids: impl Iterator<Item = Oid> + Clone) -> Vec<Oid> {
 }
 
 /// Flags the rows of a dense key that some value names.
-pub(crate) fn dense_flags(values: &[i32], key: DenseKey) -> Vec<bool> {
+pub fn dense_flags(values: &[i32], key: DenseKey) -> Vec<bool> {
     let mut flags = vec![false; key.rows];
     for row in values.iter().filter_map(|value| key.row(*value)) {
         flags[row] = true;
@@ -141,20 +144,15 @@ pub(crate) fn dense_flags(values: &[i32], key: DenseKey) -> Vec<bool> {
     flags
 }
 
-/// The positions `start..end` of the list (of the rows, when every row is
-/// listed) whose row is flagged (`keep_found`) or is not.
-pub(crate) fn flagged_positions(
-    flags: &[bool],
-    listed: Option<&[Oid]>,
-    start: usize,
-    end: usize,
-    keep_found: bool,
-) -> Vec<Oid> {
+/// The positions in `listed` (in `flags`, when every row is listed) whose
+/// row is flagged (`keep_found`) or is not.
+pub fn flagged_positions(flags: &[bool], listed: Option<&[Oid]>, keep_found: bool) -> Vec<Oid> {
     let flagged = |position: usize| match listed {
         Some(listed) => flags[listed[position] as usize],
         None => flags[position],
     };
-    collect_exact((start..end).filter(|p| flagged(*p) == keep_found).map(|p| p as Oid))
+    let positions = listed.map_or(flags.len(), <[Oid]>::len);
+    collect_exact((0..positions).filter(|p| flagged(*p) == keep_found).map(|p| p as Oid))
 }
 
 /// PK-FK join against a dense key: for every value that names one of the
@@ -166,7 +164,7 @@ pub fn dense_join_i32(
     listed: Option<&[Oid]>,
     key: DenseKey,
 ) -> (Vec<Oid>, Vec<Oid>) {
-    DenseProbe::new(listed, key).join(values, 0)
+    DenseProbe::new(listed, key).join(values)
 }
 
 /// Semi (`keep_found`) or anti join of `values` against the `listed` rows
@@ -177,7 +175,7 @@ pub fn dense_semi_join_i32(
     key: DenseKey,
     keep_found: bool,
 ) -> Vec<Oid> {
-    DenseProbe::new(listed, key).semi(values, 0, keep_found)
+    DenseProbe::new(listed, key).semi(values, keep_found)
 }
 
 /// Semi (`keep_found`) or anti join whose *left* side is the dense key: the
@@ -189,8 +187,7 @@ pub fn dense_listed_semi_join_i32(
     key: DenseKey,
     keep_found: bool,
 ) -> Vec<Oid> {
-    let end = listed.map_or(key.rows, <[Oid]>::len);
-    flagged_positions(&dense_flags(values, key), listed, 0, end, keep_found)
+    flagged_positions(&dense_flags(values, key), listed, keep_found)
 }
 
 #[cfg(test)]

@@ -52,6 +52,17 @@ pub fn select_eq_i32(column: &[i32], needle: i32) -> Vec<Oid> {
     out
 }
 
+/// Inequality (`!=`) selection over an `i32` column.
+pub fn select_ne_i32(column: &[i32], needle: i32) -> Vec<Oid> {
+    let mut out = Vec::new();
+    for (row, value) in column.iter().enumerate() {
+        if *value != needle {
+            out.push(row as Oid);
+        }
+    }
+    out
+}
+
 /// Range selection restricted to a candidate list (the second and later
 /// predicates of a conjunction run over the survivors of the previous one).
 pub fn select_range_i32_cand(column: &[i32], candidates: &[Oid], low: i32, high: i32) -> Vec<Oid> {
@@ -229,6 +240,9 @@ mod tests {
         let col = vec![2, 3, 2, 2];
         assert_eq!(select_eq_i32(&col, 2), vec![0, 2, 3]);
         assert_eq!(select_eq_i32(&col, 9), Vec::<Oid>::new());
+        assert_eq!(select_ne_i32(&col, 2), vec![1]);
+        assert_eq!(select_ne_i32(&col, 9), vec![0, 1, 2, 3]);
+        assert!(select_ne_i32(&[], 2).is_empty());
     }
 
     #[test]

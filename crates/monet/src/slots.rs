@@ -1,10 +1,11 @@
 //! Output vectors written in place.
 //!
 //! An operator whose output length is known up front (a grouping's ids, a
-//! fetch, an arithmetic map) allocates its result once and writes every
-//! element straight into it through [`Slots`] — front to back, each slot
-//! once. Mitosis hands every partition the [`Slots`] of its own row range
-//! of that one vector, so per-partition outputs are never concatenated.
+//! length-preserving operator's output over several partitions) allocates
+//! its result once and writes every element straight into it through
+//! [`Slots`] — front to back, each slot once. Mitosis hands every partition
+//! the [`Slots`] of its own row range of that one vector, so per-partition
+//! outputs are never concatenated.
 
 use std::mem::MaybeUninit;
 

@@ -17,7 +17,7 @@ use crate::lockstep::devices;
 use ocelot_core::ops::join::{self, DenseJoinKind};
 use ocelot_core::primitives::gather::gather;
 use ocelot_core::{DevColumn, DevWord, OcelotContext, Oid, SharedDevice};
-use ocelot_engine::{Backend, MonetParBackend, MonetSeqBackend, OcelotBackend, Query, Session};
+use ocelot_engine::{Backend, MonetBackend, OcelotBackend, Query, Session};
 use ocelot_monet::sequential as monet;
 use ocelot_monet::MonetHashTable;
 use ocelot_storage::{Bat, ColumnType, DenseKey};
@@ -157,8 +157,8 @@ proptest! {
         seed in 1u64..u64::MAX,
     ) {
         let case = Case::generate(rows, base, listing, keys, seed);
-        check(&MonetSeqBackend::new(), &case);
-        check(&MonetParBackend::with_threads(3), &case);
+        check(&MonetBackend::with_threads(1), &case);
+        check(&MonetBackend::with_threads(3), &case);
         for (name, ctx) in devices() {
             check(&OcelotBackend::with_context(ctx, &name), &case);
         }
@@ -169,8 +169,8 @@ proptest! {
 #[test]
 fn empty_keys_and_empty_tables_join_to_nothing_or_everything() {
     for case in [Case::generate(500, 1, 2, 0, 3), Case::generate(0, 0, 0, 700, 4)] {
-        check(&MonetSeqBackend::new(), &case);
-        check(&MonetParBackend::with_threads(2), &case);
+        check(&MonetBackend::with_threads(1), &case);
+        check(&MonetBackend::with_threads(2), &case);
         for (name, ctx) in devices() {
             check(&OcelotBackend::with_context(ctx, &name), &case);
         }

@@ -14,7 +14,7 @@ use ocelot_core::ops::{groupby, select};
 use ocelot_core::primitives::gather;
 use ocelot_core::{DevColumn, OcelotContext, SharedDevice, TraceSink};
 use ocelot_engine::plan::{Plan, PlanBuilder, PlanError, PlanNode, PlanOp};
-use ocelot_engine::{Backend, MonetSeqBackend, OcelotBackend, Session, TraceEventKind};
+use ocelot_engine::{Backend, MonetBackend, OcelotBackend, Session, TraceEventKind};
 use ocelot_monet::sequential as monet;
 use ocelot_storage::CmpOp;
 use ocelot_tpch::{q12_queries, q1_query, TpchConfig, TpchDb};
@@ -338,7 +338,7 @@ fn column_comparison_and_in_list_selections_equal_monet() {
         Ok(out)
     }
     let data = (left.as_slice(), right.as_slice(), code.as_slice());
-    let expected = answers(&MonetSeqBackend::new(), data, &ops, &in_lists).unwrap();
+    let expected = answers(&MonetBackend::with_threads(1), data, &ops, &in_lists).unwrap();
     assert!(expected.iter().filter(|oids| !oids.is_empty()).count() > 16, "the cases select rows");
     for backend in [OcelotBackend::cpu_sequential(), OcelotBackend::cpu(), OcelotBackend::gpu()] {
         let got = answers(&backend, data, &ops, &in_lists).unwrap();

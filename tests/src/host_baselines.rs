@@ -5,7 +5,7 @@
 //! values, so nothing about a thread count may show in a result.
 
 use ocelot_engine::plan::QueryValue;
-use ocelot_engine::{MonetParBackend, Query, Session};
+use ocelot_engine::{MonetBackend, Query, Session};
 use ocelot_tpch::{
     q10_query, q12_queries, q14_query, q1_query, q3_query, q4_query, q5_query, q6_query,
     TpchConfig, TpchDb,
@@ -75,8 +75,8 @@ fn mp_at_every_thread_count_equals_ms_bit_for_bit() {
     let db = TpchDb::generate(TpchConfig { scale_factor: 0.05, seed: 3 });
     let catalog = db.catalog();
     let ms = Session::monet_seq();
-    let mps: Vec<(usize, Session<MonetParBackend>)> =
-        [1, 2, 3, 7].map(|t| (t, Session::new(MonetParBackend::with_threads(t)))).into();
+    let mps: Vec<(usize, Session<MonetBackend>)> =
+        [1, 2, 3, 7].map(|t| (t, Session::new(MonetBackend::with_threads(t)))).into();
     for (name, query) in ported_queries(&db) {
         let plan = query.lower(catalog).unwrap();
         let want = ms.run(&plan, catalog).unwrap();

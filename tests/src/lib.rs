@@ -823,7 +823,7 @@ mod deferred_vs_eager {
     use ocelot_core::ops::select;
     use ocelot_core::primitives::reduce;
     use ocelot_core::OcelotContext;
-    use ocelot_engine::{Backend, MonetParBackend, MonetSeqBackend, OcelotBackend};
+    use ocelot_engine::{Backend, MonetBackend, OcelotBackend};
     use proptest::collection;
     use proptest::prelude::*;
 
@@ -886,14 +886,14 @@ mod deferred_vs_eager {
             raw in collection::vec(-500i32..500, 1..300),
         ) {
             let values: Vec<f32> = raw.iter().map(|v| *v as f32 * 0.25).collect();
-            let reference = MonetSeqBackend::new();
+            let reference = MonetBackend::with_threads(1);
             let column = reference.lift_f32(values.clone()).unwrap();
             let expected = (
                 reference.sum_f32(&column).unwrap(),
                 reference.min_f32(&column).unwrap(),
                 reference.max_f32(&column).unwrap(),
             );
-            check_backend(&MonetParBackend::new(), &values, expected);
+            check_backend(&MonetBackend::new(), &values, expected);
             check_backend(&OcelotBackend::cpu(), &values, expected);
             check_backend(&OcelotBackend::cpu_sequential(), &values, expected);
             check_backend(&OcelotBackend::gpu(), &values, expected);
@@ -1235,8 +1235,7 @@ mod streaming_dbgen {
 mod partitioned_join {
     use ocelot_core::{partitioned_pkfk_join, OcelotContext, PartitionedJoinConfig, SharedDevice};
     use ocelot_engine::{
-        Backend, MonetParBackend, MonetSeqBackend, OcelotBackend, PlanBuilder, QueryValue,
-        RewriteConfig, Session,
+        Backend, MonetBackend, OcelotBackend, PlanBuilder, QueryValue, RewriteConfig, Session,
     };
     use ocelot_storage::{Bat, Catalog, Table};
     use ocelot_tpch::{q3_query, sparse_keys, TpchConfig, TpchDb};
@@ -1305,8 +1304,8 @@ mod partitioned_join {
         ) {
             let pk: Vec<i32> = (0..build_n as i32).collect();
             let fk = probe_keys(probe_n, build_n, mode, seed);
-            check_backend(&MonetSeqBackend::new(), &fk, &pk, ndv_hint);
-            check_backend(&MonetParBackend::with_threads(4), &fk, &pk, ndv_hint);
+            check_backend(&MonetBackend::with_threads(1), &fk, &pk, ndv_hint);
+            check_backend(&MonetBackend::with_threads(4), &fk, &pk, ndv_hint);
             check_backend(&OcelotBackend::cpu(), &fk, &pk, ndv_hint);
             check_backend(&OcelotBackend::gpu(), &fk, &pk, ndv_hint);
         }

@@ -13,7 +13,7 @@ use crate::grouped_aggregation::{observed, scramble};
 use ocelot_core::ops::sort_radix;
 use ocelot_core::partition::{partitioned_pkfk_join, PartitionedJoinConfig};
 use ocelot_core::OcelotContext;
-use ocelot_engine::{Backend, MonetParBackend, MonetSeqBackend, OcelotBackend};
+use ocelot_engine::{Backend, MonetBackend, OcelotBackend};
 use ocelot_kernel::{Device, GpuConfig};
 use proptest::prelude::*;
 
@@ -93,7 +93,7 @@ fn assert_same_orders(at: &str, got: &[Vec<u32>; 4], want: &[Vec<u32>; 4]) {
 /// The reference is MS: its sorts are `sort_by` over the row ids — the
 /// stable order by definition — under `Ord`, `Reverse` and `f32::total_cmp`.
 fn expected_orders(ints: &[i32], floats: &[f32]) -> [Vec<u32>; 4] {
-    backend_orders(&MonetSeqBackend::new(), ints, floats)
+    backend_orders(&MonetBackend::with_threads(1), ints, floats)
 }
 
 fn check_every_backend(at: &str, ints: &[i32], floats: &[f32]) {
@@ -101,7 +101,7 @@ fn check_every_backend(at: &str, ints: &[i32], floats: &[f32]) {
     let check = |name: &str, got: [Vec<u32>; 4]| {
         assert_same_orders(&format!("{at} on {name}"), &got, &want)
     };
-    check("MP", backend_orders(&MonetParBackend::with_threads(3), ints, floats));
+    check("MP", backend_orders(&MonetBackend::with_threads(3), ints, floats));
     for backend in [OcelotBackend::cpu_sequential(), OcelotBackend::cpu(), OcelotBackend::gpu()] {
         check(backend.name(), backend_orders(&backend, ints, floats));
     }
