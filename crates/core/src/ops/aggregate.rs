@@ -44,7 +44,8 @@
 //! ([`super::rowexpr`]), and evaluates both on its way through the rows, a
 //! batch at a time: a 1024-row tile of rows or list entries, or — under a
 //! row filter, whose tile-local masks keep few rows each — the survivors of
-//! as many tiles as it takes to collect a tile's worth. The batch's
+//! as many tiles as it takes to collect a tile's worth (grouped by key
+//! columns: every tile as it lies, below). The batch's
 //! base-column values are gathered — or, when a grouping's listed rows are
 //! at least every other row of the stretch they lie in, the stretch is read
 //! as it lies — the expressions go into tile-sized scratch, then the same
@@ -55,6 +56,19 @@
 //! would wait for every addition before it — but column by column: each
 //! batch's value column is folded eight partials wide ([`Fold::reduce`])
 //! and joins the work-group's one record.
+//!
+//! **Keyed accumulation** ([`keyed_aggs`]). The groups need not exist
+//! either. Grouped by key columns of the slots, a position's group is the
+//! dense code of its key tuple (`groupby`'s numbering), computed per batch;
+//! the partial tables hold a record per code — plus, under a row filter,
+//! one past them: every tile is folded as it lies, and the rows its mask
+//! drops go to that record, which no group reads — and every record keeps
+//! the first position it counts. The first rows fold and are ranked on the
+//! host exactly as the dense-code grouping's own tables are, and the fold
+//! launch folds group `g` from its code's records: grouping, key fetches
+//! and group ids never reach device memory, and any [`RowSource`] — a row
+//! filter included — may be grouped. Key spaces past `GROUPING_START` codes fall back to the
+//! operators the plan would have run.
 //!
 //! **Equality rule.** Grouped results are bit-equal run to run on one
 //! backend and device configuration. Across backends, integers, counts and
@@ -70,8 +84,12 @@
 //! float representation once, at the fold: exact up to 2^24 rows per group
 //! and correctly rounded beyond, never saturating.
 
-use super::rowexpr::{conjunction_mask, Map, Pred, Scratch, TILE};
+use super::groupby::{group_by_shaped, rank_first_rows, DenseCodes, FirstRows, NO_ROW};
+use super::hash_table::{key_shape, KeyShape};
+use super::rowexpr::{conjunction_mask, select_where, Map, Pred, Scratch, TILE};
+use super::select::materialize_bitmap;
 use crate::context::{DevColumn, DevScalar, LenSource, OcelotContext, Oid};
+use crate::primitives::gather::gather;
 use ocelot_kernel::{
     Buffer, BufferAccess, EventId, Kernel, KernelAccesses, KernelCost, LaunchConfig, Result,
     WorkGroupCtx,
@@ -189,14 +207,28 @@ impl Fold {
 
 /// The accumulators behind a set of aggregates (module docs): the float
 /// accumulators — sums, then minima, then maxima, so each kind is one run —
-/// followed by the count, if anything needs it.
+/// followed by the count, if anything needs it, and — grouped by codes — the
+/// record's first position.
 #[derive(Debug, Clone, PartialEq, Eq)]
 struct Accumulators {
     floats: Vec<(Fold, usize)>,
     counted: bool,
+    first_row: bool,
 }
 
 impl Accumulators {
+    /// The layout of `funcs` over `values` value columns.
+    ///
+    /// # Panics
+    /// Panics if an aggregate names a value column there is not.
+    fn checked(funcs: &[GroupedAgg], values: usize) -> Accumulators {
+        let layout = Accumulators::of(funcs);
+        for column in layout.columns() {
+            assert!(column < values, "grouped aggregate: no value column {column}");
+        }
+        layout
+    }
+
     fn of(funcs: &[GroupedAgg]) -> Accumulators {
         let mut floats: Vec<(Fold, usize)> = Vec::new();
         for kind in [Fold::Sum, Fold::Min, Fold::Max] {
@@ -214,12 +246,12 @@ impl Accumulators {
         }
         let counted =
             funcs.iter().any(|func| matches!(func, GroupedAgg::Avg(_) | GroupedAgg::Count));
-        Accumulators { floats, counted }
+        Accumulators { floats, counted, first_row: false }
     }
 
     /// Accumulator words per group.
     fn words(&self) -> usize {
-        self.floats.len() + usize::from(self.counted)
+        self.floats.len() + usize::from(self.counted) + usize::from(self.first_row)
     }
 
     fn slot(&self, fold: Fold, column: usize) -> usize {
@@ -232,6 +264,21 @@ impl Accumulators {
     /// The count accumulator's slot (after the floats).
     fn count_slot(&self) -> Option<usize> {
         self.counted.then_some(self.floats.len())
+    }
+
+    /// The first position's slot (last). Only a counted layout keeps it: a
+    /// record's first position is the position it counts first.
+    fn first_row_slot(&self) -> Option<usize> {
+        self.first_row.then_some(self.floats.len() + usize::from(self.counted))
+    }
+
+    /// A record before anything is folded into it.
+    fn identities(&self) -> Vec<u32> {
+        let mut record: Vec<u32> =
+            self.floats.iter().map(|(fold, _)| fold.identity().to_bits()).collect();
+        record.extend(self.count_slot().map(|_| 0));
+        record.extend(self.first_row_slot().map(|_| NO_ROW));
+        record
     }
 
     /// The distinct value columns the accumulators read.
@@ -258,23 +305,27 @@ impl Accumulators {
 
 /// What one pass over a work-group's rows updates in every row's group
 /// record: `N` adjacent float accumulators starting at `first_slot`, and the
-/// count accumulator if the pass carries it.
+/// count accumulator if the pass carries it — and with the count, the
+/// record's first position if the layout keeps it.
 struct Pass<'a, const N: usize> {
     words: usize,
     first_slot: usize,
     columns: [&'a [u32]; N],
     count_slot: Option<usize>,
+    /// The first position's slot and the batch's first position.
+    first_row: Option<(usize, u32)>,
 }
 
 impl<const N: usize> Pass<'_, N> {
-    /// Folds row `row` of `columns` into the record of group `gid`.
+    /// Folds row `row` of `columns`, the batch's `index`-th position, into
+    /// the record of group `gid`.
     #[inline(always)]
     fn fold_row(
         &self,
         table: &mut [u32],
         gid: u32,
         columns: &[&[u32]; N],
-        row: usize,
+        (index, row): (usize, usize),
         combine: impl Fn(f32, f32) -> f32,
     ) {
         let base = gid as usize * self.words;
@@ -283,7 +334,13 @@ impl<const N: usize> Pass<'_, N> {
             *word = combine(f32::from_bits(*word), f32::from_bits(column[row])).to_bits();
         }
         if let Some(slot) = self.count_slot {
-            table[base + slot] += 1;
+            // Positions ascend, so a record's first position is the one it
+            // counts first: a store only then, off the count already loaded.
+            let count = table[base + slot];
+            if let (0, Some((first, start))) = (count, self.first_row) {
+                table[base + first] = start + index as u32;
+            }
+            table[base + slot] = count + 1;
         }
     }
 
@@ -299,8 +356,8 @@ impl<const N: usize> Pass<'_, N> {
         row_of: impl Fn(usize) -> usize,
         combine: impl Fn(f32, f32) -> f32 + Copy,
     ) {
-        for (position, gid) in gids.iter().enumerate() {
-            self.fold_row(table, *gid, &self.columns, row_of(position), combine);
+        for (index, gid) in gids.iter().enumerate() {
+            self.fold_row(table, *gid, &self.columns, (index, row_of(index)), combine);
         }
     }
 }
@@ -314,7 +371,9 @@ pub enum RowSource<'a> {
     /// read *through* the list, group ids align with its positions.
     Candidates(&'a DevColumn<Oid>),
     /// The rows on which every conjunct holds, evaluated in the accumulation
-    /// launch itself — no bitmap, no candidate list. Ungrouped only.
+    /// launch itself — no bitmap, no candidate list. Ungrouped, or grouped by
+    /// key columns ([`keyed_aggs`]): never with group ids, which align with a
+    /// list's positions.
     Where(&'a [Pred]),
 }
 
@@ -323,6 +382,19 @@ enum Rows {
     All,
     Candidates(Buffer),
     Where(Vec<Pred>),
+}
+
+/// The group of every position, as the kernel holds it.
+enum Groups {
+    /// Everything is group 0 (the ungrouped sum).
+    One,
+    /// Group id per position.
+    Ids(Buffer),
+    /// The dense code of the key tuple in these column slots at the
+    /// position's row; every record keeps its first position too. Under a
+    /// row filter tiles are folded as they lie, the rows it drops into the
+    /// record past the codes.
+    Codes { slots: Vec<usize>, codes: DenseCodes },
 }
 
 /// Per-work-group scratch of the accumulation kernel: one tile per gathered
@@ -357,10 +429,10 @@ struct FusedPartialsKernel {
     values: Vec<Map>,
     /// The slots those expressions read.
     value_slots: Vec<usize>,
-    /// Group id per position; `None` folds everything into group 0.
-    gids: Option<Buffer>,
+    groups: Groups,
     partials: Buffer,
-    num_groups: usize,
+    /// Records per partial table: the groups, or the codes.
+    records: usize,
     layout: Accumulators,
     /// `layout.batches()`, computed once.
     batches: Vec<(Fold, usize, usize)>,
@@ -370,12 +442,13 @@ struct FusedPartialsKernel {
 
 impl FusedPartialsKernel {
     fn table_words(&self) -> usize {
-        self.num_groups * self.layout.words()
+        self.records * self.layout.words()
     }
 
     /// Folds one batch into `table`: the rows `listed`, in list order — or,
     /// with no list, the rows `span` — of groups `gids` (`None`: all of
-    /// group 0).
+    /// group 0). A grouping by codes reads no row filter's survivors, so the
+    /// batch's positions count from `span.start`.
     fn fold(
         &self,
         listed: Option<&[u32]>,
@@ -386,6 +459,7 @@ impl FusedPartialsKernel {
         tiles: &mut Tiles,
     ) {
         let Tiles { gathered, computed, scratch } = tiles;
+        let start = span.start as u32;
         let rows = listed.map_or(span.len(), |list| list.len());
         // The slots the values read: a stretch of each column as it lies —
         // the span, or (`picks`) the stretch dense listed rows of a grouping
@@ -444,28 +518,34 @@ impl FusedPartialsKernel {
             return;
         };
         let picks = listed.zip(dense).map(|(list, (low, _))| (list, low));
-        // The count rides on the first pass; with no float accumulator at
-        // all it is a pass of its own.
+        // The count — and with it the first position — rides on the first
+        // pass; with no float accumulator at all it is a pass of its own.
+        let first_row = self.layout.first_row_slot().map(|slot| (slot, start));
         for (fold, first_slot, width) in &self.batches {
-            self.pass(table, gids, picks, values, *fold, *first_slot, *width, count_slot.take());
+            let pass = (*fold, *first_slot, *width, count_slot.take(), first_row);
+            self.pass(table, gids, picks, values, pass);
         }
         if count_slot.is_some() {
-            self.pass(table, gids, picks, values, Fold::Sum, 0, 0, count_slot);
+            self.pass(table, gids, picks, values, (Fold::Sum, 0, 0, count_slot, first_row));
         }
     }
 
-    /// One pass of `width` float accumulators from `first_slot` on.
-    #[allow(clippy::too_many_arguments)]
+    /// One pass of `width` float accumulators of kind `fold` from
+    /// `first_slot` on, carrying the count and the first position as told.
+    #[allow(clippy::type_complexity)]
     fn pass(
         &self,
         table: &mut [u32],
         gids: &[u32],
         picks: Option<(&[u32], u32)>,
         values: &[&[u32]],
-        fold: Fold,
-        first_slot: usize,
-        width: usize,
-        count_slot: Option<usize>,
+        (fold, first_slot, width, count_slot, first_row): (
+            Fold,
+            usize,
+            usize,
+            Option<usize>,
+            Option<(usize, u32)>,
+        ),
     ) {
         let mut columns: [&[u32]; MAX_BATCH] = [&[]; MAX_BATCH];
         for (column, (_, value)) in
@@ -482,6 +562,7 @@ impl FusedPartialsKernel {
                             first_slot,
                             columns: columns[..$width].try_into().expect("width matches"),
                             count_slot,
+                            first_row,
                         };
                         match (fold, picks) {
                             (Fold::Sum, None) => pass.run(table, gids, |i| i, |a, b| a + b),
@@ -516,15 +597,44 @@ impl Kernel for FusedPartialsKernel {
         // SAFETY: the table of work-group `group_id` is this range and no
         // other work-group's; the group's items run one after another.
         let table = unsafe { self.partials.chunk_mut(base, base + self.table_words()) };
-        let mut record: Vec<u32> =
-            self.layout.floats.iter().map(|(fold, _)| fold.identity().to_bits()).collect();
-        record.extend(self.layout.count_slot().map(|_| 0));
+        let record = self.layout.identities();
         table.chunks_exact_mut(record.len()).for_each(|group| group.copy_from_slice(&record));
         let cols: Vec<&[u32]> = self.cols.iter().map(|col| col.as_words()).collect();
+        let keys: Vec<&[u32]> = match &self.groups {
+            Groups::Codes { slots, .. } => slots.iter().map(|slot| cols[*slot]).collect(),
+            _ => Vec::new(),
+        };
         let mut tiles = Tiles {
             gathered: vec![Vec::new(); cols.len()],
             computed: vec![Vec::new(); self.values.len()],
             scratch: Scratch::new(),
+        };
+        let mut codes: Vec<u32> = Vec::new();
+        // One batch — the listed rows, in list order, or the rows `span`,
+        // under a row filter's `mask` of them — with its positions' groups.
+        let mut batch = |listed: Option<&[u32]>, span: Range<usize>, mask: Option<&[u32]>| {
+            let gids = match &self.groups {
+                Groups::One => None,
+                Groups::Ids(ids) => Some(&ids.as_words()[span.clone()]),
+                Groups::Codes { codes: numbering, .. } => {
+                    codes.resize(listed.map_or(span.len(), <[u32]>::len), 0);
+                    match listed {
+                        Some(rows) => numbering.encode_rows(&keys, rows, &mut codes),
+                        None => numbering.encode(&keys, span.start, &mut codes),
+                    }
+                    // A masked-out row folds into the record past the codes.
+                    let dropped = numbering.space as u32;
+                    for (word, codes) in mask.unwrap_or(&[]).iter().zip(codes.chunks_mut(32)) {
+                        if *word != u32::MAX {
+                            for (bit, code) in codes.iter_mut().enumerate() {
+                                *code = if word >> bit & 1 == 1 { *code } else { dropped };
+                            }
+                        }
+                    }
+                    Some(&codes[..])
+                }
+            };
+            self.fold(listed, span, gids, &cols, table, &mut tiles)
         };
         // The group's items hold consecutive chunks of the positions: one
         // stretch, walked in tiles (per-item walks would cut a short
@@ -532,19 +642,22 @@ impl Kernel for FusedPartialsKernel {
         let (start, end) = group.chunk_bounds(self.n.cap());
         let end = end.min(n);
         let spans = (start..end).step_by(TILE).map(|start| start..(start + TILE).min(end));
-        let gids = self.gids.as_ref().map(|gids| gids.as_words());
         match &self.rows {
-            Rows::All => spans.for_each(|span| {
-                let gids = gids.map(|gids| &gids[span.clone()]);
-                self.fold(None, span, gids, &cols, table, &mut tiles)
-            }),
-            Rows::Candidates(list) => spans.for_each(|span| {
-                let (listed, gids) =
-                    (&list.as_words()[span.clone()], gids.map(|g| &g[span.clone()]));
-                self.fold(Some(listed), span, gids, &cols, table, &mut tiles)
-            }),
-            // The rows each tile's mask keeps are folded a tile's worth at a
-            // time, however many tiles it takes to find them.
+            Rows::All => spans.for_each(|span| batch(None, span, None)),
+            Rows::Candidates(list) => {
+                spans.for_each(|span| batch(Some(&list.as_words()[span.clone()]), span, None))
+            }
+            // Grouped by codes, every tile is folded as it lies, the rows its
+            // mask drops into the record past the codes.
+            Rows::Where(preds) if matches!(self.groups, Groups::Codes { .. }) => {
+                for span in spans {
+                    let mut mask = [0u32; TILE / 32];
+                    conjunction_mask(preds, &cols, span.clone(), &mut mask);
+                    batch(None, span, Some(&mask));
+                }
+            }
+            // Otherwise the rows each tile's mask keeps are folded a tile's
+            // worth at a time, however many tiles it takes to find them.
             Rows::Where(preds) => {
                 let (mut survivors, mut kept) = ([0u32; BATCH], 0);
                 for span in spans {
@@ -560,18 +673,18 @@ impl Kernel for FusedPartialsKernel {
                         }
                     }
                     if kept >= TILE {
-                        self.fold(Some(&survivors[..kept]), span, None, &cols, table, &mut tiles);
+                        batch(Some(&survivors[..kept]), span, None);
                         kept = 0;
                     }
                 }
-                self.fold(Some(&survivors[..kept]), end..end, None, &cols, table, &mut tiles);
+                batch(Some(&survivors[..kept]), end..end, None);
             }
         }
     }
     fn cost(&self, launch: &LaunchConfig) -> KernelCost {
         // Every source column — each is a slot — is charged once, however
         // many conjuncts and expressions read it; so are the two lists.
-        let lists = usize::from(self.gids.is_some())
+        let lists = usize::from(matches!(self.groups, Groups::Ids(_)))
             + usize::from(matches!(self.rows, Rows::Candidates(_)));
         KernelCost::new(
             (launch.n * (self.cols.len() + lists)) as u64 * 4,
@@ -585,7 +698,11 @@ impl Kernel for FusedPartialsKernel {
             &self.partials,
             0..launch.num_groups * self.table_words(),
         )];
-        let lists = self.gids.iter().chain(match &self.rows {
+        let ids = match &self.groups {
+            Groups::Ids(ids) => Some(ids),
+            _ => None,
+        };
+        let lists = ids.into_iter().chain(match &self.rows {
             Rows::Candidates(list) => Some(list),
             _ => None,
         });
@@ -600,7 +717,11 @@ impl Kernel for FusedPartialsKernel {
 struct FoldPartialsKernel {
     partials: Buffer,
     outputs: Vec<(GroupedAgg, Buffer)>,
-    num_groups: usize,
+    /// Records per partial table.
+    records: usize,
+    /// The record of every output group, where it is not the group's id:
+    /// a keyed grouping's code.
+    codes: Option<Buffer>,
     tables: usize,
     layout: Accumulators,
 }
@@ -611,12 +732,14 @@ impl Kernel for FoldPartialsKernel {
     }
     fn run_group(&self, group: &mut WorkGroupCtx) {
         let words = self.layout.words();
-        let table_words = self.num_groups * words;
+        let table_words = self.records * words;
         let partials = self.partials.chunk(0, self.tables * table_words);
+        let codes = self.codes.as_ref().map(|codes| codes.chunk(0, group.n()));
         for run in group.runs(group.n()) {
             for gid in run {
+                let record = codes.map_or(gid, |codes| codes[gid] as usize);
                 let accumulator =
-                    |slot: usize| partials[gid * words + slot..].iter().step_by(table_words);
+                    |slot: usize| partials[record * words + slot..].iter().step_by(table_words);
                 let float = |fold: Fold, column: usize| {
                     let partials = accumulator(self.layout.slot(fold, column));
                     let partials = partials.map(|bits| f32::from_bits(*bits));
@@ -647,13 +770,15 @@ impl Kernel for FoldPartialsKernel {
         }
     }
     fn cost(&self, launch: &LaunchConfig) -> KernelCost {
-        let words = (self.tables * self.num_groups * self.layout.words()) as u64;
+        let words = (self.tables * self.records * self.layout.words()) as u64;
         KernelCost::new(words * 4, (launch.n * self.outputs.len()) as u64 * 4, words, 0)
     }
     fn declared_accesses(&self, launch: &LaunchConfig) -> Option<KernelAccesses> {
-        let table_words = self.num_groups * self.layout.words();
+        let table_words = self.records * self.layout.words();
         let mut accesses =
             vec![BufferAccess::slice_read(&self.partials, 0..self.tables * table_words)];
+        accesses
+            .extend(self.codes.iter().map(|codes| BufferAccess::slice_read(codes, 0..launch.n)));
         for (_, output) in &self.outputs {
             accesses.push(BufferAccess::cells_write(output, 0..launch.n));
         }
@@ -680,7 +805,7 @@ impl Kernel for FoldPartialsKernel {
 ///
 /// # Panics
 /// Panics if an aggregate names a value `values` does not have, if a column
-/// cannot cover the positions, or if a [`RowSource::Where`] is grouped.
+/// cannot cover the positions, or if a [`RowSource::Where`] has group ids.
 pub fn fused_aggs(
     ctx: &OcelotContext,
     cols: &[&DevColumn<Oid>],
@@ -690,24 +815,49 @@ pub fn fused_aggs(
     num_groups: usize,
     funcs: &[GroupedAgg],
 ) -> Result<Vec<DevColumn<f32>>> {
-    let layout = Accumulators::of(funcs);
-    for column in layout.columns() {
-        assert!(column < values.len(), "grouped aggregate: no value column {column}");
-    }
-    let mut value_slots = Vec::new();
-    values.iter().for_each(|value| value.slots(&mut value_slots));
-    value_slots.retain(|slot| *slot < cols.len());
-    value_slots.sort_unstable();
-    value_slots.dedup();
     // What counts the positions — the group ids when there are any: a
     // grouping has resolved its length — and what has to cover them.
     let (positions, aligned): (&DevColumn<Oid>, Vec<&DevColumn<Oid>>) = match (rows, gids) {
-        (RowSource::Where(_), Some(_)) => panic!("grouped aggregate: a row filter is ungrouped"),
+        (RowSource::Where(_), Some(_)) => panic!("grouped aggregate: a row filter has no ids"),
         (RowSource::Candidates(list), Some(gids)) => (gids, vec![list]),
-        (RowSource::Candidates(list), None) => (list, Vec::new()),
-        (RowSource::All, Some(gids)) => (gids, value_slots.iter().map(|s| cols[*s]).collect()),
-        (RowSource::All | RowSource::Where(_), None) => (cols[0], cols[1..].to_vec()),
+        (RowSource::All, Some(gids)) => {
+            (gids, value_slots(cols, values).map(|s| cols[s]).collect())
+        }
+        (_, None) => positions_of(cols, rows),
     };
+    check_aligned(positions, &aligned);
+    let groups = gids.map_or(Groups::One, |gids| Groups::Ids(gids.buffer.clone()));
+    let tables = partial_tables_for(positions.cap(), num_groups);
+    let layout = Accumulators::checked(funcs, values.len());
+    let accumulated = (num_groups > 0 && !funcs.is_empty())
+        .then(|| accumulate(ctx, cols, rows, values, groups, num_groups, positions, tables, layout))
+        .transpose()?;
+    fold_partials(ctx, accumulated.as_ref(), None, num_groups, funcs)
+}
+
+/// The rows of a source without group ids — the list, or the rows of the
+/// first column slot — and the columns that have to cover them.
+fn positions_of<'a>(
+    cols: &[&'a DevColumn<Oid>],
+    rows: RowSource<'a>,
+) -> (&'a DevColumn<Oid>, Vec<&'a DevColumn<Oid>>) {
+    match rows {
+        RowSource::Candidates(list) => (list, Vec::new()),
+        RowSource::All | RowSource::Where(_) => (cols[0], cols[1..].to_vec()),
+    }
+}
+
+/// The column slots the value expressions read, each once.
+fn value_slots(cols: &[&DevColumn<Oid>], values: &[Map]) -> impl Iterator<Item = usize> {
+    let mut slots = Vec::new();
+    values.iter().for_each(|value| value.slots(&mut slots));
+    slots.retain(|slot| *slot < cols.len());
+    slots.sort_unstable();
+    slots.dedup();
+    slots.into_iter()
+}
+
+fn check_aligned(positions: &DevColumn<Oid>, aligned: &[&DevColumn<Oid>]) {
     for column in aligned {
         // When both lengths are host-known they must match; a deferred
         // column (e.g. a fetch over an uncounted selection) only needs to
@@ -717,27 +867,43 @@ pub fn fused_aggs(
             _ => assert!(column.cap() >= positions.cap(), "grouped aggregate: length mismatch"),
         }
     }
-    // The fold writes every group's word of every output.
-    let outputs: Vec<Buffer> = funcs
-        .iter()
-        .map(|_| ctx.alloc_uninit(num_groups.max(1), "grouped_output"))
-        .collect::<Result<_>>()?;
-    let columns = |outputs: Vec<Buffer>| {
-        outputs.into_iter().map(|output| DevColumn::new(output, num_groups)).collect()
-    };
-    if num_groups == 0 || funcs.is_empty() {
-        return columns(outputs);
-    }
-    let tables = partial_tables_for(positions.cap(), num_groups);
-    // Every work-group initialises its own table.
-    let partials = ctx.alloc_uninit(tables * num_groups * layout.words(), "grouped_partials")?;
+}
 
+/// The partial tables of an enqueued accumulation launch.
+struct Accumulated {
+    partials: Buffer,
+    layout: Accumulators,
+    /// Records per table, and tables.
+    records: usize,
+    tables: usize,
+    /// The launch that writes them.
+    event: EventId,
+}
+
+/// Enqueues the accumulation launch: `tables` work-groups, each folding its
+/// stretch of `positions` into its own table of `records` records.
+#[allow(clippy::too_many_arguments)]
+fn accumulate(
+    ctx: &OcelotContext,
+    cols: &[&DevColumn<Oid>],
+    rows: RowSource<'_>,
+    values: &[Map],
+    groups: Groups,
+    records: usize,
+    positions: &DevColumn<Oid>,
+    tables: usize,
+    layout: Accumulators,
+) -> Result<Accumulated> {
+    // Every work-group initialises its own table.
+    let partials =
+        ctx.alloc_uninit((tables * records * layout.words()).max(1), "grouped_partials")?;
     let candidates = match rows {
         RowSource::Candidates(list) => Some(list),
         _ => None,
     };
-    let inputs: Vec<&DevColumn<Oid>> = cols.iter().copied().chain(candidates).chain(gids).collect();
-    let partials_event = ctx.queue().enqueue_kernel(
+    let ids = matches!(groups, Groups::Ids(_)).then_some(positions);
+    let inputs: Vec<&DevColumn<Oid>> = cols.iter().copied().chain(candidates).chain(ids).collect();
+    let event = ctx.queue().enqueue_kernel(
         Arc::new(FusedPartialsKernel {
             cols: cols.iter().map(|column| column.buffer.clone()).collect(),
             rows: match rows {
@@ -746,10 +912,10 @@ pub fn fused_aggs(
                 RowSource::Where(preds) => Rows::Where(preds.to_vec()),
             },
             values: values.to_vec(),
-            value_slots,
-            gids: gids.map(|gids| gids.buffer.clone()),
+            value_slots: value_slots(cols, values).collect(),
+            groups,
             partials: partials.clone(),
-            num_groups,
+            records,
             batches: layout.batches(),
             layout: layout.clone(),
             n: positions.len_source(),
@@ -757,21 +923,164 @@ pub fn fused_aggs(
         ctx.launch(positions.cap()).with_num_groups(tables),
         &inputs.iter().flat_map(|column| ctx.wait_for(column)).collect::<Vec<EventId>>(),
     )?;
-    let fold_event = ctx.queue().enqueue_kernel(
-        Arc::new(FoldPartialsKernel {
-            partials,
-            outputs: funcs.iter().copied().zip(outputs.iter().cloned()).collect(),
-            num_groups,
-            tables,
-            layout: layout.clone(),
-        }),
-        ctx.launch(num_groups),
-        &[partials_event],
-    )?;
-    for output in &outputs {
-        ctx.memory().record_producer(output, fold_event);
+    Ok(Accumulated { partials, layout, records, tables, event })
+}
+
+/// Enqueues the fold launch: one `num_groups`-long column per aggregate, in
+/// `funcs` order, group `g` folded from record `g` of every table — or from
+/// record `codes[g]`. With no tables (no groups, no aggregates) the columns
+/// are all there is.
+fn fold_partials(
+    ctx: &OcelotContext,
+    accumulated: Option<&Accumulated>,
+    codes: Option<&DevColumn<Oid>>,
+    num_groups: usize,
+    funcs: &[GroupedAgg],
+) -> Result<Vec<DevColumn<f32>>> {
+    // The fold writes every group's word of every output.
+    let outputs: Vec<Buffer> = funcs
+        .iter()
+        .map(|_| ctx.alloc_uninit(num_groups.max(1), "grouped_output"))
+        .collect::<Result<_>>()?;
+    if let Some(accumulated) = accumulated.filter(|_| num_groups > 0) {
+        let mut wait = vec![accumulated.event];
+        wait.extend(codes.iter().flat_map(|codes| ctx.wait_for(codes)));
+        let folded = ctx.queue().enqueue_kernel(
+            Arc::new(FoldPartialsKernel {
+                partials: accumulated.partials.clone(),
+                outputs: funcs.iter().copied().zip(outputs.iter().cloned()).collect(),
+                records: accumulated.records,
+                codes: codes.map(|codes| codes.buffer.clone()),
+                tables: accumulated.tables,
+                layout: accumulated.layout.clone(),
+            }),
+            ctx.launch(num_groups),
+            &wait,
+        )?;
+        for output in &outputs {
+            ctx.memory().record_producer(output, folded);
+        }
     }
-    columns(outputs)
+    outputs.into_iter().map(|output| DevColumn::new(output, num_groups)).collect()
+}
+
+/// The result of [`keyed_aggs`]: the groups' keys and their aggregates, both
+/// in group-id order.
+#[derive(Debug, Clone)]
+pub struct KeyedAggs {
+    /// One column of key words per key slot: group `g`'s key tuple.
+    pub keys: Vec<DevColumn<Oid>>,
+    /// One column per aggregate, in `funcs` order.
+    pub aggs: Vec<DevColumn<f32>>,
+}
+
+/// [`fused_aggs`] grouped by the key columns in slots `keys` of `cols`, the
+/// grouping computed in the accumulation launch itself: no group-id column,
+/// no key fetch, no representative list. Ids follow first appearance among
+/// the positions and the keys come back as the groups' key tuples — equal,
+/// id for id, to grouping the listed keys with
+/// [`super::groupby::group_by_columns`] and fetching the keys at the
+/// representatives.
+///
+/// One min/max launch over the key columns (`hash_table::key_shape`, one
+/// flush) decides. When their tuples span at most `GROUPING_START` codes,
+/// the partial tables are indexed by code — the dense-code grouping's
+/// numbering, [`partial_tables_for`] its code space — and every work-group
+/// also keeps each code's smallest position; the first-row tables fold, are
+/// read back and ranked on the host (the dense-code grouping's one resolve),
+/// and the fold launch folds group `g` from its code's records. Four
+/// launches and two flushes, whatever the rows. Otherwise the rows are
+/// listed (a row filter materialised), the keys fetched through the list
+/// and grouped by [`super::groupby`]'s hash path told the ranges just read,
+/// and [`fused_aggs`] reads through the list with the group ids: the
+/// launches of the unfused operators.
+///
+/// # Panics
+/// Panics as [`fused_aggs`] does, or if `keys` is empty.
+pub fn keyed_aggs(
+    ctx: &OcelotContext,
+    cols: &[&DevColumn<Oid>],
+    rows: RowSource<'_>,
+    values: &[Map],
+    keys: &[usize],
+    funcs: &[GroupedAgg],
+) -> Result<KeyedAggs> {
+    let key_columns: Vec<&DevColumn<Oid>> = keys.iter().map(|slot| cols[*slot]).collect();
+    let shape = key_shape(ctx, &key_columns)?;
+    let Some(codes) = DenseCodes::of(&shape.ranges).filter(|_| shape.rows > 0) else {
+        return grouped_through_ids(ctx, cols, rows, values, &key_columns, shape, funcs);
+    };
+    let (positions, aligned) = positions_of(cols, rows);
+    check_aligned(positions, &aligned);
+    let space = codes.space;
+    let tables = partial_tables_for(positions.cap(), space);
+    let groups = Groups::Codes { slots: keys.to_vec(), codes: codes.clone() };
+    // Every record counts its rows, so the first one it counts is its first
+    // position.
+    let layout = Accumulators {
+        counted: true,
+        first_row: true,
+        ..Accumulators::checked(funcs, values.len())
+    };
+    // A record per code, and one past them for the rows a row filter drops.
+    let records = space + 1;
+    let accumulated =
+        accumulate(ctx, cols, rows, values, groups, records, positions, tables, layout)?;
+    let first_rows = FirstRows {
+        tables: accumulated.partials.clone(),
+        count: tables,
+        records,
+        words: accumulated.layout.words(),
+        offset: accumulated.layout.first_row_slot().expect("the layout keeps first rows"),
+    };
+    let present = rank_first_rows(ctx, first_rows, space, accumulated.event)?;
+    let keys = (0..keys.len())
+        .map(|column| {
+            let words: Vec<u32> =
+                present.iter().map(|(_, code)| codes.key(*code, column)).collect();
+            ctx.upload_u32(&words, "grouped_keys")
+        })
+        .collect::<Result<_>>()?;
+    let group_codes: Vec<u32> = present.iter().map(|(_, code)| *code as u32).collect();
+    let group_codes = ctx.upload_u32(&group_codes, "grouped_codes")?;
+    let aggs = fold_partials(ctx, Some(&accumulated), Some(&group_codes), present.len(), funcs)?;
+    Ok(KeyedAggs { keys, aggs })
+}
+
+/// [`keyed_aggs`] past `GROUPING_START` codes: the unfused operators'
+/// launches — list the rows, fetch the keys, group them (told the ranges
+/// `shape` holds), fetch the keys at the representatives, aggregate through
+/// the list.
+fn grouped_through_ids(
+    ctx: &OcelotContext,
+    cols: &[&DevColumn<Oid>],
+    rows: RowSource<'_>,
+    values: &[Map],
+    key_columns: &[&DevColumn<Oid>],
+    shape: KeyShape,
+    funcs: &[GroupedAgg],
+) -> Result<KeyedAggs> {
+    let listed = match rows {
+        RowSource::Where(preds) => Some(materialize_bitmap(ctx, &select_where(ctx, cols, preds)?)?),
+        RowSource::Candidates(list) => Some(list.clone()),
+        RowSource::All => None,
+    };
+    let fetched: Vec<DevColumn<Oid>> = key_columns
+        .iter()
+        .map(|column| {
+            listed.as_ref().map_or(Ok((*column).clone()), |list| gather(ctx, column, list))
+        })
+        .collect::<Result<_>>()?;
+    let fetched_columns: Vec<&DevColumn<Oid>> = fetched.iter().collect();
+    let shape = KeyShape { rows: fetched[0].len(ctx)?, ranges: shape.ranges };
+    let group = group_by_shaped(ctx, &fetched_columns, shape)?;
+    let keys = fetched
+        .iter()
+        .map(|column| gather(ctx, column, &group.representatives))
+        .collect::<Result<_>>()?;
+    let source = listed.as_ref().map_or(RowSource::All, RowSource::Candidates);
+    let aggs = fused_aggs(ctx, cols, source, values, Some(&group.gids), group.num_groups, funcs)?;
+    Ok(KeyedAggs { keys, aggs })
 }
 
 /// [`fused_aggs`] over value columns that already exist: every aggregate of
@@ -965,6 +1274,65 @@ mod tests {
                 assert!(close(whole[0][0], picked.iter().sum()), "{whole:?}");
                 assert_eq!(whole[1][0], picked.iter().copied().fold(f32::NEG_INFINITY, f32::max));
                 assert_eq!(whole[2][0], list.len() as f32);
+            }
+        }
+    }
+
+    /// Grouped by key columns in the accumulation launch, every row source
+    /// gives the groups, ids, keys, counts and sums of grouping the listed
+    /// keys with MS — on both sides of the code-space rule (span 3 × 4, and
+    /// 1 500 × 4 for the fallback), on every device.
+    #[test]
+    fn keyed_aggregates_group_like_monet_from_every_row_source() {
+        let rows = 5_000usize;
+        let dates: Vec<i32> = (0..rows).map(|i| ((i * 37) % 1000) as i32).collect();
+        let values: Vec<f32> = (0..rows).map(|i| ((i * 13) % 101) as f32 * 0.5).collect();
+        let low: Vec<i32> = (0..rows).map(|i| i32::MIN + ((i * 7) % 4) as i32).collect();
+        // 3 × 4 codes, and 1 500 × 4: past `GROUPING_START`.
+        let narrow: Vec<i32> = (0..rows).map(|i| ((i * 11) % 3) as i32 - 1).collect();
+        let wide: Vec<i32> = (0..rows).map(|i| ((i * 11) % 1_500) as i32).collect();
+        for first in [narrow, wide] {
+            let list: Vec<u32> = (0..rows as u32).rev().step_by(3).collect();
+            let kept: Vec<u32> =
+                (0..rows as u32).filter(|row| dates[*row as usize] <= 600).collect();
+            let pred = [Pred::RangeI32 { col: 0, low: i32::MIN, high: 600 }];
+            for ctx in [OcelotContext::cpu_sequential(), OcelotContext::cpu(), OcelotContext::gpu()]
+            {
+                let upload = |values: &[i32]| ctx.upload_i32(values, "c").unwrap().reinterpret();
+                let (d, a, b) = (upload(&dates), upload(&first), upload(&low));
+                let v = ctx.upload_f32(&values, "v").unwrap().reinterpret();
+                let oids = ctx.upload_u32(&list, "l").unwrap();
+                let sources = [
+                    (RowSource::All, (0..rows as u32).collect::<Vec<u32>>()),
+                    (RowSource::Candidates(&oids), list.clone()),
+                    (RowSource::Where(&pred), kept.clone()),
+                ];
+                for (source, listed) in sources {
+                    let funcs = [GroupedAgg::Sum(0), GroupedAgg::Count];
+                    let cols = [&d, &a, &b, &v];
+                    let keyed =
+                        keyed_aggs(&ctx, &cols, source, &[Map::Col(3)], &[1, 2], &funcs).unwrap();
+                    let pick = |column: &[i32]| -> Vec<i32> {
+                        listed.iter().map(|row| column[*row as usize]).collect()
+                    };
+                    let (a, b) = (pick(&first), pick(&low));
+                    let reference = monet::group_by_columns(&[&a, &b]);
+                    let keys: Vec<Vec<i32>> =
+                        keyed.keys.iter().map(|k| k.reinterpret().read(&ctx).unwrap()).collect();
+                    let at_reps = |column: &[i32]| -> Vec<i32> {
+                        reference.representatives.iter().map(|rep| column[*rep as usize]).collect()
+                    };
+                    assert_eq!(keys, vec![at_reps(&a), at_reps(&b)]);
+                    let (gids, groups) = (&reference.gids, reference.num_groups);
+                    let counts = keyed.aggs[1].read(&ctx).unwrap();
+                    let expected = monet::grouped_count(gids, groups);
+                    assert!(counts.iter().zip(&expected).all(|(c, e)| *c as i64 == *e));
+                    let picked: Vec<f32> = listed.iter().map(|row| values[*row as usize]).collect();
+                    let sums = keyed.aggs[0].read(&ctx).unwrap();
+                    let expected = monet::grouped_sum_f32(&picked, gids, groups);
+                    let close = |x: &f32, y: &f32| (x - y).abs() <= 1e-4 * y.abs().max(1.0);
+                    assert!(sums.iter().zip(&expected).all(|(x, y)| close(x, y)), "{sums:?}");
+                }
             }
         }
     }

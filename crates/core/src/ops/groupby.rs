@@ -11,7 +11,11 @@
 //!   a private first-row table `code → smallest row`, a second kernel folds
 //!   the tables, the host ranks the present codes by first row, and a last
 //!   pass writes `gid[row] = rank[code(row)]`. Four streaming launches, no
-//!   atomics, no per-row slot buffer, no probe sequence.
+//!   atomics, no per-row slot buffer, no probe sequence. The numbering
+//!   (`DenseCodes`), the first-row fold and the ranking are also what a
+//!   fused region groups with (`aggregate::keyed_aggs`): there the first rows
+//!   live in the code-indexed partial tables of the aggregates, no id column
+//!   is written, and a group's keys are decoded from its code.
 //! * **Hash path** — one parallel hash table over the composite key
 //!   ([`OcelotHashTable`]). The build's check round records every row's
 //!   slot, so the dense ids and the representatives fall out of the build
@@ -57,7 +61,7 @@
 use crate::context::{DevColumn, DevWord, LenSource, OcelotContext, Oid};
 use crate::ops::aggregate::partial_tables_for;
 use crate::ops::hash_table::{
-    key_reads, key_shape, key_views, KeyRange, OcelotHashTable, GROUPING_START,
+    key_reads, key_shape, key_views, KeyRange, KeyShape, OcelotHashTable, GROUPING_START,
 };
 use ocelot_kernel::{
     Buffer, BufferAccess, EventId, Kernel, KernelAccesses, KernelCost, LaunchConfig, Result,
@@ -92,6 +96,17 @@ pub fn group_by_columns<T: DevWord>(
     columns: &[&DevColumn<T>],
 ) -> Result<GroupBy> {
     let shape = key_shape(ctx, columns)?;
+    group_by_shaped(ctx, columns, shape)
+}
+
+/// [`group_by_columns`] once the key ranges are known: `shape.rows` is the
+/// columns' row count and `shape.ranges` cover every key they hold —
+/// observed over them, or over the base columns they were fetched from.
+pub(crate) fn group_by_shaped<T: DevWord>(
+    ctx: &OcelotContext,
+    columns: &[&DevColumn<T>],
+    shape: KeyShape,
+) -> Result<GroupBy> {
     if shape.rows == 0 {
         let empty = ctx.alloc(1, "group_empty")?;
         return Ok(GroupBy {
@@ -114,7 +129,7 @@ pub fn group_by_columns<T: DevWord>(
 // ---- dense-code path ----
 
 /// First-row table entry of a code no row carries.
-const NO_ROW: u32 = u32::MAX;
+pub(crate) const NO_ROW: u32 = u32::MAX;
 /// Rows whose codes a kernel computes at a time: column-at-a-time over a
 /// stack buffer, so the arithmetic vectorises and the table pass that
 /// follows reads its codes from L1 — and 1 KB of a key column at a time, so
@@ -122,27 +137,33 @@ const NO_ROW: u32 = u32::MAX;
 /// the next, leaves one prefetch stream in flight; see `rowexpr::STRIDE`).
 const CODE_BLOCK: usize = 256;
 
-/// The mixed-radix numbering of the key tuples inside the observed ranges.
+/// The mixed-radix numbering of the key tuples inside the observed ranges:
+/// the dense-code path here, and the code-indexed partial tables of
+/// `aggregate::keyed_aggs`.
 #[derive(Debug, Clone)]
-struct DenseCodes {
+pub(crate) struct DenseCodes {
     mins: Vec<u32>,
+    spans: Vec<u32>,
     strides: Vec<u32>,
-    space: usize,
+    /// The number of codes, `Π spanᵢ`.
+    pub space: usize,
 }
 
 impl DenseCodes {
     /// The numbering, if the code space is at most [`GROUPING_START`].
-    fn of(ranges: &[KeyRange]) -> Option<DenseCodes> {
+    pub(crate) fn of(ranges: &[KeyRange]) -> Option<DenseCodes> {
         let space = ranges.iter().fold(1u64, |space, range| space.saturating_mul(range.span));
         if space > GROUPING_START as u64 {
             return None;
         }
+        let spans: Vec<u32> = ranges.iter().map(|range| range.span as u32).collect();
         let mut strides = vec![1u32; ranges.len()];
         for column in (1..ranges.len()).rev() {
-            strides[column - 1] = strides[column] * ranges[column].span as u32;
+            strides[column - 1] = strides[column] * spans[column];
         }
         Some(DenseCodes {
             mins: ranges.iter().map(|range| range.min).collect(),
+            spans,
             strides,
             space: space as usize,
         })
@@ -152,7 +173,7 @@ impl DenseCodes {
     /// lies inside its observed range, so a code never reaches `space`; the
     /// wrapping arithmetic only keeps debug and release builds identical.
     #[inline]
-    fn encode(&self, keys: &[&[u32]], start: usize, codes: &mut [u32]) {
+    pub(crate) fn encode(&self, keys: &[&[u32]], start: usize, codes: &mut [u32]) {
         codes.fill(0);
         let rows = start..start + codes.len();
         for ((column, min), stride) in keys.iter().zip(&self.mins).zip(&self.strides) {
@@ -160,6 +181,26 @@ impl DenseCodes {
                 *code = code.wrapping_add(key.wrapping_sub(*min).wrapping_mul(*stride));
             }
         }
+    }
+
+    /// Writes the codes of `rows`, in order: [`DenseCodes::encode`] over
+    /// listed rows instead of a stretch.
+    #[inline]
+    pub(crate) fn encode_rows(&self, keys: &[&[u32]], rows: &[u32], codes: &mut [u32]) {
+        codes.fill(0);
+        for ((column, min), stride) in keys.iter().zip(&self.mins).zip(&self.strides) {
+            for (code, row) in codes.iter_mut().zip(rows) {
+                let key = column[*row as usize];
+                *code = code.wrapping_add(key.wrapping_sub(*min).wrapping_mul(*stride));
+            }
+        }
+    }
+
+    /// The key word of column `column` in the tuple numbered `code`: its
+    /// minimum plus the code's digit for that column.
+    pub(crate) fn key(&self, code: usize, column: usize) -> u32 {
+        let digit = (code as u32 / self.strides[column]) % self.spans[column];
+        self.mins[column].wrapping_add(digit)
     }
 }
 
@@ -215,12 +256,28 @@ impl Kernel for FirstRowsKernel {
     }
 }
 
+/// Where per-work-group first-row tables lie: `count` tables of `records`
+/// records of `words` words each, a code's first row at word `offset` of its
+/// record — the dense-code path's own tables (one word per code), or the
+/// code-indexed partial tables of `aggregate::keyed_aggs`.
+pub(crate) struct FirstRows {
+    pub tables: Buffer,
+    pub count: usize,
+    pub records: usize,
+    pub words: usize,
+    pub offset: usize,
+}
+
+impl FirstRows {
+    fn len(&self) -> usize {
+        self.count * self.records * self.words
+    }
+}
+
 /// Folds the per-work-group tables into one first-row table.
 struct FoldFirstRowsKernel {
-    tables: Buffer,
+    rows: FirstRows,
     first_rows: Buffer,
-    space: usize,
-    count: usize,
 }
 
 impl Kernel for FoldFirstRowsKernel {
@@ -228,25 +285,54 @@ impl Kernel for FoldFirstRowsKernel {
         "group_first_rows_fold"
     }
     fn run_group(&self, group: &mut WorkGroupCtx) {
-        let tables = self.tables.chunk(0, self.count * self.space);
+        let FirstRows { tables, records, words, offset, .. } = &self.rows;
+        let tables = tables.chunk(0, self.rows.len());
         for run in group.runs(group.n()) {
             // SAFETY: a group's runs are its own codes, no other group's.
             let first_rows = unsafe { self.first_rows.chunk_mut(run.start, run.end) };
             for (first, code) in first_rows.iter_mut().zip(run) {
-                *first = tables[code..].iter().step_by(self.space).copied().min().unwrap_or(NO_ROW);
+                let table_firsts = tables[code * words + offset..].iter().step_by(records * words);
+                *first = table_firsts.copied().min().unwrap_or(NO_ROW);
             }
         }
     }
     fn cost(&self, launch: &LaunchConfig) -> KernelCost {
-        let words = (self.count * self.space) as u64;
+        let words = (self.rows.count * launch.n) as u64;
         KernelCost::new(words * 4, (launch.n as u64) * 4, words, 0)
     }
     fn declared_accesses(&self, launch: &LaunchConfig) -> Option<KernelAccesses> {
         Some(KernelAccesses::of(vec![
-            BufferAccess::slice_read(&self.tables, 0..self.count * self.space),
+            BufferAccess::slice_read(&self.rows.tables, 0..self.rows.len()),
             BufferAccess::slice_write(&self.first_rows, 0..launch.n),
         ]))
     }
+}
+
+/// Folds the per-work-group first-row tables `rows` (written by the launch
+/// `written`) into one table of `space` codes, reads it back — the
+/// grouping's schema-shaping resolve: the present codes are the groups — and
+/// ranks the present codes by their first row, so ids follow first
+/// appearance. Returns `(first row, code)` per group, in id order.
+pub(crate) fn rank_first_rows(
+    ctx: &OcelotContext,
+    rows: FirstRows,
+    space: usize,
+    written: EventId,
+) -> Result<Vec<(u32, usize)>> {
+    let first_rows = ctx.alloc_uninit(space, "group_first_rows")?;
+    let folded = ctx.queue().enqueue_kernel(
+        Arc::new(FoldFirstRowsKernel { rows, first_rows: first_rows.clone() }),
+        ctx.launch(space),
+        &[written],
+    )?;
+    ctx.memory().record_producer(&first_rows, folded);
+    ctx.materialize(&first_rows, space)?;
+    let mut present: Vec<(u32, usize)> = (0..space)
+        .map(|code| (first_rows.get_u32(code), code))
+        .filter(|(first, _)| *first != NO_ROW)
+        .collect();
+    present.sort_unstable();
+    Ok(present)
 }
 
 /// Writes `gids[row] = ranks[code(row)]`. Items walk contiguous chunks
@@ -316,22 +402,8 @@ fn group_by_dense<T: DevWord>(
         ctx.launch(rows).with_num_groups(count),
         &key_wait,
     )?;
-    let first_rows = ctx.alloc_uninit(space, "group_first_rows")?;
-    let folded_tables = ctx.queue().enqueue_kernel(
-        Arc::new(FoldFirstRowsKernel { tables, first_rows: first_rows.clone(), space, count }),
-        ctx.launch(space),
-        &[folded_rows],
-    )?;
-    ctx.memory().record_producer(&first_rows, folded_tables);
-
-    // Schema-shaping resolve: the present codes are the groups. Ranking them
-    // by first row makes ids follow first appearance.
-    ctx.materialize(&first_rows, space)?;
-    let mut present: Vec<(u32, usize)> = (0..space)
-        .map(|code| (first_rows.get_u32(code), code))
-        .filter(|(first, _)| *first != NO_ROW)
-        .collect();
-    present.sort_unstable();
+    let first_rows = FirstRows { tables, count, records: space, words: 1, offset: 0 };
+    let present = rank_first_rows(ctx, first_rows, space, folded_rows)?;
     let mut ranks = vec![NO_ROW; space];
     for (gid, (_, code)) in present.iter().enumerate() {
         ranks[*code] = gid as u32;

@@ -260,23 +260,15 @@ pub(crate) struct KeyRange {
     pub span: u64,
 }
 
-/// Smallest and largest of a non-empty run of key words, as `i32`. Eight
-/// independent lanes, so the reduction is not one serial min/max chain and
-/// vectorises.
+/// Smallest and largest of a non-empty run of key words, as `i32`. One
+/// plain loop: the compiler vectorises the two reductions itself, where
+/// hand-split lanes stay scalar compare-and-moves (2× slower on baseline
+/// x86-64).
 fn signed_bounds(keys: &[u32]) -> (i32, i32) {
-    const LANES: usize = 8;
-    let (mut mins, mut maxs) = ([i32::MAX; LANES], [i32::MIN; LANES]);
-    let chunks = keys.chunks_exact(LANES);
-    let tail = chunks.remainder();
-    for chunk in chunks {
-        for lane in 0..LANES {
-            mins[lane] = mins[lane].min(chunk[lane] as i32);
-            maxs[lane] = maxs[lane].max(chunk[lane] as i32);
-        }
+    let (mut min, mut max) = (i32::MAX, i32::MIN);
+    for key in keys {
+        (min, max) = (min.min(*key as i32), max.max(*key as i32));
     }
-    let keys = tail.iter().map(|key| *key as i32);
-    let min = mins.into_iter().chain(keys.clone()).min().expect("lanes are never empty");
-    let max = maxs.into_iter().chain(keys).max().expect("lanes are never empty");
     (min, max)
 }
 

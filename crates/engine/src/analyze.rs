@@ -15,7 +15,7 @@
 //! | input arity | [`PlanDiagnostic::InputArity`] | operand count matches the operator signature |
 //! | output arity | [`PlanDiagnostic::OutputArity`] | result count matches the operator signature |
 //! | operand kinds | [`PlanDiagnostic::InputKind`] | column/scalar/grouping kinds agree with the signature table |
-//! | fused regions | [`PlanDiagnostic::PipelineMember`] / [`PlanDiagnostic::PipelineInterface`] | a `pipeline` node's members are streaming operators only, each checked against its own signature inside the region's scope; the node reads exactly what its members read from outside and writes exactly what its sink writes; a member's value is visible to later members and to nothing else |
+//! | fused regions | [`PlanDiagnostic::PipelineMember`] / [`PlanDiagnostic::PipelineInterface`] | a `pipeline` node's members are streaming operators and at most one `group_by`, each checked against its own signature inside the region's scope; the node reads exactly what its members read from outside and writes exactly its sink's values and every other member value read outside the region — never a grouping or its representatives; a member's value is visible to later members and to nothing else |
 //! | register liveness | [`PlanDiagnostic::LastUseMismatch`] | the recorded last-use map equals the true dataflow last use — the executor frees registers and [`Plan::estimate_register_footprint`] sizes live sets from this map, so a stale entry either leaks device memory or frees a register that is still read |
 //!
 //! # Flush-boundary analysis
@@ -28,17 +28,18 @@
 //! * **Streaming** — enqueue kernels and return device handles without
 //!   touching host values: binds, selections (constant, `IN`-list and
 //!   column-vs-column alike), maps, fetch, the fused grouped aggregates over
-//!   an existing grouping, the deferred scalar sum — and a `pipeline` node,
+//!   an existing grouping, the deferred scalar sum — and a `pipeline` node
 //!   whose members are all of these.
 //! * **Host-resolving** — internally resolve host values mid-plan (the
 //!   "deliberate sync points" of the operator library): hash joins
 //!   (monolithic and partitioned), semi/anti joins, positional joins on a
 //!   dense key (one match-count resolve each), grouping (its group
-//!   count shapes the schema), sorts (staging and the count table are
-//!   sized from the row count, so a deferred input length is resolved on
-//!   entry — the sort itself flushes nothing) and the OID-list union (host
-//!   merge). Their internal flush count is data-dependent, so any plan
-//!   containing one gets a [`FlushBound::DataDependent`] bound.
+//!   count shapes the schema; a `pipeline` node holding a `group_by` is
+//!   host-resolving as that node was), sorts (staging and the count table
+//!   are sized from the row count, so a deferred input length is resolved
+//!   on entry — the sort itself flushes nothing) and the OID-list union
+//!   (host merge). Their internal flush count is data-dependent, so any
+//!   plan containing one gets a [`FlushBound::DataDependent`] bound.
 //! * **Boundary** — `sync` and `result` flush pending work exactly once
 //!   and leave the queue empty.
 //!
@@ -60,7 +61,7 @@
 use crate::backend::DenseJoinKind;
 use crate::plan::{Plan, PlanError, PlanNode, PlanOp, ValueKind, Var};
 use std::borrow::Cow;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 
 /// One verifier finding. Every variant names the node (by index in
@@ -141,7 +142,8 @@ pub enum PlanDiagnostic {
         found: ValueKind,
     },
     /// A `pipeline` node carries a member that may not be fused: a `bind`,
-    /// `sync`, `result`, a nested pipeline or a host-resolving operator.
+    /// `sync`, `result`, a nested pipeline, a second `group_by` or any other
+    /// host-resolving operator.
     PipelineMember {
         /// Index of the pipeline node.
         node: usize,
@@ -152,13 +154,15 @@ pub enum PlanDiagnostic {
     },
     /// A `pipeline` node's registers are not its members': it must read
     /// exactly what the members read and no member writes (in first-use
-    /// order) and write exactly what its last member writes.
+    /// order) and write exactly the sink's values and every other member
+    /// value something outside the region reads (in member order) — none of
+    /// them a grouping or its representatives.
     PipelineInterface {
         /// Index of the pipeline node.
         node: usize,
         /// The inputs the members imply.
         inputs: Vec<Var>,
-        /// The outputs the sink implies.
+        /// The outputs the members imply.
         outputs: Vec<Var>,
     },
     /// The plan's recorded last-use entry for a register disagrees with
@@ -211,8 +215,8 @@ impl fmt::Display for PlanDiagnostic {
             }
             PlanDiagnostic::PipelineInterface { node, inputs, outputs } => write!(
                 f,
-                "node {node} (pipeline): its members read {inputs:?} and its sink writes \
-                 {outputs:?}; the node declares something else"
+                "node {node} (pipeline): its members read {inputs:?} and hand on {outputs:?}; \
+                 the node declares something else"
             ),
             PlanDiagnostic::LastUseMismatch { var, recorded, actual } => {
                 let show = |value: &Option<usize>| match value {
@@ -372,11 +376,15 @@ fn signature(op: &PlanOp) -> (InputSig, Cow<'static, [ValueKind]>, FlushClass) {
         }
         PlanOp::SumF32 => (Exact(&[COLUMN]), &[ValueKind::Scalar], Streaming),
         // A region is what its members are — streaming, or rejected — and
-        // produces what its sink produces.
+        // host-resolving when it took a grouping along. What it produces is
+        // its members' (`output_kinds`).
         PlanOp::Pipeline { members } => {
-            let outputs =
-                members.last().map_or(Cow::Borrowed(&[][..]), |sink| signature(&sink.op).1);
-            return (AnyDefined, outputs, Streaming);
+            let grouped = members.iter().any(|member| member.op == PlanOp::GroupBy);
+            return (
+                AnyDefined,
+                Cow::Borrowed(&[]),
+                if grouped { HostResolving } else { Streaming },
+            );
         }
         PlanOp::Sync => (AnyDefined, &[], Boundary),
         PlanOp::Result => (Results, &[], Boundary),
@@ -384,10 +392,20 @@ fn signature(op: &PlanOp) -> (InputSig, Cow<'static, [ValueKind]>, FlushClass) {
     (inputs, outputs.into(), class)
 }
 
-/// Result kinds of an operator, for kind-assigning raw-node appends
-/// (`PlanBuilder::push_node`).
-pub(crate) fn output_kinds(op: &PlanOp) -> Cow<'static, [ValueKind]> {
-    signature(op).1
+/// Result kinds of a node, for kind-assigning raw-node appends
+/// (`PlanBuilder::push_node`) and the verifier: its operator's, or — for a
+/// `pipeline` node — those of the members writing its outputs.
+pub(crate) fn output_kinds(node: &PlanNode) -> Cow<'static, [ValueKind]> {
+    if node.members().is_empty() {
+        return signature(&node.op).1;
+    }
+    let kind = |out: &Var| {
+        node.members().iter().find_map(|member| {
+            let at = member.outputs.iter().position(|written| written == out)?;
+            output_kinds(member).get(at).copied()
+        })
+    };
+    node.outputs.iter().map(|out| kind(out).unwrap_or(COLUMN)).collect()
 }
 
 /// The forward walk of [`verify`]: definitions seen so far and findings.
@@ -396,6 +414,8 @@ struct Walk {
     /// apart from a genuinely dangling register), first-writer-wins.
     first_def: HashMap<Var, usize>,
     defined_at: HashMap<Var, usize>,
+    /// Every register a plan node reads.
+    read: HashSet<Var>,
     diagnostics: Vec<PlanDiagnostic>,
 }
 
@@ -405,7 +425,8 @@ impl Walk {
     /// there.
     fn node(&mut self, index: usize, node: &PlanNode, kinds: &mut HashMap<Var, ValueKind>) {
         let op = node.op.name();
-        let (inputs_sig, outputs_sig, _) = signature(&node.op);
+        let (inputs_sig, _, _) = signature(&node.op);
+        let outputs_sig = output_kinds(node);
         let mut arity = |expected: &'static str| {
             self.diagnostics.push(PlanDiagnostic::InputArity {
                 node: index,
@@ -530,8 +551,11 @@ impl Walk {
         let mut reads: Vec<Var> = Vec::new();
         // Plan-level definitions mean nothing inside the scope.
         let first_def = std::mem::take(&mut self.first_def);
+        let mut groupings = 0;
         for (position, member) in node.members().iter().enumerate() {
-            let fusable = signature(&member.op).2 == FlushClass::Streaming
+            groupings += usize::from(member.op == PlanOp::GroupBy);
+            let fusable = (signature(&member.op).2 == FlushClass::Streaming
+                || (member.op == PlanOp::GroupBy && groupings == 1))
                 && !matches!(member.op, PlanOp::Bind { .. } | PlanOp::Pipeline { .. });
             if !fusable {
                 self.diagnostics.push(PlanDiagnostic::PipelineMember {
@@ -550,12 +574,24 @@ impl Walk {
             self.node(index, member, &mut scope);
         }
         self.first_def = first_def;
-        let outputs = node.members().last().map_or(&[][..], |sink| &sink.outputs);
-        if reads != node.inputs || outputs != node.outputs {
+        // The sink's values, and any other member's read outside — never a
+        // grouping's or its representatives'.
+        let Some((sink, _)) = node.members().split_last() else { return };
+        let mut grouping = false;
+        let mut outputs: Vec<Var> = Vec::new();
+        for member in node.members() {
+            for out in &member.outputs {
+                if sink.outputs.contains(out) || self.read.contains(out) {
+                    grouping |= matches!(member.op, PlanOp::GroupBy | PlanOp::GroupReps);
+                    outputs.push(*out);
+                }
+            }
+        }
+        if reads != node.inputs || outputs != node.outputs || grouping {
             self.diagnostics.push(PlanDiagnostic::PipelineInterface {
                 node: index,
                 inputs: reads,
-                outputs: outputs.to_vec(),
+                outputs,
             });
         }
     }
@@ -574,12 +610,13 @@ pub fn verify(plan: &Plan) -> VerifyReport {
     }
 
     // Forward walk: defined-so-far kinds, signature checks.
-    let mut walk = Walk { first_def, defined_at: HashMap::new(), diagnostics: Vec::new() };
+    let read = nodes.iter().flat_map(|node| node.inputs.iter().copied()).collect();
+    let mut walk = Walk { first_def, defined_at: HashMap::new(), read, diagnostics: Vec::new() };
     let mut kinds: HashMap<Var, ValueKind> = HashMap::new();
     for (index, node) in nodes.iter().enumerate() {
         walk.node(index, node, &mut kinds);
     }
-    let Walk { first_def, defined_at, mut diagnostics } = walk;
+    let Walk { first_def, defined_at, mut diagnostics, .. } = walk;
 
     // Liveness: the recorded last-use map must equal the true dataflow
     // last read, for every register that appears anywhere in the plan — a
@@ -654,7 +691,7 @@ pub(crate) fn admit_raw_node(
             return Err(PlanError::DuplicateDefinition { var: *out });
         }
     }
-    Ok(output_kinds(&node.op))
+    Ok(output_kinds(node))
 }
 
 #[cfg(test)]

@@ -277,7 +277,8 @@ pub trait Backend {
     /// runs the whole set as one accumulation launch plus one fold launch —
     /// group ids read once, each distinct value column once, one counter for
     /// `count` and every `avg` (`ocelot_core::ops::aggregate`); the Monet
-    /// baselines evaluate aggregate by aggregate.
+    /// baselines compute each distinct value column's sum and the count once
+    /// and the minima and maxima aggregate by aggregate.
     fn grouped_aggs(
         &self,
         groups: &GroupHandle<Self::Column>,

@@ -18,6 +18,7 @@ use ocelot_monet::parallel as par;
 use ocelot_monet::sequential as seq;
 use ocelot_monet::MonetHashTable;
 use ocelot_storage::{BatRef, CmpOp, DenseKey, Oid};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 /// The MonetDB baseline (the paper's `MS` series at one thread, `MP` at
@@ -405,19 +406,32 @@ impl Backend for MonetBackend {
             assert_eq!(value.len(), gids.len(), "grouped aggregate: length mismatch");
             value
         };
-        let sums = |v: &[f32]| {
-            let partial = |s, e| seq::grouped_sum_f64(&v[s..e], &gids[s..e], num_groups);
-            self.per_group(gids, partial, |a, b| a + b)
-        };
-        let counts = || {
-            self.per_group(gids, |s, e| seq::grouped_count(&gids[s..e], num_groups), |a, b| a + b)
+        // Each value column's sum and the count are computed once, however
+        // many aggregates read them: an average divides the very sum a `sum`
+        // of its column returns.
+        let mut sums: HashMap<usize, Vec<f64>> = HashMap::new();
+        for func in funcs {
+            if let GroupedAgg::Sum(column) | GroupedAgg::Avg(column) = *func {
+                sums.entry(column).or_insert_with(|| {
+                    let v = value(column);
+                    let partial = |s, e| seq::grouped_sum_f64(&v[s..e], &gids[s..e], num_groups);
+                    self.per_group(gids, partial, |a, b| a + b)
+                });
+            }
+        }
+        let counted =
+            funcs.iter().any(|func| matches!(func, GroupedAgg::Avg(_) | GroupedAgg::Count));
+        let counts = match counted {
+            true => {
+                let partial = |s, e| seq::grouped_count(&gids[s..e], num_groups);
+                self.per_group(gids, partial, |a, b| a + b)
+            }
+            false => Vec::new(),
         };
         let columns = funcs
             .iter()
             .map(|func| match *func {
-                GroupedAgg::Sum(column) => {
-                    sums(value(column)).into_iter().map(|sum| sum as f32).collect()
-                }
+                GroupedAgg::Sum(column) => sums[&column].iter().map(|sum| *sum as f32).collect(),
                 GroupedAgg::Min(column) => {
                     let v = value(column);
                     let partial = |s, e| seq::grouped_min_f32(&v[s..e], &gids[s..e], num_groups);
@@ -428,8 +442,8 @@ impl Backend for MonetBackend {
                     let partial = |s, e| seq::grouped_max_f32(&v[s..e], &gids[s..e], num_groups);
                     self.per_group(gids, partial, f32::max)
                 }
-                GroupedAgg::Avg(column) => seq::averages(&sums(value(column)), &counts()),
-                GroupedAgg::Count => counts().into_iter().map(|c| c as f32).collect(),
+                GroupedAgg::Avg(column) => seq::averages(&sums[&column], &counts),
+                GroupedAgg::Count => counts.iter().map(|count| *count as f32).collect(),
             })
             .map(floats)
             .collect();
@@ -523,6 +537,40 @@ mod tests {
         assert_eq!(backend.to_f32(&backend.mul_f32(&x, &y)?)?, vec![3.0, 8.0]);
         assert_eq!(backend.sum_f32(&x)?, 3.0);
         assert_eq!(backend.count(&x)?, 2);
+        Ok(())
+    }
+
+    /// A set of aggregates sharing sums and the count equals each aggregate
+    /// asked for alone, bit for bit, at every thread count.
+    #[test]
+    fn grouped_aggregates_share_sums_and_the_count_bit_for_bit() -> Result<(), PlanError> {
+        use GroupedAgg::{Avg, Count, Min, Sum};
+        let rows = 5_001;
+        let funcs = [Sum(0), Avg(0), Count, Avg(1), Min(1)];
+        for threads in [1, 2, 3, 7] {
+            let b = MonetBackend::with_threads(threads);
+            let keys = b.lift_i32(column(rows, 5, |x| (x % 13) as i32))?;
+            let groups = b.group_by(&[&keys])?;
+            let x = b.lift_f32(column(rows, 6, |x| ((x % 2001) as f32 - 1000.0) * 0.37))?;
+            let y = b.lift_f32(column(rows, 7, |x| (x % 97) as f32 * 0.25 - 3.0))?;
+            let bits = |column: &HostColumn| -> Vec<u32> {
+                column.as_f32().iter().map(|value| value.to_bits()).collect()
+            };
+            let fused = b.grouped_aggs(&groups, &[&x, &y], &funcs)?;
+            for (func, got) in funcs.iter().zip(&fused) {
+                // The same aggregate over its one column, on its own.
+                let values: Vec<&HostColumn> =
+                    func.input().map(|at| [&x, &y][at]).into_iter().collect();
+                let alone = match func {
+                    Sum(_) => Sum(0),
+                    Avg(_) => Avg(0),
+                    Min(_) => Min(0),
+                    other => *other,
+                };
+                let want = b.grouped_aggs(&groups, &values, &[alone])?;
+                assert_eq!(bits(got), bits(&want[0]), "{func} at {threads} threads");
+            }
+        }
         Ok(())
     }
 

@@ -11,7 +11,7 @@
 //! query pipeline performs exactly one queue flush — at the read.
 
 use crate::backend::{Backend, DenseJoinKind, GroupHandle, GroupedAgg, ProfileMarker};
-use crate::fuse::{Program, ProgramRows, ProgramSink};
+use crate::fuse::{Program, ProgramGroups, ProgramOutput, ProgramRows, ProgramSink};
 use crate::plan::{run_members, PlanError, PlanNode, Registers};
 use ocelot_core::ops::{
     aggregate, calc, groupby, hash_table::OcelotHashTable, join, select, sort_radix,
@@ -424,7 +424,10 @@ impl Backend for OcelotBackend {
     /// chain is one bitmap launch and one materialisation; an aggregating
     /// region is one accumulation launch — predicates, base columns read
     /// through the candidate list, value expressions, all per tile — plus the
-    /// fold launch. Nothing the members exchanged is ever allocated.
+    /// fold launch; a region holding its grouping adds the key-range launch
+    /// and the first-row fold, and its keys come back decoded from the codes
+    /// (`aggregate::keyed_aggs`). Nothing the members exchanged is ever
+    /// allocated.
     fn pipeline(
         &self,
         node: &PlanNode,
@@ -455,13 +458,34 @@ impl Backend for OcelotBackend {
                 let oids = select::materialize_bitmap(&self.ctx, &bitmap)?;
                 Ok(vec![OcelotColumn::Oid(oids)])
             }
-            ProgramSink::Aggs { group, values, funcs } => {
-                let (gids, num_groups) = match group {
-                    Some(group) => {
+            ProgramSink::Aggs { groups, values, funcs } => {
+                let (gids, num_groups) = match groups {
+                    ProgramGroups::Keys(slots) => {
+                        let keyed =
+                            aggregate::keyed_aggs(&self.ctx, &cols, rows, values, slots, funcs)?;
+                        // A key comes back as words, typed like its column.
+                        let key = |key: usize| -> Result<OcelotColumn, PlanError> {
+                            let words = keyed.keys[key].clone();
+                            Ok(match registers.column(program.cols[slots[key]])? {
+                                OcelotColumn::I32(_) => OcelotColumn::I32(words.reinterpret()),
+                                OcelotColumn::F32(_) => OcelotColumn::F32(words.reinterpret()),
+                                OcelotColumn::Oid(_) => OcelotColumn::Oid(words),
+                            })
+                        };
+                        return (program.outputs.iter())
+                            .map(|output| match output {
+                                ProgramOutput::Sink(at) => {
+                                    Ok(OcelotColumn::F32(keyed.aggs[*at].clone()))
+                                }
+                                ProgramOutput::Key(at) => key(*at),
+                            })
+                            .collect();
+                    }
+                    ProgramGroups::Ids(group) => {
                         let group = registers.group(*group)?;
                         (Some(group.gids.as_oid()), group.num_groups)
                     }
-                    None => (None, 1),
+                    ProgramGroups::One => (None, 1),
                 };
                 let columns = aggregate::fused_aggs(
                     &self.ctx,

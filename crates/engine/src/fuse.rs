@@ -14,31 +14,47 @@
 //! # Region grammar
 //!
 //! A region is a set of nodes over **one base table**, ending in a sink,
-//! whose interior values have **no reader outside the region**:
+//! whose interior values have **no reader outside the region** — but for a
+//! grouping's keys:
 //!
 //! ```text
-//! region  := chain                         -> one bitmap, one OID list
-//!          | [chain] leaves maps* sink     -> one accumulate + one fold launch
-//! chain   := select(base…) select(base…, previous)+      (>= 2 conjuncts;
-//!            >= 1 when it feeds an ungrouped sink)
-//! leaves  := fetch(base, C)+   all through one candidate list C
-//!          | base+             the table's rows as they lie
-//! maps    := mul add sub const_minus const_plus mul_const cast year
-//! sink    := sum_f32 | grouped_aggs
+//! region   := chain                                -> one bitmap, one OID list
+//!           | [chain] leaves [grouping] maps* sink -> one accumulate + one fold launch
+//! chain    := select(base…) select(base…, previous)+     (>= 2 conjuncts;
+//!             >= 1 when it feeds an ungrouped sink or a grouping)
+//! leaves   := fetch(base, C)+   all through one candidate list C
+//!           | base+             the table's rows as they lie
+//! grouping := group_by(leaves) [group_reps fetch(key, reps)*]
+//! maps     := mul add sub const_minus const_plus mul_const cast year
+//! sink     := sum_f32 | grouped_aggs
 //! ```
 //!
 //! `base` is the output of a `bind`. `C` is the chain's result when the
-//! chain is private to the region and the sink is ungrouped — then no OID
-//! list is ever built — and a region input otherwise (a selection something
-//! else reads too, a join side's row ids). Group ids align with `C`'s
-//! positions, so a grouped sink never absorbs its chain.
+//! chain is private to the region and the sink is ungrouped or takes its
+//! grouping along — then no OID list is ever built — and a region input
+//! otherwise (a selection something else reads too, a join side's row ids).
+//! Group ids from outside align with `C`'s positions, so a sink grouped by
+//! them never absorbs its chain.
 //!
-//! Never fused: host-resolving operators (joins, grouping, sorts, unions);
-//! any value something outside the region reads; selections over columns
-//! that are not base columns (the positional re-selections after a join);
-//! a conjunct whose candidates come from anywhere but the previous conjunct.
-//! The decision reads plan structure only — operator kinds, reader counts,
-//! `bind` provenance — never sizes, statistics or the backend.
+//! A **grouping** joins the region of the `grouped_aggs` that reads it when
+//! its `group_by` keys are leaves of the region's table through the same
+//! rows, its group is read by nothing but the sink and one `group_reps`, and
+//! those representatives are read by nothing but fetches of the grouping's
+//! own keys — the node then also hands those key columns on (its outputs are
+//! every member value read outside, in plan order). It joins only a region
+//! that reads its table's rows itself, through its own chain or as they lie:
+//! through a list from outside, the key range launch would read whole base
+//! columns for a few listed rows. On Ocelot the group is then a code computed
+//! per tile (`aggregate::keyed_aggs`) and no id, representative or key
+//! column is ever built.
+//!
+//! Never fused: host-resolving operators (joins, sorts, unions, a grouping
+//! but as above); any other value something outside the region reads;
+//! selections over columns that are not base columns (the positional
+//! re-selections after a join); a conjunct whose candidates come from
+//! anywhere but the previous conjunct. The decision reads plan structure
+//! only — operator kinds, reader counts, `bind` provenance — never sizes,
+//! statistics or the backend.
 
 use crate::backend::GroupedAgg;
 use crate::plan::{Plan, PlanNode, PlanOp, Var};
@@ -111,10 +127,15 @@ impl Flow<'_> {
         inside.filter(|input| **input == var).count() == self.reads[var]
     }
 
-    /// Whether every output of `members` (but the sink's) is read by members
-    /// only.
-    fn private(&self, members: &[usize], sink: usize) -> bool {
-        let interior = members.iter().filter(|member| **member != sink);
+    /// The nodes that read `var`, in plan order.
+    fn readers(&self, var: Var) -> impl Iterator<Item = usize> + '_ {
+        (0..self.nodes.len()).filter(move |index| self.nodes[*index].inputs.contains(&var))
+    }
+
+    /// Whether every output of `members` but those of `open` (the sink and a
+    /// grouping's key fetches) is read by members only.
+    fn private(&self, members: &[usize], open: &[usize]) -> bool {
+        let interior = members.iter().filter(|member| !open.contains(member));
         interior
             .flat_map(|member| &self.nodes[*member].outputs)
             .all(|out| self.read_only_by(*out, members))
@@ -131,24 +152,68 @@ impl Flow<'_> {
         (same && self.region[index] == NONE).then(|| (first, node.inputs.get(columns).copied()))
     }
 
+    /// The grouping the grouped sink `sink` may take along: the `group_by`
+    /// writing its group, read by nothing but the sink and one `group_reps`
+    /// whose only readers are fetches of the grouping's own key columns at
+    /// the representatives — all of them before the sink, their results
+    /// read only after it. Returns those nodes and the fetches.
+    fn grouping(&self, sink: usize) -> Option<(Vec<usize>, Vec<usize>)> {
+        let group = *self.nodes[sink].inputs.first()?;
+        let by = *self.producer.get(group)?;
+        let keys = &self.nodes.get(by).filter(|node| node.op == PlanOp::GroupBy)?.inputs;
+        let mut members = vec![by];
+        let mut fetches = Vec::new();
+        for reader in self.readers(group).filter(|reader| *reader != sink) {
+            if self.nodes[reader].op != PlanOp::GroupReps || members.len() > 1 {
+                return None;
+            }
+            members.push(reader);
+            let reps = self.nodes[reader].outputs[0];
+            for fetch in self.readers(reps) {
+                let node = &self.nodes[fetch];
+                let keyed = node.op == PlanOp::Fetch
+                    && node.inputs[1] == reps
+                    && keys.contains(&node.inputs[0])
+                    && self.readers(node.outputs[0]).all(|later| later > sink);
+                if !keyed {
+                    return None;
+                }
+                fetches.push(fetch);
+            }
+        }
+        members.extend(&fetches);
+        members.iter().all(|member| *member < sink).then_some((members, fetches))
+    }
+
     /// The region ending in the aggregating node `sink`, if there is one:
-    /// its members, in plan order.
-    fn aggregate_region(&self, sink: usize) -> Option<Vec<usize>> {
+    /// its members, in plan order. `grouped`: the sink takes its grouping
+    /// along.
+    fn aggregate_region(&self, sink: usize, grouped: bool) -> Option<Vec<usize>> {
         let mut members = vec![sink];
+        let mut open = vec![sink];
         // `None`: no leaf seen yet; `Some(None)`: rows as they lie;
         // `Some(Some(c))`: fetched through `c`.
         let mut through: Option<Option<Var>> = None;
         let mut table: Option<&str> = None;
-        let mut pending: Vec<Var> = sink_values(&self.nodes[sink])?.to_vec();
-        while let Some(var) = pending.pop() {
+        // Operands still to trace back to their leaves, and whether each is
+        // a key: keys are leaves like the values', never computed.
+        let mut pending: Vec<(Var, bool)> =
+            sink_values(&self.nodes[sink])?.iter().map(|var| (*var, false)).collect();
+        if grouped {
+            let (grouping, fetches) = self.grouping(sink)?;
+            pending.extend(self.nodes[grouping[0]].inputs.iter().map(|var| (*var, true)));
+            members.extend(grouping);
+            open.extend(fetches);
+        }
+        while let Some((var, key)) = pending.pop() {
             let index = *self.producer.get(var)?;
             let node = self.nodes.get(index)?;
             let (leaf, list) = match &node.op {
                 PlanOp::Bind { .. } => (var, None),
                 PlanOp::Fetch => (node.inputs[0], Some(node.inputs[1])),
-                op if is_map(op) => {
+                op if is_map(op) && !key => {
                     members.push(index);
-                    pending.extend(&node.inputs);
+                    pending.extend(node.inputs.iter().map(|var| (*var, false)));
                     continue;
                 }
                 _ => return None,
@@ -166,12 +231,15 @@ impl Flow<'_> {
         members.sort_unstable();
         members.dedup();
         let free = members.iter().all(|member| self.region[*member] == NONE);
-        if members.len() < 2 || !free || !self.private(&members, sink) {
+        if members.len() < 2 || !free || !self.private(&members, &open) {
             return None;
         }
-        // An ungrouped sink takes its selection chain along when nothing
-        // else reads it.
-        if let (PlanOp::SumF32, Some(Some(list))) = (&self.nodes[sink].op, through) {
+        // An ungrouped sink, or one that took its grouping along, takes its
+        // selection chain along when nothing else reads it — and a grouping
+        // joins only a region that reads its table's rows itself, through
+        // its own chain or as they lie, never through a list from outside.
+        let ungrouped = self.nodes[sink].op == PlanOp::SumF32;
+        if let (true, Some(Some(list))) = (ungrouped || grouped, through) {
             let mut chain = members.clone();
             let mut next = Some(list);
             while let Some((index, (_, cands))) = next
@@ -182,8 +250,10 @@ impl Flow<'_> {
                 next = cands;
             }
             chain.sort_unstable();
-            if next.is_none() && self.private(&chain, sink) {
+            if next.is_none() && self.private(&chain, &open) {
                 members = chain;
+            } else if grouped {
+                return None;
             }
         }
         Some(members)
@@ -236,7 +306,9 @@ pub fn fuse_plan(plan: Plan) -> (Plan, Vec<String>) {
     for aggregates in [true, false] {
         for index in 0..nodes.len() {
             let found = match aggregates {
-                true => flow.aggregate_region(index),
+                true => flow
+                    .aggregate_region(index, true)
+                    .or_else(|| flow.aggregate_region(index, false)),
                 false => flow.chain_region(index),
             };
             if let Some(members) = found {
@@ -278,6 +350,19 @@ pub fn fuse_plan(plan: Plan) -> (Plan, Vec<String>) {
             inputs
         })
         .collect();
+    // What every pipeline node writes: the sink's values, and any other
+    // member's that something outside reads (a grouping's keys), in plan
+    // order.
+    let exits: Vec<Vec<Var>> = regions
+        .iter()
+        .map(|members| {
+            let sink = &nodes[*members.last().expect("a region has a sink")];
+            let outputs = members.iter().flat_map(|member| &nodes[*member].outputs);
+            let exits = outputs
+                .filter(|out| sink.outputs.contains(out) || !flow.read_only_by(**out, members));
+            exits.copied().collect()
+        })
+        .collect();
     let region = flow.region;
     let source = plan.source().cloned();
     let mut nodes: Vec<Option<PlanNode>> = plan.into_nodes().into_iter().map(Some).collect();
@@ -297,7 +382,7 @@ pub fn fuse_plan(plan: Plan) -> (Plan, Vec<String>) {
         );
         let members: Vec<PlanNode> =
             regions[at].iter().filter_map(|member| nodes[*member].take()).collect();
-        let outputs = members.last().map_or(Vec::new(), |sink| sink.outputs.clone());
+        let outputs = exits[at].clone();
         let pipeline =
             PlanNode { op: PlanOp::Pipeline { members }, inputs: interfaces[at].clone(), outputs };
         notes.push(format!(
@@ -328,16 +413,37 @@ pub(crate) enum ProgramRows {
 pub(crate) enum ProgramSink {
     /// The qualifying rows, as an OID list.
     Oids,
-    /// Aggregates of the value expressions: per group of the grouping in
-    /// `group`, or — `None` — over all rows (the ungrouped sum).
+    /// Aggregates of the value expressions, per group of `groups`.
     Aggs {
-        /// The grouping register.
-        group: Option<Var>,
+        /// The groups.
+        groups: ProgramGroups,
         /// The aggregates' value columns, as expressions over the slots.
         values: Vec<Map>,
         /// The aggregates, naming `values` by position.
         funcs: Vec<GroupedAgg>,
     },
+}
+
+/// The groups of an aggregating [`Program`].
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) enum ProgramGroups {
+    /// One group: the ungrouped sum.
+    One,
+    /// The grouping in this register, computed outside the region.
+    Ids(Var),
+    /// The region's own `group_by`, over the key columns in these slots.
+    Keys(Vec<usize>),
+}
+
+/// One output of a `pipeline` node: the sink's result, or a key column of
+/// the region's own grouping.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) enum ProgramOutput {
+    /// The sink's result at this position.
+    Sink(usize),
+    /// The key column at this position among the grouping's keys, one value
+    /// per group.
+    Key(usize),
 }
 
 /// A `pipeline` node taken apart into the row-expression evaluator's terms
@@ -350,6 +456,8 @@ pub(crate) struct Program {
     pub rows: ProgramRows,
     /// The sink.
     pub sink: ProgramSink,
+    /// The node's outputs, in order.
+    pub outputs: Vec<ProgramOutput>,
 }
 
 impl Program {
@@ -425,29 +533,56 @@ impl Program {
         let values: Vec<Map> = (0..operands.len())
             .map(|index| tree.build(operands[index], index, true))
             .collect::<Option<_>>()?;
+
+        // The groups: none, a grouping from outside, or the region's own —
+        // whose keys are column slots read like the values' leaves.
+        let group = sink.inputs.first().filter(|_| matches!(sink.op, PlanOp::GroupedAggs { .. }));
+        let (groups, keys) = match (group, group.and_then(|group| producers.get(group))) {
+            (None, _) => (ProgramGroups::One, &[][..]),
+            (Some(group), None) if external(group) => (ProgramGroups::Ids(*group), &[][..]),
+            (Some(_), Some(by)) if by.op == PlanOp::GroupBy => {
+                let slots = (by.inputs.iter())
+                    .map(|key| match tree.build(*key, operands.len(), true)? {
+                        Map::Col(slot) if slot < cols.len() => Some(slot),
+                        _ => None,
+                    })
+                    .collect::<Option<_>>()?;
+                (ProgramGroups::Keys(slots), &by.inputs[..])
+            }
+            _ => return None,
+        };
         let (lists, direct) = (tree.lists, tree.direct);
+        // What the node writes: the sink's results, and the grouping's keys
+        // fetched at its representatives.
+        let outputs = (node.outputs.iter())
+            .map(|out| match sink.outputs.iter().position(|result| result == out) {
+                Some(position) => Some(ProgramOutput::Sink(position)),
+                None => {
+                    let fetch = computing.iter().find(|member| member.outputs.contains(out))?;
+                    let key = keys.iter().position(|key| *key == fetch.inputs[0])?;
+                    (fetch.op == PlanOp::Fetch).then_some(ProgramOutput::Key(key))
+                }
+            })
+            .collect::<Option<_>>()?;
 
         let sink = match &sink.op {
             op if select_columns(op).is_some() => ProgramSink::Oids,
-            PlanOp::SumF32 => {
-                ProgramSink::Aggs { group: None, values, funcs: vec![GroupedAgg::Sum(0)] }
+            PlanOp::SumF32 => ProgramSink::Aggs { groups, values, funcs: vec![GroupedAgg::Sum(0)] },
+            PlanOp::GroupedAggs { funcs } => {
+                ProgramSink::Aggs { groups, values, funcs: funcs.clone() }
             }
-            PlanOp::GroupedAggs { funcs } => ProgramSink::Aggs {
-                group: Some(*sink.inputs.first().filter(|group| external(group))?),
-                values,
-                funcs: funcs.clone(),
-            },
             _ => return None,
         };
         // One row source: the chain, one external list, or the rows as they
-        // lie — and a grouped sink's ids never align with a chain's rows.
+        // lie — and ids from outside never align with a chain's rows.
         let list = lists.first().copied();
         let rows = match (selected, list, &sink) {
             _ if lists.iter().any(|other| Some(*other) != list) || (direct && list.is_some()) => {
                 return None
             }
             (Some(_), None, ProgramSink::Oids) => ProgramRows::Where(preds),
-            (Some(chain), Some(list), ProgramSink::Aggs { group: None, .. }) if chain == list => {
+            (Some(_), _, ProgramSink::Aggs { groups: ProgramGroups::Ids(_), .. }) => return None,
+            (Some(chain), Some(list), ProgramSink::Aggs { .. }) if chain == list => {
                 ProgramRows::Where(preds)
             }
             (None, Some(list), ProgramSink::Aggs { .. }) if external(&list) => {
@@ -456,7 +591,7 @@ impl Program {
             (None, None, ProgramSink::Aggs { .. }) => ProgramRows::All,
             _ => return None,
         };
-        Some(Program { cols, rows, sink })
+        Some(Program { cols, rows, sink, outputs })
     }
 }
 

@@ -441,12 +441,18 @@ impl fmt::Display for PlanOp {
                 };
                 let selects = count(|name| name.starts_with("select_"));
                 let fetches = count(|name| name == "fetch");
+                // A grouping is its `group_by` and its `group_reps`.
+                let grouping = count(|name| name.starts_with("group_"));
                 let sink = members.last().map_or("nothing", |sink| sink.op.name());
                 let (maps, sink) = match selects == members.len() {
                     true => (0, "oids"),
-                    false => (members.len() - selects - fetches - 1, sink),
+                    false => (members.len() - selects - fetches - grouping - 1, sink),
                 };
-                write!(f, "pipeline [{selects} select, {fetches} fetch, {maps} map] => {sink}")
+                write!(f, "pipeline [{selects} select, {fetches} fetch, {maps} map")?;
+                if grouping > 0 {
+                    write!(f, ", group_by")?;
+                }
+                write!(f, "] => {sink}")
             }
             other => write!(f, "{}", other.name()),
         }
@@ -628,9 +634,12 @@ impl Plan {
     /// from the catalog (base columns are the dominant pinned working
     /// set), every derived register inherits the largest input it was
     /// computed from (selections and joins can only shrink, maps preserve
-    /// cardinality), scalars are one word, and registers die at their
-    /// build-time last use — exactly when the executor frees them. The
-    /// peak of the live-set byte sum is the estimate. It deliberately
+    /// cardinality) — but a `pipeline` holding a grouping hands on one
+    /// value per group, at most the product of its keys' value ranges (base
+    /// columns: from the catalog's statistics) —, scalars are one word, and
+    /// registers die at their build-time last use — exactly when the
+    /// executor frees them. The peak of the live-set byte sum is the
+    /// estimate. It deliberately
     /// ignores operator scratch — see [`Plan::estimate_device_footprint`]
     /// for the admission-grade estimate that includes it.
     pub fn estimate_register_footprint(&self, catalog: &Catalog) -> usize {
@@ -645,11 +654,13 @@ impl Plan {
     /// build allocates the larger of twice a power-of-two slot table of
     /// ~1.4× the build cardinality and a table covering the key range the
     /// probe rows pay for (`next_pow2(8 × build + probe)` words,
-    /// `hash_table::table_words`), a grouping build twice the hash-sized
-    /// table; both add one lookup word per probe row. A positional join on
-    /// a dense key allocates a word per table row — the inverse map when it
-    /// is given a row list, the flags of a semi/anti join whose dense side
-    /// is the left one — plus one lookup word per row it looks up. The
+    /// `hash_table::table_words`), a grouping build — a `group_by`, or a
+    /// `pipeline` holding one, over its largest input — twice the
+    /// hash-sized table; both add one lookup word per probe row. A
+    /// positional join on a dense key allocates a word per table row — the
+    /// inverse map when it is given a row list, the flags of a semi/anti
+    /// join whose dense side is the left one — plus one lookup word per row
+    /// it looks up. The
     /// radix sort allocates four ping-pong staging buffers plus its
     /// work-group count table (`sort_radix::scratch_bytes`: the table is
     /// 1 KiB per 1024 rows, ≤ 64 KiB, on any device). Still an estimate,
@@ -670,6 +681,11 @@ impl Plan {
         let join_table = |build_rows: usize, probe_rows: usize| {
             (2 * table_capacity(build_rows)).max(table_words(build_rows, probe_rows)) * 4
         };
+        // A hash grouping hashes every input row: slots plus as much again
+        // for the per-row ids and rank scratch, plus the gid word per row.
+        // (Dense-code grouping needs a few KB instead, but which one runs is
+        // only known from the data.)
+        let grouping = |rows: usize| 2 * table_capacity(rows) * 4 + rows * 4;
         match &node.op {
             PlanOp::SortOrderI32 { .. } | PlanOp::SortOrderF32 { .. } => {
                 sort_radix::scratch_bytes(input_bytes(0) / 4)
@@ -700,12 +716,10 @@ impl Plan {
                     + join_table(input_bytes(1) / 8, 0)
                     + input_bytes(0) / 2
             }
-            PlanOp::GroupBy => {
-                // A hash grouping hashes every input row: slots plus as
-                // much again for the per-row ids and rank scratch, plus the
-                // gid word per row. (Dense-code grouping needs a few KB
-                // instead, but which one runs is only known from the data.)
-                2 * table_capacity(input_bytes(0) / 4) * 4 + input_bytes(0)
+            PlanOp::GroupBy => grouping(input_bytes(0) / 4),
+            // A region holding a grouping groups rows of its inputs.
+            PlanOp::Pipeline { members } if members.iter().any(|m| m.op == PlanOp::GroupBy) => {
+                grouping(node.inputs.iter().filter_map(|v| sizes.get(v)).max().map_or(0, |b| b / 4))
             }
             _ => 0,
         }
@@ -727,7 +741,11 @@ impl Plan {
                 }
                 PlanOp::SumF32 => 4,
                 _ => {
-                    node.inputs.iter().filter_map(|var| sizes.get(var).copied()).max().unwrap_or(0)
+                    let rows = node.inputs.iter().filter_map(|var| sizes.get(var)).max();
+                    // A region holding a grouping hands on a value per group.
+                    let groups =
+                        self.key_space(node, catalog).map_or(usize::MAX, |n| n.saturating_mul(4));
+                    rows.copied().unwrap_or(0).min(groups)
                 }
             };
             for out in &node.outputs {
@@ -748,6 +766,29 @@ impl Plan {
             }
         }
         peak
+    }
+
+    /// How many key tuples the `pipeline` node `node` can group its rows
+    /// into, if it holds a grouping: the product of its keys' value ranges.
+    /// Each key is a base column the region fetches through its rows; its
+    /// range is read from the catalog's statistics (computed once per
+    /// column).
+    fn key_space(&self, node: &PlanNode, catalog: &Catalog) -> Option<usize> {
+        fn producer(nodes: &[PlanNode], var: Var) -> Option<&PlanNode> {
+            nodes.iter().find(|node| node.outputs.contains(&var))
+        }
+        let members = node.members();
+        let grouping = members.iter().find(|member| member.op == PlanOp::GroupBy)?;
+        grouping.inputs.iter().try_fold(1usize, |space, key| {
+            let fetch = producer(members, *key).filter(|fetch| fetch.op == PlanOp::Fetch)?;
+            let PlanOp::Bind { table, column } = &producer(&self.nodes, fetch.inputs[0])?.op else {
+                return None;
+            };
+            let summary = catalog.column(table, column)?.summary();
+            // An empty column's range is empty: `max < min`, one code.
+            let span = (summary.max - summary.min).max(0.0) as usize + 1;
+            Some(space.saturating_mul(span))
+        })
     }
 }
 
@@ -1967,15 +2008,13 @@ fn exec_op<B: Backend + ?Sized>(
             Slot::Column(b.sort_order_f32(&column(regs, 0)?, *descending)?, ColKind::Oid)
         }
         PlanOp::SumF32 => Slot::Scalar(b.sum_scalar_f32(&column(regs, 0)?)?),
-        PlanOp::Pipeline { .. } => {
-            // The outputs are the sink's, and so are their kinds.
-            let kind = |column| match node.sink() {
-                PlanOp::SumF32 => Slot::Scalar(column),
-                PlanOp::GroupedAggs { .. } => Slot::Column(column, ColKind::F32),
-                _ => Slot::Column(column, ColKind::Oid),
-            };
+        PlanOp::Pipeline { members } => {
             for (out, column) in node.outputs.iter().zip(b.pipeline(node, regs)?) {
-                regs.slots.insert(*out, kind(column));
+                let slot = match member_kind(members, regs, *out)? {
+                    Some(kind) => Slot::Column(column, kind),
+                    None => Slot::Scalar(column),
+                };
+                regs.slots.insert(*out, slot);
             }
             return Ok(());
         }
@@ -1991,6 +2030,32 @@ fn exec_op<B: Backend + ?Sized>(
     };
     regs.slots.insert(node.outputs[0], out);
     Ok(())
+}
+
+/// The kind of the value `var` a member of a pipeline writes — a fetch's is
+/// its source's, traced back to the region's inputs in `regs` — or `None`
+/// for a scalar.
+fn member_kind<C: Clone>(
+    members: &[PlanNode],
+    regs: &Registers<C>,
+    var: Var,
+) -> Result<Option<ColKind>, PlanError> {
+    let Some(member) = members.iter().find(|member| member.outputs.contains(&var)) else {
+        return Ok(Some(regs.typed_column(var)?.1));
+    };
+    Ok(Some(match member.op {
+        PlanOp::SumF32 => return Ok(None),
+        PlanOp::Fetch => return member_kind(members, regs, member.inputs[0]),
+        PlanOp::SelectRangeI32 { .. }
+        | PlanOp::SelectRangeF32 { .. }
+        | PlanOp::SelectEqI32 { .. }
+        | PlanOp::SelectNeI32 { .. }
+        | PlanOp::SelectInI32 { .. }
+        | PlanOp::SelectCmpI32 { .. }
+        | PlanOp::GroupReps => ColKind::Oid,
+        PlanOp::ExtractYear => ColKind::I32,
+        _ => ColKind::F32,
+    }))
 }
 
 /// The default body of [`Backend::pipeline`]: runs the members of the

@@ -23,7 +23,9 @@ use ocelot_analyze::{verify, FlushBound, PlanDiagnostic};
 use ocelot_core::ops::rowexpr::{select_where, Pred};
 use ocelot_core::{OcelotContext, SharedDevice, TraceSink};
 use ocelot_engine::plan::{Plan, PlanBuilder, PlanNode, PlanOp, QueryValue, Var};
-use ocelot_engine::{fuse_plan, Backend, PlanCache, Query, RewriteConfig, Session, TraceEventKind};
+use ocelot_engine::{
+    col, fuse_plan, lit, AggSpec, Backend, PlanCache, Query, RewriteConfig, Session, TraceEventKind,
+};
 use ocelot_storage::{Bat, Catalog, CmpOp, Table};
 use ocelot_tpch::{
     q10_query, q12_queries, q14_query, q1_params, q1_query, q1_query_p, q3_query, q4_query,
@@ -462,21 +464,29 @@ fn q6_is_one_pipeline_node_three_launches_one_flush() {
     }
 }
 
-/// Q1's fetches, maps and eight aggregates are one accumulation launch and
-/// one fold launch; Q12's four conjuncts are one bitmap launch.
+/// Q1 — its selection, fetches, maps, grouping and eight aggregates — runs
+/// in four launches on every Ocelot device, none of them a per-row grouping
+/// pass, gather, bitmap, materialisation or map launch; Q12's four conjuncts
+/// are one bitmap launch.
 #[test]
-fn q1_aggregates_in_two_launches_and_q12_selects_in_one() {
+fn q1_runs_in_four_launches_and_q12_selects_in_one() {
     let db = db();
-    let session = Session::ocelot(&SharedDevice::cpu());
     let q1 = q1_query(db).lower(db.catalog()).unwrap();
-    let (_, profile) = session.explain_analyze(&q1, db.catalog()).unwrap();
-    let region: Vec<_> = profile.nodes.iter().filter(|n| n.op.starts_with("pipeline")).collect();
-    assert_eq!(region.len(), 1, "{}", profile.render());
-    assert_eq!(region[0].marker.kernels, 2, "{}", profile.render());
-    let (_, launched, _) = observed(&session, || session.run(&q1, db.catalog()).unwrap());
-    assert_eq!(launched.iter().filter(|k| k.starts_with("grouped_")).count(), 2, "{launched:?}");
-    assert!(!launched.iter().any(|k| k.starts_with("calc_")), "no map launch: {launched:?}");
-
+    for shared in [SharedDevice::cpu_sequential(), SharedDevice::cpu(), SharedDevice::gpu()] {
+        let session = Session::ocelot(&shared);
+        let (_, profile) = session.explain_analyze(&q1, db.catalog()).unwrap();
+        let region: Vec<_> =
+            profile.nodes.iter().filter(|n| n.op.starts_with("pipeline")).collect();
+        assert_eq!(region.len(), 1, "{}", profile.render());
+        let (_, launched, _) = observed(&session, || session.run(&q1, db.catalog()).unwrap());
+        // The key ranges, the one pass, the per-code first-row fold the
+        // dense-code grouping shares, the aggregate fold: no per-row grouping
+        // pass, gather, bitmap, materialisation or map.
+        let expected =
+            ["hash_key_range", "grouped_partials", "group_first_rows_fold", "grouped_fold"];
+        assert_eq!(launched, expected, "{}", session.name());
+    }
+    let session = Session::ocelot(&SharedDevice::cpu());
     let q12 = q12_queries(db).0.lower(db.catalog()).unwrap();
     let (_, launched, _) = observed(&session, || session.run(&q12, db.catalog()).unwrap());
     assert_eq!(launched.iter().filter(|k| *k == "select_bitmap").count(), 1, "{launched:?}");
@@ -514,6 +524,12 @@ fn the_rule_is_a_rewrite_flag_and_the_footprint_estimate_follows() {
     let q6 = q6_query(db).lower(db.catalog()).unwrap().estimate_device_footprint(db.catalog());
     let columns = 4 * db.lineitem_rows() * 4;
     assert!((columns..columns + 64).contains(&q6), "four columns and a word: {q6}");
+    // A region holding a grouping hands on one value per key tuple, written
+    // while the columns it reads are live: Q1's ten outputs of its six
+    // (returnflag, linestatus) tuples, next to its seven base columns.
+    let q1 = q1_query(db).lower(db.catalog()).unwrap();
+    let registers = q1.estimate_register_footprint(db.catalog());
+    assert_eq!(registers, 7 * db.lineitem_rows() * 4 + 10 * 6 * 4, "{}", q1.listing());
     for (name, query) in ported_queries(db) {
         let fused = query.lower(db.catalog()).unwrap();
         let plain = query.lower_with(db.catalog(), &unfused()).unwrap();
@@ -601,6 +617,233 @@ fn verifier_rejects_malformed_pipelines_with_typed_diagnostics() {
         found
             .iter()
             .any(|d| matches!(d, PlanDiagnostic::PipelineMember { member: 0, op: "pipeline", .. })),
+        "{found:?}"
+    );
+}
+
+// ---- a grouping inside the region -----------------------------------------
+
+/// `g(d: i32 in 0..1000 — below 100 in every odd 1024-row tile; k1, k2: i32
+/// keys — `k` takes `spans[k]` values from `firsts[k]` up, both ends in rows
+/// 0 and 1; v, w: f32)`, `rows` rows.
+fn grouped_table(rows: usize, firsts: [i32; 2], spans: [u32; 2]) -> Catalog {
+    let key = |k: usize| -> Vec<i32> {
+        let offset = |row: usize| match row {
+            0 => 0,
+            1 => spans[k] - 1,
+            _ => (scramble(row, 7 + k as u64) % u64::from(spans[k])) as u32,
+        };
+        (0..rows).map(|row| firsts[k].wrapping_add_unsigned(offset(row))).collect()
+    };
+    let float = |salt: u64, scale: f32| -> Vec<f32> {
+        (0..rows).map(|row| (scramble(row, salt) % 997) as f32 * scale - 40.0).collect()
+    };
+    let dates = (0..rows).map(|row| (scramble(row, 3) % [1000, 100][row / 1024 % 2]) as i32);
+    let mut catalog = Catalog::new();
+    catalog.add_table(
+        Table::new("g")
+            .with_column("d", Bat::from_i32("d", dates.collect()).into_ref())
+            .with_column("k1", Bat::from_i32("k1", key(0)).into_ref())
+            .with_column("k2", Bat::from_i32("k2", key(1)).into_ref())
+            .with_column("v", Bat::from_f32("v", float(4, 0.25)).into_ref())
+            .with_column("w", Bat::from_f32("w", float(5, 0.001)).into_ref()),
+    );
+    catalog
+}
+
+/// Q1's shape over `g`: a date cutoff, a computed value, the grouping by
+/// `keys`, sums, an average, a minimum and the count.
+fn grouped_query(cutoff: i32, keys: &[&str]) -> Query {
+    Query::scan("g")
+        .filter(col("d").le(cutoff))
+        .map("vw", col("v") * (lit(1.0f32) - col("w")))
+        .group_by(
+            keys,
+            &[
+                AggSpec::sum("v", "sum_v"),
+                AggSpec::sum("vw", "sum_vw"),
+                AggSpec::avg("w", "avg_w"),
+                AggSpec::min("v", "min_v"),
+                AggSpec::count("n"),
+            ],
+        )
+}
+
+/// Whether a `pipeline` node of `plan` holds a `group_by`.
+fn groups_inside(plan: &Plan) -> bool {
+    pipelines(plan).iter().any(|node| node.members().iter().any(|m| m.op == PlanOp::GroupBy))
+}
+
+/// Runs `plan` fused and `plain` unfused on every backend: bit-equal on
+/// MS/MP, reference-equal on the Ocelot devices, where the key columns (the
+/// first `keys` results) and the counts (the last) also equal MS's in order —
+/// the same ids — and a second run is bit-identical. The armed race detector
+/// stays silent on the CPU.
+fn check_grouped(label: &str, catalog: &Catalog, plan: &Plan, plain: &Plan, keys: usize) {
+    let ms = Session::monet_seq();
+    let reference = ms.run(plan, catalog).unwrap();
+    assert_eq!(reference, ms.run(plain, catalog).unwrap(), "{label}: MS");
+    let mp = Session::monet_par();
+    assert_eq!(mp.run(plan, catalog).unwrap(), mp.run(plain, catalog).unwrap(), "{label}: MP");
+    for shared in [SharedDevice::cpu_sequential(), SharedDevice::cpu(), SharedDevice::gpu()] {
+        let session = Session::ocelot(&shared);
+        let queue = session.backend().context().queue();
+        queue.race().arm();
+        let got = session.run(plan, catalog).unwrap();
+        let label = format!("{label} on {}", session.name());
+        assert_reference_equal(&label, &got, &session.run(plain, catalog).unwrap());
+        let exact = got[..keys].iter().chain(got.last());
+        assert!(exact.eq(reference[..keys].iter().chain(reference.last())), "{label}: ids");
+        assert_eq!(session.run(plan, catalog).unwrap(), got, "{label}: run to run");
+        assert!(queue.race().take_diagnostics().is_empty(), "{label}: races");
+        queue.race().disarm();
+    }
+}
+
+/// A region that takes its grouping along equals the unfused plan on all
+/// four backends, ids included: a cutoff that keeps no row or every row, one
+/// that keeps a few rows of even tiles and most of odd ones (so a group's
+/// first row may lie after tiles that dropped nearly everything), key values
+/// at both ends of `i32`, one key of three values, and code spaces of exactly
+/// `GROUPING_START` (the code-indexed pass) and one more (the fallback
+/// through the listed rows' group ids).
+#[test]
+fn grouped_regions_equal_the_unfused_plan_on_all_four_backends() {
+    // (label, cutoff, key minima, key spans, grouping keys)
+    type Case = (&'static str, i32, [i32; 2], [u32; 2], &'static [&'static str]);
+    let cases: [Case; 7] = [
+        ("no row", -1, [0, 10], [3, 2], &["k1", "k2"]),
+        ("mixed tiles", 95, [0, 10], [3, 2], &["k1", "k2"]),
+        ("every row", 1_000, [0, 10], [3, 2], &["k1", "k2"]),
+        ("i32 extremes", 600, [i32::MIN, i32::MAX - 1], [3, 2], &["k1", "k2"]),
+        ("3 codes", 600, [-1, 0], [3, 1], &["k1"]),
+        ("1024 codes", 900, [5, -7], [32, 32], &["k1", "k2"]),
+        ("1025 codes", 900, [5, -7], [25, 41], &["k1", "k2"]),
+    ];
+    for (label, cutoff, firsts, spans, keys) in cases {
+        let catalog = grouped_table(6_000, firsts, spans);
+        let query = grouped_query(cutoff, keys);
+        let plan = query.lower(&catalog).unwrap();
+        let plain = query.lower_with(&catalog, &unfused()).unwrap();
+        assert!(groups_inside(&plan), "{label}: {}", plan.listing());
+        assert!(verify(&plan).is_ok(), "{label}: {}", verify(&plan));
+        check_grouped(label, &catalog, &plan, &plain, keys.len());
+        // Past `GROUPING_START` codes the keys are hashed.
+        let codes: u32 = spans[..keys.len()].iter().product();
+        let session = Session::ocelot(&SharedDevice::cpu());
+        let (_, launched, _) = observed(&session, || session.run(&plan, &catalog).unwrap());
+        let hashed = launched.iter().any(|k| k.starts_with("hash_") && k != "hash_key_range");
+        assert_eq!(hashed, codes > 1024, "{label}: {launched:?}");
+    }
+}
+
+/// The prepared Q1 shape the serving layer caches fuses its grouping too,
+/// and answers as Q1 does, with MS's ids.
+#[test]
+fn the_q1_serving_shape_groups_inside_its_region() {
+    let db = db();
+    let cache = PlanCache::new();
+    let plan = cache.plan(&q1_query_p(db), &q1_params(), db.catalog()).unwrap();
+    assert!(groups_inside(&plan), "{}", plan.listing());
+    let plain = cache.plan_with(&q1_query_p(db), &q1_params(), db.catalog(), &unfused()).unwrap();
+    check_grouped("q1 shape", db.catalog(), &plan, &plain, 2);
+    let q1 = q1_query(db).lower(db.catalog()).unwrap();
+    let session = Session::ocelot(&SharedDevice::cpu());
+    assert_eq!(session.run(&plan, db.catalog()).unwrap(), session.run(&q1, db.catalog()).unwrap());
+}
+
+/// Keys whose tuples span more codes than a partial table may have records
+/// (lineitem by `l_orderkey`) take the fallback: the unfused operators'
+/// launches, exactly as many as the plan ran before its grouping joined the
+/// region, and the same answer.
+#[test]
+fn a_wide_key_region_takes_the_fallback_in_the_unfused_launches() {
+    let db = db();
+    let query = Query::scan("lineitem")
+        .filter(col("l_shipdate").le(ocelot_storage::types::date_to_days(1998, 9, 2)))
+        .group_by(&["l_orderkey"], &[AggSpec::count("n")]);
+    let plan = query.lower(db.catalog()).unwrap();
+    let plain = query.lower_with(db.catalog(), &unfused()).unwrap();
+    assert!(groups_inside(&plan), "{}", plan.listing());
+    assert!(pipelines(&plain).is_empty());
+    check_grouped("wide keys", db.catalog(), &plan, &plain, 1);
+    for shared in [SharedDevice::cpu_sequential(), SharedDevice::cpu(), SharedDevice::gpu()] {
+        let session = Session::ocelot(&shared);
+        session.run(&plan, db.catalog()).unwrap(); // binds are cached now
+        let (fused, launched, _) = observed(&session, || session.run(&plan, db.catalog()).unwrap());
+        let (unfused, today, _) = observed(&session, || session.run(&plain, db.catalog()).unwrap());
+        assert_eq!(fused, unfused, "{}", session.name());
+        assert_eq!(launched.len(), today.len(), "{}: {launched:?} vs {today:?}", session.name());
+    }
+}
+
+/// A grouping whose representatives are also fetched for a column that is
+/// not a key (a `FIRST`) stays outside every region.
+#[test]
+fn representatives_fetched_for_another_column_keep_the_grouping_outside() {
+    let catalog = grouped_table(3_000, [0, 10], [3, 2]);
+    let query = Query::scan("g")
+        .filter(col("d").le(600))
+        .group_by(&["k1"], &[AggSpec::sum("v", "sum_v"), AggSpec::first("w")]);
+    let plan = query.lower(&catalog).unwrap();
+    assert!(!groups_inside(&plan), "{}", plan.listing());
+    assert!(plan.nodes().iter().any(|node| node.op == PlanOp::GroupBy), "{}", plan.listing());
+    let plain = query.lower_with(&catalog, &unfused()).unwrap();
+    check_grouped("first", &catalog, &plan, &plain, 1);
+}
+
+/// The verifier's contract for a grouping region: one `group_by` per region
+/// and no grouping value leaves it — a second grouping, or representatives
+/// read outside (declared as an output or not), is a typed diagnostic.
+#[test]
+fn a_second_grouping_or_representatives_read_outside_are_typed_diagnostics() {
+    let db = db();
+    let plan = q1_query(db).lower(db.catalog()).unwrap();
+    let report = verify(&plan);
+    assert!(report.is_ok(), "{report}");
+    assert!(matches!(report.flush_bound, FlushBound::DataDependent { host_resolving: 1, .. }));
+    let at = plan.nodes().iter().position(|node| !node.members().is_empty()).unwrap();
+    let members = plan.nodes()[at].members();
+    let grouping = members.iter().position(|m| m.op == PlanOp::GroupBy).unwrap();
+    let reps = members.iter().find(|m| m.op == PlanOp::GroupReps).unwrap().outputs[0];
+    let with = |edit: &dyn Fn(&mut Vec<PlanNode>, &mut Vec<PlanNode>)| {
+        let mut nodes = plan.nodes().to_vec();
+        let mut inner = nodes[at].members().to_vec();
+        edit(&mut nodes, &mut inner);
+        nodes[at].op = PlanOp::Pipeline { members: inner };
+        verify(&Plan::from_nodes_unchecked(nodes)).diagnostics
+    };
+    // A second `group_by`, over the same keys, into a fresh register.
+    let found = with(&|_, inner| {
+        let mut second = inner[grouping].clone();
+        second.outputs = vec![10_000];
+        inner.insert(grouping + 1, second);
+    });
+    let second = grouping + 1;
+    assert!(
+        found.iter().any(|d| matches!(
+            d,
+            PlanDiagnostic::PipelineMember { member, op: "group_by", .. } if *member == second
+        )),
+        "{found:?}"
+    );
+    // The representatives handed on and read outside.
+    let found = with(&|nodes, _| {
+        nodes[at].outputs.insert(0, reps);
+        let last = nodes.len() - 1;
+        nodes[last].inputs.push(reps);
+    });
+    assert!(
+        found.iter().any(|d| matches!(d, PlanDiagnostic::PipelineInterface { .. })),
+        "{found:?}"
+    );
+    // Read outside without being handed on.
+    let found = with(&|nodes, _| {
+        let last = nodes.len() - 1;
+        nodes[last].inputs.push(reps);
+    });
+    assert!(
+        found.iter().any(|d| matches!(d, PlanDiagnostic::PipelineInterface { .. })),
         "{found:?}"
     );
 }

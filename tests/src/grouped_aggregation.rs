@@ -392,31 +392,43 @@ fn op_names(plan: &Plan) -> Vec<&'static str> {
     plan.unfused_nodes().map(|node| node.op.name()).collect()
 }
 
-/// Q1 lowers to one `grouped_aggs` node over five value operands (`sum` and
-/// `avg` of a column share it), and on Ocelot that node — with the fetches
-/// and maps feeding it, as one `pipeline` — is two launches, where eight
-/// aggregate nodes took sixteen.
+/// Q1's grouping and its eight aggregates are one `pipeline` node: the
+/// `group_by`, its key fetches and the keys fetched at its representatives
+/// are members, so no grouping node is left outside. On every Ocelot device
+/// the node is four launches — the key ranges, the accumulation, the
+/// first-row fold and the aggregate fold — and no per-row grouping pass,
+/// gather, bitmap, materialisation or map launch, in no more flushes than
+/// the plan took before its grouping joined the region (three on the CPU
+/// devices).
 #[test]
-fn q1_has_one_grouped_aggs_node_of_two_launches() {
+fn q1_groups_and_aggregates_in_one_node_of_four_launches() {
     let db = TpchDb::generate(TpchConfig { scale_factor: 0.005, seed: 15 });
     let plan = q1_query(&db).lower(db.catalog()).unwrap();
     let fused: Vec<&PlanNode> =
-        plan.unfused_nodes().filter(|node| node.op.name().starts_with("grouped_")).collect();
-    let [node] = fused.as_slice() else { panic!("one aggregate node, found {fused:?}") };
-    assert_eq!((node.inputs.len(), node.outputs.len()), (1 + 5, 8), "{node}");
+        plan.nodes().iter().filter(|node| !node.members().is_empty()).collect();
+    let [node] = fused.as_slice() else { panic!("one region, found {}", plan.listing()) };
     assert_eq!(
-        node.op.to_string(),
+        node.sink().to_string(),
         "grouped_aggs sum(0) sum(1) sum(2) sum(3) avg(0) avg(1) avg(4) count"
     );
+    assert!(node.members().iter().any(|member| member.op == PlanOp::GroupBy));
+    assert_eq!(node.outputs.len(), 2 + 8, "two keys and eight aggregates: {node}");
+    let outside = |name: &str| plan.nodes().iter().any(|node| node.op.name() == name);
+    assert!(!outside("group_by") && !outside("group_reps") && !outside("fetch"));
     for shared in [SharedDevice::cpu_sequential(), SharedDevice::cpu(), SharedDevice::gpu()] {
         let session = Session::ocelot(&shared);
-        let (_, profile) = session.explain_analyze(&plan, db.catalog()).unwrap();
-        let aggs: Vec<_> =
-            profile.nodes.iter().filter(|node| node.op.ends_with("=> grouped_aggs")).collect();
-        assert_eq!(aggs.len(), 1);
-        assert_eq!(aggs[0].marker.kernels, 2, "{}", profile.render());
-        let grouping = profile.nodes.iter().find(|node| node.op == "group_by").expect("Q1 groups");
-        assert!(grouping.marker.kernels <= 5, "Q1 groups densely: {}", profile.render());
+        session.run(&plan, db.catalog()).unwrap(); // binds are cached now
+        let ctx = session.backend().context();
+        let (_, launched, flushes) = observed(ctx, || session.run(&plan, db.catalog()).unwrap());
+        // The key ranges, the one pass, the per-code first-row fold the
+        // dense-code grouping shares, the aggregate fold: no per-row grouping
+        // pass, gather, bitmap, materialisation or map.
+        let expected =
+            ["hash_key_range", "grouped_partials", "group_first_rows_fold", "grouped_fold"];
+        assert_eq!(launched, expected, "{}", session.name());
+        // The GPU adds a transfer-only flush per result column read back.
+        let gpu = ctx.device().info().kind == ocelot_kernel::DeviceKind::DiscreteGpu;
+        assert!(flushes <= if gpu { 14 } else { 3 }, "{}: {flushes}", session.name());
     }
 }
 
