@@ -8,7 +8,11 @@
 //! write offsets, and a write pass emits the tuples at those offsets. A hash
 //! join is **two passes over the probe side, not three**: the probe kernel
 //! counts its matches while it writes the aligned lookups, so only the write
-//! pass follows the (tiny) scan of the per-item counts.
+//! pass follows the (tiny) scan of the per-item counts. The write pass is
+//! predicated: an item writes every lookup at its cursor and advances the
+//! cursor by whether the lookup is kept, so no lookup costs a branch on the
+//! data. It stops once its counted range is full — its count guarantees
+//! that no kept lookup is left — so no store leaves the range.
 //!
 //! Hash-join compaction is fully lazy: a probe row produces at most one
 //! result tuple, so the outputs are allocated at the probe cardinality and
@@ -79,7 +83,9 @@ impl JoinResult {
 
 /// The write pass: every work-item rewalks its chunk of the lookups and
 /// emits the kept rows into the output range the scan assigned it
-/// (`offsets[i] .. offsets[i] + counts[i]`, disjoint between items).
+/// (`offsets[i] .. offsets[i] + counts[i]`, disjoint between items),
+/// predicated: each lookup is written at the item's cursor, which advances
+/// by whether the lookup is kept, until the range is full.
 struct WriteMatchesKernel {
     lookups: Buffer,
     kept: KeptCounts,
@@ -111,15 +117,17 @@ impl Kernel for WriteMatchesKernel {
                     self.build_out.as_ref().map(|b| b.chunk_mut(first, last)),
                 )
             };
+            // Once the range is full no kept lookup is left (the count).
             let mut cursor = 0;
             for (idx, &lookup) in (start..end).zip(self.lookups.chunk(start, end)) {
-                if self.kept.keeps(lookup) {
-                    probe_out[cursor] = idx as u32;
-                    if let Some(build_out) = build_out.as_deref_mut() {
-                        build_out[cursor] = lookup;
-                    }
-                    cursor += 1;
+                if cursor == probe_out.len() {
+                    break;
                 }
+                probe_out[cursor] = idx as u32;
+                if let Some(build_out) = build_out.as_deref_mut() {
+                    build_out[cursor] = lookup;
+                }
+                cursor += usize::from(self.kept.keeps(lookup));
             }
         }
     }

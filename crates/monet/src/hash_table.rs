@@ -51,21 +51,6 @@ impl MonetHashTable {
         MonetHashTable { buckets, next, keys: keys.to_vec(), mask }
     }
 
-    /// Number of rows indexed by the table.
-    pub fn len(&self) -> usize {
-        self.keys.len()
-    }
-
-    /// Whether the table indexes zero rows.
-    pub fn is_empty(&self) -> bool {
-        self.keys.is_empty()
-    }
-
-    /// Number of hash buckets.
-    pub fn bucket_count(&self) -> usize {
-        self.buckets.len()
-    }
-
     /// Iterates over the row ids whose key equals `key` (most recently
     /// inserted first).
     pub fn probe(&self, key: i32) -> ProbeIter<'_> {
@@ -82,27 +67,6 @@ impl MonetHashTable {
     /// Whether any row has the given key.
     pub fn contains(&self, key: i32) -> bool {
         self.find_first(key).is_some()
-    }
-
-    /// Counts the rows matching `key`.
-    pub fn count(&self, key: i32) -> usize {
-        self.probe(key).count()
-    }
-
-    /// Longest chain length — a diagnostic used by tests and the ablation
-    /// benchmarks to characterise skew.
-    pub fn max_chain_length(&self) -> usize {
-        let mut max = 0;
-        for &head in &self.buckets {
-            let mut len = 0;
-            let mut cursor = head;
-            while cursor != EMPTY {
-                len += 1;
-                cursor = self.next[cursor as usize];
-            }
-            max = max.max(len);
-        }
-        max
     }
 }
 
@@ -137,10 +101,10 @@ mod tests {
     fn build_and_probe_unique_keys() {
         let keys: Vec<i32> = (0..1000).collect();
         let table = MonetHashTable::build(&keys);
-        assert_eq!(table.len(), 1000);
+        assert_eq!(table.keys.len(), 1000);
         for k in 0..1000 {
             assert_eq!(table.find_first(k), Some(k as Oid));
-            assert_eq!(table.count(k), 1);
+            assert_eq!(table.probe(k).count(), 1);
         }
         assert_eq!(table.find_first(5000), None);
         assert!(!table.contains(-1));
@@ -153,26 +117,26 @@ mod tests {
         let mut sevens: Vec<Oid> = table.probe(7).collect();
         sevens.sort_unstable();
         assert_eq!(sevens, vec![0, 2, 3]);
-        assert_eq!(table.count(3), 2);
-        assert_eq!(table.count(1), 1);
-        assert_eq!(table.count(99), 0);
+        assert_eq!(table.probe(3).count(), 2);
+        assert_eq!(table.probe(1).count(), 1);
+        assert_eq!(table.probe(99).count(), 0);
     }
 
     #[test]
     fn empty_table() {
         let table = MonetHashTable::build(&[]);
-        assert!(table.is_empty());
+        assert!(table.keys.is_empty() && table.next.is_empty());
         assert_eq!(table.find_first(0), None);
-        assert_eq!(table.max_chain_length(), 0);
+        assert_eq!(table.buckets, vec![EMPTY]);
     }
 
     #[test]
     fn negative_keys() {
         let keys = vec![-5, -1, 0, 3, -5];
         let table = MonetHashTable::build(&keys);
-        assert_eq!(table.count(-5), 2);
-        assert_eq!(table.count(-1), 1);
-        assert_eq!(table.count(5), 0);
+        assert_eq!(table.probe(-5).count(), 2);
+        assert_eq!(table.probe(-1).count(), 1);
+        assert_eq!(table.probe(5).count(), 0);
     }
 
     #[test]
@@ -180,8 +144,8 @@ mod tests {
         for n in [0usize, 1, 2, 3, 100, 1000] {
             let keys: Vec<i32> = (0..n as i32).collect();
             let table = MonetHashTable::build(&keys);
-            assert!(table.bucket_count().is_power_of_two());
-            assert!(table.bucket_count() >= n.max(1));
+            assert!(table.buckets.len().is_power_of_two());
+            assert!(table.buckets.len() >= n.max(1));
         }
     }
 

@@ -18,8 +18,7 @@
 //!   each shape is one call of the sequential operator, so MS is MP at one
 //!   thread.
 //! * [`hash_table`] — the bucket-chained hash table MonetDB-style joins are
-//!   built on; the hash-table-build microbenchmark (Figure 5e/5f) measures
-//!   it directly.
+//!   built on.
 //!
 //! **One grouping.** [`sequential::group_by_columns`] groups any number of
 //! key columns in one pass: each row's key tuple becomes a mixed-radix code
@@ -30,6 +29,13 @@
 //! representatives are first rows. [`parallel::par_group_by_columns`] runs
 //! the same pass per slice and merges the slices' groups with it again, so
 //! its ids are the sequential ones.
+//!
+//! **Predicated compaction.** Every operator that keeps some of its rows —
+//! the selections and the join probes — keeps them without a branch on the
+//! data: each candidate is written at the output cursor and the cursor
+//! advances by the predicate, so it runs at the same speed at any
+//! selectivity. Selections and hash probes allocate room for every row
+//! scanned; positional probes count first and allocate exactly.
 //!
 //! These operators are deliberately *hardware-conscious*: they know they run
 //! on a CPU, they use per-thread private state and merge steps instead of

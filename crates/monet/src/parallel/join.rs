@@ -44,12 +44,6 @@ mod tests {
     }
 
     #[test]
-    fn hash_join_matches_sequential() {
-        let (left, right) = (keys(3_000, 100), keys(500, 100));
-        check_pairs(left.len(), |s, e| sequential::hash_join_i32(&left[s..e], &right));
-    }
-
-    #[test]
     fn pkfk_join_matches_sequential() {
         let pk: Vec<i32> = (0..200).collect();
         let table = MonetHashTable::build(&pk);

@@ -1,5 +1,5 @@
-//! Sequential join operators: hash equi-join, PK-FK join, semi/anti join
-//! and their positional forms on a dense key.
+//! Sequential join operators: PK-FK join, semi/anti join and their
+//! positional forms on a dense key.
 //!
 //! A **dense key** column holds `base, base + 1, …` (`Bat::dense_base`), so a
 //! value names its row by arithmetic — MonetDB's void head, which needs no
@@ -9,29 +9,34 @@
 //! through an inverse map of the table's rows; a semi/anti join whose left
 //! side is the dense one flags the rows the right values name and reads
 //! the flags of the listed rows.
+//!
+//! The probes keep their rows by predication: each writes every probe row
+//! at the output cursor and advances the cursor by whether the row is kept
+//! (`Kept`), so no row costs a mispredict whatever fraction of them has a
+//! partner. A positional probe first counts the rows it keeps (a sum of
+//! predicates, no branch on them) and allocates each output once, at that
+//! length. The hash semi/anti probe gives its output room for every probe
+//! row instead: counting would walk every hash chain twice, which costs
+//! more than the room, since room never written is never touched. The hash
+//! PK-FK probe keeps its branch (see [`pkfk_join_i32`]).
 
 use crate::hash_table::MonetHashTable;
+use crate::slots::{kept_positions, Kept};
 use ocelot_storage::{DenseKey, Oid};
 
-/// Hash equi-join: returns every matching `(left_oid, right_oid)` pair as a
-/// pair of aligned OID columns. The hash table is built over the right
-/// (usually smaller) input.
-pub fn hash_join_i32(left: &[i32], right: &[i32]) -> (Vec<Oid>, Vec<Oid>) {
-    let table = MonetHashTable::build(right);
-    let mut left_out = Vec::new();
-    let mut right_out = Vec::new();
-    for (row, key) in left.iter().enumerate() {
-        for right_row in table.probe(*key) {
-            left_out.push(row as Oid);
-            right_out.push(right_row);
-        }
-    }
-    (left_out, right_out)
+/// How many of the positions `0..n` `keeps` holds for: a sum of the
+/// predicates, with no branch on them.
+fn kept_count(n: usize, keeps: impl Fn(usize) -> bool) -> usize {
+    (0..n).map(|position| usize::from(keeps(position))).sum()
 }
 
 /// PK-FK join through a prebuilt hash table: for every foreign-key value the
 /// OID of its (unique) primary-key partner. Rows without a partner are
 /// dropped, and their positions are returned alongside the matches.
+///
+/// The one probe that keeps a branch per row: its chain walk branches on
+/// the data anyway, and writing its pairs predicated measured up to a
+/// quarter slower when few rows have a partner.
 pub fn pkfk_join_i32(foreign_keys: &[i32], table: &MonetHashTable) -> (Vec<Oid>, Vec<Oid>) {
     let mut fk_oids = Vec::with_capacity(foreign_keys.len());
     let mut pk_oids = Vec::with_capacity(foreign_keys.len());
@@ -60,11 +65,7 @@ pub fn anti_join_i32(left: &[i32], right: &[i32]) -> Vec<Oid> {
 /// right keys: the OIDs of the left rows whose key the table holds, or
 /// does not.
 pub fn semi_join_table_i32(left: &[i32], table: &MonetHashTable, keep_found: bool) -> Vec<Oid> {
-    left.iter()
-        .enumerate()
-        .filter(|(_, key)| table.contains(**key) == keep_found)
-        .map(|(row, _)| row as Oid)
-        .collect()
+    kept_positions(left.iter().map(|&key| table.contains(key) == keep_found), left.len())
 }
 
 /// Where a value lands among the listed rows of a dense key: the position
@@ -99,40 +100,24 @@ impl DenseProbe {
         }
     }
 
-    /// The `(value row, list position)` pairs of `values`. The pairs are
-    /// counted first, so each output is allocated once, at its length.
+    /// The `(value row, list position)` pairs of `values`, in value order.
     pub fn join(&self, values: &[i32]) -> (Vec<Oid>, Vec<Oid>) {
-        let pairs = values.iter().filter(|value| self.find(**value).is_some()).count();
-        let mut rows = Vec::with_capacity(pairs);
-        let mut positions = Vec::with_capacity(pairs);
+        let pairs = kept_count(values.len(), |row| self.find(values[row]).is_some());
+        let (mut rows, mut positions) = (Kept::with_capacity(pairs), Kept::with_capacity(pairs));
         for (row, &value) in values.iter().enumerate() {
-            if let Some(position) = self.find(value) {
-                rows.push(row as Oid);
-                positions.push(position);
-            }
+            let position = self.find(value);
+            rows.keep(row as Oid, position.is_some());
+            positions.keep(position.unwrap_or(0), position.is_some());
         }
-        (rows, positions)
+        (rows.finish(), positions.finish())
     }
 
     /// The rows of `values` whose value names a listed row (`keep_found`)
     /// or does not.
     pub fn semi(&self, values: &[i32], keep_found: bool) -> Vec<Oid> {
-        collect_exact(
-            values
-                .iter()
-                .enumerate()
-                .filter(|(_, value)| self.find(**value).is_some() == keep_found)
-                .map(|(row, _)| row as Oid),
-        )
+        let keeps = |row: usize| self.find(values[row]).is_some() == keep_found;
+        kept_positions((0..values.len()).map(keeps), kept_count(values.len(), keeps))
     }
-}
-
-/// Collects `oids` into a vector allocated once, at its length: the
-/// iterator runs twice, counting first.
-fn collect_exact(oids: impl Iterator<Item = Oid> + Clone) -> Vec<Oid> {
-    let mut collected = Vec::with_capacity(oids.clone().count());
-    collected.extend(oids);
-    collected
 }
 
 /// Flags the rows of a dense key that some value names.
@@ -152,7 +137,8 @@ pub fn flagged_positions(flags: &[bool], listed: Option<&[Oid]>, keep_found: boo
         None => flags[position],
     };
     let positions = listed.map_or(flags.len(), <[Oid]>::len);
-    collect_exact((0..positions).filter(|p| flagged(*p) == keep_found).map(|p| p as Oid))
+    let keeps = |position| flagged(position) == keep_found;
+    kept_positions((0..positions).map(keeps), kept_count(positions, keeps))
 }
 
 /// PK-FK join against a dense key: for every value that names one of the
@@ -193,16 +179,6 @@ pub fn dense_listed_semi_join_i32(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn hash_join_produces_all_pairs() {
-        let left = vec![1, 2, 3, 2];
-        let right = vec![2, 4, 2];
-        let (l, r) = hash_join_i32(&left, &right);
-        let mut pairs: Vec<(Oid, Oid)> = l.into_iter().zip(r).collect();
-        pairs.sort_unstable();
-        assert_eq!(pairs, vec![(1, 0), (1, 2), (3, 0), (3, 2)]);
-    }
 
     #[test]
     fn pkfk_join_aligns_with_foreign_keys() {
@@ -255,9 +231,9 @@ mod tests {
 
     #[test]
     fn joins_with_empty_inputs() {
-        let (l, r) = hash_join_i32(&[], &[1, 2]);
+        let (l, r) = pkfk_join_i32(&[], &MonetHashTable::build(&[1, 2]));
         assert!(l.is_empty() && r.is_empty());
-        let (l, r) = hash_join_i32(&[1, 2], &[]);
+        let (l, r) = pkfk_join_i32(&[1, 2], &MonetHashTable::build(&[]));
         assert!(l.is_empty() && r.is_empty());
         assert!(semi_join_i32(&[1], &[]).is_empty());
         assert_eq!(anti_join_i32(&[1], &[]), vec![0]);

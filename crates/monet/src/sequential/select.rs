@@ -1,11 +1,17 @@
-//! Sequential selection: scan a column, return the OIDs of qualifying rows.
+//! Sequential selection: scan a column, or a candidate list, and return the
+//! OIDs of the qualifying rows.
 //!
-//! An integer range is tested with one unsigned compare ([`in_range`]), so
-//! the loop has one branch per row, taken as often as rows qualify, however
-//! the compiler lays out the caller it is inlined into. Two compares may be
-//! compiled as two branches, and the one on the lower bound alone
-//! mispredicts on a selective range inside the domain.
+//! Every selection is predicated: each candidate's OID is written at the
+//! output cursor, and the cursor advances by the predicate (`slots::Kept`).
+//! The loop has no branch on the data, so a selection at 50 % costs what
+//! one at 1 % does instead of a mispredict every few rows. The output is
+//! allocated once, with room for every row (or candidate) scanned; the
+//! room no kept row reaches is never written. Predicates are computed
+//! without short-circuiting: an integer range is one unsigned compare
+//! ([`in_range`]), a float range ANDs its two compares (so NaN fails both
+//! and is never kept), and a membership test ORs over the whole list.
 
+use crate::slots::{kept_positions, Kept};
 use ocelot_storage::{CmpOp, Oid};
 
 /// Whether `low <= value <= high`, for `low <= high`: the offset from `low`
@@ -15,145 +21,103 @@ fn in_range(value: i32, low: i32, high: i32) -> bool {
     value.wrapping_sub(low) as u32 <= high.wrapping_sub(low) as u32
 }
 
+/// Whether `low <= value <= high` for a float (false for NaN).
+#[inline]
+fn in_range_f32(value: f32, low: f32, high: f32) -> bool {
+    (value >= low) & (value <= high)
+}
+
+/// Whether `value` is one of `values`, comparing it with every one of them.
+#[inline]
+fn is_in(value: i32, values: &[i32]) -> bool {
+    let mut found = false;
+    for &candidate in values {
+        found |= candidate == value;
+    }
+    found
+}
+
+/// The rows `holds` yields `true` for, with room for every row.
+fn rows_where(holds: impl ExactSizeIterator<Item = bool>) -> Vec<Oid> {
+    let rows = holds.len();
+    kept_positions(holds, rows)
+}
+
+/// The candidates whose row `holds` is `true` for.
+fn candidates_where(candidates: &[Oid], holds: impl Fn(usize) -> bool) -> Vec<Oid> {
+    let mut out = Kept::with_capacity(candidates.len());
+    for &row in candidates {
+        out.keep(row, holds(row as usize));
+    }
+    out.finish()
+}
+
 /// Inclusive range selection over an `i32` column: rows with
 /// `low <= value <= high`.
 pub fn select_range_i32(column: &[i32], low: i32, high: i32) -> Vec<Oid> {
-    let mut out = Vec::new();
     if low > high {
-        return out;
+        return Vec::new();
     }
-    for (row, value) in column.iter().enumerate() {
-        if in_range(*value, low, high) {
-            out.push(row as Oid);
-        }
-    }
-    out
+    rows_where(column.iter().map(|&value| in_range(value, low, high)))
 }
 
 /// Inclusive range selection over an `f32` column.
 pub fn select_range_f32(column: &[f32], low: f32, high: f32) -> Vec<Oid> {
-    let mut out = Vec::new();
-    for (row, value) in column.iter().enumerate() {
-        if *value >= low && *value <= high {
-            out.push(row as Oid);
-        }
-    }
-    out
+    rows_where(column.iter().map(|&value| in_range_f32(value, low, high)))
 }
 
 /// Equality selection over an `i32` column.
 pub fn select_eq_i32(column: &[i32], needle: i32) -> Vec<Oid> {
-    let mut out = Vec::new();
-    for (row, value) in column.iter().enumerate() {
-        if *value == needle {
-            out.push(row as Oid);
-        }
-    }
-    out
+    rows_where(column.iter().map(|&value| value == needle))
 }
 
 /// Inequality (`!=`) selection over an `i32` column.
 pub fn select_ne_i32(column: &[i32], needle: i32) -> Vec<Oid> {
-    let mut out = Vec::new();
-    for (row, value) in column.iter().enumerate() {
-        if *value != needle {
-            out.push(row as Oid);
-        }
-    }
-    out
+    rows_where(column.iter().map(|&value| value != needle))
 }
 
 /// Range selection restricted to a candidate list (the second and later
 /// predicates of a conjunction run over the survivors of the previous one).
 pub fn select_range_i32_cand(column: &[i32], candidates: &[Oid], low: i32, high: i32) -> Vec<Oid> {
-    let mut out = Vec::new();
     if low > high {
-        return out;
+        return Vec::new();
     }
-    for &row in candidates {
-        if in_range(column[row as usize], low, high) {
-            out.push(row);
-        }
-    }
-    out
+    candidates_where(candidates, |row| in_range(column[row], low, high))
 }
 
 /// Range selection over an `f32` column restricted to a candidate list.
 pub fn select_range_f32_cand(column: &[f32], candidates: &[Oid], low: f32, high: f32) -> Vec<Oid> {
-    let mut out = Vec::new();
-    for &row in candidates {
-        let value = column[row as usize];
-        if value >= low && value <= high {
-            out.push(row);
-        }
-    }
-    out
+    candidates_where(candidates, |row| in_range_f32(column[row], low, high))
 }
 
 /// Equality selection restricted to a candidate list.
 pub fn select_eq_i32_cand(column: &[i32], candidates: &[Oid], needle: i32) -> Vec<Oid> {
-    let mut out = Vec::new();
-    for &row in candidates {
-        if column[row as usize] == needle {
-            out.push(row);
-        }
-    }
-    out
+    candidates_where(candidates, |row| column[row] == needle)
 }
 
 /// Inequality (`!=`) selection restricted to a candidate list.
 pub fn select_ne_i32_cand(column: &[i32], candidates: &[Oid], needle: i32) -> Vec<Oid> {
-    let mut out = Vec::new();
-    for &row in candidates {
-        if column[row as usize] != needle {
-            out.push(row);
-        }
-    }
-    out
+    candidates_where(candidates, |row| column[row] != needle)
 }
 
 /// Column-vs-column selection: rows with `left[row] <op> right[row]`.
 pub fn select_cmp_i32(left: &[i32], right: &[i32], op: CmpOp) -> Vec<Oid> {
-    let mut out = Vec::new();
-    for (row, (l, r)) in left.iter().zip(right).enumerate() {
-        if op.holds(*l, *r) {
-            out.push(row as Oid);
-        }
-    }
-    out
+    rows_where(left.iter().zip(right).map(|(&l, &r)| op.holds(l, r)))
 }
 
 /// Column-vs-column selection restricted to a candidate list.
 pub fn select_cmp_i32_cand(left: &[i32], right: &[i32], candidates: &[Oid], op: CmpOp) -> Vec<Oid> {
-    let mut out = Vec::new();
-    for &row in candidates {
-        if op.holds(left[row as usize], right[row as usize]) {
-            out.push(row);
-        }
-    }
-    out
+    candidates_where(candidates, |row| op.holds(left[row], right[row]))
 }
 
 /// Membership selection `value IN (values…)` over an `i32` column.
 pub fn select_in_i32(column: &[i32], values: &[i32]) -> Vec<Oid> {
-    let mut out = Vec::new();
-    for (row, value) in column.iter().enumerate() {
-        if values.contains(value) {
-            out.push(row as Oid);
-        }
-    }
-    out
+    rows_where(column.iter().map(|&value| is_in(value, values)))
 }
 
 /// Membership selection restricted to a candidate list.
 pub fn select_in_i32_cand(column: &[i32], candidates: &[Oid], values: &[i32]) -> Vec<Oid> {
-    let mut out = Vec::new();
-    for &row in candidates {
-        if values.contains(&column[row as usize]) {
-            out.push(row);
-        }
-    }
-    out
+    candidates_where(candidates, |row| is_in(column[row], values))
 }
 
 /// Union of two sorted candidate lists (`value IN (a, b)` style predicates).
@@ -179,25 +143,6 @@ pub fn union_oids(a: &[Oid], b: &[Oid]) -> Vec<Oid> {
     }
     out.extend_from_slice(&a[i..]);
     out.extend_from_slice(&b[j..]);
-    out
-}
-
-/// Intersection of two sorted candidate lists (conjunction of independently
-/// evaluated predicates).
-pub fn intersect_oids(a: &[Oid], b: &[Oid]) -> Vec<Oid> {
-    let mut out = Vec::new();
-    let (mut i, mut j) = (0, 0);
-    while i < a.len() && j < b.len() {
-        match a[i].cmp(&b[j]) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                out.push(a[i]);
-                i += 1;
-                j += 1;
-            }
-        }
-    }
     out
 }
 
@@ -271,13 +216,12 @@ mod tests {
     }
 
     #[test]
-    fn union_and_intersection() {
+    fn union_of_sorted_lists() {
         let a = vec![1, 3, 5, 7];
         let b = vec![2, 3, 6, 7, 9];
         assert_eq!(union_oids(&a, &b), vec![1, 2, 3, 5, 6, 7, 9]);
-        assert_eq!(intersect_oids(&a, &b), vec![3, 7]);
         assert_eq!(union_oids(&[], &b), b);
-        assert_eq!(intersect_oids(&a, &[]), Vec::<Oid>::new());
+        assert_eq!(union_oids(&a, &[]), a);
     }
 
     #[test]

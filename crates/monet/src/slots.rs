@@ -6,7 +6,14 @@
 //! [`Slots`] — front to back, each slot once. Mitosis hands every partition
 //! the [`Slots`] of its own row range of that one vector, so per-partition
 //! outputs are never concatenated.
+//!
+//! An operator that keeps some of its candidates (a selection, a join
+//! probe) writes through [`Kept`] instead: every candidate is written at
+//! the cursor, and the cursor advances past it only when it is kept — no
+//! branch on the predicate, so a selection costs the same at any
+//! selectivity (Ross, "Selection conditions in main memory", TODS 2004).
 
+use ocelot_storage::Oid;
 use std::mem::MaybeUninit;
 
 /// The not-yet-written elements of an output vector (or of one partition's
@@ -115,6 +122,57 @@ pub(crate) fn filled<T, R>(n: usize, fill: impl FnOnce(&mut Slots<'_, T>) -> R) 
     (out, result)
 }
 
+/// An output vector filled by predication: [`Kept::keep`] writes every
+/// candidate at the cursor and advances the cursor by the predicate, so the
+/// kept candidates end up front to back, in order. The vector is allocated
+/// once, with room for the candidates a caller may keep: the candidates
+/// scanned, or the count of kept ones when a counting pass came first.
+/// Room that is never written is never touched.
+pub(crate) struct Kept<T> {
+    values: Vec<T>,
+    kept: usize,
+}
+
+impl<T: Copy> Kept<T> {
+    /// Room for `capacity` kept elements.
+    pub(crate) fn with_capacity(capacity: usize) -> Self {
+        Kept { values: Vec::with_capacity(capacity), kept: 0 }
+    }
+
+    /// Writes `value` at the cursor and keeps it if `keep`. Once the room is
+    /// full only a candidate that is not kept may follow (it is dropped);
+    /// keeping one more panics.
+    #[inline]
+    pub(crate) fn keep(&mut self, value: T, keep: bool) {
+        match self.values.spare_capacity_mut().get_mut(self.kept) {
+            Some(slot) => {
+                slot.write(value);
+                self.kept += usize::from(keep);
+            }
+            None => assert!(!keep, "more elements kept than there is room for"),
+        }
+    }
+
+    /// The kept elements.
+    pub(crate) fn finish(mut self) -> Vec<T> {
+        // SAFETY: the cursor only advances past a slot `keep` has just
+        // written, and never past the allocation, so the first `kept`
+        // elements are initialised and within the capacity.
+        unsafe { self.values.set_len(self.kept) };
+        self.values
+    }
+}
+
+/// The positions at which `keeps` yields `true`, ascending, in an output
+/// with room for `room` of them.
+pub(crate) fn kept_positions(keeps: impl Iterator<Item = bool>, room: usize) -> Vec<Oid> {
+    let mut out = Kept::with_capacity(room);
+    for (position, keep) in keeps.enumerate() {
+        out.keep(position as Oid, keep);
+    }
+    out.finish()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -146,6 +204,29 @@ mod tests {
         });
         assert_eq!(values, (0..7).collect::<Vec<u32>>());
         assert_eq!(sums, vec![3, 4]);
+    }
+
+    #[test]
+    fn kept_keeps_in_order_and_drops_past_a_full_room() {
+        let mut kept = Kept::with_capacity(5);
+        for value in 0..5u32 {
+            kept.keep(value, value % 2 == 1);
+        }
+        assert_eq!(kept.finish(), vec![1, 3]);
+        let mut exact = Kept::with_capacity(1);
+        for value in [7u32, 8, 9] {
+            exact.keep(value, value == 7);
+        }
+        assert_eq!(exact.finish(), vec![7]);
+        assert!(Kept::<u32>::with_capacity(0).finish().is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "more elements kept")]
+    fn keeping_past_the_room_panics() {
+        let mut kept = Kept::with_capacity(1);
+        kept.keep(1u32, true);
+        kept.keep(2, true);
     }
 
     #[test]

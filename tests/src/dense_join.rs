@@ -14,6 +14,7 @@
 
 use crate::grouped_aggregation::scramble;
 use crate::lockstep::devices;
+use ocelot_core::ops::hash_table::OcelotHashTable;
 use ocelot_core::ops::join::{self, DenseJoinKind};
 use ocelot_core::primitives::gather::gather;
 use ocelot_core::{DevColumn, DevWord, OcelotContext, Oid, SharedDevice};
@@ -217,6 +218,79 @@ fn deferred_keys_and_lists_stop_at_their_counts() {
                 assert_eq!(got, case.expected(kind), "{at}");
             }
         }
+    }
+}
+
+/// The join write pass at the edges of its work-items, on every device:
+/// over keys split into the items' chunks, item `i` keeps (pattern
+/// `(i + shift) % 4`) only its last row, no row, every row, or only its
+/// first — so on a one-item device every pattern is the whole probe. Every
+/// dense kind (an anti join keeps the lookups that found nothing) and the
+/// hash, semi and anti joins over the listed rows' keys, over a host-known
+/// and a deferred probe length, equal MS pair for pair, and the armed race
+/// detector stays silent.
+#[test]
+fn the_join_write_pass_keeps_the_edges_of_every_item() {
+    let key = DenseKey { base: -7, rows: 200 };
+    let listed: Vec<Oid> = (0..200).step_by(2).rev().collect();
+    let named = |row: Oid| key.base + row as i32;
+    let listed_keys: Vec<i32> = listed.iter().map(|&row| named(row)).collect();
+    let misses = [named(1), named(199), key.base - 1, i32::MIN];
+    let cap = 5_003;
+    for (name, ctx) in devices() {
+        let queue = ctx.queue();
+        queue.race().arm();
+        let build = ctx.upload_i32(&listed_keys, "listed_keys").unwrap();
+        let table = OcelotHashTable::build(&ctx, &build, cap).unwrap();
+        let listed_col = ctx.upload_u32(&listed, "listed").unwrap();
+        for count in [cap, cap - 7] {
+            let chunk = count.div_ceil(ctx.launch(cap).total_items());
+            for shift in 0..4 {
+                let keys: Vec<i32> = (0..count)
+                    .map(|row| {
+                        let offset = row % chunk;
+                        let kept = match (row / chunk + shift) % 4 {
+                            0 => offset + 1 == chunk || row + 1 == count,
+                            1 => false,
+                            2 => true,
+                            _ => offset == 0,
+                        };
+                        if kept {
+                            listed_keys[row % listed_keys.len()]
+                        } else {
+                            misses[row % misses.len()]
+                        }
+                    })
+                    .collect();
+                let probe = if count == cap {
+                    ctx.upload_i32(&keys, "keys").unwrap()
+                } else {
+                    deferred(&ctx, &keys, cap, listed_keys[0])
+                };
+                let case = Case { key, listed: Some(listed.clone()), keys };
+                let at = format!("{name}, shift {shift}, {count} of {cap}: {}", case.describe());
+                for kind in KINDS {
+                    let (rows, positions) =
+                        join::dense_join(&ctx, &probe, Some(&listed_col), key, kind).unwrap();
+                    let got = (rows.read(&ctx).unwrap(), positions.map(|p| p.read(&ctx).unwrap()));
+                    assert_eq!(got, case.expected(kind), "dense {kind:?}, {at}");
+                }
+                let pairs = join::hash_join(&ctx, &probe, &table).unwrap();
+                let got =
+                    (pairs.probe_oids.read(&ctx).unwrap(), pairs.build_oids.read(&ctx).unwrap());
+                assert_eq!((got.0, Some(got.1)), case.expected(DenseJoinKind::Inner), "hash, {at}");
+                let semi = join::semi_join(&ctx, &probe, &build).unwrap().read(&ctx).unwrap();
+                assert_eq!(semi, case.expected(DenseJoinKind::Semi).0, "semi, {at}");
+                let anti = join::anti_join(&ctx, &probe, &build).unwrap().read(&ctx).unwrap();
+                assert_eq!(anti, case.expected(DenseJoinKind::Anti).0, "anti, {at}");
+            }
+        }
+        ctx.sync().unwrap();
+        let stats = queue.race().stats();
+        let diagnostics = queue.race().take_diagnostics();
+        queue.race().disarm();
+        assert!(diagnostics.is_empty(), "{name}: {diagnostics:?}");
+        assert_eq!(stats.kernels_declared, stats.kernels_observed, "{name}: {stats:?}");
     }
 }
 
