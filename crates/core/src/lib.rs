@@ -38,6 +38,7 @@
 //! ```
 //! use ocelot_core::context::OcelotContext;
 //! use ocelot_core::ops;
+//! use ocelot_core::ops::rowexpr::Pred;
 //!
 //! // The same code runs on any device — swap in `OcelotContext::gpu()` or
 //! // `OcelotContext::cpu_sequential()` and nothing else changes. Every
@@ -45,7 +46,9 @@
 //! // the end is the pipeline's single synchronisation point.
 //! let ctx = OcelotContext::cpu();
 //! let column = ctx.upload_i32(&[5, 1, 9, 3, 7, 3], "values").unwrap();
-//! let bitmap = ops::select::select_range_i32(&ctx, &column, 3, 7).unwrap();
+//! // `3 <= values <= 7`: one conjunct over column slot 0.
+//! let pred = Pred::RangeI32 { col: 0, low: 3, high: 7 };
+//! let bitmap = ops::select::select_where(&ctx, &[&column.reinterpret()], &[pred]).unwrap();
 //! let oids = ops::select::materialize_bitmap(&ctx, &bitmap).unwrap();
 //! assert_eq!(oids.read(&ctx).unwrap(), vec![0, 3, 4, 5]);
 //! ```

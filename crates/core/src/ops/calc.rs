@@ -1,12 +1,13 @@
-//! Element-wise arithmetic map operators — the hardware-oblivious analogue
-//! of MonetDB's `batcalc` module.
+//! Element-wise arithmetic maps — the hardware-oblivious analogue of
+//! MonetDB's `batcalc` module.
 //!
 //! TPC-H expressions like `l_extendedprice * (1 - l_discount)` are trees of
-//! these maps. Each function here launches a *one-node* tree through the
-//! row-expression evaluator ([`super::rowexpr::map_columns`]; the paper's
-//! Listing 1 is exactly this shape — a trivial streaming map, so the default
-//! [`ocelot_kernel::KernelCost`] applies); a fused plan region evaluates the
-//! whole tree per tile instead and never materialises the inner nodes.
+//! maps. [`map`] launches one [`Map`] tree through the row-expression
+//! evaluator ([`super::rowexpr::map_columns`]; the paper's Listing 1 is
+//! exactly this shape — a trivial streaming map, so the default
+//! [`ocelot_kernel::KernelCost`] applies). A plan's map node is a
+//! one-operator tree; a fused plan region evaluates the whole tree per tile
+//! instead and never materialises the inner nodes.
 //!
 //! Maps are fully lazy and length-polymorphic: when the inputs carry a
 //! deferred length (aligned gathers over an uncounted selection), the kernel
@@ -14,7 +15,7 @@
 //! deferred length.
 
 use super::rowexpr::{map_columns, Map};
-use crate::context::{DevColumn, DevWord, LenSource, OcelotContext};
+use crate::context::{ColLen, DevColumn, DevWord, LenSource, OcelotContext, Oid};
 use ocelot_kernel::{
     Buffer, BufferAccess, Kernel, KernelAccesses, LaunchConfig, Result, WorkGroupCtx,
 };
@@ -49,17 +50,12 @@ impl Kernel for MinLenKernel {
     }
 }
 
-/// The length driving a binary map and its output. Host lengths must match
-/// exactly (asserted by the caller); identical deferred counters are shared
-/// as-is; any other combination is conservatively combined into a fresh
-/// `min` counter on the device, so a misaligned pair can never expose one
-/// input's uninitialised tail as data.
-fn aligned_len(
-    ctx: &OcelotContext,
-    a: &crate::context::ColLen,
-    b: &crate::context::ColLen,
-) -> Result<crate::context::ColLen> {
-    use crate::context::ColLen;
+/// The length two aligned inputs share. Host lengths must match exactly
+/// (asserted by the caller); identical deferred counters are shared as-is;
+/// any other combination is conservatively combined into a fresh `min`
+/// counter on the device, so a misaligned pair can never expose one input's
+/// uninitialised tail as data.
+fn aligned_len(ctx: &OcelotContext, a: &ColLen, b: &ColLen) -> Result<ColLen> {
     match (a, b) {
         (ColLen::Host(_), ColLen::Host(_)) => Ok(a.clone()),
         (ColLen::Device { counter: ca, .. }, ColLen::Device { counter: cb, .. })
@@ -86,93 +82,29 @@ fn aligned_len(
     }
 }
 
-/// `op(a, b)` over two aligned float columns.
-fn binary(
+/// Evaluates `map` element-wise over the aligned columns `cols` (leaf
+/// `Col(i)` reads `cols[i]`) in one launch. The output has the length the
+/// inputs share ([`aligned_len`] folded over them) and holds `O` words —
+/// `i32` for a `year`, `f32` for every other operator ([`Map::yields_i32`]).
+///
+/// # Panics
+/// Panics if `cols` is empty, or if two inputs differ in capacity or in
+/// host length.
+pub fn map<O: DevWord>(
     ctx: &OcelotContext,
-    a: &DevColumn<f32>,
-    b: &DevColumn<f32>,
-    op: fn(Box<Map>, Box<Map>) -> Map,
-) -> Result<DevColumn<f32>> {
-    assert_eq!(a.cap(), b.cap(), "calc: input length mismatch");
-    if let (Some(la), Some(lb)) = (a.host_len(), b.host_len()) {
-        assert_eq!(la, lb, "calc: input length mismatch");
-    }
-    let len = aligned_len(ctx, a.col_len(), b.col_len())?;
-    let map = op(Box::new(Map::Col(0)), Box::new(Map::Col(1)));
-    map_columns(ctx, &[&a.reinterpret(), &b.reinterpret()], &map, len)
-}
-
-/// `op(a)` over one column.
-fn unary<A: DevWord, O: DevWord>(
-    ctx: &OcelotContext,
-    a: &DevColumn<A>,
-    op: impl FnOnce(Box<Map>) -> Map,
+    cols: &[&DevColumn<Oid>],
+    map: &Map,
 ) -> Result<DevColumn<O>> {
-    map_columns(ctx, &[&a.reinterpret()], &op(Box::new(Map::Col(0))), a.col_len().clone())
-}
-
-/// Element-wise `a * b` over float columns.
-pub fn mul_f32(
-    ctx: &OcelotContext,
-    a: &DevColumn<f32>,
-    b: &DevColumn<f32>,
-) -> Result<DevColumn<f32>> {
-    binary(ctx, a, b, Map::Mul)
-}
-
-/// Element-wise `a + b` over float columns.
-pub fn add_f32(
-    ctx: &OcelotContext,
-    a: &DevColumn<f32>,
-    b: &DevColumn<f32>,
-) -> Result<DevColumn<f32>> {
-    binary(ctx, a, b, Map::Add)
-}
-
-/// Element-wise `a - b` over float columns.
-pub fn sub_f32(
-    ctx: &OcelotContext,
-    a: &DevColumn<f32>,
-    b: &DevColumn<f32>,
-) -> Result<DevColumn<f32>> {
-    binary(ctx, a, b, Map::Sub)
-}
-
-/// Element-wise `constant - a` (e.g. `1 - l_discount`).
-pub fn const_minus_f32(
-    ctx: &OcelotContext,
-    constant: f32,
-    a: &DevColumn<f32>,
-) -> Result<DevColumn<f32>> {
-    unary(ctx, a, |a| Map::ConstMinus(constant, a))
-}
-
-/// Element-wise `constant + a` (e.g. `1 + l_tax`).
-pub fn const_plus_f32(
-    ctx: &OcelotContext,
-    constant: f32,
-    a: &DevColumn<f32>,
-) -> Result<DevColumn<f32>> {
-    unary(ctx, a, |a| Map::ConstPlus(constant, a))
-}
-
-/// Element-wise `a * constant`.
-pub fn mul_const_f32(
-    ctx: &OcelotContext,
-    a: &DevColumn<f32>,
-    constant: f32,
-) -> Result<DevColumn<f32>> {
-    unary(ctx, a, |a| Map::MulConst(a, constant))
-}
-
-/// Casts an integer column to float.
-pub fn cast_i32_f32(ctx: &OcelotContext, a: &DevColumn<i32>) -> Result<DevColumn<f32>> {
-    unary(ctx, a, Map::CastI32F32)
-}
-
-/// Extracts the calendar year from a day-number date column.
-pub fn extract_year(ctx: &OcelotContext, a: &DevColumn<i32>) -> Result<DevColumn<i32>> {
-    unary(ctx, a, Map::Year)
+    let (first, rest) = cols.split_first().expect("a map reads at least one column");
+    let mut len = first.col_len().clone();
+    for col in rest {
+        assert_eq!(first.cap(), col.cap(), "calc: input length mismatch");
+        if let (Some(a), Some(b)) = (first.host_len(), col.host_len()) {
+            assert_eq!(a, b, "calc: input length mismatch");
+        }
+        len = aligned_len(ctx, &len, col.col_len())?;
+    }
+    map_columns(ctx, cols, map, len)
 }
 
 #[cfg(test)]
@@ -182,6 +114,26 @@ mod tests {
     use ocelot_monet::sequential as monet;
     use ocelot_storage::types::date_to_days;
 
+    /// `op(a, b)` over two float columns.
+    fn binary(
+        ctx: &OcelotContext,
+        a: &DevColumn<f32>,
+        b: &DevColumn<f32>,
+        op: fn(Box<Map>, Box<Map>) -> Map,
+    ) -> DevColumn<f32> {
+        let tree = op(Map::leaf(0), Map::leaf(1));
+        map(ctx, &[&a.reinterpret(), &b.reinterpret()], &tree).unwrap()
+    }
+
+    /// `op(a)` over one column.
+    fn unary<A: DevWord, O: DevWord>(
+        ctx: &OcelotContext,
+        a: &DevColumn<A>,
+        op: impl FnOnce(Box<Map>) -> Map,
+    ) -> DevColumn<O> {
+        map(ctx, &[&a.reinterpret()], &op(Map::leaf(0))).unwrap()
+    }
+
     #[test]
     fn binary_maps_match_monet_on_all_devices() {
         let a: Vec<f32> = (0..3_000).map(|i| i as f32 * 0.25).collect();
@@ -189,18 +141,10 @@ mod tests {
         for ctx in [OcelotContext::cpu_sequential(), OcelotContext::cpu(), OcelotContext::gpu()] {
             let ca = ctx.upload_f32(&a, "a").unwrap();
             let cb = ctx.upload_f32(&b, "b").unwrap();
-            assert_eq!(
-                mul_f32(&ctx, &ca, &cb).unwrap().read(&ctx).unwrap(),
-                monet::mul_f32(&a, &b)
-            );
-            assert_eq!(
-                add_f32(&ctx, &ca, &cb).unwrap().read(&ctx).unwrap(),
-                monet::add_f32(&a, &b)
-            );
-            assert_eq!(
-                sub_f32(&ctx, &ca, &cb).unwrap().read(&ctx).unwrap(),
-                monet::sub_f32(&a, &b)
-            );
+            let read = |column: DevColumn<f32>| column.read(&ctx).unwrap();
+            assert_eq!(read(binary(&ctx, &ca, &cb, Map::Mul)), monet::mul_f32(&a, &b));
+            assert_eq!(read(binary(&ctx, &ca, &cb, Map::Add)), monet::add_f32(&a, &b));
+            assert_eq!(read(binary(&ctx, &ca, &cb, Map::Sub)), monet::sub_f32(&a, &b));
         }
     }
 
@@ -209,22 +153,17 @@ mod tests {
         let ctx = OcelotContext::cpu();
         let a: Vec<f32> = vec![0.1, 0.5, 0.9];
         let ca = ctx.upload_f32(&a, "a").unwrap();
-        assert_eq!(
-            const_minus_f32(&ctx, 1.0, &ca).unwrap().read(&ctx).unwrap(),
-            monet::const_minus_f32(1.0, &a)
-        );
-        assert_eq!(
-            const_plus_f32(&ctx, 1.0, &ca).unwrap().read(&ctx).unwrap(),
-            monet::const_plus_f32(1.0, &a)
-        );
-        assert_eq!(
-            mul_const_f32(&ctx, &ca, 2.0).unwrap().read(&ctx).unwrap(),
-            monet::mul_const_f32(&a, 2.0)
-        );
+        let read = |column: DevColumn<f32>| column.read(&ctx).unwrap();
+        let minus = unary(&ctx, &ca, |a| Map::ConstMinus(1.0, a));
+        assert_eq!(read(minus), monet::const_minus_f32(1.0, &a));
+        let plus = unary(&ctx, &ca, |a| Map::ConstPlus(1.0, a));
+        assert_eq!(read(plus), monet::const_plus_f32(1.0, &a));
+        let scaled = unary(&ctx, &ca, |a| Map::MulConst(a, 2.0));
+        assert_eq!(read(scaled), monet::mul_const_f32(&a, 2.0));
 
         let ints: Vec<i32> = vec![3, -4, 5];
         let ci = ctx.upload_i32(&ints, "i").unwrap();
-        assert_eq!(cast_i32_f32(&ctx, &ci).unwrap().read(&ctx).unwrap(), vec![3.0, -4.0, 5.0]);
+        assert_eq!(read(unary(&ctx, &ci, Map::CastI32F32)), vec![3.0, -4.0, 5.0]);
     }
 
     #[test]
@@ -234,10 +173,8 @@ mod tests {
             .collect();
         let ctx = OcelotContext::gpu();
         let col = ctx.upload_i32(&days, "dates").unwrap();
-        assert_eq!(
-            extract_year(&ctx, &col).unwrap().read(&ctx).unwrap(),
-            monet::extract_year(&days)
-        );
+        let years: DevColumn<i32> = unary(&ctx, &col, Map::Year);
+        assert_eq!(years.read(&ctx).unwrap(), monet::extract_year(&days));
     }
 
     #[test]
@@ -251,10 +188,10 @@ mod tests {
         let d = ctx.upload_f32(&discount, "d").unwrap();
         let t = ctx.upload_f32(&tax, "t").unwrap();
         let flushes = ctx.queue().flush_count();
-        let one_minus_d = const_minus_f32(&ctx, 1.0, &d).unwrap();
-        let one_plus_t = const_plus_f32(&ctx, 1.0, &t).unwrap();
-        let disc_price = mul_f32(&ctx, &p, &one_minus_d).unwrap();
-        let charge = mul_f32(&ctx, &disc_price, &one_plus_t).unwrap();
+        let one_minus_d = unary(&ctx, &d, |d| Map::ConstMinus(1.0, d));
+        let one_plus_t = unary(&ctx, &t, |t| Map::ConstPlus(1.0, t));
+        let disc_price = binary(&ctx, &p, &one_minus_d, Map::Mul);
+        let charge = binary(&ctx, &disc_price, &one_plus_t, Map::Mul);
         assert_eq!(ctx.queue().flush_count(), flushes, "map chain must not flush");
         let result = charge.read(&ctx).unwrap();
         assert_eq!(ctx.queue().flush_count(), flushes + 1);
@@ -267,7 +204,6 @@ mod tests {
     fn binary_map_drives_from_the_deferred_side() {
         // A host-known column aligned with a deferred one: the kernel must
         // clamp to the deferred count, never exposing b's garbage tail.
-        use crate::context::{DevColumn, Oid};
         let ctx = OcelotContext::cpu();
         let a = ctx.upload_f32(&[2.0, 3.0, 4.0, 5.0], "a").unwrap();
         let raw = ctx.upload_f32(&[10.0, 20.0, f32::NAN, f32::NAN], "b").unwrap();
@@ -276,7 +212,7 @@ mod tests {
         ctx.queue().enqueue_write(&counter, &[]).unwrap();
         let b: DevColumn<f32> =
             DevColumn::<Oid>::deferred(raw.buffer.clone(), counter, 4).unwrap().reinterpret();
-        let product = mul_f32(&ctx, &a, &b).unwrap();
+        let product = binary(&ctx, &a, &b, Map::Mul);
         assert!(product.is_deferred(), "output inherits the deferred length");
         assert_eq!(product.read(&ctx).unwrap(), vec![20.0, 60.0]);
     }
@@ -287,9 +223,7 @@ mod tests {
         let counter = ctx.alloc(1, "count").unwrap();
         counter.set_u32(0, count);
         ctx.queue().enqueue_write(&counter, &[]).unwrap();
-        DevColumn::<crate::context::Oid>::deferred(raw.buffer.clone(), counter, values.len())
-            .unwrap()
-            .reinterpret()
+        DevColumn::<Oid>::deferred(raw.buffer.clone(), counter, values.len()).unwrap().reinterpret()
     }
 
     #[test]
@@ -299,7 +233,7 @@ mod tests {
         let ctx = OcelotContext::cpu();
         let a = deferred_f32(&ctx, &[1.0, 2.0, 3.0, f32::NAN], 3);
         let b = deferred_f32(&ctx, &[5.0, 6.0, f32::NAN, f32::NAN], 2);
-        let sum = add_f32(&ctx, &a, &b).unwrap();
+        let sum = binary(&ctx, &a, &b, Map::Add);
         assert_eq!(sum.read(&ctx).unwrap(), vec![6.0, 8.0]);
     }
 
@@ -312,7 +246,7 @@ mod tests {
             ctx.queue().race().arm();
             let a = deferred_f32(&ctx, &[1.0, 2.0, 3.0, f32::NAN], 3);
             let b = deferred_f32(&ctx, &[5.0, 6.0, f32::NAN, f32::NAN], 2);
-            let sum = add_f32(&ctx, &a, &b).unwrap();
+            let sum = binary(&ctx, &a, &b, Map::Add);
             assert_eq!(sum.read(&ctx).unwrap(), vec![6.0, 8.0]);
             let (stats, diagnostics) =
                 (ctx.queue().race().stats(), ctx.queue().race().take_diagnostics());
@@ -329,7 +263,7 @@ mod tests {
         let ctx = OcelotContext::cpu();
         let a = ctx.upload_f32(&[1.0], "a").unwrap();
         let b = ctx.upload_f32(&[1.0, 2.0], "b").unwrap();
-        let _ = mul_f32(&ctx, &a, &b);
+        let _ = binary(&ctx, &a, &b, Map::Mul);
     }
 
     #[test]
@@ -337,6 +271,6 @@ mod tests {
         let ctx = OcelotContext::cpu();
         let a = ctx.upload_f32(&[], "a").unwrap();
         let b = ctx.upload_f32(&[], "b").unwrap();
-        assert!(mul_f32(&ctx, &a, &b).unwrap().read(&ctx).unwrap().is_empty());
+        assert!(binary(&ctx, &a, &b, Map::Mul).read(&ctx).unwrap().is_empty());
     }
 }

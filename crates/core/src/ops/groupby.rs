@@ -513,16 +513,18 @@ mod tests {
         // Key columns carrying a deferred length and its (larger) capacity
         // bound — the shape of TPC-H Q3's three-key group-by over join
         // outputs. Alignment is on logical lengths, not capacities.
-        use crate::ops::select;
+        use crate::ops::{rowexpr::Pred, select};
         use crate::primitives::gather;
         let a: Vec<i32> = (0..5_000).map(|i| i % 3).collect();
         let b: Vec<i32> = (0..5_000).map(|i| i % 4).collect();
         let c: Vec<i32> = (0..5_000).map(|i| i % 5).collect();
         let sel: Vec<i32> = (0..5_000).map(|i| i % 10).collect();
         let ctx = OcelotContext::cpu();
-        let keep = select::select_range_i32(&ctx, &ctx.upload_i32(&sel, "s").unwrap(), 0, 6)
-            .and_then(|bitmap| select::materialize_bitmap(&ctx, &bitmap))
-            .unwrap();
+        let kept = ctx.upload_i32(&sel, "s").unwrap().reinterpret();
+        let keep =
+            select::select_where(&ctx, &[&kept], &[Pred::RangeI32 { col: 0, low: 0, high: 6 }])
+                .and_then(|bitmap| select::materialize_bitmap(&ctx, &bitmap))
+                .unwrap();
         assert!(keep.is_deferred(), "the key columns must inherit a deferred length");
         let ka = gather::gather(&ctx, &ctx.upload_i32(&a, "a").unwrap(), &keep).unwrap();
         let kb = gather::gather(&ctx, &ctx.upload_i32(&b, "b").unwrap(), &keep).unwrap();

@@ -15,10 +15,11 @@
 //!   slice, so a one-node tree over two columns is the plain
 //!   zip-over-columns loop; inner nodes go through tile-sized scratch.
 //!
-//! [`select_where`] and [`map_columns`] are the two stand-alone launches:
-//! every `select_*` entry point of [`super::select`] and every `*_f32` map
-//! of [`super::calc`] is a one-leaf program over them, and the fused
-//! accumulation of [`super::aggregate::fused_aggs`] evaluates whole
+//! [`select_where`] and [`map_columns`] are the two stand-alone launches.
+//! Every selection and every arithmetic map the engine runs is a program
+//! over them: a plan's selection node holds one [`Pred`], its map node a
+//! one-operator [`Map`] ([`super::calc::map`] sizes its output), and the
+//! fused accumulation of [`super::aggregate::fused_aggs`] evaluates whole
 //! conjunctions and trees per tile without writing any of it back.
 
 use crate::context::{ColLen, DevColumn, DevWord, LenSource, OcelotContext, Oid};
@@ -55,6 +56,36 @@ pub enum Pred {
     InI32 { col: usize, values: Arc<[i32]> },
     /// `left <op> right` over two aligned `i32` columns.
     CmpI32 { op: CmpOp, left: usize, right: usize },
+}
+
+impl Pred {
+    /// The column slots the conjunct reads, in reading order.
+    pub fn slots(&self) -> impl Iterator<Item = usize> {
+        let (first, second) = match *self {
+            Pred::RangeI32 { col, .. }
+            | Pred::RangeF32 { col, .. }
+            | Pred::EqI32 { col, .. }
+            | Pred::NeI32 { col, .. }
+            | Pred::InI32 { col, .. } => (col, None),
+            Pred::CmpI32 { left, right, .. } => (left, Some(right)),
+        };
+        std::iter::once(first).chain(second)
+    }
+
+    /// The conjunct with every slot `s` renamed to `to(s)`; `None` when `to`
+    /// has no name for one of them.
+    pub fn reslot(&self, to: impl Fn(usize) -> Option<usize>) -> Option<Pred> {
+        let mut pred = self.clone();
+        match &mut pred {
+            Pred::RangeI32 { col, .. }
+            | Pred::RangeF32 { col, .. }
+            | Pred::EqI32 { col, .. }
+            | Pred::NeI32 { col, .. }
+            | Pred::InI32 { col, .. } => *col = to(*col)?,
+            Pred::CmpI32 { left, right, .. } => (*left, *right) = (to(*left)?, to(*right)?),
+        }
+        Some(pred)
+    }
 }
 
 /// The mask word of up to 32 rows: bit `i` set iff `matches(lanes[i])`. Over
@@ -234,20 +265,54 @@ pub enum Map {
 pub type Scratch = Vec<Vec<u32>>;
 
 impl Map {
-    /// The operand positions the tree reads, appended to `slots`.
-    pub fn slots(&self, slots: &mut Vec<usize>) {
-        match self {
-            Map::Col(slot) => slots.push(*slot),
-            Map::Mul(a, b) | Map::Add(a, b) | Map::Sub(a, b) => {
-                a.slots(slots);
-                b.slots(slots);
-            }
+    /// The leaf reading operand `slot`, boxed to be a child.
+    pub fn leaf(slot: usize) -> Box<Map> {
+        Box::new(Map::Col(slot))
+    }
+
+    /// The node's children, in operand order (none for a leaf).
+    pub fn children(&self) -> impl Iterator<Item = &Map> {
+        let (first, second): (Option<&Map>, Option<&Map>) = match self {
+            Map::Col(_) => (None, None),
+            Map::Mul(a, b) | Map::Add(a, b) | Map::Sub(a, b) => (Some(a), Some(b)),
             Map::ConstMinus(_, a)
             | Map::ConstPlus(_, a)
             | Map::MulConst(a, _)
             | Map::CastI32F32(a)
-            | Map::Year(a) => a.slots(slots),
+            | Map::Year(a) => (Some(a), None),
+        };
+        first.into_iter().chain(second)
+    }
+
+    /// The operand positions the tree reads, appended to `slots`.
+    pub fn slots(&self, slots: &mut Vec<usize>) {
+        match self {
+            Map::Col(slot) => slots.push(*slot),
+            _ => self.children().for_each(|child| child.slots(slots)),
         }
+    }
+
+    /// The type rule: `year` yields `i32` words, every other operator `f32`
+    /// words (a leaf yields its operand as stored).
+    pub fn yields_i32(&self) -> bool {
+        matches!(self, Map::Year(_))
+    }
+
+    /// The tree with every leaf `Col(s)` replaced by `with(s)`; `None` when
+    /// `with` has no tree for one of them.
+    pub fn substitute(&self, with: &mut impl FnMut(usize) -> Option<Map>) -> Option<Map> {
+        let mut sub = |child: &Map| child.substitute(with).map(Box::new);
+        Some(match self {
+            Map::Col(slot) => return with(*slot),
+            Map::Mul(a, b) => Map::Mul(sub(a)?, sub(b)?),
+            Map::Add(a, b) => Map::Add(sub(a)?, sub(b)?),
+            Map::Sub(a, b) => Map::Sub(sub(a)?, sub(b)?),
+            Map::ConstMinus(c, a) => Map::ConstMinus(*c, sub(a)?),
+            Map::ConstPlus(c, a) => Map::ConstPlus(*c, sub(a)?),
+            Map::MulConst(a, c) => Map::MulConst(sub(a)?, *c),
+            Map::CastI32F32(a) => Map::CastI32F32(sub(a)?),
+            Map::Year(a) => Map::Year(sub(a)?),
+        })
     }
 
     /// A scratch tile of `rows` rows for the tree's values — none for a leaf,

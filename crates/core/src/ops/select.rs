@@ -8,16 +8,16 @@
 //! [`select_where`] evaluates a whole list of conjuncts per 1024-row tile,
 //! ANDing their masks word by word, and writes one bitmap.
 //!
-//! Every `select_*` function here is a one-conjunct program over that
-//! evaluator ([`super::rowexpr`]): the constant comparisons (range,
-//! equality, inequality), membership in a short `IN` list
-//! ([`select_in_i32`] — one pass comparing each row against every listed
-//! value), and the **two-input** predicate `left <op> right` over two
-//! aligned columns ([`select_cmp_i32`] — both columns read, the bitmap
-//! written, no cast, difference or other full-column intermediate). A
-//! selection over a candidate list fetches its input column(s) at the
-//! candidates first and selects over the fetched values (the engine's
-//! `select_with` shape), so it streams candidates, not the base table.
+//! Every selection is a program over that evaluator
+//! ([`super::rowexpr`]): one [`Pred`](super::rowexpr::Pred) conjunct — a constant comparison
+//! (range, equality, inequality), membership in a short `IN` list (one
+//! pass comparing each row against every listed value), or the
+//! **two-input** comparison `left <op> right` over two aligned columns
+//! (both columns read, the bitmap written, no cast, difference or other
+//! full-column intermediate) — or a conjunction of them. A selection over a
+//! candidate list fetches its input column(s) at the candidates first and
+//! selects over the fetched values (the engine's `Backend::select` shape), so
+//! it streams candidates, not the base table.
 //!
 //! Bitmaps are internal: [`materialize_bitmap`] converts them to the OID
 //! lists MonetDB-style operators expect, using the two-step
@@ -32,79 +32,13 @@
 //! bet.)
 
 pub use super::rowexpr::select_where;
-use super::rowexpr::Pred;
-use crate::context::{DevColumn, DevScalar, DevWord, OcelotContext, Oid};
+use crate::context::{DevColumn, DevScalar, OcelotContext, Oid};
 use crate::primitives::bitmap::Bitmap;
 use crate::primitives::prefix_sum::exclusive_scan_u32;
 use ocelot_kernel::{
     Buffer, BufferAccess, Kernel, KernelAccesses, KernelCost, LaunchConfig, Result, WorkGroupCtx,
 };
-use ocelot_storage::CmpOp;
 use std::sync::Arc;
-
-/// One conjunct over one column.
-fn select_one<T: DevWord>(ctx: &OcelotContext, input: &DevColumn<T>, pred: Pred) -> Result<Bitmap> {
-    select_where(ctx, &[&input.reinterpret()], &[pred])
-}
-
-/// Inclusive range selection over an integer column.
-pub fn select_range_i32(
-    ctx: &OcelotContext,
-    input: &DevColumn<i32>,
-    low: i32,
-    high: i32,
-) -> Result<Bitmap> {
-    select_one(ctx, input, Pred::RangeI32 { col: 0, low, high })
-}
-
-/// Inclusive range selection over a float column.
-pub fn select_range_f32(
-    ctx: &OcelotContext,
-    input: &DevColumn<f32>,
-    low: f32,
-    high: f32,
-) -> Result<Bitmap> {
-    select_one(ctx, input, Pred::RangeF32 { col: 0, low, high })
-}
-
-/// Equality selection over an integer column (also serves dictionary-encoded
-/// strings and dates).
-pub fn select_eq_i32(ctx: &OcelotContext, input: &DevColumn<i32>, needle: i32) -> Result<Bitmap> {
-    select_one(ctx, input, Pred::EqI32 { col: 0, needle })
-}
-
-/// Inequality selection over an integer column.
-pub fn select_ne_i32(ctx: &OcelotContext, input: &DevColumn<i32>, needle: i32) -> Result<Bitmap> {
-    select_one(ctx, input, Pred::NeI32 { col: 0, needle })
-}
-
-/// Membership selection `input IN (values…)` over an integer column, in one
-/// pass: the list is short, so every row scans it instead of the column
-/// being selected once per value.
-pub fn select_in_i32(
-    ctx: &OcelotContext,
-    input: &DevColumn<i32>,
-    values: &[i32],
-) -> Result<Bitmap> {
-    select_one(ctx, input, Pred::InI32 { col: 0, values: values.into() })
-}
-
-/// Column-vs-column selection `left <op> right` over two aligned integer
-/// columns, in one kernel that reads both and writes the bitmap — no cast,
-/// no difference column. The bitmap takes `left`'s (possibly deferred)
-/// length.
-///
-/// # Panics
-/// Panics if `right` cannot cover every row `left` may have.
-pub fn select_cmp_i32(
-    ctx: &OcelotContext,
-    left: &DevColumn<i32>,
-    right: &DevColumn<i32>,
-    op: CmpOp,
-) -> Result<Bitmap> {
-    let pred = Pred::CmpI32 { op, left: 0, right: 1 };
-    select_where(ctx, &[&left.reinterpret(), &right.reinterpret()], &[pred])
-}
 
 // ---- bitmap materialisation (paper §4.1.2) ----
 
@@ -296,8 +230,14 @@ pub fn selected_count(ctx: &OcelotContext, bitmap: &Bitmap) -> Result<DevScalar<
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::context::OcelotContext;
+    use crate::context::{DevWord, OcelotContext};
+    use crate::ops::rowexpr::Pred;
     use ocelot_monet::sequential as monet;
+
+    /// The bitmap of one conjunct over one column.
+    fn select<T: DevWord>(ctx: &OcelotContext, input: &DevColumn<T>, pred: Pred) -> Bitmap {
+        select_where(ctx, &[&input.reinterpret()], &[pred]).unwrap()
+    }
 
     fn contexts() -> Vec<OcelotContext> {
         vec![OcelotContext::cpu_sequential(), OcelotContext::cpu(), OcelotContext::gpu()]
@@ -309,7 +249,7 @@ mod tests {
         let expected: Vec<u32> = monet::select_range_i32(&values, 100, 300);
         for ctx in contexts() {
             let col = ctx.upload_i32(&values, "v").unwrap();
-            let bitmap = select_range_i32(&ctx, &col, 100, 300).unwrap();
+            let bitmap = select(&ctx, &col, Pred::RangeI32 { col: 0, low: 100, high: 300 });
             let oids = materialize_bitmap(&ctx, &bitmap).unwrap();
             assert!(oids.is_deferred(), "materialised length stays on the device");
             assert_eq!(oids.read(&ctx).unwrap(), expected);
@@ -326,7 +266,7 @@ mod tests {
         let values: Vec<i32> = (0..50_000).map(|i| i % 100).collect();
         let col = ctx.upload_i32(&values, "v").unwrap();
         let flushes = ctx.queue().flush_count();
-        let bitmap = select_range_i32(&ctx, &col, 10, 19).unwrap();
+        let bitmap = select(&ctx, &col, Pred::RangeI32 { col: 0, low: 10, high: 19 });
         let oids = materialize_bitmap(&ctx, &bitmap).unwrap();
         assert_eq!(ctx.queue().flush_count(), flushes, "select + materialise must not flush");
         assert_eq!(
@@ -342,7 +282,7 @@ mod tests {
         let expected = monet::select_range_f32(&values, 10.0, 20.0);
         let ctx = OcelotContext::cpu();
         let col = ctx.upload_f32(&values, "v").unwrap();
-        let bitmap = select_range_f32(&ctx, &col, 10.0, 20.0).unwrap();
+        let bitmap = select(&ctx, &col, Pred::RangeF32 { col: 0, low: 10.0, high: 20.0 });
         let oids = materialize_bitmap(&ctx, &bitmap).unwrap();
         assert_eq!(oids.read(&ctx).unwrap(), expected);
     }
@@ -353,11 +293,11 @@ mod tests {
         let ctx = OcelotContext::cpu();
         let col = ctx.upload_i32(&values, "v").unwrap();
 
-        let eq = select_eq_i32(&ctx, &col, 5).unwrap();
+        let eq = select(&ctx, &col, Pred::EqI32 { col: 0, needle: 5 });
         let eq_oids = materialize_bitmap(&ctx, &eq).unwrap();
         assert_eq!(eq_oids.read(&ctx).unwrap(), monet::select_eq_i32(&values, 5));
 
-        let ne = select_ne_i32(&ctx, &col, 5).unwrap();
+        let ne = select(&ctx, &col, Pred::NeI32 { col: 0, needle: 5 });
         assert_eq!(
             selected_count(&ctx, &ne).unwrap().get(&ctx).unwrap() as usize,
             values.iter().filter(|v| **v != 5).count()
@@ -383,10 +323,10 @@ mod tests {
         let values = vec![-100, -1, 0, 1, 100, i32::MIN, i32::MAX];
         let ctx = OcelotContext::cpu_sequential();
         let col = ctx.upload_i32(&values, "v").unwrap();
-        let bitmap = select_range_i32(&ctx, &col, -1, 1).unwrap();
+        let bitmap = select(&ctx, &col, Pred::RangeI32 { col: 0, low: -1, high: 1 });
         let oids = materialize_bitmap(&ctx, &bitmap).unwrap();
         assert_eq!(oids.read(&ctx).unwrap(), vec![1, 2, 3]);
-        let all = select_range_i32(&ctx, &col, i32::MIN, i32::MAX).unwrap();
+        let all = select(&ctx, &col, Pred::RangeI32 { col: 0, low: i32::MIN, high: i32::MAX });
         assert_eq!(selected_count(&ctx, &all).unwrap().get(&ctx).unwrap(), 7);
     }
 
@@ -394,11 +334,11 @@ mod tests {
     fn empty_and_no_match() {
         let ctx = OcelotContext::cpu();
         let empty = ctx.upload_i32(&[], "v").unwrap();
-        let bitmap = select_range_i32(&ctx, &empty, 0, 10).unwrap();
+        let bitmap = select(&ctx, &empty, Pred::RangeI32 { col: 0, low: 0, high: 10 });
         assert_eq!(materialize_bitmap(&ctx, &bitmap).unwrap().len(&ctx).unwrap(), 0);
 
         let col = ctx.upload_i32(&[1, 2, 3], "v").unwrap();
-        let none = select_range_i32(&ctx, &col, 100, 200).unwrap();
+        let none = select(&ctx, &col, Pred::RangeI32 { col: 0, low: 100, high: 200 });
         let oids = materialize_bitmap(&ctx, &none).unwrap();
         assert_eq!(oids.len(&ctx).unwrap(), 0);
         assert!(oids.read(&ctx).unwrap().is_empty());
@@ -417,7 +357,7 @@ mod tests {
         ctx.queue().enqueue_write(&counter, &[]).unwrap();
         let idx = DevColumn::<Oid>::deferred(raw.buffer.clone(), counter, 4).unwrap();
         let gathered = gather(&ctx, &values, &idx).unwrap(); // [5000, 5, 500]
-        let bitmap = select_range_i32(&ctx, &gathered, 100, 10_000).unwrap();
+        let bitmap = select(&ctx, &gathered, Pred::RangeI32 { col: 0, low: 100, high: 10_000 });
         assert_eq!(selected_count(&ctx, &bitmap).unwrap().get(&ctx).unwrap(), 2);
         let oids = materialize_bitmap(&ctx, &bitmap).unwrap();
         assert_eq!(oids.read(&ctx).unwrap(), vec![0, 2]);

@@ -306,6 +306,8 @@ enum InputSig {
     /// This many column operands, optionally followed by a candidate list —
     /// the form every selection supports.
     Select(usize),
+    /// Exactly this many column operands (a map).
+    Columns(usize),
     /// A grouping followed by value columns, at least this many: every one
     /// the node's aggregates name by position (`grouped_aggs`).
     GroupThenValues(usize),
@@ -335,24 +337,14 @@ enum FlushClass {
 /// `PlanBuilder::push_node` reuses the result kinds for raw-node plans.
 fn signature(op: &PlanOp) -> (InputSig, Cow<'static, [ValueKind]>, FlushClass) {
     use FlushClass::{Boundary, HostResolving, Streaming};
-    use InputSig::{AnyDefined, Exact, GroupThenValues, Keys, Results, Select};
+    use InputSig::{AnyDefined, Columns, Exact, GroupThenValues, Keys, Results, Select};
     let (inputs, outputs, class): (InputSig, &'static [ValueKind], FlushClass) = match op {
         PlanOp::Bind { .. } => (Exact(&[]), &[COLUMN], Streaming),
-        PlanOp::SelectRangeI32 { .. }
-        | PlanOp::SelectRangeF32 { .. }
-        | PlanOp::SelectEqI32 { .. }
-        | PlanOp::SelectNeI32 { .. }
-        | PlanOp::SelectInI32 { .. } => (Select(1), &[COLUMN], Streaming),
-        PlanOp::SelectCmpI32 { .. } => (Select(2), &[COLUMN], Streaming),
+        // A program's column count is one past its highest slot.
+        PlanOp::Select { .. } => (Select(op.program_columns().unwrap_or(0)), &[COLUMN], Streaming),
+        PlanOp::Map { .. } => (Columns(op.program_columns().unwrap_or(0)), &[COLUMN], Streaming),
         PlanOp::UnionOids => (Exact(&[COLUMN, COLUMN]), &[COLUMN], HostResolving),
-        PlanOp::Fetch | PlanOp::MulF32 | PlanOp::AddF32 | PlanOp::SubF32 => {
-            (Exact(&[COLUMN, COLUMN]), &[COLUMN], Streaming)
-        }
-        PlanOp::ConstMinusF32 { .. }
-        | PlanOp::ConstPlusF32 { .. }
-        | PlanOp::MulConstF32 { .. }
-        | PlanOp::CastI32F32
-        | PlanOp::ExtractYear => (Exact(&[COLUMN]), &[COLUMN], Streaming),
+        PlanOp::Fetch => (Exact(&[COLUMN, COLUMN]), &[COLUMN], Streaming),
         PlanOp::PkFkJoin | PlanOp::PkFkJoinPartitioned { .. } => {
             (Exact(&[COLUMN, COLUMN]), &[COLUMN, COLUMN], HostResolving)
         }
@@ -438,20 +430,29 @@ impl Walk {
         };
 
         // Expected operand kinds, or None when the arity itself is wrong.
+        let count = |columns: usize| match columns {
+            0 => "0",
+            1 => "1",
+            2 => "2",
+            _ => "one per column its program reads",
+        };
         let expected: Option<Vec<ValueKind>> = match inputs_sig {
-            InputSig::Exact(kinds) => {
-                (node.inputs.len() == kinds.len()).then(|| kinds.to_vec()).or_else(|| {
-                    arity(match kinds.len() {
-                        0 => "0",
-                        1 => "1",
-                        _ => "2",
-                    })
-                })
-            }
+            InputSig::Exact(kinds) => (node.inputs.len() == kinds.len())
+                .then(|| kinds.to_vec())
+                .or_else(|| arity(count(kinds.len()))),
+            InputSig::Columns(columns) => (node.inputs.len() == columns)
+                .then(|| vec![COLUMN; columns])
+                .or_else(|| arity(count(columns))),
             InputSig::Select(columns) => (node.inputs.len() == columns
                 || node.inputs.len() == columns + 1)
                 .then(|| vec![COLUMN; node.inputs.len()])
-                .or_else(|| arity(if columns == 1 { "1 or 2" } else { "2 or 3" })),
+                .or_else(|| {
+                    arity(match columns {
+                        1 => "1 or 2",
+                        2 => "2 or 3",
+                        _ => "one per column its program reads, then optionally candidates",
+                    })
+                }),
             InputSig::GroupThenValues(named) => (node.inputs.len() > named)
                 .then(|| {
                     let mut kinds = vec![COLUMN; node.inputs.len()];
@@ -697,6 +698,7 @@ pub(crate) fn admit_raw_node(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::{Map, Pred};
     use crate::plan::PlanBuilder;
 
     fn q6_like() -> Plan {
@@ -704,10 +706,10 @@ mod tests {
         let qty = p.bind("lineitem", "l_quantity");
         let price = p.bind("lineitem", "l_extendedprice");
         let disc = p.bind("lineitem", "l_discount");
-        let sel = p.select_range_i32(qty, 0, 23, None).unwrap();
+        let sel = p.select(Pred::RangeI32 { col: 0, low: 0, high: 23 }, &[qty], None).unwrap();
         let price_sel = p.fetch(price, sel).unwrap();
         let disc_sel = p.fetch(disc, sel).unwrap();
-        let revenue = p.mul_f32(price_sel, disc_sel).unwrap();
+        let revenue = p.map(Map::Mul(Map::leaf(0), Map::leaf(1)), &[price_sel, disc_sel]).unwrap();
         let total = p.sum_f32(revenue).unwrap();
         p.result(&[total]).unwrap();
         p.finish()
@@ -750,13 +752,21 @@ mod tests {
     #[test]
     fn use_before_def_and_dangling_are_distinguished() {
         let plan = Plan::from_nodes_unchecked(vec![
-            PlanNode { op: PlanOp::CastI32F32, inputs: vec![1], outputs: vec![0] },
+            PlanNode {
+                op: PlanOp::Map { map: Map::CastI32F32(Map::leaf(0)) },
+                inputs: vec![1],
+                outputs: vec![0],
+            },
             PlanNode {
                 op: PlanOp::Bind { table: "t".into(), column: "a".into() },
                 inputs: vec![],
                 outputs: vec![1],
             },
-            PlanNode { op: PlanOp::ExtractYear, inputs: vec![7], outputs: vec![2] },
+            PlanNode {
+                op: PlanOp::Map { map: Map::Year(Map::leaf(0)) },
+                inputs: vec![7],
+                outputs: vec![2],
+            },
         ]);
         let report = verify(&plan);
         assert!(report.diagnostics.contains(&PlanDiagnostic::UseBeforeDef {
@@ -797,8 +807,16 @@ mod tests {
         let mut nodes = p.finish().nodes().to_vec();
         // A grouping fed to an element-wise multiply, plus a multiply with
         // a single operand.
-        nodes.push(PlanNode { op: PlanOp::MulF32, inputs: vec![a, g], outputs: vec![9] });
-        nodes.push(PlanNode { op: PlanOp::MulF32, inputs: vec![a], outputs: vec![10] });
+        nodes.push(PlanNode {
+            op: PlanOp::Map { map: Map::Mul(Map::leaf(0), Map::leaf(1)) },
+            inputs: vec![a, g],
+            outputs: vec![9],
+        });
+        nodes.push(PlanNode {
+            op: PlanOp::Map { map: Map::Mul(Map::leaf(0), Map::leaf(1)) },
+            inputs: vec![a],
+            outputs: vec![10],
+        });
         let report = verify(&Plan::from_nodes_unchecked(nodes));
         assert!(report.diagnostics.iter().any(|d| matches!(
             d,
@@ -814,7 +832,7 @@ mod tests {
     fn stale_last_use_is_flagged() {
         let mut p = PlanBuilder::new();
         let a = p.bind("t", "a");
-        let b = p.cast_i32_f32(a).unwrap();
+        let b = p.map(Map::CastI32F32(Map::leaf(0)), &[a]).unwrap();
         p.result(&[b]).unwrap();
         let nodes = p.finish().nodes().to_vec();
         // Register `a` is last read by node 1, but the map says node 2.

@@ -12,6 +12,14 @@
 //! the device (selections, joins), so a whole pipeline flushes once, at the
 //! read (the `ocelot.sync` contract of the paper, §3.4).
 //!
+//! Selections and element-wise maps are one operator each, parameterised by
+//! a row-expression program (`ocelot_core::ops::rowexpr`): [`Backend::select`]
+//! takes one [`Pred`] conjunct, [`Backend::map`] one [`Map`] tree, both over
+//! the column slots they are handed. Ocelot runs every program through the
+//! one evaluator; the Monet baselines match it onto their sequential
+//! operators, map operator by map operator, as MonetDB's `algebra` and
+//! `batcalc` modules do.
+//!
 //! Selections return OID candidate lists. Ocelot internally evaluates them
 //! as bitmaps and materialises the OID list at the interface, exactly like
 //! the paper's Ocelot does when a MonetDB operator consumes a selection
@@ -20,7 +28,8 @@
 use crate::plan::{PlanError, PlanNode, Registers};
 pub use ocelot_core::ops::aggregate::GroupedAgg;
 pub use ocelot_core::ops::join::DenseJoinKind;
-use ocelot_storage::{BatRef, CmpOp, DenseKey};
+pub use ocelot_core::ops::rowexpr::{Map, Pred};
+use ocelot_storage::{BatRef, DenseKey};
 use ocelot_trace::{MetricsRegistry, TraceSink};
 use std::sync::Arc;
 
@@ -126,55 +135,16 @@ pub trait Backend {
 
     // ---- selection (candidate lists of OIDs) ----
 
-    /// `low <= col <= high` over integers, optionally restricted to
-    /// candidates.
-    fn select_range_i32(
+    /// The rows on which `pred` holds, slot `i` of the conjunct reading
+    /// `cols[i]`, optionally restricted to candidates: a constant comparison
+    /// or `IN` list over one column, or `left <op> right` over two aligned
+    /// integer columns — one comparison pass, no cast or difference
+    /// intermediates. Ocelot writes one bitmap in one launch, after fetching
+    /// the columns at the candidates when there are any.
+    fn select(
         &self,
-        col: &Self::Column,
-        low: i32,
-        high: i32,
-        cands: Option<&Self::Column>,
-    ) -> Result<Self::Column, PlanError>;
-    /// `low <= col <= high` over floats.
-    fn select_range_f32(
-        &self,
-        col: &Self::Column,
-        low: f32,
-        high: f32,
-        cands: Option<&Self::Column>,
-    ) -> Result<Self::Column, PlanError>;
-    /// Equality selection over integers (also dictionary-coded strings).
-    fn select_eq_i32(
-        &self,
-        col: &Self::Column,
-        needle: i32,
-        cands: Option<&Self::Column>,
-    ) -> Result<Self::Column, PlanError>;
-    /// Inequality selection over integers.
-    fn select_ne_i32(
-        &self,
-        col: &Self::Column,
-        needle: i32,
-        cands: Option<&Self::Column>,
-    ) -> Result<Self::Column, PlanError>;
-    /// Membership selection `col IN (values…)` over integers, in one pass
-    /// over the column (or the candidates) whatever the list's length.
-    fn select_in_i32(
-        &self,
-        col: &Self::Column,
-        values: &[i32],
-        cands: Option<&Self::Column>,
-    ) -> Result<Self::Column, PlanError>;
-    /// Column-vs-column selection `left <op> right` over two aligned integer
-    /// columns, optionally restricted to candidates: one comparison pass, no
-    /// cast or difference intermediates (Ocelot: one kernel writing the
-    /// bitmap, after fetching both sides at the candidates when there are
-    /// any).
-    fn select_cmp_i32(
-        &self,
-        left: &Self::Column,
-        right: &Self::Column,
-        op: CmpOp,
+        cols: &[&Self::Column],
+        pred: &Pred,
         cands: Option<&Self::Column>,
     ) -> Result<Self::Column, PlanError>;
     /// Union of two sorted candidate lists (a genuine `OR` of predicates; a
@@ -188,22 +158,11 @@ pub trait Backend {
 
     // ---- arithmetic maps ----
 
-    /// Element-wise `a * b` over floats.
-    fn mul_f32(&self, a: &Self::Column, b: &Self::Column) -> Result<Self::Column, PlanError>;
-    /// Element-wise `a + b` over floats.
-    fn add_f32(&self, a: &Self::Column, b: &Self::Column) -> Result<Self::Column, PlanError>;
-    /// Element-wise `a - b` over floats.
-    fn sub_f32(&self, a: &Self::Column, b: &Self::Column) -> Result<Self::Column, PlanError>;
-    /// Element-wise `c - a`.
-    fn const_minus_f32(&self, constant: f32, a: &Self::Column) -> Result<Self::Column, PlanError>;
-    /// Element-wise `c + a`.
-    fn const_plus_f32(&self, constant: f32, a: &Self::Column) -> Result<Self::Column, PlanError>;
-    /// Element-wise `a * c`.
-    fn mul_const_f32(&self, a: &Self::Column, constant: f32) -> Result<Self::Column, PlanError>;
-    /// Casts integers to floats.
-    fn cast_i32_f32(&self, a: &Self::Column) -> Result<Self::Column, PlanError>;
-    /// Extracts the calendar year from a day-number date column.
-    fn extract_year(&self, a: &Self::Column) -> Result<Self::Column, PlanError>;
+    /// Element-wise `map` over the aligned columns `cols`, leaf `Col(i)`
+    /// reading `cols[i]`: `i32` values for a `year`, `f32` for every other
+    /// operator ([`Map::yields_i32`]). Ocelot evaluates the whole tree in one
+    /// launch; the Monet baselines materialise every operator's result.
+    fn map(&self, cols: &[&Self::Column], map: &Map) -> Result<Self::Column, PlanError>;
 
     // ---- joins ----
 

@@ -5,19 +5,22 @@
 //! Every operator is one mitosis over an `ocelot_monet::sequential`
 //! operator: split the input, run the sequential operator on each slice,
 //! apply the merge for the operator's kind (`ocelot_monet::parallel`). A
+//! selection's conjunct is matched onto the sequential selection of its
+//! kind, and a map's tree is evaluated operator by operator, each result
+//! materialised before its reader runs, as MonetDB's `batcalc` does. A
 //! join's hash table, a dense key's inverse map or row flags are built once
 //! and probed per slice; float sums fold their `f64` partials before they
 //! round. With one thread every shape is one call of the sequential
 //! operator over the whole input, so MS is MP at one thread by
 //! construction.
 
-use crate::backend::{Backend, DenseJoinKind, GroupHandle, GroupedAgg};
+use crate::backend::{Backend, DenseJoinKind, GroupHandle, GroupedAgg, Map, Pred};
 use crate::backends::{grace_bits, grace_merge, grace_partition, HostColumn, HostView};
 use crate::plan::PlanError;
 use ocelot_monet::parallel as par;
 use ocelot_monet::sequential as seq;
 use ocelot_monet::MonetHashTable;
-use ocelot_storage::{BatRef, CmpOp, DenseKey, Oid};
+use ocelot_storage::{BatRef, DenseKey, Oid};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -66,7 +69,7 @@ impl MonetBackend {
     }
 
     /// The length-preserving shape of a map over one column.
-    fn map<A: Sync, T: Send>(&self, a: &[A], map: impl Fn(&[A]) -> Vec<T> + Sync) -> Vec<T> {
+    fn per_slice<A: Sync, T: Send>(&self, a: &[A], map: impl Fn(&[A]) -> Vec<T> + Sync) -> Vec<T> {
         par::collect_partitions(a.len(), self.threads, |s, e| map(&a[s..e]))
     }
 
@@ -164,97 +167,68 @@ impl Backend for MonetBackend {
         Ok(col.len())
     }
 
-    fn select_range_i32(
+    fn select(
         &self,
-        col: &HostColumn,
-        low: i32,
-        high: i32,
+        cols: &[&HostColumn],
+        pred: &Pred,
         cands: Option<&HostColumn>,
     ) -> Result<HostColumn, PlanError> {
-        let col = col.as_i32();
-        self.selection(
-            col.len(),
-            cands,
-            |s, e| seq::select_range_i32(&col[s..e], low, high),
-            |c| seq::select_range_i32_cand(col, c, low, high),
-        )
-    }
-
-    fn select_range_f32(
-        &self,
-        col: &HostColumn,
-        low: f32,
-        high: f32,
-        cands: Option<&HostColumn>,
-    ) -> Result<HostColumn, PlanError> {
-        let col = col.as_f32();
-        self.selection(
-            col.len(),
-            cands,
-            |s, e| seq::select_range_f32(&col[s..e], low, high),
-            |c| seq::select_range_f32_cand(col, c, low, high),
-        )
-    }
-
-    fn select_eq_i32(
-        &self,
-        col: &HostColumn,
-        needle: i32,
-        cands: Option<&HostColumn>,
-    ) -> Result<HostColumn, PlanError> {
-        let col = col.as_i32();
-        self.selection(
-            col.len(),
-            cands,
-            |s, e| seq::select_eq_i32(&col[s..e], needle),
-            |c| seq::select_eq_i32_cand(col, c, needle),
-        )
-    }
-
-    fn select_ne_i32(
-        &self,
-        col: &HostColumn,
-        needle: i32,
-        cands: Option<&HostColumn>,
-    ) -> Result<HostColumn, PlanError> {
-        let col = col.as_i32();
-        self.selection(
-            col.len(),
-            cands,
-            |s, e| seq::select_ne_i32(&col[s..e], needle),
-            |c| seq::select_ne_i32_cand(col, c, needle),
-        )
-    }
-
-    fn select_in_i32(
-        &self,
-        col: &HostColumn,
-        values: &[i32],
-        cands: Option<&HostColumn>,
-    ) -> Result<HostColumn, PlanError> {
-        let col = col.as_i32();
-        self.selection(
-            col.len(),
-            cands,
-            |s, e| seq::select_in_i32(&col[s..e], values),
-            |c| seq::select_in_i32_cand(col, c, values),
-        )
-    }
-
-    fn select_cmp_i32(
-        &self,
-        left: &HostColumn,
-        right: &HostColumn,
-        op: CmpOp,
-        cands: Option<&HostColumn>,
-    ) -> Result<HostColumn, PlanError> {
-        let (left, right) = (left.as_i32(), right.as_i32());
-        self.selection(
-            left.len().min(right.len()),
-            cands,
-            |s, e| seq::select_cmp_i32(&left[s..e], &right[s..e], op),
-            |c| seq::select_cmp_i32_cand(left, right, c, op),
-        )
+        match *pred {
+            Pred::RangeI32 { col, low, high } => {
+                let col = cols[col].as_i32();
+                self.selection(
+                    col.len(),
+                    cands,
+                    |s, e| seq::select_range_i32(&col[s..e], low, high),
+                    |c| seq::select_range_i32_cand(col, c, low, high),
+                )
+            }
+            Pred::RangeF32 { col, low, high } => {
+                let col = cols[col].as_f32();
+                self.selection(
+                    col.len(),
+                    cands,
+                    |s, e| seq::select_range_f32(&col[s..e], low, high),
+                    |c| seq::select_range_f32_cand(col, c, low, high),
+                )
+            }
+            Pred::EqI32 { col, needle } => {
+                let col = cols[col].as_i32();
+                self.selection(
+                    col.len(),
+                    cands,
+                    |s, e| seq::select_eq_i32(&col[s..e], needle),
+                    |c| seq::select_eq_i32_cand(col, c, needle),
+                )
+            }
+            Pred::NeI32 { col, needle } => {
+                let col = cols[col].as_i32();
+                self.selection(
+                    col.len(),
+                    cands,
+                    |s, e| seq::select_ne_i32(&col[s..e], needle),
+                    |c| seq::select_ne_i32_cand(col, c, needle),
+                )
+            }
+            Pred::InI32 { col, ref values } => {
+                let col = cols[col].as_i32();
+                self.selection(
+                    col.len(),
+                    cands,
+                    |s, e| seq::select_in_i32(&col[s..e], values),
+                    |c| seq::select_in_i32_cand(col, c, values),
+                )
+            }
+            Pred::CmpI32 { op, left, right } => {
+                let (left, right) = (cols[left].as_i32(), cols[right].as_i32());
+                self.selection(
+                    left.len().min(right.len()),
+                    cands,
+                    |s, e| seq::select_cmp_i32(&left[s..e], &right[s..e], op),
+                    |c| seq::select_cmp_i32_cand(left, right, c, op),
+                )
+            }
+        }
     }
 
     fn union_oids(&self, a: &HostColumn, b: &HostColumn) -> Result<HostColumn, PlanError> {
@@ -264,35 +238,30 @@ impl Backend for MonetBackend {
     fn fetch(&self, col: &HostColumn, rows: &HostColumn) -> Result<HostColumn, PlanError> {
         let rows = rows.as_oids();
         Ok(match col.view() {
-            HostView::I32(v) => ints(self.map(rows, |r| seq::fetch_i32(v, r))),
-            HostView::F32(v) => floats(self.map(rows, |r| seq::fetch_f32(v, r))),
-            HostView::Oid(v) => oids(self.map(rows, |r| seq::fetch_oid(v, r))),
+            HostView::I32(v) => ints(self.per_slice(rows, |r| seq::fetch_i32(v, r))),
+            HostView::F32(v) => floats(self.per_slice(rows, |r| seq::fetch_f32(v, r))),
+            HostView::Oid(v) => oids(self.per_slice(rows, |r| seq::fetch_oid(v, r))),
         })
     }
 
-    fn mul_f32(&self, a: &HostColumn, b: &HostColumn) -> Result<HostColumn, PlanError> {
-        self.zip_map(a, b, seq::mul_f32)
-    }
-    fn add_f32(&self, a: &HostColumn, b: &HostColumn) -> Result<HostColumn, PlanError> {
-        self.zip_map(a, b, seq::add_f32)
-    }
-    fn sub_f32(&self, a: &HostColumn, b: &HostColumn) -> Result<HostColumn, PlanError> {
-        self.zip_map(a, b, seq::sub_f32)
-    }
-    fn const_minus_f32(&self, constant: f32, a: &HostColumn) -> Result<HostColumn, PlanError> {
-        Ok(floats(self.map(a.as_f32(), |a| seq::const_minus_f32(constant, a))))
-    }
-    fn const_plus_f32(&self, constant: f32, a: &HostColumn) -> Result<HostColumn, PlanError> {
-        Ok(floats(self.map(a.as_f32(), |a| seq::const_plus_f32(constant, a))))
-    }
-    fn mul_const_f32(&self, a: &HostColumn, constant: f32) -> Result<HostColumn, PlanError> {
-        Ok(floats(self.map(a.as_f32(), |a| seq::mul_const_f32(a, constant))))
-    }
-    fn cast_i32_f32(&self, a: &HostColumn) -> Result<HostColumn, PlanError> {
-        Ok(floats(self.map(a.as_i32(), seq::cast_i32_f32)))
-    }
-    fn extract_year(&self, a: &HostColumn) -> Result<HostColumn, PlanError> {
-        Ok(ints(self.map(a.as_i32(), seq::extract_year)))
+    fn map(&self, cols: &[&HostColumn], map: &Map) -> Result<HostColumn, PlanError> {
+        let operand = |child: &Map| Backend::map(self, cols, child);
+        let each_f32 = |child: &Map, f: &(dyn Fn(&[f32]) -> Vec<f32> + Sync)| {
+            Ok(floats(self.per_slice(operand(child)?.as_f32(), f)))
+        };
+        match map {
+            Map::Col(slot) => Ok(cols[*slot].clone()),
+            Map::Mul(a, b) => self.zip_map(&operand(a)?, &operand(b)?, seq::mul_f32),
+            Map::Add(a, b) => self.zip_map(&operand(a)?, &operand(b)?, seq::add_f32),
+            Map::Sub(a, b) => self.zip_map(&operand(a)?, &operand(b)?, seq::sub_f32),
+            &Map::ConstMinus(c, ref a) => each_f32(a, &|a| seq::const_minus_f32(c, a)),
+            &Map::ConstPlus(c, ref a) => each_f32(a, &|a| seq::const_plus_f32(c, a)),
+            &Map::MulConst(ref a, c) => each_f32(a, &|a| seq::mul_const_f32(a, c)),
+            Map::CastI32F32(a) => {
+                Ok(floats(self.per_slice(operand(a)?.as_i32(), seq::cast_i32_f32)))
+            }
+            Map::Year(a) => Ok(ints(self.per_slice(operand(a)?.as_i32(), seq::extract_year))),
+        }
     }
 
     fn pkfk_join(
@@ -485,6 +454,7 @@ mod tests {
     use crate::backends::grace_bits;
     use ocelot_storage::types::date_to_days;
     use ocelot_storage::Bat;
+    use ocelot_storage::CmpOp;
 
     #[test]
     fn end_to_end_mini_query() -> Result<(), PlanError> {
@@ -495,7 +465,7 @@ mod tests {
             .bat(&Bat::from_f32("b", vec![10.0, 20.0, 30.0, 40.0, 50.0, 60.0]).into_ref())?;
         let c = backend.bat(&Bat::from_i32("c", vec![1, 1, 2, 2, 1, 2]).into_ref())?;
 
-        let sel = backend.select_range_i32(&a, 2, 4, None)?;
+        let sel = backend.select(&[&a], &Pred::RangeI32 { col: 0, low: 2, high: 4 }, None)?;
         assert_eq!(backend.to_oids(&sel)?, vec![1, 2, 3, 5]);
         let b_sel = backend.fetch(&b, &sel)?;
         let c_sel = backend.fetch(&c, &sel)?;
@@ -534,7 +504,8 @@ mod tests {
 
         let x = backend.lift_f32(vec![1.0, 2.0])?;
         let y = backend.lift_f32(vec![3.0, 4.0])?;
-        assert_eq!(backend.to_f32(&backend.mul_f32(&x, &y)?)?, vec![3.0, 8.0]);
+        let product = backend.map(&[&x, &y], &Map::Mul(Map::leaf(0), Map::leaf(1)))?;
+        assert_eq!(backend.to_f32(&product)?, vec![3.0, 8.0]);
         assert_eq!(backend.sum_f32(&x)?, 3.0);
         assert_eq!(backend.count(&x)?, 2);
         Ok(())
@@ -648,39 +619,56 @@ mod tests {
             date_to_days(1992 + (x % 7) as i32, 1 + (x % 12) as u32, 1 + (x % 28) as u32)
         }))?;
         let gather = b.lift_oids(column(rows, 8, |x| (x % n) as Oid))?;
-        let cands = b.select_range_i32(&ints, -40, 60, None)?;
+        let ranged = Pred::RangeI32 { col: 0, low: -40, high: 60 };
+        let cands = b.select(&[&ints], &ranged, None)?;
 
         let mut table = Vec::new();
         let mut row = |label: String, answer: Answer| table.push((label, answer));
         for (tag, cands) in [("", None), (" cands", Some(&cands))] {
-            let ranged = b.select_range_i32(&ints, -40, 60, cands)?;
-            row(format!("select_range_i32{tag}"), exact(&ranged));
-            let ranged = b.select_range_f32(&floats, -100.0, 200.0, cands)?;
-            row(format!("select_range_f32{tag}"), exact(&ranged));
-            row(format!("select_eq_i32{tag}"), exact(&b.select_eq_i32(&ints, 7, cands)?));
-            row(format!("select_ne_i32{tag}"), exact(&b.select_ne_i32(&ints, 7, cands)?));
-            let listed = b.select_in_i32(&ints, &[3, -7, 99, 1000], cands)?;
-            row(format!("select_in_i32{tag}"), exact(&listed));
+            let mut cases = vec![
+                ("select_range_i32".to_string(), vec![&ints], ranged.clone()),
+                (
+                    "select_range_f32".to_string(),
+                    vec![&floats],
+                    Pred::RangeF32 { col: 0, low: -100.0, high: 200.0 },
+                ),
+                ("select_eq_i32".to_string(), vec![&ints], Pred::EqI32 { col: 0, needle: 7 }),
+                ("select_ne_i32".to_string(), vec![&ints], Pred::NeI32 { col: 0, needle: 7 }),
+                (
+                    "select_in_i32".to_string(),
+                    vec![&ints],
+                    Pred::InI32 { col: 0, values: [3, -7, 99, 1000].into() },
+                ),
+            ];
             for op in [CmpOp::Lt, CmpOp::Le, CmpOp::Gt, CmpOp::Ge, CmpOp::Eq, CmpOp::Ne] {
-                let compared = b.select_cmp_i32(&ints, &ints2, op, cands)?;
-                row(format!("select_cmp_i32 {op:?}{tag}"), exact(&compared));
+                let compared = Pred::CmpI32 { op, left: 0, right: 1 };
+                cases.push((format!("select_cmp_i32 {op:?}"), vec![&ints, &ints2], compared));
+            }
+            for (label, cols, pred) in cases {
+                row(format!("{label}{tag}"), exact(&b.select(&cols, &pred, cands)?));
             }
         }
-        let high = b.select_range_i32(&ints2, 50, 100, None)?;
+        let high = b.select(&[&ints2], &Pred::RangeI32 { col: 0, low: 50, high: 100 }, None)?;
         row("union_oids".into(), exact(&b.union_oids(&cands, &high)?));
         row("len".into(), Answer::Exact(vec![b.len(&ints)? as u32, b.count(&cands)? as u32]));
 
         row("fetch i32".into(), exact(&b.fetch(&ints, &gather)?));
         row("fetch f32".into(), exact(&b.fetch(&specials, &gather)?));
         row("fetch oid".into(), exact(&b.fetch(&gather, &gather)?));
-        row("mul_f32".into(), exact(&b.mul_f32(&floats, &floats2)?));
-        row("add_f32".into(), exact(&b.add_f32(&floats, &floats2)?));
-        row("sub_f32".into(), exact(&b.sub_f32(&floats, &floats2)?));
-        row("const_minus_f32".into(), exact(&b.const_minus_f32(1.0, &floats2)?));
-        row("const_plus_f32".into(), exact(&b.const_plus_f32(1.0, &floats2)?));
-        row("mul_const_f32".into(), exact(&b.mul_const_f32(&floats, 0.5)?));
-        row("cast_i32_f32".into(), exact(&b.cast_i32_f32(&extremes)?));
-        row("extract_year".into(), exact(&b.extract_year(&dates)?));
+        let (x, y) = (Map::leaf(0), Map::leaf(1));
+        let pair = [&floats, &floats2];
+        for (label, cols, map) in [
+            ("mul_f32", &pair[..], Map::Mul(x.clone(), y.clone())),
+            ("add_f32", &pair, Map::Add(x.clone(), y.clone())),
+            ("sub_f32", &pair, Map::Sub(x.clone(), y)),
+            ("const_minus_f32", &[&floats2], Map::ConstMinus(1.0, x.clone())),
+            ("const_plus_f32", &[&floats2], Map::ConstPlus(1.0, x.clone())),
+            ("mul_const_f32", &[&floats], Map::MulConst(x.clone(), 0.5)),
+            ("cast_i32_f32", &[&extremes], Map::CastI32F32(x.clone())),
+            ("extract_year", &[&dates], Map::Year(x)),
+        ] {
+            row(label.into(), exact(&b.map(cols, &map)?));
+        }
 
         // Distinct primary keys `3k + 1`; about a third of the foreign keys
         // find one.

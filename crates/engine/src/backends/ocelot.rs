@@ -10,7 +10,7 @@
 //! the eager scalar aggregates) are the single sync boundary, so a chained
 //! query pipeline performs exactly one queue flush — at the read.
 
-use crate::backend::{Backend, DenseJoinKind, GroupHandle, GroupedAgg, ProfileMarker};
+use crate::backend::{Backend, DenseJoinKind, GroupHandle, GroupedAgg, Map, Pred, ProfileMarker};
 use crate::fuse::{Program, ProgramGroups, ProgramOutput, ProgramRows, ProgramSink};
 use crate::plan::{run_members, PlanError, PlanNode, Registers};
 use ocelot_core::ops::{
@@ -22,7 +22,7 @@ use ocelot_core::{
     SharedDevice, SpillStats,
 };
 use ocelot_kernel::{DeviceKind, GpuConfig};
-use ocelot_storage::{BatRef, CmpOp, DenseKey};
+use ocelot_storage::{BatRef, DenseKey};
 use ocelot_trace::{MetricsRegistry, TraceSink};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -156,32 +156,11 @@ impl OcelotBackend {
         self.ctx.column_cache().column_for_bat(&self.ctx, bat)
     }
 
-    /// Selection helper: evaluates a predicate bitmap over the full columns
-    /// or, with candidates, over the columns' values at the candidates —
-    /// returning an OID candidate list whose length stays on the device:
-    /// candidate chains never synchronise. `pred` sees the columns in `cols`
-    /// order.
-    fn select_with<F>(
-        &self,
-        cols: &[&OcelotColumn],
-        cands: Option<&OcelotColumn>,
-        pred: F,
-    ) -> Result<OcelotColumn, PlanError>
-    where
-        F: Fn(&OcelotContext, &[&OcelotColumn]) -> ocelot_kernel::Result<Bitmap>,
-    {
-        let Some(cands) = cands else {
-            let bitmap = pred(&self.ctx, cols)?;
-            return Ok(OcelotColumn::Oid(select::materialize_bitmap(&self.ctx, &bitmap)?));
-        };
-        // Evaluate the predicate on the candidate rows' values, then map the
-        // qualifying positions back to the original OIDs.
-        let values: Vec<OcelotColumn> =
-            cols.iter().map(|col| self.fetch(col, cands)).collect::<Result<_, _>>()?;
-        let values: Vec<&OcelotColumn> = values.iter().collect();
-        let bitmap = pred(&self.ctx, &values)?;
-        let positions = select::materialize_bitmap(&self.ctx, &bitmap)?;
-        Ok(OcelotColumn::Oid(gather::gather(&self.ctx, &cands.as_oid(), &positions)?))
+    /// The bitmap of the rows of `cols` on which `pred` holds, in one launch.
+    fn bitmap(&self, cols: &[&OcelotColumn], pred: &Pred) -> ocelot_kernel::Result<Bitmap> {
+        let words: Vec<DevColumn<Oid>> = cols.iter().map(|col| col.as_oid()).collect();
+        let words: Vec<&DevColumn<Oid>> = words.iter().collect();
+        select::select_where(&self.ctx, &words, std::slice::from_ref(pred))
     }
 }
 
@@ -224,68 +203,27 @@ impl Backend for OcelotBackend {
         Ok(col.as_oid().len(&self.ctx)?)
     }
 
-    fn select_range_i32(
+    /// The predicate's bitmap over the full columns or, with candidates,
+    /// over the columns' values at the candidates — materialised as an OID
+    /// candidate list whose length stays on the device: candidate chains
+    /// never synchronise.
+    fn select(
         &self,
-        col: &OcelotColumn,
-        low: i32,
-        high: i32,
+        cols: &[&OcelotColumn],
+        pred: &Pred,
         cands: Option<&OcelotColumn>,
     ) -> Result<OcelotColumn, PlanError> {
-        self.select_with(&[col], cands, |ctx, values| {
-            select::select_range_i32(ctx, &values[0].as_i32(), low, high)
-        })
-    }
-    fn select_range_f32(
-        &self,
-        col: &OcelotColumn,
-        low: f32,
-        high: f32,
-        cands: Option<&OcelotColumn>,
-    ) -> Result<OcelotColumn, PlanError> {
-        self.select_with(&[col], cands, |ctx, values| {
-            select::select_range_f32(ctx, &values[0].as_f32(), low, high)
-        })
-    }
-    fn select_eq_i32(
-        &self,
-        col: &OcelotColumn,
-        needle: i32,
-        cands: Option<&OcelotColumn>,
-    ) -> Result<OcelotColumn, PlanError> {
-        self.select_with(&[col], cands, |ctx, values| {
-            select::select_eq_i32(ctx, &values[0].as_i32(), needle)
-        })
-    }
-    fn select_ne_i32(
-        &self,
-        col: &OcelotColumn,
-        needle: i32,
-        cands: Option<&OcelotColumn>,
-    ) -> Result<OcelotColumn, PlanError> {
-        self.select_with(&[col], cands, |ctx, values| {
-            select::select_ne_i32(ctx, &values[0].as_i32(), needle)
-        })
-    }
-    fn select_in_i32(
-        &self,
-        col: &OcelotColumn,
-        values: &[i32],
-        cands: Option<&OcelotColumn>,
-    ) -> Result<OcelotColumn, PlanError> {
-        self.select_with(&[col], cands, |ctx, fetched| {
-            select::select_in_i32(ctx, &fetched[0].as_i32(), values)
-        })
-    }
-    fn select_cmp_i32(
-        &self,
-        left: &OcelotColumn,
-        right: &OcelotColumn,
-        op: CmpOp,
-        cands: Option<&OcelotColumn>,
-    ) -> Result<OcelotColumn, PlanError> {
-        self.select_with(&[left, right], cands, |ctx, sides| {
-            select::select_cmp_i32(ctx, &sides[0].as_i32(), &sides[1].as_i32(), op)
-        })
+        let Some(cands) = cands else {
+            let bitmap = self.bitmap(cols, pred)?;
+            return Ok(OcelotColumn::Oid(select::materialize_bitmap(&self.ctx, &bitmap)?));
+        };
+        // Evaluate the predicate on the candidate rows' values, then map the
+        // qualifying positions back to the original OIDs.
+        let values: Vec<OcelotColumn> =
+            cols.iter().map(|col| self.fetch(col, cands)).collect::<Result<_, _>>()?;
+        let bitmap = self.bitmap(&values.iter().collect::<Vec<_>>(), pred)?;
+        let positions = select::materialize_bitmap(&self.ctx, &bitmap)?;
+        Ok(OcelotColumn::Oid(gather::gather(&self.ctx, &cands.as_oid(), &positions)?))
     }
 
     fn union_oids(&self, a: &OcelotColumn, b: &OcelotColumn) -> Result<OcelotColumn, PlanError> {
@@ -306,29 +244,13 @@ impl Backend for OcelotBackend {
         })
     }
 
-    fn mul_f32(&self, a: &OcelotColumn, b: &OcelotColumn) -> Result<OcelotColumn, PlanError> {
-        Ok(OcelotColumn::F32(calc::mul_f32(&self.ctx, &a.as_f32(), &b.as_f32())?))
-    }
-    fn add_f32(&self, a: &OcelotColumn, b: &OcelotColumn) -> Result<OcelotColumn, PlanError> {
-        Ok(OcelotColumn::F32(calc::add_f32(&self.ctx, &a.as_f32(), &b.as_f32())?))
-    }
-    fn sub_f32(&self, a: &OcelotColumn, b: &OcelotColumn) -> Result<OcelotColumn, PlanError> {
-        Ok(OcelotColumn::F32(calc::sub_f32(&self.ctx, &a.as_f32(), &b.as_f32())?))
-    }
-    fn const_minus_f32(&self, constant: f32, a: &OcelotColumn) -> Result<OcelotColumn, PlanError> {
-        Ok(OcelotColumn::F32(calc::const_minus_f32(&self.ctx, constant, &a.as_f32())?))
-    }
-    fn const_plus_f32(&self, constant: f32, a: &OcelotColumn) -> Result<OcelotColumn, PlanError> {
-        Ok(OcelotColumn::F32(calc::const_plus_f32(&self.ctx, constant, &a.as_f32())?))
-    }
-    fn mul_const_f32(&self, a: &OcelotColumn, constant: f32) -> Result<OcelotColumn, PlanError> {
-        Ok(OcelotColumn::F32(calc::mul_const_f32(&self.ctx, &a.as_f32(), constant)?))
-    }
-    fn cast_i32_f32(&self, a: &OcelotColumn) -> Result<OcelotColumn, PlanError> {
-        Ok(OcelotColumn::F32(calc::cast_i32_f32(&self.ctx, &a.as_i32())?))
-    }
-    fn extract_year(&self, a: &OcelotColumn) -> Result<OcelotColumn, PlanError> {
-        Ok(OcelotColumn::I32(calc::extract_year(&self.ctx, &a.as_i32())?))
+    fn map(&self, cols: &[&OcelotColumn], map: &Map) -> Result<OcelotColumn, PlanError> {
+        let words: Vec<DevColumn<Oid>> = cols.iter().map(|col| col.as_oid()).collect();
+        let words: Vec<&DevColumn<Oid>> = words.iter().collect();
+        Ok(match map.yields_i32() {
+            true => OcelotColumn::I32(calc::map(&self.ctx, &words, map)?),
+            false => OcelotColumn::F32(calc::map(&self.ctx, &words, map)?),
+        })
     }
 
     fn pkfk_join(
@@ -611,7 +533,7 @@ mod tests {
             .bat(&Bat::from_f32("b", (0..2_000).map(|i| i as f32 * 0.5).collect()).into_ref())?;
         let c = backend.bat(&Bat::from_i32("c", (0..2_000).map(|i| i % 7).collect()).into_ref())?;
 
-        let sel = backend.select_range_i32(&a, 10, 39, None)?;
+        let sel = backend.select(&[&a], &Pred::RangeI32 { col: 0, low: 10, high: 39 }, None)?;
         let b_sel = backend.fetch(&b, &sel)?;
         let c_sel = backend.fetch(&c, &sel)?;
         let groups = backend.group_by(&[&c_sel])?;
@@ -662,13 +584,15 @@ mod tests {
 
         let oc_v = backend.lift_i32(values.clone())?;
         let oc_o = backend.lift_i32(other.clone())?;
-        let first = backend.select_range_i32(&oc_v, 5, 30, None)?;
-        let second = backend.select_eq_i32(&oc_o, 3, Some(&first))?;
+        let (range, three) =
+            (Pred::RangeI32 { col: 0, low: 5, high: 30 }, Pred::EqI32 { col: 0, needle: 3 });
+        let first = backend.select(&[&oc_v], &range, None)?;
+        let second = backend.select(&[&oc_o], &three, Some(&first))?;
 
         let ms_v = reference.lift_i32(values)?;
         let ms_o = reference.lift_i32(other)?;
-        let ms_first = reference.select_range_i32(&ms_v, 5, 30, None)?;
-        let ms_second = reference.select_eq_i32(&ms_o, 3, Some(&ms_first))?;
+        let ms_first = reference.select(&[&ms_v], &range, None)?;
+        let ms_second = reference.select(&[&ms_o], &three, Some(&ms_first))?;
 
         assert_eq!(backend.to_oids(&second)?, reference.to_oids(&ms_second)?);
         Ok(())
@@ -684,10 +608,11 @@ mod tests {
         let v = backend.lift_i32(values.clone())?;
         let p = backend.lift_f32(payload.clone())?;
         let flushes = backend.context().queue().flush_count();
-        let sel = backend.select_range_i32(&v, 5, 30, None)?;
-        let narrowed = backend.select_range_i32(&v, 10, 20, Some(&sel))?;
+        let sel = backend.select(&[&v], &Pred::RangeI32 { col: 0, low: 5, high: 30 }, None)?;
+        let narrowed =
+            backend.select(&[&v], &Pred::RangeI32 { col: 0, low: 10, high: 20 }, Some(&sel))?;
         let fetched = backend.fetch(&p, &narrowed)?;
-        let doubled = backend.mul_const_f32(&fetched, 2.0)?;
+        let doubled = backend.map(&[&fetched], &Map::MulConst(Map::leaf(0), 2.0))?;
         assert_eq!(
             backend.context().queue().flush_count(),
             flushes,

@@ -8,7 +8,9 @@
 //! anything is summed. [`fuse_plan`] runs after lowering and collapses the
 //! regions below; a backend either runs the members one by one
 //! ([`crate::Backend::pipeline`]'s default — the unfused plan, operator for
-//! operator) or takes the region apart (`Program::of`) and evaluates it in
+//! operator) or composes the members' programs into one (`Program::of`:
+//! every conjunct re-slotted into the region's column slots, every map
+//! substituted into the tree of the member reading it) and evaluates it in
 //! one pass (`OcelotBackend`).
 //!
 //! # Region grammar
@@ -60,34 +62,6 @@ use crate::backend::GroupedAgg;
 use crate::plan::{Plan, PlanNode, PlanOp, Var};
 use ocelot_core::ops::rowexpr::{Map, Pred};
 use std::collections::HashMap;
-
-/// How many column operands a selection has, if `op` is one.
-fn select_columns(op: &PlanOp) -> Option<usize> {
-    match op {
-        PlanOp::SelectRangeI32 { .. }
-        | PlanOp::SelectRangeF32 { .. }
-        | PlanOp::SelectEqI32 { .. }
-        | PlanOp::SelectNeI32 { .. }
-        | PlanOp::SelectInI32 { .. } => Some(1),
-        PlanOp::SelectCmpI32 { .. } => Some(2),
-        _ => None,
-    }
-}
-
-/// The element-wise maps.
-fn is_map(op: &PlanOp) -> bool {
-    matches!(
-        op,
-        PlanOp::MulF32
-            | PlanOp::AddF32
-            | PlanOp::SubF32
-            | PlanOp::ConstMinusF32 { .. }
-            | PlanOp::ConstPlusF32 { .. }
-            | PlanOp::MulConstF32 { .. }
-            | PlanOp::CastI32F32
-            | PlanOp::ExtractYear
-    )
-}
 
 /// The value operands of an aggregating sink.
 fn sink_values(node: &PlanNode) -> Option<&[Var]> {
@@ -144,8 +118,8 @@ impl Flow<'_> {
     /// The unclaimed selection node `index` as a conjunct over base columns
     /// of `table` (any table when `None`): its table and its candidate list.
     fn conjunct(&self, index: usize, table: Option<&str>) -> Option<(&str, Option<Var>)> {
-        let node = self.nodes.get(index)?;
-        let columns = select_columns(&node.op)?;
+        let node = self.nodes.get(index).filter(|node| matches!(node.op, PlanOp::Select { .. }))?;
+        let columns = node.program_operands().ok()?;
         let mut tables = node.inputs[..columns].iter().map(|var| self.base_table(*var));
         let first = tables.next()??;
         let same = tables.all(|t| t == Some(first)) && table.is_none_or(|t| t == first);
@@ -211,7 +185,7 @@ impl Flow<'_> {
             let (leaf, list) = match &node.op {
                 PlanOp::Bind { .. } => (var, None),
                 PlanOp::Fetch => (node.inputs[0], Some(node.inputs[1])),
-                op if is_map(op) && !key => {
+                PlanOp::Map { .. } if !key => {
                     members.push(index);
                     pending.extend(node.inputs.iter().map(|var| (*var, false)));
                     continue;
@@ -468,11 +442,11 @@ impl Program {
         let (sink, interior) = node.members().split_last()?;
         let external = |var: &Var| node.inputs.contains(var);
         // The chain is a prefix of the members; what follows computes values.
-        let chain = interior.iter().take_while(|m| select_columns(&m.op).is_some()).count();
-        let (chain, computing) = match select_columns(&sink.op) {
-            Some(_) if chain == interior.len() => (node.members(), &[][..]),
-            Some(_) => return None,
-            None => interior.split_at(chain),
+        let chain = interior.iter().take_while(|m| matches!(m.op, PlanOp::Select { .. })).count();
+        let (chain, computing) = match sink.op {
+            PlanOp::Select { .. } if chain == interior.len() => (node.members(), &[][..]),
+            PlanOp::Select { .. } => return None,
+            _ => interior.split_at(chain),
         };
         let producers: HashMap<Var, &PlanNode> =
             computing.iter().map(|member| (member.outputs[0], member)).collect();
@@ -483,7 +457,7 @@ impl Program {
         let mut cols: Vec<Var> = Vec::new();
         for member in node.members() {
             let columns = match &member.op {
-                op if select_columns(op).is_some() => &member.inputs[..select_columns(op)?],
+                PlanOp::Select { .. } => &member.inputs[..member.program_operands().ok()?],
                 PlanOp::Fetch => &member.inputs[..1],
                 PlanOp::GroupedAggs { .. } => member.inputs.get(1..)?,
                 _ => &member.inputs[..],
@@ -499,28 +473,12 @@ impl Program {
         let mut preds: Vec<Pred> = Vec::new();
         let mut selected: Option<Var> = None;
         for member in chain {
-            let columns = select_columns(&member.op)?;
+            let PlanOp::Select { pred } = &member.op else { return None };
+            let columns = member.program_operands().ok()?;
             if member.inputs.get(columns).copied() != selected {
                 return None;
             }
-            let col = slot(member.inputs[0])?;
-            preds.push(match &member.op {
-                PlanOp::SelectRangeI32 { low, high } => {
-                    Pred::RangeI32 { col, low: *low, high: *high }
-                }
-                PlanOp::SelectRangeF32 { low, high } => {
-                    Pred::RangeF32 { col, low: *low, high: *high }
-                }
-                PlanOp::SelectEqI32 { needle } => Pred::EqI32 { col, needle: *needle },
-                PlanOp::SelectNeI32 { needle } => Pred::NeI32 { col, needle: *needle },
-                PlanOp::SelectInI32 { values } => {
-                    Pred::InI32 { col, values: values.as_slice().into() }
-                }
-                PlanOp::SelectCmpI32 { op } => {
-                    Pred::CmpI32 { op: *op, left: col, right: slot(member.inputs[1])? }
-                }
-                _ => return None,
-            });
+            preds.push(pred.reslot(|at| slot(*member.inputs.get(at)?))?);
             selected = Some(member.outputs[0]);
         }
 
@@ -566,7 +524,7 @@ impl Program {
             .collect::<Option<_>>()?;
 
         let sink = match &sink.op {
-            op if select_columns(op).is_some() => ProgramSink::Oids,
+            PlanOp::Select { .. } => ProgramSink::Oids,
             PlanOp::SumF32 => ProgramSink::Aggs { groups, values, funcs: vec![GroupedAgg::Sum(0)] },
             PlanOp::GroupedAggs { funcs } => {
                 ProgramSink::Aggs { groups, values, funcs: funcs.clone() }
@@ -626,18 +584,7 @@ impl Tree<'_> {
         if let (Some(earlier), false) = (held, root) {
             return Some(Map::Col(self.cols.len() + earlier));
         }
-        let mut operand =
-            |at: usize| Some(Box::new(self.build(*member.inputs.get(at)?, index, false)?));
-        Some(match &member.op {
-            PlanOp::MulF32 => Map::Mul(operand(0)?, operand(1)?),
-            PlanOp::AddF32 => Map::Add(operand(0)?, operand(1)?),
-            PlanOp::SubF32 => Map::Sub(operand(0)?, operand(1)?),
-            PlanOp::ConstMinusF32 { constant } => Map::ConstMinus(*constant, operand(0)?),
-            PlanOp::ConstPlusF32 { constant } => Map::ConstPlus(*constant, operand(0)?),
-            PlanOp::MulConstF32 { constant } => Map::MulConst(operand(0)?, *constant),
-            PlanOp::CastI32F32 => Map::CastI32F32(operand(0)?),
-            PlanOp::ExtractYear => Map::Year(operand(0)?),
-            _ => return None,
-        })
+        let PlanOp::Map { map } = &member.op else { return None };
+        map.substitute(&mut |at| self.build(*member.inputs.get(at)?, index, false))
     }
 }

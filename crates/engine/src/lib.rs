@@ -64,7 +64,7 @@ pub mod serve;
 pub mod session;
 
 pub use analyze::{verify, FlushBound, PlanDiagnostic, VerifyReport};
-pub use backend::{Backend, GroupHandle, GroupedAgg, ProfileMarker};
+pub use backend::{Backend, GroupHandle, GroupedAgg, Map, Pred, ProfileMarker};
 pub use backends::{MonetBackend, OcelotBackend};
 pub use fuse::fuse_plan;
 pub use ocelot_trace::{

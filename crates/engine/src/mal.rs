@@ -16,7 +16,7 @@
 //! become SSA registers of the DAG). [`execute`] remains as the one-shot
 //! convenience: compile, then run to completion on a backend.
 
-use crate::backend::Backend;
+use crate::backend::{Backend, Map, Pred};
 use crate::plan::{Plan, PlanBuilder, PlanError};
 use ocelot_storage::Catalog;
 use std::collections::HashMap;
@@ -164,7 +164,8 @@ pub fn compile(plan: &MalPlan) -> Result<Plan, PlanError> {
             }
             MalInstr::SelectRangeI32 { input, low, high, out, .. } => {
                 let input = read(&defs, *input)?;
-                let reg = builder.select_range_i32(input, *low, *high, None)?;
+                let pred = Pred::RangeI32 { col: 0, low: *low, high: *high };
+                let reg = builder.select(pred, &[input], None)?;
                 defs.insert(*out, reg);
             }
             MalInstr::Fetch { values, oids, out, .. } => {
@@ -176,7 +177,7 @@ pub fn compile(plan: &MalPlan) -> Result<Plan, PlanError> {
             MalInstr::MulF32 { a, b, out, .. } => {
                 let a = read(&defs, *a)?;
                 let b = read(&defs, *b)?;
-                let reg = builder.mul_f32(a, b)?;
+                let reg = builder.map(Map::Mul(Map::leaf(0), Map::leaf(1)), &[a, b])?;
                 defs.insert(*out, reg);
             }
             MalInstr::SumF32 { values, out, .. } => {

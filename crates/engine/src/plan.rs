@@ -16,9 +16,11 @@
 //! Three stages, three failure domains:
 //!
 //! * **Build** ([`PlanBuilder`]) — every operator method checks its operand
-//!   kinds ([`ValueKind`]: column / scalar / grouping), so malformed
-//!   dataflow (a scalar feeding an element-wise map, a grouping used as a
-//!   column) is rejected *before* anything executes.
+//!   kinds ([`ValueKind`]: column / scalar / grouping), and a selection's or
+//!   map's program against its operands, so malformed dataflow (a scalar
+//!   feeding an element-wise map, a grouping used as a column, a conjunct
+//!   reading a column it was not given) is rejected *before* anything
+//!   executes.
 //! * **Execute** ([`PlanRun`]) — a resumable register machine over any
 //!   [`Backend`]. [`PlanRun::step`] runs exactly one node; callers that
 //!   don't need stepping use [`PlanRun::run_to_completion`]. Registers are
@@ -60,12 +62,12 @@
 //! the protocol "one protocol, two triggers": PR 4's OOM restart is now
 //! just the reclaim-gated trigger of this loop.
 
-use crate::backend::{Backend, DenseJoinKind, GroupHandle, GroupedAgg, ProfileMarker};
+use crate::backend::{Backend, DenseJoinKind, GroupHandle, GroupedAgg, Map, Pred, ProfileMarker};
 use crate::query::Query;
 use ocelot_core::ops::hash_table::{table_capacity, table_words};
 use ocelot_core::ops::sort_radix;
 use ocelot_kernel::{FaultSite, KernelError};
-use ocelot_storage::{Catalog, CmpOp, DenseKey};
+use ocelot_storage::{Catalog, DenseKey};
 use ocelot_trace::{MetricsRegistry, NodeAction, TraceEventKind, TraceHandle};
 use std::collections::HashMap;
 use std::fmt;
@@ -129,6 +131,17 @@ pub enum PlanError {
     },
     /// `group_by` was called with no key columns.
     EmptyGroupBy,
+    /// A selection or map whose program does not match its operands. A
+    /// selection's conjunct and a map's one operator read the column slots
+    /// `0, 1, …` in order, slot `i` being operand `i`; a map's operator
+    /// reads column leaves only, and a selection may take its candidate
+    /// list as one more operand.
+    MalformedProgram {
+        /// The node's operator, as the plan listing renders it.
+        op: String,
+        /// Operands the node was given.
+        operands: usize,
+    },
     /// A node ran out of device memory and the OOM-restart protocol could
     /// not recover: reclaim passes (release + evict) stopped making
     /// progress, or the restart limit was reached. The working set pinned
@@ -196,6 +209,11 @@ impl fmt::Display for PlanError {
                 write!(f, "variable {var} is defined more than once")
             }
             PlanError::EmptyGroupBy => write!(f, "group_by needs at least one key column"),
+            PlanError::MalformedProgram { op, operands } => write!(
+                f,
+                "`{op}` over {operands} operand(s): its program does not read them as slots \
+                 0, 1, … in order"
+            ),
             PlanError::OutOfDeviceMemory { requested, available } => write!(
                 f,
                 "out of device memory: {requested} bytes requested, {available} available \
@@ -231,73 +249,24 @@ pub enum PlanOp {
         /// Column name.
         column: String,
     },
-    /// `low <= col <= high` over integers. Inputs: `[col]` or
-    /// `[col, candidates]`.
-    SelectRangeI32 {
-        /// Inclusive lower bound.
-        low: i32,
-        /// Inclusive upper bound.
-        high: i32,
-    },
-    /// `low <= col <= high` over floats. Inputs: `[col]` or
-    /// `[col, candidates]`.
-    SelectRangeF32 {
-        /// Inclusive lower bound.
-        low: f32,
-        /// Inclusive upper bound.
-        high: f32,
-    },
-    /// Equality selection. Inputs: `[col]` or `[col, candidates]`.
-    SelectEqI32 {
-        /// Value to match.
-        needle: i32,
-    },
-    /// Inequality selection. Inputs: `[col]` or `[col, candidates]`.
-    SelectNeI32 {
-        /// Value to exclude.
-        needle: i32,
-    },
-    /// Membership selection `col IN (values…)`. Inputs: `[col]` or
-    /// `[col, candidates]`.
-    SelectInI32 {
-        /// The values to match (sorted, distinct).
-        values: Vec<i32>,
-    },
-    /// Column-vs-column selection `left <op> right` over two aligned integer
-    /// columns. Inputs: `[left, right]` or `[left, right, candidates]`.
-    SelectCmpI32 {
-        /// The comparison.
-        op: CmpOp,
+    /// A selection: the rows on which one conjunct holds. Inputs: one
+    /// column per slot of the conjunct, in slot order, then optionally the
+    /// candidate list it selects among.
+    Select {
+        /// The conjunct; slot `i` is `inputs[i]`.
+        pred: Pred,
     },
     /// Union of two sorted OID candidate lists. Inputs: `[a, b]`.
     UnionOids,
     /// Left fetch join `values[oid]`. Inputs: `[values, oids]`.
     Fetch,
-    /// Element-wise `a * b`. Inputs: `[a, b]`.
-    MulF32,
-    /// Element-wise `a + b`. Inputs: `[a, b]`.
-    AddF32,
-    /// Element-wise `a - b`. Inputs: `[a, b]`.
-    SubF32,
-    /// Element-wise `c - a`. Inputs: `[a]`.
-    ConstMinusF32 {
-        /// The constant `c`.
-        constant: f32,
+    /// An element-wise map: one operator over column leaves. Inputs: one
+    /// column per leaf, in slot order. Its output is `i32` for a `year`,
+    /// `f32` otherwise ([`Map::yields_i32`]).
+    Map {
+        /// The operator; leaf `Col(i)` is `inputs[i]`.
+        map: Map,
     },
-    /// Element-wise `c + a`. Inputs: `[a]`.
-    ConstPlusF32 {
-        /// The constant `c`.
-        constant: f32,
-    },
-    /// Element-wise `a * c`. Inputs: `[a]`.
-    MulConstF32 {
-        /// The constant `c`.
-        constant: f32,
-    },
-    /// Integer-to-float cast. Inputs: `[a]`.
-    CastI32F32,
-    /// Calendar year of a day-number date column. Inputs: `[a]`.
-    ExtractYear,
     /// FK/PK hash join. Inputs: `[fk, pk]`; outputs: `[fk_oids, pk_oids]`.
     PkFkJoin,
     /// Partitioned hybrid hash FK/PK join — the out-of-core form of
@@ -366,22 +335,27 @@ impl PlanOp {
     pub fn name(&self) -> &'static str {
         match self {
             PlanOp::Bind { .. } => "bind",
-            PlanOp::SelectRangeI32 { .. } => "select_range_i32",
-            PlanOp::SelectRangeF32 { .. } => "select_range_f32",
-            PlanOp::SelectEqI32 { .. } => "select_eq_i32",
-            PlanOp::SelectNeI32 { .. } => "select_ne_i32",
-            PlanOp::SelectInI32 { .. } => "select_in_i32",
-            PlanOp::SelectCmpI32 { .. } => "select_cmp_i32",
+            PlanOp::Select { pred } => match pred {
+                Pred::RangeI32 { .. } => "select_range_i32",
+                Pred::RangeF32 { .. } => "select_range_f32",
+                Pred::EqI32 { .. } => "select_eq_i32",
+                Pred::NeI32 { .. } => "select_ne_i32",
+                Pred::InI32 { .. } => "select_in_i32",
+                Pred::CmpI32 { .. } => "select_cmp_i32",
+            },
             PlanOp::UnionOids => "union_oids",
             PlanOp::Fetch => "fetch",
-            PlanOp::MulF32 => "mul_f32",
-            PlanOp::AddF32 => "add_f32",
-            PlanOp::SubF32 => "sub_f32",
-            PlanOp::ConstMinusF32 { .. } => "const_minus_f32",
-            PlanOp::ConstPlusF32 { .. } => "const_plus_f32",
-            PlanOp::MulConstF32 { .. } => "mul_const_f32",
-            PlanOp::CastI32F32 => "cast_i32_f32",
-            PlanOp::ExtractYear => "extract_year",
+            PlanOp::Map { map } => match map {
+                Map::Col(_) => "map",
+                Map::Mul(..) => "mul_f32",
+                Map::Add(..) => "add_f32",
+                Map::Sub(..) => "sub_f32",
+                Map::ConstMinus(..) => "const_minus_f32",
+                Map::ConstPlus(..) => "const_plus_f32",
+                Map::MulConst(..) => "mul_const_f32",
+                Map::CastI32F32(_) => "cast_i32_f32",
+                Map::Year(_) => "extract_year",
+            },
             PlanOp::PkFkJoin => "pkfk_join",
             PlanOp::PkFkJoinPartitioned { .. } => "pkfk_join_partitioned",
             PlanOp::SemiJoin => "semi_join",
@@ -398,29 +372,51 @@ impl PlanOp {
             PlanOp::Result => "result",
         }
     }
+
+    /// The column operands a selection's or a map's program reads — one past
+    /// its highest slot — or `None` for any other operator.
+    pub fn program_columns(&self) -> Option<usize> {
+        fn top(map: &Map) -> Option<usize> {
+            match map {
+                Map::Col(slot) => Some(*slot),
+                _ => map.children().filter_map(top).max(),
+            }
+        }
+        let top = match self {
+            PlanOp::Select { pred } => pred.slots().max(),
+            PlanOp::Map { map } => top(map),
+            _ => return None,
+        };
+        Some(top.map_or(0, |top| top + 1))
+    }
 }
 
 impl fmt::Display for PlanOp {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             PlanOp::Bind { table, column } => write!(f, "bind {table}.{column}"),
-            PlanOp::SelectRangeI32 { low, high } => {
-                write!(f, "select_range_i32 [{low}, {high}]")
+            PlanOp::Select { pred } => {
+                write!(f, "{} ", self.name())?;
+                match pred {
+                    Pred::RangeI32 { low, high, .. } => write!(f, "[{low}, {high}]"),
+                    Pred::RangeF32 { low, high, .. } => write!(f, "[{low:?}, {high:?}]"),
+                    Pred::EqI32 { needle, .. } | Pred::NeI32 { needle, .. } => {
+                        write!(f, "{needle}")
+                    }
+                    Pred::InI32 { values, .. } => write!(f, "{values:?}"),
+                    Pred::CmpI32 { op, .. } => write!(f, "{}", op.symbol()),
+                }
             }
-            PlanOp::SelectRangeF32 { low, high } => {
-                write!(f, "select_range_f32 [{low:?}, {high:?}]")
-            }
-            PlanOp::SelectEqI32 { needle } => write!(f, "select_eq_i32 {needle}"),
-            PlanOp::SelectNeI32 { needle } => write!(f, "select_ne_i32 {needle}"),
-            PlanOp::SelectInI32 { values } => write!(f, "select_in_i32 {values:?}"),
-            PlanOp::SelectCmpI32 { op } => write!(f, "select_cmp_i32 {}", op.symbol()),
+            PlanOp::Map {
+                map:
+                    Map::ConstMinus(constant, _)
+                    | Map::ConstPlus(constant, _)
+                    | Map::MulConst(_, constant),
+            } => write!(f, "{} {constant:?}", self.name()),
             PlanOp::GroupedAggs { funcs } => {
                 write!(f, "grouped_aggs")?;
                 funcs.iter().try_for_each(|func| write!(f, " {func}"))
             }
-            PlanOp::ConstMinusF32 { constant } => write!(f, "const_minus_f32 {constant:?}"),
-            PlanOp::ConstPlusF32 { constant } => write!(f, "const_plus_f32 {constant:?}"),
-            PlanOp::MulConstF32 { constant } => write!(f, "mul_const_f32 {constant:?}"),
             PlanOp::SortOrderI32 { descending } => {
                 write!(f, "sort_order_i32 {}", if *descending { "desc" } else { "asc" })
             }
@@ -484,6 +480,23 @@ impl PlanNode {
     /// member, the node's own operator otherwise.
     pub fn sink(&self) -> &PlanOp {
         self.members().last().map_or(&self.op, |sink| &sink.op)
+    }
+
+    /// How many of the node's operands are the columns its selection or map
+    /// program reads ([`PlanOp::program_columns`]; 0 for any other node).
+    /// [`PlanError::MalformedProgram`] when the operands do not cover them:
+    /// a map has exactly those columns, a selection those columns and
+    /// optionally its candidates.
+    pub fn program_operands(&self) -> Result<usize, PlanError> {
+        let Some(columns) = self.op.program_columns() else { return Ok(0) };
+        let candidates = usize::from(matches!(self.op, PlanOp::Select { .. }));
+        match (columns..=columns + candidates).contains(&self.inputs.len()) {
+            true => Ok(columns),
+            false => Err(PlanError::MalformedProgram {
+                op: self.op.to_string(),
+                operands: self.inputs.len(),
+            }),
+        }
     }
 }
 
@@ -860,87 +873,65 @@ impl PlanBuilder {
         var
     }
 
-    fn select(&mut self, op: PlanOp, input: Var, cands: Option<Var>) -> Result<Var, PlanError> {
-        self.expect(input, ValueKind::Column)?;
-        let mut inputs = vec![input];
-        if let Some(cands) = cands {
-            self.expect(cands, ValueKind::Column)?;
-            inputs.push(cands);
+    /// A selection: the rows on which `pred` holds, its slot `i` reading
+    /// `columns[i]`, among the candidate list `cands` when there is one. An
+    /// `IN` list is kept sorted and distinct.
+    pub fn select(
+        &mut self,
+        pred: Pred,
+        columns: &[Var],
+        cands: Option<Var>,
+    ) -> Result<Var, PlanError> {
+        let pred = match pred {
+            Pred::InI32 { col, values } => {
+                let mut values = values.to_vec();
+                values.sort_unstable();
+                values.dedup();
+                Pred::InI32 { col, values: values.into() }
+            }
+            pred => pred,
+        };
+        self.program(PlanOp::Select { pred }, columns, cands)
+    }
+
+    /// An element-wise map: one operator of `map` over column leaves, leaf
+    /// `Col(i)` reading `columns[i]`.
+    pub fn map(&mut self, map: Map, columns: &[Var]) -> Result<Var, PlanError> {
+        self.program(PlanOp::Map { map }, columns, None)
+    }
+
+    /// Appends the selection or map `op` over `columns` (then `cands`),
+    /// refusing a program that does not read them as its slots `0, 1, …` in
+    /// order — a map with one operator over column leaves — with
+    /// [`PlanError::MalformedProgram`].
+    fn program(
+        &mut self,
+        op: PlanOp,
+        columns: &[Var],
+        cands: Option<Var>,
+    ) -> Result<Var, PlanError> {
+        let in_order = match &op {
+            PlanOp::Select { pred } => pred.slots().eq(0..columns.len()),
+            // One operator whose operands are the leaves `Col(0), Col(1), …`.
+            PlanOp::Map { map } => {
+                let leaf = |operand: &Map| match operand {
+                    Map::Col(slot) => Some(*slot),
+                    _ => None,
+                };
+                leaf(map).is_none() && map.children().map(leaf).eq((0..columns.len()).map(Some))
+            }
+            _ => false,
+        };
+        if !in_order {
+            return Err(PlanError::MalformedProgram {
+                op: op.to_string(),
+                operands: columns.len(),
+            });
         }
-        let out = self.fresh(ValueKind::Column);
-        self.nodes.push(PlanNode { op, inputs, outputs: vec![out] });
-        Ok(out)
-    }
-
-    /// Integer range selection, optionally over a candidate list.
-    pub fn select_range_i32(
-        &mut self,
-        input: Var,
-        low: i32,
-        high: i32,
-        cands: Option<Var>,
-    ) -> Result<Var, PlanError> {
-        self.select(PlanOp::SelectRangeI32 { low, high }, input, cands)
-    }
-
-    /// Float range selection, optionally over a candidate list.
-    pub fn select_range_f32(
-        &mut self,
-        input: Var,
-        low: f32,
-        high: f32,
-        cands: Option<Var>,
-    ) -> Result<Var, PlanError> {
-        self.select(PlanOp::SelectRangeF32 { low, high }, input, cands)
-    }
-
-    /// Equality selection, optionally over a candidate list.
-    pub fn select_eq_i32(
-        &mut self,
-        input: Var,
-        needle: i32,
-        cands: Option<Var>,
-    ) -> Result<Var, PlanError> {
-        self.select(PlanOp::SelectEqI32 { needle }, input, cands)
-    }
-
-    /// Inequality selection, optionally over a candidate list.
-    pub fn select_ne_i32(
-        &mut self,
-        input: Var,
-        needle: i32,
-        cands: Option<Var>,
-    ) -> Result<Var, PlanError> {
-        self.select(PlanOp::SelectNeI32 { needle }, input, cands)
-    }
-
-    /// Membership selection `input IN (values…)`, optionally over a
-    /// candidate list. The node keeps the values sorted and distinct.
-    pub fn select_in_i32(
-        &mut self,
-        input: Var,
-        values: &[i32],
-        cands: Option<Var>,
-    ) -> Result<Var, PlanError> {
-        let mut values = values.to_vec();
-        values.sort_unstable();
-        values.dedup();
-        self.select(PlanOp::SelectInI32 { values }, input, cands)
-    }
-
-    /// Column-vs-column selection `left <op> right` over two aligned integer
-    /// columns, optionally over a candidate list.
-    pub fn select_cmp_i32(
-        &mut self,
-        left: Var,
-        right: Var,
-        op: CmpOp,
-        cands: Option<Var>,
-    ) -> Result<Var, PlanError> {
-        let mut inputs = vec![left, right];
+        let mut inputs = columns.to_vec();
         inputs.extend(cands);
         self.columns(&inputs)?;
-        Ok(self.push(PlanOp::SelectCmpI32 { op }, inputs, ValueKind::Column))
+        Ok(self.push(op, inputs, ValueKind::Column))
     }
 
     /// Union of two sorted OID candidate lists.
@@ -963,46 +954,6 @@ impl PlanBuilder {
     fn unary(&mut self, op: PlanOp, a: Var) -> Result<Var, PlanError> {
         self.expect(a, ValueKind::Column)?;
         Ok(self.push(op, vec![a], ValueKind::Column))
-    }
-
-    /// Element-wise `a * b`.
-    pub fn mul_f32(&mut self, a: Var, b: Var) -> Result<Var, PlanError> {
-        self.binary(PlanOp::MulF32, a, b)
-    }
-
-    /// Element-wise `a + b`.
-    pub fn add_f32(&mut self, a: Var, b: Var) -> Result<Var, PlanError> {
-        self.binary(PlanOp::AddF32, a, b)
-    }
-
-    /// Element-wise `a - b`.
-    pub fn sub_f32(&mut self, a: Var, b: Var) -> Result<Var, PlanError> {
-        self.binary(PlanOp::SubF32, a, b)
-    }
-
-    /// Element-wise `c - a`.
-    pub fn const_minus_f32(&mut self, constant: f32, a: Var) -> Result<Var, PlanError> {
-        self.unary(PlanOp::ConstMinusF32 { constant }, a)
-    }
-
-    /// Element-wise `c + a`.
-    pub fn const_plus_f32(&mut self, constant: f32, a: Var) -> Result<Var, PlanError> {
-        self.unary(PlanOp::ConstPlusF32 { constant }, a)
-    }
-
-    /// Element-wise `a * c`.
-    pub fn mul_const_f32(&mut self, a: Var, constant: f32) -> Result<Var, PlanError> {
-        self.unary(PlanOp::MulConstF32 { constant }, a)
-    }
-
-    /// Integer-to-float cast.
-    pub fn cast_i32_f32(&mut self, a: Var) -> Result<Var, PlanError> {
-        self.unary(PlanOp::CastI32F32, a)
-    }
-
-    /// Calendar year of a day-number date column.
-    pub fn extract_year(&mut self, a: Var) -> Result<Var, PlanError> {
-        self.unary(PlanOp::ExtractYear, a)
     }
 
     /// FK/PK hash join; returns the aligned `(fk_oids, pk_oids)` registers.
@@ -1258,6 +1209,17 @@ enum ColKind {
     I32,
     F32,
     Oid,
+}
+
+impl ColKind {
+    /// What a map writes ([`Map::yields_i32`]).
+    fn of_map(map: &Map) -> ColKind {
+        if map.yields_i32() {
+            ColKind::I32
+        } else {
+            ColKind::F32
+        }
+    }
 }
 
 #[derive(Clone)]
@@ -1901,32 +1863,16 @@ fn exec_op<B: Backend + ?Sized>(
     regs: &mut Registers<B::Column>,
 ) -> Result<(), PlanError> {
     let column = |regs: &Registers<B::Column>, index: usize| regs.column(node.inputs[index]);
+    // The node's first `count` operands, as columns.
+    let operands = |regs: &Registers<B::Column>, count: usize| -> Result<Vec<_>, PlanError> {
+        node.inputs[..count].iter().map(|var| regs.column(*var)).collect()
+    };
     let out = match &node.op {
-        PlanOp::SelectRangeI32 { low, high } => {
-            let out =
-                b.select_range_i32(&column(regs, 0)?, *low, *high, regs.cands(node, 1)?.as_ref())?;
-            Slot::Column(out, ColKind::Oid)
-        }
-        PlanOp::SelectRangeF32 { low, high } => {
-            let out =
-                b.select_range_f32(&column(regs, 0)?, *low, *high, regs.cands(node, 1)?.as_ref())?;
-            Slot::Column(out, ColKind::Oid)
-        }
-        PlanOp::SelectEqI32 { needle } => {
-            let out = b.select_eq_i32(&column(regs, 0)?, *needle, regs.cands(node, 1)?.as_ref())?;
-            Slot::Column(out, ColKind::Oid)
-        }
-        PlanOp::SelectNeI32 { needle } => {
-            let out = b.select_ne_i32(&column(regs, 0)?, *needle, regs.cands(node, 1)?.as_ref())?;
-            Slot::Column(out, ColKind::Oid)
-        }
-        PlanOp::SelectInI32 { values } => {
-            let out = b.select_in_i32(&column(regs, 0)?, values, regs.cands(node, 1)?.as_ref())?;
-            Slot::Column(out, ColKind::Oid)
-        }
-        PlanOp::SelectCmpI32 { op } => {
-            let (left, right) = (column(regs, 0)?, column(regs, 1)?);
-            let out = b.select_cmp_i32(&left, &right, *op, regs.cands(node, 2)?.as_ref())?;
+        PlanOp::Select { pred } => {
+            let columns = node.program_operands()?;
+            let cands = regs.cands(node, columns)?;
+            let columns = operands(regs, columns)?;
+            let out = b.select(&columns.iter().collect::<Vec<_>>(), pred, cands.as_ref())?;
             Slot::Column(out, ColKind::Oid)
         }
         PlanOp::UnionOids => {
@@ -1936,26 +1882,10 @@ fn exec_op<B: Backend + ?Sized>(
             let (values, kind) = regs.typed_column(node.inputs[0])?;
             Slot::Column(b.fetch(&values, &column(regs, 1)?)?, kind)
         }
-        PlanOp::MulF32 | PlanOp::AddF32 | PlanOp::SubF32 => {
-            let (x, y) = (column(regs, 0)?, column(regs, 1)?);
-            let out = match node.op {
-                PlanOp::MulF32 => b.mul_f32(&x, &y),
-                PlanOp::AddF32 => b.add_f32(&x, &y),
-                _ => b.sub_f32(&x, &y),
-            };
-            Slot::Column(out?, ColKind::F32)
+        PlanOp::Map { map } => {
+            let columns = operands(regs, node.program_operands()?)?;
+            Slot::Column(b.map(&columns.iter().collect::<Vec<_>>(), map)?, ColKind::of_map(map))
         }
-        PlanOp::ConstMinusF32 { constant } => {
-            Slot::Column(b.const_minus_f32(*constant, &column(regs, 0)?)?, ColKind::F32)
-        }
-        PlanOp::ConstPlusF32 { constant } => {
-            Slot::Column(b.const_plus_f32(*constant, &column(regs, 0)?)?, ColKind::F32)
-        }
-        PlanOp::MulConstF32 { constant } => {
-            Slot::Column(b.mul_const_f32(&column(regs, 0)?, *constant)?, ColKind::F32)
-        }
-        PlanOp::CastI32F32 => Slot::Column(b.cast_i32_f32(&column(regs, 0)?)?, ColKind::F32),
-        PlanOp::ExtractYear => Slot::Column(b.extract_year(&column(regs, 0)?)?, ColKind::I32),
         PlanOp::PkFkJoin | PlanOp::PkFkJoinPartitioned { .. } => {
             let (fk, pk) = (column(regs, 0)?, column(regs, 1)?);
             let (fk_oids, pk_oids) = match &node.op {
@@ -2043,17 +1973,11 @@ fn member_kind<C: Clone>(
     let Some(member) = members.iter().find(|member| member.outputs.contains(&var)) else {
         return Ok(Some(regs.typed_column(var)?.1));
     };
-    Ok(Some(match member.op {
+    Ok(Some(match &member.op {
         PlanOp::SumF32 => return Ok(None),
         PlanOp::Fetch => return member_kind(members, regs, member.inputs[0]),
-        PlanOp::SelectRangeI32 { .. }
-        | PlanOp::SelectRangeF32 { .. }
-        | PlanOp::SelectEqI32 { .. }
-        | PlanOp::SelectNeI32 { .. }
-        | PlanOp::SelectInI32 { .. }
-        | PlanOp::SelectCmpI32 { .. }
-        | PlanOp::GroupReps => ColKind::Oid,
-        PlanOp::ExtractYear => ColKind::I32,
+        PlanOp::Select { .. } | PlanOp::GroupReps => ColKind::Oid,
+        PlanOp::Map { map } => ColKind::of_map(map),
         _ => ColKind::F32,
     }))
 }
@@ -2126,7 +2050,7 @@ mod tests {
     fn grouped_plan() -> Plan {
         let mut p = PlanBuilder::new();
         let k = p.bind("t", "k");
-        let sel = p.select_range_i32(k, 5, 20, None).unwrap();
+        let sel = p.select(Pred::RangeI32 { col: 0, low: 5, high: 20 }, &[k], None).unwrap();
         let v = p.bind("t", "v");
         let v_sel = p.fetch(v, sel).unwrap();
         let g = p.bind("t", "g");
@@ -2144,7 +2068,7 @@ mod tests {
         let mut p = PlanBuilder::new();
         let v = p.bind("t", "v");
         let total = p.sum_f32(v).unwrap();
-        let err = p.mul_f32(total, v).unwrap_err();
+        let err = p.map(Map::Mul(Map::leaf(0), Map::leaf(1)), &[total, v]).unwrap_err();
         assert_eq!(
             err,
             PlanError::KindMismatch {
@@ -2370,56 +2294,13 @@ mod tests {
         fn len(&self, c: &Self::Column) -> Result<usize, PlanError> {
             self.inner.len(c)
         }
-        fn select_range_i32(
+        fn select(
             &self,
-            c: &Self::Column,
-            lo: i32,
-            hi: i32,
+            cols: &[&Self::Column],
+            pred: &Pred,
             cands: Option<&Self::Column>,
         ) -> HostResult {
-            self.inner.select_range_i32(c, lo, hi, cands)
-        }
-        fn select_range_f32(
-            &self,
-            c: &Self::Column,
-            lo: f32,
-            hi: f32,
-            cands: Option<&Self::Column>,
-        ) -> HostResult {
-            self.inner.select_range_f32(c, lo, hi, cands)
-        }
-        fn select_eq_i32(
-            &self,
-            c: &Self::Column,
-            n: i32,
-            cands: Option<&Self::Column>,
-        ) -> HostResult {
-            self.inner.select_eq_i32(c, n, cands)
-        }
-        fn select_ne_i32(
-            &self,
-            c: &Self::Column,
-            n: i32,
-            cands: Option<&Self::Column>,
-        ) -> HostResult {
-            self.inner.select_ne_i32(c, n, cands)
-        }
-        fn select_in_i32(
-            &self,
-            c: &Self::Column,
-            v: &[i32],
-            cands: Option<&Self::Column>,
-        ) -> HostResult {
-            self.inner.select_in_i32(c, v, cands)
-        }
-        fn select_cmp_i32(
-            &self,
-            l: &Self::Column,
-            r: &Self::Column,
-            op: CmpOp,
-            cands: Option<&Self::Column>,
-        ) -> HostResult {
-            self.inner.select_cmp_i32(l, r, op, cands)
+            self.inner.select(cols, pred, cands)
         }
         fn union_oids(&self, a: &Self::Column, b: &Self::Column) -> HostResult {
             self.inner.union_oids(a, b)
@@ -2427,29 +2308,8 @@ mod tests {
         fn fetch(&self, c: &Self::Column, o: &Self::Column) -> HostResult {
             self.inner.fetch(c, o)
         }
-        fn mul_f32(&self, a: &Self::Column, b: &Self::Column) -> HostResult {
-            self.inner.mul_f32(a, b)
-        }
-        fn add_f32(&self, a: &Self::Column, b: &Self::Column) -> HostResult {
-            self.inner.add_f32(a, b)
-        }
-        fn sub_f32(&self, a: &Self::Column, b: &Self::Column) -> HostResult {
-            self.inner.sub_f32(a, b)
-        }
-        fn const_minus_f32(&self, k: f32, a: &Self::Column) -> HostResult {
-            self.inner.const_minus_f32(k, a)
-        }
-        fn const_plus_f32(&self, k: f32, a: &Self::Column) -> HostResult {
-            self.inner.const_plus_f32(k, a)
-        }
-        fn mul_const_f32(&self, a: &Self::Column, k: f32) -> HostResult {
-            self.inner.mul_const_f32(a, k)
-        }
-        fn cast_i32_f32(&self, a: &Self::Column) -> HostResult {
-            self.inner.cast_i32_f32(a)
-        }
-        fn extract_year(&self, a: &Self::Column) -> HostResult {
-            self.inner.extract_year(a)
+        fn map(&self, cols: &[&Self::Column], map: &Map) -> HostResult {
+            self.inner.map(cols, map)
         }
         fn pkfk_join(
             &self,

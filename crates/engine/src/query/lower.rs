@@ -37,7 +37,7 @@
 
 use super::rewrite::{available_columns, classify, column_stats, selectivity, Atom, ColTy, Pred};
 use super::{AggFunc, AggSpec, JoinKind, Logical, QueryBuildError, RewriteConfig};
-use crate::backend::{DenseJoinKind, GroupedAgg};
+use crate::backend::{DenseJoinKind, GroupedAgg, Map, Pred as Conjunct};
 use crate::plan::{Plan, PlanBuilder, Var};
 use crate::query::expr::Expr;
 use ocelot_core::partition::hash_table_bytes;
@@ -182,9 +182,14 @@ impl<'a> Lower<'a> {
     /// Materialises `name` as an f32 column (casting integers).
     fn materialize_f32(&mut self, rel: &mut Rel, name: &str) -> Result<Var, QueryBuildError> {
         let (var, ty) = self.materialize(rel, name)?;
+        self.as_f32(var, ty)
+    }
+
+    /// `var` as an f32 column: itself, or its cast when it holds integers.
+    fn as_f32(&mut self, var: Var, ty: ColTy) -> Result<Var, QueryBuildError> {
         Ok(match ty {
             ColTy::F32 => var,
-            ColTy::I32 => self.p.cast_i32_f32(var)?,
+            ColTy::I32 => self.p.map(Map::CastI32F32(Map::leaf(0)), &[var])?,
         })
     }
 
@@ -202,7 +207,7 @@ impl<'a> Lower<'a> {
                         "YEAR over a non-integer expression: {inner}"
                     )));
                 }
-                Ok((self.p.extract_year(var)?, ColTy::I32))
+                Ok((self.p.map(Map::Year(Map::leaf(0)), &[var])?, ColTy::I32))
             }
             Expr::Add(a, b) | Expr::Sub(a, b) | Expr::Mul(a, b) => {
                 let var = self.arith(rel, expr, a, b)?;
@@ -217,6 +222,8 @@ impl<'a> Lower<'a> {
         }
     }
 
+    /// One arithmetic operator: `c + x`, `c − x` or `x · c` when one side
+    /// is a literal, `a + b`, `a − b` or `a · b` otherwise — one map node.
     fn arith(
         &mut self,
         rel: &mut Rel,
@@ -224,70 +231,26 @@ impl<'a> Lower<'a> {
         a: &Expr,
         b: &Expr,
     ) -> Result<Var, QueryBuildError> {
-        let value_f32 =
-            |this: &mut Self, rel: &mut Rel, e: &Expr| -> Result<Var, QueryBuildError> {
-                match e {
-                    Expr::Col(name) => this.materialize_f32(rel, name),
-                    _ => {
-                        let (var, ty) = this.value_expr(rel, e)?;
-                        Ok(match ty {
-                            ColTy::F32 => var,
-                            ColTy::I32 => this.p.cast_i32_f32(var)?,
-                        })
-                    }
-                }
-            };
-        match whole {
-            Expr::Add(..) => match (a.as_lit_f32(), b.as_lit_f32()) {
-                (Some(c), None) => {
-                    let vb = value_f32(self, rel, b)?;
-                    Ok(self.p.const_plus_f32(c, vb)?)
-                }
-                (None, Some(c)) => {
-                    let va = value_f32(self, rel, a)?;
-                    Ok(self.p.const_plus_f32(c, va)?)
-                }
-                (None, None) => {
-                    let va = value_f32(self, rel, a)?;
-                    let vb = value_f32(self, rel, b)?;
-                    Ok(self.p.add_f32(va, vb)?)
-                }
-                (Some(_), Some(_)) => unreachable!("folded by the rewrite"),
-            },
-            Expr::Sub(..) => match (a.as_lit_f32(), b.as_lit_f32()) {
-                (Some(c), None) => {
-                    let vb = value_f32(self, rel, b)?;
-                    Ok(self.p.const_minus_f32(c, vb)?)
-                }
-                (None, Some(c)) => {
-                    let va = value_f32(self, rel, a)?;
-                    Ok(self.p.const_plus_f32(-c, va)?)
-                }
-                (None, None) => {
-                    let va = value_f32(self, rel, a)?;
-                    let vb = value_f32(self, rel, b)?;
-                    Ok(self.p.sub_f32(va, vb)?)
-                }
-                (Some(_), Some(_)) => unreachable!("folded by the rewrite"),
-            },
-            Expr::Mul(..) => match (a.as_lit_f32(), b.as_lit_f32()) {
-                (Some(c), None) => {
-                    let vb = value_f32(self, rel, b)?;
-                    Ok(self.p.mul_const_f32(vb, c)?)
-                }
-                (None, Some(c)) => {
-                    let va = value_f32(self, rel, a)?;
-                    Ok(self.p.mul_const_f32(va, c)?)
-                }
-                (None, None) => {
-                    let va = value_f32(self, rel, a)?;
-                    let vb = value_f32(self, rel, b)?;
-                    Ok(self.p.mul_f32(va, vb)?)
-                }
-                (Some(_), Some(_)) => unreachable!("folded by the rewrite"),
-            },
+        let (x, y) = (Map::leaf(0), Map::leaf(1));
+        let (map, operands): (Map, Vec<&Expr>) = match (whole, a.as_lit_f32(), b.as_lit_f32()) {
+            (_, Some(_), Some(_)) => unreachable!("folded by the rewrite"),
+            (Expr::Add(..), Some(c), None) => (Map::ConstPlus(c, x), vec![b]),
+            (Expr::Add(..), None, Some(c)) => (Map::ConstPlus(c, x), vec![a]),
+            (Expr::Add(..), None, None) => (Map::Add(x, y), vec![a, b]),
+            (Expr::Sub(..), Some(c), None) => (Map::ConstMinus(c, x), vec![b]),
+            (Expr::Sub(..), None, Some(c)) => (Map::ConstPlus(-c, x), vec![a]),
+            (Expr::Sub(..), None, None) => (Map::Sub(x, y), vec![a, b]),
+            (Expr::Mul(..), Some(c), None) => (Map::MulConst(x, c), vec![b]),
+            (Expr::Mul(..), None, Some(c)) => (Map::MulConst(x, c), vec![a]),
+            (Expr::Mul(..), None, None) => (Map::Mul(x, y), vec![a, b]),
             _ => unreachable!("arith called on non-arithmetic"),
+        };
+        let mut columns = Vec::with_capacity(operands.len());
+        for operand in operands {
+            let (var, ty) = self.value_expr(rel, operand)?;
+            columns.push(self.as_f32(var, ty)?);
         }
+        Ok(self.p.map(map, &columns)?)
     }
 
     // ---- relations -----------------------------------------------------
@@ -541,33 +504,20 @@ impl<'a> Lower<'a> {
                     Ok(this.materialize(rel, name)?.0)
                 }
             };
-        match atom {
-            Atom::RangeI32 { col, lo, hi } => {
-                let v = col_var(self, rel, col)?;
-                Ok(self.p.select_range_i32(v, *lo, *hi, cands)?)
+        let pred = match atom {
+            Atom::RangeI32 { lo, hi, .. } => Conjunct::RangeI32 { col: 0, low: *lo, high: *hi },
+            Atom::RangeF32 { lo, hi, .. } => Conjunct::RangeF32 { col: 0, low: *lo, high: *hi },
+            Atom::EqI32 { value, .. } => Conjunct::EqI32 { col: 0, needle: *value },
+            Atom::NeI32 { value, .. } => Conjunct::NeI32 { col: 0, needle: *value },
+            Atom::InI32 { values, .. } => {
+                Conjunct::InI32 { col: 0, values: values.as_slice().into() }
             }
-            Atom::RangeF32 { col, lo, hi } => {
-                let v = col_var(self, rel, col)?;
-                Ok(self.p.select_range_f32(v, *lo, *hi, cands)?)
-            }
-            Atom::EqI32 { col, value } => {
-                let v = col_var(self, rel, col)?;
-                Ok(self.p.select_eq_i32(v, *value, cands)?)
-            }
-            Atom::NeI32 { col, value } => {
-                let v = col_var(self, rel, col)?;
-                Ok(self.p.select_ne_i32(v, *value, cands)?)
-            }
-            Atom::InI32 { col, values } => {
-                let v = col_var(self, rel, col)?;
-                Ok(self.p.select_in_i32(v, values, cands)?)
-            }
-            Atom::ColCmp { op, left, right } => {
-                let lv = col_var(self, rel, left)?;
-                let rv = col_var(self, rel, right)?;
-                Ok(self.p.select_cmp_i32(lv, rv, *op, cands)?)
-            }
-        }
+            Atom::ColCmp { op, .. } => Conjunct::CmpI32 { op: *op, left: 0, right: 1 },
+        };
+        let columns: Vec<Var> = (atom.columns().into_iter())
+            .map(|name| col_var(self, rel, name))
+            .collect::<Result<_, _>>()?;
+        Ok(self.p.select(pred, &columns, cands)?)
     }
 
     // ---- joins ---------------------------------------------------------

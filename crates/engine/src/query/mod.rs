@@ -850,7 +850,9 @@ mod tests {
         let first_select = plan
             .unfused_nodes()
             .find_map(|n| match &n.op {
-                PlanOp::SelectRangeI32 { low, high } => Some((*low, *high)),
+                PlanOp::Select { pred: crate::backend::Pred::RangeI32 { low, high, .. } } => {
+                    Some((*low, *high))
+                }
                 _ => None,
             })
             .unwrap();

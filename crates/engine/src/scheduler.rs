@@ -1017,11 +1017,12 @@ mod tests {
     #[test]
     #[should_panic(expected = "ill-formed plan admitted")]
     fn serve_admissions_are_verified_in_debug_builds() {
+        use crate::backend::Map;
         use crate::plan::{PlanNode, PlanOp};
         let catalog = catalog();
         // Reads register 7, which no node defines.
         let plan = Plan::from_nodes_unchecked(vec![PlanNode {
-            op: PlanOp::CastI32F32,
+            op: PlanOp::Map { map: Map::CastI32F32(Map::leaf(0)) },
             inputs: vec![7],
             outputs: vec![0],
         }]);

@@ -100,8 +100,10 @@ impl<B: Backend> Session<B> {
 
     /// Executes an already-compiled plan to completion, applying the
     /// device-loss failover protocol when a fallback is armed (module
-    /// docs).
+    /// docs). A selection or map short of the columns its program reads is
+    /// refused with [`PlanError::MalformedProgram`] before anything runs.
     pub fn run(&self, plan: &Plan, catalog: &Catalog) -> Result<Vec<QueryValue>, PlanError> {
+        plan.unfused_nodes().try_for_each(|node| node.program_operands().map(drop))?;
         #[cfg(debug_assertions)]
         {
             let report = self.verify_plan(plan);

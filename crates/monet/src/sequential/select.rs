@@ -100,14 +100,37 @@ pub fn select_ne_i32_cand(column: &[i32], candidates: &[Oid], needle: i32) -> Ve
     candidates_where(candidates, |row| column[row] != needle)
 }
 
-/// Column-vs-column selection: rows with `left[row] <op> right[row]`.
+/// Column-vs-column selection: rows with `left[row] <op> right[row]`. The
+/// comparison is chosen once per call; each arm's loop is compiled for its
+/// own operator, with no `match` per row.
 pub fn select_cmp_i32(left: &[i32], right: &[i32], op: CmpOp) -> Vec<Oid> {
-    rows_where(left.iter().zip(right).map(|(&l, &r)| op.holds(l, r)))
+    fn rows(left: &[i32], right: &[i32], holds: impl Fn(&i32, &i32) -> bool) -> Vec<Oid> {
+        rows_where(left.iter().zip(right).map(|(l, r)| holds(l, r)))
+    }
+    match op {
+        CmpOp::Lt => rows(left, right, i32::lt),
+        CmpOp::Le => rows(left, right, i32::le),
+        CmpOp::Gt => rows(left, right, i32::gt),
+        CmpOp::Ge => rows(left, right, i32::ge),
+        CmpOp::Eq => rows(left, right, i32::eq),
+        CmpOp::Ne => rows(left, right, i32::ne),
+    }
 }
 
-/// Column-vs-column selection restricted to a candidate list.
+/// Column-vs-column selection restricted to a candidate list, the
+/// comparison chosen once per call like [`select_cmp_i32`]'s.
 pub fn select_cmp_i32_cand(left: &[i32], right: &[i32], candidates: &[Oid], op: CmpOp) -> Vec<Oid> {
-    candidates_where(candidates, |row| op.holds(left[row], right[row]))
+    fn kept(l: &[i32], r: &[i32], cands: &[Oid], holds: impl Fn(&i32, &i32) -> bool) -> Vec<Oid> {
+        candidates_where(cands, |row| holds(&l[row], &r[row]))
+    }
+    match op {
+        CmpOp::Lt => kept(left, right, candidates, i32::lt),
+        CmpOp::Le => kept(left, right, candidates, i32::le),
+        CmpOp::Gt => kept(left, right, candidates, i32::gt),
+        CmpOp::Ge => kept(left, right, candidates, i32::ge),
+        CmpOp::Eq => kept(left, right, candidates, i32::eq),
+        CmpOp::Ne => kept(left, right, candidates, i32::ne),
+    }
 }
 
 /// Membership selection `value IN (values…)` over an `i32` column.

@@ -7,7 +7,6 @@
 //! `table.column` references against it.
 
 use crate::bat::BatRef;
-use crate::chunked::ChunkedTable;
 use crate::dictionary::StringDictionary;
 use std::collections::HashMap;
 
@@ -100,7 +99,6 @@ fn fresh_generation() -> u64 {
 #[derive(Debug, Clone)]
 pub struct Catalog {
     tables: HashMap<String, Table>,
-    chunked: HashMap<String, ChunkedTable>,
     dictionaries: HashMap<String, StringDictionary>,
     /// Process-unique version of this catalog's *contents*: assigned fresh
     /// at construction and bumped on every table/dictionary registration.
@@ -122,7 +120,6 @@ impl Catalog {
     pub fn new() -> Catalog {
         Catalog {
             tables: HashMap::new(),
-            chunked: HashMap::new(),
             dictionaries: HashMap::new(),
             generation: fresh_generation(),
         }
@@ -149,36 +146,6 @@ impl Catalog {
     /// Looks a column up as `table.column`.
     pub fn column(&self, table: &str, column: &str) -> Option<&BatRef> {
         self.tables.get(table).and_then(|t| t.column(column))
-    }
-
-    /// Registers a chunked (streamed) table, replacing any previous chunked
-    /// table of the same name. Chunked tables live beside resident tables:
-    /// a scan goes through [`ChunkedTable::scan`] one row group at a time,
-    /// and [`Catalog::materialize_chunked`] promotes one to a resident
-    /// [`Table`] when it fits in host memory.
-    pub fn add_chunked_table(&mut self, table: ChunkedTable) {
-        self.chunked.insert(table.name().to_string(), table);
-        self.generation = fresh_generation();
-    }
-
-    /// Looks a chunked table up by name.
-    pub fn chunked_table(&self, name: &str) -> Option<&ChunkedTable> {
-        self.chunked.get(name)
-    }
-
-    /// Names of all registered chunked tables (unordered).
-    pub fn chunked_table_names(&self) -> Vec<&str> {
-        self.chunked.keys().map(|s| s.as_str()).collect()
-    }
-
-    /// Materialises a registered chunked table into a resident [`Table`]
-    /// (concatenating all chunks) and registers the result. Returns whether
-    /// the name was a known chunked table.
-    pub fn materialize_chunked(&mut self, name: &str) -> bool {
-        let Some(chunked) = self.chunked.get(name) else { return false };
-        let table = chunked.collect();
-        self.add_table(table);
-        true
     }
 
     /// Registers the dictionary a string column was encoded with, keyed by

@@ -525,19 +525,6 @@ pub fn chunked_tables_by_rows(config: &TpchConfig, target_rows: usize) -> Vec<Ch
         .collect()
 }
 
-/// Registers the streaming tables *and* their dictionaries into `catalog`
-/// without materialising any column: the chunked tables are scannable via
-/// [`Catalog::chunked_table`], and string literals resolve through the
-/// pre-built positional dictionaries.
-pub fn register_chunked(catalog: &mut Catalog, config: &TpchConfig, chunks: usize) {
-    for table in chunked_tables(config, chunks) {
-        catalog.add_chunked_table(table);
-    }
-    for (table, column, dict) in build_dictionaries(config) {
-        catalog.add_dictionary(table, column, dict);
-    }
-}
-
 /// The deterministic dictionaries of every string column: each literal
 /// table is encoded in declaration order, so codes are positional (`code ==
 /// index`) and independent of the generated rows.
@@ -762,22 +749,6 @@ mod tests {
         for &d in db.col("orders", "o_orderdate").as_i32().unwrap() {
             assert!(d >= lo && d <= hi);
         }
-    }
-
-    #[test]
-    fn chunked_registration_streams_without_materializing() {
-        let config = TpchConfig { scale_factor: 0.002, seed: 7 };
-        let mut catalog = Catalog::new();
-        register_chunked(&mut catalog, &config, 4);
-        let lineitem = catalog.chunked_table("lineitem").expect("registered");
-        assert_eq!(lineitem.chunk_count(), 4);
-        let mut rows = 0;
-        let visited = lineitem.scan(|_, group| rows += group.rows());
-        assert_eq!(rows, visited);
-        assert_eq!(rows, lineitem.rows());
-        // Literal resolution works without any materialised column.
-        assert!(catalog.encode_literal("customer", "c_mktsegment", "BUILDING").is_some());
-        assert!(catalog.table("lineitem").is_none(), "nothing materialised");
     }
 
     #[test]

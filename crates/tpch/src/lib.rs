@@ -28,9 +28,7 @@
 pub mod dbgen;
 pub mod queries;
 
-pub use dbgen::{
-    chunked_tables, chunked_tables_by_rows, register_chunked, sparse_keys, TpchConfig, TpchDb,
-};
+pub use dbgen::{chunked_tables, chunked_tables_by_rows, sparse_keys, TpchConfig, TpchDb};
 pub use queries::{
     q10_query, q12_plan, q12_queries, q14_query, q1_direct, q1_params, q1_query, q1_query_p,
     q3_params, q3_plan, q3_query, q3_query_p, q4_plan, q4_query, q5_query, q6_params, q6_plan,

@@ -31,7 +31,7 @@
 
 use ocelot_engine::plan::{Plan, PlanBuilder, PlanError, QueryValue};
 use ocelot_engine::query::{col, lit, param, AggSpec, ParamValue, Query, QueryBuildError};
-use ocelot_engine::{Backend, GroupedAgg, Session};
+use ocelot_engine::{Backend, GroupedAgg, Map, Pred, Session};
 use ocelot_storage::types::date_to_days;
 use std::fmt;
 
@@ -310,7 +310,11 @@ fn q1<B: Backend>(session: &Session<B>, db: &TpchDb) -> Result<QueryResult, Quer
 /// as the oracle the DSL port is verified against.
 pub fn q1_direct<B: Backend>(b: &B, db: &TpchDb) -> Result<QueryResult, PlanError> {
     let shipdate = b.bat(db.col("lineitem", "l_shipdate"))?;
-    let cands = b.select_range_i32(&shipdate, i32::MIN, date_to_days(1998, 9, 2), None)?;
+    let cands = b.select(
+        &[&shipdate],
+        &Pred::RangeI32 { col: 0, low: i32::MIN, high: date_to_days(1998, 9, 2) },
+        None,
+    )?;
 
     let returnflag = b.fetch(&b.bat(db.col("lineitem", "l_returnflag"))?, &cands)?;
     let linestatus = b.fetch(&b.bat(db.col("lineitem", "l_linestatus"))?, &cands)?;
@@ -320,10 +324,10 @@ pub fn q1_direct<B: Backend>(b: &B, db: &TpchDb) -> Result<QueryResult, PlanErro
     let tax = b.fetch(&b.bat(db.col("lineitem", "l_tax"))?, &cands)?;
 
     // disc_price = price * (1 - discount); charge = disc_price * (1 + tax)
-    let one_minus_disc = b.const_minus_f32(1.0, &discount)?;
-    let disc_price = b.mul_f32(&price, &one_minus_disc)?;
-    let one_plus_tax = b.const_plus_f32(1.0, &tax)?;
-    let charge = b.mul_f32(&disc_price, &one_plus_tax)?;
+    let one_minus_disc = b.map(&[&discount], &Map::ConstMinus(1.0, Map::leaf(0)))?;
+    let disc_price = b.map(&[&price, &one_minus_disc], &Map::Mul(Map::leaf(0), Map::leaf(1)))?;
+    let one_plus_tax = b.map(&[&tax], &Map::ConstPlus(1.0, Map::leaf(0)))?;
+    let charge = b.map(&[&disc_price, &one_plus_tax], &Map::Mul(Map::leaf(0), Map::leaf(1)))?;
 
     let groups = b.group_by(&[&returnflag, &linestatus])?;
     // Value columns by position: quantity, price, disc_price, charge, discount.
@@ -441,13 +445,14 @@ pub fn q3_plan(db: &TpchDb) -> Result<Plan, PlanError> {
 
     // customer: the BUILDING segment and its (unique) keys.
     let mktsegment = p.bind("customer", "c_mktsegment");
-    let building = p.select_eq_i32(mktsegment, segment, None)?;
+    let building = p.select(Pred::EqI32 { col: 0, needle: segment }, &[mktsegment], None)?;
     let custkey = p.bind("customer", "c_custkey");
     let building_keys = p.fetch(custkey, building)?;
 
     // orders before the cutoff, restricted to those customers.
     let orderdate = p.bind("orders", "o_orderdate");
-    let early = p.select_range_i32(orderdate, i32::MIN, cutoff - 1, None)?;
+    let early =
+        p.select(Pred::RangeI32 { col: 0, low: i32::MIN, high: cutoff - 1 }, &[orderdate], None)?;
     let o_custkey = p.bind("orders", "o_custkey");
     let early_custkeys = p.fetch(o_custkey, early)?;
     let (order_pos, _) = p.pkfk_join(early_custkeys, building_keys)?;
@@ -457,7 +462,8 @@ pub fn q3_plan(db: &TpchDb) -> Result<Plan, PlanError> {
 
     // lineitem shipped after the cutoff, joined to the qualifying orders.
     let shipdate = p.bind("lineitem", "l_shipdate");
-    let late = p.select_range_i32(shipdate, cutoff + 1, i32::MAX, None)?;
+    let late =
+        p.select(Pred::RangeI32 { col: 0, low: cutoff + 1, high: i32::MAX }, &[shipdate], None)?;
     let l_orderkey = p.bind("lineitem", "l_orderkey");
     let late_orderkeys = p.fetch(l_orderkey, late)?;
     let (line_pos, order_match) = p.pkfk_join(late_orderkeys, qualifying_orderkeys)?;
@@ -469,8 +475,8 @@ pub fn q3_plan(db: &TpchDb) -> Result<Plan, PlanError> {
     let price_sel = p.fetch(price, line_oids)?;
     let discount = p.bind("lineitem", "l_discount");
     let discount_sel = p.fetch(discount, line_oids)?;
-    let one_minus = p.const_minus_f32(1.0, discount_sel)?;
-    let revenue = p.mul_f32(price_sel, one_minus)?;
+    let one_minus = p.map(Map::ConstMinus(1.0, Map::leaf(0)), &[discount_sel])?;
+    let revenue = p.map(Map::Mul(Map::leaf(0), Map::leaf(1)), &[price_sel, one_minus])?;
 
     // Group by (l_orderkey, o_orderdate, o_shippriority).
     let key_orderkey = p.fetch(l_orderkey, line_oids)?;
@@ -541,16 +547,16 @@ pub fn q4_plan(db: &TpchDb) -> Result<Plan, PlanError> {
     // lineitems received after their commit date.
     let commit = p.bind("lineitem", "l_commitdate");
     let receipt = p.bind("lineitem", "l_receiptdate");
-    let commit_f = p.cast_i32_f32(commit)?;
-    let receipt_f = p.cast_i32_f32(receipt)?;
-    let lag = p.sub_f32(receipt_f, commit_f)?;
-    let lagging = p.select_range_f32(lag, 0.5, f32::MAX, None)?;
+    let commit_f = p.map(Map::CastI32F32(Map::leaf(0)), &[commit])?;
+    let receipt_f = p.map(Map::CastI32F32(Map::leaf(0)), &[receipt])?;
+    let lag = p.map(Map::Sub(Map::leaf(0), Map::leaf(1)), &[receipt_f, commit_f])?;
+    let lagging = p.select(Pred::RangeF32 { col: 0, low: 0.5, high: f32::MAX }, &[lag], None)?;
     let l_orderkey = p.bind("lineitem", "l_orderkey");
     let lagging_orderkeys = p.fetch(l_orderkey, lagging)?;
 
     // orders of the quarter, restricted to those with a lagging lineitem.
     let orderdate = p.bind("orders", "o_orderdate");
-    let window = p.select_range_i32(orderdate, lo, hi, None)?;
+    let window = p.select(Pred::RangeI32 { col: 0, low: lo, high: hi }, &[orderdate], None)?;
     let o_orderkey = p.bind("orders", "o_orderkey");
     let window_keys = p.fetch(o_orderkey, window)?;
     let matching = p.semi_join(window_keys, lagging_orderkeys)?;
@@ -675,16 +681,31 @@ pub fn q6_plan(db: &TpchDb) -> Result<Plan, PlanError> {
     let _ = db; // Q6's literals are scale-independent; the db fixes no codes.
     let mut p = PlanBuilder::new();
     let shipdate = p.bind("lineitem", "l_shipdate");
-    let in_year =
-        p.select_range_i32(shipdate, date_to_days(1994, 1, 1), date_to_days(1995, 1, 1) - 1, None)?;
+    let in_year = p.select(
+        Pred::RangeI32 {
+            col: 0,
+            low: date_to_days(1994, 1, 1),
+            high: date_to_days(1995, 1, 1) - 1,
+        },
+        &[shipdate],
+        None,
+    )?;
     let discount = p.bind("lineitem", "l_discount");
-    let in_discount = p.select_range_f32(discount, 0.05 - 0.001, 0.07 + 0.001, Some(in_year))?;
+    let in_discount = p.select(
+        Pred::RangeF32 { col: 0, low: 0.05 - 0.001, high: 0.07 + 0.001 },
+        &[discount],
+        Some(in_year),
+    )?;
     let quantity = p.bind("lineitem", "l_quantity");
-    let qualifying = p.select_range_f32(quantity, f32::MIN, 23.5, Some(in_discount))?;
+    let qualifying = p.select(
+        Pred::RangeF32 { col: 0, low: f32::MIN, high: 23.5 },
+        &[quantity],
+        Some(in_discount),
+    )?;
     let price = p.bind("lineitem", "l_extendedprice");
     let price_sel = p.fetch(price, qualifying)?;
     let discount_sel = p.fetch(discount, qualifying)?;
-    let product = p.mul_f32(price_sel, discount_sel)?;
+    let product = p.map(Map::Mul(Map::leaf(0), Map::leaf(1)), &[price_sel, discount_sel])?;
     let revenue = p.sum_f32(product)?;
     p.result(&[revenue])?;
     Ok(p.finish())
@@ -810,22 +831,30 @@ pub fn q12_plan(db: &TpchDb) -> Result<Plan, PlanError> {
 
     // Receipt year and the two ship modes (IN via candidate union).
     let receipt = p.bind("lineitem", "l_receiptdate");
-    let in_year = p.select_range_i32(receipt, lo, hi, None)?;
+    let in_year = p.select(Pred::RangeI32 { col: 0, low: lo, high: hi }, &[receipt], None)?;
     let shipmode = p.bind("lineitem", "l_shipmode");
-    let mail_sel = p.select_eq_i32(shipmode, mail, Some(in_year))?;
-    let ship_sel = p.select_eq_i32(shipmode, ship, Some(in_year))?;
+    let mail_sel = p.select(Pred::EqI32 { col: 0, needle: mail }, &[shipmode], Some(in_year))?;
+    let ship_sel = p.select(Pred::EqI32 { col: 0, needle: ship }, &[shipmode], Some(in_year))?;
     let by_mode = p.union_oids(mail_sel, ship_sel)?;
 
     // l_commitdate < l_receiptdate and l_shipdate < l_commitdate.
     let commit = p.bind("lineitem", "l_commitdate");
-    let commit_f = p.cast_i32_f32(commit)?;
-    let receipt_f = p.cast_i32_f32(receipt)?;
-    let commit_lag = p.sub_f32(receipt_f, commit_f)?;
-    let commit_ok = p.select_range_f32(commit_lag, 0.5, f32::MAX, Some(by_mode))?;
+    let commit_f = p.map(Map::CastI32F32(Map::leaf(0)), &[commit])?;
+    let receipt_f = p.map(Map::CastI32F32(Map::leaf(0)), &[receipt])?;
+    let commit_lag = p.map(Map::Sub(Map::leaf(0), Map::leaf(1)), &[receipt_f, commit_f])?;
+    let commit_ok = p.select(
+        Pred::RangeF32 { col: 0, low: 0.5, high: f32::MAX },
+        &[commit_lag],
+        Some(by_mode),
+    )?;
     let shipdate = p.bind("lineitem", "l_shipdate");
-    let ship_f = p.cast_i32_f32(shipdate)?;
-    let ship_lag = p.sub_f32(commit_f, ship_f)?;
-    let qualifying = p.select_range_f32(ship_lag, 0.5, f32::MAX, Some(commit_ok))?;
+    let ship_f = p.map(Map::CastI32F32(Map::leaf(0)), &[shipdate])?;
+    let ship_lag = p.map(Map::Sub(Map::leaf(0), Map::leaf(1)), &[commit_f, ship_f])?;
+    let qualifying = p.select(
+        Pred::RangeF32 { col: 0, low: 0.5, high: f32::MAX },
+        &[ship_lag],
+        Some(commit_ok),
+    )?;
 
     // Join the qualifying lineitems to their orders.
     let l_orderkey = p.bind("lineitem", "l_orderkey");
@@ -839,8 +868,8 @@ pub fn q12_plan(db: &TpchDb) -> Result<Plan, PlanError> {
 
     // Counts per ship mode over all joined lines and over the
     // high-priority subset.
-    let is_urgent = p.select_eq_i32(prio_per_line, urgent, None)?;
-    let is_high = p.select_eq_i32(prio_per_line, high, None)?;
+    let is_urgent = p.select(Pred::EqI32 { col: 0, needle: urgent }, &[prio_per_line], None)?;
+    let is_high = p.select(Pred::EqI32 { col: 0, needle: high }, &[prio_per_line], None)?;
     let high_pos = p.union_oids(is_urgent, is_high)?;
     let mode_high = p.fetch(mode_per_line, high_pos)?;
 

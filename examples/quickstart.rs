@@ -9,6 +9,7 @@
 //! flushes exactly once per device, which the example verifies with the
 //! queue's `flush_count()` observability hook.
 
+use ocelot_core::ops::rowexpr::Pred;
 use ocelot_core::ops::select;
 use ocelot_core::primitives::{gather, reduce};
 use ocelot_core::OcelotContext;
@@ -28,8 +29,11 @@ fn main() {
         let p = ctx.upload_f32(&prices, "prices").expect("upload failed");
         let flushes_before = ctx.queue().flush_count();
 
-        // 1. Selection: a device-resident bitmap (no OID list yet).
-        let bitmap = select::select_range_i32(&ctx, &k, 100, 300).expect("select failed");
+        // 1. Selection: a device-resident bitmap (no OID list yet) of the
+        //    rows where `100 <= keys <= 300` — one conjunct over column 0.
+        let in_range = Pred::RangeI32 { col: 0, low: 100, high: 300 };
+        let bitmap =
+            select::select_where(&ctx, &[&k.reinterpret()], &[in_range]).expect("select failed");
         // 2. Materialisation: the qualifying OIDs. The cardinality is a
         //    *device counter* — the column's length is deferred.
         let oids = select::materialize_bitmap(&ctx, &bitmap).expect("materialize failed");

@@ -20,7 +20,7 @@
 //! rewrite exists for.
 
 use ocelot_analyze::{verify, FlushBound, PlanDiagnostic};
-use ocelot_core::ops::rowexpr::{select_where, Pred};
+use ocelot_core::ops::rowexpr::{select_where, Map, Pred};
 use ocelot_core::{OcelotContext, SharedDevice, TraceSink};
 use ocelot_engine::plan::{Plan, PlanBuilder, PlanNode, PlanOp, QueryValue, Var};
 use ocelot_engine::{
@@ -196,24 +196,40 @@ fn random_conjunct(p: &mut PlanBuilder, pick: u64, cands: Option<Var>) -> Var {
         // NaN is inside no range.
         9 => {
             let z = p.bind("t", "z");
-            p.select_range_f32(z, bound(16) as f32 * 0.1, bound(24).abs() as f32 * 0.2, cands)
+            p.select(
+                Pred::RangeF32 {
+                    col: 0,
+                    low: bound(16) as f32 * 0.1,
+                    high: bound(24).abs() as f32 * 0.2,
+                },
+                &[z],
+                cands,
+            )
         }
-        0 => p.select_range_i32(col, bound(16), bound(16) + bound(24).abs(), cands),
-        1 => p.select_range_i32(col, i32::MIN, bound(16), cands),
-        2 => p.select_range_i32(col, bound(16), i32::MAX, cands),
+        0 => p.select(
+            Pred::RangeI32 { col: 0, low: bound(16), high: bound(16) + bound(24).abs() },
+            &[col],
+            cands,
+        ),
+        1 => p.select(Pred::RangeI32 { col: 0, low: i32::MIN, high: bound(16) }, &[col], cands),
+        2 => p.select(Pred::RangeI32 { col: 0, low: bound(16), high: i32::MAX }, &[col], cands),
         // Everything, then nothing.
-        3 => p.select_range_i32(col, i32::MIN, i32::MAX, cands),
-        4 => p.select_range_i32(col, 7, 6, cands),
-        5 => p.select_eq_i32(col, bound(16), cands),
-        6 => p.select_ne_i32(col, bound(16), cands),
+        3 => p.select(Pred::RangeI32 { col: 0, low: i32::MIN, high: i32::MAX }, &[col], cands),
+        4 => p.select(Pred::RangeI32 { col: 0, low: 7, high: 6 }, &[col], cands),
+        5 => p.select(Pred::EqI32 { col: 0, needle: bound(16) }, &[col], cands),
+        6 => p.select(Pred::NeI32 { col: 0, needle: bound(16) }, &[col], cands),
         7 => {
             let values: Vec<i32> =
                 (0..1 + (pick >> 32) % 6).map(|k| bound(16 + k as u32)).collect();
-            p.select_in_i32(col, &values, cands)
+            p.select(Pred::InI32 { col: 0, values: values.into() }, &[col], cands)
         }
         _ => {
             let ops = [CmpOp::Lt, CmpOp::Le, CmpOp::Gt, CmpOp::Ge, CmpOp::Eq, CmpOp::Ne];
-            p.select_cmp_i32(col, other, ops[(pick >> 20) as usize % 6], cands)
+            p.select(
+                Pred::CmpI32 { op: ops[(pick >> 20) as usize % 6], left: 0, right: 1 },
+                &[col, other],
+                cands,
+            )
         }
     };
     selected.unwrap()
@@ -225,7 +241,11 @@ fn random_map(p: &mut PlanBuilder, pick: u64, depth: u32, cands: Option<Var>) ->
     if depth == 0 {
         let base = p.bind("t", ["x", "y", "k"][(pick >> 4) as usize % 3]);
         let column = cands.map_or(base, |cands| p.fetch(base, cands).unwrap());
-        let leaf = if (pick >> 4) % 3 == 2 { p.cast_i32_f32(column).unwrap() } else { column };
+        let leaf = if (pick >> 4) % 3 == 2 {
+            p.map(Map::CastI32F32(Map::leaf(0)), &[column]).unwrap()
+        } else {
+            column
+        };
         return (leaf, 20.0);
     }
     let (left, bound) = random_map(p, scramble(1, pick), depth - 1, cands);
@@ -235,21 +255,21 @@ fn random_map(p: &mut PlanBuilder, pick: u64, depth: u32, cands: Option<Var>) ->
     let (value, bound) = match pick % 7 {
         0 => {
             let (right, other) = right(p);
-            (p.mul_f32(left, right), bound * other)
+            (p.map(Map::Mul(Map::leaf(0), Map::leaf(1)), &[left, right]), bound * other)
         }
         1 => {
             let (right, other) = right(p);
-            (p.add_f32(left, right), bound + other)
+            (p.map(Map::Add(Map::leaf(0), Map::leaf(1)), &[left, right]), bound + other)
         }
         2 => {
             let (right, other) = right(p);
-            (p.sub_f32(left, right), bound + other)
+            (p.map(Map::Sub(Map::leaf(0), Map::leaf(1)), &[left, right]), bound + other)
         }
-        3 => (p.const_minus_f32(constant, left), c + bound),
-        4 => (p.const_plus_f32(constant, left), c + bound),
-        5 => (p.mul_const_f32(left, constant), c * bound),
+        3 => (p.map(Map::ConstMinus(constant, Map::leaf(0)), &[left]), c + bound),
+        4 => (p.map(Map::ConstPlus(constant, Map::leaf(0)), &[left]), c + bound),
+        5 => (p.map(Map::MulConst(Map::leaf(0), constant), &[left]), c * bound),
         // A shared subtree: both operands are the same value.
-        _ => (p.mul_f32(left, left), bound * bound),
+        _ => (p.map(Map::Mul(Map::leaf(0), Map::leaf(1)), &[left, left]), bound * bound),
     };
     (value.unwrap(), bound)
 }
@@ -281,7 +301,7 @@ proptest! {
         }
         if seed % 2 == 0 {
             let z = p.bind("t", "z");
-            cands = Some(p.select_range_f32(z, -1.0, 4.5, cands).unwrap());
+            cands = Some(p.select(Pred::RangeF32 { col: 0, low: -1.0, high: 4.5 }, &[z], cands).unwrap());
         }
         p.result(&[cands.unwrap()]).unwrap();
         let plain = p.finish();
@@ -371,7 +391,7 @@ proptest! {
 #[test]
 fn armed_race_detector_is_silent_over_the_evaluator_kernels() {
     use ocelot_core::ops::aggregate::{fused_aggs, GroupedAgg, RowSource};
-    use ocelot_core::ops::rowexpr::{map_columns, Map};
+    use ocelot_core::ops::rowexpr::map_columns;
     use ocelot_core::ops::select::materialize_bitmap;
     let rows = 5_000;
     let ints: Vec<i32> = (0..rows).map(|row| (scramble(row, 1) % 50) as i32).collect();

@@ -14,6 +14,7 @@ use ocelot_core::ops::{groupby, select};
 use ocelot_core::primitives::gather;
 use ocelot_core::{DevColumn, OcelotContext, SharedDevice, TraceSink};
 use ocelot_engine::plan::{Plan, PlanBuilder, PlanError, PlanNode, PlanOp};
+use ocelot_engine::Pred;
 use ocelot_engine::{Backend, MonetBackend, OcelotBackend, Session, TraceEventKind};
 use ocelot_monet::sequential as monet;
 use ocelot_storage::CmpOp;
@@ -152,8 +153,10 @@ fn deferred_length_keys_group_densely_in_two_flushes() {
     let expected = monet::group_by_columns(&slices);
     for ctx in contexts() {
         let device = ctx.device().info().kind;
-        let bitmap = select::select_range_i32(&ctx, &ctx.upload_i32(&keep, "k").unwrap(), 0, 6);
-        let oids = select::materialize_bitmap(&ctx, &bitmap.unwrap()).unwrap();
+        let kept = ctx.upload_i32(&keep, "k").unwrap().reinterpret();
+        let in_range = [Pred::RangeI32 { col: 0, low: 0, high: 6 }];
+        let bitmap = select::select_where(&ctx, &[&kept], &in_range).unwrap();
+        let oids = select::materialize_bitmap(&ctx, &bitmap).unwrap();
         let keys: Vec<DevColumn<i32>> = columns
             .iter()
             .map(|c| gather::gather(&ctx, &ctx.upload_i32(c, "key").unwrap(), &oids).unwrap())
@@ -325,14 +328,22 @@ fn column_comparison_and_in_list_selections_equal_monet() {
     ) -> Result<Vec<Vec<u32>>, PlanError> {
         let (l, r, c) =
             (b.lift_i32(left.to_vec())?, b.lift_i32(right.to_vec())?, b.lift_i32(code.to_vec())?);
-        let cands = b.select_range_i32(&c, 2, 8, None)?;
+        let cands = b.select(&[&c], &Pred::RangeI32 { col: 0, low: 2, high: 8 }, None)?;
         let mut out = Vec::new();
         for with in [None, Some(&cands)] {
             for op in ops {
-                out.push(b.to_oids(&b.select_cmp_i32(&l, &r, *op, with)?)?);
+                out.push(b.to_oids(&b.select(
+                    &[&l, &r],
+                    &Pred::CmpI32 { op: *op, left: 0, right: 1 },
+                    with,
+                )?)?);
             }
             for values in in_lists {
-                out.push(b.to_oids(&b.select_in_i32(&c, values, with)?)?);
+                out.push(b.to_oids(&b.select(
+                    &[&c],
+                    &Pred::InI32 { col: 0, values: (*values).into() },
+                    with,
+                )?)?);
             }
         }
         Ok(out)
@@ -366,10 +377,14 @@ fn armed_race_detector_is_silent_over_every_new_kernel() {
         let columns: Vec<_> = keys.iter().map(|c| backend.lift_i32(c.clone()).unwrap()).collect();
         let (a, b) = (&columns[0], &columns[1]);
         let v = backend.lift_f32(values.clone()).unwrap();
-        let cands = backend.select_cmp_i32(a, b, CmpOp::Lt, None).unwrap();
-        let narrowed = backend.select_cmp_i32(b, a, CmpOp::Ne, Some(&cands)).unwrap();
-        let listed = backend.select_in_i32(b, &[41, 44, 47], Some(&narrowed)).unwrap();
-        backend.select_in_i32(a, &[0, 2], None).unwrap();
+        let (less, unequal) = (CmpOp::Lt, CmpOp::Ne);
+        let cands =
+            backend.select(&[a, b], &Pred::CmpI32 { op: less, left: 0, right: 1 }, None).unwrap();
+        let pred = Pred::CmpI32 { op: unequal, left: 0, right: 1 };
+        let narrowed = backend.select(&[b, a], &pred, Some(&cands)).unwrap();
+        let pred = Pred::InI32 { col: 0, values: [41, 44, 47].into() };
+        let listed = backend.select(&[b], &pred, Some(&narrowed)).unwrap();
+        backend.select(&[a], &Pred::InI32 { col: 0, values: [0, 2].into() }, None).unwrap();
         let (ka, kb) = (backend.fetch(a, &listed).unwrap(), backend.fetch(b, &listed).unwrap());
         let deferred = backend.group_by(&[&ka, &kb]).unwrap();
         let fetched = backend.fetch(&v, &listed).unwrap();
@@ -460,8 +475,9 @@ fn verifier_knows_the_three_new_operators() {
     use GroupedAgg::{Avg, Count, Sum};
     let mut p = PlanBuilder::new();
     let (a, b, v) = (p.bind("t", "a"), p.bind("t", "b"), p.bind("t", "v"));
-    let cands = p.select_in_i32(a, &[3, 1, 3], None).unwrap();
-    let compared = p.select_cmp_i32(a, b, CmpOp::Ge, Some(cands)).unwrap();
+    let cands = p.select(Pred::InI32 { col: 0, values: [3, 1, 3].into() }, &[a], None).unwrap();
+    let compared =
+        p.select(Pred::CmpI32 { op: CmpOp::Ge, left: 0, right: 1 }, &[a, b], Some(cands)).unwrap();
     let keys = p.fetch(a, compared).unwrap();
     let values = p.fetch(v, compared).unwrap();
     let group = p.group_by(&[keys]).unwrap();
@@ -508,7 +524,11 @@ fn verifier_knows_the_three_new_operators() {
             inputs: vec![],
             outputs: vec![0],
         },
-        PlanNode { op: PlanOp::SelectCmpI32 { op: CmpOp::Lt }, inputs: vec![0], outputs: vec![1] },
+        PlanNode {
+            op: PlanOp::Select { pred: Pred::CmpI32 { op: CmpOp::Lt, left: 0, right: 1 } },
+            inputs: vec![0],
+            outputs: vec![1],
+        },
     ]));
     assert!(report
         .diagnostics

@@ -42,6 +42,7 @@ pub fn assert_results_close_tol(
 
 #[cfg(test)]
 mod sync_boundary {
+    use ocelot_core::ops::rowexpr::Pred;
     use ocelot_core::ops::select;
     use ocelot_core::primitives::{gather, reduce};
     use ocelot_core::OcelotContext;
@@ -65,7 +66,8 @@ mod sync_boundary {
         let flushes_before = ctx.queue().flush_count();
         let stats_before = ctx.queue().total_stats();
 
-        let bitmap = select::select_range_i32(ctx, &k, 100, 300).unwrap();
+        let in_range = [Pred::RangeI32 { col: 0, low: 100, high: 300 }];
+        let bitmap = select::select_where(ctx, &[&k.reinterpret()], &in_range).unwrap();
         let oids = select::materialize_bitmap(ctx, &bitmap).unwrap();
         let fetched = gather::gather(ctx, &p, &oids).unwrap();
         let total = reduce::sum_f32(ctx, &fetched).unwrap();
@@ -112,7 +114,8 @@ mod sync_boundary {
         let k = ctx.upload_i32(&keys, "keys").unwrap();
         let p = ctx.upload_f32(&payload, "payload").unwrap();
         let before = ctx.queue().total_stats();
-        let bitmap = select::select_range_i32(&ctx, &k, 100, 300).unwrap();
+        let in_range = [Pred::RangeI32 { col: 0, low: 100, high: 300 }];
+        let bitmap = select::select_where(&ctx, &[&k.reinterpret()], &in_range).unwrap();
         let oids = select::materialize_bitmap(&ctx, &bitmap).unwrap();
         let fetched = gather::gather(&ctx, &p, &oids).unwrap();
         let total = reduce::sum_f32(&ctx, &fetched).unwrap();
@@ -820,6 +823,7 @@ mod recovery {
 
 #[cfg(test)]
 mod deferred_vs_eager {
+    use ocelot_core::ops::rowexpr::Pred;
     use ocelot_core::ops::select;
     use ocelot_core::primitives::reduce;
     use ocelot_core::OcelotContext;
@@ -872,7 +876,8 @@ mod deferred_vs_eager {
             let expected = values.iter().filter(|v| (25..=75).contains(*v)).count() as u32;
             for ctx in ocelot_contexts() {
                 let col = ctx.upload_i32(&values, "v").unwrap();
-                let bitmap = select::select_range_i32(&ctx, &col, 25, 75).unwrap();
+                let in_range = [Pred::RangeI32 { col: 0, low: 25, high: 75 }];
+                let bitmap = select::select_where(&ctx, &[&col.reinterpret()], &in_range).unwrap();
                 let count = select::selected_count(&ctx, &bitmap).unwrap();
                 prop_assert_eq!(count.get(&ctx).unwrap(), expected);
                 // Deferred lengths resolve to the same cardinality.
@@ -1214,20 +1219,6 @@ mod streaming_dbgen {
         }
         let lineitem = tables.iter().find(|t| t.name() == "lineitem").unwrap();
         assert!(lineitem.rows() > 5_500_000, "sf 1 lineitem is ~6M rows");
-    }
-
-    /// Chunked registration in the catalog streams: the chunked table is
-    /// scannable and only materialises on request.
-    #[test]
-    fn register_chunked_defers_materialization() {
-        let cfg = TpchConfig { scale_factor: 0.01, seed: 42 };
-        let mut catalog = ocelot_storage::Catalog::new();
-        ocelot_tpch::register_chunked(&mut catalog, &cfg, 4);
-        assert!(catalog.table("lineitem").is_none(), "nothing materialised yet");
-        let chunked_rows = catalog.chunked_table("lineitem").unwrap().rows();
-        assert!(chunked_rows > 0);
-        assert!(catalog.materialize_chunked("lineitem"));
-        assert_eq!(catalog.table("lineitem").unwrap().row_count(), chunked_rows);
     }
 }
 
@@ -1575,7 +1566,7 @@ mod analysis {
     use ocelot_core::{OcelotContext, SharedDevice};
     use ocelot_engine::mal::{compile, example_plan, rewrite_for_ocelot};
     use ocelot_engine::plan::{Plan, PlanBuilder, PlanError, PlanNode, PlanOp, ValueKind};
-    use ocelot_engine::Session;
+    use ocelot_engine::{Map, Session};
     use ocelot_kernel::{Buffer, BufferAccess, Kernel, KernelAccesses, LaunchConfig, WorkGroupCtx};
     use ocelot_tpch::{
         q10_query, q12_plan, q12_queries, q14_query, q1_query, q3_plan, q3_query, q4_plan,
@@ -1600,9 +1591,17 @@ mod analysis {
     fn ill_formed_plans_each_produce_their_typed_diagnostic() {
         // Use before def (defined later) vs dangling (never defined).
         let report = verify(&Plan::from_nodes_unchecked(vec![
-            PlanNode { op: PlanOp::CastI32F32, inputs: vec![1], outputs: vec![0] },
+            PlanNode {
+                op: PlanOp::Map { map: Map::CastI32F32(Map::leaf(0)) },
+                inputs: vec![1],
+                outputs: vec![0],
+            },
             bind("a", 1),
-            PlanNode { op: PlanOp::ExtractYear, inputs: vec![9], outputs: vec![2] },
+            PlanNode {
+                op: PlanOp::Map { map: Map::Year(Map::leaf(0)) },
+                inputs: vec![9],
+                outputs: vec![2],
+            },
         ]));
         assert!(!report.is_ok());
         assert!(report.diagnostics.iter().any(|d| matches!(
@@ -1625,7 +1624,11 @@ mod analysis {
         let report = verify(&Plan::from_nodes_unchecked(vec![
             bind("a", 0),
             PlanNode { op: PlanOp::GroupBy, inputs: vec![0], outputs: vec![1] },
-            PlanNode { op: PlanOp::MulF32, inputs: vec![0, 1], outputs: vec![2] },
+            PlanNode {
+                op: PlanOp::Map { map: Map::Mul(Map::leaf(0), Map::leaf(1)) },
+                inputs: vec![0, 1],
+                outputs: vec![2],
+            },
         ]));
         assert!(report.diagnostics.iter().any(|d| matches!(
             d,
@@ -1643,6 +1646,179 @@ mod analysis {
             .any(|d| matches!(d, PlanDiagnostic::InputArity { node: 1, found: 1, .. })));
     }
 
+    /// Selections and maps are programs (`Pred`, `Map`) over their operands:
+    /// they render as the typed operators they replaced, and a program that
+    /// does not match its operands is a typed error wherever it arrives.
+    mod programs {
+        use ocelot_analyze::{verify, PlanDiagnostic};
+        use ocelot_engine::plan::{execute_plan, PlanBuilder, PlanError, PlanNode, PlanOp};
+        use ocelot_engine::{Backend, Map, MonetBackend, OcelotBackend, Plan, Pred, Session};
+        use ocelot_storage::{Bat, Catalog, CmpOp, Table};
+
+        fn select(pred: Pred) -> PlanOp {
+            PlanOp::Select { pred }
+        }
+
+        fn map(map: Map) -> PlanOp {
+            PlanOp::Map { map }
+        }
+
+        fn malformed(op: &str, operands: usize) -> PlanError {
+            PlanError::MalformedProgram { op: op.into(), operands }
+        }
+
+        /// `PlanOp::name()` and `Display` of every conjunct kind and every
+        /// one-operator map are byte for byte what the typed variants gave:
+        /// the bench's operator classes and the pipeline summary read them.
+        #[test]
+        fn render_as_the_operators_they_replaced() {
+            let (x, y) = (Map::leaf(0), Map::leaf(1));
+            let cmp = |op| select(Pred::CmpI32 { op, left: 0, right: 1 });
+            let cases = [
+                (select(Pred::RangeI32 { col: 0, low: 1, high: 2 }), "select_range_i32 [1, 2]"),
+                (
+                    select(Pred::RangeI32 { col: 0, low: i32::MIN, high: -3 }),
+                    "select_range_i32 [-2147483648, -3]",
+                ),
+                (
+                    select(Pred::RangeF32 { col: 0, low: 0.5, high: 1.0 }),
+                    "select_range_f32 [0.5, 1.0]",
+                ),
+                (select(Pred::EqI32 { col: 0, needle: -7 }), "select_eq_i32 -7"),
+                (select(Pred::NeI32 { col: 0, needle: 7 }), "select_ne_i32 7"),
+                (select(Pred::InI32 { col: 0, values: [3, 5].into() }), "select_in_i32 [3, 5]"),
+                (cmp(CmpOp::Lt), "select_cmp_i32 <"),
+                (cmp(CmpOp::Le), "select_cmp_i32 <="),
+                (cmp(CmpOp::Gt), "select_cmp_i32 >"),
+                (cmp(CmpOp::Ge), "select_cmp_i32 >="),
+                (cmp(CmpOp::Eq), "select_cmp_i32 ="),
+                (cmp(CmpOp::Ne), "select_cmp_i32 <>"),
+                (map(Map::Mul(x.clone(), y.clone())), "mul_f32"),
+                (map(Map::Add(x.clone(), y.clone())), "add_f32"),
+                (map(Map::Sub(x.clone(), y)), "sub_f32"),
+                (map(Map::ConstMinus(1.0, x.clone())), "const_minus_f32 1.0"),
+                (map(Map::ConstPlus(-0.25, x.clone())), "const_plus_f32 -0.25"),
+                (map(Map::MulConst(x.clone(), 0.5)), "mul_const_f32 0.5"),
+                (map(Map::CastI32F32(x.clone())), "cast_i32_f32"),
+                (map(Map::Year(x)), "extract_year"),
+            ];
+            for (op, shown) in cases {
+                assert_eq!(op.to_string(), shown);
+                assert_eq!(op.name(), shown.split(' ').next().unwrap(), "{shown}");
+            }
+            // The pipeline summary counts its members by those names.
+            let member = |op, inputs: Vec<usize>, out| PlanNode { op, inputs, outputs: vec![out] };
+            let pipeline = PlanOp::Pipeline {
+                members: vec![
+                    member(select(Pred::RangeI32 { col: 0, low: 1, high: 2 }), vec![0], 2),
+                    member(PlanOp::Fetch, vec![1, 2], 3),
+                    member(map(Map::MulConst(Map::leaf(0), 2.0)), vec![3], 4),
+                    member(PlanOp::SumF32, vec![4], 5),
+                ],
+            };
+            assert_eq!(pipeline.to_string(), "pipeline [1 select, 1 fetch, 1 map] => sum_f32");
+        }
+
+        /// `PlanBuilder::{select, map}` refuse a program that does not read
+        /// its operands as slots `0, 1, …` in order — a map with one
+        /// operator over column leaves — and append nothing.
+        #[test]
+        fn the_builder_refuses_a_program_that_does_not_match_its_operands() {
+            let mut p = PlanBuilder::new();
+            let (a, b) = (p.bind("t", "a"), p.bind("t", "b"));
+            let cmp = |left, right| Pred::CmpI32 { op: CmpOp::Lt, left, right };
+            // Short of its right column; its columns swapped; a slot past
+            // the one column given (the candidates are not a column).
+            assert_eq!(p.select(cmp(0, 1), &[a], None), Err(malformed("select_cmp_i32 <", 1)));
+            assert_eq!(p.select(cmp(1, 0), &[a, b], None), Err(malformed("select_cmp_i32 <", 2)));
+            let eq = Pred::EqI32 { col: 1, needle: 3 };
+            assert_eq!(p.select(eq, &[a], Some(b)), Err(malformed("select_eq_i32 3", 1)));
+            // A leaf it was not given, a computed operand, no operator at
+            // all, and one operand short.
+            let (x, y) = (Map::leaf(0), Map::leaf(1));
+            let past = Map::Mul(x.clone(), Map::leaf(2));
+            assert_eq!(p.map(past, &[a, b]), Err(malformed("mul_f32", 2)));
+            let nested = Map::Mul(Box::new(Map::ConstMinus(1.0, x.clone())), y.clone());
+            assert_eq!(p.map(nested, &[a, b]), Err(malformed("mul_f32", 2)));
+            assert_eq!(p.map(Map::Col(0), &[a]), Err(malformed("map", 1)));
+            let error = p.map(Map::Add(x.clone(), y.clone()), &[a]).unwrap_err();
+            assert_eq!(error, malformed("add_f32", 1));
+            assert!(error.to_string().contains("`add_f32` over 1 operand(s)"), "{error}");
+            // The refusals appended nothing; well-formed programs still build.
+            let product = p.map(Map::Mul(x, y), &[a, b]).unwrap();
+            let kept = p.select(cmp(0, 1), &[a, b], None).unwrap();
+            p.result(&[product, kept]).unwrap();
+            let plan = p.finish();
+            assert_eq!(plan.len(), 5);
+            assert!(verify(&plan).is_ok());
+        }
+
+        /// A raw node short of the columns its program reads gets the
+        /// verifier's arity diagnostic, the count derived from the program:
+        /// one past its highest slot.
+        #[test]
+        fn a_raw_node_short_of_its_program_gets_the_arity_diagnostic() {
+            let mut builder = PlanBuilder::new();
+            let a = builder.bind("t", "a");
+            let cmp = Pred::CmpI32 { op: CmpOp::Lt, left: 0, right: 1 };
+            builder.push_node(select(cmp), vec![a], vec![a + 1]).unwrap();
+            let product = map(Map::Mul(Map::leaf(0), Map::leaf(1)));
+            builder.push_node(product, vec![a], vec![a + 2]).unwrap();
+            let past = map(Map::Add(Map::leaf(0), Map::leaf(2)));
+            builder.push_node(past, vec![a, a], vec![a + 3]).unwrap();
+            let report = verify(&builder.finish());
+            let arity = |node, op, found, expected| PlanDiagnostic::InputArity {
+                node,
+                op,
+                found,
+                expected,
+            };
+            assert!(
+                report.diagnostics.contains(&arity(1, "select_cmp_i32", 1, "2 or 3")),
+                "{report}"
+            );
+            assert!(report.diagnostics.contains(&arity(2, "mul_f32", 1, "2")), "{report}");
+            let three = "one per column its program reads";
+            assert!(report.diagnostics.contains(&arity(3, "add_f32", 2, three)), "{report}");
+        }
+
+        /// A raw-node plan whose selection is short of its right column
+        /// comes back from a session — and from the executor alone — as
+        /// the typed error, on every backend, instead of unwinding.
+        #[test]
+        fn a_malformed_program_is_the_error_of_its_run() {
+            let mut catalog = Catalog::new();
+            catalog.add_table(
+                Table::new("t")
+                    .with_column("a", Bat::from_i32("a", (0..100).collect()).into_ref())
+                    .with_column("b", Bat::from_i32("b", (0..100).rev().collect()).into_ref()),
+            );
+            let mut builder = PlanBuilder::new();
+            let a = builder.bind("t", "a");
+            let cmp = Pred::CmpI32 { op: CmpOp::Lt, left: 0, right: 1 };
+            builder.push_node(select(cmp), vec![a], vec![a + 1]).unwrap();
+            builder.result(&[a + 1]).unwrap();
+            let plan = builder.finish();
+            let want = Err(malformed("select_cmp_i32 <", 1));
+            fn runs<B: Backend>(
+                backend: B,
+                plan: &Plan,
+                catalog: &Catalog,
+            ) -> [Result<(), PlanError>; 2] {
+                let direct = execute_plan(plan, &backend, catalog).map(drop);
+                [Session::new(backend).run(plan, catalog).map(drop), direct]
+            }
+            for outcome in runs(MonetBackend::with_threads(1), &plan, &catalog)
+                .into_iter()
+                .chain(runs(MonetBackend::with_threads(3), &plan, &catalog))
+                .chain(runs(OcelotBackend::cpu(), &plan, &catalog))
+                .chain(runs(OcelotBackend::gpu(), &plan, &catalog))
+            {
+                assert_eq!(outcome, want);
+            }
+        }
+    }
+
     /// The builder's raw-node path enforces the definition discipline the
     /// SSA methods guarantee by construction: appending a node that
     /// redefines a live register fails with the typed
@@ -1651,19 +1827,23 @@ mod analysis {
     fn raw_append_rejects_duplicate_definitions() {
         let mut builder = PlanBuilder::new();
         let a = builder.bind("t", "a");
-        builder.push_node(PlanOp::CastI32F32, vec![a], vec![a + 1]).expect("fresh output register");
+        builder
+            .push_node(PlanOp::Map { map: Map::CastI32F32(Map::leaf(0)) }, vec![a], vec![a + 1])
+            .expect("fresh output register");
         let error = builder
-            .push_node(PlanOp::ExtractYear, vec![a], vec![a])
+            .push_node(PlanOp::Map { map: Map::Year(Map::leaf(0)) }, vec![a], vec![a])
             .expect_err("redefinition must be rejected");
         assert_eq!(error, PlanError::DuplicateDefinition { var: a });
         let error = builder
-            .push_node(PlanOp::CastI32F32, vec![99], vec![a + 2])
+            .push_node(PlanOp::Map { map: Map::CastI32F32(Map::leaf(0)) }, vec![99], vec![a + 2])
             .expect_err("undefined input must be rejected");
         assert_eq!(error, PlanError::UndefinedVar { var: 99 });
         // The surviving nodes form a verifiable plan.
         let mut builder2 = PlanBuilder::new();
         let a = builder2.bind("t", "a");
-        builder2.push_node(PlanOp::CastI32F32, vec![a], vec![a + 1]).unwrap();
+        builder2
+            .push_node(PlanOp::Map { map: Map::CastI32F32(Map::leaf(0)) }, vec![a], vec![a + 1])
+            .unwrap();
         builder2.result(&[a + 1]).unwrap();
         assert!(verify(&builder2.finish()).is_ok());
     }
