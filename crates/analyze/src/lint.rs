@@ -54,6 +54,12 @@ const UNWIND_CALLS: &[&str] =
 /// `undeclared-kernel` rules.
 const CORE_SRC: &str = "crates/core/src";
 
+/// The TPC-H oracle, and the crates it may not name: it checks the engine's
+/// results, so it shares no code with the engine — the scope and the
+/// needles of the `reference-shares-engine-code` rule.
+const REFERENCE: &str = "crates/tpch/src/reference.rs";
+const ENGINE_CRATES: &[&str] = &["ocelot_engine", "ocelot_core", "ocelot_kernel", "ocelot_monet"];
+
 /// Whether `code` names a float atomic: an `atomic_…_f32`/`…_f64` helper
 /// (the CAS-emulated family `ocelot_kernel::atomic` used to export) or an
 /// `AtomicF32`/`AtomicF64` type.
@@ -101,6 +107,7 @@ pub fn scan_source(rel_path: &str, content: &str) -> Vec<LintDiagnostic> {
     let core_operator_module = core_ops || path.starts_with("crates/core/src/primitives");
     let errors_as_values = ERRORS_AS_VALUES.iter().any(|prefix| path.starts_with(prefix));
     let core_src = path.starts_with(CORE_SRC);
+    let reference = path == REFERENCE;
     // A file's unit tests are one `#[cfg(test)] mod tests` at its end.
     let tests_from = lines.iter().position(|line| *line == "#[cfg(test)]").unwrap_or(lines.len());
 
@@ -119,6 +126,21 @@ pub fn scan_source(rel_path: &str, content: &str) -> Vec<LintDiagnostic> {
                 message: "panic payload, catch site or panic hook outside a test module — \
                           failures cross `Backend` as `Result<_, PlanError>` and \
                           `PlanRun::step` matches on the returned error"
+                    .to_string(),
+            });
+        }
+
+        if reference
+            && ENGINE_CRATES.iter().any(|name| code.contains(name))
+            && !has_allow(&lines, index, "reference-shares-engine-code")
+        {
+            findings.push(LintDiagnostic {
+                path: path.clone(),
+                line: index + 1,
+                rule: "reference-shares-engine-code",
+                message: "the TPC-H reference names an engine crate — an oracle that runs the \
+                          code it checks agrees with it by construction; read the columns \
+                          through `ocelot_storage` and compute with `std`"
                     .to_string(),
             });
         }
@@ -360,6 +382,7 @@ pub const FIXTURES: &[(&str, &str, &str)] = &[
     ("unwind_in_engine.rs", "crates/engine/src/bad.rs", "unwind-as-control-flow"),
     ("item_row_walk.rs", "crates/core/src/primitives/bad.rs", "item-row-walk"),
     ("undeclared_kernel.rs", "crates/core/src/ops/bad.rs", "undeclared-kernel"),
+    ("reference_uses_engine.rs", REFERENCE, "reference-shares-engine-code"),
 ];
 
 #[cfg(test)]
@@ -445,6 +468,28 @@ mod tests {
         assert!(scan_source("crates/core/src/a.rs", "// no catch_unwind(...) here\n").is_empty());
         let allowed = "panic::set_hook(hook); // xlint:allow(unwind-as-control-flow)\n";
         assert!(scan_source("crates/core/src/a.rs", allowed).is_empty());
+    }
+
+    #[test]
+    fn the_reference_names_no_engine_crate() {
+        for line in [
+            "use ocelot_engine::Session;\n",
+            "use ocelot_core::ops::select;\n",
+            "let queue = ocelot_kernel::Queue::new();\n",
+            "    let rows = ocelot_monet::sequential::select_range_i32(&a, 0, 9);\n",
+        ] {
+            let findings = scan_source(REFERENCE, line);
+            assert_eq!(findings.len(), 1, "{line}");
+            assert_eq!((findings[0].rule, findings[0].line), ("reference-shares-engine-code", 1));
+            // The query ports may use the engine; that is what they are for.
+            assert!(scan_source("crates/tpch/src/queries.rs", line).is_empty());
+        }
+        // Storage, std, comments and explicit allows pass.
+        let storage = "use ocelot_storage::Catalog;\nuse std::collections::BTreeMap;\n";
+        assert!(scan_source(REFERENCE, storage).is_empty());
+        assert!(scan_source(REFERENCE, "//! shares nothing with `ocelot_engine`\n").is_empty());
+        let allowed = "use ocelot_core::X; // xlint:allow(reference-shares-engine-code)\n";
+        assert!(scan_source(REFERENCE, allowed).is_empty());
     }
 
     #[test]

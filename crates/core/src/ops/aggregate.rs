@@ -25,7 +25,7 @@
 //! read once per batch of [`MAX_BATCH`] float accumulators of one kind — once
 //! in all for the usual all-sums query — and each value column once.
 //!
-//! **Partial-table sizing rule** ([`partial_tables_for`]): as many
+//! **Partial-table sizing rule** (`partial_tables_for`): as many
 //! work-groups as keep `work-groups × groups` no larger than the row count —
 //! so every accumulator's partial column is no larger than the column it
 //! folds — and give every work-group at least [`MIN_ROWS_PER_TABLE`] rows,
@@ -54,7 +54,7 @@
 //! expression is a column that already exists; an ungrouped sum is the
 //! one-group case, and there the pass is not row by row — one accumulator
 //! would wait for every addition before it — but column by column: each
-//! batch's value column is folded eight partials wide ([`Fold::reduce`])
+//! batch's value column is folded eight partials wide (`Fold::reduce`)
 //! and joins the work-group's one record.
 //!
 //! **Keyed accumulation** ([`keyed_aggs`]). The groups need not exist
@@ -985,7 +985,7 @@ pub struct KeyedAggs {
 /// One min/max launch over the key columns (`hash_table::key_shape`, one
 /// flush) decides. When their tuples span at most `GROUPING_START` codes,
 /// the partial tables are indexed by code — the dense-code grouping's
-/// numbering, [`partial_tables_for`] its code space — and every work-group
+/// numbering, `partial_tables_for` its code space — and every work-group
 /// also keeps each code's smallest position; the first-row tables fold, are
 /// read back and ranked on the host (the dense-code grouping's one resolve),
 /// and the fold launch folds group `g` from its code's records. Four
@@ -1102,70 +1102,6 @@ pub fn grouped_aggs(
     fused_aggs(ctx, &cols, RowSource::All, &maps, Some(gids), num_groups, funcs)
 }
 
-/// [`grouped_aggs`] with one aggregate over (at most) one value column.
-fn grouped_agg(
-    ctx: &OcelotContext,
-    values: Option<&DevColumn<f32>>,
-    gids: &DevColumn<Oid>,
-    num_groups: usize,
-    func: GroupedAgg,
-) -> Result<DevColumn<f32>> {
-    let values: Vec<&DevColumn<f32>> = values.into_iter().collect();
-    let mut columns = grouped_aggs(ctx, &values, gids, num_groups, &[func])?;
-    Ok(columns.pop().expect("one aggregate, one column"))
-}
-
-/// Per-group sums of a float column.
-pub fn grouped_sum_f32(
-    ctx: &OcelotContext,
-    values: &DevColumn<f32>,
-    gids: &DevColumn<Oid>,
-    num_groups: usize,
-) -> Result<DevColumn<f32>> {
-    grouped_agg(ctx, Some(values), gids, num_groups, GroupedAgg::Sum(0))
-}
-
-/// Per-group minima of a float column (`+∞` for empty groups).
-pub fn grouped_min_f32(
-    ctx: &OcelotContext,
-    values: &DevColumn<f32>,
-    gids: &DevColumn<Oid>,
-    num_groups: usize,
-) -> Result<DevColumn<f32>> {
-    grouped_agg(ctx, Some(values), gids, num_groups, GroupedAgg::Min(0))
-}
-
-/// Per-group maxima of a float column (`-∞` for empty groups).
-pub fn grouped_max_f32(
-    ctx: &OcelotContext,
-    values: &DevColumn<f32>,
-    gids: &DevColumn<Oid>,
-    num_groups: usize,
-) -> Result<DevColumn<f32>> {
-    grouped_agg(ctx, Some(values), gids, num_groups, GroupedAgg::Max(0))
-}
-
-/// Per-group row counts, returned as a float column (the four-byte engine
-/// representation; counted in `u32`, converted once at the fold).
-pub fn grouped_count(
-    ctx: &OcelotContext,
-    gids: &DevColumn<Oid>,
-    num_groups: usize,
-) -> Result<DevColumn<f32>> {
-    grouped_agg(ctx, None, gids, num_groups, GroupedAgg::Count)
-}
-
-/// Per-group averages of a float column (0 for empty groups): sum and count
-/// accumulators side by side, divided at the fold.
-pub fn grouped_avg_f32(
-    ctx: &OcelotContext,
-    values: &DevColumn<f32>,
-    gids: &DevColumn<Oid>,
-    num_groups: usize,
-) -> Result<DevColumn<f32>> {
-    grouped_agg(ctx, Some(values), gids, num_groups, GroupedAgg::Avg(0))
-}
-
 /// Number of rows in a column as a deferred scalar: for host-known lengths a
 /// staged constant, for deferred columns the existing device counter —
 /// either way, no synchronisation.
@@ -1185,6 +1121,17 @@ mod tests {
     use crate::context::OcelotContext;
     use ocelot_monet::sequential as monet;
 
+    /// One aggregate of `func` over `values` (none for a count), read back.
+    fn one(
+        ctx: &OcelotContext,
+        values: &[&DevColumn<f32>],
+        gids: &DevColumn<Oid>,
+        groups: usize,
+        func: GroupedAgg,
+    ) -> Vec<f32> {
+        grouped_aggs(ctx, values, gids, groups, &[func]).unwrap().remove(0).read(ctx).unwrap()
+    }
+
     fn setup(n: usize, groups: u32) -> (Vec<f32>, Vec<u32>) {
         let values: Vec<f32> = (0..n).map(|i| ((i * 13 + 5) % 101) as f32 * 0.5).collect();
         let gids: Vec<u32> = (0..n).map(|i| (i as u32 * 7 + 3) % groups).collect();
@@ -1198,7 +1145,7 @@ mod tests {
         for ctx in [OcelotContext::cpu_sequential(), OcelotContext::cpu(), OcelotContext::gpu()] {
             let v = ctx.upload_f32(&values, "v").unwrap();
             let g = ctx.upload_u32(&gids, "g").unwrap();
-            let sums = grouped_sum_f32(&ctx, &v, &g, 37).unwrap().read(&ctx).unwrap();
+            let sums = one(&ctx, &[&v], &g, 37, GroupedAgg::Sum(0));
             for (a, b) in sums.iter().zip(expected.iter()) {
                 assert!((a - b).abs() < 0.5, "{a} vs {b}");
             }
@@ -1213,19 +1160,19 @@ mod tests {
         let g = ctx.upload_u32(&gids, "g").unwrap();
 
         assert_eq!(
-            grouped_min_f32(&ctx, &v, &g, 11).unwrap().read(&ctx).unwrap(),
+            one(&ctx, &[&v], &g, 11, GroupedAgg::Min(0)),
             monet::grouped_min_f32(&values, &gids, 11)
         );
         assert_eq!(
-            grouped_max_f32(&ctx, &v, &g, 11).unwrap().read(&ctx).unwrap(),
+            one(&ctx, &[&v], &g, 11, GroupedAgg::Max(0)),
             monet::grouped_max_f32(&values, &gids, 11)
         );
-        let counts = grouped_count(&ctx, &g, 11).unwrap().read(&ctx).unwrap();
+        let counts = one(&ctx, &[], &g, 11, GroupedAgg::Count);
         let expected_counts = monet::grouped_count(&gids, 11);
         for (a, b) in counts.iter().zip(expected_counts.iter()) {
             assert_eq!(*a as i64, *b);
         }
-        let avgs = grouped_avg_f32(&ctx, &v, &g, 11).unwrap().read(&ctx).unwrap();
+        let avgs = one(&ctx, &[&v], &g, 11, GroupedAgg::Avg(0));
         let expected_avgs = monet::grouped_avg_f32(&values, &gids, 11);
         for (a, b) in avgs.iter().zip(expected_avgs.iter()) {
             assert!((a - b).abs() < 1e-2, "{a} vs {b}");
@@ -1386,8 +1333,8 @@ mod tests {
             let v = ctx.upload_f32(&values, "v").unwrap();
             let g = ctx.upload_u32(&gids, "g").unwrap();
             let run = || {
-                let sums = grouped_sum_f32(&ctx, &v, &g, 6).unwrap().read(&ctx).unwrap();
-                let avgs = grouped_avg_f32(&ctx, &v, &g, 6).unwrap().read(&ctx).unwrap();
+                let sums = one(&ctx, &[&v], &g, 6, GroupedAgg::Sum(0));
+                let avgs = one(&ctx, &[&v], &g, 6, GroupedAgg::Avg(0));
                 sums.iter().chain(&avgs).map(|x| x.to_bits()).collect::<Vec<u32>>()
             };
             let first = run();
@@ -1399,7 +1346,7 @@ mod tests {
         let bits = |ctx: OcelotContext| {
             let v = ctx.upload_f32(&values, "v").unwrap();
             let g = ctx.upload_u32(&gids, "g").unwrap();
-            let sums = grouped_sum_f32(&ctx, &v, &g, 6).unwrap().read(&ctx).unwrap();
+            let sums = one(&ctx, &[&v], &g, 6, GroupedAgg::Sum(0));
             sums.iter().map(|x| x.to_bits()).collect::<Vec<u32>>()
         };
         assert_eq!(bits(OcelotContext::cpu_sequential()), bits(OcelotContext::cpu()));
@@ -1412,7 +1359,7 @@ mod tests {
         let rows = (1usize << 24) + (1 << 21);
         let ctx = OcelotContext::cpu();
         let gids = DevColumn::<Oid>::new(ctx.alloc(rows, "gids").unwrap(), rows).unwrap();
-        let counts = grouped_count(&ctx, &gids, 2).unwrap().read(&ctx).unwrap();
+        let counts = one(&ctx, &[], &gids, 2, GroupedAgg::Count);
         assert_eq!(counts, vec![rows as f32, 0.0]);
     }
 
@@ -1421,7 +1368,7 @@ mod tests {
         let ctx = OcelotContext::gpu();
         let gids = vec![0u32; 5_000];
         let g = ctx.upload_u32(&gids, "g").unwrap();
-        let counts = grouped_count(&ctx, &g, 1).unwrap().read(&ctx).unwrap();
+        let counts = one(&ctx, &[], &g, 1, GroupedAgg::Count);
         assert_eq!(counts, vec![5_000.0]);
     }
 
@@ -1446,10 +1393,10 @@ mod tests {
         let ctx = OcelotContext::cpu();
         let v = ctx.upload_f32(&[1.0], "v").unwrap();
         let g = ctx.upload_u32(&[2], "g").unwrap();
-        let mins = grouped_min_f32(&ctx, &v, &g, 4).unwrap().read(&ctx).unwrap();
+        let mins = one(&ctx, &[&v], &g, 4, GroupedAgg::Min(0));
         assert_eq!(mins[0], f32::INFINITY);
         assert_eq!(mins[2], 1.0);
-        let counts = grouped_count(&ctx, &g, 4).unwrap().read(&ctx).unwrap();
+        let counts = one(&ctx, &[], &g, 4, GroupedAgg::Count);
         assert_eq!(counts, vec![0.0, 0.0, 1.0, 0.0]);
     }
 
@@ -1458,6 +1405,6 @@ mod tests {
         let ctx = OcelotContext::cpu();
         let v = ctx.upload_f32(&[], "v").unwrap();
         let g = ctx.upload_u32(&[], "g").unwrap();
-        assert_eq!(grouped_sum_f32(&ctx, &v, &g, 0).unwrap().read(&ctx).unwrap().len(), 0);
+        assert_eq!(one(&ctx, &[&v], &g, 0, GroupedAgg::Sum(0)).len(), 0);
     }
 }

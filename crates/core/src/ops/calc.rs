@@ -84,7 +84,7 @@ fn aligned_len(ctx: &OcelotContext, a: &ColLen, b: &ColLen) -> Result<ColLen> {
 
 /// Evaluates `map` element-wise over the aligned columns `cols` (leaf
 /// `Col(i)` reads `cols[i]`) in one launch. The output has the length the
-/// inputs share ([`aligned_len`] folded over them) and holds `O` words —
+/// inputs share (`aligned_len` folded over them) and holds `O` words —
 /// `i32` for a `year`, `f32` for every other operator ([`Map::yields_i32`]).
 ///
 /// # Panics

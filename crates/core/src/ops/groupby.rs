@@ -22,7 +22,7 @@
 //!   as gathers (a flag pass and a prefix sum over the rows); the input is
 //!   never probed again.
 //!
-//! **Code-space rule.** [`key_shape`] reduces every key column to its
+//! **Code-space rule.** `key_shape` reduces every key column to its
 //! `min`/`max` in one fused launch (enqueued before a deferred length
 //! resolves, so length and ranges share a flush). The code space is
 //! `Π (maxᵢ − minᵢ + 1)`, computed in `u64` and saturating. At most

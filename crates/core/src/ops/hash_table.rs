@@ -45,7 +45,7 @@
 //! # Sizing rule
 //!
 //! `min` and `max` of every key column come from one fused reduction launch
-//! ([`key_shape`]), enqueued before the (possibly deferred) row count is
+//! (`key_shape`), enqueued before the (possibly deferred) row count is
 //! resolved so one flush answers both. Grouping reads the ranges of all its
 //! key columns first — they decide whether it needs a hash table at all
 //! (`ops::groupby`, the dense-code path) — and hands them to the build; a

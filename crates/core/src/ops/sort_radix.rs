@@ -3,7 +3,7 @@
 //! Least-significant-digit radix sort with an 8-bit radix: four passes over
 //! 32-bit keys, two launches each, both under one launch configuration of
 //! `tables = partial_tables_for(n, 256)` work-groups (the count-table scheme
-//! of [`crate::primitives::histogram`]):
+//! of `primitives::histogram`):
 //!
 //! 1. **Histogram** — every work-group counts the digits of its stretch of
 //!    the rows into its own 256-counter row of the count table.
@@ -18,7 +18,7 @@
 //! row of its stretch (at 65 536 rows; one word per row at a million).
 //!
 //! Raw words become sortable unsigned keys by an order-preserving transform
-//! ([`KeyMap`]: sign-bit flip / IEEE-754 total order), matching the paper's
+//! (`KeyMap`: sign-bit flip / IEEE-754 total order), matching the paper's
 //! "minor modifications to handle arbitrary input sizes and negative
 //! values". The first pass reads the raw column and encodes in registers —
 //! its OIDs are the row indices — and the last writes only the OIDs. A

@@ -69,7 +69,7 @@ use ocelot_kernel::{
 use std::sync::Arc;
 
 /// Upper bound on partition bits per pass (256 partitions): a row of the
-/// count table ([`crate::primitives::histogram`]) holds `2^bits` entries.
+/// count table (`primitives::histogram`) holds `2^bits` entries.
 pub const MAX_PARTITION_BITS: u32 = 8;
 const _: () = assert!(1 << MAX_PARTITION_BITS == MAX_DIGITS);
 

@@ -53,7 +53,7 @@
 //!
 //! # Entry points
 //!
-//! [`verify`] is pure and always available; [`Session::verify_plan`]
+//! [`verify`] is pure and always available; [`Session::verify_plan`](crate::Session::verify_plan)
 //! (see `crate::session`) exposes it per session, and `Session::run` plus
 //! every scheduler admission (`Scheduler` and `ServeScheduler` alike)
 //! re-check every plan in debug builds.

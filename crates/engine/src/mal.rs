@@ -10,7 +10,7 @@
 //!
 //! Since PR 3 this layer no longer interprets programs statement by
 //! statement. [`compile`] lowers a [`MalPlan`] into a
-//! [`Plan`](crate::plan::Plan) — the explicit operator DAG the
+//! [`Plan`] — the explicit operator DAG the
 //! [`crate::scheduler`] admits and interleaves — checking variable
 //! definitions and operand kinds in the process (MAL's mutable registers
 //! become SSA registers of the DAG). [`execute`] remains as the one-shot

@@ -1071,36 +1071,6 @@ impl PlanBuilder {
         Ok(outputs)
     }
 
-    /// [`PlanBuilder::grouped_aggs`] with one aggregate.
-    fn grouped_agg(&mut self, group: Var, agg: GroupedAgg) -> Result<Var, PlanError> {
-        Ok(self.grouped_aggs(group, &[agg])?[0])
-    }
-
-    /// Per-group sums.
-    pub fn grouped_sum_f32(&mut self, values: Var, group: Var) -> Result<Var, PlanError> {
-        self.grouped_agg(group, GroupedAgg::Sum(values))
-    }
-
-    /// Per-group minima.
-    pub fn grouped_min_f32(&mut self, values: Var, group: Var) -> Result<Var, PlanError> {
-        self.grouped_agg(group, GroupedAgg::Min(values))
-    }
-
-    /// Per-group maxima.
-    pub fn grouped_max_f32(&mut self, values: Var, group: Var) -> Result<Var, PlanError> {
-        self.grouped_agg(group, GroupedAgg::Max(values))
-    }
-
-    /// Per-group averages.
-    pub fn grouped_avg_f32(&mut self, values: Var, group: Var) -> Result<Var, PlanError> {
-        self.grouped_agg(group, GroupedAgg::Avg(values))
-    }
-
-    /// Per-group counts (as floats).
-    pub fn grouped_count(&mut self, group: Var) -> Result<Var, PlanError> {
-        self.grouped_agg(group, GroupedAgg::Count)
-    }
-
     /// Sort permutation of an integer column.
     pub fn sort_order_i32(&mut self, col: Var, descending: bool) -> Result<Var, PlanError> {
         self.unary(PlanOp::SortOrderI32 { descending }, col)
@@ -2056,7 +2026,7 @@ mod tests {
         let g = p.bind("t", "g");
         let g_sel = p.fetch(g, sel).unwrap();
         let group = p.group_by(&[g_sel]).unwrap();
-        let sums = p.grouped_sum_f32(v_sel, group).unwrap();
+        let sums = p.grouped_aggs(group, &[GroupedAgg::Sum(v_sel)]).unwrap()[0];
         let reps = p.group_reps(group).unwrap();
         let keys = p.fetch(g_sel, reps).unwrap();
         p.result(&[keys, sums]).unwrap();

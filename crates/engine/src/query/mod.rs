@@ -12,13 +12,13 @@
 //!   [`Logical::Sort`] / [`Logical::Limit`], with an expression tree
 //!   ([`Expr`]) for predicates and arithmetic, built through a fluent DSL:
 //!   `Query::scan("lineitem").filter(col("l_shipdate").between(d1, d2))…`.
-//! * **Rewrite pass** ([`rewrite`]) — rule-based logical optimizations:
+//! * **Rewrite pass** (`rewrite`) — rule-based logical optimizations:
 //!   constant folding (incl. `YEAR(date) ⋈ literal` → day-number ranges),
 //!   conjunct splitting, predicate pushdown below joins and maps,
 //!   selectivity-ordered predicate application using catalog column
 //!   statistics, and projection pruning so unused columns are never bound
 //!   (and therefore never uploaded to the device).
-//! * **Lowering pass** ([`lower`]) — compiles the optimized logical tree
+//! * **Lowering pass** (`lower`) — compiles the optimized logical tree
 //!   onto the existing [`crate::plan::PlanBuilder`], emitting the same
 //!   kind-checked physical [`crate::plan::Plan`] the session / scheduler /
 //!   column-cache stack already executes. Nothing below `engine::plan`
@@ -64,7 +64,7 @@
 //!
 //! ## Adding a rewrite rule
 //!
-//! Rules live in [`rewrite`] as `fn(Logical, &mut Vec<String>) -> Logical`
+//! Rules live in `rewrite` as `fn(Logical, &mut Vec<String>) -> Logical`
 //! (pure tree-to-tree, annotating what they did). Add the function, wire it
 //! into `rewrite::apply` behind a [`RewriteConfig`] flag (so benchmarks can
 //! ablate it), and make its effect observable: a note that
@@ -492,7 +492,7 @@ impl From<PlanError> for QueryBuildError {
 }
 
 /// A logical query: the root of a [`Logical`] tree plus the declared output
-/// columns. Built through the fluent DSL, optimized by [`rewrite`], and
+/// columns. Built through the fluent DSL, optimized by `rewrite`, and
 /// compiled by [`Query::lower`] into a physical [`Plan`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct Query {

@@ -14,7 +14,7 @@
 //! The [`RaceDetector`] checks the contract at the only place it is
 //! observable: the queue. Kernels opt in by overriding
 //! [`crate::Kernel::declared_accesses`] with the buffer ranges they touch;
-//! the queue records a [`RecordedKernel`] per armed enqueue and, at flush,
+//! the queue records a `RecordedKernel` per armed enqueue and, at flush,
 //! analyses the batch pairwise:
 //!
 //! * two kernels are *ordered* when one's event is reachable from the

@@ -8,7 +8,7 @@
 //! allocated once, with room for every row (or candidate) scanned; the
 //! room no kept row reaches is never written. Predicates are computed
 //! without short-circuiting: an integer range is one unsigned compare
-//! ([`in_range`]), a float range ANDs its two compares (so NaN fails both
+//! (`in_range`), a float range ANDs its two compares (so NaN fails both
 //! and is never kept), and a membership test ORs over the whole list.
 
 use crate::slots::{kept_positions, Kept};

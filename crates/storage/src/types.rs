@@ -97,19 +97,6 @@ impl CmpOp {
             CmpOp::Ne => "<>",
         }
     }
-
-    /// Whether `left <op> right` holds.
-    #[inline]
-    pub fn holds(self, left: i32, right: i32) -> bool {
-        match self {
-            CmpOp::Lt => left < right,
-            CmpOp::Le => left <= right,
-            CmpOp::Gt => left > right,
-            CmpOp::Ge => left >= right,
-            CmpOp::Eq => left == right,
-            CmpOp::Ne => left != right,
-        }
-    }
 }
 
 /// Converts a calendar date to the day-number representation used by date
@@ -166,15 +153,6 @@ mod tests {
         }
         assert!(ColumnType::Int.is_integer_like());
         assert!(!ColumnType::Real.is_integer_like());
-    }
-
-    #[test]
-    fn comparisons_hold_as_written() {
-        let ops = [CmpOp::Lt, CmpOp::Le, CmpOp::Gt, CmpOp::Ge, CmpOp::Eq, CmpOp::Ne];
-        let held = |a, b| ops.map(|op| op.holds(a, b));
-        assert_eq!(held(1, 2), [true, true, false, false, false, true]);
-        assert_eq!(held(2, 2), [false, true, false, true, true, false]);
-        assert_eq!(held(i32::MAX, i32::MIN), [false, false, true, true, false, true]);
     }
 
     #[test]

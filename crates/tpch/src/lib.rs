@@ -22,16 +22,18 @@
 //!   session/scheduler stack executes on MS, MP, Ocelot CPU and Ocelot
 //!   GPU. Eight queries run through the DSL (Q1, Q3, Q4, Q5, Q6, Q10,
 //!   Q12, plus Q14 as an out-of-workload extra the dictionary makes
-//!   possible); the pre-DSL hand-built plans survive as parity oracles
-//!   behind [`queries::run_query_reference`].
+//!   possible).
+//! * [`mod@reference`] — the oracle those results are checked against: the
+//!   same eight queries written row at a time in plain Rust over the
+//!   catalog's columns, sharing no code with the engine.
 
 pub mod dbgen;
 pub mod queries;
+pub mod reference;
 
 pub use dbgen::{chunked_tables, chunked_tables_by_rows, sparse_keys, TpchConfig, TpchDb};
 pub use queries::{
-    q10_query, q12_plan, q12_queries, q14_query, q1_direct, q1_params, q1_query, q1_query_p,
-    q3_params, q3_plan, q3_query, q3_query_p, q4_plan, q4_query, q5_query, q6_params, q6_plan,
-    q6_query, q6_query_p, run_query, run_query_reference, QueryError, QueryResult,
-    PORTED_QUERY_IDS, QUERY_IDS, REFERENCE_QUERY_IDS,
+    q10_query, q12_queries, q14_query, q1_params, q1_query, q1_query_p, q3_params, q3_query,
+    q3_query_p, q4_query, q5_query, q6_params, q6_query, q6_query_p, run_query, QueryError,
+    QueryResult, PORTED_QUERY_IDS, QUERY_IDS,
 };

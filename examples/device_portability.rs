@@ -13,12 +13,15 @@
 //! the first session's finished intermediates.
 
 use ocelot_core::SharedDevice;
-use ocelot_engine::{QueryValue, Session};
-use ocelot_tpch::{q6_plan, TpchConfig, TpchDb};
+use ocelot_engine::{QueryValue, RewriteConfig, Session};
+use ocelot_tpch::{q6_query, TpchConfig, TpchDb};
 
 fn main() {
     let db = TpchDb::generate(TpchConfig { scale_factor: 0.002, seed: 11 });
-    let plan = q6_plan(&db).expect("q6 compiles");
+    // Unfused, so the plan has pooled intermediates for a second session to
+    // reuse (the fused Q6 is one pipeline node that allocates none).
+    let unfused = RewriteConfig { fuse: false, ..RewriteConfig::optimized() };
+    let plan = q6_query(&db).lower_with(db.catalog(), &unfused).expect("q6 lowers");
     println!("Q6 as a compiled plan: {} operator nodes\n", plan.len());
 
     let devices = [SharedDevice::cpu_sequential(), SharedDevice::cpu(), SharedDevice::gpu()];

@@ -26,11 +26,9 @@ use ocelot_tpch::{run_query, QueryResult, TpchConfig, TpchDb};
 const PRESSURE_BUDGET: usize = 512 * 1024;
 
 fn check(label: &str, actual: &QueryResult, expected: &QueryResult) {
-    assert!(
-        actual.approx_eq(expected, 1e-3),
-        "{label}: q{} diverged from the reference",
-        expected.query
-    );
+    if let Some(difference) = actual.first_difference(expected, 1e-3) {
+        panic!("{label}: diverged from the reference: {difference}");
+    }
 }
 
 fn main() {

@@ -92,7 +92,7 @@ fn main() {
     cache.trace().attach(Arc::clone(&sink));
     let q6 = q6_query_p(&db);
     let _ = cache.plan(&q6, &q6_params(), catalog).unwrap(); // cold: a miss
-    let q6_plan = cache.plan(&q6, &q6_params(), catalog).unwrap(); // warm: a hit
+    let q6_compiled = cache.plan(&q6, &q6_params(), catalog).unwrap(); // warm: a hit
 
     let sessions: Vec<Session<_>> = (0..4).map(|_| Session::ocelot(&shared)).collect();
     for s in &sessions {
@@ -102,7 +102,7 @@ fn main() {
         .iter()
         .enumerate()
         .map(|(i, session)| ServeJob {
-            job: QueryJob { session, plan: &q6_plan, catalog },
+            job: QueryJob { session, plan: &q6_compiled, catalog },
             tenant: i % 2,
             lane: if i == 3 { Lane::Interactive } else { Lane::Batch },
         })

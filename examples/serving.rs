@@ -55,9 +55,9 @@ fn main() {
     );
 
     // --- 2 + 3. A greedy tenant vs a polite one, bounded queues. -------
-    let q6_plan = cache.plan(&q6, &q6_params(), catalog).unwrap();
-    let q1_plan = cache.plan(&q1_query_p(&db), &q1_params(), catalog).unwrap();
-    let reference = session.run(&q6_plan, catalog).unwrap();
+    let q6_compiled = cache.plan(&q6, &q6_params(), catalog).unwrap();
+    let q1_compiled = cache.plan(&q1_query_p(&db), &q1_params(), catalog).unwrap();
+    let reference = session.run(&q6_compiled, catalog).unwrap();
 
     let capacity = 4;
     let greedy: Vec<Session<_>> = (0..2 * capacity).map(|_| Session::ocelot(&shared)).collect();
@@ -65,18 +65,18 @@ fn main() {
     let mut jobs: Vec<ServeJob<'_, _>> = greedy
         .iter()
         .map(|session| ServeJob {
-            job: QueryJob { session, plan: &q6_plan, catalog },
+            job: QueryJob { session, plan: &q6_compiled, catalog },
             tenant: 0,
             lane: Lane::Batch,
         })
         .collect();
     jobs.push(ServeJob {
-        job: QueryJob { session: &polite[0], plan: &q6_plan, catalog },
+        job: QueryJob { session: &polite[0], plan: &q6_compiled, catalog },
         tenant: 1,
         lane: Lane::Batch,
     });
     jobs.push(ServeJob {
-        job: QueryJob { session: &polite[1], plan: &q1_plan, catalog },
+        job: QueryJob { session: &polite[1], plan: &q1_compiled, catalog },
         tenant: 1,
         lane: Lane::Interactive,
     });

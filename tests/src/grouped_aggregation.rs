@@ -277,14 +277,15 @@ fn fused_aggregates_equal_their_one_aggregate_wrappers_and_a_host_reference() {
                 assert_eq!(fused.len(), mix.len());
                 for (func, column) in mix.iter().zip(fused) {
                     let got = column.read(&ctx).unwrap();
-                    let alone = match *func {
-                        Sum(c) => aggregate::grouped_sum_f32(&ctx, values[c], &g, groups),
-                        Min(c) => aggregate::grouped_min_f32(&ctx, values[c], &g, groups),
-                        Max(c) => aggregate::grouped_max_f32(&ctx, values[c], &g, groups),
-                        Avg(c) => aggregate::grouped_avg_f32(&ctx, values[c], &g, groups),
-                        Count => aggregate::grouped_count(&ctx, &g, groups),
+                    let (alone, operand) = match *func {
+                        Sum(c) => (Sum(0), vec![values[c]]),
+                        Min(c) => (Min(0), vec![values[c]]),
+                        Max(c) => (Max(0), vec![values[c]]),
+                        Avg(c) => (Avg(0), vec![values[c]]),
+                        Count => (Count, vec![]),
                     };
-                    let alone = alone.unwrap().read(&ctx).unwrap();
+                    let alone = aggregate::grouped_aggs(&ctx, &operand, &g, groups, &[alone]);
+                    let alone = alone.unwrap().remove(0).read(&ctx).unwrap();
                     let bits =
                         |column: &[f32]| column.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
                     assert_eq!(bits(&got), bits(&alone), "{device:?} {func} of {mix:?}");

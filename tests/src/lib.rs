@@ -16,28 +16,24 @@
 //!   one session's allocations from another session's finished
 //!   intermediates (cross-context recycling hit-rate > 0).
 
-use ocelot_tpch::QueryResult;
+use ocelot_tpch::{QueryResult, TpchDb};
 
-/// Asserts two [`QueryResult`]s agree within a relative float tolerance of
-/// `1e-3` — the shared comparison every cross-backend suite uses instead
-/// of re-deriving its own ad-hoc tolerance. Panics with both results and
-/// the `label` on divergence.
-pub fn assert_results_close(label: &str, actual: &QueryResult, expected: &QueryResult) {
-    assert_results_close_tol(label, actual, expected, 1e-3);
-}
-
-/// [`assert_results_close`] with an explicit relative tolerance.
-pub fn assert_results_close_tol(
+/// Asserts two [`QueryResult`]s of a query over `db` agree under the one
+/// equality rule ([`QueryResult::first_difference`] at a relative float
+/// tolerance of `1e-3`) — the shared comparison every cross-backend suite
+/// uses instead of re-deriving its own. On divergence it panics with the
+/// `label`, the first differing cell and the scale factor and seed that
+/// reproduce it.
+pub fn assert_results_close(
     label: &str,
+    db: &TpchDb,
     actual: &QueryResult,
     expected: &QueryResult,
-    rel_tol: f64,
 ) {
-    assert!(
-        actual.approx_eq(expected, rel_tol),
-        "{label}: q{} diverged\nactual:   {actual:?}\nexpected: {expected:?}",
-        expected.query
-    );
+    if let Some(difference) = actual.first_difference(expected, 1e-3) {
+        let config = db.config();
+        panic!("{label} at sf {} seed {}: {difference}", config.scale_factor, config.seed);
+    }
 }
 
 #[cfg(test)]
@@ -130,9 +126,9 @@ mod sessions {
     use ocelot_core::SharedDevice;
     use ocelot_engine::mal::{compile, example_plan, rewrite_for_ocelot};
     use ocelot_engine::plan::Plan;
-    use ocelot_engine::{QueryJob, QueryValue, Scheduler, Session};
+    use ocelot_engine::{QueryJob, QueryValue, RewriteConfig, Scheduler, Session};
     use ocelot_storage::{Bat, Catalog, Table};
-    use ocelot_tpch::{q6_plan, run_query, TpchConfig, TpchDb};
+    use ocelot_tpch::{q6_query, run_query, TpchConfig, TpchDb};
     use proptest::collection;
     use proptest::prelude::*;
 
@@ -210,7 +206,10 @@ mod sessions {
         // PR 2 bound (exactly one flush), produce the reference revenue,
         // and the pool must prove cross-context reuse.
         let db = TpchDb::generate(TpchConfig { scale_factor: 0.002, seed: 23 });
-        let plan = q6_plan(&db).unwrap();
+        // Unfused: the fused Q6 is one pipeline that allocates no pooled
+        // intermediate, so it could not show the reuse.
+        let unfused = RewriteConfig { fuse: false, ..RewriteConfig::optimized() };
+        let plan = q6_query(&db).lower_with(db.catalog(), &unfused).unwrap();
         let reference = run_query(&Session::monet_seq(), &db, 6).unwrap();
 
         let shared = SharedDevice::cpu();
@@ -308,7 +307,7 @@ mod column_cache {
         let shared = SharedDevice::gpu();
         let cold = Session::ocelot(&shared);
         let first = run_query(&cold, db, 6).unwrap();
-        assert_results_close("cold q6 (gpu)", &first, reference(6));
+        assert_results_close("cold q6 (gpu)", db, &first, reference(6));
         let cold_stats = shared.cache().stats();
         assert!(cold_stats.misses >= 4, "q6 binds four lineitem columns: {cold_stats:?}");
         assert!(cold_stats.bytes_uploaded > 0);
@@ -317,7 +316,7 @@ mod column_cache {
         for rerun in 0..3 {
             let warm = Session::ocelot(&shared);
             let result = run_query(&warm, db, 6).unwrap();
-            assert_results_close("warm q6 (gpu)", &result, reference(6));
+            assert_results_close("warm q6 (gpu)", db, &result, reference(6));
             assert_eq!(
                 warm.backend().context().queue().total_stats().bytes_to_device,
                 0,
@@ -341,7 +340,7 @@ mod column_cache {
             let session = Session::ocelot(&shared);
             for query in [3, 4, 6, 12] {
                 let result = run_query(&session, db, query).unwrap();
-                assert_results_close(session.name(), &result, reference(query));
+                assert_results_close(session.name(), db, &result, reference(query));
             }
             let (cache, ctx) = (shared.cache(), session.backend().context());
             let uploaded = cache.stats().bytes_uploaded;
@@ -399,7 +398,7 @@ mod column_cache {
                     session.backend().reclaim_count(),
                 ),
             };
-            assert_results_close("pressured stream", &result, reference(query));
+            assert_results_close("pressured stream", db, &result, reference(query));
             reclaims += session.backend().reclaim_count();
             let (stats, diagnostics) = (race.stats(), race.take_diagnostics());
             race.disarm();
@@ -439,13 +438,13 @@ mod column_cache {
                 // the Ocelot pair running under the tiny budget.
                 let expected = reference(query);
                 let mp_result = run_query(&mp, db, query).unwrap();
-                assert_results_close("MP", &mp_result, expected);
+                assert_results_close("MP", db, &mp_result, expected);
                 for shared in [&cpu, &gpu] {
                     let session = Session::ocelot(shared);
                     let race = session.backend().context().queue().race();
                     race.arm();
                     let result = run_query(&session, db, query).unwrap();
-                    assert_results_close(session.name(), &result, expected);
+                    assert_results_close(session.name(), db, &result, expected);
                     let diagnostics = race.take_diagnostics();
                     prop_assert!(diagnostics.is_empty(), "{}: {:?}", session.name(), diagnostics);
                     race.disarm();
@@ -460,8 +459,7 @@ mod query_dsl {
     use crate::assert_results_close;
     use ocelot_engine::{OcelotBackend, RewriteConfig, Session};
     use ocelot_tpch::{
-        q3_query, run_query, run_query_reference, QueryResult, TpchConfig, TpchDb,
-        PORTED_QUERY_IDS, REFERENCE_QUERY_IDS,
+        q3_query, reference, run_query, QueryResult, TpchConfig, TpchDb, PORTED_QUERY_IDS,
     };
     use proptest::prelude::*;
     use std::sync::OnceLock;
@@ -471,27 +469,14 @@ mod query_dsl {
         DB.get_or_init(|| TpchDb::generate(TpchConfig { scale_factor: 0.002, seed: 37 }))
     }
 
-    /// The per-query oracle: the hand-built physical plan (run on MS) where
-    /// one exists, otherwise the MS DSL result — itself verified against a
-    /// host-side recompute in `ocelot-tpch`'s unit suite, so the chain
-    /// still grounds every backend in host arithmetic.
+    /// The per-query oracle: `ocelot_tpch::reference`, the query written
+    /// row at a time in plain Rust, sharing no code with the engine.
     fn oracle(query: u32) -> &'static QueryResult {
-        static ORACLES: OnceLock<Vec<(u32, QueryResult)>> = OnceLock::new();
+        static ORACLES: OnceLock<Vec<QueryResult>> = OnceLock::new();
         let oracles = ORACLES.get_or_init(|| {
-            let ms = Session::monet_seq();
-            PORTED_QUERY_IDS
-                .iter()
-                .map(|&q| {
-                    let result = if REFERENCE_QUERY_IDS.contains(&q) {
-                        run_query_reference(&ms, db(), q).unwrap()
-                    } else {
-                        run_query(&ms, db(), q).unwrap()
-                    };
-                    (q, result)
-                })
-                .collect()
+            PORTED_QUERY_IDS.iter().map(|&q| reference::run(db().catalog(), q).unwrap()).collect()
         });
-        &oracles.iter().find(|(q, _)| *q == query).unwrap().1
+        oracles.iter().find(|result| result.query == query).unwrap()
     }
 
     proptest! {
@@ -525,7 +510,7 @@ mod query_dsl {
                     run_query(&Session::new(OcelotBackend::gpu()), db(), query).unwrap()
                 }
             };
-            assert_results_close(label, &result, expected);
+            assert_results_close(label, db(), &result, expected);
         }
     }
 
@@ -1566,13 +1551,14 @@ mod analysis {
     use ocelot_core::{OcelotContext, SharedDevice};
     use ocelot_engine::mal::{compile, example_plan, rewrite_for_ocelot};
     use ocelot_engine::plan::{Plan, PlanBuilder, PlanError, PlanNode, PlanOp, ValueKind};
-    use ocelot_engine::{Map, Session};
+    use ocelot_engine::{Map, RewriteConfig, Session};
     use ocelot_kernel::{Buffer, BufferAccess, Kernel, KernelAccesses, LaunchConfig, WorkGroupCtx};
     use ocelot_tpch::{
-        q10_query, q12_plan, q12_queries, q14_query, q1_query, q3_plan, q3_query, q4_plan,
-        q4_query, q5_query, q6_plan, q6_query, run_query, TpchConfig, TpchDb, PORTED_QUERY_IDS,
+        q10_query, q12_queries, q14_query, q1_query, q3_query, q4_query, q5_query, q6_query,
+        run_query, sparse_keys, TpchConfig, TpchDb, PORTED_QUERY_IDS,
     };
     use proptest::prelude::*;
+    use std::collections::BTreeSet;
     use std::sync::Arc;
 
     fn bind(column: &str, out: usize) -> PlanNode {
@@ -1848,37 +1834,73 @@ mod analysis {
         assert!(verify(&builder2.finish()).is_ok());
     }
 
-    /// Every ported TPC-H plan — DSL-lowered and the hand-built physical
-    /// oracles — passes the verifier, checked through all four evaluated
-    /// backend configurations; running the workload then re-checks every
-    /// plan at admission (debug builds) — the fused plans included, which
-    /// lowering already verified once after fusing them.
+    /// Every ported TPC-H query's plan passes the verifier, checked through
+    /// all four evaluated backend configurations — lowered optimized and
+    /// `naive()`, on the generator's dense keys (positional joins) and on
+    /// `sparse_keys` (hash joins); running the workload then
+    /// re-checks every plan at admission (debug builds) — the fused plans
+    /// included, which lowering already verified once after fusing them.
     #[test]
     fn ported_workload_passes_the_verifier_on_all_four_backends() {
         let db = TpchDb::generate(TpchConfig { scale_factor: 0.002, seed: 7 });
-        let catalog = db.catalog();
-        let mut plans: Vec<(String, Plan)> = Vec::new();
-        for (name, query) in [
+        let sparse = sparse_keys(db.catalog());
+        let (q12_all, q12_high) = q12_queries(&db);
+        let queries = [
             ("q1", q1_query(&db)),
             ("q3", q3_query(&db)),
             ("q4", q4_query(&db)),
             ("q5", q5_query(&db)),
             ("q6", q6_query(&db)),
             ("q10", q10_query(&db)),
+            ("q12_all", q12_all),
+            ("q12_high", q12_high),
             ("q14", q14_query(&db)),
-        ] {
-            plans.push((name.to_string(), query.lower(catalog).unwrap()));
+        ];
+        let mut plans: Vec<(String, Plan)> = Vec::new();
+        for (name, query) in &queries {
+            for (keys, catalog) in [("dense", db.catalog()), ("sparse", &sparse)] {
+                for (rules, config) in
+                    [("optimized", RewriteConfig::optimized()), ("naive", RewriteConfig::naive())]
+                {
+                    let plan = query.lower_with(catalog, &config).unwrap();
+                    plans.push((format!("{name} {rules} on {keys} keys"), plan));
+                }
+            }
         }
-        let (q12_all, q12_high) = q12_queries(&db);
-        plans.push(("q12_all".into(), q12_all.lower(catalog).unwrap()));
-        plans.push(("q12_high".into(), q12_high.lower(catalog).unwrap()));
-        for (name, plan) in [
-            ("q3_oracle", q3_plan(&db).unwrap()),
-            ("q4_oracle", q4_plan(&db).unwrap()),
-            ("q6_oracle", q6_plan(&db).unwrap()),
-            ("q12_oracle", q12_plan(&db).unwrap()),
+
+        // The plans cover the operator kinds the TPC-H workload runs on, a
+        // fused region's members included (no lowering of a ported query
+        // emits `union_oids`, `cast_i32_f32` or `sub_f32`).
+        fn kinds<'a>(nodes: &'a [PlanNode], into: &mut BTreeSet<&'a str>) {
+            for node in nodes {
+                into.insert(node.op.name());
+                if let PlanOp::Pipeline { members } = &node.op {
+                    kinds(members, into);
+                }
+            }
+        }
+        let mut seen = BTreeSet::new();
+        plans.iter().for_each(|(_, plan)| kinds(plan.nodes(), &mut seen));
+        for kind in [
+            "bind",
+            "select_range_i32",
+            "select_range_f32",
+            "select_eq_i32",
+            "fetch",
+            "const_minus_f32",
+            "const_plus_f32",
+            "mul_f32",
+            "pkfk_join",
+            "semi_join",
+            "group_by",
+            "group_reps",
+            "grouped_aggs",
+            "sort_order_i32",
+            "sort_order_f32",
+            "sum_f32",
+            "result",
         ] {
-            plans.push((name.to_string(), plan));
+            assert!(seen.contains(kind), "no verified TPC-H plan contains {kind}: {seen:?}");
         }
 
         let shared = SharedDevice::cpu();
@@ -1934,8 +1956,6 @@ mod analysis {
         let report = verify(&lowered);
         assert!(report.is_ok(), "{report}");
         assert_eq!(report.flush_bound, FlushBound::AtMost(1), "DSL-lowered Q6");
-        let oracle = q6_plan(&db).unwrap();
-        assert_eq!(verify(&oracle).flush_bound, FlushBound::AtMost(1), "hand-built Q6");
 
         // A plan with a join cannot claim a constant bound.
         let q3 = q3_query(&db).lower(db.catalog()).unwrap();
@@ -2051,6 +2071,7 @@ mod grouping {
     //! bit-identical run to run on every backend (the run-to-run
     //! determinism gate).
 
+    use ocelot_core::ops::aggregate::GroupedAgg::{Avg, Count, Max, Min, Sum};
     use ocelot_core::ops::hash_table::OcelotHashTable;
     use ocelot_core::ops::{aggregate, groupby, join};
     use ocelot_core::{OcelotContext, SharedDevice};
@@ -2180,16 +2201,19 @@ mod grouping {
                 let v = ctx.upload_f32(&values, "v").unwrap();
                 let g = ctx.upload_u32(&gids, "g").unwrap();
                 let read = |column: ocelot_core::DevColumn<f32>| column.read(&ctx).unwrap();
-                let got_sums = read(aggregate::grouped_sum_f32(&ctx, &v, &g, groups).unwrap());
-                let got_avgs = read(aggregate::grouped_avg_f32(&ctx, &v, &g, groups).unwrap());
+                let funcs = [Sum(0), Avg(0), Min(0), Max(0), Count];
+                let got = aggregate::grouped_aggs(&ctx, &[&v], &g, groups, &funcs).unwrap();
+                let got: Vec<Vec<f32>> = got.into_iter().map(read).collect();
+                let [got_sums, got_avgs, got_mins, got_maxs, got_counts] = &got[..] else {
+                    unreachable!("five aggregates, five columns")
+                };
                 for gid in 0..groups {
                     prop_assert!(close(got_sums[gid], sums[gid]), "{:?} sum[{}]", device, gid);
                     let avg = if counts[gid] == 0 { 0.0 } else { sums[gid] / counts[gid] as f64 };
                     prop_assert!(close(got_avgs[gid], avg), "{:?} avg[{}]", device, gid);
                 }
-                prop_assert_eq!(&read(aggregate::grouped_min_f32(&ctx, &v, &g, groups).unwrap()), &mins);
-                prop_assert_eq!(&read(aggregate::grouped_max_f32(&ctx, &v, &g, groups).unwrap()), &maxs);
-                let got_counts = read(aggregate::grouped_count(&ctx, &g, groups).unwrap());
+                prop_assert_eq!(got_mins, &mins);
+                prop_assert_eq!(got_maxs, &maxs);
                 prop_assert!(got_counts.iter().zip(&counts).all(|(a, b)| *a == *b as f32));
             }
         }
@@ -2216,11 +2240,10 @@ mod grouping {
             assert_eq!(result.num_groups, reference_grouping(&columns).1.len());
             let v = ctx.upload_f32(&values, "v").unwrap();
             let (gids, groups) = (&result.gids, result.num_groups);
-            aggregate::grouped_sum_f32(&ctx, &v, gids, groups).unwrap();
-            aggregate::grouped_min_f32(&ctx, &v, gids, groups).unwrap();
-            aggregate::grouped_max_f32(&ctx, &v, gids, groups).unwrap();
-            aggregate::grouped_avg_f32(&ctx, &v, gids, groups).unwrap();
-            aggregate::grouped_count(&ctx, gids, groups).unwrap();
+            for func in [Sum(0), Min(0), Max(0), Avg(0)] {
+                aggregate::grouped_aggs(&ctx, &[&v], gids, groups, &[func]).unwrap();
+            }
+            aggregate::grouped_aggs(&ctx, &[], gids, groups, &[Count]).unwrap();
             let (s, l) =
                 (ctx.upload_i32(&small, "s").unwrap(), ctx.upload_i32(&large, "l").unwrap());
             join::semi_join(&ctx, &s, &l).unwrap();
