@@ -294,10 +294,9 @@ impl MemoryManager {
     /// cap, or acquired by another context — would leave their entries
     /// behind forever (only a same-manager re-acquire removes them eagerly).
     fn prune_completed_events(state: &mut State, queue: &Queue) {
-        let registry = queue.events();
         state
             .events
-            .retain(|_, producers| producers.iter().any(|event| !registry.is_complete(*event)));
+            .retain(|_, producers| producers.iter().any(|event| !queue.is_complete(*event)));
     }
 
     /// Records that `event` produces (writes) `buffer`.

@@ -7,144 +7,17 @@
 //! buffer) and *consumer* events (operations reading it) per buffer and uses
 //! them to build those wait-lists, which is what lets Ocelot schedule work
 //! lazily and leave reordering freedom to the driver.
+//!
+//! A queue issues ids `1, 2, 3, …` and runs its operations in that order,
+//! one batch at a time, so the events that have completed are always a
+//! prefix of the issued ones. A queue therefore keeps no record per event:
+//! two counters, the last issued id and the completion watermark, answer
+//! whether an id was issued and whether it has completed
+//! ([`crate::Queue::is_complete`]). A batch a lost device drops never
+//! completes, and since device loss is sticky no later batch runs to move
+//! the watermark past it.
 
-use parking_lot::Mutex;
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-
-/// Identifier of a scheduled device operation.
+/// Identifier of a scheduled device operation. Ids start at 1; a queue
+/// never issues 0.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct EventId(pub u64);
-
-/// What kind of operation an event is tied to.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum EventKind {
-    /// A kernel invocation (carries the kernel name).
-    Kernel(String),
-    /// A host-to-device transfer.
-    WriteBuffer,
-    /// A device-to-host transfer.
-    ReadBuffer,
-    /// A user marker (used by the explicit `sync` operator).
-    Marker,
-}
-
-/// Recorded state of an event.
-#[derive(Debug, Clone)]
-pub struct EventRecord {
-    /// Operation class.
-    pub kind: EventKind,
-    /// Whether the operation has executed.
-    pub completed: bool,
-    /// Wall-clock nanoseconds the operation took on the host.
-    pub host_ns: u64,
-    /// Modeled nanoseconds on the target device.
-    pub modeled_ns: u64,
-}
-
-/// Registry of all events issued by a queue.
-#[derive(Debug, Default)]
-pub struct EventRegistry {
-    next: AtomicU64,
-    records: Mutex<HashMap<EventId, EventRecord>>,
-}
-
-impl EventRegistry {
-    /// Creates an empty registry.
-    pub fn new() -> Self {
-        EventRegistry { next: AtomicU64::new(1), records: Mutex::new(HashMap::new()) }
-    }
-
-    /// Issues a fresh, incomplete event of the given kind.
-    pub fn issue(&self, kind: EventKind) -> EventId {
-        let id = EventId(self.next.fetch_add(1, Ordering::Relaxed));
-        self.records
-            .lock()
-            .insert(id, EventRecord { kind, completed: false, host_ns: 0, modeled_ns: 0 });
-        id
-    }
-
-    /// Marks an event as completed with its timings.
-    pub fn complete(&self, id: EventId, host_ns: u64, modeled_ns: u64) {
-        if let Some(record) = self.records.lock().get_mut(&id) {
-            record.completed = true;
-            record.host_ns = host_ns;
-            record.modeled_ns = modeled_ns;
-        }
-    }
-
-    /// Whether the registry knows the event.
-    pub fn contains(&self, id: EventId) -> bool {
-        self.records.lock().contains_key(&id)
-    }
-
-    /// Whether the event has completed.
-    pub fn is_complete(&self, id: EventId) -> bool {
-        self.records.lock().get(&id).map(|r| r.completed).unwrap_or(false)
-    }
-
-    /// A snapshot of the event's record, if known.
-    pub fn record(&self, id: EventId) -> Option<EventRecord> {
-        self.records.lock().get(&id).cloned()
-    }
-
-    /// Number of events issued so far.
-    pub fn len(&self) -> usize {
-        self.records.lock().len()
-    }
-
-    /// Whether no events have been issued.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Sum of modeled nanoseconds over a set of events (used to aggregate a
-    /// wait-list's critical path conservatively in tests).
-    pub fn total_modeled_ns(&self, ids: &[EventId]) -> u64 {
-        let records = self.records.lock();
-        ids.iter().filter_map(|id| records.get(id)).map(|r| r.modeled_ns).sum()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn issue_and_complete() {
-        let reg = EventRegistry::new();
-        let a = reg.issue(EventKind::Kernel("select".into()));
-        let b = reg.issue(EventKind::WriteBuffer);
-        assert_ne!(a, b);
-        assert!(reg.contains(a));
-        assert!(!reg.is_complete(a));
-
-        reg.complete(a, 100, 50);
-        assert!(reg.is_complete(a));
-        let rec = reg.record(a).unwrap();
-        assert_eq!(rec.host_ns, 100);
-        assert_eq!(rec.modeled_ns, 50);
-        assert_eq!(rec.kind, EventKind::Kernel("select".into()));
-        assert!(!reg.is_complete(b));
-    }
-
-    #[test]
-    fn unknown_events_are_not_complete() {
-        let reg = EventRegistry::new();
-        assert!(!reg.is_complete(EventId(999)));
-        assert!(!reg.contains(EventId(999)));
-        assert!(reg.record(EventId(999)).is_none());
-    }
-
-    #[test]
-    fn totals_over_wait_lists() {
-        let reg = EventRegistry::new();
-        let a = reg.issue(EventKind::Marker);
-        let b = reg.issue(EventKind::Marker);
-        reg.complete(a, 10, 20);
-        reg.complete(b, 1, 2);
-        assert_eq!(reg.total_modeled_ns(&[a, b]), 22);
-        assert_eq!(reg.len(), 2);
-        assert!(!reg.is_empty());
-    }
-}

@@ -26,7 +26,12 @@
 //!   round on a GPU.
 //! * [`Queue`] — a lazily evaluated command queue with an event model:
 //!   operators only *schedule* kernel invocations and transfers together with
-//!   wait-lists; nothing runs until [`Queue::flush`] (paper §3.4).
+//!   wait-lists; nothing runs until [`Queue::flush`] (paper §3.4). The queue
+//!   runs its operations in submission order, so its events' state is two
+//!   counters — the last issued [`EventId`] and a completion watermark
+//!   ([`Queue::is_complete`]) — and stays the same size however long a
+//!   session runs. Per-kernel timings and launch shapes are trace events
+//!   (`ocelot_trace::TraceEventKind::Kernel`).
 //!
 //! The crate is deliberately free of any relational logic: it only knows
 //! about devices, buffers, kernels and events. Everything database-shaped
@@ -73,7 +78,7 @@
 //! let kernel = Arc::new(AddConst { input: input.clone(), output: output.clone(), constant: 7 });
 //! let ev = queue.enqueue_kernel(kernel, launch, &[]).unwrap();
 //! queue.flush().unwrap();
-//! assert!(queue.events().is_complete(ev));
+//! assert!(queue.is_complete(ev));
 //! assert_eq!(output.get_i32(100), 107);
 //! ```
 
@@ -93,11 +98,11 @@ pub mod thread_pool;
 pub use buffer::{Buffer, HostCopy, HostWords};
 pub use device::{AccessPattern, Device, DeviceInfo, DeviceKind, MemAccountant};
 pub use error::{KernelError, Result};
-pub use event::{EventId, EventKind, EventRegistry};
+pub use event::EventId;
 pub use fault::{FaultKind, FaultPlan, FaultSite, FaultSpec, FaultStats};
 pub use gpu_sim::{GpuConfig, GpuCostModel};
 pub use kernel::{Kernel, KernelCost, LocalMem, WorkGroupCtx, WorkItem};
-pub use queue::{FlushStats, KernelProfile, Queue};
+pub use queue::{FlushStats, Queue};
 pub use race::{
     AccessMode, AccessTier, BitmapClaim, BufferAccess, KernelAccesses, RaceDetector,
     RaceDiagnostic, RaceStats,

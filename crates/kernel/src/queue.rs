@@ -3,27 +3,29 @@
 //! Ocelot operators never execute work directly: they *enqueue* kernel
 //! invocations and host/device transfers together with wait-lists of
 //! [`EventId`]s and immediately return. Nothing runs until [`Queue::flush`]
-//! (or [`Queue::finish`]) is called — typically by the explicit `sync`
-//! operator that hands result ownership back to MonetDB, or by the Memory
-//! Manager before it evicts a buffer.
+//! is called — typically by the explicit `sync` operator that hands result
+//! ownership back to MonetDB, or by the Memory Manager before it evicts a
+//! buffer.
 //!
 //! The queue executes operations in submission order, which is always a
 //! valid topological order because wait-lists can only reference events that
-//! were issued earlier. Per-operation timings are recorded in the
-//! [`EventRegistry`] and, when profiling is enabled, as [`KernelProfile`]
-//! entries.
+//! were issued earlier. Flushes are serialized, so the completed events are
+//! a prefix of the issued ones and two counters are the whole event state
+//! (see [`crate::event`]). Per-flush totals are [`FlushStats`]; per-kernel
+//! timings and launch shapes are the trace's `kernel` events, emitted when a
+//! [`ocelot_trace::TraceSink`] is attached.
 
 use crate::buffer::Buffer;
 use crate::device::Device;
 use crate::error::{KernelError, Result};
-use crate::event::{EventId, EventKind, EventRegistry};
+use crate::event::EventId;
 use crate::fault::FaultSite;
 use crate::kernel::Kernel;
 use crate::race::RaceDetector;
 use crate::scheduling::LaunchConfig;
 use ocelot_trace::{MetricsRegistry, TraceEventKind, TraceHandle};
 use parking_lot::Mutex;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -106,17 +108,6 @@ impl FlushStats {
         self.bytes_from_device += other.bytes_from_device;
     }
 
-    /// The time the benchmarks should report for the device that produced
-    /// these stats: wall-clock for real (unified-memory CPU) devices,
-    /// modeled time for the simulated discrete GPU.
-    pub fn reported_ns(&self, unified_memory: bool) -> u64 {
-        if unified_memory {
-            self.host_ns
-        } else {
-            self.modeled_ns
-        }
-    }
-
     /// Projects these statistics into a [`MetricsRegistry`] under
     /// `<prefix>.kernels`, `<prefix>.transfers`, `<prefix>.host_ns`,
     /// `<prefix>.modeled_ns`, `<prefix>.bytes_to_device` and
@@ -131,35 +122,24 @@ impl FlushStats {
     }
 }
 
-/// Per-kernel profiling record (enable with [`Queue::enable_profiling`]).
-#[derive(Debug, Clone)]
-pub struct KernelProfile {
-    /// Kernel name.
-    pub name: String,
-    /// Wall-clock nanoseconds on the host.
-    pub host_ns: u64,
-    /// Modeled nanoseconds on the device.
-    pub modeled_ns: u64,
-    /// Number of work-groups launched.
-    pub num_groups: usize,
-    /// Work-items per group.
-    pub group_size: usize,
-    /// Logical problem size.
-    pub n: usize,
-}
-
 /// A lazily evaluated, in-order command queue bound to one [`Device`].
 ///
 /// Queue handles (`Arc<Queue>`) are `Send + Sync`: a multi-query scheduler
 /// may observe (`pending_ops`, `flush_count`, `total_stats`) and drain
 /// (`flush`) session queues from other threads. Flushing executes on the
-/// calling thread, in submission order, exactly as before.
+/// calling thread, in submission order; concurrent flushes of one queue take
+/// turns, one batch at a time, so batches complete in submission order.
 pub struct Queue {
     device: Device,
-    events: Arc<EventRegistry>,
+    /// Scheduled operations not yet flushed. Ids are issued under this lock,
+    /// so a batch holds consecutive ids in order.
     pending: Mutex<Vec<PendingOp>>,
-    profiling: AtomicBool,
-    profiles: Mutex<Vec<KernelProfile>>,
+    /// The last issued event id (0 before the first).
+    issued: AtomicU64,
+    /// The completion watermark: every id up to it has run, none above it.
+    completed: AtomicU64,
+    /// Held by a flush for its whole batch.
+    flushing: Mutex<()>,
     totals: Mutex<FlushStats>,
     flushes: AtomicU64,
     trace: TraceHandle,
@@ -170,10 +150,10 @@ impl Queue {
     pub(crate) fn new(device: Device) -> Queue {
         Queue {
             device,
-            events: Arc::new(EventRegistry::new()),
             pending: Mutex::new(Vec::new()),
-            profiling: AtomicBool::new(false),
-            profiles: Mutex::new(Vec::new()),
+            issued: AtomicU64::new(0),
+            completed: AtomicU64::new(0),
+            flushing: Mutex::new(()),
             totals: Mutex::new(FlushStats::default()),
             flushes: AtomicU64::new(0),
             trace: TraceHandle::new(),
@@ -202,24 +182,16 @@ impl Queue {
         &self.device
     }
 
-    /// The queue's event registry.
-    pub fn events(&self) -> &EventRegistry {
-        &self.events
+    /// Whether the operation tied to `event` has run. False for an id this
+    /// queue never issued, and for the events of a batch a lost device
+    /// dropped.
+    pub fn is_complete(&self, event: EventId) -> bool {
+        (1..=self.completed.load(Ordering::Acquire)).contains(&event.0)
     }
 
     /// Number of operations waiting to be flushed.
     pub fn pending_ops(&self) -> usize {
         self.pending.lock().len()
-    }
-
-    /// Enables per-kernel profiling.
-    pub fn enable_profiling(&self) {
-        self.profiling.store(true, Ordering::Relaxed);
-    }
-
-    /// Snapshot of the collected kernel profiles.
-    pub fn profiles(&self) -> Vec<KernelProfile> {
-        self.profiles.lock().clone()
     }
 
     /// Accumulated statistics over every flush of this queue.
@@ -238,12 +210,20 @@ impl Queue {
     }
 
     fn check_wait_list(&self, wait: &[EventId]) -> Result<()> {
-        for id in wait {
-            if !self.events.contains(*id) {
-                return Err(KernelError::UnknownEvent(id.0));
-            }
+        let issued = 1..=self.issued.load(Ordering::Acquire);
+        match wait.iter().find(|id| !issued.contains(&id.0)) {
+            Some(id) => Err(KernelError::UnknownEvent(id.0)),
+            None => Ok(()),
         }
-        Ok(())
+    }
+
+    /// Issues the next event id and appends the operation `make` builds
+    /// for it, under one lock.
+    fn schedule(&self, make: impl FnOnce(EventId) -> PendingOp) -> EventId {
+        let mut pending = self.pending.lock();
+        let event = EventId(self.issued.fetch_add(1, Ordering::AcqRel) + 1);
+        pending.push(make(event));
+        event
     }
 
     /// Schedules a kernel invocation. Returns the event tied to it.
@@ -259,12 +239,12 @@ impl Queue {
         // a failed launch never leaves a dangling incomplete event for a
         // later wait-list to trip over.
         self.device.fault_preflight(FaultSite::KernelLaunch)?;
-        let event = self.events.issue(EventKind::Kernel(kernel.name().to_string()));
-        if self.race.armed() {
-            self.race.record(&*kernel, &launch, wait, event);
-        }
-        self.pending.lock().push(PendingOp::Kernel { kernel, launch, wait: wait.to_vec(), event });
-        Ok(event)
+        Ok(self.schedule(|event| {
+            if self.race.armed() {
+                self.race.record(&*kernel, &launch, wait, event);
+            }
+            PendingOp::Kernel { kernel, launch, wait: wait.to_vec(), event }
+        }))
     }
 
     /// Schedules a host-to-device transfer of `buffer`.
@@ -288,14 +268,12 @@ impl Queue {
     ) -> Result<EventId> {
         self.check_wait_list(wait)?;
         self.device.fault_preflight(FaultSite::Transfer)?;
-        let event = self.events.issue(EventKind::WriteBuffer);
-        self.pending.lock().push(PendingOp::Write {
+        Ok(self.schedule(|event| PendingOp::Write {
             buffer: buffer.clone(),
             bytes: words.min(buffer.len()) * 4,
             wait: wait.to_vec(),
             event,
-        });
-        Ok(event)
+        }))
     }
 
     /// Schedules a device-to-host transfer of `buffer`.
@@ -315,35 +293,40 @@ impl Queue {
     ) -> Result<EventId> {
         self.check_wait_list(wait)?;
         self.device.fault_preflight(FaultSite::Transfer)?;
-        let event = self.events.issue(EventKind::ReadBuffer);
-        self.pending.lock().push(PendingOp::Read {
+        Ok(self.schedule(|event| PendingOp::Read {
             buffer: buffer.clone(),
             bytes: words.min(buffer.len()) * 4,
             wait: wait.to_vec(),
             event,
-        });
-        Ok(event)
+        }))
     }
 
     /// Schedules a marker that completes once every event in `wait` has
     /// completed — the building block of the explicit `sync` operator.
     pub fn enqueue_marker(&self, wait: &[EventId]) -> Result<EventId> {
         self.check_wait_list(wait)?;
-        let event = self.events.issue(EventKind::Marker);
-        self.pending.lock().push(PendingOp::Marker { wait: wait.to_vec(), event });
-        Ok(event)
+        Ok(self.schedule(|event| PendingOp::Marker { wait: wait.to_vec(), event }))
     }
 
     /// Executes every pending operation in submission order and returns the
     /// statistics of this flush.
+    ///
+    /// A flush holds the queue's batch lock until its batch has run, so a
+    /// second flush of the same queue waits for it; nothing a batch runs
+    /// (kernels, transfers, trace and race checks) flushes again. A kernel
+    /// that panics unwinds out of the flush and drops the rest of its
+    /// batch; a later batch would move the watermark past those ids, so a
+    /// kernel panic is a bug, not an error a caller may recover from.
     pub fn flush(&self) -> Result<FlushStats> {
+        let _batch = self.flushing.lock();
         let ops: Vec<PendingOp> = std::mem::take(&mut *self.pending.lock());
         let effective = !ops.is_empty();
         if effective {
             // A lost device executes nothing: the pending batch is dropped
-            // (the plan that scheduled it is being unwound for failover) and
-            // the caller sees the sticky loss. Empty flushes stay harmless
-            // no-ops so teardown paths never trip here.
+            // (the plan that scheduled it is being unwound for failover),
+            // its events never complete, and the caller sees the sticky
+            // loss. Empty flushes stay harmless no-ops so teardown paths
+            // never trip here.
             if self.device.is_lost() {
                 return Err(KernelError::DeviceLost);
             }
@@ -354,15 +337,14 @@ impl Queue {
         // Phase analysis runs over the shadow batch *before* execution (the
         // event graph is fully known here); bitmap claims are checked after
         // their producer completes, below.
-        let bitmap_claims =
-            if self.race.armed() { self.race.analyze_batch(&self.events) } else { Vec::new() };
+        let bitmap_claims = if self.race.armed() { self.race.analyze_batch() } else { Vec::new() };
         let mut stats = FlushStats::default();
         for op in ops {
             // Wait-list sanity: in-order execution means every dependency
             // issued by this queue has either completed in a previous flush
             // or earlier in this loop.
             for dep in op.wait_list() {
-                if !self.events.is_complete(*dep) {
+                if !self.is_complete(*dep) {
                     return Err(KernelError::IncompleteDependency(dep.0));
                 }
             }
@@ -370,7 +352,6 @@ impl Queue {
             match op {
                 PendingOp::Kernel { kernel, launch, .. } => {
                     let report = self.device.execute_kernel(&kernel, &launch);
-                    self.events.complete(event, report.host_ns, report.modeled_ns);
                     for (claim_event, producer, claim) in &bitmap_claims {
                         if *claim_event == event {
                             self.race.check_bitmap(producer, claim);
@@ -379,27 +360,18 @@ impl Queue {
                     stats.kernels += 1;
                     stats.host_ns += report.host_ns;
                     stats.modeled_ns += report.modeled_ns;
-                    if self.profiling.load(Ordering::Relaxed) {
-                        self.profiles.lock().push(KernelProfile {
-                            name: kernel.name().to_string(),
-                            host_ns: report.host_ns,
-                            modeled_ns: report.modeled_ns,
-                            num_groups: launch.num_groups,
-                            group_size: launch.group_size,
-                            n: launch.n,
-                        });
-                    }
                     if traced {
                         self.trace.emit(|| TraceEventKind::Kernel {
                             kernel: kernel.name().to_string(),
                             host_ns: report.host_ns,
                             modeled_ns: report.modeled_ns,
+                            num_groups: launch.num_groups as u64,
+                            n: launch.n as u64,
                         });
                     }
                 }
                 PendingOp::Write { bytes, .. } => {
                     let ns = self.device.transfer_ns(bytes);
-                    self.events.complete(event, 0, ns);
                     stats.transfers += 1;
                     stats.modeled_ns += ns;
                     let charged = if self.device.is_unified() { 0 } else { bytes as u64 };
@@ -414,7 +386,6 @@ impl Queue {
                 }
                 PendingOp::Read { bytes, .. } => {
                     let ns = self.device.transfer_ns(bytes);
-                    self.events.complete(event, 0, ns);
                     stats.transfers += 1;
                     stats.modeled_ns += ns;
                     let charged = if self.device.is_unified() { 0 } else { bytes as u64 };
@@ -427,10 +398,9 @@ impl Queue {
                         });
                     }
                 }
-                PendingOp::Marker { .. } => {
-                    self.events.complete(event, 0, 0);
-                }
+                PendingOp::Marker { .. } => {}
             }
+            self.completed.store(event.0, Ordering::Release);
         }
         if let Some(start) = flush_start {
             let dur_ns = start.elapsed().as_nanos() as u64;
@@ -448,12 +418,6 @@ impl Queue {
         }
         self.totals.lock().merge(&stats);
         Ok(stats)
-    }
-
-    /// Flushes and additionally asserts that every issued event has
-    /// completed — the moral equivalent of `clFinish`.
-    pub fn finish(&self) -> Result<FlushStats> {
-        self.flush()
     }
 }
 
@@ -509,12 +473,12 @@ mod tests {
 
         // Nothing has run yet.
         assert_eq!(queue.pending_ops(), 1);
-        assert!(!queue.events().is_complete(ev));
+        assert!(!queue.is_complete(ev));
         assert_eq!(buf.get_i32(0), 0);
 
         let stats = queue.flush().unwrap();
         assert_eq!(stats.kernels, 1);
-        assert!(queue.events().is_complete(ev));
+        assert!(queue.is_complete(ev));
         assert_eq!(buf.get_i32(0), 1);
         assert_eq!(queue.pending_ops(), 0);
     }
@@ -533,7 +497,7 @@ mod tests {
             .unwrap();
         let marker = queue.enqueue_marker(&[second]).unwrap();
         queue.flush().unwrap();
-        assert!(queue.events().is_complete(marker));
+        assert!(queue.is_complete(marker));
         assert_eq!(buf.get_i32(5), 2);
     }
 
@@ -543,6 +507,141 @@ mod tests {
         let queue = device.create_queue();
         let err = queue.enqueue_marker(&[EventId(4242)]).unwrap_err();
         assert_eq!(err, KernelError::UnknownEvent(4242));
+    }
+
+    #[test]
+    fn id_zero_and_never_issued_ids_are_unknown() {
+        let device = Device::cpu_sequential();
+        let queue = device.create_queue();
+        let first = queue.enqueue_marker(&[]).unwrap();
+        let second = queue.enqueue_marker(&[first]).unwrap();
+        assert_eq!((first, second), (EventId(1), EventId(2)));
+        queue.flush().unwrap();
+        for never in [EventId(0), EventId(3), EventId(u64::MAX)] {
+            assert_eq!(queue.enqueue_marker(&[never]), Err(KernelError::UnknownEvent(never.0)));
+            assert!(!queue.is_complete(never), "{never:?}");
+        }
+        // A rejected wait-list issues nothing: the next id is still 3.
+        assert_eq!(queue.enqueue_marker(&[second]).unwrap(), EventId(3));
+    }
+
+    #[test]
+    fn an_event_is_incomplete_until_its_flush() {
+        let device = Device::cpu_sequential();
+        let buf = device.alloc_from_i32(&[0; 4], "b").unwrap();
+        let queue = device.create_queue();
+        let launch = device.launch_config(4);
+        let first =
+            queue.enqueue_kernel(Arc::new(Increment { buf: buf.clone() }), launch.clone(), &[]);
+        let first = first.unwrap();
+        queue.flush().unwrap();
+        let write = queue.enqueue_write(&buf, &[first]).unwrap();
+        let second =
+            queue.enqueue_kernel(Arc::new(Increment { buf: buf.clone() }), launch, &[write]);
+        let second = second.unwrap();
+        let read = queue.enqueue_read(&buf, &[second]).unwrap();
+        assert!(queue.is_complete(first));
+        for event in [write, second, read] {
+            assert!(!queue.is_complete(event), "{event:?} is pending");
+        }
+        assert_eq!(buf.get_i32(0), 1);
+        queue.flush().unwrap();
+        for event in [first, write, second, read] {
+            assert!(queue.is_complete(event), "{event:?} ran");
+        }
+        assert_eq!(buf.get_i32(0), 2);
+    }
+
+    #[test]
+    fn a_lost_device_never_completes_the_batch_it_dropped() {
+        let device = Device::cpu_sequential();
+        let buf = device.alloc_from_i32(&[0; 4], "b").unwrap();
+        let queue = device.create_queue();
+        let launch = device.launch_config(4);
+        // The first launch is scheduled; the device is lost at the second.
+        device.install_fault_plan(crate::fault::FaultPlan::scripted([
+            crate::fault::FaultSpec::DeviceLost { at_op: 1 },
+        ]));
+        let kernel = Arc::new(Increment { buf: buf.clone() });
+        let dropped = queue.enqueue_kernel(kernel.clone(), launch.clone(), &[]).unwrap();
+        let lost = queue.enqueue_kernel(kernel, launch, &[dropped]);
+        assert_eq!(lost, Err(KernelError::DeviceLost));
+        assert_eq!(queue.flush(), Err(KernelError::DeviceLost));
+        assert_eq!(queue.pending_ops(), 0, "the batch is dropped");
+        // A marker can still wait on the dropped event; it never runs.
+        let marker = queue.enqueue_marker(&[dropped]).unwrap();
+        assert_eq!(queue.flush(), Err(KernelError::DeviceLost));
+        for event in [dropped, marker] {
+            assert!(!queue.is_complete(event), "{event:?} must never read complete");
+        }
+        assert_eq!(buf.get_i32(0), 0, "nothing ran");
+        assert_eq!(queue.flush_count(), 0);
+    }
+
+    /// Sets its own cell, after checking that its predecessor's is set.
+    struct Mark {
+        cells: Buffer,
+        index: usize,
+    }
+
+    impl Kernel for Mark {
+        fn name(&self) -> &str {
+            "mark"
+        }
+        fn run_group(&self, _group: &mut WorkGroupCtx) {
+            assert!(self.index == 0 || self.cells.get_i32(self.index - 1) == 1, "ran out of order");
+            self.cells.set_i32(self.index, 1);
+        }
+    }
+
+    #[test]
+    fn concurrent_flushes_complete_every_event_only_after_its_op_ran() {
+        // Each round is a fresh queue: two threads flush it while a third
+        // enqueues a chain of marks, each waiting on the one before.
+        const OPS: usize = 2_000;
+        let device = Device::cpu_sequential();
+        for _round in 0..6 {
+            let cells = device.alloc_from_i32(&[0; OPS], "cells").unwrap();
+            let queue = device.create_queue();
+            let issued = Mutex::new(Vec::with_capacity(OPS));
+            let done = std::sync::atomic::AtomicBool::new(false);
+            // Every event a flusher sees complete must have its cell set.
+            let check = || {
+                let issued = issued.lock().clone();
+                for (index, event) in issued.into_iter().enumerate() {
+                    if queue.is_complete(event) {
+                        assert_eq!(cells.get_i32(index), 1, "{event:?} complete before it ran");
+                    }
+                }
+            };
+            std::thread::scope(|scope| {
+                for _ in 0..2 {
+                    scope.spawn(|| {
+                        while !done.load(Ordering::Acquire) {
+                            queue.flush().unwrap();
+                            check();
+                        }
+                    });
+                }
+                scope.spawn(|| {
+                    let launch = device.launch_config(1);
+                    let mut previous: Option<EventId> = None;
+                    for index in 0..OPS {
+                        let mark = Arc::new(Mark { cells: cells.clone(), index });
+                        let wait: Vec<EventId> = previous.into_iter().collect();
+                        let event = queue.enqueue_kernel(mark, launch.clone(), &wait).unwrap();
+                        issued.lock().push(event);
+                        previous = Some(event);
+                    }
+                    done.store(true, Ordering::Release);
+                });
+            });
+            queue.flush().unwrap();
+            check();
+            assert!(issued.into_inner().iter().all(|event| queue.is_complete(*event)));
+            assert!((0..OPS).all(|index| cells.get_i32(index) == 1));
+            assert_eq!(queue.total_stats().kernels, OPS);
+        }
     }
 
     #[test]
@@ -578,21 +677,6 @@ mod tests {
         let stats = queue.flush().unwrap();
         assert_eq!(stats.bytes_to_device, 0);
         assert_eq!(stats.modeled_ns, 0);
-    }
-
-    #[test]
-    fn profiling_collects_kernel_names() {
-        let device = Device::cpu_sequential();
-        let buf = device.alloc_from_i32(&[0; 16], "b").unwrap();
-        let queue = device.create_queue();
-        queue.enable_profiling();
-        let launch = device.launch_config(16);
-        queue.enqueue_kernel(Arc::new(Increment { buf }), launch, &[]).unwrap();
-        queue.flush().unwrap();
-        let profiles = queue.profiles();
-        assert_eq!(profiles.len(), 1);
-        assert_eq!(profiles[0].name, "increment");
-        assert_eq!(profiles[0].n, 16);
     }
 
     #[test]
@@ -637,12 +721,22 @@ mod tests {
         queue.trace().attach(Arc::clone(&sink));
         queue.enqueue_write(&buf, &[]).unwrap();
         let launch = gpu.launch_config(64);
+        let launch_groups = launch.num_groups;
         queue.enqueue_kernel(Arc::new(Increment { buf: buf.clone() }), launch, &[]).unwrap();
         queue.enqueue_read(&buf, &[]).unwrap();
         queue.flush().unwrap();
         queue.flush().unwrap(); // empty: must not emit a flush event
         use ocelot_trace::TraceEventKind as K;
-        assert_eq!(sink.count(|e| matches!(e.kind, K::Kernel { .. })), 1);
+        let shapes: Vec<_> = sink
+            .events()
+            .into_iter()
+            .filter_map(|e| match e.kind {
+                K::Kernel { kernel, num_groups, n, .. } => Some((kernel, num_groups, n)),
+                _ => None,
+            })
+            .collect();
+        let groups = launch_groups as u64;
+        assert_eq!(shapes, [("increment".to_string(), groups, 64)], "one launch, its shape");
         assert_eq!(sink.count(|e| matches!(e.kind, K::Transfer { .. })), 2);
         assert_eq!(
             sink.count(|e| matches!(e.kind, K::Flush { .. })) as u64,
@@ -767,12 +861,5 @@ mod tests {
         stats.register_metrics("ocelot.queue", &mut reg);
         assert_eq!(reg.counter("ocelot.queue.kernels"), Some(2));
         assert_eq!(reg.counter("ocelot.queue.bytes_from_device"), Some(200));
-    }
-
-    #[test]
-    fn reported_ns_selects_by_memory_model() {
-        let stats = FlushStats { host_ns: 10, modeled_ns: 99, ..Default::default() };
-        assert_eq!(stats.reported_ns(true), 10);
-        assert_eq!(stats.reported_ns(false), 99);
     }
 }

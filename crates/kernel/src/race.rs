@@ -41,7 +41,7 @@
 //! builds (the fault layer made the same trade).
 
 use crate::buffer::Buffer;
-use crate::event::{EventId, EventRegistry};
+use crate::event::EventId;
 use crate::kernel::Kernel;
 use crate::scheduling::LaunchConfig;
 use ocelot_trace::MetricsRegistry;
@@ -425,29 +425,23 @@ impl RaceDetector {
     /// Takes the recorded batch for the flush that is about to execute and
     /// runs the pairwise phase analysis. Returns the bitmap claims keyed by
     /// completing event so the flush loop can verify them post-execution.
-    pub(crate) fn analyze_batch(
-        &self,
-        events: &EventRegistry,
-    ) -> Vec<(EventId, String, BitmapClaim)> {
+    pub(crate) fn analyze_batch(&self) -> Vec<(EventId, String, BitmapClaim)> {
         let batch: Vec<RecordedKernel> = std::mem::take(&mut *self.recorded.lock());
         if batch.is_empty() {
             return Vec::new();
         }
 
-        // Transitive happens-before within the batch. Wait-list events that
-        // are already complete belong to earlier flushes and order their
-        // dependents after the whole history — only intra-batch edges need
-        // the closure. `pred[i]` holds the batch indices ordered before
-        // kernel `i`. In-order submission guarantees edges point backwards,
-        // so one forward sweep computes the closure.
+        // Transitive happens-before within the batch. Wait-list events
+        // outside the batch belong to earlier flushes (or are not kernels)
+        // and order their dependents after the whole history — only
+        // intra-batch edges need the closure. `pred[i]` holds the batch
+        // indices ordered before kernel `i`. In-order submission guarantees
+        // edges point backwards, so one forward sweep computes the closure.
         let index_of = |event: EventId| batch.iter().position(|rk| rk.event == event);
         let mut pred: Vec<Vec<bool>> = Vec::with_capacity(batch.len());
         for (i, rk) in batch.iter().enumerate() {
             let mut row = vec![false; batch.len()];
             for dep in &rk.wait {
-                if events.is_complete(*dep) {
-                    continue;
-                }
                 if let Some(j) = index_of(*dep) {
                     if j < i {
                         row[j] = true;

@@ -81,8 +81,9 @@ impl QueryResult {
     /// half of the equality rule (`ocelot_core::ops::aggregate` module
     /// docs): integer, code, key and count cells are equal, and float cells
     /// (the sums, averages and balances) within `rel_tol` of the larger
-    /// magnitude, at least 1, since aggregation order differs between
-    /// backends. Run to run on one backend and device configuration results
+    /// magnitude, since aggregation order differs between backends. The
+    /// bound scales with the value, so an average near 0.05 is held as
+    /// tightly as a sum near 10⁶. Run to run on one backend and device configuration results
     /// are bit-equal; compare with `==`. The difference names the row
     /// count, or the row, the column and both values.
     pub fn first_difference(&self, other: &QueryResult, rel_tol: f64) -> Option<String> {
@@ -102,7 +103,7 @@ impl QueryResult {
             }
             for ((x, y), column) in a.iter().zip(b).zip(&self.columns) {
                 let equal = if FLOAT_COLUMNS.contains(&column.as_str()) {
-                    (x - y).abs() <= rel_tol * x.abs().max(y.abs()).max(1.0)
+                    (x - y).abs() <= rel_tol * x.abs().max(y.abs())
                 } else {
                     x == y
                 };
@@ -675,7 +676,7 @@ mod tests {
         let TpchConfig { scale_factor, seed } = db.config();
         for (query, expected) in PORTED_QUERY_IDS.into_iter().zip(expected) {
             let result = run_query_on(session, db, catalog, query).unwrap();
-            if let Some(difference) = result.first_difference(expected, 1e-3) {
+            if let Some(difference) = result.first_difference(expected, 1e-5) {
                 panic!(
                     "{} at sf {scale_factor} seed {seed} differs from the reference: {difference}",
                     session.name()
@@ -697,9 +698,10 @@ mod tests {
 
     /// Every ported query on MS, MP at three threads, Ocelot CPU and Ocelot
     /// GPU equals the row-at-a-time reference (integer cells exactly, float
-    /// cells within 1e-3), at three scales and four seeds. Within 1e-3 an
-    /// average off by one row is invisible over more than 1 000 rows, so
-    /// the smallest scale keeps Q1's six groups near 500 rows each.
+    /// cells within 1e-5 relative), at three scales and four seeds. The
+    /// engine sits within ~1.3e-6 of the reference; an average over one row
+    /// too many is off by 1e-4 relative even in Q1's ~20 000-row groups at
+    /// sf 0.01, and the smallest scale keeps those groups near 500 rows.
     #[test]
     fn ported_queries_agree_across_all_configurations() {
         let configs = [
@@ -754,15 +756,19 @@ mod tests {
             )
         };
         let base = result(1000.0, 9001.0);
-        assert_eq!(base.first_difference(&base, 1e-3), None);
+        assert_eq!(base.first_difference(&base, 1e-5), None);
         // Floats compare within the tolerance, keys and dates exactly.
-        assert!(base.approx_eq(&result(1000.5, 9001.0), 1e-3));
-        let far = base.first_difference(&result(1002.0, 9001.0), 1e-3);
-        assert_eq!(far.unwrap(), "q3: row 0, column revenue: 1000 vs 1002");
-        let date = base.first_difference(&result(1000.0, 9002.0), 1e-3);
+        assert!(base.approx_eq(&result(1000.005, 9001.0), 1e-5));
+        let far = base.first_difference(&result(1000.02, 9001.0), 1e-5);
+        assert_eq!(far.unwrap(), "q3: row 0, column revenue: 1000 vs 1000.02");
+        let date = base.first_difference(&result(1000.0, 9002.0), 1e-5);
         assert_eq!(date.unwrap(), "q3: row 1, column o_orderdate: 9001 vs 9002");
         let short = result_of(3, &Q3_COLUMNS, vec![vec![7.0, 1000.0, 9000.0, 0.0]], 1);
-        assert_eq!(base.first_difference(&short, 1e-3).unwrap(), "q3: 2 rows vs 1");
+        assert_eq!(base.first_difference(&short, 1e-5).unwrap(), "q3: 2 rows vs 1");
+        // The bound scales with the value: below 1 it is no looser.
+        assert!(result(0.05, 9001.0).approx_eq(&result(0.0500004, 9001.0), 1e-5));
+        assert!(!result(0.05, 9001.0).approx_eq(&result(0.050001, 9001.0), 1e-5));
+        assert!(result(0.0, 9001.0).approx_eq(&result(0.0, 9001.0), 1e-5));
     }
 
     #[test]

@@ -147,6 +147,10 @@ pub enum TraceEventKind {
         host_ns: u64,
         /// Modeled device time (equals `host_ns` on real CPU devices).
         modeled_ns: u64,
+        /// Work-groups launched.
+        num_groups: u64,
+        /// Logical problem size (rows) of the launch.
+        n: u64,
     },
     /// A host↔device transfer executed by a queue flush.
     Transfer {
@@ -274,8 +278,8 @@ impl TraceEventKind {
 
     fn args_json(&self) -> String {
         match self {
-            TraceEventKind::Kernel { kernel, host_ns, modeled_ns } => format!(
-                "{{\"kernel\":{},\"host_ns\":{host_ns},\"modeled_ns\":{modeled_ns}}}",
+            TraceEventKind::Kernel { kernel, host_ns, modeled_ns, num_groups, n } => format!(
+                "{{\"kernel\":{},\"host_ns\":{host_ns},\"modeled_ns\":{modeled_ns},\"num_groups\":{num_groups},\"n\":{n}}}",
                 json_string(kernel)
             ),
             TraceEventKind::Transfer { to_device, bytes, modeled_ns } => format!(
@@ -735,7 +739,13 @@ mod tests {
     #[test]
     fn events_carry_taxonomy_and_sites() {
         let sink = TraceSink::new();
-        sink.record(TraceEventKind::Kernel { kernel: "scan".into(), host_ns: 10, modeled_ns: 20 });
+        sink.record(TraceEventKind::Kernel {
+            kernel: "scan".into(),
+            host_ns: 10,
+            modeled_ns: 20,
+            num_groups: 4,
+            n: 1000,
+        });
         sink.record(TraceEventKind::Alloc { label: "buf".into(), bytes: 4096 });
         sink.record(TraceEventKind::Spill { bytes: 64 });
         let events = sink.events();
@@ -745,6 +755,8 @@ mod tests {
         assert_eq!(events[2].kind.site(), None);
         assert_eq!(events[2].kind.category(), "memory");
         assert_eq!(sink.count(|e| matches!(e.kind, TraceEventKind::Alloc { .. })), 1);
+        let json = sink.to_chrome_trace();
+        assert!(json.contains("\"modeled_ns\":20,\"num_groups\":4,\"n\":1000"), "{json}");
     }
 
     #[test]

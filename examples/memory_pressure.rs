@@ -26,7 +26,7 @@ use ocelot_tpch::{run_query, QueryResult, TpchConfig, TpchDb};
 const PRESSURE_BUDGET: usize = 512 * 1024;
 
 fn check(label: &str, actual: &QueryResult, expected: &QueryResult) {
-    if let Some(difference) = actual.first_difference(expected, 1e-3) {
+    if let Some(difference) = actual.first_difference(expected, 1e-5) {
         panic!("{label}: diverged from the reference: {difference}");
     }
 }

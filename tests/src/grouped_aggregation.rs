@@ -37,6 +37,16 @@ pub(crate) fn scramble(row: usize, seed: u64) -> u64 {
 /// kernels it launched (drained by a final sync) and the flushes it took
 /// before that sync.
 pub(crate) fn observed<R>(ctx: &OcelotContext, work: impl FnOnce() -> R) -> (R, Vec<String>, u64) {
+    let (result, launches, flushes) = observed_launches(ctx, work);
+    (result, launches.into_iter().map(|(kernel, ..)| kernel).collect(), flushes)
+}
+
+/// [`observed`], with each launch's shape as the trace records it:
+/// `(kernel, work-groups, rows)`.
+pub(crate) fn observed_launches<R>(
+    ctx: &OcelotContext,
+    work: impl FnOnce() -> R,
+) -> (R, Vec<(String, u64, u64)>, u64) {
     ctx.sync().unwrap();
     let sink = Arc::new(TraceSink::new());
     ctx.attach_tracer(&sink);
@@ -45,15 +55,15 @@ pub(crate) fn observed<R>(ctx: &OcelotContext, work: impl FnOnce() -> R) -> (R, 
     let flushes = ctx.queue().flush_count() - flushes;
     ctx.sync().unwrap();
     ctx.detach_tracer();
-    let launched = sink
+    let launches = sink
         .events()
         .into_iter()
         .filter_map(|event| match event.kind {
-            TraceEventKind::Kernel { kernel, .. } => Some(kernel),
+            TraceEventKind::Kernel { kernel, num_groups, n, .. } => Some((kernel, num_groups, n)),
             _ => None,
         })
         .collect();
-    (result, launched, flushes)
+    (result, launches, flushes)
 }
 
 /// `rows` rows of column `c` take `spans[c]` values from `firsts[c]` up, in

@@ -9,13 +9,14 @@
 //! the armed race detector is silent; and the order does not depend on the
 //! thread-pool size.
 
-use crate::grouped_aggregation::{observed, scramble};
+use crate::grouped_aggregation::{observed_launches, scramble};
 use ocelot_core::ops::sort_radix;
 use ocelot_core::partition::{partitioned_pkfk_join, PartitionedJoinConfig};
-use ocelot_core::OcelotContext;
+use ocelot_core::{OcelotContext, TraceEventKind, TraceSink};
 use ocelot_engine::{Backend, MonetBackend, OcelotBackend};
 use ocelot_kernel::{Device, GpuConfig};
 use proptest::prelude::*;
+use std::sync::Arc;
 
 /// The sizes on and around the steps of the table rule (one table up to
 /// 2 047 rows, 64 from 65 536 on) and one well past the last.
@@ -148,7 +149,6 @@ fn a_sort_is_eight_launches_no_flush_no_transfer_on_every_device() {
     let passes = ["radix_histogram", "radix_scatter"].repeat(4);
     for backend in [OcelotBackend::cpu_sequential(), OcelotBackend::cpu(), OcelotBackend::gpu()] {
         let ctx = backend.context();
-        ctx.queue().enable_profiling();
         for rows in [5, 5_000, 200_000] {
             let (ints, floats) = columns(rows, 1, 20);
             let (ints, floats) =
@@ -158,17 +158,17 @@ fn a_sort_is_eight_launches_no_flush_no_transfer_on_every_device() {
                 let at = format!("{rows} rows, float {float}, descending {descending}");
                 let at = format!("{at} on {}", backend.name());
                 ctx.sync().unwrap();
-                let (transfers, profiled) =
-                    (ctx.queue().total_stats().transfers, ctx.queue().profiles().len());
-                let (_, launched, flushes) = observed(ctx, || match float {
+                let transfers = ctx.queue().total_stats().transfers;
+                let (_, launches, flushes) = observed_launches(ctx, || match float {
                     false => backend.sort_order_i32(&ints, descending).unwrap(),
                     true => backend.sort_order_f32(&floats, descending).unwrap(),
                 });
+                let launched: Vec<&str> = launches.iter().map(|(kernel, ..)| &**kernel).collect();
                 assert_eq!(launched, passes, "{at}");
                 assert_eq!(flushes, 0, "{at}");
                 assert_eq!(ctx.queue().total_stats().transfers, transfers, "{at}");
-                for launch in &ctx.queue().profiles()[profiled..] {
-                    assert_eq!((launch.num_groups, launch.n), (tables_for(rows), rows), "{at}");
+                for (_, num_groups, n) in launches {
+                    assert_eq!((num_groups, n), (tables_for(rows) as u64, rows as u64), "{at}");
                 }
             }
         }
@@ -186,16 +186,28 @@ fn a_small_sort_runs_on_a_256_kib_device() {
     let config = GpuConfig::default().with_global_mem(256 * 1024);
     let overhead = config.launch_overhead_ns;
     let backend = OcelotBackend::gpu_with(config);
-    backend.context().queue().enable_profiling();
+    let sink = Arc::new(TraceSink::new());
+    backend.context().attach_tracer(&sink);
     for rows in [5, 5_000] {
         let (ints, floats) = columns(rows, 0, 256);
         let got = backend_orders(&backend, &ints, &floats);
         assert_same_orders(&format!("{rows} rows"), &got, &expected_orders(&ints, &floats));
     }
-    let profiles = backend.context().queue().profiles();
-    let histogram = profiles.iter().find(|launch| launch.name == "radix_histogram").unwrap();
-    assert_eq!((histogram.n, histogram.num_groups), (5, 1));
-    assert!(histogram.modeled_ns < overhead + 100, "{histogram:?}");
+    backend.context().detach_tracer();
+    let histogram = sink
+        .events()
+        .into_iter()
+        .find_map(|event| match event.kind {
+            TraceEventKind::Kernel { kernel, modeled_ns, num_groups, n, .. }
+                if kernel == "radix_histogram" =>
+            {
+                Some((n, num_groups, modeled_ns))
+            }
+            _ => None,
+        })
+        .unwrap();
+    assert_eq!((histogram.0, histogram.1), (5, 1));
+    assert!(histogram.2 < overhead + 100, "{histogram:?}");
     assert_eq!(sort_radix::scratch_bytes(5_000), (4 * 5_000 + 256 * tables_for(5_000)) * 4);
 }
 
