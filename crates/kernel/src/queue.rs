@@ -680,6 +680,27 @@ mod tests {
     }
 
     #[test]
+    fn profiling_collects_kernel_names() {
+        let device = Device::cpu_sequential();
+        let buf = device.alloc_from_i32(&[0; 16], "b").unwrap();
+        let queue = device.create_queue();
+        let sink = Arc::new(ocelot_trace::TraceSink::new());
+        queue.trace().attach(Arc::clone(&sink));
+        let launch = device.launch_config(16);
+        queue.enqueue_kernel(Arc::new(Increment { buf }), launch, &[]).unwrap();
+        queue.flush().unwrap();
+        let kernels: Vec<_> = sink
+            .events()
+            .into_iter()
+            .filter_map(|e| match e.kind {
+                ocelot_trace::TraceEventKind::Kernel { kernel, n, .. } => Some((kernel, n)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(kernels, [("increment".to_string(), 16)]);
+    }
+
+    #[test]
     fn totals_accumulate_across_flushes() {
         let device = Device::cpu_sequential();
         let buf = device.alloc_from_i32(&[0; 8], "b").unwrap();
