@@ -53,7 +53,7 @@ use ocelot_storage::Catalog;
 use ocelot_trace::{MetricsRegistry, TraceEventKind, TraceHandle};
 use parking_lot::Mutex;
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 
 /// Counters of a [`PlanCache`] (see [`PlanCache::stats`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -99,21 +99,24 @@ struct CacheInner {
 
 /// A device-wide cache of compiled query shapes (module docs).
 pub struct PlanCache {
-    slot: Arc<PlanSlot>,
+    /// The device's slot, whose epoch invalidates the entries. Weak: the
+    /// slot holds this cache, so a strong handle back would be a cycle
+    /// that keeps both alive after the device is dropped.
+    slot: Weak<PlanSlot>,
     inner: Mutex<CacheInner>,
     trace: TraceHandle,
 }
 
 impl PlanCache {
-    /// A stand-alone cache with a private invalidation slot (host
-    /// backends, tests). Sessions of a shared device should use
-    /// [`PlanCache::on`] instead so device loss invalidates the cache.
+    /// A stand-alone cache that nothing invalidates (host backends,
+    /// tests). Sessions of a shared device should use [`PlanCache::on`]
+    /// instead so device loss invalidates the cache.
     pub fn new() -> PlanCache {
-        Self::with_slot(Arc::new(PlanSlot::new()))
+        Self::with_slot(Weak::new())
     }
 
-    fn with_slot(slot: Arc<PlanSlot>) -> PlanCache {
-        let seen_epoch = slot.epoch();
+    fn with_slot(slot: Weak<PlanSlot>) -> PlanCache {
+        let seen_epoch = slot.upgrade().map_or(0, |slot| slot.epoch());
         PlanCache {
             slot,
             inner: Mutex::new(CacheInner {
@@ -137,10 +140,9 @@ impl PlanCache {
     /// [`PlanSlot`] on first use. Every call for the same device returns
     /// the same cache, and `Backend::on_device_lost` invalidates it.
     pub fn on(shared: &SharedDevice) -> Arc<PlanCache> {
-        let slot = Arc::clone(shared.plan_slot());
-        let erased = slot.get_or_install(|| {
-            Arc::new(PlanCache::with_slot(Arc::clone(shared.plan_slot()))) as Arc<_>
-        });
+        let slot = shared.plan_slot();
+        let erased =
+            slot.get_or_install(|| Arc::new(PlanCache::with_slot(Arc::downgrade(slot))) as Arc<_>);
         erased.downcast::<PlanCache>().expect("the plan slot holds exactly one cache type")
     }
 
@@ -289,9 +291,12 @@ impl PlanCache {
     }
 
     /// Flushes the entries when the device-loss epoch moved since they
-    /// were compiled (module docs). Caller holds the lock.
+    /// were compiled (module docs). A stand-alone cache, or one whose
+    /// device is gone, has no epoch to observe. Caller holds the lock.
     fn observe_epoch(&self, inner: &mut CacheInner) {
-        let current = self.slot.epoch();
+        let Some(current) = self.slot.upgrade().map(|slot| slot.epoch()) else {
+            return;
+        };
         if current != inner.seen_epoch {
             inner.entries.clear();
             inner.seen_epoch = current;
@@ -475,11 +480,12 @@ mod tests {
     #[test]
     fn epoch_bumps_flush_the_cache() {
         let catalog = catalog();
-        let cache = PlanCache::new();
+        let shared = SharedDevice::cpu_sequential();
+        let cache = PlanCache::on(&shared);
         let q = shape();
         let params = [ParamValue::I32(100), ParamValue::I32(300)];
         cache.plan(&q, &params, &catalog).unwrap();
-        cache.slot.invalidate();
+        shared.plan_slot().invalidate();
         cache.plan(&q, &params, &catalog).unwrap();
         let stats = cache.stats();
         assert_eq!(
@@ -487,6 +493,15 @@ mod tests {
             (0, 2, 1),
             "the post-invalidation lookup recompiles"
         );
+    }
+
+    #[test]
+    fn a_device_cache_is_freed_with_its_device() {
+        let shared = SharedDevice::cpu_sequential();
+        let cache = Arc::downgrade(&PlanCache::on(&shared));
+        assert!(cache.upgrade().is_some(), "the device's slot holds its cache");
+        drop(shared);
+        assert!(cache.upgrade().is_none(), "the cache keeps its slot alive");
     }
 
     #[test]
